@@ -168,27 +168,57 @@ func PrefixSumCoefs(n, t int) []Coef {
 	return out
 }
 
+// Overlap returns, for the half-open interval [s, e) and the level-j dyadic
+// cell k (the support [k*2^j, (k+1)*2^j) of w[j,k], j >= 1), the overlap
+// length T = |[s,e) ∩ cell| and the signed half difference
+// D = |[s,e) ∩ left half| - |[s,e) ∩ right half|. The sum of a over [s, e)
+// picks up w[j,k] exactly D times (Lemma 2 in closed form), and D is nonzero
+// only for the at most two cells per level that contain an end of the
+// interval; for the one-element interval it is the Lemma-1 sign.
+func Overlap(s, e, j, k int) (t, d int) {
+	lo, hi := k<<uint(j), (k+1)<<uint(j)
+	a, b := bitutil.Max(s, lo), bitutil.Min(e, hi)
+	if a >= b {
+		return 0, 0
+	}
+	mid := (lo + hi) / 2
+	left := bitutil.Max(0, bitutil.Min(b, mid)-a)
+	right := bitutil.Max(0, b-bitutil.Max(a, mid))
+	return b - a, left - right
+}
+
 // RangeSumCoefs returns the weighted coefficients answering the range sum
-// a[l] + ... + a[r] as the difference of two prefix sums, with weights for
-// shared coefficients merged. By Lemma 2 at most 2n+1 coefficients appear.
+// a[l] + ... + a[r]: the overall average weighted by the extent, then the
+// details whose Overlap D is nonzero, by descending level (left edge cell
+// before right edge cell within a level). By Lemma 2 at most 2n+1
+// coefficients appear. The order is fixed, so a caller folding the list
+// sums in the same floating-point order on every call.
 func RangeSumCoefs(n, l, r int) []Coef {
+	return AppendRangeSumCoefs(make([]Coef, 0, 2*n+1), n, l, r)
+}
+
+// AppendRangeSumCoefs is RangeSumCoefs appending to dst, for callers that
+// reuse the slice.
+func AppendRangeSumCoefs(dst []Coef, n, l, r int) []Coef {
 	if l < 0 || r < l || r >= 1<<uint(n) {
 		panic(fmt.Sprintf("haar: RangeSumCoefs(n=%d, l=%d, r=%d) invalid", n, l, r))
 	}
-	weights := map[int]float64{}
-	for _, c := range PrefixSumCoefs(n, r+1) {
-		weights[c.Index] += c.Weight
-	}
-	for _, c := range PrefixSumCoefs(n, l) {
-		weights[c.Index] -= c.Weight
-	}
-	out := make([]Coef, 0, len(weights))
-	for idx, w := range weights {
-		if w != 0 {
-			out = append(out, Coef{Index: idx, Weight: w})
+	e := r + 1
+	dst = append(dst, Coef{Index: 0, Weight: float64(e - l)})
+	for j := n; j >= 1; j-- {
+		base := 1 << uint(n-j)
+		kl, kr := l>>uint(j), r>>uint(j)
+		if _, d := Overlap(l, e, j, kl); d != 0 {
+			dst = append(dst, Coef{Index: base + kl, Weight: float64(d)})
+		}
+		if kr == kl {
+			continue
+		}
+		if _, d := Overlap(l, e, j, kr); d != 0 {
+			dst = append(dst, Coef{Index: base + kr, Weight: float64(d)})
 		}
 	}
-	return out
+	return dst
 }
 
 // RangeSum evaluates a[l] + ... + a[r] directly from the transform.

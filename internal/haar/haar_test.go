@@ -343,3 +343,81 @@ func TestQuickPointReconstruction(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// prefixDiffRangeSumCoefs is RangeSumCoefs as it was first written: the
+// difference of two prefix-sum coefficient sets merged through a map (whose
+// iteration order made the result order change from call to call).
+func prefixDiffRangeSumCoefs(n, l, r int) map[int]float64 {
+	weights := map[int]float64{}
+	for _, c := range PrefixSumCoefs(n, r+1) {
+		weights[c.Index] += c.Weight
+	}
+	for _, c := range PrefixSumCoefs(n, l) {
+		weights[c.Index] -= c.Weight
+	}
+	for idx, w := range weights {
+		if w == 0 {
+			delete(weights, idx)
+		}
+	}
+	return weights
+}
+
+func TestRangeSumCoefsClosedForm(t *testing.T) {
+	for n := 0; n <= 8; n++ {
+		for l := 0; l < 1<<uint(n); l++ {
+			for r := l; r < 1<<uint(n); r++ {
+				got := RangeSumCoefs(n, l, r)
+				again := RangeSumCoefs(n, l, r)
+				want := prefixDiffRangeSumCoefs(n, l, r)
+				if len(got) != len(want) || len(got) != len(again) {
+					t.Fatalf("n=%d [%d,%d]: %d coefficients, again %d, prefix difference %d", n, l, r, len(got), len(again), len(want))
+				}
+				level := n + 1 // index 0 sorts above every detail level
+				for i, c := range got {
+					if c != again[i] {
+						t.Fatalf("n=%d [%d,%d]: entry %d differs between two calls: %v vs %v", n, l, r, i, c, again[i])
+					}
+					if w, ok := want[c.Index]; !ok || w != c.Weight {
+						t.Fatalf("n=%d [%d,%d]: index %d weight %g, prefix difference %g (present %v)", n, l, r, c.Index, c.Weight, w, ok)
+					}
+					lv := n + 1
+					if c.Index > 0 {
+						lv, _ = LevelPos(n, c.Index)
+					}
+					if lv > level || (i > 0 && c.Index > 0 && lv == level && c.Index <= got[i-1].Index) {
+						t.Fatalf("n=%d [%d,%d]: order %v is not by descending level, then position", n, l, r, got)
+					}
+					level = lv
+				}
+			}
+		}
+	}
+}
+
+func TestOverlapMatchesCounting(t *testing.T) {
+	const n = 5
+	for s := 0; s < 1<<n; s++ {
+		for e := s + 1; e <= 1<<n; e++ {
+			for j := 1; j <= n; j++ {
+				for k := 0; k < 1<<uint(n-j); k++ {
+					wantT, wantD := 0, 0
+					for x := s; x < e; x++ {
+						if x>>uint(j) != k {
+							continue
+						}
+						wantT++
+						if x>>uint(j-1)&1 == 0 {
+							wantD++
+						} else {
+							wantD--
+						}
+					}
+					if gotT, gotD := Overlap(s, e, j, k); gotT != wantT || gotD != wantD {
+						t.Fatalf("Overlap([%d,%d), j=%d, k=%d) = (%d, %d), want (%d, %d)", s, e, j, k, gotT, gotD, wantT, wantD)
+					}
+				}
+			}
+		}
+	}
+}

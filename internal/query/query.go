@@ -9,9 +9,9 @@ package query
 import (
 	"fmt"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
-	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 // PointStandard answers a point query from a materialized standard-form
@@ -150,6 +150,14 @@ func PointNonStandard(st *tile.Store, point []int) (float64, int, error) {
 	return u, 1, nil
 }
 
+// The four kernels below share one shape: plan, fetch, accumulate. The plan
+// works the Lemma-1/Lemma-2 weights out in closed form (haar.Overlap) and
+// names the blocks they fall in; one vectored read fetches those blocks into
+// a pooled arena (scratch.go); a flat loop per tile folds weight times slot.
+// Nothing is allocated per coefficient, and the blocks read are exactly the
+// distinct tiles under the coefficients with a nonzero weight, which is what
+// the paper's query costs count.
+
 // PointViaRootPath answers a point query by reading the full Lemma-1
 // coefficient cross product through whatever tiling the store uses — the
 // strategy available without the stored scaling coefficients. The returned
@@ -159,31 +167,11 @@ func PointViaRootPath(st *tile.Store, shape, point []int) (float64, int, error) 
 	if err := ValidatePoint(shape, point); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
-	coefs := wavelet.PointPathStandard(shape, point)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
-	sum := 0.0
-	for _, c := range coefs {
-		v, err := reader.Get(c.Coords)
-		if err != nil {
-			return 0, reader.BlocksRead(), err
-		}
-		sum += c.Weight * v
-	}
-	return sum, reader.BlocksRead(), nil
-}
-
-// preload batch-loads the distinct blocks a coefficient set touches with
-// one vectored read. The set — hence BlocksRead — is identical to what the
-// per-coefficient loop would load one block at a time.
-func preload(st *tile.Store, reader *tile.Reader, coefs []wavelet.Coef) error {
-	blocks := make([]int, len(coefs))
-	for i, c := range coefs {
-		blocks[i], _ = st.Tiling().Locate(c.Coords)
-	}
-	return reader.Preload(blocks)
+	sc := getScratch()
+	defer putScratch(sc)
+	// A cell is the box of extent 1: its Lemma-2 list is the Lemma-1 path,
+	// the weights D the path's signs.
+	return sc.rangeSumStandard(st, shape, point, nil)
 }
 
 // RangeSumStandard answers a box aggregate over [start, start+shape) by
@@ -193,145 +181,74 @@ func RangeSumStandard(st *tile.Store, arrShape, start, shape []int) (float64, in
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
-	coefs := wavelet.RangeSumCoefsStandard(arrShape, start, shape)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
-	sum := 0.0
-	for _, c := range coefs {
-		v, err := reader.Get(c.Coords)
-		if err != nil {
-			return 0, reader.BlocksRead(), err
+	sc := getScratch()
+	defer putScratch(sc)
+	return sc.rangeSumStandard(st, arrShape, start, shape)
+}
+
+// PointBatch answers many point queries against a standard-form tiled store
+// with one fetch of the union of their root paths' blocks, returning the
+// values and the number of distinct blocks read for the whole batch.
+// Batching amortizes the shared upper-tree tiles across queries — the
+// access-pattern benefit the tiling was designed for.
+func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
+	for _, p := range points {
+		if err := ValidatePoint(shape, p); err != nil {
+			return nil, 0, err
 		}
-		sum += c.Weight * v
 	}
-	return sum, reader.BlocksRead(), nil
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, p := range points {
+		sc.planStandard(st.Tiling(), shape, p, nil)
+		sc.walkStandard(st.Tiling(), false)
+	}
+	if err := sc.fetch(st); err != nil {
+		return nil, 0, err
+	}
+	out := make([]float64, len(points))
+	for i, p := range points {
+		sc.planStandard(st.Tiling(), shape, p, nil)
+		out[i] = sc.walkStandard(st.Tiling(), true)
+	}
+	return out, len(sc.blocks), nil
 }
 
 // RangeSumNonStandard answers a box aggregate from a non-standard tiled
-// store by quadtree descent (fully covered cells contribute average times
-// volume), reading blocks through a cache.
+// store as avg*vol plus, for every quadtree cell the box cuts, its details
+// weighted by the per-dimension overlaps (see walkLevel). Cells the box
+// covers whole or misses carry weight zero and are never visited, so the
+// walk follows the box faces level by level.
 func RangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, error) {
 	tiling, ok := st.Tiling().(*tile.NonStandard)
 	if !ok {
 		return 0, 0, fmt.Errorf("query: RangeSumNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	n, rootPos := tiling.RootOf(0)
-	d := len(rootPos)
 	arrShape, _ := domainShape(st)
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
-	end := make([]int, d)
-	for i := range start {
-		end[i] = start[i] + shape[i]
+	n := bitutil.Log2(arrShape[0])
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.blocks = append(sc.blocks, 0) // the overall average
+	for j := n; j >= 1; j-- {
+		// A cut cell's ancestors are cut too, and its node shares the tile
+		// of the ancestor that is a tile root: those levels name every block.
+		if lvl := tiling.Level(j); lvl.TileRoot() {
+			sc.walkLevel(lvl, j, start, shape, false)
+		}
 	}
-	origin := make([]int, d)
-	rootAvg, err := reader.Get(origin)
-	if err != nil {
-		return 0, reader.BlocksRead(), err
+	if err := sc.fetch(st); err != nil {
+		return 0, 0, err
 	}
-	coords := make([]int, d)
-	var descend func(j int, cell []int, u float64) (float64, error)
-	descend = func(j int, cell []int, u float64) (float64, error) {
-		size := 1 << uint(j)
-		fullyIn, disjoint := true, false
-		for i := 0; i < d; i++ {
-			lo, hi := cell[i]*size, (cell[i]+1)*size
-			if hi <= start[i] || lo >= end[i] {
-				disjoint = true
-				break
-			}
-			if lo < start[i] || hi > end[i] {
-				fullyIn = false
-			}
-		}
-		if disjoint {
-			return 0, nil
-		}
-		if fullyIn {
-			vol := 1.0
-			for i := 0; i < d; i++ {
-				vol *= float64(size)
-			}
-			return u * vol, nil
-		}
-		base := 1 << uint(n-j)
-		details := make([]float64, 1<<uint(d))
-		for mask := 1; mask < 1<<uint(d); mask++ {
-			for i := 0; i < d; i++ {
-				coords[i] = cell[i]
-				if mask>>uint(i)&1 == 1 {
-					coords[i] += base
-				}
-			}
-			v, err := reader.Get(coords)
-			if err != nil {
-				return 0, err
-			}
-			details[mask] = v
-		}
-		sum := 0.0
-		child := make([]int, d)
-		for q := 0; q < 1<<uint(d); q++ {
-			cu := u
-			for mask := 1; mask < 1<<uint(d); mask++ {
-				w := 1.0
-				for i := 0; i < d; i++ {
-					if mask>>uint(i)&1 == 1 && q>>uint(i)&1 == 1 {
-						w = -w
-					}
-				}
-				cu += w * details[mask]
-			}
-			for i := 0; i < d; i++ {
-				child[i] = 2*cell[i] + q>>uint(i)&1
-			}
-			part, err := descend(j-1, child, cu)
-			if err != nil {
-				return 0, err
-			}
-			sum += part
-		}
-		return sum, nil
+	vol := 1.0
+	for _, e := range shape {
+		vol *= float64(e)
 	}
-	rootCell := make([]int, d)
-	sum, err := descend(n, rootCell, rootAvg)
-	return sum, reader.BlocksRead(), err
-}
-
-// PointBatch answers many point queries against a standard-form tiled store
-// with one shared block cache, returning the values and the number of
-// distinct blocks read for the whole batch. Batching amortizes the shared
-// upper-tree tiles across queries — the access-pattern benefit the tiling
-// was designed for.
-func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
-	reader := tile.NewReader(st)
-	out := make([]float64, len(points))
-	paths := make([][]wavelet.Coef, len(points))
-	var all []wavelet.Coef
-	for i, p := range points {
-		if err := ValidatePoint(shape, p); err != nil {
-			return nil, reader.BlocksRead(), err
-		}
-		paths[i] = wavelet.PointPathStandard(shape, p)
-		all = append(all, paths[i]...)
+	sum := sc.frame(0)[0] * vol
+	for j := n; j >= 1; j-- {
+		sum += sc.walkLevel(tiling.Level(j), j, start, shape, true)
 	}
-	if err := preload(st, reader, all); err != nil {
-		return nil, reader.BlocksRead(), err
-	}
-	for i := range points {
-		sum := 0.0
-		for _, c := range paths[i] {
-			v, err := reader.Get(c.Coords)
-			if err != nil {
-				return nil, reader.BlocksRead(), err
-			}
-			sum += c.Weight * v
-		}
-		out[i] = sum
-	}
-	return out, reader.BlocksRead(), nil
+	return sum, len(sc.blocks), nil
 }

@@ -52,23 +52,14 @@ func ValidateBox(arrShape, start, shape []int) error {
 	return nil
 }
 
-// domainShape recovers the domain extents from whichever tiling the store
-// uses.
+// domainShape returns the domain extents of whichever tiling the store
+// uses: the tiling's own slice, not to be modified.
 func domainShape(st *tile.Store) ([]int, error) {
 	switch t := st.Tiling().(type) {
 	case *tile.Standard:
-		shape := make([]int, t.Dims())
-		for i := range shape {
-			shape[i] = 1 << uint(t.Dim(i).Levels())
-		}
-		return shape, nil
+		return t.Domain(), nil
 	case *tile.NonStandard:
-		n, rootPos := t.RootOf(0)
-		shape := make([]int, len(rootPos))
-		for i := range shape {
-			shape[i] = 1 << uint(n)
-		}
-		return shape, nil
+		return t.Domain(), nil
 	default:
 		return nil, fmt.Errorf("query: unknown tiling %T", st.Tiling())
 	}

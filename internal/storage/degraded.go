@@ -65,15 +65,17 @@ func (d *Degraded) ReadBlock(id int, buf []float64) error {
 // quarantine every corrupt block the batch touched before the error
 // surfaces.
 func (d *Degraded) ReadBlocks(ids []int, bufs [][]float64) error {
-	var missIDs []int
-	var missBufs [][]float64
-	for i, id := range ids {
-		if d.q.Has(id) {
-			ZeroFill(bufs[i])
-			d.degradedReads.Add(1)
-		} else {
-			missIDs = append(missIDs, id)
-			missBufs = append(missBufs, bufs[i])
+	missIDs, missBufs := ids, bufs
+	if d.q.Len() > 0 { // healthy stores forward the batch as it came
+		missIDs, missBufs = make([]int, 0, len(ids)), make([][]float64, 0, len(ids))
+		for i, id := range ids {
+			if d.q.Has(id) {
+				ZeroFill(bufs[i])
+				d.degradedReads.Add(1)
+			} else {
+				missIDs = append(missIDs, id)
+				missBufs = append(missBufs, bufs[i])
+			}
 		}
 	}
 	if len(missIDs) == 0 {

@@ -122,8 +122,10 @@ func NewVersionedSplit(write, read BlockStore, logical int) (*Versioned, error) 
 }
 
 // OnReuse registers a hook called (under the allocation lock) whenever a
-// physical block from the free list is reused for a new epoch. The serving
-// cache drops its entry for that physical id here, which is the only cache
+// physical block is handed to a new epoch: off the free list, or at the
+// high-water mark, which a sweep lowers past freed blocks so that growing it
+// re-issues ids that have held another epoch's data. The serving cache
+// drops its entry for that physical id here, which is the only cache
 // invalidation the epoch layer ever needs: a physical id is never rebound
 // while any live epoch still references it.
 func (v *Versioned) OnReuse(fn func(phys int)) { v.onReuse = fn }
@@ -290,9 +292,9 @@ func (v *Versioned) ReadBlocks(ids []int, bufs [][]float64) error {
 
 // allocLocked picks the physical block for a logical write in the building
 // epoch: a block already written this epoch is rewritten in place (it is
-// invisible until Commit), otherwise the lowest free block is reused (after
-// letting the reuse hook drop stale cache entries), otherwise the file
-// grows at the high-water mark. Caller holds mu.
+// invisible until Commit), otherwise the lowest free block is reused,
+// otherwise the file grows at the high-water mark. Either way the reuse
+// hook drops stale cache entries for the id first. Caller holds mu.
 func (v *Versioned) allocLocked(id int) int {
 	if phys, ok := v.overlay[id]; ok {
 		return phys
@@ -301,12 +303,12 @@ func (v *Versioned) allocLocked(id int) int {
 	if len(v.free) > 0 {
 		phys = v.free[0]
 		v.free = v.free[1:]
-		if v.onReuse != nil {
-			v.onReuse(phys)
-		}
 	} else {
 		phys = v.next
 		v.next++
+	}
+	if v.onReuse != nil {
+		v.onReuse(phys)
 	}
 	v.overlay[id] = phys
 	v.dirty[id/v.write.BlockSize()] = struct{}{}

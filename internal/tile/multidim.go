@@ -11,8 +11,9 @@ import (
 // generalized coefficients formed by crossing d single-dimensional tile
 // bases.
 type Standard struct {
-	dims []*OneD
-	b    int
+	dims   []*OneD
+	b      int
+	domain []int
 }
 
 // NewStandard creates the standard-form tiling for a transform whose
@@ -23,11 +24,18 @@ func NewStandard(n []int, b int) *Standard {
 		panic("tile: NewStandard with no dimensions")
 	}
 	dims := make([]*OneD, len(n))
+	domain := make([]int, len(n))
 	for i, ni := range n {
 		dims[i] = NewOneD(ni, b)
+		domain[i] = 1 << uint(ni)
 	}
-	return &Standard{dims: dims, b: b}
+	return &Standard{dims: dims, b: b, domain: domain}
 }
+
+// Domain returns the extents of the tiled domain. The slice is the
+// tiling's own (the query kernels validate against it on every call
+// without copying) and must not be modified.
+func (s *Standard) Domain() []int { return s.domain }
 
 // Dims returns the dimensionality.
 func (s *Standard) Dims() int { return len(s.dims) }
@@ -83,6 +91,8 @@ type NonStandard struct {
 	n, d, b int
 	h0      int
 	cumRoot []int // cumRoot[t] = number of tiles in bands < t
+	domain  []int
+	levels  []NonStdLevel // levels[j-1] locates the nodes of level j
 }
 
 // NewNonStandard creates the non-standard tiling.
@@ -94,7 +104,10 @@ func NewNonStandard(n, d, b int) *NonStandard {
 	if h0 == 0 {
 		h0 = bitutil.Min(b, n)
 	}
-	t := &NonStandard{n: n, d: d, b: b, h0: h0}
+	t := &NonStandard{n: n, d: d, b: b, h0: h0, domain: make([]int, d)}
+	for i := range t.domain {
+		t.domain[i] = 1 << uint(n)
+	}
 	cum := []int{0}
 	for s := 0; s < n; {
 		cum = append(cum, cum[len(cum)-1]+bitutil.IntPow(1<<uint(s), d))
@@ -105,8 +118,16 @@ func NewNonStandard(n, d, b int) *NonStandard {
 		}
 	}
 	t.cumRoot = cum
+	t.levels = make([]NonStdLevel, n)
+	for j := 1; j <= n; j++ {
+		t.levels[j-1] = t.level(j)
+	}
 	return t
 }
+
+// Domain returns the extents of the tiled cube, d times 2^n. The slice is
+// the tiling's own and must not be modified.
+func (t *NonStandard) Domain() []int { return t.domain }
 
 // BlockSize returns B^d = 2^(b*d).
 func (t *NonStandard) BlockSize() int {
@@ -135,6 +156,64 @@ func (t *NonStandard) bandOf(depth int) int {
 	return 1 + (depth-t.h0)/t.b
 }
 
+// NonStdLevel holds what is constant across the nodes of one quadtree level
+// of a NonStandard tiling, so a caller walking many cells of a level
+// derives each (block, slot) with a few shifts (Push, At) instead of one
+// Locate per coefficient.
+type NonStdLevel struct {
+	details   int  // detail coefficients per node: 2^d - 1
+	blockBase int  // first tile of the level's band
+	rootBits  uint // bits per dimension of a tile root's position in the band
+	localBits uint // depth of the level's nodes below their tile root
+	nodeBase  int  // nodes above this level inside a tile: (D^localBits-1)/(D-1)
+}
+
+// Level returns the constants of the nodes at tree depth n-j, whose cells
+// have edge 2^j (1 <= j <= n). They are tabulated once per tiling: Locate
+// looks one up per coefficient.
+func (t *NonStandard) Level(j int) NonStdLevel {
+	if j < 1 || j > t.n {
+		panic(fmt.Sprintf("tile: NonStandard.Level(%d) out of [1,%d]", j, t.n))
+	}
+	return t.levels[j-1]
+}
+
+func (t *NonStandard) level(j int) NonStdLevel {
+	depth := t.n - j
+	band := t.bandOf(depth)
+	start := t.bandStart(band)
+	delta := depth - start
+	details := 1<<uint(t.d) - 1
+	return NonStdLevel{
+		details:   details,
+		blockBase: t.cumRoot[band],
+		rootBits:  uint(start),
+		localBits: uint(delta),
+		nodeBase:  (bitutil.IntPow(details+1, delta) - 1) / details,
+	}
+}
+
+// Push folds the next dimension's cell coordinate into the tile-root and
+// in-tile indices of a node, which concatenate the coordinates' high and
+// low bits; both start at 0. A caller stepping one coordinate while the
+// others stand keeps the pair of the standing prefix.
+func (l NonStdLevel) Push(root, local, p int) (int, int) {
+	hi := p >> l.localBits
+	return root<<l.rootBits | hi, local<<l.localBits | (p - hi<<l.localBits)
+}
+
+// At maps the indices of a whole cell position to the block holding its
+// node and the slot of the node's first detail; the detail of subband mask
+// (bit i set: differencing along dimension i) sits at slot + mask - 1.
+func (l NonStdLevel) At(root, local int) (block, slot int) {
+	return l.blockBase + root, 1 + (l.nodeBase+local)*l.details
+}
+
+// TileRoot reports whether the level's nodes are the roots of their tiles.
+// Every other level's nodes sit in the tile of their ancestor at the
+// nearest such level above.
+func (l NonStdLevel) TileRoot() bool { return l.localBits == 0 }
+
 // Locate maps Mallat-layout coordinates of the cubic transform to
 // (block, slot). The overall average at the origin maps to slot 0 of the
 // top tile. The decode of wavelet.NonStdLevel is inlined here without its
@@ -158,32 +237,20 @@ func (t *NonStandard) Locate(coords []int) (block, slot int) {
 	// the largest power of two <= max (level j = n - depth).
 	depth := bitutil.FloorLog2(max)
 	base := 1 << uint(depth)
-	band := t.bandOf(depth)
-	start := t.bandStart(band)
-	delta := depth - start // node depth within the tile
-	// Tile root cell: the ancestor of the node's cell delta levels up.
-	rootIdx := 0
-	localIdx := 0
-	mask := 0
+	lvl := &t.levels[t.n-depth-1]
+	root, local, mask := 0, 0, 0
 	for i, c := range coords {
-		p := c
 		if c >= base {
 			mask |= 1 << uint(i)
-			p = c - base
+			c -= base
 		}
-		if p >= base {
+		if c >= base {
 			panic(fmt.Sprintf("wavelet: coords %v are not a valid non-standard position", coords))
 		}
-		root := p >> uint(delta)
-		rootIdx = rootIdx<<uint(start) | root
-		localIdx = localIdx<<uint(delta) | (p - root<<uint(delta))
+		root, local = lvl.Push(root, local, c)
 	}
-	block = t.cumRoot[band] + rootIdx
-	// Nodes above this one inside the tile: (D^delta - 1)/(D - 1).
-	dPow := bitutil.IntPow(1<<uint(t.d), delta)
-	nodesAbove := (dPow - 1) / (1<<uint(t.d) - 1)
-	slot = 1 + (nodesAbove+localIdx)*(1<<uint(t.d)-1) + (mask - 1)
-	return block, slot
+	block, slot = lvl.At(root, local)
+	return block, slot + mask - 1
 }
 
 // RootOf returns the level and cell position of the tile's root node, whose

@@ -110,10 +110,17 @@ func (s *Store) ReadTiles(blocks []int) ([][]float64, error) {
 		return nil, nil
 	}
 	bufs := storage.SliceFrames(make([]float64, len(blocks)*s.tiling.BlockSize()), len(blocks), s.tiling.BlockSize())
-	if err := storage.ReadBlocksOf(s.bs, blocks, bufs); err != nil {
+	if err := s.ReadTilesInto(blocks, bufs); err != nil {
 		return nil, err
 	}
 	return bufs, nil
+}
+
+// ReadTilesInto is ReadTiles into caller-owned frames, one block-sized
+// frame per id: the fetch step of the query kernels, which reuse the frames
+// across queries.
+func (s *Store) ReadTilesInto(blocks []int, frames [][]float64) error {
+	return storage.ReadBlocksOf(s.bs, blocks, frames)
 }
 
 // WriteTiles stores whole blocks as one vectored write; the physical write

@@ -356,8 +356,10 @@ func ReconstructPointStandard(hat *ndarray.Array, point []int) float64 {
 
 // RangeSumCoefsStandard returns the weighted coefficients answering the sum
 // over the half-open box [start, start+shape) of the original array, as the
-// cross product of per-dimension range-sum coefficient sets. At most
-// prod_i (2*n_i + 1) coefficients appear.
+// cross product of per-dimension range-sum coefficient lists. At most
+// prod_i (2*n_i + 1) coefficients appear, in a fixed order (last dimension
+// fastest, each dimension's list by descending level), so folding the
+// result sums in the same floating-point order on every call.
 func RangeSumCoefsStandard(arrShape, start, shape []int) []Coef {
 	d := len(arrShape)
 	perDim := make([][]haar.Coef, d)

@@ -179,17 +179,31 @@ func TestVersionedStoreReopen(t *testing.T) {
 	}
 }
 
+// intArray fills an array with small integers. Every Haar average and
+// half-difference of integers is a dyadic rational that float64 holds
+// exactly, so transforms, merges and their inverses round nowhere:
+// (x + d) - d is x bit for bit.
+func intArray(rng *rand.Rand, shape ...int) *Array {
+	a := NewArray(shape...)
+	for i := range a.Data() {
+		a.Data()[i] = float64(rng.Intn(2001) - 1000)
+	}
+	return a
+}
+
 // TestSnapshotOracleUnderMaintenance is the -race acceptance test for the
 // tentpole: concurrent point, range, and full-transform queries during a
 // stream of SHIFT-SPLIT merge batches never observe a mid-batch state.
 // The writer alternates between two known transforms (merging a delta in
-// and back out), so the oracle is exact: every pinned snapshot must read a
-// transform equal — coefficient for coefficient — to one of the two
-// committed states.
+// and back out) over integer data, so both committed states recur exactly
+// and the oracle is exact: every pinned snapshot must read a transform
+// equal — coefficient for coefficient — to one of the two. The writer
+// keeps flipping until the readers have seen each state, so the test
+// cannot pass by not looking.
 func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	src := randArray(rng, 8, 8)
-	delta := randArray(rng, 4, 4)
+	src := intArray(rng, 8, 8)
+	delta := intArray(rng, 4, 4)
 	blk := CubeBlock(2, 1, 1)
 	dh := Transform(delta, Standard)
 	neg := Transform(delta, Standard)
@@ -219,8 +233,12 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 	if err := st.MergeBlock(blk, neg); err != nil {
 		t.Fatal(err)
 	}
+	if back, err := st.ReadTransform(); err != nil || !equalExact(back, preHat) || equalExact(preHat, postHat) {
+		t.Fatalf("the two committed states are not exactly reproducible (err %v)", err)
+	}
 
 	stop := make(chan struct{})
+	var sawPre, sawPost atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -239,7 +257,12 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 					snap.Release()
 					return
 				}
-				if !equalExact(got, preHat) && !equalExact(got, postHat) {
+				switch {
+				case equalExact(got, preHat):
+					sawPre.Add(1)
+				case equalExact(got, postHat):
+					sawPost.Add(1)
+				default:
 					t.Errorf("reader %d iter %d (epoch %d): observed a mid-batch transform", g, i, snap.Epoch())
 					snap.Release()
 					return
@@ -257,7 +280,11 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 		}(g)
 	}
 
-	for round := 0; round < 30; round++ {
+	deadline := time.Now().Add(30 * time.Second)
+	for round := 0; round < 30 || sawPre.Load() == 0 || sawPost.Load() == 0; round++ {
+		if time.Now().After(deadline) {
+			break
+		}
 		if err := st.MergeBlock(blk, dh); err != nil {
 			t.Fatal(err)
 		}
@@ -267,6 +294,9 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if sawPre.Load() == 0 || sawPost.Load() == 0 {
+		t.Fatalf("readers saw the pre state %d times and the post state %d times; the oracle needs both", sawPre.Load(), sawPost.Load())
+	}
 
 	es, ok := st.EpochStats()
 	if !ok {
@@ -465,5 +495,73 @@ func TestVersionedCacheNoInvalidationStorm(t *testing.T) {
 	}
 	if after.Evictions != before.Evictions {
 		t.Fatalf("flip caused %d evictions", after.Evictions-before.Evictions)
+	}
+}
+
+// TestWarmCacheSurvivesReissuedBlocks is the regression test for physical
+// ids re-issued at the high-water mark: a sweep lowers the mark past freed
+// top-of-file blocks, the next epoch grows it again over the same ids, and
+// a serve cache still holding the previous tenant's bytes would answer
+// from them. Flips and queries interleave on a fully warm cache with no
+// settling epoch, and every answer is checked against the dense array.
+func TestWarmCacheSurvivesReissuedBlocks(t *testing.T) {
+	for _, form := range []Form{Standard, NonStandard} {
+		t.Run(form.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			const edge, level = 64, 3
+			dense := intArray(rng, edge, edge)
+			path := filepath.Join(t.TempDir(), "reissue.wav")
+			st, err := CreateStore(StoreOptions{Shape: []int{edge, edge}, Form: form, TileBits: 2, Path: path, Durable: true, Versioned: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.TransformChunked(dense, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sv, err := OpenServing(path, 4096, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv.Close()
+			if _, err := sv.ReadTransform(); err != nil {
+				t.Fatal(err)
+			}
+
+			const side = 1 << level
+			for flip := 0; flip < 300; flip++ {
+				pos := []int{rng.Intn(edge / side), rng.Intn(edge / side)}
+				delta := intArray(rng, side, side)
+				if err := sv.MergeBlock(CubeBlock(level, pos...), Transform(delta, form)); err != nil {
+					t.Fatal(err)
+				}
+				for x := 0; x < side; x++ {
+					for y := 0; y < side; y++ {
+						at := []int{pos[0]*side + x, pos[1]*side + y}
+						dense.Set(dense.At(at...)+delta.At(x, y), at...)
+					}
+				}
+				for q := 0; q < 4; q++ {
+					p := []int{rng.Intn(edge), rng.Intn(edge)}
+					got, _, err := sv.Point(p...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := dense.At(p...); got != want {
+						t.Fatalf("flip %d: point %v = %g, want %g", flip, p, got, want)
+					}
+					ext := []int{1 + rng.Intn(edge-p[0]), 1 + rng.Intn(edge-p[1])}
+					got, _, err = sv.RangeSum(p, ext)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := dense.SumRange(p, ext); got != want {
+						t.Fatalf("flip %d: range %v+%v = %g, want %g", flip, p, ext, got, want)
+					}
+				}
+			}
+		})
 	}
 }
