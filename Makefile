@@ -105,8 +105,14 @@ chaos-smoke:
 # epoch flips racing the load must stay within the guardrail multiple of
 # the idle p99 (BENCH_serve.json records 1.25x; the 3x gate is loose so CI
 # catches a lost snapshot path, not scheduler jitter).
+# TestMergeBlockAllocBudget is the same kind of gate for one MergeBlock on a
+# versioned store, and BenchmarkVersionedFlip reports (ungated) what one
+# epoch flip costs as the logical space grows 256x: ns/op and B/op should
+# stay flat apart from one slice header per remap-table page.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
+	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
+	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
 		-benchmem -benchtime 3x ./internal/transform/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppender$$' -benchmem -benchtime 3x ./internal/appender/

@@ -15,8 +15,8 @@
 // journal/commit/recovery machinery itself (internal/storage), the
 // sanctioned tiled write path that commits through it (internal/tile), and
 // the serve cache's write-through invalidation (internal/cache). Everything
-// else must mutate blocks through tile.Store / tile.Batch, whose Commit
-// seals the batch.
+// else must mutate blocks through tile.Store, whose Commit seals the
+// batch.
 //
 // A second rule guards the parallel maintenance engine's write discipline:
 // tile-level mutations (WriteTile, Set, Add, ApplyBuckets) issued from an ad
@@ -109,7 +109,7 @@ func run(pass *analysis.Pass) error {
 				switch {
 				case sig.Recv() != nil && mutatingMethods[fn.Name()]:
 					pass.Reportf(call.Pos(),
-						"direct %s on a storage device bypasses the maintenance journal; write through tile.Store/tile.Batch and seal the batch with Commit",
+						"direct %s on a storage device bypasses the maintenance journal; write through tile.Store and seal the batch with Commit",
 						fn.Name())
 				case sig.Recv() == nil && mutatingFuncs[fn.Name()]:
 					pass.Reportf(call.Pos(),

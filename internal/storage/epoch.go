@@ -42,13 +42,28 @@ const superSlots = 5
 var ErrSnapshotReadOnly = errors.New("storage: snapshot is read-only")
 
 // epochTable is one immutable committed remap: logical block id -> physical
-// block id (-1 = unmapped, reads as zeros). refs counts pinned Snapshots
-// and is guarded by the owning Versioned's mu.
+// block id (-1 = unmapped, reads as zeros), held as blockSize-entry pages
+// that mirror the on-media table pages. A flip shares every page it left
+// clean with its predecessor and copies only the dirty ones, so publishing
+// an epoch costs what its batch costs. refs counts pinned Snapshots; dead
+// lists the physical blocks superseded on the way to this epoch that the
+// preceding live table still references (see retireLocked). Both are
+// guarded by the owning Versioned's mu.
 type epochTable struct {
 	epoch uint64
-	phys  []int64
+	pages [][]int64
 	refs  int
+	dead  []int
 }
+
+// phys resolves a logical id in tables of pageSize-entry pages.
+func (t *epochTable) phys(id, pageSize int) int64 {
+	return t.pages[id/pageSize][id%pageSize]
+}
+
+// freeBlock marks, in Versioned.birth, a data block that sits on the free
+// list; no epoch is ever numbered that high.
+const freeBlock = ^uint64(0)
 
 // Versioned interposes the epoch remap between logical block ids (what the
 // tile map addresses) and a physical store. Writes are copy-on-write: the
@@ -68,18 +83,24 @@ type Versioned struct {
 	read  BlockStore // concurrent committed-read path; == write when shared
 
 	logical  int // fixed logical block-id space
+	pageSize int // remap entries per table page: the block size
 	hdr      int // superblock spread over this many physical blocks
 	pages    int // remap table pages
 	dataBase int // first data block id
 
 	mu      sync.Mutex
-	cur     *epochTable      // current committed table (also in tables)
-	tables  []*epochTable    // live tables: cur plus pinned old epochs
+	cur     *epochTable      // current committed table (last of tables)
+	tables  []*epochTable    // live tables by ascending epoch: pinned old epochs, then cur
 	overlay map[int]int      // building epoch: logical -> phys
 	dirty   map[int]struct{} // table pages touched by the overlay
-	free    []int            // reclaimed physical data blocks, ascending
-	next    int              // physical allocation high-water mark
-	onReuse func(phys int)   // invoked when a freed physical id is reused
+	// birth has one entry per data block below the allocation high-water
+	// mark (dataBase+len(birth)): the epoch whose batch allocated the block,
+	// or freeBlock. It is volatile — blocks found mapped at open get birth 0,
+	// which is at most every epoch a table can be pinned at afterwards.
+	birth   []uint64
+	free    []int          // min-heap of the freeBlock ids (plus stale ids at or above the mark)
+	nfree   int            // freeBlock entries of birth
+	onReuse func(phys int) // invoked when a physical id is handed to a new epoch
 	closed  bool
 }
 
@@ -106,13 +127,14 @@ func NewVersionedSplit(write, read BlockStore, logical int) (*Versioned, error) 
 		return nil, fmt.Errorf("storage: versioned read block size %d != write block size %d", read.BlockSize(), bs)
 	}
 	v := &Versioned{
-		write:   write,
-		read:    read,
-		logical: logical,
-		hdr:     (superSlots + bs - 1) / bs,
-		pages:   (logical + bs - 1) / bs,
-		overlay: make(map[int]int),
-		dirty:   make(map[int]struct{}),
+		write:    write,
+		read:     read,
+		logical:  logical,
+		pageSize: bs,
+		hdr:      (superSlots + bs - 1) / bs,
+		pages:    (logical + bs - 1) / bs,
+		overlay:  make(map[int]int),
+		dirty:    make(map[int]struct{}),
 	}
 	v.dataBase = v.hdr + v.pages
 	if err := v.load(); err != nil {
@@ -123,16 +145,16 @@ func NewVersionedSplit(write, read BlockStore, logical int) (*Versioned, error) 
 
 // OnReuse registers a hook called (under the allocation lock) whenever a
 // physical block is handed to a new epoch: off the free list, or at the
-// high-water mark, which a sweep lowers past freed blocks so that growing it
-// re-issues ids that have held another epoch's data. The serving cache
-// drops its entry for that physical id here, which is the only cache
-// invalidation the epoch layer ever needs: a physical id is never rebound
-// while any live epoch still references it.
+// high-water mark, which comes down past a freed run at the top of the file
+// so that growing it re-issues ids that have held another epoch's data. The
+// serving cache drops its entry for that physical id here, which is the
+// only cache invalidation the epoch layer ever needs: a physical id is
+// never rebound while any live epoch still references it.
 func (v *Versioned) OnReuse(fn func(phys int)) { v.onReuse = fn }
 
 // load reads the superblock and remap table through the write path (open
 // runs before any concurrency) and rebuilds the free list and high-water
-// mark by sweeping the table.
+// mark by sweeping the table — the one place the whole table is walked.
 func (v *Versioned) load() error {
 	bs := v.write.BlockSize()
 	super := make([]float64, v.hdr*bs)
@@ -145,14 +167,18 @@ func (v *Versioned) load() error {
 		return fmt.Errorf("storage: read versioned superblock: %w", err)
 	}
 	magic := math.Float64bits(super[0])
-	phys := make([]int64, v.logical)
+	// Every page is full-size; slots past logical stay unmapped.
+	slab := make([]int64, v.pages*bs)
+	for i := range slab {
+		slab[i] = -1
+	}
+	table := make([][]int64, v.pages)
+	for i := range table {
+		table[i] = slab[i*bs : (i+1)*bs : (i+1)*bs]
+	}
 	var epoch uint64
-	if magic == 0 {
-		// Fresh store: epoch 0, everything unmapped.
-		for i := range phys {
-			phys[i] = -1
-		}
-	} else {
+	high := v.dataBase
+	if magic != 0 { // magic 0 is a fresh store: epoch 0, everything unmapped
 		if magic != versionedMagic {
 			return fmt.Errorf("storage: bad versioned superblock magic %#x", magic)
 		}
@@ -170,27 +196,51 @@ func (v *Versioned) load() error {
 		for i := range pageIDs {
 			pageIDs[i] = v.hdr + i
 		}
-		slab := make([]float64, v.pages*bs)
-		pages := SliceFrames(slab, v.pages, bs)
-		if err := ReadBlocksOf(v.write, pageIDs, pages); err != nil {
+		media := SliceFrames(make([]float64, v.pages*bs), v.pages, bs)
+		if err := ReadBlocksOf(v.write, pageIDs, media); err != nil {
 			return fmt.Errorf("storage: read versioned remap table: %w", err)
 		}
-		for i := range phys {
-			raw := math.Float64bits(pages[i/bs][i%bs])
+		for i := 0; i < v.logical; i++ {
+			raw := math.Float64bits(media[i/bs][i%bs])
 			if raw == 0 {
-				phys[i] = -1
 				continue
 			}
 			p := int64(raw) - 1
 			if p < int64(v.dataBase) {
 				return fmt.Errorf("storage: versioned table maps logical %d to reserved physical %d", i, p)
 			}
-			phys[i] = p
+			slab[i] = p
+			if int(p)+1 > high {
+				high = int(p) + 1
+			}
 		}
 	}
-	v.cur = &epochTable{epoch: epoch, phys: phys}
+	v.cur = &epochTable{epoch: epoch, pages: table}
 	v.tables = []*epochTable{v.cur}
-	v.sweepLocked()
+
+	// The sweep: a data block below the mark that the table does not map is
+	// free. Ascending ids are already a valid min-heap.
+	v.birth = make([]uint64, high-v.dataBase)
+	for i := range v.birth {
+		v.birth[i] = freeBlock
+	}
+	for i, p := range slab[:v.logical] {
+		if p < 0 {
+			continue
+		}
+		// Reclamation frees a block when the one logical id mapping it is
+		// rewritten, so a table aliasing two ids to one block is corrupt.
+		if v.birth[int(p)-v.dataBase] != freeBlock {
+			return fmt.Errorf("storage: versioned table maps logical %d to physical %d, which another logical block already maps", i, p)
+		}
+		v.birth[int(p)-v.dataBase] = 0
+	}
+	for i, b := range v.birth {
+		if b == freeBlock {
+			v.free = append(v.free, v.dataBase+i)
+			v.nfree++
+		}
+	}
 	return nil
 }
 
@@ -206,8 +256,11 @@ func (v *Versioned) Logical() int { return v.logical }
 func (v *Versioned) PhysExtent() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.next
+	return v.markLocked()
 }
+
+// markLocked is the allocation high-water mark. Caller holds mu.
+func (v *Versioned) markLocked() int { return v.dataBase + len(v.birth) }
 
 // Epoch returns the current committed epoch.
 func (v *Versioned) Epoch() uint64 {
@@ -229,7 +282,7 @@ func (v *Versioned) resolve(id int) int64 {
 	if phys, ok := v.overlay[id]; ok {
 		return int64(phys)
 	}
-	return v.cur.phys[id]
+	return v.cur.phys(id, v.pageSize)
 }
 
 // ReadBlock reads a logical block as the building epoch sees it: staged
@@ -300,19 +353,87 @@ func (v *Versioned) allocLocked(id int) int {
 		return phys
 	}
 	var phys int
-	if len(v.free) > 0 {
-		phys = v.free[0]
-		v.free = v.free[1:]
+	if v.nfree > 0 {
+		phys = v.popFreeLocked()
 	} else {
-		phys = v.next
-		v.next++
+		phys = v.markLocked()
+		v.birth = append(v.birth, 0)
 	}
+	v.birth[phys-v.dataBase] = v.cur.epoch + 1
 	if v.onReuse != nil {
 		v.onReuse(phys)
 	}
 	v.overlay[id] = phys
-	v.dirty[id/v.write.BlockSize()] = struct{}{}
+	v.dirty[id/v.pageSize] = struct{}{}
 	return phys
+}
+
+// freeLocked puts a data block no live table references on the free list.
+// Callers finish a round of frees with lowerMarkLocked. Caller holds mu.
+func (v *Versioned) freeLocked(phys int) {
+	v.birth[phys-v.dataBase] = freeBlock
+	v.nfree++
+	h := append(v.free, phys)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	v.free = h
+}
+
+// popFreeLocked takes the lowest free data block off the free list. Caller
+// holds mu and has checked nfree > 0.
+func (v *Versioned) popFreeLocked() int {
+	h := v.free
+	phys := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	v.free = h
+	v.nfree--
+	v.dropStaleLocked()
+	return phys
+}
+
+// lowerMarkLocked lowers the high-water mark past a freed run at the top
+// of the file, so the file stops growing (and a scrubber stops walking)
+// where the live data ends. The run's heap entries go stale rather than
+// being dug out: they sort after every id below the mark, and the mark only
+// rises again once the free list is empty, which discards them. Caller
+// holds mu.
+func (v *Versioned) lowerMarkLocked() {
+	n := len(v.birth)
+	for n > 0 && v.birth[n-1] == freeBlock {
+		n--
+		v.nfree--
+	}
+	v.birth = v.birth[:n]
+	v.dropStaleLocked()
+}
+
+// dropStaleLocked empties the heap when all it holds is stale. Caller holds mu.
+func (v *Versioned) dropStaleLocked() {
+	if v.nfree == 0 {
+		v.free = v.free[:0]
+	}
 }
 
 // WriteBlock stages a copy-on-write write of a logical block into the
@@ -372,8 +493,10 @@ func (v *Versioned) encodeSuper(frames [][]float64, epoch uint64) {
 // superblock (stamped epoch+1) are written through the write path and the
 // whole group — data blocks, table pages, superblock — is committed as one
 // batch. Only after the medium accepted the batch is the new table
-// published; the retired table's exclusive blocks return to the free list
-// once no snapshot pins it.
+// published; the blocks the flip superseded return to the free list once no
+// pinned table references them. The flip's work — in memory and on the
+// medium — is proportional to the batch, never to the logical space beyond
+// one slice header per table page.
 //
 // With nothing staged, Commit degenerates to forwarding the durability
 // point (so idle flushes stay cheap and epoch-free).
@@ -388,17 +511,28 @@ func (v *Versioned) Commit() error {
 		return CommitIfAble(v.write)
 	}
 	bs := v.write.BlockSize()
-	next := &epochTable{epoch: v.cur.epoch + 1, phys: append([]int64(nil), v.cur.phys...)}
-	// Deterministic application order: the overlay and dirty sets are maps,
-	// but nothing numeric is folded in map order — entries land by index.
-	for id, phys := range v.overlay {
-		next.phys[id] = int64(phys)
+	cur := v.cur
+	next := &epochTable{
+		epoch: cur.epoch + 1,
+		pages: append([][]int64(nil), cur.pages...),
+		dead:  make([]int, 0, len(v.overlay)),
 	}
+	// Deterministic application order: the overlay and dirty sets are maps,
+	// but nothing numeric is folded in map order — entries land by index,
+	// and the dead list is only ever used as a set.
 	dirtyPages := make([]int, 0, len(v.dirty))
 	for p := range v.dirty {
 		dirtyPages = append(dirtyPages, p)
+		next.pages[p] = append([]int64(nil), cur.pages[p]...)
 	}
 	sort.Ints(dirtyPages)
+	for id, phys := range v.overlay {
+		slot := &next.pages[id/bs][id%bs]
+		if *slot >= 0 {
+			next.dead = append(next.dead, int(*slot))
+		}
+		*slot = int64(phys)
+	}
 	v.mu.Unlock()
 
 	// Serialize the dirty table pages and the superblock. This happens
@@ -410,17 +544,10 @@ func (v *Versioned) Commit() error {
 	ids := make([]int, 0, n)
 	for i, p := range dirtyPages {
 		page := frames[i]
-		base := p * bs
-		for s := 0; s < bs; s++ {
-			l := base + s
-			if l >= v.logical {
-				break
+		for s, phys := range next.pages[p] {
+			if phys >= 0 {
+				page[s] = math.Float64frombits(uint64(phys) + 1)
 			}
-			raw := uint64(0)
-			if phys := next.phys[l]; phys >= 0 {
-				raw = uint64(phys) + 1
-			}
-			page[s] = math.Float64frombits(raw)
 		}
 		ids = append(ids, v.hdr+p)
 	}
@@ -443,15 +570,13 @@ func (v *Versioned) Commit() error {
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	old := v.cur
 	v.cur = next
 	v.tables = append(v.tables, next)
-	v.overlay = make(map[int]int)
-	v.dirty = make(map[int]struct{})
-	if old.refs == 0 {
-		v.retireLocked(old)
+	clear(v.overlay)
+	clear(v.dirty)
+	if cur.refs == 0 {
+		v.retireLocked(cur)
 	}
-	v.sweepLocked()
 	return nil
 }
 
@@ -460,56 +585,47 @@ func (v *Versioned) Commit() error {
 func (v *Versioned) Rollback() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.overlay = make(map[int]int)
-	v.dirty = make(map[int]struct{})
+	for _, phys := range v.overlay {
+		v.freeLocked(phys)
+	}
+	v.lowerMarkLocked()
+	clear(v.overlay)
+	clear(v.dirty)
 	type rollbacker interface{ Rollback() }
 	if rb, ok := v.write.(rollbacker); ok {
 		rb.Rollback()
 	}
-	v.sweepLocked()
 }
 
-// retireLocked removes a table from the live set. Caller holds mu.
+// retireLocked removes a superseded, unpinned table from the live set and
+// frees the blocks only it kept alive.
+//
+// A block born in epoch b and superseded by the flip to epoch s is mapped
+// by exactly the tables of epochs [b, s-1]. It waits on the dead list of
+// the first live table at or after s; if any live table still maps it, so
+// does that table's live predecessor (the latest live epoch below s), so
+// one comparison — birth against the predecessor's epoch — decides. When t
+// retires, its successor's list is re-judged against t's own predecessor,
+// and t's list (already judged against that predecessor, and kept) moves to
+// the successor unexamined. The work is the two lists, never a table.
+// Caller holds mu.
 func (v *Versioned) retireLocked(t *epochTable) {
-	for i, lt := range v.tables {
-		if lt == t {
-			v.tables = append(v.tables[:i], v.tables[i+1:]...)
-			return
+	j := 0
+	for v.tables[j] != t {
+		j++
+	}
+	succ := v.tables[j+1] // cur is never retired, so t has a successor
+	kept := t.dead
+	for _, phys := range succ.dead {
+		if j > 0 && v.birth[phys-v.dataBase] <= v.tables[j-1].epoch {
+			kept = append(kept, phys)
+		} else {
+			v.freeLocked(phys)
 		}
 	}
-}
-
-// sweepLocked recomputes the free list and high-water mark from the live
-// tables and the building overlay: a data block referenced by none of them
-// is reclaimable. The sweep is deterministic (ascending ids), which the
-// crash campaigns rely on. Caller holds mu.
-func (v *Versioned) sweepLocked() {
-	used := make(map[int]struct{})
-	high := v.dataBase
-	mark := func(p int) {
-		used[p] = struct{}{}
-		if p+1 > high {
-			high = p + 1
-		}
-	}
-	for _, t := range v.tables {
-		for _, p := range t.phys {
-			if p >= 0 {
-				mark(int(p))
-			}
-		}
-	}
-	for _, p := range v.overlay {
-		mark(p)
-	}
-	v.next = high
-	free := make([]int, 0, high-v.dataBase-len(used))
-	for p := v.dataBase; p < high; p++ {
-		if _, ok := used[p]; !ok {
-			free = append(free, p)
-		}
-	}
-	v.free = free
+	succ.dead = kept
+	v.tables = append(v.tables[:j], v.tables[j+1:]...)
+	v.lowerMarkLocked()
 }
 
 // Acquire pins the current committed epoch and returns a Snapshot that
@@ -522,15 +638,14 @@ func (v *Versioned) Acquire() *Snapshot {
 	return &Snapshot{v: v, t: t}
 }
 
-// release unpins a table; the last release of a retired epoch returns its
-// exclusive blocks to the free list.
+// release unpins a table; the last release of a superseded epoch returns
+// the blocks only it kept alive to the free list.
 func (v *Versioned) release(t *epochTable) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t.refs--
 	if t.refs == 0 && t != v.cur {
 		v.retireLocked(t)
-		v.sweepLocked()
 	}
 }
 
@@ -556,39 +671,22 @@ type EpochStats struct {
 	PhysBlocks int `json:"phys_blocks"`
 }
 
-// Stats returns a point-in-time snapshot of the epoch layer's state.
+// Stats returns a point-in-time snapshot of the epoch layer's state. It
+// reads the allocator's running counts, so its cost is the number of pinned
+// epochs, not the size of their tables.
 func (v *Versioned) Stats() EpochStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	st := EpochStats{Epoch: v.cur.epoch, OldestPinned: v.cur.epoch, FreeBlocks: len(v.free), PhysBlocks: v.next}
-	curUsed := make(map[int]struct{})
-	for _, p := range v.cur.phys {
-		if p >= 0 {
-			curUsed[int(p)] = struct{}{}
-		}
-	}
-	for _, p := range v.overlay {
-		curUsed[p] = struct{}{}
-	}
-	held := make(map[int]struct{})
+	st := EpochStats{Epoch: v.cur.epoch, OldestPinned: v.cur.epoch, FreeBlocks: v.nfree, PhysBlocks: v.markLocked()}
 	for _, t := range v.tables {
 		st.Pinned += t.refs
 		if t.refs > 0 && t.epoch < st.OldestPinned {
 			st.OldestPinned = t.epoch
 		}
-		if t == v.cur {
-			continue
-		}
-		for _, p := range t.phys {
-			if p < 0 {
-				continue
-			}
-			if _, ok := curUsed[int(p)]; !ok {
-				held[int(p)] = struct{}{}
-			}
-		}
+		// A dead list holds exactly the blocks superseded since the previous
+		// live table that some pinned table still maps.
+		st.Reclaimable += len(t.dead)
 	}
-	st.Reclaimable = len(held)
 	return st
 }
 
@@ -648,9 +746,11 @@ func ReadVersionedInfo(store BlockStore, logical int) (*VersionedInfo, error) {
 		return nil, err
 	}
 	mapped := 0
-	for _, p := range v.cur.phys {
-		if p >= 0 {
-			mapped++
+	for _, page := range v.cur.pages {
+		for _, p := range page {
+			if p >= 0 {
+				mapped++
+			}
 		}
 	}
 	return &VersionedInfo{
@@ -708,7 +808,7 @@ func (s *Snapshot) ReadBlock(id int, buf []float64) error {
 	if err := s.v.checkLogical(id); err != nil {
 		return err
 	}
-	phys := s.t.phys[id]
+	phys := s.t.phys(id, s.v.pageSize)
 	if phys < 0 {
 		ZeroFill(buf)
 		return nil
@@ -728,7 +828,7 @@ func (s *Snapshot) ReadBlocks(ids []int, bufs [][]float64) error {
 		if err := s.v.checkLogical(id); err != nil {
 			return err
 		}
-		if phys := s.t.phys[id]; phys >= 0 {
+		if phys := s.t.phys(id, s.v.pageSize); phys >= 0 {
 			physIDs = append(physIDs, int(phys))
 			physBufs = append(physBufs, bufs[i])
 		} else {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -554,5 +556,543 @@ func TestSplitRWRouting(t *testing.T) {
 	}
 	if corrupt, err := sp.VerifyBlocks([]int{0, 1, 2}); err != nil || len(corrupt) != 0 {
 		t.Fatalf("verify = %v, %v", corrupt, err)
+	}
+}
+
+// oldEpochs is the allocator and reclamation rule of this layer as it ran
+// before reclamation became incremental, with the I/O stripped: every flip,
+// rollback and retiring release re-marks every block of every live table
+// and rebuilds the free list from scratch (sweep), and stats walks the
+// tables again. It is the model the incremental allocator must match id for
+// id: crash campaigns, the warm-cache reuse test and the benchmark's
+// stored-bytes row all depend on the physical layout it produces.
+type oldEpochs struct {
+	logical, dataBase int
+	cur               *oldTable
+	tables            []*oldTable
+	overlay           map[int]int
+	free              []int
+	next              int
+}
+
+type oldTable struct {
+	epoch uint64
+	phys  []int64
+	refs  int
+}
+
+func newOldEpochs(logical, dataBase int) *oldEpochs {
+	phys := make([]int64, logical)
+	for i := range phys {
+		phys[i] = -1
+	}
+	m := &oldEpochs{logical: logical, dataBase: dataBase, overlay: make(map[int]int)}
+	m.cur = &oldTable{phys: phys}
+	m.tables = []*oldTable{m.cur}
+	m.sweep()
+	return m
+}
+
+func (m *oldEpochs) sweep() {
+	used := make(map[int]struct{})
+	high := m.dataBase
+	mark := func(p int) {
+		used[p] = struct{}{}
+		if p+1 > high {
+			high = p + 1
+		}
+	}
+	for _, t := range m.tables {
+		for _, p := range t.phys {
+			if p >= 0 {
+				mark(int(p))
+			}
+		}
+	}
+	for _, p := range m.overlay {
+		mark(p)
+	}
+	m.next = high
+	free := make([]int, 0, high-m.dataBase-len(used))
+	for p := m.dataBase; p < high; p++ {
+		if _, ok := used[p]; !ok {
+			free = append(free, p)
+		}
+	}
+	m.free = free
+}
+
+// alloc reports the physical id a write of the logical id lands on, and
+// whether it is a fresh hand-out (which fires the reuse hook) rather than a
+// rewrite in place within the building epoch.
+func (m *oldEpochs) alloc(id int) (phys int, fresh bool) {
+	if phys, ok := m.overlay[id]; ok {
+		return phys, false
+	}
+	if len(m.free) > 0 {
+		phys = m.free[0]
+		m.free = m.free[1:]
+	} else {
+		phys = m.next
+		m.next++
+	}
+	m.overlay[id] = phys
+	return phys, true
+}
+
+func (m *oldEpochs) retire(t *oldTable) {
+	for i, lt := range m.tables {
+		if lt == t {
+			m.tables = append(m.tables[:i], m.tables[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *oldEpochs) commit() {
+	if len(m.overlay) == 0 {
+		return
+	}
+	next := &oldTable{epoch: m.cur.epoch + 1, phys: append([]int64(nil), m.cur.phys...)}
+	for id, phys := range m.overlay {
+		next.phys[id] = int64(phys)
+	}
+	old := m.cur
+	m.cur = next
+	m.tables = append(m.tables, next)
+	m.overlay = make(map[int]int)
+	if old.refs == 0 {
+		m.retire(old)
+	}
+	m.sweep()
+}
+
+func (m *oldEpochs) rollback() {
+	m.overlay = make(map[int]int)
+	m.sweep()
+}
+
+func (m *oldEpochs) acquire() *oldTable {
+	m.cur.refs++
+	return m.cur
+}
+
+func (m *oldEpochs) release(t *oldTable) {
+	t.refs--
+	if t.refs == 0 && t != m.cur {
+		m.retire(t)
+		m.sweep()
+	}
+}
+
+// reopen is what load() rebuilds from the medium: the current table alone.
+func (m *oldEpochs) reopen() {
+	m.cur.refs = 0
+	m.tables = []*oldTable{m.cur}
+	m.sweep()
+}
+
+func (m *oldEpochs) stats() EpochStats {
+	st := EpochStats{Epoch: m.cur.epoch, OldestPinned: m.cur.epoch, FreeBlocks: len(m.free), PhysBlocks: m.next}
+	curUsed := make(map[int]struct{})
+	for _, p := range m.cur.phys {
+		if p >= 0 {
+			curUsed[int(p)] = struct{}{}
+		}
+	}
+	for _, p := range m.overlay {
+		curUsed[p] = struct{}{}
+	}
+	held := make(map[int]struct{})
+	for _, t := range m.tables {
+		st.Pinned += t.refs
+		if t.refs > 0 && t.epoch < st.OldestPinned {
+			st.OldestPinned = t.epoch
+		}
+		if t == m.cur {
+			continue
+		}
+		for _, p := range t.phys {
+			if p < 0 {
+				continue
+			}
+			if _, ok := curUsed[int(p)]; !ok {
+				held[int(p)] = struct{}{}
+			}
+		}
+	}
+	st.Reclaimable = len(held)
+	return st
+}
+
+// keepOpen lets a test close a Versioned and open another over the same
+// in-memory medium.
+type keepOpen struct{ BlockStore }
+
+func (keepOpen) Close() error { return nil }
+
+// epochWalk drives a Versioned and the oldEpochs model through the same
+// operations and compares them after every one.
+type epochWalk struct {
+	t       *testing.T
+	base    keepOpen
+	v       *Versioned
+	m       *oldEpochs
+	stamp   float64
+	reused  []int           // ids the reuse hook fired for since the last check
+	want    []int           // ids the model handed out fresh since the last check
+	cur     map[int]float64 // committed first value of each written logical block
+	pending map[int]float64 // the building epoch's writes
+	pins    []walkPin
+}
+
+type walkPin struct {
+	snap    *Snapshot
+	table   *oldTable
+	content map[int]float64
+}
+
+const (
+	walkBlockSize = 4
+	walkLogical   = 22 // six table pages, the last one partial
+)
+
+func newEpochWalk(t *testing.T) *epochWalk {
+	w := &epochWalk{t: t, base: keepOpen{NewMemStore(walkBlockSize)}, cur: map[int]float64{}, pending: map[int]float64{}}
+	w.open()
+	w.m = newOldEpochs(walkLogical, w.v.dataBase)
+	return w
+}
+
+func (w *epochWalk) open() {
+	v, err := NewVersioned(w.base, walkLogical)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	v.OnReuse(func(phys int) { w.reused = append(w.reused, phys) })
+	w.v = v
+}
+
+// write stages the ids as one WriteBlock or one WriteBlocks; a repeated id
+// is a rewrite in place.
+func (w *epochWalk) write(ids ...int) {
+	w.t.Helper()
+	data := make([][]float64, len(ids))
+	for i, id := range ids {
+		w.stamp++
+		data[i] = fillSeq(walkBlockSize, w.stamp*10)
+		w.pending[id] = data[i][0]
+		phys, fresh := w.m.alloc(id)
+		if fresh {
+			w.want = append(w.want, phys)
+			for _, pin := range w.pins {
+				for _, p := range pin.table.phys {
+					if int(p) == phys {
+						w.t.Fatalf("model reissued physical %d while epoch %d is pinned", phys, pin.table.epoch)
+					}
+				}
+			}
+		}
+	}
+	var err error
+	if len(ids) == 1 {
+		err = w.v.WriteBlock(ids[0], data[0])
+	} else {
+		err = w.v.WriteBlocks(ids, data)
+	}
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	for _, id := range ids {
+		if got, want := w.v.overlay[id], w.m.overlay[id]; got != want {
+			w.t.Fatalf("logical %d written to physical %d, the sweep allocator hands out %d", id, got, want)
+		}
+	}
+	w.check()
+}
+
+func (w *epochWalk) commit() {
+	w.t.Helper()
+	if err := w.v.Commit(); err != nil {
+		w.t.Fatal(err)
+	}
+	w.m.commit()
+	for id, x := range w.pending {
+		w.cur[id] = x
+	}
+	clear(w.pending)
+	w.check()
+}
+
+func (w *epochWalk) rollback() {
+	w.t.Helper()
+	w.v.Rollback()
+	w.m.rollback()
+	clear(w.pending)
+	w.check()
+}
+
+func (w *epochWalk) acquire() {
+	w.t.Helper()
+	content := make(map[int]float64, len(w.cur))
+	for id, x := range w.cur {
+		content[id] = x
+	}
+	w.pins = append(w.pins, walkPin{snap: w.v.Acquire(), table: w.m.acquire(), content: content})
+	w.check()
+}
+
+func (w *epochWalk) release(i int) {
+	w.t.Helper()
+	pin := w.pins[i]
+	w.pins = append(w.pins[:i], w.pins[i+1:]...)
+	pin.snap.Release()
+	pin.snap.Release() // idempotent
+	w.m.release(pin.table)
+	w.check()
+}
+
+// reopen closes the layer (sealing the building epoch, as Close does) and
+// loads a fresh one from the medium; pins do not survive it.
+func (w *epochWalk) reopen() {
+	w.t.Helper()
+	for len(w.pins) > 0 {
+		w.release(len(w.pins) - 1)
+	}
+	if err := w.v.Close(); err != nil {
+		w.t.Fatal(err)
+	}
+	w.m.commit()
+	for id, x := range w.pending {
+		w.cur[id] = x
+	}
+	clear(w.pending)
+	w.open()
+	w.m.reopen()
+	w.check()
+}
+
+func (w *epochWalk) check() {
+	w.t.Helper()
+	v, m := w.v, w.m
+	if got := v.PhysExtent(); got != m.next {
+		w.t.Fatalf("high-water mark %d, sweep gives %d", got, m.next)
+	}
+	var free []int
+	for i, b := range v.birth {
+		if b == freeBlock {
+			free = append(free, v.dataBase+i)
+		}
+	}
+	if !slices.Equal(free, m.free) || v.nfree != len(free) {
+		w.t.Fatalf("free set %v (count %d), sweep gives %v", free, v.nfree, m.free)
+	}
+	// Every id below the mark on the heap is free and listed once; the
+	// lowest of them is what the next allocation takes.
+	seen := make(map[int]bool)
+	for i, p := range v.free {
+		if i > 0 && v.free[(i-1)/2] > p {
+			w.t.Fatalf("free heap out of order at %d: %v", i, v.free)
+		}
+		if p >= m.next {
+			continue
+		}
+		if seen[p] || v.birth[p-v.dataBase] != freeBlock {
+			w.t.Fatalf("free heap %v lists %d, free set is %v", v.free, p, free)
+		}
+		seen[p] = true
+	}
+	if len(seen) != len(free) {
+		w.t.Fatalf("free heap %v misses part of the free set %v", v.free, free)
+	}
+	if got, want := v.Stats(), m.stats(); got != want {
+		w.t.Fatalf("stats %+v, the table walk gives %+v", got, want)
+	}
+	if !slices.Equal(w.reused, w.want) {
+		w.t.Fatalf("reuse hook fired for %v, fresh hand-outs were %v", w.reused, w.want)
+	}
+	w.reused, w.want = w.reused[:0], w.want[:0]
+
+	// Contents: the builder reads its own writes over the committed state,
+	// every pin reads the epoch it pinned.
+	buf := make([]float64, walkBlockSize)
+	for id := 0; id < walkLogical; id++ {
+		want, ok := w.pending[id]
+		if !ok {
+			want = w.cur[id]
+		}
+		if err := v.ReadBlock(id, buf); err != nil {
+			w.t.Fatal(err)
+		}
+		if buf[0] != want {
+			w.t.Fatalf("builder reads %v for logical %d, want %v", buf[0], id, want)
+		}
+	}
+	ids := make([]int, walkLogical)
+	bufs := make([][]float64, walkLogical)
+	for id := range ids {
+		ids[id], bufs[id] = id, make([]float64, walkBlockSize)
+	}
+	for _, pin := range w.pins {
+		if pin.snap.Epoch() != pin.table.epoch {
+			w.t.Fatalf("pin of epoch %d, model pinned %d", pin.snap.Epoch(), pin.table.epoch)
+		}
+		if err := pin.snap.ReadBlocks(ids, bufs); err != nil {
+			w.t.Fatal(err)
+		}
+		for id := range ids {
+			if bufs[id][0] != pin.content[id] {
+				w.t.Fatalf("pin of epoch %d reads %v for logical %d, want %v: a block it maps was reissued", pin.snap.Epoch(), bufs[id][0], id, pin.content[id])
+			}
+		}
+	}
+}
+
+// TestVersionedAllocatorMatchesSweepModel walks random operation sequences
+// and holds the incremental allocator to the old full sweep after every
+// step: same free set, same mark, same id for every hand-out, the reuse hook
+// once per hand-out, same stats, and pinned contents intact.
+func TestVersionedAllocatorMatchesSweepModel(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := newEpochWalk(t)
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 30:
+				w.write(rng.Intn(walkLogical))
+			case r < 45:
+				ids := make([]int, 2+rng.Intn(5))
+				for i := range ids {
+					ids[i] = rng.Intn(walkLogical)
+				}
+				w.write(ids...)
+			case r < 65:
+				w.commit()
+			case r < 70:
+				w.rollback()
+			case r < 82:
+				if len(w.pins) < 6 {
+					w.acquire()
+				}
+			case r < 98:
+				if len(w.pins) > 0 {
+					w.release(rng.Intn(len(w.pins)))
+				}
+			default:
+				w.reopen()
+			}
+		}
+		for len(w.pins) > 0 {
+			w.release(0)
+		}
+		if err := w.v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestVersionedReclamationShapes scripts the cases the full sweep handled
+// without knowing it, each checked against the model after every step.
+func TestVersionedReclamationShapes(t *testing.T) {
+	fill := func(w *epochWalk) {
+		for id := 0; id < walkLogical; id++ {
+			w.write(id)
+		}
+		w.commit()
+	}
+	t.Run("pin held across hundreds of flips", func(t *testing.T) {
+		w := newEpochWalk(t)
+		fill(w)
+		w.acquire()
+		for flip := 0; flip < 300; flip++ {
+			w.write(flip%walkLogical, (flip*7+3)%walkLogical)
+			w.commit()
+		}
+		if st := w.v.Stats(); st.Reclaimable != walkLogical {
+			t.Fatalf("reclaimable %d with the first epoch pinned, want its %d blocks", st.Reclaimable, walkLogical)
+		}
+		w.release(0)
+		if st := w.v.Stats(); st.Reclaimable != 0 || st.FreeBlocks == 0 {
+			t.Fatalf("after the release stats = %+v, want the pinned epoch's blocks free", st)
+		}
+	})
+	t.Run("three pins released middle first", func(t *testing.T) {
+		w := newEpochWalk(t)
+		fill(w)
+		for pin := 0; pin < 3; pin++ {
+			w.acquire()
+			w.write(1, 2+pin, 9)
+			w.commit()
+		}
+		w.release(1)
+		w.write(1, 9)
+		w.commit()
+		w.release(1) // the newest pin
+		w.release(0) // the oldest
+		if st := w.v.Stats(); st.Reclaimable != 0 || st.Pinned != 0 {
+			t.Fatalf("stats = %+v after every release", st)
+		}
+	})
+	t.Run("rollback after a top-of-file allocation", func(t *testing.T) {
+		w := newEpochWalk(t)
+		fill(w)
+		ext := w.v.PhysExtent()
+		w.write(0, 1, 2) // nothing is free: all three grow the file
+		if w.v.PhysExtent() != ext+3 {
+			t.Fatalf("extent %d, want %d", w.v.PhysExtent(), ext+3)
+		}
+		w.rollback()
+		if w.v.PhysExtent() != ext {
+			t.Fatalf("extent %d after rollback, want %d", w.v.PhysExtent(), ext)
+		}
+		w.write(5) // re-issues the id the rollback returned: the hook must fire again
+		w.commit()
+	})
+	t.Run("overlay rewrites a block born in a pinned epoch", func(t *testing.T) {
+		w := newEpochWalk(t)
+		fill(w)
+		w.acquire() // epoch 1
+		w.write(4)
+		w.commit()  // logical 4's block is born in epoch 2
+		w.acquire() // epoch 2
+		w.write(7)
+		w.commit()
+		w.write(4) // supersedes the epoch-2 block while epochs 1 and 2 are pinned
+		w.commit()
+		w.release(0) // epoch 1 never mapped that block
+		w.release(0) // epoch 2 did
+		if st := w.v.Stats(); st.Reclaimable != 0 {
+			t.Fatalf("stats = %+v after every release", st)
+		}
+	})
+}
+
+// TestVersionedRejectsAliasedTable: reclamation frees a block when the one
+// logical id mapping it is rewritten, so a table that maps two logical ids
+// to one physical block must not open.
+func TestVersionedRejectsAliasedTable(t *testing.T) {
+	base := keepOpen{NewMemStore(8)}
+	v, err := NewVersioned(base, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 2; id++ {
+		if err := v.WriteBlock(id, fillSeq(8, float64(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]float64, 8)
+	if err := base.ReadBlock(v.hdr, page); err != nil {
+		t.Fatal(err)
+	}
+	page[1] = page[0]
+	if err := base.WriteBlock(v.hdr, page); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewVersioned(base, 4); err == nil || !strings.Contains(err.Error(), "already maps") {
+		t.Fatalf("open of an aliased table = %v, want an error naming the second mapping", err)
 	}
 }

@@ -100,11 +100,12 @@ func (bs *BucketSet) Buckets() []Bucket {
 }
 
 // ApplyBuckets folds bucketed deltas into the store: one ReadTile and one
-// WriteTile per bucket, exactly the I/O of a tile.Batch holding the same
-// tiles, but issued as one vectored read of every touched tile followed by
-// one vectored write. Buckets arrive in ascending block order (BucketSet
-// sorts them), so the batch is one consecutive run per dense region and the
-// physical write sequence matches what the interleaved loop produced.
+// WriteTile per bucket, exactly the I/O of a per-coefficient
+// read-modify-write loop that loads each tile once, but issued as one
+// vectored read of every touched tile followed by one vectored write.
+// Buckets arrive in ascending block order (BucketSet sorts them), so the
+// batch is one consecutive run per dense region and the physical write
+// sequence matches what the interleaved loop produced.
 func (s *Store) ApplyBuckets(buckets []Bucket) error {
 	if len(buckets) == 0 {
 		return nil

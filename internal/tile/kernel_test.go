@@ -150,54 +150,94 @@ func TestAccumulateFallsBackForGenericTilings(t *testing.T) {
 }
 
 func TestApplyBucketsMatchesBatch(t *testing.T) {
-	tiling := NewStandard([]int{3, 3}, 1)
-	mkStore := func() *Store {
-		st, err := NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
+	// The merge a Store.MergeBlock performs — accumulate kernels, then
+	// ApplyBuckets — against the per-coefficient Batch path, on the
+	// specialized tilings and on Sequential, which takes the kernels'
+	// generic fallback (StoreOptions cannot select it).
 	shape := []int{8, 8}
-	block := dyadic.Range{dyadic.NewInterval(2, 1), dyadic.NewInterval(2, 1)}
+	stdBlock := dyadic.Range{dyadic.NewInterval(2, 1), dyadic.NewInterval(2, 1)}
 	bHat := randHat([]int{4, 4}, 3)
-
-	// Reference: the per-coefficient Batch path.
-	want := mkStore()
-	batch := NewBatch(want)
-	var addErr error
-	core.EachEmbedStandard(shape, block, bHat, func(coords []int, delta float64) {
-		if addErr == nil {
-			addErr = batch.Add(coords, delta)
+	embedStd := func(tiling Tiling, bs *BucketSet, visit func([]int, float64)) {
+		if bs != nil {
+			AccumulateEmbedStandard(tiling, shape, stdBlock, bHat, bs)
+			return
 		}
-	})
-	if addErr != nil {
-		t.Fatal(addErr)
+		core.EachEmbedStandard(shape, stdBlock, bHat, visit)
 	}
-	if err := batch.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := mkStore()
-	bs := NewBucketSet(tiling.BlockSize())
-	AccumulateEmbedStandard(tiling, shape, block, bHat, bs)
-	if err := got.ApplyBuckets(bs.Buckets()); err != nil {
-		t.Fatal(err)
-	}
-
-	for b := 0; b < tiling.NumBlocks(); b++ {
-		wd, err := want.ReadTile(b)
-		if err != nil {
-			t.Fatal(err)
+	m, pos := 2, []int{1, 0}
+	embedNonStd := func(tiling Tiling, bs *BucketSet, visit func([]int, float64)) {
+		u := bHat.At(0, 0)
+		if bs != nil {
+			AccumulateShiftNonStandard(tiling, shape, m, pos, bHat, bs)
+			AccumulateSplitNonStandard(tiling, shape, m, pos, u, bs)
+			return
 		}
-		gd, err := got.ReadTile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range wd {
-			if wd[s] != gd[s] {
-				t.Fatalf("block %d slot %d: buckets %v != batch %v", b, s, gd[s], wd[s])
+		core.EachShiftNonStandard(shape, m, pos, bHat, visit)
+		core.EachSplitNonStandard(shape, m, pos, u, visit)
+	}
+	cases := []struct {
+		name   string
+		tiling Tiling
+		embed  func(Tiling, *BucketSet, func([]int, float64))
+	}{
+		{"standard", NewStandard([]int{3, 3}, 1), embedStd},
+		{"standard on sequential", NewSequential(shape, 4), embedStd},
+		{"non-standard", NewNonStandard(3, 2, 1), embedNonStd},
+		{"non-standard on sequential", NewSequential(shape, 4), embedNonStd},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tiling := tc.tiling
+			mkStore := func() (*Store, *storage.Counting) {
+				counting := storage.NewCounting(storage.NewMemStore(tiling.BlockSize()))
+				st, err := NewStore(counting, tiling)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, counting
 			}
-		}
+
+			// Reference: the per-coefficient Batch path.
+			want, wantIO := mkStore()
+			batch := NewBatch(want)
+			var addErr error
+			tc.embed(tiling, nil, func(coords []int, delta float64) {
+				if addErr == nil {
+					addErr = batch.Add(coords, delta)
+				}
+			})
+			if addErr != nil {
+				t.Fatal(addErr)
+			}
+			if err := batch.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			got, gotIO := mkStore()
+			bs := NewBucketSet(tiling.BlockSize())
+			tc.embed(tiling, bs, nil)
+			if err := got.ApplyBuckets(bs.Buckets()); err != nil {
+				t.Fatal(err)
+			}
+			if gotIO.Stats() != wantIO.Stats() {
+				t.Errorf("buckets did %+v, batch did %+v", gotIO.Stats(), wantIO.Stats())
+			}
+
+			for b := 0; b < tiling.NumBlocks(); b++ {
+				wd, err := want.ReadTile(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gd, err := got.ReadTile(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range wd {
+					if wd[s] != gd[s] {
+						t.Fatalf("block %d slot %d: buckets %v != batch %v", b, s, gd[s], wd[s])
+					}
+				}
+			}
+		})
 	}
 }

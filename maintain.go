@@ -2,21 +2,10 @@ package shiftsplit
 
 import (
 	"github.com/shiftsplit/shiftsplit/internal/appender"
-	"github.com/shiftsplit/shiftsplit/internal/core"
 	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/stream"
 )
-
-func coreEachEmbedStandard(shape []int, b Block, bHat *Array, visit func(coords []int, delta float64)) {
-	core.EachEmbedStandard(shape, b.toRange(), bHat, visit)
-}
-
-func coreEachNonStandard(shape []int, b Block, bHat *Array, visit func(coords []int, delta float64)) {
-	core.EachShiftNonStandard(shape, b.Levels[0], b.Pos, bHat, visit)
-	origin := make([]int, len(shape))
-	core.EachSplitNonStandard(shape, b.Levels[0], b.Pos, bHat.At(origin...), visit)
-}
 
 // Appender maintains a dataset that grows along one or more dimensions
 // entirely in the wavelet domain (paper §5.2): incoming slabs are

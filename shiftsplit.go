@@ -26,6 +26,7 @@ package shiftsplit
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/core"
@@ -155,27 +156,39 @@ func (b Block) validate(shape []int) error {
 // it both constructs transforms of partial data (Example 1 of §4) and
 // applies batched updates (Example 2), because the Haar transform is linear.
 func Merge(aHat *Array, form Form, b Block, bHat *Array) error {
-	if err := b.validate(aHat.Shape()); err != nil {
+	if err := validateMerge(aHat.Shape(), form, b, bHat); err != nil {
 		return err
 	}
-	for t, want := range b.Shape() {
-		if bHat.Extent(t) != want {
-			return fmt.Errorf("shiftsplit: block transform shape %v, block wants %v", bHat.Shape(), b.Shape())
-		}
+	if form == Standard {
+		core.MergeStandard(aHat, b.toRange(), bHat)
+	} else {
+		core.MergeNonStandard(aHat, b.Levels[0], b.Pos, bHat)
+	}
+	return nil
+}
+
+// validateMerge is the input check shared by Merge, Store.MergeBlock and
+// Store.ClearBlock: b is a block of a domain of the given shape that the
+// form can merge (the non-standard form embeds cubic blocks only), and bHat,
+// when given, has the block's shape. The kernels behind those entry points
+// index by the block's geometry and panic on anything else.
+func validateMerge(shape []int, form Form, b Block, bHat *Array) error {
+	if err := b.validate(shape); err != nil {
+		return err
 	}
 	switch form {
 	case Standard:
-		core.MergeStandard(aHat, b.toRange(), bHat)
-		return nil
 	case NonStandard:
 		if !b.isCubic() {
 			return fmt.Errorf("shiftsplit: non-standard merge needs a cubic block, got levels %v", b.Levels)
 		}
-		core.MergeNonStandard(aHat, b.Levels[0], b.Pos, bHat)
-		return nil
 	default:
 		return fmt.Errorf("shiftsplit: unknown form %v", form)
 	}
+	if bHat != nil && !slices.Equal(bHat.Shape(), b.Shape()) {
+		return fmt.Errorf("shiftsplit: block transform shape %v, block wants %v", bHat.Shape(), b.Shape())
+	}
+	return nil
 }
 
 // Extract computes the exact transform of a block's contents from aHat via

@@ -153,6 +153,9 @@ type Store struct {
 	// behind it (see AcquireSnapshot).
 	versioned *storage.Versioned
 	store     *tile.Store
+	// mergeSets pools the *tile.BucketSet MergeBlock buckets an embedding
+	// into, so a steady stream of merges reuses the delta slices.
+	mergeSets sync.Pool
 	// materialized is atomic: the serving read path branches on it while a
 	// concurrent healing Materialize (re-writing the same store it serves)
 	// may be clearing and re-asserting it.
@@ -484,8 +487,11 @@ func (s *Store) TransformChunkedOpts(src *Array, chunkBits int, opts MaintainOpt
 
 // MergeBlock folds bHat (the transform of a block's contents, same form)
 // into the stored transform — the disk-resident SHIFT-SPLIT batch update.
+// The embedding is bucketed by destination tile with the flat kernels and
+// applied as one vectored read and one vectored write of the touched tiles,
+// then sealed by one commit.
 func (s *Store) MergeBlock(b Block, bHat *Array) error {
-	if err := b.validate(s.opts.Shape); err != nil {
+	if err := validateMerge(s.opts.Shape, s.opts.Form, b, bHat); err != nil {
 		return err
 	}
 	if err := s.maintenanceGuard(); err != nil {
@@ -494,27 +500,22 @@ func (s *Store) MergeBlock(b Block, bHat *Array) error {
 	if err := s.demote(); err != nil {
 		return err
 	}
-	batch := tile.NewBatch(s.store)
-	var applyErr error
-	add := func(coords []int, delta float64) {
-		if applyErr != nil {
-			return
-		}
-		applyErr = batch.Add(coords, delta)
+	set, ok := s.mergeSets.Get().(*tile.BucketSet)
+	if !ok {
+		set = tile.NewBucketSet(s.tiling.BlockSize())
 	}
-	switch s.opts.Form {
-	case Standard:
-		coreEachEmbedStandard(s.opts.Shape, b, bHat, add)
-	case NonStandard:
-		if !b.isCubic() {
-			return fmt.Errorf("shiftsplit: non-standard merge needs a cubic block")
-		}
-		coreEachNonStandard(s.opts.Shape, b, bHat, add)
+	defer func() {
+		set.Reset()
+		s.mergeSets.Put(set)
+	}()
+	if s.opts.Form == Standard {
+		tile.AccumulateEmbedStandard(s.tiling, s.opts.Shape, b.toRange(), bHat, set)
+	} else {
+		m, pos := b.Levels[0], b.Pos
+		tile.AccumulateShiftNonStandard(s.tiling, s.opts.Shape, m, pos, bHat, set)
+		tile.AccumulateSplitNonStandard(s.tiling, s.opts.Shape, m, pos, bHat.Data()[0], set)
 	}
-	if applyErr != nil {
-		return applyErr
-	}
-	if err := batch.Flush(); err != nil {
+	if err := s.store.ApplyBuckets(set.Buckets()); err != nil {
 		return err
 	}
 	return s.commit()
@@ -525,6 +526,9 @@ func (s *Store) MergeBlock(b Block, bHat *Array) error {
 // and its negation merged back — two block-local passes, no global
 // reconstruction.
 func (s *Store) ClearBlock(b Block) error {
+	if err := validateMerge(s.opts.Shape, s.opts.Form, b, nil); err != nil {
+		return err
+	}
 	if err := s.maintenanceGuard(); err != nil {
 		return err
 	}

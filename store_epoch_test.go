@@ -499,7 +499,7 @@ func TestVersionedCacheNoInvalidationStorm(t *testing.T) {
 }
 
 // TestWarmCacheSurvivesReissuedBlocks is the regression test for physical
-// ids re-issued at the high-water mark: a sweep lowers the mark past freed
+// ids re-issued at the high-water mark: the mark comes down past freed
 // top-of-file blocks, the next epoch grows it again over the same ids, and
 // a serve cache still holding the previous tenant's bytes would answer
 // from them. Flips and queries interleave on a fully warm cache with no
