@@ -6,7 +6,7 @@
 // epochs) and are documented as single-goroutine types; the serving stack
 // (internal/cache's sharded LRU, internal/server's handlers) fans requests
 // out across goroutines. PR 2 bridged the two with storage.Locked, and
-// serving.go is careful to interpose it whenever a durable store sits
+// stack.go (assemble) interposes it whenever a non-versioned durable store sits
 // under the serve cache. This analyzer keeps that arrangement honest:
 //
 //   - anywhere in the module, handing a known non-thread-safe store

@@ -19,6 +19,13 @@
 // channel, or referenced from a go statement. Reading one element (b[i])
 // and passing the buffer to an ordinary call (copy, ReadBlock) are the
 // intended uses and stay silent.
+//
+// Sharing is what races the pool, not hand-over. A goroutine or worker
+// closure that draws its own buffer *inside* its body owns it outright; when
+// it passes the buffer on inside its result — returned from a worker-pool
+// stage, or sent across a channel — and the receiver Puts it, exactly one
+// party holds the buffer at any time. So only identifiers declared outside
+// the go statement or closure (captures, arguments) count as shared.
 package scratchescape
 
 import (
@@ -41,6 +48,7 @@ var pooledHelpers = map[string]bool{
 	"getBuf":     true,
 	"getScratch": true,
 	"getRunBuf":  true,
+	"runBuf":     true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -238,7 +246,7 @@ func (v *visitor) checkParallelCall(call *ast.CallExpr) bool {
 				return true
 			}
 			obj := v.pass.TypesInfo.Uses[id]
-			if obj != nil && v.pooled[obj] {
+			if obj != nil && v.pooled[obj] && !declaredIn(obj, lit) {
 				v.pass.Reportf(id.Pos(), "pooled scratch buffer %s is captured by a closure handed to the parallel worker pool; it runs on another goroutine and races the pool's next Get — give it a copy", id.Name)
 			}
 			return true
@@ -256,11 +264,18 @@ func (v *visitor) checkGo(g *ast.GoStmt) {
 			return true
 		}
 		obj := v.pass.TypesInfo.Uses[id]
-		if obj != nil && v.pooled[obj] {
+		if obj != nil && v.pooled[obj] && !declaredIn(obj, g.Call) {
 			v.pass.Reportf(id.Pos(), "pooled scratch buffer %s is shared with a goroutine; the goroutine races the pool's next Get — give it a copy", id.Name)
 		}
 		return true
 	})
+}
+
+// declaredIn reports whether obj is declared inside n — a buffer the
+// goroutine or closure n drew for itself rather than one it shares with the
+// function around it.
+func declaredIn(obj types.Object, n ast.Node) bool {
+	return n.Pos() <= obj.Pos() && obj.Pos() < n.End()
 }
 
 // aliases reports whether expr evaluates to (a view of) a pooled buffer:

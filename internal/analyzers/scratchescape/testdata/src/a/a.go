@@ -58,4 +58,47 @@ func good(dst []float64) float64 {
 	return b[0]  // reading one element copies a scalar out
 }
 
+// fetched hands a pooled buffer from the goroutine that drew it to the
+// receiver that returns it.
+type fetched struct {
+	bp *[]float64
+	n  int
+}
+
+// handedOver draws the buffer inside the goroutine and passes ownership
+// across the channel; the receiver Puts it. One holder at a time: no
+// finding.
+func handedOver(n int) float64 {
+	ch := make(chan fetched, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			bp := pool.Get().(*[]float64)
+			(*bp)[0] = float64(i)
+			ch <- fetched{bp, i}
+		}
+		close(ch)
+	}()
+	var sum float64
+	for f := range ch {
+		sum += (*f.bp)[0]
+		pool.Put(f.bp)
+	}
+	return sum
+}
+
+// sharedThenDrawn still shares the outer buffer, whatever the goroutine
+// draws for itself.
+func sharedThenDrawn() {
+	outer := pool.Get().(*[]float64)
+	done := make(chan struct{})
+	go func() {
+		inner := pool.Get().(*[]float64)
+		copy(*inner, *outer) // want `pooled scratch buffer outer is shared with a goroutine`
+		pool.Put(inner)
+		close(done)
+	}()
+	<-done
+	pool.Put(outer)
+}
+
 func process([]float64) {}

@@ -46,3 +46,26 @@ func consumeOnCaller(n int) error {
 			return nil
 		})
 }
+
+// stageResult carries a worker's pooled scratch to the consumer with the
+// value computed in it.
+type stageResult struct {
+	v  float64
+	bp *[]float64
+}
+
+// drawnInWorker: each produce call draws its own buffer and returns it in
+// its result; consume, the only other holder, Puts it. Ownership moves, it
+// is never shared: no finding.
+func drawnInWorker(n int) error {
+	return parallel.Run(n, parallel.Options{},
+		func(seq int) (stageResult, error) {
+			bp := pool.Get().(*[]float64)
+			(*bp)[0] = float64(seq)
+			return stageResult{v: (*bp)[0], bp: bp}, nil
+		},
+		func(seq int, res stageResult) error {
+			pool.Put(res.bp)
+			return nil
+		})
+}

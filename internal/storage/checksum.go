@@ -36,18 +36,16 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 //
 // Meta slots hold raw uint64 bit patterns reinterpreted as float64; they
 // are round-tripped with math.Float64bits and never used arithmetically.
+//
+// Reads are the ChecksumReader's, run over the Checksummed's own scratch:
+// the type is documented single-threaded (wrap in Locked for concurrency),
+// so one scratch serves the read and the write path and steady-state
+// batches allocate nothing.
 type Checksummed struct {
-	inner BlockStore
-	epoch uint64
-	frame []float64
-	bytes []byte // payload bytes + stamp bytes, the CRC input
-
-	// Batch scratch, reused across ReadBlocks/WriteBlocks calls so
-	// steady-state batches allocate nothing. Checksummed is documented
-	// single-threaded (wrap in Locked for concurrency), so plain fields
-	// suffice.
-	slab  []float64
-	batch [][]float64
+	inner  BlockStore
+	epoch  uint64
+	sc     frameScratch
+	reader ChecksumReader
 }
 
 // NewChecksummed wraps inner, spending its last two slots on the frame
@@ -57,11 +55,9 @@ func NewChecksummed(inner BlockStore) (*Checksummed, error) {
 	if n <= ChecksumOverhead {
 		return nil, fmt.Errorf("storage: checksummed store needs inner block size > %d, got %d", ChecksumOverhead, n)
 	}
-	return &Checksummed{
-		inner: inner,
-		frame: make([]float64, n),
-		bytes: make([]byte, 8*(n-1)),
-	}, nil
+	c := &Checksummed{inner: inner, sc: newFrameScratch(n)}
+	c.reader = ChecksumReader{inner: inner, own: &c.sc}
+	return c, nil
 }
 
 // BlockSize returns the logical (payload) block size.
@@ -75,28 +71,8 @@ func (c *Checksummed) SetEpoch(e uint64) { c.epoch = e }
 // Epoch returns the current write epoch.
 func (c *Checksummed) Epoch() uint64 { return c.epoch }
 
-// batchFrames returns n reusable inner-block-sized frames backed by one
-// slab, growing the scratch on demand.
-func (c *Checksummed) batchFrames(n int) [][]float64 {
-	inner := c.inner.BlockSize()
-	if n*inner > cap(c.slab) {
-		c.slab = make([]float64, n*inner)
-		c.batch = nil
-	}
-	if n > len(c.batch) {
-		c.batch = SliceFrames(c.slab[:n*inner], n, inner)
-	}
-	return c.batch[:n]
-}
-
-func (c *Checksummed) checksum(payload []float64, stamp uint64) uint64 {
-	return frameChecksum(c.bytes, payload, stamp)
-}
-
 // frameChecksum computes the frame CRC over payload bytes + stamp bytes,
 // serializing through scratch (which must hold 8*(len(payload)+1) bytes).
-// Package-level so the concurrent ChecksumReader shares the exact frame
-// format with Checksummed.
 func frameChecksum(scratch []byte, payload []float64, stamp uint64) uint64 {
 	for i, v := range payload {
 		binary.LittleEndian.PutUint64(scratch[8*i:], math.Float64bits(v))
@@ -111,8 +87,7 @@ func (c *Checksummed) fillFrame(frame, data []float64) {
 	p := c.BlockSize()
 	copy(frame[:p], data)
 	stamp := c.epoch<<1 | 1
-	crc := c.checksum(data, stamp)
-	frame[p] = math.Float64frombits(crc)
+	frame[p] = math.Float64frombits(frameChecksum(c.sc.bytes, data, stamp))
 	frame[p+1] = math.Float64frombits(stamp)
 }
 
@@ -121,8 +96,8 @@ func (c *Checksummed) WriteBlock(id int, data []float64) error {
 	if err := checkBlockArgs(c, id, data); err != nil {
 		return err
 	}
-	c.fillFrame(c.frame, data)
-	return c.inner.WriteBlock(id, c.frame)
+	c.fillFrame(c.sc.frame, data)
+	return c.inner.WriteBlock(id, c.sc.frame)
 }
 
 // WriteBlocks implements BatchWriter: the batch is framed into one slab —
@@ -133,23 +108,18 @@ func (c *Checksummed) WriteBlocks(ids []int, data [][]float64) error {
 	if err := checkBatchArgs(c, ids, data); err != nil {
 		return err
 	}
-	frames := c.batchFrames(len(ids))
+	frames := c.sc.frames(len(ids), c.inner.BlockSize())
 	for i := range ids {
 		c.fillFrame(frames[i], data[i])
 	}
 	return WriteBlocksOf(c.inner, ids, frames)
 }
 
-// verifyFrame classifies a frame read from the inner store. written
-// reports whether the frame holds a stored block; a nil error with
-// written=false means the block was never written (reads as zeros).
-func (c *Checksummed) verifyFrame(id int, frame []float64) (epoch uint64, written bool, err error) {
-	return verifyFrameIn(c.bytes, c.BlockSize(), id, frame)
-}
-
-// verifyFrameIn is verifyFrame with caller-supplied CRC scratch, shared
-// with ChecksumReader.
-func verifyFrameIn(scratch []byte, p int, id int, frame []float64) (epoch uint64, written bool, err error) {
+// verifyFrame classifies a frame of payload size p read from the inner
+// store, serializing the CRC input through scratch. written reports whether
+// the frame holds a stored block; a nil error with written=false means the
+// block was never written (reads as zeros).
+func verifyFrame(scratch []byte, p int, id int, frame []float64) (epoch uint64, written bool, err error) {
 	stamp := math.Float64bits(frame[p+1])
 	crcStored := math.Float64bits(frame[p])
 	if stamp == 0 && crcStored == 0 {
@@ -176,74 +146,25 @@ func verifyFrameIn(scratch []byte, p int, id int, frame []float64) (epoch uint64
 
 // ReadBlock reads and verifies block id. Unwritten blocks yield zeros;
 // corrupt frames yield an error wrapping ErrChecksum.
-func (c *Checksummed) ReadBlock(id int, buf []float64) error {
-	if err := checkBlockArgs(c, id, buf); err != nil {
-		return err
-	}
-	if err := c.inner.ReadBlock(id, c.frame); err != nil {
-		return err
-	}
-	_, written, err := c.verifyFrame(id, c.frame)
-	if err != nil {
-		return err
-	}
-	if !written {
-		ZeroFill(buf)
-		return nil
-	}
-	copy(buf, c.frame[:c.BlockSize()])
-	return nil
-}
+func (c *Checksummed) ReadBlock(id int, buf []float64) error { return c.reader.ReadBlock(id, buf) }
 
-// ReadBlocks implements BatchReader: one vectored inner read into a batch
-// slab, then a single verification pass. The first corrupt frame (in id
-// order) surfaces as the error, as in the per-block loop; unlike the loop,
-// the inner store has already transferred the whole batch by then.
-//
-// When the inner store itself exposes zero-copy frame views
-// (FrameViewer — MappedStore directly under this layer), the slab read
-// and its copy are skipped entirely: the CRC is verified over the
-// mapped frame bytes in place and the payload decodes straight into
-// bufs. Wrappers that intercept reads deliberately don't forward the
-// capability, so fault-injected stacks keep the copying path.
+// ReadBlocks implements BatchReader: one vectored inner read into the batch
+// slab, then a single verification pass — or, directly over a FrameViewer,
+// verification of the mapped frame bytes in place (see
+// ChecksumReader.ReadBlocks). The first corrupt frame (in id order)
+// surfaces as the error, as in the per-block loop; unlike the loop, the
+// inner store has already transferred the whole batch by then. Wrappers
+// that intercept reads deliberately don't forward FrameViewer, so
+// fault-injected stacks keep the copying path.
 func (c *Checksummed) ReadBlocks(ids []int, bufs [][]float64) error {
-	if err := checkBatchArgs(c, ids, bufs); err != nil {
-		return err
-	}
-	if fv, ok := c.inner.(FrameViewer); ok {
-		return c.readBlocksViews(fv, ids, bufs)
-	}
-	frames := c.batchFrames(len(ids))
-	if err := ReadBlocksOf(c.inner, ids, frames); err != nil {
-		return err
-	}
-	p := c.BlockSize()
-	for i, id := range ids {
-		_, written, err := c.verifyFrame(id, frames[i])
-		if err != nil {
-			return err
-		}
-		if !written {
-			ZeroFill(bufs[i])
-			continue
-		}
-		copy(bufs[i], frames[i][:p])
-	}
-	return nil
+	return c.reader.ReadBlocks(ids, bufs)
 }
 
-// verifyFrameBytes is verifyFrame over a raw little-endian frame view.
-// The CRC input is payload bytes followed by stamp bytes — the frame
-// stores the CRC between them, so the check streams the two spans with
-// crc64.Update instead of reassembling a contiguous buffer.
-func (c *Checksummed) verifyFrameBytes(id int, fb []byte) (written bool, err error) {
-	return verifyFrameBytesAt(c.BlockSize(), id, fb)
-}
-
-// verifyFrameBytesAt is verifyFrameBytes for a payload size p, shared with
-// ChecksumReader. It needs no scratch: the CRC streams over the two byte
-// spans directly.
-func verifyFrameBytesAt(p int, id int, fb []byte) (written bool, err error) {
+// verifyFrameBytes is verifyFrame over a raw little-endian frame view. The
+// CRC input is payload bytes followed by stamp bytes — the frame stores the
+// CRC between them, so the check streams the two spans with crc64.Update
+// instead of reassembling a contiguous buffer, and needs no scratch.
+func verifyFrameBytes(p int, id int, fb []byte) (written bool, err error) {
 	stamp := binary.LittleEndian.Uint64(fb[8*(p+1):])
 	crcStored := binary.LittleEndian.Uint64(fb[8*p:])
 	if stamp == 0 && crcStored == 0 {
@@ -269,37 +190,6 @@ func verifyFrameBytesAt(p int, id int, fb []byte) (written bool, err error) {
 	return true, nil
 }
 
-// readBlocksViews is the zero-copy batch read: borrow frame views,
-// verify in place, decode payloads directly into the caller's buffers,
-// release. The borrow never escapes this call — the discipline the
-// scratch-escape analyzer polices.
-func (c *Checksummed) readBlocksViews(fv FrameViewer, ids []int, bufs [][]float64) error {
-	views, err := fv.ViewFrames(ids)
-	if err != nil {
-		return err
-	}
-	defer views.Release()
-	for i, id := range ids {
-		fb := views.Frame(i)
-		if fb == nil {
-			ZeroFill(bufs[i])
-			continue
-		}
-		written, err := c.verifyFrameBytes(id, fb)
-		if err != nil {
-			return err
-		}
-		if !written {
-			ZeroFill(bufs[i])
-			continue
-		}
-		for j := range bufs[i] {
-			bufs[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(fb[8*j:]))
-		}
-	}
-	return nil
-}
-
 // ReadMeta verifies block id without copying its payload, reporting the
 // epoch it was written under and whether it was ever written. It is the
 // primitive fsck scans with.
@@ -307,10 +197,10 @@ func (c *Checksummed) ReadMeta(id int) (epoch uint64, written bool, err error) {
 	if id < 0 {
 		return 0, false, fmt.Errorf("storage: negative block id %d", id)
 	}
-	if err := c.inner.ReadBlock(id, c.frame); err != nil {
+	if err := c.inner.ReadBlock(id, c.sc.frame); err != nil {
 		return 0, false, err
 	}
-	return c.verifyFrame(id, c.frame)
+	return verifyFrame(c.sc.bytes, c.BlockSize(), id, c.sc.frame)
 }
 
 // Sync flushes the inner store.

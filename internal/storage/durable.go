@@ -71,39 +71,61 @@ func wrapPlan(bs BlockStore, plan *CrashPlan) BlockStore {
 	return NewCrashStore(bs, plan)
 }
 
-// CreateDurable creates (truncating) a file-backed durable store at path,
-// with its journal at WalPath(path). plan, when non-nil, routes all
-// physical writes through a CrashStore for power-cut testing.
-func CreateDurable(path string, blockSize int, plan *CrashPlan) (*Durable, error) {
-	return CreateDurableWrapped(path, blockSize, plan, nil)
-}
-
-// CreateDurableWrapped is CreateDurable with a device-wrapping hook: wrap,
-// when non-nil, is applied to the raw data FileStore below the checksum
+// openDurableFiles is the one opener behind the Create/Open × pread/mapped
+// names below: data device at path, journal at WalPath(path), recovery run.
+// wrap, when non-nil, is applied to the raw data device below the checksum
 // layer — the seam where fault injection (Faulty) slides under a real
-// store. The journal device is not wrapped: injected journal corruption
-// would model a different fault class (see ErrJournalCorrupt).
-func CreateDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
-	dataFS, err := NewFileStore(path, blockSize+ChecksumOverhead)
+// store; the journal device is not wrapped (injected journal corruption
+// would model a different fault class, see ErrJournalCorrupt) and stays a
+// FileStore even when the data device is mapped: journal traffic is
+// sequential write-mostly and gains nothing from a mapping. plan, when
+// non-nil, routes all physical writes through a CrashStore for power-cut
+// testing. Opening recreates a missing journal sidecar (e.g. deleted after a
+// clean shutdown) empty. Both files are closed again on any error.
+func openDurableFiles(path string, blockSize int, create, mapped bool, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
+	dataFS, err := openFile(path, blockSize+ChecksumOverhead, create)
 	if err != nil {
 		return nil, err
 	}
-	walFS, err := NewFileStore(WalPath(path), blockSize+JournalOverhead)
+	walFS, err := openFile(WalPath(path), blockSize+JournalOverhead, create)
+	if !create && errors.Is(err, os.ErrNotExist) {
+		walFS, err = NewFileStore(WalPath(path), blockSize+JournalOverhead)
+	}
 	if err != nil {
-		_ = dataFS.Close() // best-effort cleanup; the journal-create error surfaces
+		_ = dataFS.Close() // best-effort cleanup; the journal-open error surfaces
 		return nil, err
 	}
-	var data BlockStore = dataFS
+	var dev BlockStore = dataFS
+	if mapped {
+		ms, err := mapFile(dataFS, nil) // closes dataFS when it fails
+		if err != nil {
+			_ = walFS.Close() // best-effort cleanup; the mmap error surfaces
+			return nil, err
+		}
+		dev = ms
+	}
+	data := dev
 	if wrap != nil {
 		data = wrap(data)
 	}
 	d, err := NewDurable(wrapPlan(data, plan), wrapPlan(walFS, plan))
 	if err != nil {
-		_ = dataFS.Close() // best-effort cleanup; the recovery error surfaces
+		_ = dev.Close() // best-effort cleanup; the recovery error surfaces
 		_ = walFS.Close()
 		return nil, err
 	}
 	return d, nil
+}
+
+// CreateDurable creates (truncating) a file-backed durable store at path,
+// with its journal at WalPath(path).
+func CreateDurable(path string, blockSize int, plan *CrashPlan) (*Durable, error) {
+	return openDurableFiles(path, blockSize, true, false, plan, nil)
+}
+
+// CreateDurableWrapped is CreateDurable with a device-wrapping hook.
+func CreateDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
+	return openDurableFiles(path, blockSize, true, false, plan, wrap)
 }
 
 // CreateDurableMapped is CreateDurableWrapped with an mmap-backed data
@@ -113,92 +135,26 @@ func CreateDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func
 // file. Ordering: Commit calls data.Sync() — which for a MappedStore is
 // msync(MS_SYNC) then fsync — strictly before the journal is retired,
 // so the mapped store inherits the journal protocol's crash safety.
-// The journal device stays a FileStore: journal traffic is sequential
-// write-mostly and gains nothing from a mapping.
 func CreateDurableMapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
-	dataMS, err := NewMappedStore(path, blockSize+ChecksumOverhead)
-	if err != nil {
-		return nil, err
-	}
-	walFS, err := NewFileStore(WalPath(path), blockSize+JournalOverhead)
-	if err != nil {
-		_ = dataMS.Close() // best-effort cleanup; the journal-create error surfaces
-		return nil, err
-	}
-	var data BlockStore = dataMS
-	if wrap != nil {
-		data = wrap(data)
-	}
-	d, err := NewDurable(wrapPlan(data, plan), wrapPlan(walFS, plan))
-	if err != nil {
-		_ = dataMS.Close() // best-effort cleanup; the recovery error surfaces
-		_ = walFS.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// OpenDurableMapped is OpenDurableWrapped with an mmap-backed data
-// device (see CreateDurableMapped).
-func OpenDurableMapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
-	dataMS, err := OpenMappedStore(path, blockSize+ChecksumOverhead)
-	if err != nil {
-		return nil, err
-	}
-	walFS, err := OpenFileStore(WalPath(path), blockSize+JournalOverhead)
-	if errors.Is(err, os.ErrNotExist) {
-		walFS, err = NewFileStore(WalPath(path), blockSize+JournalOverhead)
-	}
-	if err != nil {
-		_ = dataMS.Close() // best-effort cleanup; the journal-open error surfaces
-		return nil, err
-	}
-	var data BlockStore = dataMS
-	if wrap != nil {
-		data = wrap(data)
-	}
-	d, err := NewDurable(wrapPlan(data, plan), wrapPlan(walFS, plan))
-	if err != nil {
-		_ = dataMS.Close() // best-effort cleanup; the recovery error surfaces
-		_ = walFS.Close()
-		return nil, err
-	}
-	return d, nil
+	return openDurableFiles(path, blockSize, true, true, plan, wrap)
 }
 
 // OpenDurable opens an existing file-backed durable store, replaying or
-// discarding any interrupted batch left in its journal. A missing journal
-// sidecar (e.g. deleted after a clean shutdown) is recreated empty.
+// discarding any interrupted batch left in its journal.
 func OpenDurable(path string, blockSize int, plan *CrashPlan) (*Durable, error) {
-	return OpenDurableWrapped(path, blockSize, plan, nil)
+	return openDurableFiles(path, blockSize, false, false, plan, nil)
 }
 
 // OpenDurableWrapped is OpenDurable with the same device-wrapping hook as
 // CreateDurableWrapped.
 func OpenDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
-	dataFS, err := OpenFileStore(path, blockSize+ChecksumOverhead)
-	if err != nil {
-		return nil, err
-	}
-	walFS, err := OpenFileStore(WalPath(path), blockSize+JournalOverhead)
-	if errors.Is(err, os.ErrNotExist) {
-		walFS, err = NewFileStore(WalPath(path), blockSize+JournalOverhead)
-	}
-	if err != nil {
-		_ = dataFS.Close() // best-effort cleanup; the journal-open error surfaces
-		return nil, err
-	}
-	var data BlockStore = dataFS
-	if wrap != nil {
-		data = wrap(data)
-	}
-	d, err := NewDurable(wrapPlan(data, plan), wrapPlan(walFS, plan))
-	if err != nil {
-		_ = dataFS.Close() // best-effort cleanup; the recovery error surfaces
-		_ = walFS.Close()
-		return nil, err
-	}
-	return d, nil
+	return openDurableFiles(path, blockSize, false, false, plan, wrap)
+}
+
+// OpenDurableMapped is OpenDurableWrapped with an mmap-backed data
+// device (see CreateDurableMapped).
+func OpenDurableMapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
+	return openDurableFiles(path, blockSize, false, true, plan, wrap)
 }
 
 // recover replays a sealed journal batch into the data store, or discards

@@ -71,28 +71,31 @@ func (s *FileStore) getRunBuf(n int) *[]byte {
 	return &b
 }
 
-// NewFileStore creates (truncating) a file-backed store at path.
-func NewFileStore(path string, blockSize int) (*FileStore, error) {
+// openFile opens the backing file of a store at path, truncating (and
+// creating it if needed) when create is set.
+func openFile(path string, blockSize int, create bool) (*FileStore, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("storage: block size %d", blockSize)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	flag := os.O_RDWR
+	if create {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
 	return &FileStore{f: f, blockSize: blockSize}, nil
 }
 
+// NewFileStore creates (truncating) a file-backed store at path.
+func NewFileStore(path string, blockSize int) (*FileStore, error) {
+	return openFile(path, blockSize, true)
+}
+
 // OpenFileStore opens an existing file-backed store at path.
 func OpenFileStore(path string, blockSize int) (*FileStore, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("storage: block size %d", blockSize)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	return &FileStore{f: f, blockSize: blockSize}, nil
+	return openFile(path, blockSize, false)
 }
 
 // BlockSize returns the number of coefficients per block.
@@ -117,10 +120,7 @@ func (s *FileStore) ReadBlock(id int, buf []float64) error {
 		return fmt.Errorf("storage: read block %d: %w", id, err)
 	}
 	clear(b[n:])
-	for i := range buf {
-		bits := binary.LittleEndian.Uint64(b[8*i:])
-		buf[i] = math.Float64frombits(bits)
-	}
+	decodeFrames(b, buf)
 	return nil
 }
 
@@ -128,27 +128,80 @@ func (s *FileStore) ReadBlock(id int, buf []float64) error {
 // as index bounds into the ids slice.
 type runSpan struct{ start, end int }
 
-// coalesceRuns splits ids into maximal runs of consecutive block ids,
-// each at most maxRunBlocks long — the unit one pread/pwrite covers.
-func coalesceRuns(ids []int) []runSpan {
-	runs := make([]runSpan, 0, 4)
-	for start := 0; start < len(ids); {
-		end := start + 1
-		for end < len(ids) && end-start < maxRunBlocks && ids[end] == ids[end-1]+1 {
-			end++
-		}
-		runs = append(runs, runSpan{start, end})
-		start = end
+// coalesceRuns walks ids as maximal runs of consecutive block ids, each at
+// most maxRunBlocks long — the unit one pread/pwrite covers. It returns the
+// run that starts at index from; a caller loops from 0 until a run starts
+// at len(ids).
+func coalesceRuns(ids []int, from int) runSpan {
+	end := min(from+1, len(ids))
+	for end < len(ids) && end-from < maxRunBlocks && ids[end] == ids[end-1]+1 {
+		end++
 	}
-	return runs
+	return runSpan{from, end}
 }
 
-// fetchedRun is one pread's result handed from the prefetch goroutine
-// to the decoding caller.
+// runBuf returns a pooled buffer holding blocks frames, and the pool it
+// goes back to: single frames and multi-block runs are pooled apart so the
+// per-block path never inherits (or discards) a run-sized buffer.
+func (s *FileStore) runBuf(blocks int) (*[]byte, *sync.Pool) {
+	if blocks == 1 {
+		return s.getScratch(), &s.scratch
+	}
+	return s.getRunBuf(blocks * s.frameBytes()), &s.runScratch
+}
+
+// decodeFrames decodes consecutive little-endian frames from b, one per
+// buffer.
+func decodeFrames(b []byte, bufs ...[]float64) {
+	for _, buf := range bufs {
+		for j := range buf {
+			buf[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+		b = b[8*len(buf):]
+	}
+}
+
+// encodeFrames is the inverse of decodeFrames.
+func encodeFrames(b []byte, data ...[]float64) {
+	for _, d := range data {
+		for j, v := range d {
+			binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(v))
+		}
+		b = b[8*len(d):]
+	}
+}
+
+// fetchedRun is one pread's result: the pooled buffer it landed in (owned
+// by whoever holds the fetchedRun, until deliver returns it to its pool),
+// the bytes read and the error.
 type fetchedRun struct {
-	rp  *[]byte
-	n   int
-	err error
+	bp   *[]byte
+	pool *sync.Pool
+	n    int
+	err  error
+}
+
+// fetchRun preads run r of ids into a pooled buffer.
+func (s *FileStore) fetchRun(ids []int, r runSpan) fetchedRun {
+	bp, pool := s.runBuf(r.end - r.start)
+	s.preads.Add(1)
+	n, err := s.f.ReadAt(*bp, int64(ids[r.start])*int64(s.frameBytes()))
+	if err == io.EOF {
+		err = nil
+	}
+	return fetchedRun{bp, pool, n, err}
+}
+
+// deliver decodes a fetched run into its buffers, extents beyond the file
+// reading as zeros, and releases the run buffer.
+func (f fetchedRun) deliver(ids []int, bufs [][]float64, r runSpan) error {
+	defer f.pool.Put(f.bp)
+	if f.err != nil {
+		return fmt.Errorf("storage: read blocks %d..%d: %w", ids[r.start], ids[r.end-1], f.err)
+	}
+	clear((*f.bp)[f.n:])
+	decodeFrames(*f.bp, bufs[r.start:r.end]...)
+	return nil
 }
 
 // ReadBlocks implements BatchReader: each maximal run of consecutive block
@@ -168,87 +221,28 @@ func (s *FileStore) ReadBlocks(ids []int, bufs [][]float64) error {
 	if err := checkBatchArgs(s, ids, bufs); err != nil {
 		return err
 	}
-	fb := s.frameBytes()
-	runs := coalesceRuns(ids)
-	if len(runs) < 2 {
-		for _, r := range runs {
-			if err := s.readRun(ids, bufs, r, fb); err != nil {
-				return err
-			}
+	first := coalesceRuns(ids, 0)
+	if first.end == len(ids) {
+		// At most one run, nothing to overlap: fetch and decode right here.
+		if first.start == first.end {
+			return nil
 		}
-		return nil
+		return s.fetchRun(ids, first).deliver(ids, bufs, first)
 	}
 	fetched := make(chan fetchedRun, 1)
 	go func() {
-		for _, r := range runs {
-			rp := s.getRunBuf((r.end - r.start) * fb)
-			s.preads.Add(1)
-			n, err := s.f.ReadAt(*rp, int64(ids[r.start])*int64(fb))
-			if err == io.EOF {
-				err = nil
-			}
-			fetched <- fetchedRun{rp, n, err}
-			if err != nil {
+		for r := first; r.start < len(ids); r = coalesceRuns(ids, r.end) {
+			f := s.fetchRun(ids, r)
+			fetched <- f
+			if f.err != nil {
 				return
 			}
 		}
 	}()
-	for _, r := range runs {
-		f := <-fetched
-		if f.err != nil {
-			s.runScratch.Put(f.rp)
-			return fmt.Errorf("storage: read blocks %d..%d: %w", ids[r.start], ids[r.end-1], f.err)
+	for r := first; r.start < len(ids); r = coalesceRuns(ids, r.end) {
+		if err := (<-fetched).deliver(ids, bufs, r); err != nil {
+			return err
 		}
-		b := *f.rp
-		clear(b[f.n:])
-		for i := r.start; i < r.end; i++ {
-			fr := b[(i-r.start)*fb:]
-			for j := range bufs[i] {
-				bufs[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(fr[8*j:]))
-			}
-		}
-		s.runScratch.Put(f.rp)
-	}
-	return nil
-}
-
-// readRun preads and decodes one run sequentially (the single-run path,
-// where pipelining has nothing to overlap).
-func (s *FileStore) readRun(ids []int, bufs [][]float64, r runSpan, fb int) error {
-	run := r.end - r.start
-	var b []byte
-	var bp, rp *[]byte
-	if run == 1 {
-		bp = s.getScratch()
-		b = *bp
-	} else {
-		rp = s.getRunBuf(run * fb)
-		b = *rp
-	}
-	off := int64(ids[r.start]) * int64(fb)
-	s.preads.Add(1)
-	n, err := s.f.ReadAt(b, off)
-	if err != nil && err != io.EOF {
-		if bp != nil {
-			s.scratch.Put(bp)
-		}
-		if rp != nil {
-			s.runScratch.Put(rp)
-		}
-		return fmt.Errorf("storage: read blocks %d..%d: %w", ids[r.start], ids[r.end-1], err)
-	}
-	clear(b[n:])
-	for i := r.start; i < r.end; i++ {
-		fr := b[(i-r.start)*fb:]
-		for j := range bufs[i] {
-			bufs[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(fr[8*j:]))
-		}
-	}
-	if bp != nil {
-		s.scratch.Put(bp)
-	}
-	if rp != nil {
-		s.runScratch.Put(rp)
 	}
 	return nil
 }
@@ -264,9 +258,7 @@ func (s *FileStore) WriteBlock(id int, data []float64) error {
 	bp := s.getScratch()
 	defer s.scratch.Put(bp)
 	b := *bp
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
+	encodeFrames(b, data)
 	off := int64(id) * int64(len(b))
 	s.pwrites.Add(1)
 	if _, err := s.f.WriteAt(b, off); err != nil {
@@ -286,40 +278,15 @@ func (s *FileStore) WriteBlocks(ids []int, data [][]float64) error {
 		return err
 	}
 	fb := s.frameBytes()
-	for start := 0; start < len(ids); {
-		end := start + 1
-		for end < len(ids) && end-start < maxRunBlocks && ids[end] == ids[end-1]+1 {
-			end++
-		}
-		run := end - start
-		var b []byte
-		var bp, rp *[]byte
-		if run == 1 {
-			bp = s.getScratch()
-			b = *bp
-		} else {
-			rp = s.getRunBuf(run * fb)
-			b = *rp
-		}
-		for i := start; i < end; i++ {
-			fr := b[(i-start)*fb:]
-			for j, v := range data[i] {
-				binary.LittleEndian.PutUint64(fr[8*j:], math.Float64bits(v))
-			}
-		}
-		off := int64(ids[start]) * int64(fb)
+	for r := coalesceRuns(ids, 0); r.start < len(ids); r = coalesceRuns(ids, r.end) {
+		bp, pool := s.runBuf(r.end - r.start)
+		encodeFrames(*bp, data[r.start:r.end]...)
 		s.pwrites.Add(1)
-		_, err := s.f.WriteAt(b[:run*fb], off)
-		if bp != nil {
-			s.scratch.Put(bp)
-		}
-		if rp != nil {
-			s.runScratch.Put(rp)
-		}
+		_, err := s.f.WriteAt((*bp)[:(r.end-r.start)*fb], int64(ids[r.start])*int64(fb))
+		pool.Put(bp)
 		if err != nil {
-			return fmt.Errorf("storage: write blocks %d..%d: %w", ids[start], ids[end-1], classifyWriteErr(err))
+			return fmt.Errorf("storage: write blocks %d..%d: %w", ids[r.start], ids[r.end-1], classifyWriteErr(err))
 		}
-		start = end
 	}
 	return nil
 }

@@ -48,19 +48,16 @@ func msync(b []byte) error {
 // reference-counted: borrowed frame views (ViewFrames) pin them until
 // released, so remap-on-grow is safe under concurrent readers.
 type MappedStore struct {
-	f         *os.File
-	blockSize int
-	mu        sync.RWMutex // guards m and remap/retire/truncate transitions
-	m         *mapping     // nil while the file is empty
-	size      atomic.Int64 // known file size in bytes (monotone except Truncate)
+	// fs is the pwrite path, and owns the file: open, positional writes and
+	// their run coalescing, fsync, ftruncate, size and the closed flag are
+	// FileStore's. This type adds only the mapping.
+	fs   *FileStore
+	mu   sync.RWMutex // guards m and remap/retire/truncate transitions
+	m    *mapping     // nil while the file is empty
+	size atomic.Int64 // known file size in bytes (monotone except Truncate)
 
-	scratch     sync.Pool    // *[]byte of 8*blockSize bytes, for the write path
-	runScratch  sync.Pool    // *[]byte sized for multi-block write runs
 	viewPool    sync.Pool    // *FrameViews recycled across ViewFrames calls
-	preads      atomic.Int64 // always 0: mapped reads issue no positional reads
-	pwrites     atomic.Int64
 	mappedReads atomic.Int64 // blocks served from the mapping (the syscall-proxy column)
-	closed      atomic.Bool
 }
 
 // mapping is one generation of the file mapping. The store keeps the
@@ -86,57 +83,47 @@ func (m *mapping) dropRef() {
 	}
 }
 
-// NewMappedStore creates (truncating) an mmap-backed store at path.
-func NewMappedStore(path string, blockSize int) (*MappedStore, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("storage: block size %d", blockSize)
+// retire takes a generation (nil: none) out of service: it is unmapped now,
+// or when its last borrowed view is released.
+func (m *mapping) retire() {
+	if m == nil {
+		return
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	m.retired.Store(true)
+	if m.refs.Load() == 0 {
+		m.release()
 	}
-	return &MappedStore{f: f, blockSize: blockSize}, nil
 }
 
-// OpenMappedStore opens an existing mmap-backed store at path. The file
-// layout is FileStore's, so either store type can open the other's file.
-func OpenMappedStore(path string, blockSize int) (*MappedStore, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("storage: block size %d", blockSize)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// mapFile puts a mapping over a freshly opened FileStore, closing it again
+// when the mapping cannot be established.
+func mapFile(fs *FileStore, err error) (*MappedStore, error) {
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return nil, err
 	}
-	s := &MappedStore{f: f, blockSize: blockSize}
+	s := &MappedStore{fs: fs}
 	if err := s.remap(); err != nil {
-		_ = f.Close()
+		_ = fs.Close() // best-effort cleanup; the mmap error surfaces
 		return nil, err
 	}
 	return s, nil
 }
 
+// NewMappedStore creates (truncating) an mmap-backed store at path.
+func NewMappedStore(path string, blockSize int) (*MappedStore, error) {
+	return mapFile(NewFileStore(path, blockSize))
+}
+
+// OpenMappedStore opens an existing mmap-backed store at path. The file
+// layout is FileStore's, so either store type can open the other's file.
+func OpenMappedStore(path string, blockSize int) (*MappedStore, error) {
+	return mapFile(OpenFileStore(path, blockSize))
+}
+
 // BlockSize returns the number of coefficients per block.
-func (s *MappedStore) BlockSize() int { return s.blockSize }
+func (s *MappedStore) BlockSize() int { return s.fs.blockSize }
 
-func (s *MappedStore) frameBytes() int { return 8 * s.blockSize }
-
-func (s *MappedStore) getScratch() *[]byte {
-	if b, ok := s.scratch.Get().(*[]byte); ok {
-		return b
-	}
-	b := make([]byte, s.frameBytes())
-	return &b
-}
-
-func (s *MappedStore) getRunBuf(n int) *[]byte {
-	if bp, ok := s.runScratch.Get().(*[]byte); ok && cap(*bp) >= n {
-		*bp = (*bp)[:n]
-		return bp
-	}
-	b := make([]byte, n)
-	return &b
-}
+func (s *MappedStore) frameBytes() int { return s.fs.frameBytes() }
 
 // remap re-stats the file and swaps in a mapping of its current size,
 // retiring the previous generation. It is a no-op when the mapped
@@ -144,7 +131,7 @@ func (s *MappedStore) getRunBuf(n int) *[]byte {
 func (s *MappedStore) remap() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fi, err := s.f.Stat()
+	fi, err := s.fs.f.Stat()
 	if err != nil {
 		return fmt.Errorf("storage: stat for remap: %w", err)
 	}
@@ -155,21 +142,15 @@ func (s *MappedStore) remap() error {
 	}
 	var nm *mapping
 	if size > 0 {
-		data, err := syscall.Mmap(int(s.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+		data, err := syscall.Mmap(int(s.fs.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 		if err != nil {
 			return fmt.Errorf("storage: mmap %d bytes: %w", size, err)
 		}
 		nm = &mapping{data: data}
 	}
-	old := s.m
+	s.m.retire()
 	s.m = nm
 	s.size.Store(size)
-	if old != nil {
-		old.retired.Store(true)
-		if old.refs.Load() == 0 {
-			old.release()
-		}
-	}
 	return nil
 }
 
@@ -220,7 +201,7 @@ func decodeFrame(data []byte, off int64, buf []float64) {
 // ReadBlock serves block id from the mapping; extents beyond the file
 // read as zeros.
 func (s *MappedStore) ReadBlock(id int, buf []float64) error {
-	if s.closed.Load() {
+	if s.fs.closed.Load() {
 		return ErrClosed
 	}
 	if err := checkBlockArgs(s, id, buf); err != nil {
@@ -262,7 +243,7 @@ func (s *MappedStore) advise(data []byte, off, end int64) {
 // hint over the batch's span so the kernel readahead overlaps the
 // decode of earlier frames with the faulting of later ones.
 func (s *MappedStore) ReadBlocks(ids []int, bufs [][]float64) error {
-	if s.closed.Load() {
+	if s.fs.closed.Load() {
 		return ErrClosed
 	}
 	if err := checkBatchArgs(s, ids, bufs); err != nil {
@@ -322,72 +303,39 @@ func (s *MappedStore) growTo(end int64) {
 	}
 }
 
-// WriteBlock writes block id with a positional write, exactly as
-// FileStore does; MAP_SHARED coherence makes it visible to the mapping.
+// WriteBlock writes block id through the FileStore's positional write;
+// MAP_SHARED coherence makes it visible to the mapping.
 func (s *MappedStore) WriteBlock(id int, data []float64) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if err := checkBlockArgs(s, id, data); err != nil {
+	if err := s.fs.WriteBlock(id, data); err != nil {
 		return err
 	}
-	bp := s.getScratch()
-	defer s.scratch.Put(bp)
-	b := *bp
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	off := int64(id) * int64(len(b))
-	s.pwrites.Add(1)
-	if _, err := s.f.WriteAt(b, off); err != nil {
-		return fmt.Errorf("storage: write block %d: %w", id, classifyWriteErr(err))
-	}
-	s.growTo(off + int64(len(b)))
+	s.growTo(int64(id+1) * int64(s.frameBytes()))
 	return nil
 }
 
-// WriteBlocks implements BatchWriter with FileStore's run coalescing:
-// each maximal run of consecutive ids becomes one pwrite, in slice
-// order, so the physical write sequence matches the per-block loop's.
+// WriteBlocks implements BatchWriter through the FileStore's coalesced
+// positional writes. A batch that fails part-way has still put its earlier
+// runs on the medium; the size is then taken from the file, so those blocks
+// do not read back as zeros.
 func (s *MappedStore) WriteBlocks(ids []int, data [][]float64) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if err := checkBatchArgs(s, ids, data); err != nil {
+	if err := s.fs.WriteBlocks(ids, data); err != nil {
+		if fi, serr := s.fs.f.Stat(); serr == nil {
+			s.growTo(fi.Size())
+		}
 		return err
 	}
-	fb := s.frameBytes()
-	for start := 0; start < len(ids); {
-		end := start + 1
-		for end < len(ids) && end-start < maxRunBlocks && ids[end] == ids[end-1]+1 {
-			end++
-		}
-		run := end - start
-		rp := s.getRunBuf(run * fb)
-		b := *rp
-		for i := start; i < end; i++ {
-			fr := b[(i-start)*fb:]
-			for j, v := range data[i] {
-				binary.LittleEndian.PutUint64(fr[8*j:], math.Float64bits(v))
-			}
-		}
-		off := int64(ids[start]) * int64(fb)
-		s.pwrites.Add(1)
-		_, err := s.f.WriteAt(b[:run*fb], off)
-		s.runScratch.Put(rp)
-		if err != nil {
-			return fmt.Errorf("storage: write blocks %d..%d: %w", ids[start], ids[end-1], classifyWriteErr(err))
-		}
-		s.growTo(off + int64(run*fb))
-		start = end
+	top := -1
+	for _, id := range ids {
+		top = max(top, id)
 	}
+	s.growTo(int64(top+1) * int64(s.frameBytes()))
 	return nil
 }
 
 // ViewFrames implements FrameViewer: it returns borrowed zero-copy
 // views of the requested frames, pinned against remap until Release.
 func (s *MappedStore) ViewFrames(ids []int) (*FrameViews, error) {
-	if s.closed.Load() {
+	if s.fs.closed.Load() {
 		return nil, ErrClosed
 	}
 	fb := int64(s.frameBytes())
@@ -415,10 +363,10 @@ func (s *MappedStore) ViewFrames(ids []int) (*FrameViews, error) {
 	} else {
 		v.frames = make([][]byte, len(ids))
 	}
-	if s.m == nil {
-		return v, nil
+	var data []byte // stays empty while the file is: every frame then reads as zeros
+	if s.m != nil {
+		data = s.m.data
 	}
-	data := s.m.data
 	borrowed := false
 	for i, id := range ids {
 		off := int64(id) * fb
@@ -440,29 +388,17 @@ func (s *MappedStore) ViewFrames(ids []int) (*FrameViews, error) {
 		s.m.refs.Add(1)
 		v.m = s.m
 	}
-	return v, nil
+	return v, nil //shiftsplitvet:ignore scratchescape -- v is a borrow, not scratch: the caller's Release is what re-pools it
 }
 
 // NumBlocks returns how many block extents the file currently holds
 // (partial trailing extents count as one).
-func (s *MappedStore) NumBlocks() (int, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	fi, err := s.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	bb := int64(s.frameBytes())
-	return int((fi.Size() + bb - 1) / bb), nil
-}
+func (s *MappedStore) NumBlocks() (int, error) { return s.fs.NumBlocks() }
 
 // Syscalls mirrors FileStore.Syscalls. Mapped reads issue no positional
 // reads, so preads stays 0 — the mapped traffic is reported separately
 // by MappedReads, keeping the BENCH_io syscall columns honest.
-func (s *MappedStore) Syscalls() (preads, pwrites int64) {
-	return s.preads.Load(), s.pwrites.Load()
-}
+func (s *MappedStore) Syscalls() (preads, pwrites int64) { return s.fs.Syscalls() }
 
 // MappedReads implements MappedReadsReporter: how many block reads were
 // served from the mapping instead of positional reads.
@@ -475,7 +411,7 @@ func (s *MappedStore) MappedReads() int64 { return s.mappedReads.Load() }
 // Durable.Commit calls data.Sync() before retiring the journal, so the
 // ordering holds with no changes to the journal protocol.
 func (s *MappedStore) Sync() error {
-	if s.closed.Load() {
+	if s.fs.closed.Load() {
 		return ErrClosed
 	}
 	s.mu.RLock()
@@ -486,47 +422,35 @@ func (s *MappedStore) Sync() error {
 		}
 	}
 	s.mu.RUnlock()
-	return classifyWriteErr(s.f.Sync())
+	return s.fs.Sync()
 }
 
 // Truncate discards every block. Outstanding frame views must be
 // released before truncating (the borrow discipline: a view is valid
 // only until the next mutation of its blocks).
 func (s *MappedStore) Truncate() error {
-	if s.closed.Load() {
+	if s.fs.closed.Load() {
 		return ErrClosed
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.f.Truncate(0); err != nil {
-		return fmt.Errorf("storage: truncate: %w", err)
+	if err := s.fs.Truncate(); err != nil {
+		return err
 	}
-	old := s.m
+	s.m.retire()
 	s.m = nil
 	s.size.Store(0)
-	if old != nil {
-		old.retired.Store(true)
-		if old.refs.Load() == 0 {
-			old.release()
-		}
-	}
 	return nil
 }
 
-// Close unmaps (once borrowed views drain) and closes the file.
+// Close closes the file and unmaps (once borrowed views drain). The file
+// goes first: a reader that raced past its closed check then fails its
+// remap instead of mapping a store nobody will close.
 func (s *MappedStore) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
+	err := s.fs.Close()
 	s.mu.Lock()
-	old := s.m
+	s.m.retire()
 	s.m = nil
-	if old != nil {
-		old.retired.Store(true)
-		if old.refs.Load() == 0 {
-			old.release()
-		}
-	}
 	s.mu.Unlock()
-	return s.f.Close()
+	return err
 }

@@ -468,3 +468,38 @@ func TestCrashCampaignMappedStore(t *testing.T) {
 		t.Fatalf("campaign never exercised both outcomes (pre=%d post=%d)", preSeen, postSeen)
 	}
 }
+
+// TestMappedStorePartialBatchKeepsSize: when a vectored write fails after
+// some of its runs reached the medium, the store's idea of the file size
+// must still cover them — a stale size clamps the mapping and the blocks
+// that were written read back as zeros.
+func TestMappedStorePartialBatchKeepsSize(t *testing.T) {
+	const bs = 4
+	ms, err := NewMappedStore(filepath.Join(t.TempDir(), "partial.dat"), bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	// Run one is blocks 0..2; run two sits at an offset no file can reach
+	// (8*bs*2^58 overflows int64), so its pwrite fails.
+	ids := []int{0, 1, 2, 1 << 58}
+	data := make([][]float64, len(ids))
+	for i, id := range ids {
+		data[i] = make([]float64, bs)
+		fillMappedBlock(data[i], id&0xff)
+	}
+	if err := ms.WriteBlocks(ids, data); err == nil {
+		t.Fatal("write at an unreachable offset succeeded")
+	}
+	got := make([]float64, bs)
+	for id := 0; id < 3; id++ {
+		if err := ms.ReadBlock(id, got); err != nil {
+			t.Fatal(err)
+		}
+		for k := range got {
+			if got[k] != mappedBlockVal(id, k) {
+				t.Fatalf("block %d slot %d reads %v after the failed batch, want %v (on the medium since run one)", id, k, got[k], mappedBlockVal(id, k))
+			}
+		}
+	}
+}

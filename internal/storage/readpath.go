@@ -1,34 +1,52 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 )
 
 // This file is the concurrent committed-read path that lets the epoch layer
 // demote Locked from serving: a ChecksumReader verifies frames over the raw
-// device with pooled scratch (safe for any number of concurrent readers,
-// unlike the single-threaded Checksummed), and a SplitRW store routes reads
-// to it while mutations keep the full journaled write path.
+// device with pooled scratch (safe for any number of concurrent readers),
+// and a SplitRW store routes reads to it while mutations keep the full
+// journaled write path.
 
-// readerScratch is one reader's reusable frame/CRC scratch.
-type readerScratch struct {
+// frameScratch is one reader's reusable frame/CRC scratch.
+type frameScratch struct {
 	frame []float64
-	bytes []byte
+	bytes []byte // payload bytes + stamp bytes, the CRC input
 	slab  []float64
 	batch [][]float64
 }
 
-// ChecksumReader is a read-only, concurrency-safe view over a
-// checksum-framed device: the same frame format as Checksummed, verified
-// with per-call pooled scratch instead of single-threaded fields. It does
-// not own the device — Close is a no-op — and it sees exactly the
+// newFrameScratch sizes the scratch for inner blocks of n slots.
+func newFrameScratch(n int) frameScratch {
+	return frameScratch{frame: make([]float64, n), bytes: make([]byte, 8*(n-1))}
+}
+
+// frames returns n reusable inner-block-sized frames backed by one slab,
+// growing the scratch on demand.
+func (sc *frameScratch) frames(n, inner int) [][]float64 {
+	if n*inner > cap(sc.slab) {
+		sc.slab = make([]float64, n*inner)
+		sc.batch = nil
+	}
+	if n > len(sc.batch) {
+		sc.batch = SliceFrames(sc.slab[:n*inner], n, inner)
+	}
+	return sc.batch[:n]
+}
+
+// ChecksumReader is a read-only view over a checksum-framed device: the
+// verified-read half of the frame format Checksummed writes. Built with
+// NewChecksumReader it is concurrency-safe, drawing scratch from a pool
+// per call; inside a Checksummed it runs over that store's own scratch. It
+// does not own the device — Close is a no-op — and it sees exactly the
 // committed bytes (never the Durable staging area), which is what epoch
 // snapshots want: the current table only ever references committed blocks.
 type ChecksumReader struct {
 	inner BlockStore
+	own   *frameScratch // non-nil: single-threaded, no pool traffic
 	pool  sync.Pool
 }
 
@@ -42,12 +60,23 @@ func NewChecksumReader(inner BlockStore) (*ChecksumReader, error) {
 	}
 	r := &ChecksumReader{inner: inner}
 	r.pool.New = func() any {
-		return &readerScratch{
-			frame: make([]float64, n),
-			bytes: make([]byte, 8*(n-1)),
-		}
+		sc := newFrameScratch(n)
+		return &sc
 	}
 	return r, nil
+}
+
+func (r *ChecksumReader) scratch() *frameScratch {
+	if r.own != nil {
+		return r.own
+	}
+	return r.pool.Get().(*frameScratch)
+}
+
+func (r *ChecksumReader) done(sc *frameScratch) {
+	if r.own == nil {
+		r.pool.Put(sc)
+	}
 }
 
 // BlockSize returns the logical (payload) block size.
@@ -58,12 +87,18 @@ func (r *ChecksumReader) ReadBlock(id int, buf []float64) error {
 	if err := checkBlockArgs(r, id, buf); err != nil {
 		return err
 	}
-	sc := r.pool.Get().(*readerScratch)
-	defer r.pool.Put(sc)
+	sc := r.scratch()
+	defer r.done(sc)
 	if err := r.inner.ReadBlock(id, sc.frame); err != nil {
 		return err
 	}
-	_, written, err := verifyFrameIn(sc.bytes, r.BlockSize(), id, sc.frame)
+	return deliverFrame(sc.bytes, id, sc.frame, buf)
+}
+
+// deliverFrame verifies frame and copies its payload into buf (zeros when
+// the block was never written).
+func deliverFrame(scratch []byte, id int, frame, buf []float64) error {
+	_, written, err := verifyFrame(scratch, len(buf), id, frame)
 	if err != nil {
 		return err
 	}
@@ -71,13 +106,13 @@ func (r *ChecksumReader) ReadBlock(id int, buf []float64) error {
 		ZeroFill(buf)
 		return nil
 	}
-	copy(buf, sc.frame[:r.BlockSize()])
+	copy(buf, frame[:len(buf)])
 	return nil
 }
 
 // ReadBlocks implements BatchReader. When the device exposes zero-copy
 // frame views (MappedStore), CRCs verify over the mapped bytes in place;
-// otherwise one vectored read lands in a pooled slab and verifies there.
+// otherwise one vectored read lands in the scratch slab and verifies there.
 func (r *ChecksumReader) ReadBlocks(ids []int, bufs [][]float64) error {
 	if err := checkBatchArgs(r, ids, bufs); err != nil {
 		return err
@@ -85,38 +120,23 @@ func (r *ChecksumReader) ReadBlocks(ids []int, bufs [][]float64) error {
 	if fv, ok := r.inner.(FrameViewer); ok {
 		return r.readBlocksViews(fv, ids, bufs)
 	}
-	inner := r.inner.BlockSize()
-	sc := r.pool.Get().(*readerScratch)
-	defer r.pool.Put(sc)
-	n := len(ids)
-	if n*inner > cap(sc.slab) {
-		sc.slab = make([]float64, n*inner)
-		sc.batch = nil
-	}
-	if n > len(sc.batch) {
-		sc.batch = SliceFrames(sc.slab[:n*inner], n, inner)
-	}
-	frames := sc.batch[:n]
+	sc := r.scratch()
+	defer r.done(sc)
+	frames := sc.frames(len(ids), r.inner.BlockSize())
 	if err := ReadBlocksOf(r.inner, ids, frames); err != nil {
 		return err
 	}
-	p := r.BlockSize()
 	for i, id := range ids {
-		_, written, err := verifyFrameIn(sc.bytes, p, id, frames[i])
-		if err != nil {
+		if err := deliverFrame(sc.bytes, id, frames[i], bufs[i]); err != nil {
 			return err
 		}
-		if !written {
-			ZeroFill(bufs[i])
-			continue
-		}
-		copy(bufs[i], frames[i][:p])
 	}
 	return nil
 }
 
 // readBlocksViews is the zero-copy leg: borrow, verify in place, decode
-// straight into the caller's buffers, release. The views never escape.
+// straight into the caller's buffers, release. The borrow never escapes
+// this call — the discipline the scratch-escape analyzer polices.
 func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]float64) error {
 	views, err := fv.ViewFrames(ids)
 	if err != nil {
@@ -130,7 +150,7 @@ func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]flo
 			ZeroFill(bufs[i])
 			continue
 		}
-		written, err := verifyFrameBytesAt(p, id, fb)
+		written, err := verifyFrameBytes(p, id, fb)
 		if err != nil {
 			return err
 		}
@@ -138,9 +158,7 @@ func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]flo
 			ZeroFill(bufs[i])
 			continue
 		}
-		for j := range bufs[i] {
-			bufs[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(fb[8*j:]))
-		}
+		decodeFrames(fb, bufs[i])
 	}
 	return nil
 }

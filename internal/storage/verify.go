@@ -53,7 +53,7 @@ func (c *Checksummed) VerifyBlocks(ids []int) (corrupt []int, err error) {
 		return nil, err
 	}
 	for i, id := range ids {
-		if _, _, err := c.verifyFrame(id, frames[i]); err != nil {
+		if _, _, err := verifyFrame(c.sc.bytes, c.BlockSize(), id, frames[i]); err != nil {
 			corrupt = append(corrupt, id)
 		}
 	}

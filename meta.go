@@ -151,64 +151,7 @@ func OpenStore(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiling, form, err := tilingForMeta(m)
-	if err != nil {
-		return nil, err
-	}
-	opts := StoreOptions{Shape: m.Shape, Form: form, TileBits: m.TileBits, Path: path, Durable: m.Durable, Mapped: m.Mapped, Versioned: m.Versioned}
-	var base storage.BlockStore
-	var durable *storage.Durable
-	switch {
-	case m.Durable:
-		d, err := newDurableBase(path, tiling.BlockSize(), nil, false, m.Mapped, nil)
-		if err != nil {
-			return nil, err
-		}
-		base, durable = d, d
-	case m.Mapped:
-		ms, err := storage.OpenMappedStore(path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = ms
-	default:
-		fs, err := storage.OpenFileStore(path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = fs
-	}
-	counting := storage.NewCounting(base)
-	var top storage.BlockStore = counting
-	var versioned *storage.Versioned
-	if m.Versioned {
-		// Durable recovery has already run (journal replayed or discarded),
-		// so the superblock read here lands on a consistent epoch.
-		v, err := storage.NewVersioned(top, tiling.NumBlocks())
-		if err != nil {
-			return nil, err
-		}
-		versioned, top = v, v
-	}
-	st, err := tile.NewStore(top, tiling)
-	if err != nil {
-		return nil, err
-	}
-	out := &Store{
-		opts:      opts,
-		tiling:    tiling,
-		counting:  counting,
-		durable:   durable,
-		versioned: versioned,
-		store:     st,
-	}
-	out.materialized.Store(m.Materialized)
-	if m.Materialized && versioned != nil {
-		out.matEpoch.Store(versioned.Epoch() + 1)
-	}
-	out.attachQuarantine(m.Quarantined)
-	out.scrubBase = counting
-	return out, nil
+	return assemble(stackSpec{meta: m, path: path})
 }
 
 // Sync commits any buffered block writes and persists metadata (form,

@@ -1,9 +1,7 @@
 package shiftsplit
 
 import (
-	"github.com/shiftsplit/shiftsplit/internal/cache"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
-	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
 
 // This file is the storage-stack half of the query-serving subsystem (the
@@ -19,17 +17,6 @@ type CacheStats struct {
 	Inflight  int64   `json:"inflight"`  // loads currently outstanding
 	Resident  int64   `json:"resident"`  // blocks currently held
 	HitRate   float64 `json:"hit_rate"`  // Hits / (Hits + Misses)
-}
-
-// serveCacheInner returns the store the serve cache should read through:
-// the shared I/O counter directly when the base device is safe for
-// concurrent use (MemStore, FileStore), or a locked wrapper when the
-// stateful durable layer sits underneath.
-func serveCacheInner(counting *storage.Counting, durable *storage.Durable) storage.BlockStore {
-	if durable != nil {
-		return storage.NewLocked(counting)
-	}
-	return counting
 }
 
 // ServeOptions configures OpenServingOpts beyond the cache knobs.
@@ -65,151 +52,18 @@ func OpenServing(path string, cacheBlocks, cacheShards int) (*Store, error) {
 	return OpenServingOpts(path, ServeOptions{CacheBlocks: cacheBlocks, CacheShards: cacheShards})
 }
 
-// OpenServingOpts is OpenServing with the full robustness stack. On a
-// durable store the read path layers, top to bottom:
-//
-//	tile.Store → Degraded → cache → Breaker → Locked → Counting → Durable
-//
-// Degraded sits above the cache so quarantined blocks are served as
-// (uncached) flagged zeros; the breaker sits below the cache so cache
-// hits keep serving while the circuit is open; the scrubber walks the
-// Locked layer directly, bypassing both, so scrubbing sees the medium and
-// never trips or pollutes the layers above.
-//
-// On a versioned durable store Locked is demoted from the read path:
-// queries pin an epoch snapshot and resolve it through a lock-free
-// committed-read leg, while only mutations keep the write lock —
-//
-//	reads:  Snapshot → Degraded → cache → Breaker → Counting → SplitRW → ChecksumReader → device
-//	writes: Versioned builder → Counting → SplitRW → Locked → Durable
-//
-// so N readers progress at full speed while a maintenance batch builds
-// and flips the next epoch. The cache sits below the epoch layer and is
-// keyed by physical block id — epoch-qualified by construction, so a flip
-// invalidates nothing (no generation storm); only the reuse of a reclaimed
-// physical block drops its single stale entry.
+// OpenServingOpts is OpenServing with the full robustness stack: Degraded
+// above the cache so quarantined blocks are served as (uncached) flagged
+// zeros, the breaker below it so cache hits keep serving while the circuit
+// is open, and on a versioned durable store a lock-free committed-read leg
+// so N readers progress at full speed while a maintenance batch builds and
+// flips the next epoch. assemble (stack.go) has the layer order.
 func OpenServingOpts(path string, sopts ServeOptions) (*Store, error) {
 	m, err := readMeta(path)
 	if err != nil {
 		return nil, err
 	}
-	tiling, form, err := tilingForMeta(m)
-	if err != nil {
-		return nil, err
-	}
-	opts := StoreOptions{
-		Shape: m.Shape, Form: form, TileBits: m.TileBits, Path: path, Durable: m.Durable,
-		Mapped:           m.Mapped,
-		Versioned:        m.Versioned,
-		ServeCacheBlocks: sopts.CacheBlocks, ServeCacheShards: sopts.CacheShards,
-	}
-	var base storage.BlockStore
-	var durable *storage.Durable
-	switch {
-	case m.Durable:
-		d, err := newDurableBase(path, tiling.BlockSize(), nil, false, m.Mapped, sopts.BaseWrap)
-		if err != nil {
-			return nil, err
-		}
-		base, durable = d, d
-	case m.Mapped:
-		// Serving over a mapped store: warm cache misses decode straight
-		// from the mapping (zero pread, zero copy below the cache fill).
-		ms, err := storage.OpenMappedStore(path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = ms
-		if sopts.BaseWrap != nil {
-			base = sopts.BaseWrap(base)
-		}
-	default:
-		fs, err := storage.OpenFileStore(path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = fs
-		if sopts.BaseWrap != nil {
-			base = sopts.BaseWrap(base)
-		}
-	}
-	var counting *storage.Counting
-	if m.Versioned && durable != nil {
-		// The split read/write path: snapshot reads verify frames over the
-		// raw device concurrently, mutations keep the serialized journaled
-		// path. Both legs share one device and one I/O counter.
-		rd, err := durable.ReadOnlyView()
-		if err != nil {
-			return nil, err
-		}
-		split, err := storage.NewSplitRW(rd, storage.NewLocked(durable))
-		if err != nil {
-			return nil, err
-		}
-		counting = storage.NewCounting(split)
-	} else {
-		counting = storage.NewCounting(base)
-	}
-	out := &Store{
-		opts:     opts,
-		tiling:   tiling,
-		counting: counting,
-		durable:  durable,
-	}
-	out.materialized.Store(m.Materialized)
-	out.attachQuarantine(m.Quarantined)
-	var top storage.BlockStore = counting
-	if durable != nil && !m.Versioned {
-		locked := storage.NewLocked(counting)
-		top = locked
-		out.scrubBase = locked
-		out.scrubSafe = true
-	} else {
-		// Versioned durable: the counting layer routes verification through
-		// the SplitRW write leg, so the scrubber still sees the journal's
-		// staged frames without taking the read path's locks.
-		out.scrubBase = counting
-		out.scrubSafe = true // MemStore/FileStore are concurrency-safe
-	}
-	if sopts.Breaker != nil {
-		out.breaker = storage.NewBreaker(top, *sopts.Breaker)
-		top = out.breaker
-	}
-	if sopts.CacheBlocks > 0 {
-		c, err := cache.New(top, sopts.CacheBlocks, sopts.CacheShards)
-		if err != nil {
-			return nil, err
-		}
-		out.cache, top = c, c
-	}
-	if durable != nil {
-		// Degraded serving needs corruption detection underneath, which
-		// only the checksummed (durable) layout provides.
-		dg, err := storage.NewDegraded(top, out.quarantine)
-		if err != nil {
-			return nil, err
-		}
-		out.degraded, top = dg, dg
-	}
-	if m.Versioned {
-		v, err := storage.NewVersionedSplit(counting, top, tiling.NumBlocks())
-		if err != nil {
-			return nil, err
-		}
-		if out.cache != nil {
-			v.OnReuse(out.cache.Drop)
-		}
-		out.versioned, top = v, v
-		if m.Materialized {
-			out.matEpoch.Store(v.Epoch() + 1)
-		}
-	}
-	st, err := tile.NewStore(top, tiling)
-	if err != nil {
-		return nil, err
-	}
-	out.store = st
-	return out, nil
+	return assemble(stackSpec{meta: m, path: path, wrap: sopts.BaseWrap, serve: &sopts})
 }
 
 // CacheStats returns the serve cache's counters; ok is false when the store

@@ -19,6 +19,14 @@ import (
 // hand-written assemblies were folded into one. A refactor of the assembly
 // must leave every literal untouched; a deliberate behaviour change has to
 // edit the one it moves.
+//
+// Twelve literals pin a defect rather than a contract: the standard-form
+// durable+versioned serve* cases (answer digest e7be4bb9…, where every other
+// standard-form case reads 81910194…). TransformChunked re-reads tiles it
+// wrote earlier in the same batch, the epoch builder reads through the
+// committed leg of SplitRW, and Durable's staging area is invisible there,
+// so the stored transform is wrong. ROADMAP item 4 records it; the fix
+// changes those twelve literals and no others.
 
 // matrixHandle is one way of obtaining a *Store.
 type matrixHandle struct {

@@ -56,15 +56,6 @@ type StoreOptions struct {
 	// "available memory" knob of the paper's query scenarios. Stats then
 	// reports only the I/O that misses the cache.
 	CacheBlocks int
-	// ServeCacheBlocks, when positive, fronts reads with a sharded,
-	// goroutine-safe LRU block cache using singleflight miss coalescing —
-	// the serving path's memory knob (see OpenServing). Mutually exclusive
-	// with CacheBlocks: the buffer pool is a single-threaded write-back
-	// model, the serve cache a concurrent read-through cache.
-	ServeCacheBlocks int
-	// ServeCacheShards optionally sets the serve cache's shard count
-	// (rounded up to a power of two; defaults to 16).
-	ServeCacheShards int
 	// Durable layers crash safety under the store: every block is framed
 	// with a CRC64 + epoch so torn writes and bit rot are detected on read,
 	// and every maintenance operation (Materialize, TransformChunked,
@@ -205,137 +196,33 @@ func CreateStore(opts StoreOptions) (*Store, error) {
 	if opts.TileBits < 1 {
 		return nil, fmt.Errorf("shiftsplit: tile bits %d", opts.TileBits)
 	}
-	ns := make([]int, len(opts.Shape))
-	for i, s := range opts.Shape {
+	for _, s := range opts.Shape {
 		if !bitutil.IsPow2(s) {
 			return nil, fmt.Errorf("shiftsplit: extent %d is not a power of two", s)
 		}
-		ns[i] = bitutil.Log2(s)
 	}
-	var tiling tile.Tiling
 	switch opts.Form {
 	case Standard:
-		tiling = tile.NewStandard(ns, opts.TileBits)
 	case NonStandard:
 		for _, s := range opts.Shape[1:] {
 			if s != opts.Shape[0] {
 				return nil, fmt.Errorf("shiftsplit: non-standard form requires a cubic shape, got %v", opts.Shape)
 			}
 		}
-		tiling = tile.NewNonStandard(ns[0], len(ns), opts.TileBits)
 	default:
 		return nil, fmt.Errorf("shiftsplit: unknown form %v", opts.Form)
 	}
 	if opts.Mapped && opts.Path == "" {
 		return nil, fmt.Errorf("shiftsplit: Mapped requires a file-backed store (set Path)")
 	}
-	var base storage.BlockStore
-	var durable *storage.Durable
-	switch {
-	case opts.Durable:
-		d, err := newDurableBase(opts.Path, tiling.BlockSize(), opts.FaultPlan, true, opts.Mapped, opts.BaseWrap)
-		if err != nil {
-			return nil, err
-		}
-		base, durable = d, d
-	case opts.Mapped:
-		ms, err := storage.NewMappedStore(opts.Path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = ms
-		if opts.BaseWrap != nil {
-			base = opts.BaseWrap(base)
-		}
-	case opts.Path != "":
-		fs, err := storage.NewFileStore(opts.Path, tiling.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		base = fs
-		if opts.BaseWrap != nil {
-			base = opts.BaseWrap(base)
-		}
-	default:
-		base = storage.NewMemStore(tiling.BlockSize())
-		if opts.BaseWrap != nil {
-			base = opts.BaseWrap(base)
-		}
-	}
-	if opts.CacheBlocks > 0 && opts.ServeCacheBlocks > 0 {
-		return nil, fmt.Errorf("shiftsplit: CacheBlocks and ServeCacheBlocks are mutually exclusive")
-	}
-	counting := storage.NewCounting(base)
-	var top storage.BlockStore = counting
-	var pool *storage.BufferPool
-	var shardedCache *cache.Sharded
-	if opts.CacheBlocks > 0 {
-		pool = storage.NewBufferPool(counting, opts.CacheBlocks)
-		top = pool
-	}
-	if opts.ServeCacheBlocks > 0 {
-		c, err := cache.New(serveCacheInner(counting, durable), opts.ServeCacheBlocks, opts.ServeCacheShards)
-		if err != nil {
-			return nil, err
-		}
-		shardedCache, top = c, c
-	}
-	var versioned *storage.Versioned
-	if opts.Versioned {
-		v, err := storage.NewVersioned(top, tiling.NumBlocks())
-		if err != nil {
-			return nil, err
-		}
-		if shardedCache != nil {
-			// The cache sits below the epoch layer, so its keys are physical
-			// ids — epoch-qualified by construction. The only invalidation it
-			// ever needs is when a reclaimed physical block is rebound.
-			v.OnReuse(shardedCache.Drop)
-		}
-		versioned, top = v, v
-	}
-	st, err := tile.NewStore(top, tiling)
-	if err != nil {
-		return nil, err
-	}
-	out := &Store{opts: opts, tiling: tiling, counting: counting, pool: pool, cache: shardedCache, durable: durable, versioned: versioned, store: st}
-	out.attachQuarantine(nil)
-	out.scrubBase = counting
-	if err := out.saveMeta(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// newDurableBase builds the transactional block store for a durable Store:
-// file-backed (with a ".wal" journal sidecar) when path is non-empty,
-// in-memory otherwise. wrap, when non-nil, is applied to the raw data
-// device below the checksum layer (fault-injection seam).
-func newDurableBase(path string, blockSize int, plan *storage.CrashPlan, create, mapped bool, wrap func(storage.BlockStore) storage.BlockStore) (*storage.Durable, error) {
-	if path == "" {
-		var data storage.BlockStore = storage.NewMemStore(blockSize + storage.ChecksumOverhead)
-		if wrap != nil {
-			data = wrap(data)
-		}
-		wal := storage.NewMemStore(blockSize + storage.JournalOverhead)
-		return storage.NewDurable(wrapFaultPlan(data, plan), wrapFaultPlan(wal, plan))
-	}
-	switch {
-	case mapped && create:
-		return storage.CreateDurableMapped(path, blockSize, plan, wrap)
-	case mapped:
-		return storage.OpenDurableMapped(path, blockSize, plan, wrap)
-	case create:
-		return storage.CreateDurableWrapped(path, blockSize, plan, wrap)
-	}
-	return storage.OpenDurableWrapped(path, blockSize, plan, wrap)
-}
-
-func wrapFaultPlan(bs storage.BlockStore, plan *storage.CrashPlan) storage.BlockStore {
-	if plan == nil {
-		return bs
-	}
-	return storage.NewCrashStore(bs, plan)
+	return assemble(stackSpec{
+		meta: storeMeta{
+			Shape: opts.Shape, Form: opts.Form.String(), TileBits: opts.TileBits,
+			Durable: opts.Durable, Mapped: opts.Mapped, Versioned: opts.Versioned,
+		},
+		path: opts.Path, create: true,
+		plan: opts.FaultPlan, wrap: opts.BaseWrap, poolBlocks: opts.CacheBlocks,
+	})
 }
 
 // Shape returns the transformed domain extents.
