@@ -67,7 +67,7 @@ func cmdBenchIngest(args []string) error {
 	dur := fs.Duration("duration", 3*time.Second, "measurement duration")
 	cross := fs.Int("cross", 8, "slab cross-section extent (power of two)")
 	tile := fs.Int("tile", 2, "per-dimension tile edge exponent")
-	flush := fs.Duration("flush", 2*time.Millisecond, "group-gathering window")
+	flush := fs.Duration("flush", 2*time.Millisecond, "upper bound on holding a group open for requests already on their way")
 	batch := fs.Int("batch", 64, "max slabs per group commit")
 	mem := fs.Bool("mem", false, "in-memory backing instead of a durable temp store")
 	out := fs.String("out", "", "write a JSON baseline to this path")
@@ -210,6 +210,8 @@ func cmdBenchIngest(args []string) error {
 		base.Groups, base.JournalGroups, base.AppendsPerJournalGroup)
 	fmt.Printf("latency:      commit p50 %.2fms, p99 %.2fms\n",
 		base.CommitP50Millis, base.CommitP99Millis)
+	fmt.Printf("gather:       %d groups closed idle, %d full, %d by the window; p50 %.2fms, p99 %.2fms\n",
+		ist.ClosedIdle, ist.ClosedFull, ist.ClosedByWindow, ist.GatherP50Millis, ist.GatherP99Millis)
 	fmt.Printf("domain:       %v used of %v after %d expansions\n",
 		ist.Used, ist.Shape, base.Expansions)
 	fmt.Printf("I/O:          merge %d reads %d writes; expansion %d reads %d writes\n",

@@ -45,7 +45,7 @@ func cmdServe(args []string) error {
 	ingestDim := fs.Int("ingest-dim", 1, "dimension ingest slabs append along")
 	ingestTile := fs.Int("ingest-tile", 2, "ingest tile edge exponent")
 	ingestDir := fs.String("ingest-dir", "", "directory for durable ingest generations (empty = in-memory)")
-	ingestFlush := fs.Duration("ingest-flush", 2*time.Millisecond, "ingest group-gathering window")
+	ingestFlush := fs.Duration("ingest-flush", 2*time.Millisecond, "upper bound on holding an ingest group open for requests already on their way (never a delay for a lone client)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ package appender
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -75,26 +74,26 @@ type Appender struct {
 	// with a half-applied batch). Every later append fails with it.
 	poisoned error
 
-	// scratch pools the per-run merge state (wavelet scratch + delta
-	// buckets) across slabs, so steady-state appends stop allocating
-	// tile-sized buffers. Holds *mergeScratch.
+	// scratch pools the per-run transform state across groups (holds
+	// *mergeScratch); set is the group's delta buckets, recycled by Reset,
+	// so steady-state appends stop allocating run- and tile-sized buffers.
 	scratch sync.Pool
+	set     *tile.BucketSet
 }
 
-// mergeScratch is one worker's reusable transform/bucket state. The slab
-// sub-copies themselves still allocate (their shapes vary per dyadic run),
-// but the wavelet working buffers and the per-tile delta slices — the bulk
-// of the merge's allocation profile — are recycled.
+// mergeScratch is one worker's reusable transform state: the buffer a
+// dyadic run's cells are gathered into and transformed in, and the wavelet
+// working buffers.
 type mergeScratch struct {
-	ws  *wavelet.Scratch
-	set *tile.BucketSet
+	ws    *wavelet.Scratch
+	cells []float64
 }
 
-// SetOptions configures the worker pool used to transform the dyadic pieces
-// of each slab. Delta application always stays sequential (chunk-ordered,
-// ascending block IDs) so the physical write sequence — and with it the
-// crash-campaign behavior of durable backings — is identical for every
-// worker count.
+// SetOptions configures the worker pool used to gather and transform the
+// dyadic runs of each group. Bucketing stays sequential in run order and the
+// buckets meet the store in one ascending-id batch, so the floating-point
+// sums and the physical write sequence — and with it the crash-campaign
+// behavior of durable backings — are identical for every worker count.
 func (a *Appender) SetOptions(opts parallel.Options) { a.opts = opts }
 
 // AppendStats reports the cost of one Append or AppendBatch call.
@@ -197,9 +196,10 @@ func (a *Appender) Append(dim int, slab *ndarray.Array) (AppendStats, error) {
 }
 
 // AppendBatch folds a group of slabs into the dataset along dim, in
-// order, as ONE atomic batch: all needed domain expansions run first,
-// then every slab is transformed and SHIFT-SPLIT-merged into the staged
-// transform, and a single Commit seals the group. On a transactional
+// order, as ONE atomic batch and one in-memory chunk: all needed domain
+// expansions run first, then the contiguous region the slabs cover is
+// transformed and SHIFT-SPLIT-merged into the staged transform (see merge),
+// and a single Commit seals the group. On a transactional
 // backing the whole group therefore costs one journal group — the fsync
 // amortization the ingest front door is built on — and a crash recovers
 // to either all slabs applied or none.
@@ -270,15 +270,12 @@ func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, er
 		st.Expansions++
 		st.ExpansionIO = st.ExpansionIO.Add(expIO)
 	}
-	// Merge every slab at its frontier offset; application stays on this
-	// goroutine in slab order, so the staged writes are deterministic.
+	// Merge the group as the one contiguous region it is.
 	mergeBefore := a.counting.Stats()
 	usedBefore := append([]int(nil), a.used...)
-	for _, slab := range slabs {
-		if err := a.merge(dim, slab); err != nil {
-			a.rollback(usedBefore)
-			return st, err
-		}
+	if err := a.merge(dim, slabs, growth); err != nil {
+		a.rollback(usedBefore)
+		return st, err
 	}
 	// One group = one atomic batch on transactional backings.
 	if err := a.commitRetry(); err != nil {
@@ -301,63 +298,94 @@ func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, er
 	return st, nil
 }
 
-// merge transforms one slab and applies its SHIFT-SPLIT deltas to the
-// staged transform, advancing the frontier. It does not commit.
-func (a *Appender) merge(dim int, slab *ndarray.Array) error {
+// merge folds the group's slabs — growth cells along dim in all, validated
+// and fitting the domain — into the staged transform as ONE chunk in the
+// sense of Result 1: the region [used, used+growth) is cut into dyadic runs
+// once, however many slabs it came in, each run is gathered from the slabs
+// it spans, transformed and SHIFT-SPLIT into one bucket set, and the set
+// meets the store in one vectored read and one vectored write. Every tile
+// on the runs' shared path to the root is therefore read and written once
+// per group, not once per slab. It advances the frontier and does not
+// commit.
+func (a *Appender) merge(dim int, slabs []*ndarray.Array, growth int) error {
 	d := len(a.shape)
 	start := a.used[dim]
-	// One dyadic run along dim at a time. The runs' transforms and
-	// SHIFT-SPLIT bucketing fan out to the worker pool; application
-	// happens in run order on this goroutine.
-	type run struct {
-		subStart, subShape []int
-		block              dyadic.Range
+	first := slabs[0]
+	// Row-major cells split as [outer][along dim][inner]; every slab and
+	// every run buffer shares outer and inner (the cross extents).
+	outer, inner := 1, 1
+	for t := 0; t < dim; t++ {
+		outer *= first.Extent(t)
 	}
-	var runs []run
-	for _, iv := range dyadic.Decompose(start, start+slab.Extent(dim)) {
-		r := run{subStart: make([]int, d), subShape: make([]int, d), block: make(dyadic.Range, d)}
-		for t := 0; t < d; t++ {
-			if t == dim {
-				r.subStart[t] = iv.Start() - start
-				r.subShape[t] = iv.Len()
-				r.block[t] = iv
-			} else {
-				r.subStart[t] = 0
-				r.subShape[t] = slab.Extent(t)
-				r.block[t] = dyadic.NewInterval(bitutil.Log2(r.subShape[t]), 0)
-			}
-		}
-		runs = append(runs, r)
+	for t := dim + 1; t < d; t++ {
+		inner *= first.Extent(t)
 	}
+	runs := dyadic.Decompose(start, start+growth)
+	tiling := a.store.Tiling()
+	if a.set == nil {
+		a.set = tile.NewBucketSet(tiling.BlockSize())
+	}
+	defer a.set.Reset()
 	type runResult struct {
-		buckets []tile.Bucket
-		sc      *mergeScratch
+		sc    *mergeScratch
+		block dyadic.Range
+		bHat  *ndarray.Array
 	}
+	// The runs' gathers and transforms fan out to the worker pool;
+	// bucketing happens in run order on this goroutine, so the
+	// floating-point sums do not depend on the worker count.
 	err := parallel.Run(len(runs), a.opts,
 		func(seq int) (runResult, error) {
-			r := runs[seq]
+			iv := runs[seq]
+			n := iv.Len()
 			sc, ok := a.scratch.Get().(*mergeScratch)
 			if !ok {
-				sc = &mergeScratch{ws: wavelet.NewScratch(), set: tile.NewBucketSet(a.store.Tiling().BlockSize())}
+				sc = &mergeScratch{ws: wavelet.NewScratch()}
 			}
-			bHat := slab.SubCopy(r.subStart, r.subShape)
+			if size := outer * n * inner; cap(sc.cells) < size {
+				sc.cells = make([]float64, size)
+			} else {
+				sc.cells = sc.cells[:size]
+			}
+			// Gather the run [lo, hi) — group coordinates — from the slabs
+			// it spans, the slab at hand covering [at, at+w).
+			lo, hi := iv.Start()-start, iv.Start()-start+n
+			at := 0
+			for _, slab := range slabs {
+				w := slab.Extent(dim)
+				from, to := max(lo, at), min(hi, at+w)
+				for o := 0; from < to && o < outer; o++ {
+					copy(sc.cells[(o*n+from-lo)*inner:(o*n+to-lo)*inner],
+						slab.Data()[(o*w+from-at)*inner:(o*w+to-at)*inner])
+				}
+				at += w
+			}
+			shape := first.Shape()
+			block := make(dyadic.Range, d)
+			shape[dim] = n
+			for t := range block {
+				block[t] = dyadic.NewInterval(bitutil.Log2(shape[t]), 0)
+			}
+			block[dim] = iv
+			bHat := ndarray.FromSlice(sc.cells, shape...)
 			wavelet.TransformStandardInPlace(bHat, sc.ws)
-			tile.AccumulateEmbedStandard(a.store.Tiling(), a.shape, r.block, bHat, sc.set)
-			return runResult{buckets: sc.set.Buckets(), sc: sc}, nil
+			return runResult{sc: sc, block: block, bHat: bHat}, nil
 		},
 		func(seq int, res runResult) error {
-			err := a.store.ApplyBuckets(res.buckets)
-			res.sc.set.Reset()
+			tile.AccumulateEmbedStandard(tiling, a.shape, res.block, res.bHat, a.set)
 			a.scratch.Put(res.sc)
-			return err
+			return nil
 		})
 	if err != nil {
 		return err
 	}
-	a.used[dim] += slab.Extent(dim)
+	if err := a.store.ApplyBuckets(a.set.Buckets()); err != nil {
+		return err
+	}
+	a.used[dim] += growth
 	for t := 0; t < d; t++ {
 		if t != dim && a.used[t] == 0 {
-			a.used[t] = slab.Extent(t)
+			a.used[t] = first.Extent(t)
 		}
 	}
 	return nil
@@ -401,95 +429,104 @@ func (a *Appender) rollback(used []int) {
 // transform SHIFTs to its position in the doubled tree, and the old overall
 // average (along dim) SPLITs into the new root detail and the new average
 // (Figure 10).
+//
+// Both tilings are cross products of per-dimension tilings and only dim's
+// changes, so a coefficient keeps its tile and in-tile offset in every
+// other dimension. One table along dim — old (tile, offset) to new (tile,
+// offset) — therefore relocates whole rows of a block at a time: old blocks
+// are read once, in ascending id order, and each row of slots sharing its
+// position along dim moves to one row of one new block.
 func (a *Appender) expand(dim int) (storage.Stats, error) {
-	oldShape := a.Shape()
 	oldStore, oldCounting := a.store, a.counting
 	oldTiling := oldStore.Tiling().(*tile.Standard)
-	nOld := bitutil.Log2(oldShape[dim])
+	nOld := bitutil.Log2(a.shape[dim])
 	preOld := oldCounting.Stats()
 
 	a.shape[dim] *= 2
 	if err := a.rebuildStore(); err != nil {
 		return storage.Stats{}, err
 	}
-	newTiling := a.store.Tiling()
+	newTiling := a.store.Tiling().(*tile.Standard)
+	od, nd := oldTiling.Dim(dim), newTiling.Dim(dim)
+	edge := od.BlockSize() // slots per tile along one dimension
 
-	// Group old coefficients by their old block so each old block is read
-	// exactly once.
-	byBlock := make(map[int]map[int][]int) // old block -> slot -> coords
-	coords := make([]int, len(oldShape))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(oldShape) {
-			blk, slot := oldTiling.Locate(coords)
-			m, ok := byBlock[blk]
-			if !ok {
-				m = make(map[int][]int)
-				byBlock[blk] = m
-			}
-			m[slot] = append([]int(nil), coords...)
-			return
-		}
-		for v := 0; v < oldShape[i]; v++ {
-			coords[i] = v
-			rec(i + 1)
-		}
+	// to[tile*edge+offset] along dim in the old tiling is tile*edge+offset
+	// in the new one; -1 marks slots that hold no coefficient. The old
+	// average (index 0) is the one source with two targets.
+	to := make([]int, od.NumBlocks()*edge)
+	for i := range to {
+		to[i] = -1
 	}
-	rec(0)
+	for idx := 1; idx < 1<<uint(nOld); idx++ {
+		j, k := haar.LevelPos(nOld, idx)
+		to[locate1D(od, idx, edge)] = locate1D(nd, haar.Index(nOld+1, j, k), edge)
+	}
+	avgAt, avgTo := locate1D(od, 0, edge), [2]int{locate1D(nd, 0, edge), locate1D(nd, 1, edge)}
 
-	pending := make(map[int][]float64) // new block -> data
-	add := func(c []int, v float64) {
-		blk, slot := newTiling.Locate(c)
-		data, ok := pending[blk]
-		if !ok {
-			data = make([]float64, newTiling.BlockSize())
-			pending[blk] = data
-		}
-		data[slot] += v
+	// A block id is (hi*tiles(dim) + tile)*lo_n + lo and a slot is
+	// (shi*edge + offset)*row + slo, with hi/shi ranging over the
+	// dimensions before dim and lo/slo over those after it.
+	loBlocks, row := 1, 1
+	for t := dim + 1; t < len(a.shape); t++ {
+		loBlocks *= oldTiling.Dim(t).NumBlocks()
+		row *= edge
 	}
-	// Read every touched old block with one vectored request, in ascending
-	// id order — which also makes the accumulation order into pending
-	// blocks deterministic where map iteration used to randomize it.
-	oldBlks := make([]int, 0, len(byBlock))
-	for blk := range byBlock {
-		oldBlks = append(oldBlks, blk)
+	rowsAbove := oldTiling.BlockSize() / (edge * row)
+
+	oldBlks := make([]int, oldTiling.NumBlocks())
+	for i := range oldBlks {
+		oldBlks[i] = i
 	}
-	sort.Ints(oldBlks)
 	oldData, err := oldStore.ReadTiles(oldBlks)
 	if err != nil {
 		return storage.Stats{}, err
 	}
-	for i, blk := range oldBlks {
-		data, slots := oldData[i], byBlock[blk]
-		for slot, c := range slots {
-			v := data[slot]
+	pending := make([][]float64, newTiling.NumBlocks()) // nil until a non-zero value lands
+	written := 0
+	move := func(src []float64, scale float64, blk, slot int) {
+		var dst []float64
+		for i, v := range src {
 			if v == 0 {
 				continue
 			}
-			nc := append([]int(nil), c...)
-			idx := c[dim]
-			if idx >= 1 {
-				j, k := haar.LevelPos(nOld, idx)
-				nc[dim] = haar.Index(nOld+1, j, k)
-				add(nc, v)
-			} else {
-				// The old average splits: half to the new average, half to
-				// the new root detail (the old data is the left subtree).
-				nc[dim] = 0
-				add(nc, v/2)
-				nc[dim] = 1
-				add(nc, v/2)
+			if dst == nil {
+				if pending[blk] == nil {
+					pending[blk] = make([]float64, newTiling.BlockSize())
+					written++
+				}
+				dst = pending[blk][slot : slot+len(src)]
+			}
+			dst[i] = v * scale
+		}
+	}
+	for blk, data := range oldData {
+		lo := blk % loBlocks
+		tileOld := blk / loBlocks % od.NumBlocks()
+		hi := blk / loBlocks / od.NumBlocks()
+		newBlk := func(tileNew int) int { return (hi*nd.NumBlocks()+tileNew)*loBlocks + lo }
+		for shi := 0; shi < rowsAbove; shi++ {
+			for off := 0; off < edge; off++ {
+				src := data[(shi*edge+off)*row:][:row]
+				at := tileOld*edge + off
+				if at == avgAt {
+					// The old average splits: half to the new average, half to
+					// the new root detail (the old data is the left subtree).
+					for _, t := range avgTo {
+						move(src, 0.5, newBlk(t/edge), (shi*edge+t%edge)*row)
+					}
+				} else if t := to[at]; t >= 0 {
+					move(src, 1, newBlk(t/edge), (shi*edge+t%edge)*row)
+				}
 			}
 		}
 	}
-	blks := make([]int, 0, len(pending))
-	for blk := range pending {
-		blks = append(blks, blk)
-	}
-	sort.Ints(blks)
-	newData := make([][]float64, len(blks))
-	for i, blk := range blks {
-		newData[i] = pending[blk]
+	blks := make([]int, 0, written)
+	newData := make([][]float64, 0, written)
+	for blk, data := range pending {
+		if data != nil {
+			blks = append(blks, blk)
+			newData = append(newData, data)
+		}
 	}
 	if err := a.store.WriteTiles(blks, newData); err != nil {
 		return storage.Stats{}, err
@@ -510,6 +547,12 @@ func (a *Appender) expand(dim int) (storage.Stats, error) {
 	cost := oldStats.Sub(preOld).Add(a.counting.Stats())
 	a.expansionTotal = a.expansionTotal.Add(cost)
 	return cost, oldStore.Close()
+}
+
+// locate1D is t.Locate1D(idx) as one number, tile*edge + offset.
+func locate1D(t *tile.OneD, idx, edge int) int {
+	b, s := t.Locate1D(idx)
+	return b*edge + s
 }
 
 // Reconstruct reads the whole transform back and inverts it, returning the

@@ -9,9 +9,11 @@
 // loop group-commits them: every queued slab is folded into one
 // Appender.AppendBatch call, so domain expansion runs once for the whole
 // group and the durable backing seals all of it with one journal group
-// (one fsync pair) instead of one per client. Group size is driven by two
-// thresholds — a slab-count cap and a short gathering window — mirroring
-// classic WAL group commit.
+// (one fsync pair) instead of one per client. The loop is work-conserving
+// and self-clocking, like classic WAL group commit: a group closes when it
+// is full or when every request known to be on its way has staged, so
+// groups form while the previous commit is in flight and a lone client
+// never waits on a timer.
 //
 // Ingestion is bounded the same way the read path is: when the staging
 // queue is full new requests are shed immediately with ErrBacklog (the
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -63,10 +66,10 @@ type Config struct {
 	MaxQueueCells int
 	// MaxBatchSlabs caps one group commit (default 64).
 	MaxBatchSlabs int
-	// FlushInterval is the group-gathering window: after the first slab
-	// of a group arrives the commit loop waits this long for companions
-	// before committing (default 2ms). Negative disables the window
-	// (commit as soon as the loop wakes).
+	// FlushInterval is an upper bound, not a delay: the longest the commit
+	// loop holds a group open for requests that have announced themselves
+	// but not yet staged their slabs (default 2ms). With nobody announced
+	// the group commits at once. Negative never waits for companions.
 	FlushInterval time.Duration
 	// Gate, when non-nil, is consulted before admitting an append; a
 	// non-nil error sheds the request with that error (the degraded /
@@ -116,27 +119,33 @@ type Result struct {
 type pending struct {
 	slab   *ndarray.Array
 	cells  int
+	staged time.Time
 	picked bool // claimed by the commit loop; no longer removable
-	res    Result
-	err    error
-	done   chan struct{}
+	req    *Request
+	line   int // index into the request's results
 }
 
 // Ingester is the group-committing write front door over one Appender.
 // Create with New; it owns a background commit loop until Close.
 type Ingester struct {
 	cfg Config
+	// maxCross bounds a slab's extents off the append dimension: the
+	// domain's own, which no expansion changes (only cfg.Dim doubles).
+	maxCross []int
 
 	// appMu serializes all appender access: the commit loop's batches,
-	// point queries, and stats snapshots.
+	// point queries, and stats snapshots. It is held across a whole group
+	// commit, fsync included, so nothing on the admission path takes it.
 	appMu sync.Mutex
 	app   *appender.Appender
 
 	mu          sync.Mutex
 	queue       []*pending
 	queuedCells int
+	coming      int   // requests announced and not yet staged or withdrawn
 	cross       []int // cross-section extents fixed by the first slab (0 = not yet)
 	closed      bool
+	view        appView
 
 	// Counters (mu-guarded).
 	committedSlabs int64
@@ -148,7 +157,11 @@ type Ingester struct {
 	failedSlabs    int64
 	failedGroups   int64
 	streamItems    int64
-	hist           latencyHist
+	closedIdle     int64
+	closedFull     int64
+	closedWindow   int64
+	hist           latencyHist // commit latency
+	gatherHist     latencyHist // oldest slab staged → group claimed
 
 	stream *stream.Buffered
 	start  time.Time
@@ -156,6 +169,15 @@ type Ingester struct {
 	kickc chan struct{}
 	stopc chan struct{}
 	donec chan struct{}
+}
+
+// appView is what Stats reports of the appender, sampled whenever appMu is
+// free and after every group commit, so a snapshot never waits out a
+// commit. It is written holding both appMu and mu, in that order.
+type appView struct {
+	shape, used            []int
+	device, expIO, mergeIO storage.Stats
+	poisoned               string
 }
 
 // New starts an Ingester over app. The appender (and its backing store)
@@ -175,6 +197,7 @@ func New(app *appender.Appender, cfg Config) (*Ingester, error) {
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
 	}
+	in.maxCross = app.Shape()
 	used := app.Used()
 	in.cross = make([]int, len(used))
 	for t, u := range used {
@@ -182,6 +205,7 @@ func New(app *appender.Appender, cfg Config) (*Ingester, error) {
 			in.cross[t] = u
 		}
 	}
+	in.view = in.sampleApp()
 	go in.loop()
 	return in, nil
 }
@@ -215,6 +239,61 @@ func NewSlab(shape []int, values []float64) (*ndarray.Array, error) {
 	return ndarray.FromSlice(values, shape...), nil
 }
 
+// Request is one client request on its way through the front door. It
+// exists from the moment the request is known to be coming (Announce) so
+// the commit loop can hold the forming group open for it; it ends with one
+// Enqueue, or a Withdraw if the request dies before it has slabs to stage.
+type Request struct {
+	in      *Ingester
+	coming  bool // still counted in in.coming (mu-guarded)
+	staged  []pending
+	results []Result
+	errs    []error
+	left    int           // staged slabs not yet committed, failed or withdrawn (mu-guarded)
+	done    chan struct{} // closed when left reaches 0
+}
+
+// Announce registers a request whose slabs are still to come — an HTTP
+// handler calls it on entry, before reading the body. Until the request
+// stages or withdraws, the commit loop keeps the current group open for it,
+// for at most FlushInterval.
+func (in *Ingester) Announce() *Request {
+	r := &Request{in: in, coming: true}
+	in.mu.Lock()
+	in.coming++
+	in.mu.Unlock()
+	return r
+}
+
+// Withdraw ends a request that will stage nothing. It is a no-op after
+// Enqueue, so handlers defer it.
+func (r *Request) Withdraw() {
+	in := r.in
+	in.mu.Lock()
+	arrived := r.arriveLocked()
+	in.mu.Unlock()
+	if arrived {
+		in.kick()
+	}
+}
+
+// arriveLocked drops the request from the announced count, once.
+func (r *Request) arriveLocked() bool {
+	if !r.coming {
+		return false
+	}
+	r.coming = false
+	r.in.coming--
+	return true
+}
+
+func (in *Ingester) kick() {
+	select {
+	case in.kickc <- struct{}{}:
+	default:
+	}
+}
+
 // Enqueue stages slab for the next group commit and blocks until that
 // commit seals (success: the slab is durable at Result.Offset) or fails.
 // If ctx expires while the slab is still removable it is withdrawn and
@@ -222,98 +301,120 @@ func NewSlab(shape []int, values []float64) (*ndarray.Array, error) {
 // has claimed it, Enqueue waits out the commit and reports its true
 // outcome.
 func (in *Ingester) Enqueue(ctx context.Context, slab *ndarray.Array) (Result, error) {
-	p, err := in.admit(slab)
-	if err != nil {
-		return Result{}, err
-	}
-	select {
-	case <-p.done:
-		return p.res, p.err
-	case <-ctx.Done():
-		in.mu.Lock()
-		if !p.picked {
-			in.removeLocked(p)
-			in.timedOut++
-			in.mu.Unlock()
-			return Result{}, fmt.Errorf("ingest: abandoned before commit: %w", ctx.Err())
-		}
-		in.mu.Unlock()
-		<-p.done // group already committing; its outcome is authoritative
-		return p.res, p.err
-	}
+	results, errs := in.Announce().Enqueue(ctx, []*ndarray.Array{slab})
+	return results[0], errs[0]
 }
 
-// admit validates slab against the ingester's fixed geometry and stages
-// it, enforcing the queue bounds.
-func (in *Ingester) admit(slab *ndarray.Array) (*pending, error) {
-	d := len(in.cross)
-	if slab.Dims() != d {
-		return nil, fmt.Errorf("%w: slab has %d dims, domain has %d", query.ErrInvalid, slab.Dims(), d)
+// Enqueue stages the request's slabs, in order and under one lock
+// acquisition, so they sit contiguously in the queue and only
+// MaxBatchSlabs can part them into different groups. It then blocks as
+// Ingester.Enqueue does, for all of them at once. Slab i's outcome is
+// results[i], errs[i]: each slab is validated, shed or admitted on its own,
+// exactly as if it had been enqueued alone after its predecessors.
+func (r *Request) Enqueue(ctx context.Context, slabs []*ndarray.Array) ([]Result, []error) {
+	in := r.in
+	r.results = make([]Result, len(slabs))
+	r.errs = make([]error, len(slabs))
+	r.staged = make([]pending, 0, len(slabs))
+	r.done = make(chan struct{})
+	for i, slab := range slabs {
+		r.errs[i] = in.validate(slab)
 	}
-	shape := in.shapeSnapshot()
+	now := time.Now()
+
+	in.mu.Lock()
+	r.arriveLocked()
+	for i, slab := range slabs {
+		if r.errs[i] != nil {
+			continue
+		}
+		if r.errs[i] = in.admitLocked(slab); r.errs[i] != nil {
+			continue
+		}
+		r.staged = append(r.staged, pending{slab: slab, cells: slab.Size(), staged: now, req: r, line: i})
+		in.queue = append(in.queue, &r.staged[len(r.staged)-1])
+	}
+	r.left = len(r.staged)
+	in.mu.Unlock()
+	in.kick()
+	if len(r.staged) == 0 {
+		return r.results, r.errs
+	}
+
+	select {
+	case <-r.done:
+	case <-ctx.Done():
+		in.mu.Lock()
+		for i := range r.staged {
+			if p := &r.staged[i]; !p.picked {
+				in.removeLocked(p)
+				in.timedOut++
+				r.errs[p.line] = fmt.Errorf("ingest: abandoned before commit: %w", ctx.Err())
+				r.left--
+			}
+		}
+		claimed := r.left > 0
+		in.mu.Unlock()
+		if claimed {
+			<-r.done // those groups are committing; their outcome is authoritative
+		}
+	}
+	return r.results, r.errs
+}
+
+// validate checks slab against the ingester's fixed geometry: everything
+// that can be said about it without looking at the queue.
+func (in *Ingester) validate(slab *ndarray.Array) error {
+	d := len(in.maxCross)
+	if slab.Dims() != d {
+		return fmt.Errorf("%w: slab has %d dims, domain has %d", query.ErrInvalid, slab.Dims(), d)
+	}
 	for t := 0; t < d; t++ {
 		if t == in.cfg.Dim {
 			continue
 		}
 		if !bitutil.IsPow2(slab.Extent(t)) {
-			return nil, fmt.Errorf("%w: cross extent %d along dimension %d is not a power of two", query.ErrInvalid, slab.Extent(t), t)
+			return fmt.Errorf("%w: cross extent %d along dimension %d is not a power of two", query.ErrInvalid, slab.Extent(t), t)
 		}
-		if slab.Extent(t) > shape[t] {
-			return nil, fmt.Errorf("%w: cross extent %d exceeds domain %d along dimension %d", query.ErrInvalid, slab.Extent(t), shape[t], t)
+		if slab.Extent(t) > in.maxCross[t] {
+			return fmt.Errorf("%w: cross extent %d exceeds domain %d along dimension %d", query.ErrInvalid, slab.Extent(t), in.maxCross[t], t)
 		}
 	}
-	cells := slab.Size()
-	if cells > in.cfg.MaxQueueCells {
-		return nil, fmt.Errorf("%w: slab of %d cells exceeds the staging budget (%d)", query.ErrInvalid, cells, in.cfg.MaxQueueCells)
+	if cells := slab.Size(); cells > in.cfg.MaxQueueCells {
+		return fmt.Errorf("%w: slab of %d cells exceeds the staging budget (%d)", query.ErrInvalid, cells, in.cfg.MaxQueueCells)
 	}
-	p := &pending{slab: slab, cells: cells, done: make(chan struct{})}
+	return nil
+}
 
-	in.mu.Lock()
+// admitLocked takes a valid slab into the staging budget or says why not.
+// The caller appends it to the queue.
+func (in *Ingester) admitLocked(slab *ndarray.Array) error {
 	if in.closed {
-		in.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if gate := in.cfg.Gate; gate != nil {
 		if err := gate(); err != nil {
 			in.shed++
-			in.mu.Unlock()
-			return nil, err
+			return err
 		}
 	}
-	for t := 0; t < d; t++ {
-		if t == in.cfg.Dim {
-			continue
-		}
-		if in.cross[t] != 0 && slab.Extent(t) != in.cross[t] {
-			in.mu.Unlock()
-			return nil, fmt.Errorf("%w: cross extent %d along dimension %d, ingest expects %d", query.ErrInvalid, slab.Extent(t), t, in.cross[t])
+	for t, want := range in.cross {
+		if t != in.cfg.Dim && want != 0 && slab.Extent(t) != want {
+			return fmt.Errorf("%w: cross extent %d along dimension %d, ingest expects %d", query.ErrInvalid, slab.Extent(t), t, want)
 		}
 	}
+	cells := slab.Size()
 	if len(in.queue) >= in.cfg.MaxQueueSlabs || in.queuedCells+cells > in.cfg.MaxQueueCells {
 		in.shed++
-		in.mu.Unlock()
-		return nil, ErrBacklog
+		return ErrBacklog
 	}
-	for t := 0; t < d; t++ {
+	for t := range in.cross {
 		if t != in.cfg.Dim && in.cross[t] == 0 {
 			in.cross[t] = slab.Extent(t) // first slab fixes the cross-section
 		}
 	}
-	in.queue = append(in.queue, p)
 	in.queuedCells += cells
-	in.mu.Unlock()
-
-	select {
-	case in.kickc <- struct{}{}:
-	default:
-	}
-	return p, nil
-}
-
-func (in *Ingester) shapeSnapshot() []int {
-	in.appMu.Lock()
-	defer in.appMu.Unlock()
-	return in.app.Shape()
+	return nil
 }
 
 // removeLocked withdraws an unpicked entry (deadline abandonment).
@@ -327,68 +428,86 @@ func (in *Ingester) removeLocked(p *pending) {
 	}
 }
 
-// loop is the commit loop: woken by the first slab of a group, it gathers
-// companions for FlushInterval (unless a full batch is already waiting),
-// then commits groups until the queue is empty.
+// loop is the commit loop. It never sleeps on staged work it could be
+// committing: a group closes as soon as it is full, or as soon as nobody
+// who announced is still on the way. Only when companions are known to be
+// coming does it hold the group open, and then for FlushInterval at most.
+// Slabs that arrive during a commit are the next group, which is how
+// concurrent clients amortize without a timer.
 func (in *Ingester) loop() {
 	defer close(in.donec)
+	var window *time.Timer // runs while a group is held open
+	var windowc <-chan time.Time
+	expired := false
+	disarm := func() {
+		if window != nil {
+			window.Stop()
+		}
+		window, windowc, expired = nil, nil, false
+	}
 	for {
+		group, hold := in.take(expired)
+		if group != nil {
+			disarm()
+			in.commitGroup(group)
+			continue
+		}
+		if !hold {
+			disarm() // nothing staged, or deadlines withdrew what was
+		} else if window == nil {
+			window = time.NewTimer(in.cfg.FlushInterval)
+			windowc = window.C
+		}
 		select {
 		case <-in.kickc:
+			// A caller that fans out one Enqueue per goroutine has companions
+			// that are runnable but have not run far enough to announce. Let
+			// what is runnable run once before judging the group complete: on
+			// one P it is the difference between sixteen groups and one.
+			runtime.Gosched()
+		case <-windowc:
+			expired = true
 		case <-in.stopc:
-			in.drainQueue()
-			return
-		}
-		if in.cfg.FlushInterval > 0 && !in.batchReady() {
-			t := time.NewTimer(in.cfg.FlushInterval)
-			select {
-			case <-t.C:
-			case <-in.stopc:
-				t.Stop()
-				in.drainQueue()
-				return
+			disarm()
+			for group, _ := in.take(true); group != nil; group, _ = in.take(true) {
+				in.commitGroup(group)
 			}
-		}
-		in.drainQueue()
-	}
-}
-
-func (in *Ingester) batchReady() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.queue) >= in.cfg.MaxBatchSlabs
-}
-
-func (in *Ingester) drainQueue() {
-	for {
-		group := in.take()
-		if len(group) == 0 {
 			return
 		}
-		in.commitGroup(group)
 	}
 }
 
-// take claims up to MaxBatchSlabs staged slabs; claimed entries can no
-// longer be withdrawn by their deadlines.
-func (in *Ingester) take() []*pending {
+// take claims the next group — up to MaxBatchSlabs staged slabs, oldest
+// first — if the close rule lets it go: the batch is full, nobody announced
+// is still on the way, or the window for those who are has run out
+// (expired). Otherwise hold reports whether staged slabs are being kept
+// waiting. Claimed entries can no longer be withdrawn by their deadlines.
+func (in *Ingester) take(expired bool) (group []*pending, hold bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	n := len(in.queue)
-	if n > in.cfg.MaxBatchSlabs {
+	switch {
+	case n == 0:
+		return nil, false
+	case n >= in.cfg.MaxBatchSlabs:
 		n = in.cfg.MaxBatchSlabs
+		in.closedFull++
+	case in.coming == 0 || in.cfg.FlushInterval < 0:
+		in.closedIdle++
+	case expired:
+		in.closedWindow++
+	default:
+		return nil, true
 	}
-	if n == 0 {
-		return nil
-	}
-	group := make([]*pending, n)
+	group = make([]*pending, n)
 	copy(group, in.queue[:n])
 	in.queue = append(in.queue[:0:0], in.queue[n:]...)
 	for _, p := range group {
 		p.picked = true
 		in.queuedCells -= p.cells
 	}
-	return group
+	in.gatherHist.observe(time.Since(group[0].staged))
+	return group, false
 }
 
 // commitGroup folds one claimed group into the appender as a single
@@ -401,17 +520,21 @@ func (in *Ingester) commitGroup(group []*pending) {
 		cells += p.cells
 	}
 	in.appMu.Lock()
+	defer in.appMu.Unlock()
 	base := in.app.Used()
 	begin := time.Now()
 	st, err := in.app.AppendBatch(in.cfg.Dim, slabs)
 	elapsed := time.Since(begin)
-	in.appMu.Unlock()
+
+	d := len(base)
+	offsets := make([]int, len(group)*d) // every Result.Offset of the group
+	off := base[in.cfg.Dim]
 
 	in.mu.Lock()
-	var seq int64
+	defer in.mu.Unlock()
+	in.view = in.sampleApp()
 	if err == nil {
 		in.groups++
-		seq = in.groups
 		in.committedSlabs += int64(len(group))
 		in.committedCells += int64(cells)
 		in.expansions += int64(st.Expansions)
@@ -420,20 +543,30 @@ func (in *Ingester) commitGroup(group []*pending) {
 		in.failedGroups++
 		in.failedSlabs += int64(len(group))
 	}
-	in.mu.Unlock()
-
-	off := base[in.cfg.Dim]
 	for i, p := range group {
+		r := p.req
 		if err == nil {
-			offset := make([]int, len(base))
+			offset := offsets[i*d : (i+1)*d : (i+1)*d]
 			offset[in.cfg.Dim] = off
-			p.res = Result{Offset: offset, Cells: p.cells, Group: seq, Slabs: len(group)}
+			r.results[p.line] = Result{Offset: offset, Cells: p.cells, Group: in.groups, Slabs: len(group)}
 			off += slabs[i].Extent(in.cfg.Dim)
 		} else {
-			p.err = err
+			r.errs[p.line] = err
 		}
-		close(p.done)
+		if r.left--; r.left == 0 {
+			close(r.done)
+		}
 	}
+}
+
+// sampleApp reads the appender-side half of Stats. The caller holds appMu.
+func (in *Ingester) sampleApp() appView {
+	v := appView{shape: in.app.Shape(), used: in.app.Used(), device: in.app.TotalIO()}
+	v.expIO, v.mergeIO = in.app.IOBreakdown()
+	if err := in.app.Poisoned(); err != nil {
+		v.poisoned = err.Error()
+	}
+	return v
 }
 
 // AddStream feeds scalar items into the Result-3 stream synopsis. Items
@@ -478,7 +611,11 @@ func (in *Ingester) Used() []int {
 }
 
 // Shape returns the current (expanded) domain extents.
-func (in *Ingester) Shape() []int { return in.shapeSnapshot() }
+func (in *Ingester) Shape() []int {
+	in.appMu.Lock()
+	defer in.appMu.Unlock()
+	return in.app.Shape()
+}
 
 // Reconstruct reads the committed dataset back (tests and audits; it
 // serializes with the commit loop like any other appender access).
@@ -538,10 +675,22 @@ type Stats struct {
 	AppendsPerJournalGroup float64 `json:"appends_per_journal_group"`
 	ItemsPerSec            float64 `json:"items_per_sec"`
 
-	// Commit latency distribution over sealed group commits.
+	// Why the commit loop closed its groups: nobody who had announced was
+	// still on the way (idle), MaxBatchSlabs were staged (full), or
+	// FlushInterval ran out on announced companions (window). They count
+	// groups claimed, so they sum to Groups + FailedGroups.
+	ClosedIdle     int64 `json:"closed_idle"`
+	ClosedFull     int64 `json:"closed_full"`
+	ClosedByWindow int64 `json:"closed_by_window"`
+
+	// Commit latency distribution over sealed group commits, and next to it
+	// how long each group gathered: from its oldest slab being staged to
+	// the loop claiming it.
 	CommitP50Millis float64        `json:"commit_p50_ms"`
 	CommitP99Millis float64        `json:"commit_p99_ms"`
 	CommitHistogram []LatencyCount `json:"commit_histogram,omitempty"`
+	GatherP50Millis float64        `json:"gather_p50_ms"`
+	GatherP99Millis float64        `json:"gather_p99_ms"`
 
 	// Device truth and its attribution (satellite: expansion vs merge I/O
 	// reported separately so the amortization is verifiable from stats).
@@ -557,25 +706,25 @@ type Stats struct {
 	StreamTotalPerItem float64 `json:"stream_total_per_item"`
 }
 
-// Stats assembles a consistent snapshot.
+// Stats snapshots the counters. The appender-side fields (Shape, Used, the
+// three I/O figures, Poisoned) are read fresh when no commit is running and
+// otherwise stand as of the last one, so Stats answers at once even while a
+// commit is stuck on the device.
 func (in *Ingester) Stats() Stats {
-	in.appMu.Lock()
-	shape := in.app.Shape()
-	used := in.app.Used()
-	device := in.app.TotalIO()
-	expIO, mergeIO := in.app.IOBreakdown()
-	var poisoned string
-	if err := in.app.Poisoned(); err != nil {
-		poisoned = err.Error()
+	fresh := in.appMu.TryLock()
+	if fresh {
+		defer in.appMu.Unlock()
 	}
-	in.appMu.Unlock()
-
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if fresh {
+		in.view = in.sampleApp()
+	}
+	device := in.view.device
 	st := Stats{
 		Dim:            in.cfg.Dim,
-		Shape:          shape,
-		Used:           used,
+		Shape:          append([]int(nil), in.view.shape...),
+		Used:           append([]int(nil), in.view.used...),
 		CommittedSlabs: in.committedSlabs,
 		CommittedCells: in.committedCells,
 		Groups:         in.groups,
@@ -587,10 +736,13 @@ func (in *Ingester) Stats() Stats {
 		StreamItems:    in.streamItems,
 		QueueSlabs:     len(in.queue),
 		QueueCells:     in.queuedCells,
+		ClosedIdle:     in.closedIdle,
+		ClosedFull:     in.closedFull,
+		ClosedByWindow: in.closedWindow,
 		DeviceIO:       device,
-		ExpansionIO:    expIO,
-		MergeIO:        mergeIO,
-		Poisoned:       poisoned,
+		ExpansionIO:    in.view.expIO,
+		MergeIO:        in.view.mergeIO,
+		Poisoned:       in.view.poisoned,
 	}
 	if device.Commits > 0 {
 		st.AppendsPerJournalGroup = float64(in.committedSlabs) / float64(device.Commits)
@@ -601,6 +753,8 @@ func (in *Ingester) Stats() Stats {
 	st.CommitP50Millis = in.hist.quantile(0.50).Seconds() * 1e3
 	st.CommitP99Millis = in.hist.quantile(0.99).Seconds() * 1e3
 	st.CommitHistogram = in.hist.counts()
+	st.GatherP50Millis = in.gatherHist.quantile(0.50).Seconds() * 1e3
+	st.GatherP99Millis = in.gatherHist.quantile(0.99).Seconds() * 1e3
 	costs := in.stream.Costs()
 	st.StreamCrestPerItem = costs.PerItemCrest()
 	st.StreamTotalPerItem = costs.PerItemTotal()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/shiftsplit/shiftsplit/internal/appender"
+	"github.com/shiftsplit/shiftsplit/internal/ingest/ingesttest"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
@@ -30,6 +31,38 @@ func newTestIngester(t *testing.T, cfg Config) *Ingester {
 	return in
 }
 
+// newWedgedIngester is newTestIngester over a backing whose commits block
+// until the returned wedge is released, with one slab already enqueued and
+// its commit wedged: the commit loop is provably busy, so whatever a test
+// enqueues next stays queued and unclaimed until Release. holder yields the
+// first slab's outcome.
+func newWedgedIngester(t *testing.T, cfg Config) (in *Ingester, w *ingesttest.Wedge, holder <-chan error) {
+	t.Helper()
+	w = ingesttest.NewWedge()
+	app, err := appender.NewWithBacking([]int{4, 4}, 1, w.Backing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, err = New(app, cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.Release()
+		_ = in.Close()
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.Enqueue(context.Background(), slabCol(0))
+		done <- err
+	}()
+	select {
+	case <-w.Entered():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first commit never reached the store")
+	}
+	return in, w, done
+}
+
 // slabCol builds a 4x1 slab (a column appended along dim 1) whose cells
 // are seeded deterministically.
 func slabCol(seed int) *ndarray.Array {
@@ -44,18 +77,23 @@ func slabCol(seed int) *ndarray.Array {
 // client appends collapse into few group commits, visible in the device's
 // Commits counter.
 func TestGroupCommitAmortization(t *testing.T) {
-	in := newTestIngester(t, Config{Dim: 1, FlushInterval: 20 * time.Millisecond})
+	in, wedge, holder := newWedgedIngester(t, Config{Dim: 1})
 	const clients = 32
 	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
+	errs := make([]error, clients) // errs[0] is the holder's, already committing
+	for c := 1; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			_, errs[c] = in.Enqueue(context.Background(), slabCol(c))
 		}(c)
 	}
+	// Everyone else stages while the first commit is in flight — the
+	// self-clocking that needs no gathering window.
+	waitFor(t, func() bool { return in.Stats().QueueSlabs == clients-1 })
+	wedge.Release()
 	wg.Wait()
+	errs[0] = <-holder
 	for c, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", c, err)
@@ -142,15 +180,13 @@ func TestReconstructMatchesOracle(t *testing.T) {
 }
 
 // TestBackpressure checks the queue bound sheds with ErrBacklog while
-// staged requests still commit.
+// staged requests still commit — and that it sheds at once, while the
+// commit ahead of the queue is still blocked: admission takes no lock the
+// commit holds.
 func TestBackpressure(t *testing.T) {
-	in := newTestIngester(t, Config{
-		Dim:           1,
-		MaxQueueSlabs: 2,
-		FlushInterval: 200 * time.Millisecond,
-	})
+	in, wedge, holder := newWedgedIngester(t, Config{Dim: 1, MaxQueueSlabs: 2})
 	done := make(chan error, 2)
-	for c := 0; c < 2; c++ {
+	for c := 1; c <= 2; c++ {
 		go func(c int) {
 			_, err := in.Enqueue(context.Background(), slabCol(c))
 			done <- err
@@ -160,40 +196,194 @@ func TestBackpressure(t *testing.T) {
 	if _, err := in.Enqueue(context.Background(), slabCol(9)); !errors.Is(err, ErrBacklog) {
 		t.Fatalf("enqueue into a full queue: err = %v, want ErrBacklog", err)
 	}
-	for c := 0; c < 2; c++ {
-		if err := <-done; err != nil {
+	if st := in.Stats(); st.Shed != 1 || st.CommittedSlabs != 0 {
+		t.Fatalf("while the commit is blocked: shed=%d committed=%d, want 1 and 0", st.Shed, st.CommittedSlabs)
+	}
+	wedge.Release()
+	for _, c := range []<-chan error{holder, done, done} {
+		if err := <-c; err != nil {
 			t.Fatalf("staged request failed: %v", err)
 		}
 	}
 	st := in.Stats()
-	if st.Shed != 1 || st.CommittedSlabs != 2 {
-		t.Fatalf("shed=%d committed=%d, want 1 and 2", st.Shed, st.CommittedSlabs)
+	if st.Shed != 1 || st.CommittedSlabs != 3 {
+		t.Fatalf("shed=%d committed=%d, want 1 and 3", st.Shed, st.CommittedSlabs)
 	}
 }
 
 // TestDeadlineWithdrawsUnpicked checks the 503 guarantee: a request
 // abandoned before the commit loop claims it is withdrawn and provably
-// not committed.
+// not committed — and its deadline is honoured while the commit ahead of
+// it is still blocked.
 func TestDeadlineWithdrawsUnpicked(t *testing.T) {
-	in := newTestIngester(t, Config{Dim: 1, FlushInterval: 300 * time.Millisecond})
+	in, wedge, holder := newWedgedIngester(t, Config{Dim: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := in.Enqueue(ctx, slabCol(1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
+	if st := in.Stats(); st.TimedOut != 1 || st.QueueSlabs != 0 || st.CommittedSlabs != 0 {
+		t.Fatalf("while the commit is blocked: timedOut=%d queued=%d committed=%d", st.TimedOut, st.QueueSlabs, st.CommittedSlabs)
+	}
+	wedge.Release()
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
 	// The withdrawn slab must not surface later: the next append lands at
-	// the untouched frontier.
+	// the frontier the holder left, column 1.
 	res, err := in.Enqueue(context.Background(), slabCol(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Offset[1] != 0 {
-		t.Fatalf("offset %v after a withdrawn request, want frontier 0", res.Offset)
+	if res.Offset[1] != 1 {
+		t.Fatalf("offset %v after a withdrawn request, want frontier 1", res.Offset)
 	}
 	st := in.Stats()
-	if st.TimedOut != 1 || st.CommittedSlabs != 1 || st.Used[1] != 1 {
+	if st.TimedOut != 1 || st.CommittedSlabs != 2 || st.Used[1] != 2 {
 		t.Fatalf("timedOut=%d committed=%d used=%v", st.TimedOut, st.CommittedSlabs, st.Used)
 	}
+}
+
+// TestLoneClientNeverWaits: with nobody else announced a staged slab
+// commits at once; FlushInterval, here an hour, is never armed.
+func TestLoneClientNeverWaits(t *testing.T) {
+	in := newTestIngester(t, Config{Dim: 1, FlushInterval: time.Hour})
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.Enqueue(context.Background(), slabCol(1))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone client waited on the gathering window")
+	}
+	if st := in.Stats(); st.ClosedIdle != 1 || st.ClosedFull != 0 || st.ClosedByWindow != 0 {
+		t.Fatalf("closed idle=%d full=%d window=%d, want 1, 0, 0", st.ClosedIdle, st.ClosedFull, st.ClosedByWindow)
+	}
+}
+
+// TestAnnouncedRequestHoldsTheGroup: a request that has announced itself
+// keeps the forming group open until it stages (then they commit as one
+// group) or withdraws; one that never arrives costs the others
+// FlushInterval and no more.
+func TestAnnouncedRequestHoldsTheGroup(t *testing.T) {
+	in := newTestIngester(t, Config{Dim: 1, FlushInterval: time.Hour})
+	enqueue := func(seed int) <-chan Result {
+		done := make(chan Result, 1)
+		go func() {
+			res, err := in.Enqueue(context.Background(), slabCol(seed))
+			if err != nil {
+				t.Errorf("slab %d: %v", seed, err)
+			}
+			done <- res
+		}()
+		return done
+	}
+	late := in.Announce()
+	early := enqueue(1)
+	waitFor(t, func() bool { return in.Stats().QueueSlabs == 1 })
+	results, errs := late.Enqueue(context.Background(), []*ndarray.Array{slabCol(2), slabCol(3)})
+	for _, res := range append(results, <-early) {
+		if res.Group != 1 || res.Slabs != 3 {
+			t.Fatalf("errs %v, result %+v: the announced request and the early slab should share group 1", errs, res)
+		}
+	}
+
+	gone := in.Announce()
+	early = enqueue(4)
+	waitFor(t, func() bool { return in.Stats().QueueSlabs == 1 })
+	gone.Withdraw()
+	if res := <-early; res.Group != 2 || res.Slabs != 1 {
+		t.Fatalf("after the withdrawal: %+v", res)
+	}
+	if st := in.Stats(); st.ClosedIdle != 2 || st.ClosedByWindow != 0 {
+		t.Fatalf("closed idle=%d window=%d, want 2 and 0", st.ClosedIdle, st.ClosedByWindow)
+	}
+}
+
+func TestWindowCapsTheWaitForAnAnnouncedRequest(t *testing.T) {
+	in := newTestIngester(t, Config{Dim: 1, FlushInterval: 5 * time.Millisecond})
+	noShow := in.Announce()
+	defer noShow.Withdraw()
+	if _, err := in.Enqueue(context.Background(), slabCol(1)); err != nil {
+		t.Fatal(err)
+	}
+	st := in.Stats()
+	if st.ClosedByWindow != 1 || st.ClosedIdle != 0 {
+		t.Fatalf("closed window=%d idle=%d, want 1 and 0", st.ClosedByWindow, st.ClosedIdle)
+	}
+	if st.GatherP50Millis < 5 || st.GatherP99Millis < st.GatherP50Millis {
+		t.Fatalf("gather p50=%vms p99=%vms, want at least the 5ms window", st.GatherP50Millis, st.GatherP99Millis)
+	}
+}
+
+// TestRequestLinesShareOneGroup: the slabs of one Request.Enqueue are
+// staged together, so nothing but MaxBatchSlabs parts them, and each line
+// has its own outcome.
+func TestRequestLinesShareOneGroup(t *testing.T) {
+	lines := func(n int) []*ndarray.Array {
+		slabs := make([]*ndarray.Array, n)
+		for i := range slabs {
+			slabs[i] = slabCol(i)
+		}
+		return slabs
+	}
+	t.Run("one group", func(t *testing.T) {
+		in := newTestIngester(t, Config{Dim: 1, FlushInterval: time.Hour})
+		results, errs := in.Announce().Enqueue(context.Background(), lines(16))
+		for i, res := range results {
+			if errs[i] != nil || res.Group != 1 || res.Slabs != 16 || res.Offset[1] != i {
+				t.Fatalf("line %d: %+v, %v", i, res, errs[i])
+			}
+		}
+	})
+	t.Run("parted by the batch cap only", func(t *testing.T) {
+		in := newTestIngester(t, Config{Dim: 1, MaxBatchSlabs: 4})
+		results, errs := in.Announce().Enqueue(context.Background(), lines(10))
+		for i, res := range results {
+			if errs[i] != nil || res.Group != int64(i/4+1) || res.Offset[1] != i {
+				t.Fatalf("line %d: %+v, %v", i, res, errs[i])
+			}
+		}
+		if st := in.Stats(); st.ClosedFull != 2 || st.ClosedIdle != 1 || st.Groups != 3 {
+			t.Fatalf("closed full=%d idle=%d groups=%d, want 2, 1, 3", st.ClosedFull, st.ClosedIdle, st.Groups)
+		}
+	})
+	t.Run("a bad line fails alone", func(t *testing.T) {
+		in := newTestIngester(t, Config{Dim: 1})
+		slabs := lines(3)
+		slabs[1] = ndarray.FromSlice(make([]float64, 3), 3, 1)
+		results, errs := in.Announce().Enqueue(context.Background(), slabs)
+		if !errors.Is(errs[1], query.ErrInvalid) || errs[0] != nil || errs[2] != nil {
+			t.Fatalf("errs = %v", errs)
+		}
+		if results[0].Offset[1] != 0 || results[2].Offset[1] != 1 || results[2].Slabs != 2 {
+			t.Fatalf("results = %+v", results)
+		}
+	})
+	t.Run("backlog and deadline are per line", func(t *testing.T) {
+		in, wedge, holder := newWedgedIngester(t, Config{Dim: 1, MaxQueueSlabs: 2})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		_, errs := in.Announce().Enqueue(ctx, lines(3))
+		if !errors.Is(errs[0], context.DeadlineExceeded) || !errors.Is(errs[1], context.DeadlineExceeded) || !errors.Is(errs[2], ErrBacklog) {
+			t.Fatalf("errs = %v, want two deadlines and a backlog", errs)
+		}
+		if st := in.Stats(); st.TimedOut != 2 || st.Shed != 1 || st.QueueSlabs != 0 {
+			t.Fatalf("timedOut=%d shed=%d queued=%d", st.TimedOut, st.Shed, st.QueueSlabs)
+		}
+		wedge.Release()
+		if err := <-holder; err != nil {
+			t.Fatal(err)
+		}
+		if st := in.Stats(); st.CommittedSlabs != 1 {
+			t.Fatalf("committed %d, want the holder alone", st.CommittedSlabs)
+		}
+	})
 }
 
 // TestGateSheds checks the degraded/breaker seam: a failing gate sheds
@@ -309,7 +499,7 @@ func TestStream(t *testing.T) {
 // TestCloseDrains checks Close commits everything already admitted and
 // subsequent operations fail with ErrClosed.
 func TestCloseDrains(t *testing.T) {
-	in := newTestIngester(t, Config{Dim: 1, FlushInterval: 100 * time.Millisecond})
+	in, wedge, holder := newWedgedIngester(t, Config{Dim: 1})
 	done := make(chan Result, 1)
 	go func() {
 		res, err := in.Enqueue(context.Background(), slabCol(1))
@@ -319,11 +509,27 @@ func TestCloseDrains(t *testing.T) {
 		done <- res
 	}()
 	waitFor(t, func() bool { return in.Stats().QueueSlabs == 1 })
-	if err := in.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- in.Close() }()
+	// Close has stopped admission but cannot return: a slab is still queued
+	// behind the blocked commit.
+	waitFor(t, func() bool {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return in.closed
+	})
+	if _, err := in.Enqueue(context.Background(), slabCol(2)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	wedge.Release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
 	res := <-done
-	if res.Cells != 4 {
+	if res.Cells != 4 || res.Offset[1] != 1 {
 		t.Fatalf("drained result %+v", res)
 	}
 	if _, err := in.Enqueue(context.Background(), slabCol(2)); !errors.Is(err, ErrClosed) {

@@ -7,15 +7,14 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"sync"
 
 	"github.com/shiftsplit/shiftsplit/internal/ingest"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 )
 
 // maxNDJSONSlabs caps the slab lines one NDJSON ingest request may carry
-// (each line becomes a concurrent enqueue; MaxBodyBytes bounds total
-// payload, this bounds the fan-out).
+// (MaxBodyBytes bounds total payload, this bounds what one request can
+// stage at a stroke).
 const maxNDJSONSlabs = 1024
 
 type ingestSlabRequest struct {
@@ -65,52 +64,63 @@ func isNDJSON(r *http.Request) bool {
 
 // handleIngest accepts one slab (JSON body) or many (NDJSON body, one
 // slab per line) and blocks until their group commit seals, so a 200
-// means durable and queryable.
+// means durable and queryable. The request announces itself to the
+// ingester before its body is read, so a group forming meanwhile waits
+// for it instead of committing without it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	req := s.cfg.Ingest.Announce()
+	defer req.Withdraw()
 	if isNDJSON(r) {
-		s.handleIngestNDJSON(w, r)
+		s.handleIngestNDJSON(w, r, req)
 		return
 	}
-	var req ingestSlabRequest
-	if err := decode(r, &req); err != nil {
+	var body ingestSlabRequest
+	if err := decode(r, &body); err != nil {
 		s.failed.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	slab, err := ingest.NewSlab(req.Shape, req.Values)
+	slab, err := ingest.NewSlab(body.Shape, body.Values)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	res, err := s.cfg.Ingest.Enqueue(r.Context(), slab)
-	if err != nil {
-		s.ingestFail(w, err)
+	results, errs := req.Enqueue(r.Context(), []*ndarray.Array{slab})
+	if errs[0] != nil {
+		s.ingestFail(w, errs[0])
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, ingestResult{Offset: res.Offset, Cells: res.Cells, Group: res.Group, Slabs: res.Slabs})
+	writeJSON(w, lineResult(results[0], nil))
+}
+
+func lineResult(res ingest.Result, err error) ingestResult {
+	if err != nil {
+		return ingestResult{Error: err.Error()}
+	}
+	return ingestResult{Offset: res.Offset, Cells: res.Cells, Group: res.Group, Slabs: res.Slabs}
 }
 
 // handleIngestNDJSON decodes every slab line up front (any malformed line
 // fails the whole request with 400 before anything is enqueued), then
-// enqueues the lines concurrently — deliberately, so one network client
-// still benefits from group commit across its own lines. The NDJSON
-// response carries one result line per slab line, in order; lines with an
-// error field were not committed.
-func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request) {
+// stages the lines together, so they share a group commit — one client
+// still gets the amortization across its own lines. The NDJSON response
+// carries one result line per slab line, in order; lines with an error
+// field were not committed.
+func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request, req *ingest.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var slabs []*ndarray.Array
 	for {
-		var req ingestSlabRequest
-		if err := dec.Decode(&req); err == io.EOF {
+		var line ingestSlabRequest
+		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {
 			s.failed.Add(1)
 			writeError(w, http.StatusBadRequest, "bad request line: "+err.Error())
 			return
 		}
-		slab, err := ingest.NewSlab(req.Shape, req.Values)
+		slab, err := ingest.NewSlab(line.Shape, line.Values)
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -127,23 +137,7 @@ func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty ingest body")
 		return
 	}
-	results := make([]ingestResult, len(slabs))
-	errs := make([]error, len(slabs))
-	var wg sync.WaitGroup
-	for i := range slabs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.cfg.Ingest.Enqueue(r.Context(), slabs[i])
-			if err != nil {
-				errs[i] = err
-				results[i] = ingestResult{Error: err.Error()}
-				return
-			}
-			results[i] = ingestResult{Offset: res.Offset, Cells: res.Cells, Group: res.Group, Slabs: res.Slabs}
-		}(i)
-	}
-	wg.Wait()
+	results, errs := req.Enqueue(r.Context(), slabs)
 	// All lines rejected: surface the first error as the request's status
 	// so shed load is visible at the HTTP layer (429/503), not buried in a
 	// 200 body.
@@ -161,8 +155,8 @@ func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for _, res := range results {
-		enc.Encode(res)
+	for i := range results {
+		enc.Encode(lineResult(results[i], errs[i]))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/appender"
 	"github.com/shiftsplit/shiftsplit/internal/ingest"
+	"github.com/shiftsplit/shiftsplit/internal/ingest/ingesttest"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
@@ -22,7 +23,14 @@ import (
 // beside a small read store.
 func newIngestServer(t testing.TB, icfg ingest.Config) (*httptest.Server, *ingest.Ingester) {
 	t.Helper()
-	app, err := appender.New([]int{4, 4}, 1)
+	return newIngestServerOn(t, nil, icfg)
+}
+
+// newIngestServerOn is newIngestServer with the appender's backing chosen
+// by the test (nil: in-memory).
+func newIngestServerOn(t testing.TB, backing appender.Backing, icfg ingest.Config) (*httptest.Server, *ingest.Ingester) {
+	t.Helper()
+	app, err := appender.NewWithBacking([]int{4, 4}, 1, backing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestIngestSingleSlab(t *testing.T) {
 }
 
 func TestIngestNDJSON(t *testing.T) {
-	ts, in := newIngestServer(t, ingest.Config{FlushInterval: 5 * time.Millisecond})
+	ts, in := newIngestServer(t, ingest.Config{FlushInterval: time.Hour})
 	lines := `{"shape":[4,1],"values":[1,1,1,1]}
 {"shape":[4,1],"values":[2,2,2,2]}
 {"shape":[4,1],"values":[3,3,3,3]}`
@@ -77,30 +85,57 @@ func TestIngestNDJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	offs := map[int]bool{}
+	// One result line per slab line, in request order; the lines were staged
+	// together, so one group sealed all three.
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"offset":[0,0],"cells":4,"group":1,"slabs":3}
+{"offset":[0,1],"cells":4,"group":1,"slabs":3}
+{"offset":[0,2],"cells":4,"group":1,"slabs":3}
+`
+	if body.String() != want {
+		t.Fatalf("response:\n%swant:\n%s", body.String(), want)
+	}
+	st := in.Stats()
+	if st.CommittedSlabs != 3 || st.Groups != 1 {
+		t.Fatalf("committed %d slabs in %d groups, want 3 in 1", st.CommittedSlabs, st.Groups)
+	}
+}
+
+// TestIngestNDJSONLineError: a line the ingester rejects is reported in its
+// own result line; the request is still a 200 and the other lines commit.
+func TestIngestNDJSONLineError(t *testing.T) {
+	ts, in := newIngestServer(t, ingest.Config{})
+	lines := `{"shape":[4,1],"values":[1,1,1,1]}
+{"shape":[2,1],"values":[2,2]}
+{"shape":[4,1],"values":[3,3,3,3]}`
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var got []ingestResult
 	sc := bufio.NewScanner(resp.Body)
-	n := 0
 	for sc.Scan() {
 		var res ingestResult
 		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}
-		if res.Error != "" {
-			t.Fatalf("line error: %s", res.Error)
-		}
-		offs[res.Offset[1]] = true
-		n++
+		got = append(got, res)
 	}
-	if n != 3 || !offs[0] || !offs[1] || !offs[2] {
-		t.Fatalf("results n=%d offsets=%v", n, offs)
+	if len(got) != 3 || got[0].Error != "" || got[1].Error == "" || got[2].Error != "" {
+		t.Fatalf("results %+v, want only the middle line to fail", got)
 	}
-	// All three lines of one request should have shared group commits.
-	st := in.Stats()
-	if st.CommittedSlabs != 3 {
-		t.Fatalf("committed %d", st.CommittedSlabs)
+	if got[0].Offset[1] != 0 || got[2].Offset[1] != 1 || got[2].Slabs != 2 {
+		t.Fatalf("results %+v", got)
 	}
-	if st.Groups > 3 {
-		t.Fatalf("groups %d > slabs", st.Groups)
+	if st := in.Stats(); st.CommittedSlabs != 2 {
+		t.Fatalf("committed %d, want 2", st.CommittedSlabs)
 	}
 }
 
@@ -151,16 +186,23 @@ func getStats(t testing.TB, base string) statsResponse {
 }
 
 func TestIngestBackpressure429(t *testing.T) {
-	ts, in := newIngestServer(t, ingest.Config{
-		MaxQueueSlabs: 1,
-		FlushInterval: 300 * time.Millisecond,
-	})
-	// Occupy the queue directly, then hit the HTTP endpoint.
-	done := make(chan error, 1)
-	go func() {
+	wedge := ingesttest.NewWedge()
+	t.Cleanup(wedge.Release)
+	ts, in := newIngestServerOn(t, wedge.Backing, ingest.Config{MaxQueueSlabs: 1})
+	// Wedge one slab in its commit, occupy the queue behind it directly,
+	// then hit the HTTP endpoint.
+	done := make(chan error, 2)
+	enqueue := func() {
 		_, err := in.Enqueue(context.Background(), ndarray.FromSlice([]float64{1, 2, 3, 4}, 4, 1))
 		done <- err
-	}()
+	}
+	go enqueue()
+	select {
+	case <-wedge.Entered():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first commit never reached the store")
+	}
+	go enqueue()
 	deadline := time.Now().Add(5 * time.Second)
 	for in.Stats().QueueSlabs != 1 {
 		if time.Now().After(deadline) {
@@ -175,8 +217,11 @@ func TestIngestBackpressure429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("staged append failed: %v", err)
+	wedge.Release()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("staged append failed: %v", err)
+		}
 	}
 }
 
