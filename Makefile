@@ -82,7 +82,7 @@ lint-tools:
 # CRASH_SEED pins the tear/drop RNG for reproducible failures.
 crash-campaign:
 	SHIFTSPLIT_CRASH_SEED=$(CRASH_SEED) $(GO) test -v \
-		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestStoreCrashCampaign|TestGroupCommitCrash|TestEpochFlipCrashCampaign' \
+		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestStoreCrashCampaign|TestGroupCommitCrash|TestExpandingGroupCrash|TestEpochFlipCrashCampaign' \
 		./internal/storage/ ./internal/appender/ .
 
 # The chaos harness drives a real HTTP serving process through a

@@ -85,8 +85,8 @@ func cmdBenchIngest(args []string) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		backing = func(gen, bs int) (storage.BlockStore, error) {
-			return storage.CreateDurable(filepath.Join(dir, fmt.Sprintf("gen%d.wav", gen)), bs, nil)
+		backing = func(_, bs int) (storage.BlockStore, error) {
+			return storage.CreateDurable(filepath.Join(dir, "ingest.wav"), bs, nil)
 		}
 	}
 	app, err := appender.NewWithBacking([]int{*cross, *cross}, *tile, backing)

@@ -44,7 +44,7 @@ func cmdServe(args []string) error {
 	ingestShape := fs.String("ingest-shape", "8x8", "initial ingest domain extents (powers of two)")
 	ingestDim := fs.Int("ingest-dim", 1, "dimension ingest slabs append along")
 	ingestTile := fs.Int("ingest-tile", 2, "ingest tile edge exponent")
-	ingestDir := fs.String("ingest-dir", "", "directory for durable ingest generations (empty = in-memory)")
+	ingestDir := fs.String("ingest-dir", "", "directory for the durable ingest store, one data file and its journal (empty = in-memory)")
 	ingestFlush := fs.Duration("ingest-flush", 2*time.Millisecond, "upper bound on holding an ingest group open for requests already on their way (never a delay for a lone client)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,8 +81,8 @@ func cmdServe(args []string) error {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
 			}
-			backing = func(gen, bs int) (storage.BlockStore, error) {
-				return storage.CreateDurable(filepath.Join(dir, fmt.Sprintf("gen%d.wav", gen)), bs, nil)
+			backing = func(_, bs int) (storage.BlockStore, error) {
+				return storage.CreateDurable(filepath.Join(dir, "ingest.wav"), bs, nil)
 			}
 		}
 		app, err := appender.NewWithBacking(shape, *ingestTile, backing)

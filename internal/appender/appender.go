@@ -5,16 +5,20 @@
 //
 // Appending has two phases. When the incoming slab no longer fits the
 // transformed domain, the domain is expanded: the dimension's wavelet tree
-// grows one level (Figure 10), which re-indexes (SHIFTs) every coefficient
-// and SPLITs the old overall average into the new root detail and average —
-// an O(N^d) pass that shows up as the jumps in Figure 13. Otherwise the slab
-// is transformed in memory and merged with SHIFT-SPLIT at a cost of
-// O(M + log(N/M)) coefficients per dyadic piece.
+// grows one level (Figure 10), the old tree becoming the left subtree of a
+// new root into which the old overall average SPLITs. The store is tiled in
+// growth order with the appended dimension outermost (tile.NewGrowthStandard),
+// so no block is renamed and only the top band along that dimension changes:
+// an expansion rewrites the top-band tiles times the cross-section, whatever
+// the extent — the paper's layout rewrites the whole transform, the jumps of
+// Figure 13. Then the slabs are transformed in memory and merged with
+// SHIFT-SPLIT at a cost of O(M + log(N/M)) coefficients per dyadic piece.
 package appender
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,11 +32,11 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
-// Backing provides the block store for each of the appender's successive
-// domain generations (every expansion rebuilds the store, possibly with a
-// new block size). Returning a transactional store (storage.Durable) makes
-// each append and each expansion an atomic batch: the appender commits at
-// those boundaries.
+// Backing provides the block store the appender keeps for its whole life;
+// it is called once, with generation 0 (the argument is vestigial: domain
+// expansion works in place). Returning a transactional store
+// (storage.Durable) makes each append batch, its expansions included, one
+// atomic journal group: the appender commits at those boundaries.
 type Backing func(generation, blockSize int) (storage.BlockStore, error)
 
 // ErrInDoubt marks an append whose final group commit failed after the
@@ -51,16 +55,13 @@ var ErrInDoubt = errors.New("appender: commit outcome in doubt")
 // with concurrent clients must serialize externally — the ingest
 // subsystem does so by funneling every append through one commit loop.
 type Appender struct {
-	b           int // tile parameter: blocks hold 2^(b*d) coefficients
-	shape       []int
-	used        []int
-	store       *tile.Store
-	base        storage.BlockStore // current generation's device (rollback seam)
-	counting    *storage.Counting
-	accumulated storage.Stats
-	backing     Backing
-	generation  int
-	opts        parallel.Options
+	b        int // tile parameter: blocks hold 2^(b*d) coefficients
+	shape    []int
+	used     []int
+	store    *tile.Store        // the device under the current domain's tiling
+	base     storage.BlockStore // the device (rollback seam)
+	counting *storage.Counting
+	opts     parallel.Options
 
 	// Separate attributions of the lifetime I/O (satellite of the ingest
 	// work: fsync-amortization claims need slab-write cost unpolluted by
@@ -70,8 +71,8 @@ type Appender struct {
 	mergeTotal     storage.Stats
 
 	// poisoned is set when an error left the on-store state unreliable
-	// (failed expansion, unrecoverable commit, non-transactional backing
-	// with a half-applied batch). Every later append fails with it.
+	// (unrecoverable commit, non-transactional backing with a half-applied
+	// batch). Every later append fails with it.
 	poisoned error
 
 	// scratch pools the per-run transform state across groups (holds
@@ -98,9 +99,9 @@ func (a *Appender) SetOptions(opts parallel.Options) { a.opts = opts }
 
 // AppendStats reports the cost of one Append or AppendBatch call.
 // ExpansionIO and MergeIO are disjoint windows: expansion covers the
-// domain-doubling passes (old-generation reads plus the rebuilt store's
-// writes, syncs, and commits), merge covers transforming and applying the
-// slabs plus the single group commit that seals them.
+// domain-doubling passes (the top-band blocks they read and rewrite), merge
+// covers transforming and applying the slabs plus the single group commit
+// that seals them and the expansions together.
 type AppendStats struct {
 	Expansions  int           // domain doublings triggered
 	Slabs       int           // client slabs folded in
@@ -123,36 +124,38 @@ func NewWithBacking(shape []int, b int, backing Backing) (*Appender, error) {
 			return nil, fmt.Errorf("appender: extent %d is not a power of two", s)
 		}
 	}
-	a := &Appender{
-		b:       b,
-		shape:   append([]int(nil), shape...),
-		used:    make([]int, len(shape)),
-		backing: backing,
+	tiling := tile.NewGrowthStandard(log2s(shape), b, 0)
+	var base storage.BlockStore = storage.NewMemStore(tiling.BlockSize())
+	if backing != nil {
+		var err error
+		if base, err = backing(0, tiling.BlockSize()); err != nil {
+			return nil, err
+		}
 	}
-	if err := a.rebuildStore(); err != nil {
+	a := &Appender{
+		b:        b,
+		shape:    append([]int(nil), shape...),
+		used:     make([]int, len(shape)),
+		base:     base,
+		counting: storage.NewCounting(base),
+	}
+	if err := a.retile(tiling); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-func (a *Appender) rebuildStore() error {
-	ns := make([]int, len(a.shape))
-	for i, s := range a.shape {
-		ns[i] = bitutil.Log2(s)
+// log2s returns the per-dimension level counts of a power-of-two shape.
+func log2s(shape []int) []int {
+	ns := make([]int, len(shape))
+	for t, e := range shape {
+		ns[t] = bitutil.Log2(e)
 	}
-	tiling := tile.NewStandard(ns, a.b)
-	var base storage.BlockStore
-	if a.backing != nil {
-		var err error
-		if base, err = a.backing(a.generation, tiling.BlockSize()); err != nil {
-			return err
-		}
-	} else {
-		base = storage.NewMemStore(tiling.BlockSize())
-	}
-	a.generation++
-	a.base = base
-	a.counting = storage.NewCounting(base)
+	return ns
+}
+
+// retile points the store view at the device under tiling.
+func (a *Appender) retile(tiling *tile.Standard) error {
 	st, err := tile.NewStore(a.counting, tiling)
 	if err != nil {
 		return err
@@ -172,9 +175,7 @@ func (a *Appender) Store() *tile.Store { return a.store }
 
 // TotalIO returns the cumulative block I/O across all appends and
 // expansions.
-func (a *Appender) TotalIO() storage.Stats {
-	return a.accumulated.Add(a.counting.Stats())
-}
+func (a *Appender) TotalIO() storage.Stats { return a.counting.Stats() }
 
 // IOBreakdown splits the lifetime I/O spent inside Append/AppendBatch
 // calls into its two phases: domain expansion and slab merging (including
@@ -196,21 +197,22 @@ func (a *Appender) Append(dim int, slab *ndarray.Array) (AppendStats, error) {
 }
 
 // AppendBatch folds a group of slabs into the dataset along dim, in
-// order, as ONE atomic batch and one in-memory chunk: all needed domain
-// expansions run first, then the contiguous region the slabs cover is
-// transformed and SHIFT-SPLIT-merged into the staged transform (see merge),
-// and a single Commit seals the group. On a transactional
-// backing the whole group therefore costs one journal group — the fsync
-// amortization the ingest front door is built on — and a crash recovers
-// to either all slabs applied or none.
+// order, as ONE atomic batch and one in-memory chunk: the domain expansions
+// the group needs are staged first, then the contiguous region the slabs
+// cover is transformed and SHIFT-SPLIT-merged into the staged transform
+// (see merge), and a single Commit seals expansions and slabs together. On
+// a transactional backing the whole group therefore costs one journal
+// group — the fsync amortization the ingest front door is built on — and a
+// crash recovers to either the pre-batch domain and data or the post-batch
+// ones.
 //
 // Error semantics: validation errors leave the appender untouched. A
-// failure before the final commit rolls the staged writes and the
-// frontier back (the group is known not committed) when the backing
-// supports rollback; otherwise the appender is poisoned. A final-commit
-// failure is retried while the fault looks transient; if it does not
-// clear, the group's outcome is unknowable in-process and the error wraps
-// ErrInDoubt.
+// failure before the final commit rolls the staged writes, the domain, its
+// tiling and the frontier back (the group is known not committed) when the
+// backing supports rollback; otherwise the appender is poisoned. A
+// final-commit failure is retried while the fault looks transient; if it
+// does not clear, the group's outcome is unknowable in-process and the
+// error wraps ErrInDoubt.
 func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, error) {
 	var st AppendStats
 	if a.poisoned != nil {
@@ -255,26 +257,31 @@ func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, er
 		}
 		growth += slab.Extent(dim)
 	}
-	// Expand until the whole group fits, BEFORE any slab is staged. Each
-	// expansion commits on its own (it rebuilds the store on a new
-	// generation), so running them first keeps the group itself a single
-	// journal group: a crash between expansion and group commit leaves an
-	// enlarged domain holding exactly the pre-batch data — a legal
-	// pre-batch state — never a partial group.
+	view, shapeBefore, usedBefore := a.store, append([]int(nil), a.shape...), append([]int(nil), a.used...)
+	if slices.Max(a.used) == 0 {
+		// The first append's dimension becomes the outermost radix of the
+		// block ids, so its expansions rename nothing. The store is still
+		// empty: re-tiling it moves no block.
+		if err := a.retile(tile.NewGrowthStandard(log2s(a.shape), a.b, dim)); err != nil {
+			return st, err
+		}
+	}
+	// Expand until the whole group fits. Expansions only stage their
+	// writes: they ride in the group's journal group, and the merge reads
+	// the expanded blocks back from the staging area.
 	for a.used[dim]+growth > a.shape[dim] {
 		expIO, err := a.expand(dim)
 		if err != nil {
-			a.poisoned = fmt.Errorf("appender: expansion failed: %w", err)
-			return st, err
+			a.rollback(view, shapeBefore, usedBefore)
+			return st, fmt.Errorf("appender: expansion failed: %w", err)
 		}
 		st.Expansions++
 		st.ExpansionIO = st.ExpansionIO.Add(expIO)
 	}
 	// Merge the group as the one contiguous region it is.
 	mergeBefore := a.counting.Stats()
-	usedBefore := append([]int(nil), a.used...)
 	if err := a.merge(dim, slabs, growth); err != nil {
-		a.rollback(usedBefore)
+		a.rollback(view, shapeBefore, usedBefore)
 		return st, err
 	}
 	// One group = one atomic batch on transactional backings.
@@ -289,11 +296,12 @@ func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, er
 		// Non-transient commit failures (simulated power cut, corruption,
 		// full medium) fail before the journal seals or are not retryable;
 		// roll the group back and stay honest about the state.
-		a.rollback(usedBefore)
+		a.rollback(view, shapeBefore, usedBefore)
 		return st, err
 	}
 	st.Slabs = len(slabs)
 	st.MergeIO = a.counting.Stats().Sub(mergeBefore)
+	a.expansionTotal = a.expansionTotal.Add(st.ExpansionIO)
 	a.mergeTotal = a.mergeTotal.Add(st.MergeIO)
 	return st, nil
 }
@@ -412,10 +420,12 @@ func (a *Appender) commitRetry() error {
 }
 
 // rollback discards the staged (uncommitted) writes and restores the
-// frontier after a failed batch. Transactional backings expose Rollback;
-// without one the staged writes already reached the device and the
-// appender must be poisoned instead.
-func (a *Appender) rollback(used []int) {
+// domain, its store view and the frontier after a failed batch.
+// Transactional backings expose Rollback; without one the staged writes
+// already reached the device and the appender must be poisoned instead.
+func (a *Appender) rollback(view *tile.Store, shape, used []int) {
+	a.store = view
+	copy(a.shape, shape)
 	copy(a.used, used)
 	type rollbacker interface{ Rollback() }
 	if rb, ok := a.base.(rollbacker); ok {
@@ -425,128 +435,216 @@ func (a *Appender) rollback(used []int) {
 	a.poisoned = errors.New("appender: batch failed on a non-transactional backing; stored transform is partial")
 }
 
-// expand doubles the domain along dim: every coefficient of the old
-// transform SHIFTs to its position in the doubled tree, and the old overall
-// average (along dim) SPLITs into the new root detail and the new average
+// expand doubles the domain along dim in place and stages its writes
+// without committing them: the old tree becomes the left subtree of a new
+// root, every detail keeps its level and translation, and the old overall
+// average along dim SPLITs into the new average and the new root detail
 // (Figure 10).
 //
 // Both tilings are cross products of per-dimension tilings and only dim's
-// changes, so a coefficient keeps its tile and in-tile offset in every
-// other dimension. One table along dim — old (tile, offset) to new (tile,
-// offset) — therefore relocates whole rows of a block at a time: old blocks
-// are read once, in ascending id order, and each row of slots sharing its
-// position along dim moves to one row of one new block.
+// changes, so one table along dim — old (tile, offset) to new (tile,
+// offset) — relocates whole rows of a block at a time. It reads and
+// rewrites exactly the blocks whose id or contents change. Along the
+// outermost dimension of a growth-order tiling that is the top band times
+// the cross-section: the old top tiles, rewritten with their slots one
+// level down under the new root — or, when the top band was full, left as
+// they are (slot 0 keeping the old average, now that subtree's redundant
+// scaling coefficient) beside one new top tile per fiber. Growing any other
+// dimension renames blocks, and the same relocation moves each of them.
 func (a *Appender) expand(dim int) (storage.Stats, error) {
-	oldStore, oldCounting := a.store, a.counting
-	oldTiling := oldStore.Tiling().(*tile.Standard)
-	nOld := bitutil.Log2(a.shape[dim])
-	preOld := oldCounting.Stats()
-
-	a.shape[dim] *= 2
-	if err := a.rebuildStore(); err != nil {
-		return storage.Stats{}, err
-	}
-	newTiling := a.store.Tiling().(*tile.Standard)
+	before := a.counting.Stats()
+	oldTiling := a.store.Tiling().(*tile.Standard)
+	newTiling := oldTiling.Grown(dim)
 	od, nd := oldTiling.Dim(dim), newTiling.Dim(dim)
+	nOld := od.Levels()
 	edge := od.BlockSize() // slots per tile along one dimension
 
 	// to[tile*edge+offset] along dim in the old tiling is tile*edge+offset
-	// in the new one; -1 marks slots that hold no coefficient. The old
-	// average (index 0) is the one source with two targets.
+	// in the new one; -1 marks slots that hold no coefficient. A tile
+	// changes when one of its coefficients changes tile or offset.
 	to := make([]int, od.NumBlocks()*edge)
 	for i := range to {
 		to[i] = -1
 	}
+	changes := make([]bool, od.NumBlocks())
 	for idx := 1; idx < 1<<uint(nOld); idx++ {
 		j, k := haar.LevelPos(nOld, idx)
-		to[locate1D(od, idx, edge)] = locate1D(nd, haar.Index(nOld+1, j, k), edge)
+		at := locate1D(od, idx, edge)
+		to[at] = locate1D(nd, haar.Index(nOld+1, j, k), edge)
+		changes[at/edge] = changes[at/edge] || to[at] != at
 	}
-	avgAt, avgTo := locate1D(od, 0, edge), [2]int{locate1D(nd, 0, edge), locate1D(nd, 1, edge)}
+	// The old average is the one source with several targets: half to the
+	// new average, half to the new root detail — and, when the old top tile
+	// becomes an ordinary one, unchanged into its scaling slot.
+	avgAt := locate1D(od, 0, edge)
+	changes[avgAt/edge] = true
+	avgTo := []target{{locate1D(nd, 0, edge), 0.5}, {locate1D(nd, 1, edge), 0.5}}
+	if nOld > 0 && nOld%a.b == 0 { // the top band was full
+		avgTo = append(avgTo, target{to[locate1D(od, 1, edge)] - 1, 1})
+	}
 
-	// A block id is (hi*tiles(dim) + tile)*lo_n + lo and a slot is
-	// (shi*edge + offset)*row + slo, with hi/shi ranging over the
-	// dimensions before dim and lo/slo over those after it.
-	loBlocks, row := 1, 1
-	for t := dim + 1; t < len(a.shape); t++ {
-		loBlocks *= oldTiling.Dim(t).NumBlocks()
-		row *= edge
+	// A block whose tile along dim does not change and whose id stays is
+	// neither read nor written; every other one is read once, in ascending
+	// id order.
+	var moved []int
+	for blk := 0; blk < oldTiling.NumBlocks(); blk++ {
+		if changes[blk/oldTiling.Stride(dim)%od.NumBlocks()] || renamed(oldTiling, newTiling, blk) != blk {
+			moved = append(moved, blk)
+		}
 	}
-	rowsAbove := oldTiling.BlockSize() / (edge * row)
-
-	oldBlks := make([]int, oldTiling.NumBlocks())
-	for i := range oldBlks {
-		oldBlks[i] = i
-	}
-	oldData, err := oldStore.ReadTiles(oldBlks)
+	oldData, err := a.store.ReadTiles(moved)
 	if err != nil {
 		return storage.Stats{}, err
 	}
-	pending := make([][]float64, newTiling.NumBlocks()) // nil until a non-zero value lands
-	written := 0
-	move := func(src []float64, scale float64, blk, slot int) {
-		var dst []float64
-		for i, v := range src {
-			if v == 0 {
-				continue
-			}
-			if dst == nil {
-				if pending[blk] == nil {
-					pending[blk] = make([]float64, newTiling.BlockSize())
-					written++
-				}
-				dst = pending[blk][slot : slot+len(src)]
-			}
-			dst[i] = v * scale
-		}
+
+	// A slot is (shi*edge + offset)*row + slo, with shi ranging over the
+	// dimensions before dim and slo over those after it.
+	row := 1
+	for t := dim + 1; t < len(a.shape); t++ {
+		row *= edge
 	}
-	for blk, data := range oldData {
-		lo := blk % loBlocks
-		tileOld := blk / loBlocks % od.NumBlocks()
-		hi := blk / loBlocks / od.NumBlocks()
-		newBlk := func(tileNew int) int { return (hi*nd.NumBlocks()+tileNew)*loBlocks + lo }
+	rowsAbove := oldTiling.BlockSize() / (edge * row)
+	var out relocation
+	var one [1]target
+	for i, blk := range moved {
+		data := oldData[i]
+		tileOld := blk / oldTiling.Stride(dim) % od.NumBlocks()
+		// The block's id without its tile along dim, in the new radix.
+		rest := renamed(oldTiling, newTiling, blk) - tileOld*newTiling.Stride(dim)
 		for shi := 0; shi < rowsAbove; shi++ {
 			for off := 0; off < edge; off++ {
-				src := data[(shi*edge+off)*row:][:row]
-				at := tileOld*edge + off
-				if at == avgAt {
-					// The old average splits: half to the new average, half to
-					// the new root detail (the old data is the left subtree).
-					for _, t := range avgTo {
-						move(src, 0.5, newBlk(t/edge), (shi*edge+t%edge)*row)
+				targets := avgTo
+				if at := tileOld*edge + off; at != avgAt {
+					if to[at] < 0 {
+						continue
 					}
-				} else if t := to[at]; t >= 0 {
-					move(src, 1, newBlk(t/edge), (shi*edge+t%edge)*row)
+					one[0] = target{to[at], 1}
+					targets = one[:]
+				}
+				src := data[(shi*edge+off)*row:][:row]
+				for _, tg := range targets {
+					out.move(src, tg.w, rest+tg.at/edge*newTiling.Stride(dim), (shi*edge+tg.at%edge)*row, newTiling.BlockSize())
 				}
 			}
 		}
 	}
-	blks := make([]int, 0, written)
-	newData := make([][]float64, 0, written)
-	for blk, data := range pending {
-		if data != nil {
-			blks = append(blks, blk)
-			newData = append(newData, data)
-		}
+	blks, newData, err := out.changed(moved, oldData, oldTiling.NumBlocks(), newTiling.BlockSize())
+	if err != nil {
+		return storage.Stats{}, err
 	}
 	if err := a.store.WriteTiles(blks, newData); err != nil {
 		return storage.Stats{}, err
 	}
-	// The expanded transform is one atomic batch; only after it is durable
-	// may the previous generation be retired.
-	if err := a.store.Commit(); err != nil {
+	a.shape[dim] *= 2
+	if err := a.retile(newTiling); err != nil {
 		return storage.Stats{}, err
 	}
-	// Fold the old store's lifetime I/O into the running totals and report
-	// this expansion's own cost: the old generation's reads since the
-	// expansion began plus everything on the fresh generation's counter —
-	// the re-indexed writes and the expansion batch's sync/commit. Keeping
-	// the full cost out of MergeIO is what lets stats alone verify the
-	// fsync-amortization claims.
-	oldStats := oldCounting.Stats()
-	a.accumulated = a.accumulated.Add(oldStats)
-	cost := oldStats.Sub(preOld).Add(a.counting.Stats())
-	a.expansionTotal = a.expansionTotal.Add(cost)
-	return cost, oldStore.Close()
+	return a.counting.Stats().Sub(before), nil
+}
+
+// target is one destination of a coefficient along the expanding
+// dimension: tile*edge+offset in the new tiling, and the weight it lands
+// with.
+type target struct {
+	at int
+	w  float64
+}
+
+// renamed returns the id block gets in the new tiling, whose per-dimension
+// tile ids are the old ones (growth order keeps them) under new strides.
+func renamed(oldT, newT *tile.Standard, block int) int {
+	id := 0
+	for t := 0; t < oldT.Dims(); t++ {
+		id += block / oldT.Stride(t) % oldT.Dim(t).NumBlocks() * newT.Stride(t)
+	}
+	return id
+}
+
+// relocation gathers the contents of the destination blocks of an
+// expansion, a block materializing when the first non-zero value lands.
+type relocation struct {
+	index map[int]int // block id -> position in ids and data
+	ids   []int
+	data  [][]float64
+}
+
+// move stores src, scaled by w, at slot of block id.
+func (r *relocation) move(src []float64, w float64, id, slot, blockSize int) {
+	var dst []float64
+	for i, v := range src {
+		if v == 0 {
+			continue
+		}
+		if dst == nil {
+			at, ok := r.index[id]
+			if !ok {
+				if r.index == nil {
+					r.index = make(map[int]int)
+				}
+				at = len(r.ids)
+				r.index[id] = at
+				r.ids = append(r.ids, id)
+				r.data = append(r.data, make([]float64, blockSize))
+			}
+			dst = r.data[at][slot : slot+len(src)]
+		}
+		dst[i] = v * w
+	}
+}
+
+// changed lists, in ascending id order, the blocks whose contents differ
+// from what the store holds: destinations whose new contents are not the
+// old ones, and moved-away blocks nothing lands on, which are zeroed. A
+// destination inside the old domain was itself read (moved), so its old
+// contents are known; beyond it the store holds zeros.
+func (r *relocation) changed(moved []int, oldData [][]float64, oldBlocks, blockSize int) ([]int, [][]float64, error) {
+	ids := slices.Clone(moved)
+	for _, id := range r.ids {
+		if _, ok := slices.BinarySearch(moved, id); !ok {
+			if id < oldBlocks {
+				return nil, nil, fmt.Errorf("appender: expansion lands on block %d, which it did not read", id)
+			}
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	var blks []int
+	var data [][]float64
+	var zero []float64
+	for _, id := range ids {
+		var now, was []float64
+		if at, ok := r.index[id]; ok {
+			now = r.data[at]
+		}
+		if i, ok := slices.BinarySearch(moved, id); ok {
+			was = oldData[i]
+		}
+		if sameBlock(now, was) {
+			continue
+		}
+		if now == nil {
+			if zero == nil {
+				zero = make([]float64, blockSize)
+			}
+			now = zero
+		}
+		blks = append(blks, id)
+		data = append(data, now)
+	}
+	return blks, data, nil
+}
+
+// sameBlock compares two block contents, nil standing for all zeros.
+func sameBlock(x, y []float64) bool {
+	if x == nil {
+		x, y = y, x
+	}
+	for i, v := range x {
+		if y == nil && v != 0 || y != nil && v != y[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // locate1D is t.Locate1D(idx) as one number, tile*edge + offset.

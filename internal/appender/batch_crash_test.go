@@ -2,7 +2,6 @@ package appender
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -54,13 +53,6 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 		}
 		return a
 	}
-	group := func() []*ndarray.Array {
-		slabs := make([]*ndarray.Array, 4)
-		for i := range slabs {
-			slabs[i] = groupSlab(i)
-		}
-		return slabs
-	}
 	pre := groupTransform(false)
 	post := groupTransform(true)
 
@@ -69,7 +61,7 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 	dryMems.plan = storage.NewCrashPlan(1)
 	aDry := buildBase(dryMems)
 	preOps := dryMems.plan.Ops()
-	if st, err := aDry.AppendBatch(1, group()); err != nil {
+	if st, err := aDry.AppendBatch(1, groupSlabs()); err != nil {
 		t.Fatal(err)
 	} else if st.Slabs != 4 || st.Expansions != 0 {
 		t.Fatalf("dry run: %+v, want 4 slabs and no expansion", st)
@@ -85,7 +77,7 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 		mems.plan = storage.NewCrashPlan(1000 + w)
 		a := buildBase(mems)
 		mems.plan.ArmAt(mems.plan.Ops() + w)
-		_, err := a.AppendBatch(1, group())
+		_, err := a.AppendBatch(1, groupSlabs())
 		if w < totalOps && !errors.Is(err, storage.ErrCrashed) {
 			t.Fatalf("trial %d: expected crash, got %v", w, err)
 		}
@@ -96,7 +88,7 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 				t.Fatalf("trial %d: used=%v after failed batch, want frontier 4", w, used)
 			}
 		}
-		d, rerr := mems.reopen(mems.lastGen())
+		d, rerr := mems.reopen()
 		if rerr != nil {
 			t.Fatalf("trial %d: recover: %v", w, rerr)
 		}
@@ -116,6 +108,14 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 	}
 }
 
+func groupSlabs() []*ndarray.Array {
+	slabs := make([]*ndarray.Array, 4)
+	for i := range slabs {
+		slabs[i] = groupSlab(i)
+	}
+	return slabs
+}
+
 // TestGroupCommitCrashFsckOnDisk runs the same torn-group power cut over
 // a real file-backed durable store and drives recovery the way an
 // operator would: fsck first (read-only verdict on whether a sealed
@@ -124,18 +124,31 @@ func TestGroupCommitCrashIsAtomic(t *testing.T) {
 // state — and in both cases the recovered frontier agrees with the
 // journal's verdict.
 func TestGroupCommitCrashFsckOnDisk(t *testing.T) {
-	pre := groupTransform(false)
-	post := groupTransform(true)
+	crashOnDisk(t, []int{4, 8}, groupSlabs, []int{4, 8}, groupTransform(false), groupTransform(true))
+}
 
-	// Dry run on files to count mutations.
-	countOps := func(dir string, plan *storage.CrashPlan, crashAt int64) (int64, error) {
-		var blockSize int
-		backing := func(gen int, bs int) (storage.BlockStore, error) {
-			blockSize = bs
-			path := filepath.Join(dir, fmt.Sprintf("gen%d.wav", gen))
-			return storage.CreateDurable(path, bs, plan)
-		}
-		a, err := NewWithBacking([]int{4, 8}, 1, backing)
+// TestExpandingGroupCrashFsckOnDisk is the on-disk leg for a group that
+// doubles the domain: the expansion's writes and the merge's share the
+// group's one journal group, so fsck and reopen find the [4,4] transform
+// or the [4,8] one with the slab in it, nothing between.
+func TestExpandingGroupCrashFsckOnDisk(t *testing.T) {
+	group := func() []*ndarray.Array { return []*ndarray.Array{secondSlab()} }
+	crashOnDisk(t, []int{4, 4}, group, []int{4, 8}, transformIn([]int{4, 4}, false), transformIn([]int{4, 8}, true))
+}
+
+// crashOnDisk cuts power at a handful of points across one AppendBatch on
+// a file-backed durable store — an appender of shape holding baseSlab,
+// appending group() along dimension 1, which leaves the domain postShape —
+// and requires fsck then reopen to recover the pre-batch transform pre
+// (under shape) or the post-batch one post (under postShape), pre only
+// where fsck saw no sealed group.
+func crashOnDisk(t *testing.T, shape []int, group func() []*ndarray.Array, postShape []int, pre, post *ndarray.Array) {
+	t.Helper()
+	const blockSize = 1 << 2 // tile bits 1 over 2 dims: 2^(1*2) coefficients
+	run := func(dir string, plan *storage.CrashPlan, crashAt int64) (int64, error) {
+		a, err := NewWithBacking(shape, 1, func(_, bs int) (storage.BlockStore, error) {
+			return storage.CreateDurable(filepath.Join(dir, "append.wav"), bs, plan)
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -146,35 +159,26 @@ func TestGroupCommitCrashFsckOnDisk(t *testing.T) {
 		if crashAt > 0 {
 			plan.ArmAt(preOps + crashAt)
 		}
-		slabs := make([]*ndarray.Array, 4)
-		for i := range slabs {
-			slabs[i] = groupSlab(i)
-		}
-		_, err = a.AppendBatch(1, slabs)
-		_ = blockSize
+		_, err = a.AppendBatch(1, group())
 		return plan.Ops() - preOps, err
 	}
 
-	dryPlan := storage.NewCrashPlan(1)
-	totalOps, err := countOps(t.TempDir(), dryPlan, 0)
+	totalOps, err := run(t.TempDir(), storage.NewCrashPlan(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A handful of crash points across the window keeps the on-disk leg
-	// fast; the exhaustive sweep runs on the in-memory campaign above.
+	// fast; the exhaustive sweeps run on the in-memory campaigns.
 	points := []int64{1, totalOps / 4, totalOps / 2, 3 * totalOps / 4, totalOps - 1}
 	for _, w := range points {
 		if w < 1 {
 			continue
 		}
 		dir := t.TempDir()
-		plan := storage.NewCrashPlan(2000 + w)
-		_, err := countOps(dir, plan, w)
-		if !errors.Is(err, storage.ErrCrashed) {
+		if _, err := run(dir, storage.NewCrashPlan(2000+w), w); !errors.Is(err, storage.ErrCrashed) {
 			t.Fatalf("crash point %d: expected simulated power cut, got %v", w, err)
 		}
-		path := filepath.Join(dir, "gen0.wav")
-		blockSize := 1 << 2 // tile bits 1 over 2 dims: 2^(1*2) coefficients
+		path := filepath.Join(dir, "append.wav")
 		rep, err := storage.Fsck(path, blockSize)
 		if err != nil {
 			t.Fatalf("crash point %d: fsck: %v", w, err)
@@ -187,10 +191,10 @@ func TestGroupCommitCrashFsckOnDisk(t *testing.T) {
 			t.Fatalf("crash point %d: reopen: %v", w, err)
 		}
 		switch {
-		case matchesTransform(t, d, []int{4, 8}, post):
+		case matchesTransform(t, d, postShape, post):
 			// Fine either way: a sealed journal replays to post, and a
 			// fully applied + truncated journal also shows post.
-		case matchesTransform(t, d, []int{4, 8}, pre):
+		case matchesTransform(t, d, shape, pre):
 			if rep.NeedsRecovery() {
 				t.Fatalf("crash point %d: fsck saw a sealed group but recovery produced the pre-batch state", w)
 			}

@@ -1,6 +1,7 @@
 package dyadic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,75 @@ func TestRangeCovers(t *testing.T) {
 	}
 	if big.Covers(Range{NewInterval(3, 0)}) {
 		t.Error("dimension mismatch should not cover")
+	}
+}
+
+func TestCubeRangeChildrenPartition(t *testing.T) {
+	// The 2^d children of a cube (the non-standard quadtree of Figure 7)
+	// tile it exactly.
+	for _, pos := range [][]int{{3}, {1, 2}, {0, 3, 1}} {
+		r := NewCubeRange(3, pos)
+		seen := map[string]bool{}
+		for mask := 0; mask < 1<<uint(len(pos)); mask++ {
+			cp := make([]int, len(pos))
+			for i, p := range pos {
+				cp[i] = 2*p + mask>>uint(i)&1
+			}
+			c := NewCubeRange(2, cp)
+			if !r.Covers(c) || c.Covers(r) {
+				t.Fatalf("%v vs child %v: cover relation wrong", r, c)
+			}
+			pt := c.Start()
+			var walk func(dim int)
+			walk = func(dim int) {
+				if dim == len(pt) {
+					key := fmt.Sprint(pt)
+					if seen[key] {
+						t.Fatalf("%v: cell %v covered twice", r, pt)
+					}
+					seen[key] = true
+					if !r.Contains(pt) {
+						t.Fatalf("%v: child cell %v outside the parent", r, pt)
+					}
+					return
+				}
+				lo := c[dim].Start()
+				for x := lo; x <= c[dim].End(); x++ {
+					pt[dim] = x
+					walk(dim + 1)
+				}
+				pt[dim] = lo
+			}
+			walk(0)
+		}
+		if len(seen) != r.Volume() {
+			t.Errorf("%v: children cover %d cells, want %d", r, len(seen), r.Volume())
+		}
+	}
+}
+
+func TestCubeRangePathToRoot(t *testing.T) {
+	// The level-j cube holding a point sits at pos point>>j, and each level
+	// up covers the one below, ending at the whole domain.
+	n := 4
+	point := []int{5, 11, 14}
+	var prev Range
+	for j := 0; j <= n; j++ {
+		pos := make([]int, len(point))
+		for i, p := range point {
+			pos[i] = p >> uint(j)
+		}
+		c := NewCubeRange(j, pos)
+		if !c.Contains(point) {
+			t.Fatalf("level %d cube %v does not hold %v", j, c, point)
+		}
+		if prev != nil && !c.Covers(prev) {
+			t.Fatalf("level %d cube %v does not cover %v", j, c, prev)
+		}
+		prev = c
+	}
+	if s := prev.Start(); s[0] != 0 || s[1] != 0 || s[2] != 0 || prev.Volume() != 1<<uint(3*n) {
+		t.Errorf("root cube %v is not the whole domain", prev)
 	}
 }
 

@@ -124,6 +124,11 @@ func TestFig12Shapes(t *testing.T) {
 	}
 }
 
+// TestFig13Shapes: larger tiles cost fewer blocks, measured and modeled;
+// the modeled full rewrite draws the paper's staircase — at least twice the
+// month's measured cost wherever the domain doubled, equal to it elsewhere —
+// while the measured in-place expansion months stay level with the routine
+// ones.
 func TestFig13Shapes(t *testing.T) {
 	tb, err := Fig13(Fig13Config{Lat: 8, Lon: 8, DaysMonth: 32, Months: 10, TileBits: []int{1, 2}, Seed: 3})
 	if err != nil {
@@ -133,18 +138,38 @@ func TestFig13Shapes(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	expansions := 0
+	var routineMax, expandedMax [2]int64
 	for _, r := range tb.Rows {
-		small := atoiCell(t, r[1])
-		big := atoiCell(t, r[2])
-		if big >= small {
-			t.Errorf("month %s: larger tiles (%d) should beat smaller (%d)", r[0], big, small)
+		measured := [2]int64{atoiCell(t, r[1]), atoiCell(t, r[2])}
+		modeled := [2]int64{atoiCell(t, r[3]), atoiCell(t, r[4])}
+		if measured[1] >= measured[0] || modeled[1] >= modeled[0] {
+			t.Errorf("month %s: larger tiles (%d, model %d) should beat smaller (%d, model %d)", r[0], measured[1], modeled[1], measured[0], modeled[0])
 		}
-		if r[3] == "true" {
+		expanded := r[5] == "true"
+		for i := range measured {
+			switch {
+			case expanded && modeled[i] < 2*measured[i]:
+				t.Errorf("month %s: the modeled rewrite %d is no jump over the measured %d", r[0], modeled[i], measured[i])
+			case !expanded && modeled[i] != measured[i]:
+				t.Errorf("month %s: no doubling, yet the model %d differs from the measured %d", r[0], modeled[i], measured[i])
+			}
+			if expanded {
+				expandedMax[i] = max(expandedMax[i], measured[i])
+			} else {
+				routineMax[i] = max(routineMax[i], measured[i])
+			}
+		}
+		if expanded {
 			expansions++
 		}
 	}
 	if expansions == 0 {
-		t.Error("no expansion months recorded")
+		t.Fatal("no expansion months recorded")
+	}
+	for i := range routineMax {
+		if 10*expandedMax[i] > 11*routineMax[i] {
+			t.Errorf("tile column %d: an expansion month costs %d, the costliest routine month %d: the jump is back", i, expandedMax[i], routineMax[i])
+		}
 	}
 }
 
@@ -265,13 +290,20 @@ func TestExpansionTimeShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
+	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	mergeBlocks := atoiCell(t, tb.Rows[0][2])
 	expandBlocks := atoiCell(t, tb.Rows[1][2])
+	rewriteBlocks := atoiCell(t, tb.Rows[2][2])
 	if mergeBlocks == 0 || expandBlocks == 0 {
 		t.Fatal("missing I/O counts")
+	}
+	// In place, every expansion together costs less than the months'
+	// merges; the modeled full rewrite is the O(N^d) pass the paper argues
+	// is tolerable only because it streams.
+	if expandBlocks >= mergeBlocks || rewriteBlocks <= 10*expandBlocks {
+		t.Errorf("expansion blocks %d (rewrite model %d) against merge blocks %d", expandBlocks, rewriteBlocks, mergeBlocks)
 	}
 }
 
@@ -298,6 +330,11 @@ func TestAllTablesWellFormed(t *testing.T) {
 	}
 }
 
+// TestAppendFormsShapes: the non-standard appender's late appends do not
+// grow with history, and the standard form under the paper's full rewrite
+// has expansion periods that dwarf them. Measured, the standard form
+// expands in place, so its costliest period is within a merge-path level
+// of its costliest routine one.
 func TestAppendFormsShapes(t *testing.T) {
 	tb, err := AppendForms(AppendFormsConfig{Edge: 8, Periods: 12, TileBits: 2, Seed: 13})
 	if err != nil {
@@ -306,15 +343,15 @@ func TestAppendFormsShapes(t *testing.T) {
 	if len(tb.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// The non-standard appender's late appends must not grow with history,
-	// while the standard form's expansion periods dwarf its routine ones.
-	var stdMax, nonMax, nonEarly int64
+	var stdMax, stdRoutineMax, modelMax, nonMax, nonEarly int64
 	for i, r := range tb.Rows {
 		std := atoiCell(t, r[1])
 		non := atoiCell(t, r[3])
-		if std > stdMax {
-			stdMax = std
+		stdMax = max(stdMax, std)
+		if r[2] != "true" {
+			stdRoutineMax = max(stdRoutineMax, std)
 		}
+		modelMax = max(modelMax, atoiCell(t, r[4]))
 		if i >= 6 && non > nonMax {
 			nonMax = non
 		}
@@ -325,7 +362,10 @@ func TestAppendFormsShapes(t *testing.T) {
 	if nonMax > 2*nonEarly {
 		t.Errorf("non-standard append cost grew: early %d, late max %d", nonEarly, nonMax)
 	}
-	if stdMax < 4*nonMax {
-		t.Errorf("standard expansion max %d should dwarf non-standard %d", stdMax, nonMax)
+	if modelMax < 4*nonMax {
+		t.Errorf("the modeled standard-form expansion max %d should dwarf non-standard %d", modelMax, nonMax)
+	}
+	if 2*stdMax > 3*stdRoutineMax {
+		t.Errorf("measured standard form: costliest period %d against routine %d: expansion jumps are back", stdMax, stdRoutineMax)
 	}
 }

@@ -26,7 +26,9 @@ func DefaultExpansionTime() ExpansionTimeConfig {
 // expansion pass streams whole tiles sequentially (bulk re-indexing with no
 // reconstruction), while routine merges scatter. Counted block I/O is
 // converted to modeled time on a 2005-era disk, with expansion runs
-// credited a high sequential fraction and merges a low one.
+// credited a high sequential fraction and merges a low one. The in-place
+// expansion, which rewrites only the top band along time, is measured; the
+// paper's full rewrite is modeled from the two tilings' block counts.
 func ExpansionTime(c ExpansionTimeConfig) (*Table, error) {
 	app, err := appender.New([]int{8, 8, 32}, c.TileBits)
 	if err != nil {
@@ -40,10 +42,11 @@ func ExpansionTime(c ExpansionTimeConfig) (*Table, error) {
 	mergeDisk := storage.Disk2005(blockBytes)
 	mergeDisk.SequentialFraction = 0.2 // scattered subtree + path tiles
 
-	var mergeIO, expandIO storage.Stats
+	var mergeIO, expandIO, rewriteIO storage.Stats
 	var mergeMonths, expandMonths int
 	for mo := 0; mo < c.Months; mo++ {
 		slab := full.SubCopy([]int{0, 0, mo * 32}, []int{8, 8, 32})
+		before := app.Shape()
 		st, err := app.Append(2, slab)
 		if err != nil {
 			return nil, err
@@ -54,6 +57,7 @@ func ExpansionTime(c ExpansionTimeConfig) (*Table, error) {
 		if st.Expansions > 0 {
 			expandIO.Reads += st.ExpansionIO.Reads
 			expandIO.Writes += st.ExpansionIO.Writes
+			rewriteIO = rewriteIO.Add(rewriteModel(before, 2, app.Shape()[2], c.TileBits))
 			expandMonths++
 		}
 	}
@@ -62,14 +66,18 @@ func ExpansionTime(c ExpansionTimeConfig) (*Table, error) {
 			c.Months, 1<<uint(3*c.TileBits)),
 		Columns: []string{"phase", "events", "blocks", "modeled time", "time/event"},
 	}
+	perEvent := func(d time.Duration, events int) string {
+		return (d / time.Duration(maxI(events, 1))).Round(time.Millisecond).String()
+	}
 	mergeTime := mergeDisk.Estimate(mergeIO)
 	expandTime := expansionDisk.Estimate(expandIO)
-	t.Add("monthly merges", mergeMonths, mergeIO.Total(), mergeTime.Round(time.Millisecond).String(),
-		(mergeTime / time.Duration(maxI(mergeMonths, 1))).Round(time.Millisecond).String())
-	t.Add("expansions", expandMonths, expandIO.Total(), expandTime.Round(time.Millisecond).String(),
-		(expandTime / time.Duration(maxI(expandMonths, 1))).Round(time.Millisecond).String())
+	rewriteTime := expansionDisk.Estimate(rewriteIO)
+	t.Add("monthly merges", mergeMonths, mergeIO.Total(), mergeTime.Round(time.Millisecond).String(), perEvent(mergeTime, mergeMonths))
+	t.Add("expansions", expandMonths, expandIO.Total(), expandTime.Round(time.Millisecond).String(), perEvent(expandTime, expandMonths))
+	t.Add("expansions, full rewrite (model)", expandMonths, rewriteIO.Total(), rewriteTime.Round(time.Millisecond).String(), perEvent(rewriteTime, expandMonths))
 	t.Notes = append(t.Notes,
-		"expansion I/O is large but sequential, so its modeled time stays comparable to a routine month — the paper's 'not such a dominating factor' observation")
+		"the paper's full-rewrite expansion I/O is large but sequential, so its modeled time stays comparable to a routine month — the paper's 'not such a dominating factor' observation",
+		"in place, an expansion reads and rewrites the top band along time times the 8x8 cross-section: a fraction of one month's merge, whatever the domain's length")
 	return t, nil
 }
 

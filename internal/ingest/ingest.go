@@ -8,8 +8,8 @@
 // Ingester stages incoming slabs in a bounded queue and a single commit
 // loop group-commits them: every queued slab is folded into one
 // Appender.AppendBatch call, so domain expansion runs once for the whole
-// group and the durable backing seals all of it with one journal group
-// (one fsync pair) instead of one per client. The loop is work-conserving
+// group and the durable backing seals all of it, expansions included, with
+// one journal group (one fsync pair) instead of one per client. The loop is work-conserving
 // and self-clocking, like classic WAL group commit: a group closes when it
 // is full or when every request known to be on its way has staged, so
 // groups form while the previous commit is in flight and a lone client

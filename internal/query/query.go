@@ -62,7 +62,7 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 			}
 		}
 		perDim[t] = sels
-		block = block*oneD.NumBlocks() + leafBlock
+		block += leafBlock * tiling.Stride(t)
 	}
 	data, err := st.ReadTile(block)
 	if err != nil {

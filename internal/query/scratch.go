@@ -113,7 +113,7 @@ type entry struct {
 type axis struct {
 	lo, hi   int
 	glo, ghi int
-	tiles    int // tiles along this dimension
+	stride   int // block-id step per tile along this dimension
 }
 
 // planStandard lists, per dimension, the coefficients of the box
@@ -138,7 +138,7 @@ func (sc *scratch) planStandard(tiling tile.Tiling, arrShape, start, extent []in
 		sc.coefs = haar.AppendRangeSumCoefs(sc.coefs[:0], bitutil.Log2(arrShape[t]), l, r)
 		a := axis{lo: len(sc.entries)}
 		if std != nil {
-			a.tiles = std.Dim(t).NumBlocks()
+			a.stride = std.Stride(t)
 		}
 		for _, c := range sc.coefs {
 			e := entry{tile: c.Index, slot: c.Index, w: c.Weight}
@@ -166,9 +166,9 @@ func (sc *scratch) runEnd(from, hi int) int {
 }
 
 // nextTile steps the axes to the next combination of per-dimension tiles,
-// last dimension fastest, which visits standard blocks in ascending id
-// order. After the last combination it reports false with the axes back on
-// the first.
+// last dimension fastest (ascending block ids under NewStandard's strides;
+// fetch sorts whatever order the tiling gives). After the last combination
+// it reports false with the axes back on the first.
 func (sc *scratch) nextTile() bool {
 	for t := len(sc.axes) - 1; t >= 0; t-- {
 		a := &sc.axes[t]
@@ -190,7 +190,7 @@ func (sc *scratch) walkStandard(tiling tile.Tiling, accumulate bool) float64 {
 		block, slot, w := 0, 0, 1.0
 		if std {
 			for _, a := range sc.axes {
-				block = block*a.tiles + sc.entries[a.glo].tile
+				block += sc.entries[a.glo].tile * a.stride
 			}
 		} else {
 			for t, a := range sc.axes {

@@ -46,7 +46,9 @@ func TestVersionedFlipCostIndependentOfLogical(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			flip()
 		}
-		allocs = testing.AllocsPerRun(100, flip)
+		if !raceEnabled { // sync.Pool drops items under the race detector
+			allocs = testing.AllocsPerRun(100, flip)
+		}
 		const flips = 200
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -63,7 +65,7 @@ func TestVersionedFlipCostIndependentOfLogical(t *testing.T) {
 	if largeBytes >= 2*smallBytes {
 		t.Errorf("a flip allocates %.0f B at logical 262144 against %.0f B at 4096: its cost follows the store, not the batch", largeBytes, smallBytes)
 	}
-	if largeAllocs >= 2*smallAllocs {
+	if !raceEnabled && largeAllocs >= 2*smallAllocs {
 		t.Errorf("a flip makes %.1f allocations at logical 262144 against %.1f at 4096", largeAllocs, smallAllocs)
 	}
 }

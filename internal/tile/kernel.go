@@ -144,10 +144,10 @@ type detailRun struct {
 
 // stdDimTab is the per-dimension geometry of a standard-form embedding.
 type stdDimTab struct {
-	nb, bsz, m int // 1-d tile count, 1-d tile slot count, chunk extent
-	split      []locTarget
-	det        []locTarget // det[i-1] locates the target of source index i
-	runs       []detailRun // innermost dimension only
+	stride, bsz, m int // block-id stride, 1-d tile slot count, chunk extent
+	split          []locTarget
+	det            []locTarget // det[i-1] locates the target of source index i
+	runs           []detailRun // innermost dimension only
 }
 
 // AccumulateEmbedStandard buckets the complete SHIFT-SPLIT embedding of bHat
@@ -178,7 +178,7 @@ func AccumulateEmbedStandard(t Tiling, shape []int, block dyadic.Range, bHat *nd
 		if shape[t] != 1<<uint(n) || m > n || k < 0 || k >= 1<<uint(n-m) || bHat.Extent(t) != 1<<uint(m) {
 			panic(fmt.Sprintf("tile: AccumulateEmbedStandard block %v out of bounds for shape %v", block, shape))
 		}
-		tab := stdDimTab{nb: od.NumBlocks(), bsz: od.BlockSize(), m: 1 << uint(m)}
+		tab := stdDimTab{stride: std.Stride(t), bsz: od.BlockSize(), m: 1 << uint(m)}
 		for _, tt := range core.SplitTargets(n, m, k) {
 			bt, st := od.Locate1D(tt.Index)
 			tab.split = append(tab.split, locTarget{w: tt.Weight, bt: bt, st: st})
@@ -230,12 +230,12 @@ func AccumulateEmbedStandard(t Tiling, shape []int, block dyadic.Range, bHat *nd
 			blockBase, slotBase, off := 0, 0, 0
 			for t := 0; t < d-1; t++ {
 				p := tabs[t].det[outer[t]-1]
-				blockBase = blockBase*tabs[t].nb + p.bt
+				blockBase += p.bt * tabs[t].stride
 				slotBase = slotBase*tabs[t].bsz + p.st
 				off += outer[t] * stride[t]
 			}
 			for _, r := range last.runs {
-				bk := bs.bucket(blockBase*last.nb + r.bt)
+				bk := bs.bucket(blockBase + r.bt*last.stride)
 				dst := bk.Deltas[slotBase*last.bsz+r.st:]
 				src := data[off+r.src : off+r.src+r.n]
 				for i, v := range src {
@@ -292,7 +292,7 @@ func AccumulateEmbedStandard(t Tiling, shape []int, block dyadic.Range, bHat *nd
 				for t := 0; t < d; t++ {
 					tt := lists[t][choice[t]]
 					w *= tt.w
-					blockID = blockID*tabs[t].nb + tt.bt
+					blockID += tt.bt * tabs[t].stride
 					slot = slot*tabs[t].bsz + tt.st
 				}
 				bk := bs.bucket(blockID)

@@ -83,7 +83,10 @@ func StandardBlockFiller(t Tiling, hat *ndarray.Array) (fill func(block int, out
 			bt, slot := oneD.Locate1D(idx)
 			table[bt*B+slot] = []core.Target{{Index: idx, Weight: 1}}
 		}
-		for bt := 1; bt < oneD.NumBlocks(); bt++ {
+		for bt := 0; bt < oneD.NumBlocks(); bt++ {
+			if bt == oneD.top {
+				continue // slot 0 there is the overall average, located above
+			}
 			j, k := oneD.RootOf(bt)
 			table[bt*B+0] = core.ScalingPath1D(n, j, k)
 		}

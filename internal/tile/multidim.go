@@ -9,27 +9,65 @@ import (
 // Standard tiles a standard-form multidimensional transform as the cross
 // product of per-dimension OneD tilings (§3.2): a block holds the B^d
 // generalized coefficients formed by crossing d single-dimensional tile
-// bases.
+// bases. A block id combines the per-dimension tile ids in mixed radix,
+// block = sum over t of tile_t * Stride(t); slots always combine with
+// dimension 0 outermost.
 type Standard struct {
 	dims   []*OneD
 	b      int
 	domain []int
+	growth bool
+	outer  int   // the dimension with the largest stride
+	stride []int // stride[t]: block-id step of one tile along dimension t
 }
 
 // NewStandard creates the standard-form tiling for a transform whose
 // dimension t has size 2^n[t], with per-dimension block edge 2^b (so blocks
-// hold 2^(b*d) slots).
-func NewStandard(n []int, b int) *Standard {
+// hold 2^(b*d) slots). Tiles are numbered top-down and dimension 0 is the
+// outermost radix.
+func NewStandard(n []int, b int) *Standard { return newStandard(n, b, false, 0) }
+
+// NewGrowthStandard is NewStandard for a domain that grows: every dimension
+// numbers its tiles in growth order and dimension outer is the outermost
+// radix, the others following in order. Growing dimension outer by a level
+// (Grown) then keeps every block id, and only the blocks of the top band
+// along it change contents.
+func NewGrowthStandard(n []int, b, outer int) *Standard {
+	if outer < 0 || outer >= len(n) {
+		panic(fmt.Sprintf("tile: NewGrowthStandard outer dimension %d for %d dims", outer, len(n)))
+	}
+	return newStandard(n, b, true, outer)
+}
+
+func newStandard(n []int, b int, growth bool, outer int) *Standard {
 	if len(n) == 0 {
 		panic("tile: NewStandard with no dimensions")
 	}
-	dims := make([]*OneD, len(n))
-	domain := make([]int, len(n))
+	s := &Standard{dims: make([]*OneD, len(n)), b: b, domain: make([]int, len(n)), growth: growth, outer: outer, stride: make([]int, len(n))}
 	for i, ni := range n {
-		dims[i] = NewOneD(ni, b)
-		domain[i] = 1 << uint(ni)
+		s.dims[i] = newOneD(ni, b, growth)
+		s.domain[i] = 1 << uint(ni)
 	}
-	return &Standard{dims: dims, b: b, domain: domain}
+	step := 1
+	for t := len(n) - 1; t >= 0; t-- {
+		if t != outer {
+			s.stride[t] = step
+			step *= s.dims[t].NumBlocks()
+		}
+	}
+	s.stride[outer] = step
+	return s
+}
+
+// Grown returns the tiling of the same numbering for the domain doubled
+// along dim.
+func (s *Standard) Grown(dim int) *Standard {
+	n := make([]int, len(s.dims))
+	for t, d := range s.dims {
+		n[t] = d.Levels()
+	}
+	n[dim]++
+	return newStandard(n, s.b, s.growth, s.outer)
 }
 
 // Domain returns the extents of the tiled domain. The slice is the
@@ -43,6 +81,10 @@ func (s *Standard) Dims() int { return len(s.dims) }
 // Dim returns the per-dimension tiling for dimension t.
 func (s *Standard) Dim(t int) *OneD { return s.dims[t] }
 
+// Stride returns how far apart the block ids of two tiles adjacent along
+// dimension t lie.
+func (s *Standard) Stride(t int) int { return s.stride[t] }
+
 // BlockSize returns B^d.
 func (s *Standard) BlockSize() int {
 	return bitutil.IntPow(1<<uint(s.b), len(s.dims))
@@ -50,11 +92,7 @@ func (s *Standard) BlockSize() int {
 
 // NumBlocks returns the product of per-dimension tile counts.
 func (s *Standard) NumBlocks() int {
-	n := 1
-	for _, d := range s.dims {
-		n *= d.NumBlocks()
-	}
-	return n
+	return s.stride[s.outer] * s.dims[s.outer].NumBlocks()
 }
 
 // Locate maps transform coordinates to (block, slot) by combining the
@@ -65,7 +103,7 @@ func (s *Standard) Locate(coords []int) (block, slot int) {
 	}
 	for t, d := range s.dims {
 		bt, st := d.Locate1D(coords[t])
-		block = block*d.NumBlocks() + bt
+		block += bt * s.stride[t]
 		slot = slot*d.BlockSize() + st
 	}
 	return block, slot
@@ -74,10 +112,8 @@ func (s *Standard) Locate(coords []int) (block, slot int) {
 // PerDimBlocks splits a flat block ID back into per-dimension tile IDs.
 func (s *Standard) PerDimBlocks(block int) []int {
 	out := make([]int, len(s.dims))
-	for t := len(s.dims) - 1; t >= 0; t-- {
-		nb := s.dims[t].NumBlocks()
-		out[t] = block % nb
-		block /= nb
+	for t, d := range s.dims {
+		out[t] = block / s.stride[t] % d.NumBlocks()
 	}
 	return out
 }

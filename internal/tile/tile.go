@@ -29,6 +29,7 @@ package tile
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 )
@@ -47,15 +48,51 @@ type Tiling interface {
 // OneD tiles the error tree of a 1-d transform of size 2^n into subtrees of
 // height b. When b does not divide n the tile containing the tree root is
 // shallower (height n mod b); every block still has 2^b slots.
+//
+// Bands are anchored at the leaves: band q, counted from the leaves, holds
+// the nodes of levels qb+1..(q+1)b, so a tree grown by one level differs
+// only in its top band. Which block id each tile gets is data of the
+// tiling, in one of two orders. Top-down (NewOneD, the paper's) numbers the
+// bands from the root down and each band's tiles left to right. Growth
+// order (NewGrowthStandard's) gives a tile its id the first time it exists
+// as n counts up from 0: the tiles of n levels are exactly the ids
+// [0, NumBlocks()) at every n, and growing the tree renames no tile.
 type OneD struct {
-	n, b    int
-	h0      int   // height of the top band
-	cumRoot []int // cumRoot[t] = number of tiles in bands < t
+	n, b      int
+	h0        int // height of the top band
+	top       int // block of the top tile
+	numBlocks int
+	// levels[depth] locates the nodes at one tree depth; base[row+L] + k is
+	// the block of the tile of that band whose root has translation k of
+	// bit length L.
+	levels []oneDLevel
+	base   []int
+	// runs are the maximal id ranges of one band's tiles with consecutive
+	// translations, ascending by block: RootOf's inverse.
+	runs []tileRun
 }
 
-// NewOneD creates the 1-d tiling for a domain of size 2^n with block size
-// 2^b coefficients.
-func NewOneD(n, b int) *OneD {
+// oneDLevel is what the nodes of one tree depth share: their band's row of
+// OneD.base, their depth below their tile's root, and the flat index of the
+// band's leftmost tile root.
+type oneDLevel struct {
+	row   int
+	shift uint
+	first int
+}
+
+// tileRun is a range of consecutive block ids from block on, holding tiles
+// whose roots sit at level j with translations from k on.
+type tileRun struct {
+	block, j, k int
+}
+
+// NewOneD creates the top-down 1-d tiling for a domain of size 2^n with
+// block size 2^b coefficients.
+func NewOneD(n, b int) *OneD { return newOneD(n, b, false) }
+
+// newOneD is NewOneD, numbered in growth order when growth is set.
+func newOneD(n, b int, growth bool) *OneD {
 	if n < 0 || b < 1 {
 		panic(fmt.Sprintf("tile: NewOneD(%d, %d)", n, b))
 	}
@@ -63,18 +100,58 @@ func NewOneD(n, b int) *OneD {
 	if h0 == 0 {
 		h0 = bitutil.Min(b, n)
 	}
-	t := &OneD{n: n, b: b, h0: h0}
-	// Band t starts at depth S(t): S(0)=0, S(t)=h0+(t-1)*b.
-	cum := []int{0}
-	for s := 0; s < n; {
-		cum = append(cum, cum[len(cum)-1]+(1<<uint(s)))
-		if s == 0 {
-			s = t.h0
-		} else {
-			s += b
+	t := &OneD{n: n, b: b, h0: h0, numBlocks: 1, runs: []tileRun{{}}}
+	if n == 0 {
+		return t // one tile holding only the average
+	}
+	bands := (n + b - 1) / b
+	rootLevel := func(q int) int { return bitutil.Min((q+1)*b, n) }
+	t.levels = make([]oneDLevel, n)
+	for depth := range t.levels {
+		l := n - depth // level from the leaves
+		q := (l - 1) / b
+		jr := rootLevel(q)
+		t.levels[depth] = oneDLevel{row: q * (n + 1), shift: uint(jr - l), first: 1 << uint(n-jr)}
+	}
+	t.base = make([]int, bands*(n+1))
+	t.runs = t.runs[:0]
+	next := 0
+	if growth {
+		// add numbers the tiles of band q whose root translations have bit
+		// length L: the k = 0 tile for L = 0, else 2^(L-1) of them.
+		add := func(q, L int) {
+			k0, count := 0, 1
+			if L > 0 {
+				k0, count = 1<<uint(L-1), 1<<uint(L-1)
+			}
+			t.base[q*(n+1)+L] = next - k0
+			t.runs = append(t.runs, tileRun{block: next, j: rootLevel(q), k: k0})
+			next += count
+		}
+		// The tiles that first exist at m levels: each full band's
+		// translations of bit length m-(q+1)b, and a new top band whenever
+		// the old one fills up.
+		add(0, 0)
+		for m := 2; m <= n; m++ {
+			for q := 0; (q+1)*b < m; q++ {
+				add(q, m-(q+1)*b)
+			}
+			if (m-1)%b == 0 {
+				add((m-1)/b, 0)
+			}
+		}
+	} else {
+		for q := bands - 1; q >= 0; q-- {
+			jr := rootLevel(q)
+			for L := 0; L <= n-jr; L++ {
+				t.base[q*(n+1)+L] = next
+			}
+			t.runs = append(t.runs, tileRun{block: next, j: jr})
+			next += 1 << uint(n-jr)
 		}
 	}
-	t.cumRoot = cum
+	t.numBlocks = next
+	t.top = t.base[(bands-1)*(n+1)]
 	return t
 }
 
@@ -86,28 +163,7 @@ func (t *OneD) BlockSize() int { return 1 << uint(t.b) }
 
 // NumBlocks returns the number of tiles covering the tree (1 for the
 // degenerate n = 0 domain, which holds only the average).
-func (t *OneD) NumBlocks() int {
-	if t.n == 0 {
-		return 1
-	}
-	return t.cumRoot[len(t.cumRoot)-1]
-}
-
-// bandStart returns the starting depth of band index band.
-func (t *OneD) bandStart(band int) int {
-	if band == 0 {
-		return 0
-	}
-	return t.h0 + (band-1)*t.b
-}
-
-// bandOf returns the band index of a node at the given tree depth.
-func (t *OneD) bandOf(depth int) int {
-	if depth < t.h0 {
-		return 0
-	}
-	return 1 + (depth-t.h0)/t.b
-}
+func (t *OneD) NumBlocks() int { return t.numBlocks }
 
 // Locate1D maps a flat transform index to (block, slot). Index 0 (the
 // overall average) maps to slot 0 of the top tile.
@@ -116,16 +172,12 @@ func (t *OneD) Locate1D(idx int) (block, slot int) {
 		panic(fmt.Sprintf("tile: Locate1D(%d) out of range for n=%d", idx, t.n))
 	}
 	if idx == 0 {
-		return 0, 0
+		return t.top, 0
 	}
-	depth := bits.Len(uint(idx)) - 1
-	band := t.bandOf(depth)
-	start := t.bandStart(band)
-	delta := depth - start
-	root := idx >> uint(delta)
-	block = t.cumRoot[band] + root - 1<<uint(start)
-	slot = idx - (root-1)<<uint(delta)
-	return block, slot
+	lv := &t.levels[bits.Len(uint(idx))-1]
+	root := idx >> lv.shift // flat index of the tile's root node
+	k := root - lv.first
+	return t.base[lv.row+bits.Len(uint(k))] + k, idx - (root-1)<<lv.shift
 }
 
 // Locate implements Tiling for 1-element coordinate slices.
@@ -140,25 +192,12 @@ func (t *OneD) Locate(coords []int) (block, slot int) {
 // detail of a tile, so that slot 0 of the tile holds the scaling
 // coefficient u[j,k]. For the top tile it returns (n, 0).
 func (t *OneD) RootOf(block int) (j, k int) {
-	if t.n == 0 {
-		if block != 0 {
-			panic(fmt.Sprintf("tile: RootOf(%d) for n=0", block))
-		}
-		return 0, 0
-	}
-	if block < 0 || block >= t.NumBlocks() {
+	if block < 0 || block >= t.numBlocks {
 		panic(fmt.Sprintf("tile: RootOf(%d) out of range", block))
 	}
-	band := 0
-	for band+1 < len(t.cumRoot) && t.cumRoot[band+1] <= block {
-		band++
-	}
-	start := t.bandStart(band)
-	root := 1<<uint(start) + (block - t.cumRoot[band])
-	// The root detail w[j,k] sits at flat index root = 2^(n-j) + k.
-	j = t.n - start
-	k = root - 1<<uint(start)
-	return j, k
+	i := sort.Search(len(t.runs), func(i int) bool { return t.runs[i].block > block }) - 1
+	r := t.runs[i]
+	return r.j, r.k + block - r.block
 }
 
 // TileHeight returns the subtree height of the given block (h0 for the top
@@ -167,7 +206,7 @@ func (t *OneD) TileHeight(block int) int {
 	if t.n == 0 {
 		return 0
 	}
-	if block < t.cumRoot[1] {
+	if block == t.top {
 		return t.h0
 	}
 	return t.b
@@ -230,7 +269,7 @@ func (t *OneD) TileIndices(block int) []int {
 	root := 1<<uint(t.n-j) + k
 	height := t.TileHeight(block)
 	var out []int
-	if block == 0 {
+	if block == t.top {
 		out = append(out, 0)
 	}
 	lo, hi := root, root

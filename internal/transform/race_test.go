@@ -1,0 +1,5 @@
+//go:build race
+
+package transform
+
+const raceEnabled = true

@@ -292,6 +292,54 @@ func TestNonStdLevelOrigin(t *testing.T) {
 	}
 }
 
+// TestNonStdNodesPartitionTheArray checks the quadtree of Figure 7: every
+// node (level j, pos) holds 2^d - 1 details, and the nodes of all levels
+// together hold every array cell except the average exactly once.
+func TestNonStdNodesPartitionTheArray(t *testing.T) {
+	// n=3, node at level 2 pos (1,0): base 2, subbands 01, 10, 11.
+	subbands := [][]bool{{true, false}, {false, true}, {true, true}}
+	want := [][]int{{3, 0}, {1, 2}, {3, 2}}
+	for i, sb := range subbands {
+		if got := NonStdCoords(3, 2, sb, []int{1, 0}); got[0] != want[i][0] || got[1] != want[i][1] {
+			t.Fatalf("NonStdCoords(3, 2, %v, [1 0]) = %v, want %v", sb, got, want[i])
+		}
+	}
+	for _, d := range []int{1, 2, 3} {
+		n := 3
+		edge := 1 << uint(n)
+		seen := make([]bool, 1<<uint(n*d))
+		for j := 1; j <= n; j++ {
+			nodes := 1 << uint((n-j)*d)
+			for node := 0; node < nodes; node++ {
+				pos := make([]int, d)
+				for i, rest := d-1, node; i >= 0; i-- {
+					pos[i] = rest % (1 << uint(n-j))
+					rest /= 1 << uint(n-j)
+				}
+				for mask := 1; mask < 1<<uint(d); mask++ {
+					subband := make([]bool, d)
+					for i := range subband {
+						subband[i] = mask>>uint(i)&1 == 1
+					}
+					flat := 0
+					for _, c := range NonStdCoords(n, j, subband, pos) {
+						flat = flat*edge + c
+					}
+					if seen[flat] {
+						t.Fatalf("d=%d: cell %d held by two nodes", d, flat)
+					}
+					seen[flat] = true
+				}
+			}
+		}
+		for flat, ok := range seen {
+			if ok == (flat == 0) {
+				t.Fatalf("d=%d: cell %d held=%v", d, flat, ok)
+			}
+		}
+	}
+}
+
 func TestNonStdCoordsZeroSubbandPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -17,11 +17,11 @@ type Appender struct {
 }
 
 // AppendResult reports the cost of one append or append batch. The two
-// I/O windows are disjoint: ExpansionIO covers the domain doublings
-// (including their own commits), MergeIO covers transforming and applying
-// the slabs plus the single group commit that seals them — so the
-// journal-group amortization of a batch is readable directly from
-// MergeIO.Commits.
+// I/O windows are disjoint: ExpansionIO covers the domain doublings (the
+// top-band blocks they read and rewrite), MergeIO covers transforming and
+// applying the slabs plus the single group commit that seals them and the
+// doublings together — so the journal-group amortization of a batch is
+// readable directly from MergeIO.Commits.
 type AppendResult struct {
 	// Expansions is how many times the domain doubled to fit the slabs.
 	Expansions int
@@ -60,9 +60,9 @@ func (a *Appender) Append(dim int, slab *Array) (AppendResult, error) {
 
 // AppendBatch folds a group of slabs into the dataset along dim, in
 // order, as one atomic batch sealed by a single commit: on a durable
-// backing many client appends cost one journal group. All needed domain
-// expansions run before any slab is staged, so a crash never exposes a
-// partial group.
+// backing many client appends cost one journal group. The domain
+// expansions the group needs are staged in the same batch, so a crash
+// recovers to the whole group, expansions included, or to none of it.
 func (a *Appender) AppendBatch(dim int, slabs []*Array) (AppendResult, error) {
 	st, err := a.inner.AppendBatch(dim, slabs)
 	if err != nil {

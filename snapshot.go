@@ -207,7 +207,7 @@ func (sn *Snapshot) Points(points [][]int) ([]float64, int, error) {
 					idx := 1<<uint(n-1) + p[t]/2 // the level-1 detail over p
 					leafBlock, _ = oneD.Locate1D(idx)
 				}
-				block = block*oneD.NumBlocks() + leafBlock
+				block += leafBlock * tiling.Stride(t)
 			}
 			if _, dup := seen[block]; !dup {
 				seen[block] = struct{}{}
