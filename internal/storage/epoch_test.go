@@ -545,6 +545,15 @@ func TestSplitRWRouting(t *testing.T) {
 			t.Fatalf("split read leg observed staged write: %v", buf)
 		}
 	}
+	// A staged read goes down the write leg and sees it, through a Counting
+	// that counts it like any read.
+	c := NewCounting(sp)
+	if err := ReadStagedBlocksOf(c, []int{2}, [][]float64{buf}); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 7 || c.Stats().Reads != 1 {
+		t.Fatalf("staged read = %v with %d reads counted, want 7 and 1", buf[0], c.Stats().Reads)
+	}
 	if err := sp.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -212,6 +212,12 @@ func (s *SplitRW) ReadBlocks(ids []int, bufs [][]float64) error {
 	return ReadBlocksOf(s.r, ids, bufs)
 }
 
+// ReadStagedBlocks implements StagedReader through the write leg: the
+// concurrent leg sees only committed frames, never the Durable's staging.
+func (s *SplitRW) ReadStagedBlocks(ids []int, bufs [][]float64) error {
+	return ReadBlocksOf(s.w, ids, bufs)
+}
+
 // WriteBlock writes through the full write path.
 func (s *SplitRW) WriteBlock(id int, data []float64) error { return s.w.WriteBlock(id, data) }
 

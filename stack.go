@@ -99,6 +99,10 @@ func openDurable(sp stackSpec, blockSize int) (*storage.Durable, error) {
 //	reads:  Snapshot → Degraded → cache → Breaker → Counting → SplitRW → ChecksumReader → device
 //	writes: Versioned builder → Counting → SplitRW → Locked → Durable
 //
+// The builder's own reads take the read leg for committed blocks and the
+// write leg, through Durable's staging area, for the blocks its building
+// epoch has already written (storage.StagedReader).
+//
 // The cache sits below the epoch layer and is keyed by physical block id,
 // so a flip invalidates nothing; only the rebinding of a reclaimed physical
 // block drops its entry (OnReuse). The scrubber walks scrubBase — below the

@@ -19,14 +19,6 @@ import (
 // hand-written assemblies were folded into one. A refactor of the assembly
 // must leave every literal untouched; a deliberate behaviour change has to
 // edit the one it moves.
-//
-// Twelve literals pin a defect rather than a contract: the standard-form
-// durable+versioned serve* cases (answer digest e7be4bb9…, where every other
-// standard-form case reads 81910194…). TransformChunked re-reads tiles it
-// wrote earlier in the same batch, the epoch builder reads through the
-// committed leg of SplitRW, and Durable's staging area is invisible there,
-// so the stored transform is wrong. ROADMAP item 4 records it; the fix
-// changes those twelve literals and no others.
 
 // matrixHandle is one way of obtaining a *Store.
 type matrixHandle struct {
@@ -181,6 +173,67 @@ func runMatrixCase(sc *matrixScript, o StoreOptions, h matrixHandle) (string, er
 		err = cerr
 	}
 	return fmt.Sprintf("%s\nfile=%d/%x\n%s", first, len(data), sha256.Sum256(data), second), err
+}
+
+// TestTransformChunkedThroughServingStacks runs the chunked transform
+// through every serving stack, reopens the store, and compares every cell
+// with the source. TransformChunked re-reads tiles it wrote earlier in the
+// same batch; on a durable versioned serving stack those reads must reach
+// the Durable's staging area, which the committed read leg cannot see.
+func TestTransformChunkedThroughServingStacks(t *testing.T) {
+	src := randArray(rand.New(rand.NewSource(30)), matrixEdge, matrixEdge)
+	handles := []struct {
+		name string
+		so   ServeOptions
+	}{
+		{"serve", ServeOptions{}},
+		{"serve-cache", ServeOptions{CacheBlocks: 24}},
+		{"serve-cache-breaker", ServeOptions{CacheBlocks: 24, Breaker: &storage.BreakerOptions{}}},
+	}
+	for _, form := range []Form{Standard, NonStandard} {
+		for bits := 0; bits < 8; bits++ {
+			o := StoreOptions{Shape: []int{matrixEdge, matrixEdge}, Form: form}
+			o.Durable, o.Versioned, o.Mapped = bits&1 != 0, bits&2 != 0, bits&4 != 0
+			for _, h := range handles {
+				name := fmt.Sprintf("%v/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned, o.Mapped, h.name)
+				t.Run(name, func(t *testing.T) {
+					o.Path = filepath.Join(t.TempDir(), "cube.wav")
+					st, err := CreateStore(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if st, err = OpenServingOpts(o.Path, h.so); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.TransformChunked(src, 3); err != nil {
+						_ = st.Close() // the transform error is the one to report
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if st, err = OpenServingOpts(o.Path, h.so); err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					for x := 0; x < matrixEdge; x++ {
+						for y := 0; y < matrixEdge; y++ {
+							got, _, err := st.Point(x, y)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := src.At(x, y); math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+								t.Fatalf("cell (%d,%d) = %v after reopen, source has %v", x, y, got, want)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestStackMatrixPinned(t *testing.T) {
