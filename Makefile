@@ -112,9 +112,15 @@ chaos-smoke:
 # BenchmarkAppendBatchGroup is one 16-slab ingest group merged and sealed on
 # a journaled store pair, BenchmarkExpand one domain doubling; their
 # allocation gate is TestExpandAllocBudget, which runs with the unit tests.
+# TestHandlerAllocBudget gates the HTTP request path: a warm point or
+# range-sum request through ServeHTTP allocates its snapshot and nothing
+# else (budget 2); BenchmarkHandlerPoint/RangeSum report the same path's
+# ns/op and allocs/op on both forms.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
+	$(GO) test -run 'TestHandlerAllocBudget' -count=1 -v ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
 		-benchmem -benchtime 3x ./internal/transform/

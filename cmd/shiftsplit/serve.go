@@ -35,7 +35,7 @@ func cmdServe(args []string) error {
 	cacheBlocks := fs.Int("cache", 256, "serve cache capacity in blocks (0 disables)")
 	cacheShards := fs.Int("shards", 0, "cache shard count (0 picks a default)")
 	maxConc := fs.Int("max-concurrent", 64, "queries executing at once before shedding 429s")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-query deadline")
+	timeout := fs.Duration("timeout", 10*time.Second, "deadline of a progressive or ingest request")
 	drain := fs.Duration("drain", 15*time.Second, "shutdown drain deadline")
 	scrubEvery := fs.Duration("scrub-interval", 0, "background scrub: one full verification pass per interval (0 disables)")
 	scrubRate := fs.Int("scrub-rate", 0, "scrub I/O ceiling in blocks/sec (0 = unlimited)")

@@ -207,10 +207,9 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 			return err
 		}
 	}
-	calls := make([]*call, len(ids)) // nil where the position was a hit
-	var ownIDs []int
-	var ownBufs [][]float64
-	var ownCalls []*call
+	sc := batchPool.Get().(*batchScratch)
+	defer sc.release()
+	calls := sc.resetCalls(len(ids)) // nil where the position was a hit
 	for i, id := range ids {
 		sh := c.shardOf(id)
 		sh.mu.Lock()
@@ -232,30 +231,26 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 		sh.inflight[id] = cl
 		sh.mu.Unlock()
 		calls[i] = cl
-		ownIDs = append(ownIDs, id)
-		ownBufs = append(ownBufs, make([]float64, c.blockSize))
-		ownCalls = append(ownCalls, cl)
+		sc.own(id, make([]float64, c.blockSize), cl)
 	}
-	if len(ownIDs) > 0 {
-		c.inflight.Add(int64(len(ownIDs)))
-		c.loads.Add(int64(len(ownIDs)))
-		err := storage.ReadBlocksOf(c.inner, ownIDs, ownBufs)
-		c.inflight.Add(int64(-len(ownIDs)))
-		for k, cl := range ownCalls {
-			id := ownIDs[k]
-			cl.data, cl.err = ownBufs[k], err
+	if len(sc.ownIDs) > 0 {
+		c.inflight.Add(int64(len(sc.ownIDs)))
+		c.loads.Add(int64(len(sc.ownIDs)))
+		err := storage.ReadBlocksOf(c.inner, sc.ownIDs, sc.ownBufs)
+		c.inflight.Add(int64(-len(sc.ownIDs)))
+		for k, cl := range sc.ownCalls {
+			id := sc.ownIDs[k]
+			cl.data, cl.err = sc.ownBufs[k], err
 			sh := c.shardOf(id)
 			sh.mu.Lock()
 			delete(sh.inflight, id)
 			if err == nil && cl.gen == sh.gen {
-				c.install(sh, id, ownBufs[k])
+				c.install(sh, id, sc.ownBufs[k])
 			}
 			sh.mu.Unlock()
 			cl.wg.Done()
 		}
 	}
-	var retryIDs []int
-	var retryBufs [][]float64
 	for i, cl := range calls {
 		if cl == nil {
 			continue
@@ -269,19 +264,61 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 			continue
 		}
 		// Stale in-flight result (a write intervened); re-read below.
-		retryIDs = append(retryIDs, ids[i])
-		retryBufs = append(retryBufs, bufs[i])
+		sc.retry(ids[i], bufs[i])
 	}
-	if len(retryIDs) > 0 {
-		c.loads.Add(int64(len(retryIDs)))
-		c.inflight.Add(int64(len(retryIDs)))
-		err := storage.ReadBlocksOf(c.inner, retryIDs, retryBufs)
-		c.inflight.Add(int64(-len(retryIDs)))
+	if len(sc.retryIDs) > 0 {
+		c.loads.Add(int64(len(sc.retryIDs)))
+		c.inflight.Add(int64(len(sc.retryIDs)))
+		err := storage.ReadBlocksOf(c.inner, sc.retryIDs, sc.retryBufs)
+		c.inflight.Add(int64(-len(sc.retryIDs)))
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// batchScratch is one ReadBlocks call's bookkeeping — the call behind each
+// position, the loads it owns, the stale results it re-reads — pooled so
+// that a batch of cache hits allocates nothing.
+type batchScratch struct {
+	calls, ownCalls    []*call
+	ownIDs, retryIDs   []int
+	ownBufs, retryBufs [][]float64
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// resetCalls returns n nil call slots.
+func (sc *batchScratch) resetCalls(n int) []*call {
+	sc.calls = append(sc.calls[:0], make([]*call, n)...)
+	return sc.calls
+}
+
+// own records a load this batch issues itself.
+func (sc *batchScratch) own(id int, buf []float64, cl *call) {
+	sc.ownIDs = append(sc.ownIDs, id)
+	sc.ownBufs = append(sc.ownBufs, buf)
+	sc.ownCalls = append(sc.ownCalls, cl)
+}
+
+// retry records a position to re-read past a stale load.
+func (sc *batchScratch) retry(id int, buf []float64) {
+	sc.retryIDs = append(sc.retryIDs, id)
+	sc.retryBufs = append(sc.retryBufs, buf)
+}
+
+// release drops the scratch's references to calls and buffers and returns
+// it to the pool.
+func (sc *batchScratch) release() {
+	clear(sc.calls)
+	clear(sc.ownCalls)
+	clear(sc.ownBufs)
+	clear(sc.retryBufs)
+	sc.calls, sc.ownCalls = sc.calls[:0], sc.ownCalls[:0]
+	sc.ownIDs, sc.retryIDs = sc.ownIDs[:0], sc.retryIDs[:0]
+	sc.ownBufs, sc.retryBufs = sc.ownBufs[:0], sc.retryBufs[:0]
+	batchPool.Put(sc)
 }
 
 // freshLoad reports whether a completed singleflight load is still

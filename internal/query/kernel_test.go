@@ -321,6 +321,10 @@ func kernelOps(std, non kernelCase) map[string]func() error {
 			_, _, err := RangeSumNonStandard(non.st, start, extent)
 			return err
 		},
+		"PointViaRootPathNonStandard": func() error {
+			_, _, err := PointViaRootPathNonStandard(non.st, point)
+			return err
+		},
 	}
 }
 
@@ -395,6 +399,10 @@ func TestKernelsRejectBeforeScratch(t *testing.T) {
 			_, _, err := RangeSumNonStandard(non.st, []int{0, 0}, []int{0, 4})
 			return err
 		},
+		"PointViaRootPathNonStandard": func() error {
+			_, _, err := PointViaRootPathNonStandard(non.st, []int{0, 64})
+			return err
+		},
 	}
 	// A store that fails every read: reaching the fetch would change the
 	// error.
@@ -434,7 +442,7 @@ func TestKernelsConcurrentSharedPool(t *testing.T) {
 					pt, _, perr = PointViaRootPath(c.st, c.shape, s)
 				} else {
 					got, _, err = RangeSumNonStandard(c.st, s, e)
-					pt, perr = c.src.At(s...), nil
+					pt, _, perr = PointViaRootPathNonStandard(c.st, s)
 				}
 				if err != nil || perr != nil {
 					t.Errorf("goroutine %d: %v %v", g, err, perr)

@@ -9,7 +9,6 @@ package query
 import (
 	"fmt"
 
-	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
@@ -228,27 +227,29 @@ func RangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, erro
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	n := bitutil.Log2(arrShape[0])
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.blocks = append(sc.blocks, 0) // the overall average
-	for j := n; j >= 1; j-- {
-		// A cut cell's ancestors are cut too, and its node shares the tile
-		// of the ancestor that is a tile root: those levels name every block.
-		if lvl := tiling.Level(j); lvl.TileRoot() {
-			sc.walkLevel(lvl, j, start, shape, false)
-		}
+	return sc.rangeSumNonStandard(st, tiling, start, shape)
+}
+
+// PointViaRootPathNonStandard answers a point query from a non-standard
+// tiled store without stored scaling coefficients: a cell is the box of
+// extent 1, so the range-sum kernel reads its quadtree path and weights
+// each level's details by the cell's signs.
+func PointViaRootPathNonStandard(st *tile.Store, point []int) (float64, int, error) {
+	tiling, ok := st.Tiling().(*tile.NonStandard)
+	if !ok {
+		return 0, 0, fmt.Errorf("query: PointViaRootPathNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	if err := sc.fetch(st); err != nil {
+	arrShape, _ := domainShape(st)
+	if err := ValidatePoint(arrShape, point); err != nil {
 		return 0, 0, err
 	}
-	vol := 1.0
-	for _, e := range shape {
-		vol *= float64(e)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.unit = resized(sc.unit, len(point))
+	for i := range sc.unit {
+		sc.unit[i] = 1
 	}
-	sum := sc.frame(0)[0] * vol
-	for j := n; j >= 1; j-- {
-		sum += sc.walkLevel(tiling.Level(j), j, start, shape, true)
-	}
-	return sum, len(sc.blocks), nil
+	return sc.rangeSumNonStandard(st, tiling, point, sc.unit)
 }

@@ -31,7 +31,9 @@ type scratch struct {
 	edge    int   // slots per dimension of a standard block
 	coords  []int // one coefficient's coordinates (tilings other than Standard)
 
-	// Non-standard plan: per dimension, the box against one quadtree level.
+	// Non-standard plan: per dimension, the box against one quadtree level;
+	// unit is the all-ones extent of a point's box.
+	unit     []int
 	spans    []span
 	from, to []int // cell ranges of the face being walked
 	cell     []int
@@ -239,6 +241,32 @@ func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []in
 		return 0, 0, err
 	}
 	return sc.walkStandard(st.Tiling(), true), len(sc.blocks), nil
+}
+
+// rangeSumNonStandard is the non-standard kernel behind RangeSumNonStandard
+// and PointViaRootPathNonStandard (extent all ones).
+func (sc *scratch) rangeSumNonStandard(st *tile.Store, tiling *tile.NonStandard, start, extent []int) (float64, int, error) {
+	n := bitutil.Log2(tiling.Domain()[0])
+	sc.blocks = append(sc.blocks, 0) // the overall average
+	for j := n; j >= 1; j-- {
+		// A cut cell's ancestors are cut too, and its node shares the tile
+		// of the ancestor that is a tile root: those levels name every block.
+		if lvl := tiling.Level(j); lvl.TileRoot() {
+			sc.walkLevel(lvl, j, start, extent, false)
+		}
+	}
+	if err := sc.fetch(st); err != nil {
+		return 0, 0, err
+	}
+	vol := 1.0
+	for _, e := range extent {
+		vol *= float64(e)
+	}
+	sum := sc.frame(0)[0] * vol
+	for j := n; j >= 1; j-- {
+		sum += sc.walkLevel(tiling.Level(j), j, start, extent, true)
+	}
+	return sum, len(sc.blocks), nil
 }
 
 // span is one dimension of a box against one quadtree level: the cells

@@ -49,39 +49,44 @@ var fuzzHandler = sync.OnceValue(func() http.Handler {
 	return New(serving, Config{}).Handler()
 })
 
+// requestSeeds is FuzzRequestDecoding's corpus; the fast decoders'
+// differential test replays it too.
+var requestSeeds = []string{
+	`{"point":[5,7]}`,
+	`{"point":[]}`,
+	`{"point":[-1,-1]}`,
+	`{"point":[99999999999,0]}`,
+	`{"point":[9223372036854775807,9223372036854775807]}`,
+	`{"start":[0,0],"extent":[8,8]}`,
+	`{"start":[0,0],"extent":[-8,8]}`,
+	`{"start":[-4,-4],"extent":[4,4]}`,
+	`{"start":[9223372036854775800,0],"extent":[100,4]}`,
+	`{"start":[0],"extent":[4]}`,
+	`{"dim":0,"index":3}`,
+	`{"dim":-1}`,
+	`{"dim":100000,"start":-5,"length":0}`,
+	`{`,
+	``,
+	`null`,
+	`[]`,
+	`42`,
+	`"point"`,
+	`{"point":[5,7]}{"point":[5,7]}`,
+	`{"point":[5,7],"extra":"field"}`,
+	`{"point":"not-an-array"}`,
+	`{"point":[1.5,2.5]}`,
+	`{"start":[0,0],"extent":[8,8],"every":-3}`,
+	strings.Repeat(`{"point":[`, 1000),
+}
+
 // FuzzRequestDecoding throws arbitrary bodies at every query endpoint and
-// asserts the invariants the issue demands: no input may panic (recoverJSON
-// would surface a panic as a 500, which the fuzz treats as a failure) and
-// every non-2xx answer is a well-formed JSON error object.
+// asserts the serving invariants: no input may panic (recoverJSON would
+// surface a panic as a 500, which the fuzz treats as a failure), every
+// non-2xx answer is a well-formed JSON error object, and wherever a fast
+// decoder accepts the body, strict encoding/json accepts it with equal
+// values (checkDecoders).
 func FuzzRequestDecoding(f *testing.F) {
-	seeds := []string{
-		`{"point":[5,7]}`,
-		`{"point":[]}`,
-		`{"point":[-1,-1]}`,
-		`{"point":[99999999999,0]}`,
-		`{"point":[9223372036854775807,9223372036854775807]}`,
-		`{"start":[0,0],"extent":[8,8]}`,
-		`{"start":[0,0],"extent":[-8,8]}`,
-		`{"start":[-4,-4],"extent":[4,4]}`,
-		`{"start":[9223372036854775800,0],"extent":[100,4]}`,
-		`{"start":[0],"extent":[4]}`,
-		`{"dim":0,"index":3}`,
-		`{"dim":-1}`,
-		`{"dim":100000,"start":-5,"length":0}`,
-		`{`,
-		``,
-		`null`,
-		`[]`,
-		`42`,
-		`"point"`,
-		`{"point":[5,7]}{"point":[5,7]}`,
-		`{"point":[5,7],"extra":"field"}`,
-		`{"point":"not-an-array"}`,
-		`{"point":[1.5,2.5]}`,
-		`{"start":[0,0],"extent":[8,8],"every":-3}`,
-		strings.Repeat(`{"point":[`, 1000),
-	}
-	for _, s := range seeds {
+	for _, s := range requestSeeds {
 		f.Add(s)
 	}
 	paths := []string{
@@ -89,6 +94,7 @@ func FuzzRequestDecoding(f *testing.F) {
 		"/v1/olap/rollup", "/v1/olap/slice", "/v1/olap/dice",
 	}
 	f.Fuzz(func(t *testing.T, body string) {
+		checkDecoders(t, []byte(body))
 		h := fuzzHandler()
 		for _, p := range paths {
 			req := httptest.NewRequest("POST", p, strings.NewReader(body))

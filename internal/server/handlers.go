@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"path"
@@ -30,26 +31,36 @@ type pointResponse struct {
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req pointRequest
-	if err := decode(r, &req); err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := query.ValidatePoint(s.st.Shape(), req.Point); err != nil {
-		s.fail(w, err)
-		return
+	sc := getScratch()
+	defer putScratch(sc)
+	var point []int
+	if s.readBody(r, sc) && sc.decodePoint() {
+		point = sc.start
+	} else {
+		s.fallback(w, r, sc)
+		var req pointRequest
+		if err := decode(r, &req); err != nil {
+			s.failed.Add(1)
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		point = req.Point
 	}
 	before := s.st.DegradedReads()
 	snap := s.st.AcquireSnapshot()
 	defer snap.Release()
-	v, blocks, err := snap.Point(req.Point...)
+	v, blocks, err := snap.Point(point...)
+	if err == nil {
+		err = finite("value", v)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, pointResponse{Point: req.Point, Value: v, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()})
+	resp := pointResponse{Point: point, Value: v, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()}
+	sc.out = resp.appendJSON(sc.out[:0])
+	send(w, jsonContentType, sc.out)
 }
 
 type rangeRequest struct {
@@ -67,26 +78,36 @@ type rangeResponse struct {
 }
 
 func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
-	var req rangeRequest
-	if err := decode(r, &req); err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := query.ValidateBox(s.st.Shape(), req.Start, req.Extent); err != nil {
-		s.fail(w, err)
-		return
+	sc := getScratch()
+	defer putScratch(sc)
+	var start, extent []int
+	if s.readBody(r, sc) && sc.decodeRange() {
+		start, extent = sc.start, sc.extent
+	} else {
+		s.fallback(w, r, sc)
+		var req rangeRequest
+		if err := decode(r, &req); err != nil {
+			s.failed.Add(1)
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		start, extent = req.Start, req.Extent
 	}
 	before := s.st.DegradedReads()
 	snap := s.st.AcquireSnapshot()
 	defer snap.Release()
-	sum, blocks, err := snap.RangeSum(req.Start, req.Extent)
+	sum, blocks, err := snap.RangeSum(start, extent)
+	if err == nil {
+		err = finite("sum", sum)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, rangeResponse{Start: req.Start, Extent: req.Extent, Sum: sum, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()})
+	resp := rangeResponse{Start: start, Extent: extent, Sum: sum, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()}
+	sc.out = resp.appendJSON(sc.out[:0])
+	send(w, jsonContentType, sc.out)
 }
 
 type progressiveRequest struct {
@@ -110,6 +131,8 @@ type progressiveStep struct {
 // further coefficients arrive — the paper's progressive query answering
 // mode, on the wire.
 func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
+	defer cancel()
 	var req progressiveRequest
 	if err := decode(r, &req); err != nil {
 		s.failed.Add(1)
@@ -132,7 +155,6 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w) // Encode appends the NDJSON newline
-	ctx := r.Context()
 	before := s.st.DegradedReads()
 	// One pin for the whole stream: every refinement line describes the same
 	// epoch even while maintenance flips underneath.
@@ -261,8 +283,7 @@ func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
 	// The operators return the transform of the result cube; clients want
 	// data values, so invert before responding.
 	data := shiftsplit.Inverse(out, shiftsplit.Standard)
-	s.served.Add(1)
-	writeJSON(w, olapResponse{Op: op, Dim: req.Dim, Shape: data.Shape(), Values: data.Data(), Degraded: degraded})
+	s.answer(w, olapResponse{Op: op, Dim: req.Dim, Shape: data.Shape(), Values: data.Data(), Degraded: degraded})
 }
 
 type healthResponse struct {

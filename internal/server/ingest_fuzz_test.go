@@ -32,43 +32,49 @@ var fuzzIngestHandler = sync.OnceValue(func() http.Handler {
 	return New(st, Config{Ingest: in}).Handler()
 })
 
+// ingestSeeds is FuzzIngestDecoding's corpus; the fast decoders'
+// differential test replays it too.
+var ingestSeeds = []string{
+	`{"shape":[4,1],"values":[1,2,3,4]}`,
+	`{"shape":[4,2],"values":[1,2,3,4,5,6,7,8]}`,
+	`{"shape":[4,1],"values":[1,2,3]}`,
+	`{"shape":[],"values":[]}`,
+	`{"shape":[0],"values":[]}`,
+	`{"shape":[-4,1],"values":[1]}`,
+	`{"shape":[4,1],"values":[null,2,3,4]}`,
+	`{"shape":[1,1],"values":[1e999]}`,
+	`{"shape":[1073741824,1073741824],"values":[]}`,
+	`{"shape":[3,1],"values":[1,2,3]}`,
+	`{"shape":[8,1],"values":[1,2,3,4,5,6,7,8]}`,
+	`{"shape":[4,1],"values":[1,2,3,4],"extra":true}`,
+	`{"values":[1,2,3,4]}`,
+	`{"shape":[4,1]}`,
+	`{"shape":"x","values":"y"}`,
+	`{`,
+	``,
+	`null`,
+	`[]`,
+	`42`,
+	`{"shape":[4,1],"values":[1,2,3,4]}` + "\n" + `{"shape":[4,1],"values":[5,6,7,8]}`,
+	`{"shape":[4,1],"values":[1,2,3,4]}{"shape":`,
+	`{"values":[1,2,3]}`,
+	`{"point":[0,0]}`,
+	strings.Repeat(`{"shape":[`, 500),
+}
+
 // FuzzIngestDecoding throws arbitrary bodies at the write path, as JSON
 // and as NDJSON: malformed requests (bad JSON, wrong-shape slabs,
 // NaN/Inf cells) must come back 400 via query.ErrInvalid — never a panic
 // (recoverJSON would turn one into a 500, which fails the fuzz) — and
-// every non-2xx answer must be a well-formed JSON error object.
+// every non-2xx answer must be a well-formed JSON error object. Wherever the
+// fast slab decoder accepts a body, strict encoding/json must accept it
+// with equal values (checkDecoders).
 func FuzzIngestDecoding(f *testing.F) {
-	seeds := []string{
-		`{"shape":[4,1],"values":[1,2,3,4]}`,
-		`{"shape":[4,2],"values":[1,2,3,4,5,6,7,8]}`,
-		`{"shape":[4,1],"values":[1,2,3]}`,
-		`{"shape":[],"values":[]}`,
-		`{"shape":[0],"values":[]}`,
-		`{"shape":[-4,1],"values":[1]}`,
-		`{"shape":[4,1],"values":[null,2,3,4]}`,
-		`{"shape":[1,1],"values":[1e999]}`,
-		`{"shape":[1073741824,1073741824],"values":[]}`,
-		`{"shape":[3,1],"values":[1,2,3]}`,
-		`{"shape":[8,1],"values":[1,2,3,4,5,6,7,8]}`,
-		`{"shape":[4,1],"values":[1,2,3,4],"extra":true}`,
-		`{"values":[1,2,3,4]}`,
-		`{"shape":[4,1]}`,
-		`{"shape":"x","values":"y"}`,
-		`{`,
-		``,
-		`null`,
-		`[]`,
-		`42`,
-		`{"shape":[4,1],"values":[1,2,3,4]}` + "\n" + `{"shape":[4,1],"values":[5,6,7,8]}`,
-		`{"shape":[4,1],"values":[1,2,3,4]}{"shape":`,
-		`{"values":[1,2,3]}`,
-		`{"point":[0,0]}`,
-		strings.Repeat(`{"shape":[`, 500),
-	}
-	for _, s := range seeds {
+	for _, s := range ingestSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
+		checkDecoders(t, []byte(body))
 		h := fuzzIngestHandler()
 		for _, ct := range []string{"application/json", "application/x-ndjson"} {
 			for _, p := range []string{"/v1/ingest", "/v1/ingest/stream", "/v1/ingest/point"} {

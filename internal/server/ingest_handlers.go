@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"github.com/shiftsplit/shiftsplit/internal/ingest"
-	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 )
 
 // maxNDJSONSlabs caps the slab lines one NDJSON ingest request may carry
@@ -58,7 +57,14 @@ func (s *Server) ingestFail(w http.ResponseWriter, err error) {
 }
 
 func isNDJSON(r *http.Request) bool {
-	ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	ct := r.Header.Get("Content-Type")
+	switch ct {
+	case "application/x-ndjson", "application/ndjson":
+		return true // what ParseMediaType would return, without its parameter map
+	case "application/json":
+		return false
+	}
+	ct, _, err := mime.ParseMediaType(ct)
 	return err == nil && (ct == "application/x-ndjson" || ct == "application/ndjson")
 }
 
@@ -67,80 +73,33 @@ func isNDJSON(r *http.Request) bool {
 // means durable and queryable. The request announces itself to the
 // ingester before its body is read, so a group forming meanwhile waits
 // for it instead of committing without it.
+//
+// An NDJSON body is decoded whole up front (any malformed line fails the
+// whole request with 400 before anything is enqueued), then its lines are
+// staged together, so they share a group commit — one client still gets
+// the amortization across its own lines. The NDJSON response carries one
+// result line per slab line, in order; lines with an error field were not
+// committed.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
+	defer cancel()
 	req := s.cfg.Ingest.Announce()
 	defer req.Withdraw()
-	if isNDJSON(r) {
-		s.handleIngestNDJSON(w, r, req)
+	sc := getScratch()
+	defer putScratch(sc)
+	ndjson := isNDJSON(r)
+	if !s.readSlabs(w, r, sc, ndjson) {
 		return
 	}
-	var body ingestSlabRequest
-	if err := decode(r, &body); err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	slab, err := ingest.NewSlab(body.Shape, body.Values)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	results, errs := req.Enqueue(r.Context(), []*ndarray.Array{slab})
-	if errs[0] != nil {
-		s.ingestFail(w, errs[0])
-		return
-	}
-	s.served.Add(1)
-	writeJSON(w, lineResult(results[0], nil))
-}
-
-func lineResult(res ingest.Result, err error) ingestResult {
-	if err != nil {
-		return ingestResult{Error: err.Error()}
-	}
-	return ingestResult{Offset: res.Offset, Cells: res.Cells, Group: res.Group, Slabs: res.Slabs}
-}
-
-// handleIngestNDJSON decodes every slab line up front (any malformed line
-// fails the whole request with 400 before anything is enqueued), then
-// stages the lines together, so they share a group commit — one client
-// still gets the amortization across its own lines. The NDJSON response
-// carries one result line per slab line, in order; lines with an error
-// field were not committed.
-func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request, req *ingest.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var slabs []*ndarray.Array
-	for {
-		var line ingestSlabRequest
-		if err := dec.Decode(&line); err == io.EOF {
-			break
-		} else if err != nil {
-			s.failed.Add(1)
-			writeError(w, http.StatusBadRequest, "bad request line: "+err.Error())
-			return
-		}
-		slab, err := ingest.NewSlab(line.Shape, line.Values)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		if len(slabs) >= maxNDJSONSlabs {
-			s.failed.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge, "too many slab lines in one request")
-			return
-		}
-		slabs = append(slabs, slab)
-	}
-	if len(slabs) == 0 {
+	if ndjson && len(sc.slabs) == 0 {
 		s.failed.Add(1)
 		writeError(w, http.StatusBadRequest, "empty ingest body")
 		return
 	}
-	results, errs := req.Enqueue(r.Context(), slabs)
+	results, errs := req.Enqueue(ctx, sc.slabs)
 	// All lines rejected: surface the first error as the request's status
 	// so shed load is visible at the HTTP layer (429/503), not buried in a
-	// 200 body.
+	// 200 body. A JSON body's one slab always answers this way.
 	allFailed := true
 	for _, err := range errs {
 		if err == nil {
@@ -153,11 +112,83 @@ func (s *Server) handleIngestNDJSON(w http.ResponseWriter, r *http.Request, req 
 		return
 	}
 	s.served.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	sc.out = sc.out[:0]
 	for i := range results {
-		enc.Encode(lineResult(results[i], errs[i]))
+		res := lineResult(results[i], errs[i])
+		sc.out = res.appendJSON(sc.out)
 	}
+	if ndjson {
+		send(w, ndjsonContentType, sc.out)
+	} else {
+		send(w, jsonContentType, sc.out)
+	}
+}
+
+// readSlabs decodes the ingest body into sc.slabs — its one slab, or with
+// ndjson one per line — and answers the request itself, returning false,
+// when a line is malformed or not a slab.
+func (s *Server) readSlabs(w http.ResponseWriter, r *http.Request, sc *scratch, ndjson bool) bool {
+	add := func(shape []int, values []float64) bool {
+		slab, err := ingest.NewSlab(shape, values)
+		if err != nil {
+			s.fail(w, err)
+			return false
+		}
+		if ndjson && len(sc.slabs) >= maxNDJSONSlabs {
+			s.failed.Add(1)
+			writeError(w, http.StatusRequestEntityTooLarge, "too many slab lines in one request")
+			return false
+		}
+		sc.slabs = append(sc.slabs, slab)
+		return true
+	}
+	// The fast path builds each line's slab as soon as it is decoded, as the
+	// fallback does, so the first failing line answers either way.
+	fast := s.readBody(r, sc)
+	p := wireScanner{b: sc.body}
+	for fast && !p.done() {
+		values, ok := sc.slabLine(&p)
+		if fast = ok && (ndjson || p.done()); fast && !add(sc.shape, values) {
+			return false
+		}
+	}
+	if fast && (ndjson || len(sc.slabs) == 1) {
+		return true
+	}
+	clear(sc.slabs)
+	sc.slabs = sc.slabs[:0]
+	s.fallback(w, r, sc)
+	if !ndjson {
+		var body ingestSlabRequest
+		if err := decode(r, &body); err != nil {
+			s.failed.Add(1)
+			writeError(w, http.StatusBadRequest, err.Error())
+			return false
+		}
+		return add(body.Shape, body.Values)
+	}
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	for {
+		var line ingestSlabRequest
+		if err := dec.Decode(&line); err == io.EOF {
+			return true
+		} else if err != nil {
+			s.failed.Add(1)
+			writeError(w, http.StatusBadRequest, "bad request line: "+err.Error())
+			return false
+		}
+		if !add(line.Shape, line.Values) {
+			return false
+		}
+	}
+}
+
+func lineResult(res ingest.Result, err error) ingestResult {
+	if err != nil {
+		return ingestResult{Error: err.Error()}
+	}
+	return ingestResult{Offset: res.Offset, Cells: res.Cells, Group: res.Group, Slabs: res.Slabs}
 }
 
 type ingestStreamRequest struct {
@@ -210,6 +241,5 @@ func (s *Server) handleIngestPoint(w http.ResponseWriter, r *http.Request) {
 		s.ingestFail(w, err)
 		return
 	}
-	s.served.Add(1)
-	writeJSON(w, ingestPointResponse{Point: req.Point, Value: v})
+	s.answer(w, ingestPointResponse{Point: req.Point, Value: v})
 }

@@ -14,8 +14,11 @@
 //
 // Request handling is bounded two ways: a semaphore caps the number of
 // queries executing at once (excess requests get 429 so load sheds at the
-// edge instead of queueing without bound), and every query runs under a
-// per-request deadline. Shutdown drains in-flight queries before closing.
+// edge instead of queueing without bound), and the two routes that can run
+// long — a progressive stream and an ingest request waiting on its group
+// commit — run under a per-request deadline. Point, range-sum and OLAP
+// queries do not check one. Shutdown drains in-flight queries before
+// closing.
 package server
 
 import (
@@ -44,7 +47,8 @@ type Config struct {
 	// MaxConcurrent caps the queries executing at once; excess requests are
 	// rejected with 429 (default 64).
 	MaxConcurrent int
-	// QueryTimeout is the per-request deadline (default 10s).
+	// QueryTimeout is the per-request deadline of /v1/progressive and
+	// /v1/ingest, the routes that observe one (default 10s).
 	QueryTimeout time.Duration
 	// DrainTimeout bounds how long shutdown waits for in-flight queries
 	// (default 15s).
@@ -115,8 +119,8 @@ func New(st *shiftsplit.Store, cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/point", s.limited(s.handlePoint))
-	mux.HandleFunc("POST /v1/rangesum", s.limited(s.handleRangeSum))
+	mux.HandleFunc("POST /v1/point", s.admit(s.handlePoint))
+	mux.HandleFunc("POST /v1/rangesum", s.admit(s.handleRangeSum))
 	mux.HandleFunc("POST /v1/progressive", s.limited(s.handleProgressive))
 	mux.HandleFunc("POST /v1/olap/rollup", s.limited(s.handleOLAP))
 	mux.HandleFunc("POST /v1/olap/slice", s.limited(s.handleOLAP))
@@ -124,7 +128,7 @@ func New(st *shiftsplit.Store, cfg Config) *Server {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	if cfg.Ingest != nil {
-		mux.HandleFunc("POST /v1/ingest", s.limited(s.handleIngest))
+		mux.HandleFunc("POST /v1/ingest", s.admit(s.handleIngest))
 		mux.HandleFunc("POST /v1/ingest/stream", s.limited(s.handleIngestStream))
 		mux.HandleFunc("POST /v1/ingest/point", s.limited(s.handleIngestPoint))
 	}
@@ -180,9 +184,11 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// limited is the admission-control middleware: bounded concurrency with
-// load shedding, a per-request deadline, and failure accounting.
-func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
+// admit is the admission-control middleware: bounded concurrency with load
+// shedding, and failure accounting. It sets no deadline: the handlers that
+// pass a context on (progressive, ingest) derive theirs from QueryTimeout.
+// Its handlers cap their own bodies (readBody, fallback).
+func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -195,11 +201,17 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		defer func() { <-s.sem }()
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-		defer cancel()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r.WithContext(ctx))
+		h(w, r)
 	}
+}
+
+// limited is admit plus the body cap, for the handlers that read their
+// body only through decode.
+func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
+	return s.admit(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		h(w, r)
+	})
 }
 
 // recoverJSON converts any residual panic into a 500 JSON error so one bad
@@ -228,6 +240,20 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// answer writes a query's answer, byte for byte what writeJSON writes, and
+// counts it served. An answer JSON cannot carry (a non-finite value) fails
+// the request as the store's fault instead of going out as 200 with an
+// empty body.
+func (s *Server) answer(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.served.Add(1)
+	send(w, jsonContentType, append(b, '\n'))
 }
 
 // decode strictly parses a JSON request body into dst: unknown fields,

@@ -29,10 +29,21 @@ type Store struct {
 // NewStore binds a tiling to a block store. The store's block size must
 // match the tiling's.
 func NewStore(bs storage.BlockStore, tiling Tiling) (*Store, error) {
-	if bs.BlockSize() != tiling.BlockSize() {
-		return nil, fmt.Errorf("tile: block size mismatch: store %d, tiling %d", bs.BlockSize(), tiling.BlockSize())
+	s := new(Store)
+	if err := s.Init(bs, tiling); err != nil {
+		return nil, err
 	}
-	return &Store{bs: bs, tiling: tiling}, nil
+	return s, nil
+}
+
+// Init is NewStore in place: it binds a zero Store embedded in a larger
+// object, so the binding costs no allocation of its own.
+func (s *Store) Init(bs storage.BlockStore, tiling Tiling) error {
+	if bs.BlockSize() != tiling.BlockSize() {
+		return fmt.Errorf("tile: block size mismatch: store %d, tiling %d", bs.BlockSize(), tiling.BlockSize())
+	}
+	s.bs, s.tiling = bs, tiling
+	return nil
 }
 
 func (s *Store) getBuf() *[]float64 {

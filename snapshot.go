@@ -31,43 +31,46 @@ import (
 // (anything opened with OpenServing, in-memory and plain file stores).
 type Snapshot struct {
 	st           *Store
-	bs           *storage.Snapshot // nil on non-versioned stores
-	ts           *tile.Store
+	ts           *tile.Store // &tiles on a versioned store, else the live store
 	materialized bool
 	epoch        uint64
+	// pin and tiles are held by value, so acquiring a snapshot is one
+	// allocation: pin is the epoch pin (versioned stores only) and tiles the
+	// tile view over it.
+	pin   storage.Snapshot
+	tiles tile.Store
 }
 
 // AcquireSnapshot pins the current committed epoch for reading (see
 // Snapshot). The caller must Release it on every path.
 func (s *Store) AcquireSnapshot() *Snapshot {
+	sn := &Snapshot{st: s, ts: s.store}
 	if s.versioned == nil {
-		return &Snapshot{st: s, ts: s.store, materialized: s.materialized.Load()}
+		sn.materialized = s.materialized.Load()
+		return sn
 	}
-	bs := s.versioned.Acquire()
-	ts, err := tile.NewStore(bs, s.tiling)
-	if err != nil {
+	s.versioned.Pin(&sn.pin)
+	if err := sn.tiles.Init(&sn.pin, s.tiling); err != nil {
 		// Unreachable: the snapshot's block size equals the tiling's by
 		// construction. Degrade to the live store rather than failing reads.
-		bs.Release()
-		return &Snapshot{st: s, ts: s.store, materialized: s.materialized.Load()}
+		sn.pin.Release()
+		sn.materialized = s.materialized.Load()
+		return sn
 	}
+	sn.ts = &sn.tiles
+	sn.epoch = sn.pin.Epoch()
 	// Materialization is an epoch property here: only a snapshot of the
 	// exact epoch whose blocks carry scaling coefficients may use the
 	// single-block query path. matEpoch holds that epoch + 1.
-	return &Snapshot{
-		st:           s,
-		bs:           bs,
-		ts:           ts,
-		materialized: s.matEpoch.Load() == bs.Epoch()+1,
-		epoch:        bs.Epoch(),
-	}
+	sn.materialized = s.matEpoch.Load() == sn.epoch+1
+	return sn
 }
 
 // Release unpins the snapshot's epoch (idempotent, no-op on non-versioned
 // stores).
 func (sn *Snapshot) Release() {
-	if sn.bs != nil {
-		sn.bs.Release()
+	if sn.st.versioned != nil {
+		sn.pin.Release()
 	}
 }
 
@@ -86,7 +89,8 @@ func (sn *Snapshot) Form() Form { return sn.st.Form() }
 
 // Point reconstructs a single cell as of the pinned epoch. On a
 // materialized view this reads exactly one block (the §3 payoff of the
-// stored scaling coefficients); otherwise it walks the root path.
+// stored scaling coefficients); otherwise the range-sum kernel of its form
+// sums the cell as a box of extent 1, reading its root path.
 func (sn *Snapshot) Point(point ...int) (float64, int, error) {
 	s := sn.st
 	if sn.materialized {
@@ -98,14 +102,7 @@ func (sn *Snapshot) Point(point ...int) (float64, int, error) {
 	if s.opts.Form == Standard {
 		return query.PointViaRootPath(sn.ts, s.opts.Shape, point)
 	}
-	// Non-standard root-path query: extract the 1-cell block.
-	b := CubeBlock(0, point...)
-	vals, io, err := sn.ExtractBlock(b)
-	if err != nil {
-		return 0, io, err
-	}
-	origin := make([]int, len(point))
-	return vals.At(origin...), io, nil
+	return query.PointViaRootPathNonStandard(sn.ts, point)
 }
 
 // RangeSum evaluates the sum over [start, start+shape) as of the pinned
