@@ -116,12 +116,18 @@ chaos-smoke:
 # range-sum request through ServeHTTP allocates its snapshot and nothing
 # else (budget 2); BenchmarkHandlerPoint/RangeSum report the same path's
 # ns/op and allocs/op on both forms.
+# TestDurableCommitAllocBudget gates a steady-state 9-block durable commit
+# (the journal reuses its record slab); BenchmarkDurableCommit reports its
+# cost, and BenchmarkFrameVerify/v1 and /v2 the check one verified 2 KiB
+# read pays in each on-media format.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
 	$(GO) test -run 'TestHandlerAllocBudget' -count=1 -v ./internal/server/
+	$(GO) test -run 'TestDurableCommitAllocBudget' -count=1 -v ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameVerify|BenchmarkDurableCommit' -benchmem -benchtime 2000x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
 		-benchmem -benchtime 3x ./internal/transform/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppender$$|BenchmarkAppendBatchGroup|BenchmarkExpand' -benchmem -benchtime 3x ./internal/appender/

@@ -428,8 +428,8 @@ func cmdApprox(args []string) error {
 
 func printFsckReport(rep *shiftsplit.FsckReport) {
 	fmt.Printf("store:    %s\n", rep.Path)
-	fmt.Printf("blocks:   %d frames on disk, %d written, block size %d\n",
-		rep.Blocks, rep.Written, rep.BlockSize)
+	fmt.Printf("blocks:   %d frames on disk, block size %d\n", rep.Blocks, rep.BlockSize)
+	fmt.Printf("frames:   %d written (v2 %d, v1 %d)\n", rep.Written, rep.Written-rep.WrittenV1, rep.WrittenV1)
 	fmt.Printf("epoch:    %d\n", rep.MaxEpoch)
 	switch {
 	case !rep.JournalPresent:

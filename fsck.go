@@ -11,8 +11,9 @@ import (
 type FsckReport = storage.FsckReport
 
 // Fsck verifies a file-backed durable store without opening (or modifying)
-// it: every block frame is checksum-verified against its CRC64, and the
-// write-ahead journal is inspected for an interrupted maintenance batch.
+// it: every block frame is verified against its check word, and counted by
+// format version (FsckReport.WrittenV1), and the write-ahead journal is
+// inspected for an interrupted maintenance batch.
 // A report with NeedsRecovery() true means OpenStore would roll the batch
 // forward; JournalErr is non-empty only for media-level corruption the
 // journal protocol cannot repair.

@@ -605,7 +605,7 @@ func rotFrames(path string, blockSize, n int) ([]int, error) {
 	}
 	var ids []int
 	for id := 0; id < total && len(ids) < n; id++ {
-		if _, written, err := chk.ReadMeta(id); err == nil && written {
+		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
 			ids = append(ids, id)
 		}
 	}

@@ -55,7 +55,7 @@ func rotWrittenFrame(t testing.TB, path string, blockSize int) int {
 	}
 	bad := -1
 	for id := 0; id < n; id++ {
-		if _, written, err := chk.ReadMeta(id); err == nil && written {
+		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
 			bad = id
 			break
 		}

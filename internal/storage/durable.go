@@ -30,6 +30,8 @@ type Durable struct {
 	epoch     uint64
 	recovered int // blocks replayed by the last recovery, -1 if none
 	closed    bool
+	ids       []int       // Commit's sorted batch, reused
+	blocks    [][]float64 // its post-images, reused
 }
 
 // maxRetainedBlocks caps the in-memory copy of the last committed batch
@@ -173,8 +175,7 @@ func (d *Durable) recover() error {
 		}
 		return nil
 	}
-	d.data.SetEpoch(batch.Epoch)
-	if err := d.data.WriteBlocks(batch.IDs, batch.Blocks); err != nil {
+	if err := WriteBlocksOf(d.data.inner, batch.IDs, batch.Frames); err != nil {
 		return err
 	}
 	if err := d.data.Sync(); err != nil {
@@ -295,24 +296,30 @@ func (d *Durable) Commit() error {
 	if len(d.pending) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(d.pending))
+	ids := d.ids[:0]
 	for id := range d.pending {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	blocks := make([][]float64, len(ids))
-	for i, id := range ids {
-		blocks[i] = d.pending[id]
+	blocks := d.blocks[:0]
+	for _, id := range ids {
+		blocks = append(blocks, d.pending[id])
 	}
+	d.ids, d.blocks = ids, blocks
 	epoch := d.epoch + 1
-	if err := d.journal.LogBatch(epoch, ids, blocks); err != nil {
+	if err := d.data.SetEpoch(epoch); err != nil {
+		return err
+	}
+	// Each block is framed, and so checked, once: the journal records carry
+	// the frames' check words, and the apply writes the same frames.
+	frames := d.data.frameBatch(blocks)
+	if err := d.journal.LogFrames(epoch, ids, frames); err != nil {
 		return fmt.Errorf("storage: journal batch: %w", err)
 	}
-	d.data.SetEpoch(epoch)
 	// Apply as one vectored write: ids are sorted, so consecutive tiles of
 	// a maintenance batch coalesce into single pwrites at the device while
 	// the per-block frame bytes (and write order) stay identical.
-	if err := d.data.WriteBlocks(ids, blocks); err != nil {
+	if err := WriteBlocksOf(d.data.inner, ids, frames); err != nil {
 		return fmt.Errorf("storage: apply batch of %d blocks: %w", len(ids), err)
 	}
 	if err := d.data.Sync(); err != nil {
@@ -328,6 +335,7 @@ func (d *Durable) Commit() error {
 		d.lastBatch = nil
 	}
 	d.pending = make(map[int][]float64)
+	clear(blocks) // the reused slice must not keep a dropped batch alive
 	return nil
 }
 
@@ -375,7 +383,9 @@ func (d *Durable) RepairBlock(id int) (repaired bool, err error) {
 	}
 	// Rewrite the frame under the epoch it was committed with and make it
 	// stable before reporting success.
-	d.data.SetEpoch(d.epoch)
+	if err := d.data.SetEpoch(d.epoch); err != nil {
+		return false, err
+	}
 	if err := d.data.WriteBlock(id, data); err != nil {
 		return false, fmt.Errorf("storage: repair block %d: %w", id, err)
 	}
@@ -422,6 +432,7 @@ type FsckReport struct {
 	BlockSize int   // logical coefficients per block
 	Blocks    int   // physical frames present in the data file
 	Written   int   // frames holding a stored block
+	WrittenV1 int   // of those, frames still in the read-only v1 format; the rest are v2
 	Corrupt   []int // block ids failing checksum verification
 	MaxEpoch  uint64
 
@@ -465,12 +476,15 @@ func Fsck(path string, blockSize int) (*FsckReport, error) {
 	}
 	rep.Blocks = n
 	for id := 0; id < n; id++ {
-		epoch, written, err := chk.ReadMeta(id)
+		epoch, version, err := chk.ReadMeta(id)
 		switch {
 		case err != nil:
 			rep.Corrupt = append(rep.Corrupt, id)
-		case written:
+		case version != FrameUnwritten:
 			rep.Written++
+			if version == FrameV1 {
+				rep.WrittenV1++
+			}
 			if epoch > rep.MaxEpoch {
 				rep.MaxEpoch = epoch
 			}

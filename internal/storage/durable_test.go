@@ -193,3 +193,61 @@ func TestFsckFlagsCorruptBlock(t *testing.T) {
 		t.Fatalf("fsck missed the rot: %+v", rep)
 	}
 }
+
+// commitOp returns one steady-state maintenance commit on an in-memory
+// durable pair: nine 256-slot blocks (a maintain op's average batch)
+// staged and committed.
+func commitOp(tb testing.TB) func() {
+	const payload = 256
+	d, err := NewDurable(NewMemStore(payload+ChecksumOverhead), NewMemStore(payload+JournalOverhead))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	ids := []int{3, 4, 5, 9, 10, 11, 40, 41, 42}
+	data := make([][]float64, len(ids))
+	for i := range data {
+		data[i] = seqPayload(payload, float64(i))
+	}
+	return func() {
+		if err := d.WriteBlocks(ids, data); err != nil {
+			tb.Fatal(err)
+		}
+		if err := d.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestDurableCommitAllocBudget holds a commit to what it must allocate: the
+// staging map and the post-images it keeps as the repair source. The
+// journal's record slab, its positions and the sorted batch are reused
+// across commits. The format v1 journal measured 34 allocations here; the
+// budget is that less the slab and the positions.
+func TestDurableCommitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const budget = 32
+	op := commitOp(t)
+	for i := 0; i < 4; i++ {
+		op()
+	}
+	allocs := testing.AllocsPerRun(200, op)
+	t.Logf("9-block commit: %.1f allocations (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("9-block commit allocates %.1f times, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkDurableCommit is one 9-block commit: framing, journal records,
+// apply, and the four syncs (free on memory stores).
+func BenchmarkDurableCommit(b *testing.B) {
+	op := commitOp(b)
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}

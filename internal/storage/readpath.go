@@ -11,17 +11,17 @@ import (
 // and a SplitRW store routes reads to it while mutations keep the full
 // journaled write path.
 
-// frameScratch is one reader's reusable frame/CRC scratch.
+// frameScratch is one reader's or writer's reusable frame scratch.
 type frameScratch struct {
 	frame []float64
-	bytes []byte // payload bytes + stamp bytes, the CRC input
+	bytes []byte // one frame's on-media bytes, where a big-endian host serializes it for a check
 	slab  []float64
 	batch [][]float64
 }
 
 // newFrameScratch sizes the scratch for inner blocks of n slots.
 func newFrameScratch(n int) frameScratch {
-	return frameScratch{frame: make([]float64, n), bytes: make([]byte, 8*(n-1))}
+	return frameScratch{frame: make([]float64, n), bytes: make([]byte, 8*n)}
 }
 
 // frames returns n reusable inner-block-sized frames backed by one slab,
@@ -98,11 +98,11 @@ func (r *ChecksumReader) ReadBlock(id int, buf []float64) error {
 // deliverFrame verifies frame and copies its payload into buf (zeros when
 // the block was never written).
 func deliverFrame(scratch []byte, id int, frame, buf []float64) error {
-	_, written, err := verifyFrame(scratch, len(buf), id, frame)
+	_, version, err := verifyFrame(scratch, len(buf), id, frame)
 	if err != nil {
 		return err
 	}
-	if !written {
+	if version == FrameUnwritten {
 		ZeroFill(buf)
 		return nil
 	}
@@ -150,11 +150,11 @@ func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]flo
 			ZeroFill(bufs[i])
 			continue
 		}
-		written, err := verifyFrameBytes(p, id, fb)
+		_, version, err := verifyFrameBytes(p, id, fb)
 		if err != nil {
 			return err
 		}
-		if !written {
+		if version == FrameUnwritten {
 			ZeroFill(bufs[i])
 			continue
 		}

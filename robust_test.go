@@ -78,7 +78,7 @@ func writtenBlock(t *testing.T, path string, blockSize int) int {
 		t.Fatal(err)
 	}
 	for id := 0; id < rep.Blocks; id++ {
-		if _, written, err := chk.ReadMeta(id); err == nil && written {
+		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
 			return id
 		}
 	}

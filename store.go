@@ -57,14 +57,14 @@ type StoreOptions struct {
 	// reports only the I/O that misses the cache.
 	CacheBlocks int
 	// Durable layers crash safety under the store: every block is framed
-	// with a CRC64 + epoch so torn writes and bit rot are detected on read,
-	// and every maintenance operation (Materialize, TransformChunked,
-	// MergeBlock, ClearBlock) is applied atomically through a write-ahead
-	// block journal — a crash leaves either the pre- or the post-operation
-	// transform, never a hybrid, and OpenStore rolls interrupted batches
-	// forward or discards them. File-backed durable stores use a different
-	// on-disk layout (framed blocks plus a ".wal" sidecar) and are not
-	// interchangeable with non-durable files.
+	// with a 64-bit check word + epoch so torn writes and bit rot are
+	// detected on read, and every maintenance operation (Materialize,
+	// TransformChunked, MergeBlock, ClearBlock) is applied atomically
+	// through a write-ahead block journal — a crash leaves either the pre-
+	// or the post-operation transform, never a hybrid, and OpenStore rolls
+	// interrupted batches forward or discards them. File-backed durable
+	// stores use a different on-disk layout (framed blocks plus a ".wal"
+	// sidecar) and are not interchangeable with non-durable files.
 	Durable bool
 	// Versioned interposes the MVCC epoch layer (storage.Versioned) between
 	// the tile map and the physical store: every maintenance batch builds
