@@ -120,6 +120,10 @@ chaos-smoke:
 # (the journal reuses its record slab); BenchmarkDurableCommit reports its
 # cost, and BenchmarkFrameVerify/v1 and /v2 the check one verified 2 KiB
 # read pays in each on-media format.
+# BenchmarkExtractBox (a many-piece box of a 1024² store at TileBits 4, both
+# forms), BenchmarkExtractBlock, BenchmarkR6PartialReconstruction and
+# BenchmarkProgressiveRangeSum report the extraction and progressive read
+# paths' ns/op, allocs/op and, for ExtractBox, blocks/op.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
@@ -136,6 +140,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMappedStoreRead|BenchmarkMappedVsFileWarmRead' \
 		-benchmem -benchtime 3x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkTileFlush' -benchmem -benchtime 3x ./internal/tile/
+	$(GO) test -run '^$$' -bench 'BenchmarkExtractBlock$$|BenchmarkExtractBox|BenchmarkR6PartialReconstruction|BenchmarkProgressiveRangeSum' \
+		-benchmem -benchtime 20x ./
 	$(GO) run ./cmd/shiftsplit bench-serve -maintain -clients 4 -duration 700ms -cache 512 -max-p99-ratio 3
 
 # A short write-path run that must show group commit actually amortizing:

@@ -115,31 +115,26 @@ func (s *Store) RollupFromStore(dim int) (*Array, int, error) {
 		}
 	}
 	out := NewArray(outShape...)
-	reader := tile.NewReader(s.store)
-	scale := float64(s.opts.Shape[dim])
+	// Plan the index-0 hyperplane along dim, fetch its blocks once, then
+	// copy each coefficient out of its frame.
+	var fs tile.FetchSet
 	src := make([]int, d)
-	var rerr error
-	out.Each(func(coords []int, _ float64) {
-		if rerr != nil {
-			return
-		}
-		for i, c := range coords {
-			if i < dim {
-				src[i] = c
-			} else {
-				src[i+1] = c
-			}
-		}
-		src[dim] = 0
-		v, err := reader.Get(src)
-		if err != nil {
-			rerr = err
-			return
-		}
-		out.Set(scale*v, coords...)
-	})
-	if rerr != nil {
-		return nil, reader.BlocksRead(), rerr
+	locate := func(coords []int) (block, slot int) {
+		copy(src[:dim], coords[:dim])
+		copy(src[dim+1:], coords[dim:])
+		return tiling.Locate(src)
 	}
-	return out, reader.BlocksRead(), nil
+	out.Each(func(coords []int, _ float64) {
+		block, _ := locate(coords)
+		fs.Want(block)
+	})
+	if err := fs.Fetch(s.store); err != nil {
+		return nil, 0, err
+	}
+	scale := float64(s.opts.Shape[dim])
+	out.Each(func(coords []int, _ float64) {
+		block, slot := locate(coords)
+		out.Set(scale*fs.Frame(block)[slot], coords...)
+	})
+	return out, fs.Len(), nil
 }

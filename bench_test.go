@@ -13,6 +13,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/experiments"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
+	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/stream"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
@@ -157,6 +158,39 @@ func BenchmarkExtractBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractBox extracts a box of many dyadic pieces from a 1024²
+// store at TileBits 4 in each form, reporting the distinct blocks read.
+func BenchmarkExtractBox(b *testing.B) {
+	src := dataset.Dense([]int{1024, 1024}, 16)
+	start, extent := []int{37, 101}, []int{301, 203}
+	for _, c := range []struct {
+		name string
+		form Form
+	}{{"standard", Standard}, {"nonstandard", NonStandard}} {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := CreateStore(StoreOptions{Shape: []int{1024, 1024}, Form: c.form, TileBits: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.TransformChunked(src, 6); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			blocks := 0
+			for i := 0; i < b.N; i++ {
+				_, n, err := st.ExtractBox(start, extent)
+				if err != nil {
+					b.Fatal(err)
+				}
+				blocks += n
+			}
+			b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+		})
+	}
+}
+
 func BenchmarkPointQueryMaterialized(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	src := randArray(rng, 64, 64)
@@ -240,14 +274,8 @@ func BenchmarkAblationTiling(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			point := []int{i % 64, (i * 13) % 64}
-			reader := tile.NewReader(st)
-			sum := 0.0
-			for _, c := range wavelet.PointPathStandard(shape, point) {
-				v, err := reader.Get(c.Coords)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum += c.Weight * v
+			if _, _, err := query.PointViaRootPath(st, shape, point); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(cnt.Stats().Reads)/float64(b.N), "blocks/op")

@@ -6,7 +6,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/query"
-	"github.com/shiftsplit/shiftsplit/internal/reconstruct"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
@@ -114,14 +113,8 @@ func (a *NonStd) PointAt(coords []int) (float64, error) {
 	}
 	local := append([]int(nil), coords[:a.d-1]...)
 	local = append(local, coords[a.d-1]%edge)
-	pos := make([]int, a.d)
-	copy(pos, local)
-	cell, _, err := reconstruct.DyadicNonStandard(a.stores[h], 0, pos)
-	if err != nil {
-		return 0, err
-	}
-	origin := make([]int, a.d)
-	return cell.At(origin...), nil
+	v, _, err := query.PointViaRootPathNonStandard(a.stores[h], local)
+	return v, err
 }
 
 // RangeSum evaluates the sum over the half-open box [start, start+shape),
@@ -183,36 +176,16 @@ func (a *NonStd) Reconstruct() (*ndarray.Array, error) {
 	shape := a.Shape()
 	out := ndarray.New(shape...)
 	edge := 1 << uint(a.n)
+	scratch := wavelet.NewScratch()
 	for h, st := range a.stores {
-		hat := ndarray.New(cubicShapeOf(a.n, a.d)...)
-		reader := tile.NewReader(st)
-		var rerr error
-		hat.Each(func(coords []int, _ float64) {
-			if rerr != nil {
-				return
-			}
-			v, err := reader.Get(coords)
-			if err != nil {
-				rerr = err
-				return
-			}
-			hat.Set(v, coords...)
-		})
-		if rerr != nil {
-			return nil, rerr
+		cube, err := tile.ReadArray(st, a.tiling.Domain())
+		if err != nil {
+			return nil, err
 		}
-		cube := wavelet.InverseNonStandard(hat)
+		wavelet.InverseNonStandardInPlace(cube, scratch)
 		pastePos := make([]int, a.d)
 		pastePos[a.d-1] = h * edge
 		out.SubPaste(cube, pastePos)
 	}
 	return out, nil
-}
-
-func cubicShapeOf(n, d int) []int {
-	shape := make([]int, d)
-	for i := range shape {
-		shape[i] = 1 << uint(n)
-	}
-	return shape
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 func TestNonStdAppendAndReconstruct(t *testing.T) {
@@ -146,5 +147,55 @@ func TestNonStdRejectsBadHypercube(t *testing.T) {
 	}
 	if err := a.Append(ndarray.New(8, 8)); err == nil {
 		t.Error("wrong edge accepted")
+	}
+}
+
+// readLog counts the read calls that reach the device.
+type readLog struct {
+	storage.BlockStore
+	batches, singles int
+}
+
+func (r *readLog) ReadBlock(id int, buf []float64) error {
+	r.singles++
+	return r.BlockStore.ReadBlock(id, buf)
+}
+
+func (r *readLog) ReadBlocks(ids []int, bufs [][]float64) error {
+	r.batches++
+	return storage.ReadBlocksOf(r.BlockStore, ids, bufs)
+}
+
+// Reconstruct reads each hypercube's tiles with one vectored read, and a
+// point reads its quadtree path with one.
+func TestNonStdReadsOncePerHypercube(t *testing.T) {
+	a, err := NewNonStd(3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &readLog{BlockStore: a.device}
+	a.count = storage.NewCounting(log)
+	for h := 0; h < 3; h++ {
+		if err := a.Append(dataset.Dense([]int{8, 8}, int64(30+h))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.batches, log.singles = 0, 0
+	a.count.Reset()
+	if _, err := a.Reconstruct(); err != nil {
+		t.Fatal(err)
+	}
+	if log.batches != 3 || log.singles != 0 {
+		t.Errorf("Reconstruct: %d vectored and %d single reads, want 3 vectored", log.batches, log.singles)
+	}
+	if reads, want := a.count.Stats().Reads, int64(3*a.tiling.NumBlocks()); reads != want {
+		t.Errorf("Reconstruct read %d blocks, want every tile of 3 hypercubes (%d)", reads, want)
+	}
+	log.batches, log.singles = 0, 0
+	if _, err := a.PointAt([]int{5, 19}); err != nil {
+		t.Fatal(err)
+	}
+	if log.batches != 1 || log.singles != 0 {
+		t.Errorf("PointAt: %d vectored and %d single reads, want 1 vectored", log.batches, log.singles)
 	}
 }

@@ -461,3 +461,97 @@ func TestKernelsConcurrentSharedPool(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func randomPoints(rng *rand.Rand, shape []int, count int) [][]int {
+	points := make([][]int, count)
+	for i := range points {
+		points[i] = make([]int, len(shape))
+		for t, n := range shape {
+			points[i][t] = rng.Intn(n)
+		}
+	}
+	return points
+}
+
+func TestPointBatchNonStandardMatchesOracle(t *testing.T) {
+	for _, c := range nonStandardCases(t) {
+		points := randomPoints(rand.New(rand.NewSource(16)), c.shape, 40)
+		got, io, err := PointBatchNonStandard(c.st, points)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		old, oldIO, err := oldPointBatchNonStandard(c.st, c.shape, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range points {
+			if want := c.src.At(p...); !closeRel(got[i], want) || !closeRel(got[i], old[i]) {
+				t.Fatalf("%s point %v = %g, dense %g, old walk %g", c.name, p, got[i], want, old[i])
+			}
+		}
+		if io != oldIO {
+			t.Fatalf("%s batch read %d blocks, old walk %d", c.name, io, oldIO)
+		}
+	}
+}
+
+// The batch answers every point bit-for-bit as PointStandard does, from the
+// distinct leaf tiles alone.
+func TestPointStandardBatchMatchesSingles(t *testing.T) {
+	for _, shape := range [][]int{{128}, {64, 16}, {16, 8, 32}, {1, 8}} {
+		tiling := tile.NewStandard(log2s(shape), 2)
+		st, err := tile.NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tile.MaterializeStandard(st, wavelet.TransformStandard(dataset.Dense(shape, 17))); err != nil {
+			t.Fatal(err)
+		}
+		points := randomPoints(rand.New(rand.NewSource(18)), shape, 40)
+		got, io, err := PointStandardBatch(st, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := map[int]bool{}
+		for i, p := range points {
+			want, _, err := PointStandard(st, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Fatalf("%v point %v = %v, single query %v", shape, p, got[i], want)
+			}
+			leaves[leafStandard(tiling, p)] = true
+		}
+		if io != len(leaves) {
+			t.Fatalf("%v: batch read %d blocks, %d distinct leaf tiles", shape, io, len(leaves))
+		}
+	}
+}
+
+// The planned progressive walk streams exactly the steps of the per-
+// coefficient walk it replaced: estimates bit for bit, coefficient and
+// block counts equal.
+func TestProgressiveMatchesOracle(t *testing.T) {
+	for _, c := range standardCases(t) {
+		starts, extents := boxes(rand.New(rand.NewSource(19)), c.shape, 30)
+		for i := range starts {
+			got, err := ProgressiveRangeSum(c.st, c.shape, starts[i], extents[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oldProgressiveRangeSum(c.st, c.shape, starts[i], extents[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s box %v+%v: %d steps, oracle %d", c.name, starts[i], extents[i], len(got), len(want))
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("%s box %v+%v step %d = %+v, oracle %+v", c.name, starts[i], extents[i], k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

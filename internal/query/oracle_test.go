@@ -2,16 +2,48 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
+	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 // The kernels as they were before the plan/fetch/accumulate rewrite, kept
-// as oracles: a coefficient list per query, a keyed tile.Reader lookup per
+// as oracles: a coefficient list per query, a keyed reader lookup per
 // coefficient, and a recursive quadtree descent for the non-standard form.
 // The property tests hold the new kernels to these on value and on the
 // number of blocks read.
+
+// reader is the coefficient reader the kernels replaced: a block cache
+// keyed by id, one Locate and one lookup per coefficient, one ReadTile per
+// block on first touch.
+type reader struct {
+	st    *tile.Store
+	cache map[int][]float64
+}
+
+func newReader(st *tile.Store) *reader {
+	return &reader{st: st, cache: make(map[int][]float64)}
+}
+
+func (r *reader) Get(coords []int) (float64, error) {
+	block, slot := r.st.Tiling().Locate(coords)
+	data, ok := r.cache[block]
+	if !ok {
+		var err error
+		if data, err = r.st.ReadTile(block); err != nil {
+			return 0, err
+		}
+		r.cache[block] = data
+	}
+	return data[slot], nil
+}
+
+// BlocksRead returns the number of distinct blocks loaded so far.
+func (r *reader) BlocksRead() int { return len(r.cache) }
 
 // oldPointViaRootPath answers a point query by reading the full Lemma-1
 // coefficient cross product through whatever tiling the store uses — the
@@ -22,11 +54,8 @@ func oldPointViaRootPath(st *tile.Store, shape, point []int) (float64, int, erro
 	if err := ValidatePoint(shape, point); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
+	reader := newReader(st)
 	coefs := wavelet.PointPathStandard(shape, point)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
 	sum := 0.0
 	for _, c := range coefs {
 		v, err := reader.Get(c.Coords)
@@ -38,17 +67,6 @@ func oldPointViaRootPath(st *tile.Store, shape, point []int) (float64, int, erro
 	return sum, reader.BlocksRead(), nil
 }
 
-// preload batch-loads the distinct blocks a coefficient set touches with
-// one vectored read. The set — hence BlocksRead — is identical to what the
-// per-coefficient loop would load one block at a time.
-func preload(st *tile.Store, reader *tile.Reader, coefs []wavelet.Coef) error {
-	blocks := make([]int, len(coefs))
-	for i, c := range coefs {
-		blocks[i], _ = st.Tiling().Locate(c.Coords)
-	}
-	return reader.Preload(blocks)
-}
-
 // oldRangeSumStandard answers a box aggregate over [start, start+shape) by
 // combining the Lemma-2 coefficient set through the store, returning the
 // sum and the number of distinct blocks read.
@@ -56,11 +74,8 @@ func oldRangeSumStandard(st *tile.Store, arrShape, start, shape []int) (float64,
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
+	reader := newReader(st)
 	coefs := wavelet.RangeSumCoefsStandard(arrShape, start, shape)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
 	sum := 0.0
 	for _, c := range coefs {
 		v, err := reader.Get(c.Coords)
@@ -86,7 +101,7 @@ func oldRangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, e
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
+	reader := newReader(st)
 	end := make([]int, d)
 	for i := range start {
 		end[i] = start[i] + shape[i]
@@ -171,19 +186,14 @@ func oldRangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, e
 // upper-tree tiles across queries — the access-pattern benefit the tiling
 // was designed for.
 func oldPointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
-	reader := tile.NewReader(st)
+	reader := newReader(st)
 	out := make([]float64, len(points))
 	paths := make([][]wavelet.Coef, len(points))
-	var all []wavelet.Coef
 	for i, p := range points {
 		if err := ValidatePoint(shape, p); err != nil {
 			return nil, reader.BlocksRead(), err
 		}
 		paths[i] = wavelet.PointPathStandard(shape, p)
-		all = append(all, paths[i]...)
-	}
-	if err := preload(st, reader, all); err != nil {
-		return nil, reader.BlocksRead(), err
 	}
 	for i := range points {
 		sum := 0.0
@@ -195,6 +205,82 @@ func oldPointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int,
 			sum += c.Weight * v
 		}
 		out[i] = sum
+	}
+	return out, reader.BlocksRead(), nil
+}
+
+// oldProgressiveRangeSum is the progressive walk before it was planned: the
+// comparator recomputes support volumes, and each coefficient is read
+// through the reader as the walk reaches it.
+func oldProgressiveRangeSum(st *tile.Store, arrShape, start, shape []int) ([]ProgressiveStep, error) {
+	if err := ValidateBox(arrShape, start, shape); err != nil {
+		return nil, err
+	}
+	coefs := wavelet.RangeSumCoefsStandard(arrShape, start, shape)
+	vol := func(c wavelet.Coef) int {
+		v := 1
+		for t, idx := range c.Coords {
+			v *= haar.Support(bitutil.Log2(arrShape[t]), idx).Len()
+		}
+		return v
+	}
+	sort.SliceStable(coefs, func(i, j int) bool {
+		vi, vj := vol(coefs[i]), vol(coefs[j])
+		if vi != vj {
+			return vi > vj
+		}
+		return math.Abs(coefs[i].Weight) > math.Abs(coefs[j].Weight)
+	})
+	reader := newReader(st)
+	var steps []ProgressiveStep
+	sum := 0.0
+	for i, c := range coefs {
+		v, err := reader.Get(c.Coords)
+		if err != nil {
+			return nil, err
+		}
+		sum += c.Weight * v
+		steps = append(steps, ProgressiveStep{Estimate: sum, Coefficients: i + 1, Blocks: reader.BlocksRead()})
+	}
+	return steps, nil
+}
+
+// oldPointBatchNonStandard is the non-standard batch as the facade ran it
+// before the batch kernel: one reader shared across per-point quadtree
+// walks from the overall average down.
+func oldPointBatchNonStandard(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
+	out := make([]float64, len(points))
+	reader := newReader(st)
+	n := bitutil.Log2(shape[0])
+	d := len(shape)
+	origin := make([]int, d)
+	coords := make([]int, d)
+	for i, p := range points {
+		u, err := reader.Get(origin)
+		if err != nil {
+			return nil, reader.BlocksRead(), err
+		}
+		for j := n; j >= 1; j-- {
+			base := 1 << uint(n-j)
+			for mask := 1; mask < 1<<uint(d); mask++ {
+				w := 1.0
+				for t := 0; t < d; t++ {
+					coords[t] = p[t] >> uint(j)
+					if mask>>uint(t)&1 == 1 {
+						coords[t] += base
+						if p[t]>>uint(j-1)&1 == 1 {
+							w = -w
+						}
+					}
+				}
+				v, err := reader.Get(coords)
+				if err != nil {
+					return nil, reader.BlocksRead(), err
+				}
+				u += w * v
+			}
+		}
+		out[i] = u
 	}
 	return out, reader.BlocksRead(), nil
 }

@@ -23,33 +23,66 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("query: PointStandard needs a *Standard tiling, got %T", st.Tiling())
 	}
-	d := tiling.Dims()
 	arrShape, _ := domainShape(st)
 	if err := ValidatePoint(arrShape, point); err != nil {
 		return 0, 0, err
 	}
-	// Per-dimension: the leaf tile and the weighted slots inside it.
+	data, err := st.ReadTile(leafStandard(tiling, point))
+	if err != nil {
+		return 0, 0, err
+	}
+	return pointInLeaf(tiling, point, data), 1, nil
+}
+
+// PointStandardBatch answers many point queries from a materialized
+// standard-form tiled store: it fetches the points' distinct leaf tiles with
+// one vectored read and evaluates each point from its own, returning the
+// values and the number of distinct blocks read.
+func PointStandardBatch(st *tile.Store, points [][]int) ([]float64, int, error) {
+	tiling, ok := st.Tiling().(*tile.Standard)
+	if !ok {
+		return nil, 0, fmt.Errorf("query: PointStandardBatch needs a *Standard tiling, got %T", st.Tiling())
+	}
+	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, p []int, accumulate bool) float64 {
+		if !accumulate {
+			sc.Want(leafStandard(tiling, p))
+			return 0
+		}
+		return pointInLeaf(tiling, p, sc.Frame(leafStandard(tiling, p)))
+	})
+}
+
+// leafStandard returns the block of a point's leaf tile: per dimension, the
+// tile holding the level-1 detail over the point.
+func leafStandard(tiling *tile.Standard, point []int) int {
+	block := 0
+	for t, p := range point {
+		if n := tiling.Dim(t).Levels(); n > 0 {
+			leaf, _ := tiling.Dim(t).Locate1D(haar.Index(n, 1, p/2))
+			block += leaf * tiling.Stride(t)
+		}
+	}
+	return block
+}
+
+// pointInLeaf evaluates a point from its leaf tile: per dimension the tile's
+// scaling slot plus the in-tile path details, crossed over dimensions.
+func pointInLeaf(tiling *tile.Standard, point []int, data []float64) float64 {
+	d := tiling.Dims()
 	type sel struct {
 		slot   int
 		weight float64
 	}
 	perDim := make([][]sel, d)
-	block := 0
 	B := tiling.Dim(0).BlockSize()
 	for t := 0; t < d; t++ {
 		oneD := tiling.Dim(t)
 		n := oneD.Levels()
 		p := point[t]
-		var leafBlock int
-		var sels []sel
-		if n == 0 {
-			leafBlock = 0
-			sels = []sel{{slot: 0, weight: 1}}
-		} else {
-			leaf := haar.Index(n, 1, p/2)
-			leafBlock, _ = oneD.Locate1D(leaf)
+		sels := []sel{{slot: 0, weight: 1}} // the tile's scaling slot
+		if n > 0 {
+			leafBlock, _ := oneD.Locate1D(haar.Index(n, 1, p/2))
 			jr, _ := oneD.RootOf(leafBlock)
-			sels = []sel{{slot: 0, weight: 1}} // the tile's scaling slot
 			for level := jr; level >= 1; level-- {
 				idx := haar.Index(n, level, p>>uint(level))
 				_, slot := oneD.Locate1D(idx)
@@ -61,11 +94,6 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 			}
 		}
 		perDim[t] = sels
-		block += leafBlock * tiling.Stride(t)
-	}
-	data, err := st.ReadTile(block)
-	if err != nil {
-		return 0, 0, err
 	}
 	// Cross product of per-dimension selections, all within this block.
 	choice := make([]int, d)
@@ -88,7 +116,7 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 			choice[t] = 0
 		}
 		if t < 0 {
-			return sum, 1, nil
+			return sum
 		}
 	}
 }
@@ -149,7 +177,7 @@ func PointNonStandard(st *tile.Store, point []int) (float64, int, error) {
 	return u, 1, nil
 }
 
-// The four kernels below share one shape: plan, fetch, accumulate. The plan
+// The kernels below share one shape: plan, fetch, accumulate. The plan
 // works the Lemma-1/Lemma-2 weights out in closed form (haar.Overlap) and
 // names the blocks they fall in; one vectored read fetches those blocks into
 // a pooled arena (scratch.go); a flat loop per tile folds weight times slot.
@@ -191,6 +219,16 @@ func RangeSumStandard(st *tile.Store, arrShape, start, shape []int) (float64, in
 // Batching amortizes the shared upper-tree tiles across queries — the
 // access-pattern benefit the tiling was designed for.
 func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
+	return pointBatch(st, shape, points, func(sc *scratch, p []int, accumulate bool) float64 {
+		sc.planStandard(st.Tiling(), shape, p, nil)
+		return sc.walkStandard(st.Tiling(), accumulate)
+	})
+}
+
+// pointBatch validates every point, then answers them with one fetch of the
+// union of their blocks: walk names a point's blocks or, once fetched,
+// evaluates it.
+func pointBatch(st *tile.Store, shape []int, points [][]int, walk func(sc *scratch, p []int, accumulate bool) float64) ([]float64, int, error) {
 	for _, p := range points {
 		if err := ValidatePoint(shape, p); err != nil {
 			return nil, 0, err
@@ -199,18 +237,16 @@ func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, er
 	sc := getScratch()
 	defer putScratch(sc)
 	for _, p := range points {
-		sc.planStandard(st.Tiling(), shape, p, nil)
-		sc.walkStandard(st.Tiling(), false)
+		walk(sc, p, false)
 	}
-	if err := sc.fetch(st); err != nil {
+	if err := sc.Fetch(st); err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, len(points))
 	for i, p := range points {
-		sc.planStandard(st.Tiling(), shape, p, nil)
-		out[i] = sc.walkStandard(st.Tiling(), true)
+		out[i] = walk(sc, p, true)
 	}
-	return out, len(sc.blocks), nil
+	return out, sc.Len(), nil
 }
 
 // RangeSumNonStandard answers a box aggregate from a non-standard tiled
@@ -247,9 +283,18 @@ func PointViaRootPathNonStandard(st *tile.Store, point []int) (float64, int, err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.unit = resized(sc.unit, len(point))
-	for i := range sc.unit {
-		sc.unit[i] = 1
+	return sc.rangeSumNonStandard(st, tiling, point, sc.ones(len(point)))
+}
+
+// PointBatchNonStandard is PointBatch for a non-standard tiled store: the
+// union of the points' quadtree paths is fetched with one vectored read and
+// each point is summed as the box of extent 1.
+func PointBatchNonStandard(st *tile.Store, points [][]int) ([]float64, int, error) {
+	tiling, ok := st.Tiling().(*tile.NonStandard)
+	if !ok {
+		return nil, 0, fmt.Errorf("query: PointBatchNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	return sc.rangeSumNonStandard(st, tiling, point, sc.unit)
+	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, p []int, accumulate bool) float64 {
+		return sc.walkNonStandard(tiling, p, sc.ones(len(p)), accumulate)
+	})
 }

@@ -15,13 +15,7 @@ import (
 // in it may outlive that (the kernels return floats and counts only), so a
 // recycled arena is never read through by an earlier query.
 type scratch struct {
-	// Fetch: block ids as the plan names them (duplicates welcome), sorted
-	// and distinct once fetched; frames[i] holds blocks[i] and is cut from
-	// slab.
-	blocks []int
-	frames [][]float64
-	slab   []float64
-	hit    int // index of the last frame looked up
+	tile.FetchSet
 
 	// Standard-form plan: per dimension, the Lemma-2 list located in that
 	// dimension's tiling and sorted by tile.
@@ -49,51 +43,22 @@ var pool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch {
 	sc := pool.Get().(*scratch)
-	sc.blocks = sc.blocks[:0]
-	sc.hit = 0
+	sc.Reset()
 	return sc
 }
 
 func putScratch(sc *scratch) {
-	if cap(sc.slab) > maxPooledSlab {
-		sc.slab, sc.frames = nil, nil
-	}
+	sc.Trim(maxPooledSlab)
 	pool.Put(sc)
 }
 
-// want adds a block to the fetch list. Plans walk tiles in runs, so
-// dropping immediate repeats keeps the list short; fetch removes the rest.
-func (sc *scratch) want(block int) {
-	if n := len(sc.blocks); n == 0 || sc.blocks[n-1] != block {
-		sc.blocks = append(sc.blocks, block)
+// ones returns the all-ones extent of a point's box in d dimensions.
+func (sc *scratch) ones(d int) []int {
+	sc.unit = resized(sc.unit, d)
+	for i := range sc.unit {
+		sc.unit[i] = 1
 	}
-}
-
-// fetch reads the wanted blocks with one vectored read, in ascending id
-// order so consecutive tiles coalesce into one device request.
-func (sc *scratch) fetch(st *tile.Store) error {
-	slices.Sort(sc.blocks)
-	sc.blocks = slices.Compact(sc.blocks)
-	n, size := len(sc.blocks), st.Tiling().BlockSize()
-	sc.slab = resized(sc.slab, n*size)
-	sc.frames = sc.frames[:0]
-	for i := 0; i < n; i++ {
-		sc.frames = append(sc.frames, sc.slab[i*size:(i+1)*size:(i+1)*size])
-	}
-	return st.ReadTilesInto(sc.blocks, sc.frames)
-}
-
-// frame returns the fetched contents of a block the plan asked for. Walks
-// stay on a block for a run and mostly step to the next id.
-func (sc *scratch) frame(block int) []float64 {
-	switch next := sc.hit + 1; {
-	case sc.blocks[sc.hit] == block:
-	case next < len(sc.blocks) && sc.blocks[next] == block:
-		sc.hit = next
-	default:
-		sc.hit, _ = slices.BinarySearch(sc.blocks, block)
-	}
-	return sc.frames[sc.hit]
+	return sc.unit
 }
 
 // resized returns s with length n, reusing its backing when it is large
@@ -203,11 +168,11 @@ func (sc *scratch) walkStandard(tiling tile.Tiling, accumulate bool) float64 {
 		}
 		switch {
 		case !accumulate:
-			sc.want(block)
+			sc.Want(block)
 		case std:
-			sum += sc.sumTile(sc.frame(block), 0, 0)
+			sum += sc.sumTile(sc.Frame(block), 0, 0)
 		default:
-			sum += w * sc.frame(block)[slot]
+			sum += w * sc.Frame(block)[slot]
 		}
 		if !sc.nextTile() {
 			return sum
@@ -237,36 +202,47 @@ func (sc *scratch) sumTile(frame []float64, t, slot int) float64 {
 func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []int) (float64, int, error) {
 	sc.planStandard(st.Tiling(), arrShape, start, extent)
 	sc.walkStandard(st.Tiling(), false)
-	if err := sc.fetch(st); err != nil {
+	if err := sc.Fetch(st); err != nil {
 		return 0, 0, err
 	}
-	return sc.walkStandard(st.Tiling(), true), len(sc.blocks), nil
+	return sc.walkStandard(st.Tiling(), true), sc.Len(), nil
 }
 
 // rangeSumNonStandard is the non-standard kernel behind RangeSumNonStandard
 // and PointViaRootPathNonStandard (extent all ones).
 func (sc *scratch) rangeSumNonStandard(st *tile.Store, tiling *tile.NonStandard, start, extent []int) (float64, int, error) {
-	n := bitutil.Log2(tiling.Domain()[0])
-	sc.blocks = append(sc.blocks, 0) // the overall average
-	for j := n; j >= 1; j-- {
-		// A cut cell's ancestors are cut too, and its node shares the tile
-		// of the ancestor that is a tile root: those levels name every block.
-		if lvl := tiling.Level(j); lvl.TileRoot() {
-			sc.walkLevel(lvl, j, start, extent, false)
-		}
-	}
-	if err := sc.fetch(st); err != nil {
+	sc.walkNonStandard(tiling, start, extent, false)
+	if err := sc.Fetch(st); err != nil {
 		return 0, 0, err
+	}
+	return sc.walkNonStandard(tiling, start, extent, true), sc.Len(), nil
+}
+
+// walkNonStandard names the blocks of the box [start, start+extent) or,
+// once fetched, sums it: avg*vol plus every level's cut cells.
+func (sc *scratch) walkNonStandard(tiling *tile.NonStandard, start, extent []int, accumulate bool) float64 {
+	n := bitutil.Log2(tiling.Domain()[0])
+	if !accumulate {
+		sc.Want(0) // the overall average
+		for j := n; j >= 1; j-- {
+			// A cut cell's ancestors are cut too, and its node shares the
+			// tile of the ancestor that is a tile root: those levels name
+			// every block.
+			if lvl := tiling.Level(j); lvl.TileRoot() {
+				sc.walkLevel(lvl, j, start, extent, false)
+			}
+		}
+		return 0
 	}
 	vol := 1.0
 	for _, e := range extent {
 		vol *= float64(e)
 	}
-	sum := sc.frame(0)[0] * vol
+	sum := sc.Frame(0)[0] * vol
 	for j := n; j >= 1; j-- {
 		sum += sc.walkLevel(tiling.Level(j), j, start, extent, true)
 	}
-	return sum, len(sc.blocks), nil
+	return sum
 }
 
 // span is one dimension of a box against one quadtree level: the cells
@@ -378,10 +354,10 @@ func (sc *scratch) walkFace(lvl tile.NonStdLevel, size, i, v int, accumulate boo
 		for c := sc.from[last]; c <= sc.to[last]; c++ {
 			block, slot := lvl.At(lvl.Push(root, local, c))
 			if !accumulate {
-				sc.want(block)
+				sc.Want(block)
 				continue
 			}
-			frame := sc.frame(block)
+			frame := sc.Frame(block)
 			tw, dw := sc.spans[last].overlap(c, size)
 			// Subband m|top differences along the last dimension, m
 			// averages along it; m = 0 alone is the average, not a detail.

@@ -1,9 +1,12 @@
 package reconstruct
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
@@ -127,7 +130,7 @@ func TestNaiveFullAndPointwiseAgree(t *testing.T) {
 	src := dataset.Dense([]int{16, 16}, 5)
 	st, _ := fixtureStandard(t, src, 2)
 	start, shape := []int{3, 5}, []int{6, 4}
-	full, fullIO, err := NaiveFull(st, start, shape)
+	full, fullIO, err := naiveFull(t, st, start, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestNaiveFullAndPointwiseAgree(t *testing.T) {
 		t.Fatal("baselines disagree with truth")
 	}
 	if fullIO != st.Tiling().NumBlocks() {
-		t.Errorf("NaiveFull read %d blocks, want all %d", fullIO, st.Tiling().NumBlocks())
+		t.Errorf("naiveFull read %d blocks, want all %d", fullIO, st.Tiling().NumBlocks())
 	}
 	if pwIO <= 0 {
 		t.Error("pointwise reported no I/O")
@@ -157,7 +160,7 @@ func TestShiftSplitBeatsNaiveFullForSmallRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fullIO, err := NaiveFull(st, block.Start(), block.Shape())
+	_, fullIO, err := naiveFull(t, st, block.Start(), block.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +248,174 @@ func TestBoxNonStandardRejectsBadInput(t *testing.T) {
 	stdStore, _ := fixtureStandard(t, src, 2)
 	if _, _, err := BoxNonStandard(stdStore, []int{0, 0}, []int{4, 4}); err == nil {
 		t.Error("standard tiling accepted")
+	}
+}
+
+// callLog counts the read calls that reach the device.
+type callLog struct {
+	storage.BlockStore
+	batches, singles int
+}
+
+func (c *callLog) ReadBlock(id int, buf []float64) error {
+	c.singles++
+	return c.BlockStore.ReadBlock(id, buf)
+}
+
+func (c *callLog) ReadBlocks(ids []int, bufs [][]float64) error {
+	c.batches++
+	return storage.ReadBlocksOf(c.BlockStore, ids, bufs)
+}
+
+// loggedStore lays hat out on a tiled store over a Counting over a callLog.
+func loggedStore(t *testing.T, tiling tile.Tiling, hat *ndarray.Array) (*tile.Store, *storage.Counting, *callLog) {
+	t.Helper()
+	log := &callLog{BlockStore: storage.NewMemStore(tiling.BlockSize())}
+	counting := storage.NewCounting(log)
+	st, err := tile.NewStore(counting, tiling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tile.WriteArray(st, hat); err != nil {
+		t.Fatal(err)
+	}
+	return st, counting, log
+}
+
+// checkOneRead runs one extraction and holds it to what it read: one
+// vectored call, its count equal to the blocks the device served.
+func checkOneRead(t *testing.T, counting *storage.Counting, log *callLog, extract func() (*ndarray.Array, int, error)) (*ndarray.Array, int) {
+	t.Helper()
+	counting.Reset()
+	log.batches, log.singles = 0, 0
+	got, io, err := extract()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.batches != 1 || log.singles != 0 {
+		t.Fatalf("%d vectored and %d single reads, want one vectored read", log.batches, log.singles)
+	}
+	if reads := counting.Stats().Reads; int64(io) != reads {
+		t.Fatalf("reported %d blocks, the device served %d", io, reads)
+	}
+	return got, io
+}
+
+func closeRel(got, want *ndarray.Array) bool {
+	for i, w := range want.Data() {
+		if math.Abs(got.Data()[i]-w) > 1e-12*math.Max(1, math.Abs(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Every box is planned whole: one vectored read of the distinct blocks of
+// its pieces' union, strictly fewer than a reader per piece paid on every
+// box of more than one piece, and the cells the reader oracle gives.
+func TestBoxReadsUnionOnce(t *testing.T) {
+	type fixture struct {
+		name  string
+		shape []int
+		st    *tile.Store
+		box   func(start, shape []int) (*ndarray.Array, int)
+	}
+	var cases []fixture
+	for i, g := range []struct {
+		shape []int
+		b     int
+	}{{[]int{128}, 3}, {[]int{64, 16}, 2}, {[]int{16, 64}, 3}, {[]int{16, 8, 32}, 2}} {
+		ns := make([]int, len(g.shape))
+		for t, e := range g.shape {
+			ns[t] = bitutil.Log2(e)
+		}
+		hat := wavelet.TransformStandard(dataset.Dense(g.shape, int64(40+i)))
+		st, counting, log := loggedStore(t, tile.NewStandard(ns, g.b), hat)
+		cases = append(cases, fixture{fmt.Sprintf("std%v/b=%d", g.shape, g.b), g.shape, st, func(start, shape []int) (*ndarray.Array, int) {
+			return checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return Box(st, start, shape) })
+		}})
+	}
+	for i, g := range []struct{ n, d, b int }{{7, 1, 3}, {5, 2, 2}, {3, 3, 1}} {
+		shape := make([]int, g.d)
+		for t := range shape {
+			shape[t] = 1 << uint(g.n)
+		}
+		hat := wavelet.TransformNonStandard(dataset.Dense(shape, int64(50+i)))
+		st, counting, log := loggedStore(t, tile.NewNonStandard(g.n, g.d, g.b), hat)
+		cases = append(cases, fixture{fmt.Sprintf("nonstd/n=%d/d=%d/b=%d", g.n, g.d, g.b), shape, st, func(start, shape []int) (*ndarray.Array, int) {
+			return checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return BoxNonStandard(st, start, shape) })
+		}})
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(60))
+		for trial := 0; trial < 25; trial++ {
+			start, extent := make([]int, len(c.shape)), make([]int, len(c.shape))
+			for i, e := range c.shape {
+				start[i] = rng.Intn(e)
+				extent[i] = 1 + rng.Intn(e-start[i])
+			}
+			if trial == 0 {
+				copy(extent, c.shape)
+				clear(start)
+			}
+			pieces, sum, union := pieceCounts(t, c.st, start, extent)
+			want, _, err := naiveFull(t, c.st, start, extent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, io := c.box(start, extent)
+			if !closeRel(got, want) {
+				t.Fatalf("%s box %v+%v differs from the oracle by %g", c.name, start, extent, got.MaxAbsDiff(want))
+			}
+			if io != union {
+				t.Fatalf("%s box %v+%v read %d blocks, its pieces' union holds %d", c.name, start, extent, io, union)
+			}
+			if pieces > 1 && io >= sum {
+				t.Fatalf("%s box %v+%v of %d pieces read %d blocks, a reader per piece %d", c.name, start, extent, pieces, io, sum)
+			}
+			if pieces == 1 && io != sum {
+				t.Fatalf("%s dyadic box %v+%v read %d blocks, the reader %d", c.name, start, extent, io, sum)
+			}
+		}
+	}
+}
+
+// On the coefficient-granular twin (a Sequential tiling of one coefficient
+// per block) a dyadic block of 2^m per side costs Result 6's
+// (M + log(N/M))^d coefficients, located one by one.
+func TestSequentialTwinCountsResult6Coefficients(t *testing.T) {
+	src := dataset.Dense([]int{64, 64}, 61)
+	st, counting, log := loggedStore(t, tile.NewSequential([]int{64, 64}, 1), wavelet.TransformStandard(src))
+	for m := 0; m <= 6; m++ {
+		block := dyadic.Range{dyadic.NewInterval(m, 0), dyadic.NewInterval(m, (1<<uint(6-m))/2)}
+		got, io := checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return DyadicStandard(st, block) })
+		if want := (1<<uint(m) + 6 - m) * (1<<uint(m) + 6 - m); io != want {
+			t.Errorf("m=%d: %d coefficients, Result 6 gives %d", m, io, want)
+		}
+		if want := src.SubCopy(block.Start(), block.Shape()); !got.EqualApprox(want, 1e-9) {
+			t.Errorf("m=%d: block differs by %g", m, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+// The pointwise baseline reads the union of its cells' root paths, as the
+// reader walking them cell by cell did, with one vectored read.
+func TestNaivePointwiseReadsTheCellsPaths(t *testing.T) {
+	src := dataset.Dense([]int{32, 16}, 62)
+	st, counting, log := loggedStore(t, tile.NewStandard([]int{5, 4}, 2), wavelet.TransformStandard(src))
+	start, shape := []int{3, 5}, []int{9, 6}
+	r := newReader(t, st)
+	out := ndarray.New(shape...)
+	out.Each(func(coords []int, _ float64) {
+		for _, c := range wavelet.PointPathStandard([]int{32, 16}, []int{start[0] + coords[0], start[1] + coords[1]}) {
+			r.get(c.Coords)
+		}
+	})
+	got, io := checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return NaivePointwise(st, start, shape) })
+	if io != len(r.cache) {
+		t.Errorf("read %d blocks, the cells' paths span %d", io, len(r.cache))
+	}
+	if want := src.SubCopy(start, shape); !got.EqualApprox(want, 1e-9) {
+		t.Errorf("box differs by %g", got.MaxAbsDiff(want))
 	}
 }

@@ -3,8 +3,6 @@ package shiftsplit
 import (
 	"fmt"
 
-	"github.com/shiftsplit/shiftsplit/internal/bitutil"
-	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/reconstruct"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
@@ -136,7 +134,8 @@ func (sn *Snapshot) ExtractBlock(b Block) (*Array, int, error) {
 }
 
 // ExtractBox reconstructs an arbitrary box by dyadic decomposition as of
-// the pinned epoch.
+// the pinned epoch. Its pieces are planned together and fetched with one
+// vectored read, so the count is the distinct blocks of their union.
 func (sn *Snapshot) ExtractBox(start, shape []int) (*Array, int, error) {
 	if sn.st.opts.Form == NonStandard {
 		return reconstruct.BoxNonStandard(sn.ts, start, shape)
@@ -144,113 +143,26 @@ func (sn *Snapshot) ExtractBox(start, shape []int) (*Array, int, error) {
 	return reconstruct.Box(sn.ts, start, shape)
 }
 
-// ReadTransform reads the whole transform as of the pinned epoch.
+// ReadTransform reads the whole transform as of the pinned epoch, with one
+// vectored read of every block.
 func (sn *Snapshot) ReadTransform() (*Array, error) {
-	s := sn.st
-	hat := ndarray.New(s.opts.Shape...)
-	reader := tile.NewReader(sn.ts)
-	// Locate is pure arithmetic, so the blocks the read will touch are
-	// known up front: preload them with one vectored read (the same
-	// distinct-block set the per-coefficient loop loads one at a time).
-	var blocks []int
-	hat.Each(func(coords []int, _ float64) {
-		block, _ := s.tiling.Locate(coords)
-		blocks = append(blocks, block)
-	})
-	if err := reader.Preload(blocks); err != nil {
-		return nil, err
-	}
-	var rerr error
-	hat.Each(func(coords []int, _ float64) {
-		if rerr != nil {
-			return
-		}
-		v, err := reader.Get(coords)
-		if err != nil {
-			rerr = err
-			return
-		}
-		hat.Set(v, coords...)
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	return hat, nil
+	return tile.ReadArray(sn.ts, sn.st.opts.Shape)
 }
 
-// Points answers a batch of point queries against the pinned epoch, sharing
-// one block cache across the batch. It returns the values in input order
-// and the total number of distinct blocks read.
+// Points answers a batch of point queries against the pinned epoch with
+// one vectored read of the blocks the whole batch needs. It returns the
+// values in input order and the number of distinct blocks read.
 func (sn *Snapshot) Points(points [][]int) ([]float64, int, error) {
 	s := sn.st
-	if sn.materialized && s.opts.Form == Standard {
-		// Single-tile queries: distinct leaf tiles dominate the cost.
-		out := make([]float64, len(points))
-		seen := make(map[int]struct{})
-		blocks := 0
-		for i, p := range points {
-			v, _, err := query.PointStandard(sn.ts, p)
-			if err != nil {
-				return nil, blocks, err
-			}
-			out[i] = v
-			// Count distinct leaf tiles for the I/O figure.
-			tiling := s.tiling.(*tile.Standard)
-			block := 0
-			for t := 0; t < tiling.Dims(); t++ {
-				oneD := tiling.Dim(t)
-				leafBlock := 0
-				if n := oneD.Levels(); n > 0 {
-					idx := 1<<uint(n-1) + p[t]/2 // the level-1 detail over p
-					leafBlock, _ = oneD.Locate1D(idx)
-				}
-				block += leafBlock * tiling.Stride(t)
-			}
-			if _, dup := seen[block]; !dup {
-				seen[block] = struct{}{}
-				blocks++
-			}
-		}
-		return out, blocks, nil
-	}
-	if s.opts.Form == Standard {
+	switch {
+	case s.opts.Form != Standard:
+		return query.PointBatchNonStandard(sn.ts, points)
+	case sn.materialized:
+		// Single-tile queries: each point needs only its leaf tile.
+		return query.PointStandardBatch(sn.ts, points)
+	default:
 		return query.PointBatch(sn.ts, s.opts.Shape, points)
 	}
-	// Non-standard: share a reader across per-point quadtree walks.
-	out := make([]float64, len(points))
-	reader := tile.NewReader(sn.ts)
-	n := bitutil.Log2(s.opts.Shape[0])
-	d := len(s.opts.Shape)
-	origin := make([]int, d)
-	coords := make([]int, d)
-	for i, p := range points {
-		u, err := reader.Get(origin)
-		if err != nil {
-			return nil, reader.BlocksRead(), err
-		}
-		for j := n; j >= 1; j-- {
-			base := 1 << uint(n-j)
-			for mask := 1; mask < 1<<uint(d); mask++ {
-				w := 1.0
-				for t := 0; t < d; t++ {
-					coords[t] = p[t] >> uint(j)
-					if mask>>uint(t)&1 == 1 {
-						coords[t] += base
-						if p[t]>>uint(j-1)&1 == 1 {
-							w = -w
-						}
-					}
-				}
-				v, err := reader.Get(coords)
-				if err != nil {
-					return nil, reader.BlocksRead(), err
-				}
-				u += w * v
-			}
-		}
-		out[i] = u
-	}
-	return out, reader.BlocksRead(), nil
 }
 
 // ProgressiveRangeSum answers a box aggregate progressively against the
