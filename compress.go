@@ -69,8 +69,8 @@ func ReadCompressedTransform(r io.Reader) (*CompressedTransform, error) {
 type ProgressiveStep = query.ProgressiveStep
 
 // ProgressiveRangeSum answers a box aggregate progressively (coarse
-// coefficients first), returning the running estimates with cumulative I/O;
-// the final step is exact. Standard form only.
+// coefficients first), returning the running estimates; the final step is
+// exact and its Blocks is the I/O done. Standard form only.
 func (s *Store) ProgressiveRangeSum(start, shape []int) ([]ProgressiveStep, error) {
 	snap := s.AcquireSnapshot()
 	defer snap.Release()
@@ -79,7 +79,7 @@ func (s *Store) ProgressiveRangeSum(start, shape []int) ([]ProgressiveStep, erro
 
 // ProgressiveRangeSumFunc is the streaming form of ProgressiveRangeSum: fn
 // receives every refinement step as soon as it is computed, so a server can
-// flush partial answers while later coefficients are still being read. A
+// flush partial answers while later coefficients are still being folded. A
 // non-nil error from fn aborts the walk and is returned unchanged.
 func (s *Store) ProgressiveRangeSumFunc(start, shape []int, fn func(ProgressiveStep) error) error {
 	snap := s.AcquireSnapshot()

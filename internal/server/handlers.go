@@ -127,9 +127,11 @@ type progressiveStep struct {
 }
 
 // handleProgressive streams refinement steps as NDJSON: the client sees a
-// coarse estimate after the first block read and successive refinements as
-// further coefficients arrive — the paper's progressive query answering
-// mode, on the wire.
+// coarse estimate from the first coefficient and successive refinements as
+// further coefficients are folded — the paper's progressive query answering
+// mode, on the wire. The query's blocks are all read before the first line;
+// a line's blocks_read counts the distinct blocks among the coefficients
+// folded so far, so only the final line's is the I/O done.
 func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	defer cancel()
