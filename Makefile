@@ -128,6 +128,7 @@ bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
 	$(GO) test -run 'TestHandlerAllocBudget' -count=1 -v ./internal/server/
+	$(GO) test -run 'TestMissAllocBudget' -count=1 -v ./internal/cache/
 	$(GO) test -run 'TestDurableCommitAllocBudget' -count=1 -v ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/

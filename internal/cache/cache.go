@@ -18,7 +18,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,25 +60,40 @@ type Sharded struct {
 	inflight  atomic.Int64
 }
 
+// shard is one independently locked LRU over a slab of block-sized slots.
+// The slab grows a chunk of slabChunk slots at a time, never copied, up to
+// the shard's capacity, so an idle cache commits no memory; once full, a
+// miss reuses the evicted slot and a spare call and allocates nothing.
 type shard struct {
 	mu       sync.Mutex
-	lru      *list.List // front = most recently used; values are *entry
-	entries  map[int]*list.Element
+	slab     [][]float64   // slot s > 0 lives in chunk (s-1)/slabChunk
+	slots    []slot        // slots[0] heads the LRU list: next is the newest, prev the oldest
+	ids      map[int]int32 // resident block id -> slot
+	free     []int32       // slots emptied by writes, drops and invalidation
 	inflight map[int]*call
-	gen      uint64 // bumped by writes; stale loads are not installed
+	spare    []*call // finished calls, reused by the next load
+	gen      uint64  // bumped by writes; stale loads are not installed
 }
 
-type entry struct {
-	id   int
-	data []float64
+// slabChunk is the number of slots a shard's slab grows by at once.
+const slabChunk = 64
+
+// slot is a node of its shard's circular, intrusive LRU list.
+type slot struct {
+	id         int
+	prev, next int32
 }
 
-// call is one singleflight load; waiters block on wg and then read data/err.
+// call is one singleflight load. Its owner reads the block into its own
+// caller's buffer and installs it; waiters block on wg, then copy the
+// installed slot.
 type call struct {
-	wg   sync.WaitGroup
-	data []float64
-	err  error
-	gen  uint64
+	wg      sync.WaitGroup
+	err     error
+	gen     uint64
+	waiters int           // callers parked on wg; guarded by the shard lock
+	batch   *batchScratch // the owning ReadBlocks call: its duplicates copy its buffer
+	pos     int           // the owner's position in that call
 }
 
 // New wraps inner with a sharded LRU cache holding up to capacity blocks
@@ -113,8 +127,8 @@ func New(inner storage.BlockStore, capacity, shards int) (*Sharded, error) {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			lru:      list.New(),
-			entries:  make(map[int]*list.Element),
+			slots:    make([]slot, 1),
+			ids:      make(map[int]int32),
 			inflight: make(map[int]*call),
 		}
 	}
@@ -134,206 +148,222 @@ func (c *Sharded) shardOf(id int) *shard {
 // ReadBlock serves a block from the cache, loading it at most once no
 // matter how many goroutines miss on it concurrently.
 func (c *Sharded) ReadBlock(id int, buf []float64) error {
-	if err := c.checkArgs(id, len(buf)); err != nil {
-		return err
-	}
-	sh := c.shardOf(id)
-	sh.mu.Lock()
-	if el, ok := sh.entries[id]; ok {
-		copy(buf, el.Value.(*entry).data)
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return nil
-	}
-	c.misses.Add(1)
-	if cl, ok := sh.inflight[id]; ok {
-		// Someone else is already reading this block; wait for their result.
-		sh.mu.Unlock()
-		cl.wg.Wait()
-		if cl.err != nil {
-			return cl.err
-		}
-		if c.freshLoad(id, cl) {
-			copy(buf, cl.data)
-			return nil
-		}
-		// A write landed after that load was issued, so its result may
-		// predate the write. Joining it would lose the write for a caller
-		// doing read-modify-write (the maintenance engines); re-read
-		// directly instead. The writer already invalidated the entry.
-		c.loads.Add(1)
-		c.inflight.Add(1)
-		err := c.inner.ReadBlock(id, buf)
-		c.inflight.Add(-1)
-		return err
-	}
-	cl := &call{gen: sh.gen}
-	cl.wg.Add(1)
-	sh.inflight[id] = cl
-	sh.mu.Unlock()
-
-	c.inflight.Add(1)
-	c.loads.Add(1)
-	data := make([]float64, c.blockSize)
-	err := c.inner.ReadBlock(id, data)
-	cl.data, cl.err = data, err
-	c.inflight.Add(-1)
-
-	sh.mu.Lock()
-	delete(sh.inflight, id)
-	if err == nil && cl.gen == sh.gen {
-		c.install(sh, id, data)
-	}
-	sh.mu.Unlock()
-	cl.wg.Done()
-	if err != nil {
-		return err
-	}
-	copy(buf, data)
-	return nil
+	ids, bufs := [1]int{id}, [1][]float64{buf}
+	return c.ReadBlocks(ids[:], bufs[:])
 }
 
-// ReadBlocks implements storage.BatchReader. Every position is resolved
-// the way ReadBlock would — hits copy out under the shard lock, misses
-// join an existing singleflight load or register their own — but all the
-// loads this call owns are issued to the inner store as one vectored read,
-// so a cold burst over a tile run costs one device request instead of one
-// per block. Waiting on loads owned by other goroutines happens after our
-// own complete, which also resolves duplicate ids within the batch.
+// ReadBlocks implements storage.BatchReader. Hits copy out under the shard
+// lock; misses join an existing singleflight load or register their own.
+// All the loads this call owns are issued to the inner store as one
+// vectored read straight into the caller's buffers, so a cold burst over a
+// tile run costs one device request instead of one per block. Waiting on
+// loads owned by other goroutines happens after our own complete, which
+// also resolves duplicate ids within the batch.
 func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 	for i, id := range ids {
 		if err := c.checkArgs(id, len(bufs[i])); err != nil {
 			return err
 		}
 	}
-	sc := batchPool.Get().(*batchScratch)
-	defer sc.release()
-	calls := sc.resetCalls(len(ids)) // nil where the position was a hit
+	var sc *batchScratch // taken at the first miss: a batch of hits never needs it
 	for i, id := range ids {
 		sh := c.shardOf(id)
 		sh.mu.Lock()
-		if el, ok := sh.entries[id]; ok {
-			copy(bufs[i], el.Value.(*entry).data)
-			sh.lru.MoveToFront(el)
+		if s, ok := sh.ids[id]; ok {
+			copy(bufs[i], sh.block(s, c.blockSize))
+			sh.unlink(s)
+			sh.pushFront(s)
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			continue
 		}
 		c.misses.Add(1)
+		if sc == nil {
+			sc = batchPool.Get().(*batchScratch)
+		}
 		if cl, ok := sh.inflight[id]; ok {
-			calls[i] = cl // someone (possibly this batch) is loading it
+			cl.waiters++ // someone (possibly this batch) is loading it
 			sh.mu.Unlock()
+			sc.waitPos = append(sc.waitPos, i)
+			sc.waitCalls = append(sc.waitCalls, cl)
 			continue
 		}
-		cl := &call{gen: sh.gen}
-		cl.wg.Add(1)
+		cl := sh.newCall(sc, i)
 		sh.inflight[id] = cl
 		sh.mu.Unlock()
-		calls[i] = cl
-		sc.own(id, make([]float64, c.blockSize), cl)
+		sc.ownIDs = append(sc.ownIDs, id)
+		sc.ownBufs = append(sc.ownBufs, bufs[i])
+		sc.ownCalls = append(sc.ownCalls, cl)
 	}
-	if len(sc.ownIDs) > 0 {
-		c.inflight.Add(int64(len(sc.ownIDs)))
-		c.loads.Add(int64(len(sc.ownIDs)))
-		err := storage.ReadBlocksOf(c.inner, sc.ownIDs, sc.ownBufs)
-		c.inflight.Add(int64(-len(sc.ownIDs)))
+	if sc == nil {
+		return nil
+	}
+	defer sc.release()
+	var err error
+	if n := int64(len(sc.ownIDs)); n > 0 {
+		c.inflight.Add(n)
+		c.loads.Add(n)
+		err = storage.ReadBlocksOf(c.inner, sc.ownIDs, sc.ownBufs)
+		c.inflight.Add(-n)
 		for k, cl := range sc.ownCalls {
 			id := sc.ownIDs[k]
-			cl.data, cl.err = sc.ownBufs[k], err
 			sh := c.shardOf(id)
 			sh.mu.Lock()
 			delete(sh.inflight, id)
 			if err == nil && cl.gen == sh.gen {
 				c.install(sh, id, sc.ownBufs[k])
 			}
-			sh.mu.Unlock()
+			cl.err = err
 			cl.wg.Done()
+			sh.recycle(cl)
+			sh.mu.Unlock()
 		}
 	}
-	for i, cl := range calls {
-		if cl == nil {
-			continue
-		}
+	for k, cl := range sc.waitCalls {
+		i, id := sc.waitPos[k], ids[sc.waitPos[k]]
 		cl.wg.Wait()
-		if cl.err != nil {
-			return cl.err
+		sh := c.shardOf(id)
+		sh.mu.Lock()
+		s, resident := sh.ids[id]
+		switch {
+		case cl.err != nil:
+			if err == nil {
+				err = cl.err
+			}
+		case cl.batch == sc:
+			copy(bufs[i], bufs[cl.pos])
+		case resident && cl.gen == sh.gen:
+			copy(bufs[i], sh.block(s, c.blockSize))
+		default:
+			// A write landed after that load was issued, so its result may
+			// predate the write, or the block was evicted before we got to
+			// copy it. Re-read directly: joining a stale load would lose the
+			// write for a caller doing read-modify-write (the maintenance
+			// engines). The writer already invalidated the entry.
+			sc.retryIDs = append(sc.retryIDs, id)
+			sc.retryBufs = append(sc.retryBufs, bufs[i])
 		}
-		if c.freshLoad(ids[i], cl) {
-			copy(bufs[i], cl.data)
-			continue
-		}
-		// Stale in-flight result (a write intervened); re-read below.
-		sc.retry(ids[i], bufs[i])
+		cl.waiters--
+		sh.recycle(cl)
+		sh.mu.Unlock()
 	}
-	if len(sc.retryIDs) > 0 {
-		c.loads.Add(int64(len(sc.retryIDs)))
-		c.inflight.Add(int64(len(sc.retryIDs)))
-		err := storage.ReadBlocksOf(c.inner, sc.retryIDs, sc.retryBufs)
-		c.inflight.Add(int64(-len(sc.retryIDs)))
-		if err != nil {
-			return err
-		}
+	if n := int64(len(sc.retryIDs)); err == nil && n > 0 {
+		c.loads.Add(n)
+		c.inflight.Add(n)
+		err = storage.ReadBlocksOf(c.inner, sc.retryIDs, sc.retryBufs)
+		c.inflight.Add(-n)
 	}
-	return nil
+	return err
 }
 
-// batchScratch is one ReadBlocks call's bookkeeping — the call behind each
-// position, the loads it owns, the stale results it re-reads — pooled so
-// that a batch of cache hits allocates nothing.
+// batchScratch is one ReadBlocks call's bookkeeping — the loads it owns,
+// the loads of others it waits on, the stale results it re-reads — pooled
+// so that a batch of misses allocates nothing.
 type batchScratch struct {
-	calls, ownCalls    []*call
-	ownIDs, retryIDs   []int
-	ownBufs, retryBufs [][]float64
+	ownIDs, retryIDs    []int
+	ownBufs, retryBufs  [][]float64
+	ownCalls, waitCalls []*call
+	waitPos             []int
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// resetCalls returns n nil call slots.
-func (sc *batchScratch) resetCalls(n int) []*call {
-	sc.calls = append(sc.calls[:0], make([]*call, n)...)
-	return sc.calls
-}
-
-// own records a load this batch issues itself.
-func (sc *batchScratch) own(id int, buf []float64, cl *call) {
-	sc.ownIDs = append(sc.ownIDs, id)
-	sc.ownBufs = append(sc.ownBufs, buf)
-	sc.ownCalls = append(sc.ownCalls, cl)
-}
-
-// retry records a position to re-read past a stale load.
-func (sc *batchScratch) retry(id int, buf []float64) {
-	sc.retryIDs = append(sc.retryIDs, id)
-	sc.retryBufs = append(sc.retryBufs, buf)
-}
-
 // release drops the scratch's references to calls and buffers and returns
 // it to the pool.
 func (sc *batchScratch) release() {
-	clear(sc.calls)
 	clear(sc.ownCalls)
+	clear(sc.waitCalls)
 	clear(sc.ownBufs)
 	clear(sc.retryBufs)
-	sc.calls, sc.ownCalls = sc.calls[:0], sc.ownCalls[:0]
+	sc.ownCalls, sc.waitCalls, sc.waitPos = sc.ownCalls[:0], sc.waitCalls[:0], sc.waitPos[:0]
 	sc.ownIDs, sc.retryIDs = sc.ownIDs[:0], sc.retryIDs[:0]
 	sc.ownBufs, sc.retryBufs = sc.ownBufs[:0], sc.retryBufs[:0]
 	batchPool.Put(sc)
 }
 
-// freshLoad reports whether a completed singleflight load is still
-// current: no write to its shard has landed since the load registered.
-// A load that raced a write may carry the pre-write value — installing
-// it is already prevented by the generation check, but a waiter copying
-// cl.data would still see stale data, which breaks read-your-writes for
-// the one caller that requires it (maintenance's read-modify-write of
-// delta tiles joining a load started by a concurrent serving read).
-func (c *Sharded) freshLoad(id int, cl *call) bool {
+// newCall registers a load owned by position pos of batch sc, reusing a
+// spare call when there is one. Caller holds sh.mu.
+func (sh *shard) newCall(sc *batchScratch, pos int) *call {
+	var cl *call
+	if n := len(sh.spare); n > 0 {
+		cl, sh.spare = sh.spare[n-1], sh.spare[:n-1]
+	} else {
+		cl = new(call)
+	}
+	cl.err, cl.gen, cl.batch, cl.pos = nil, sh.gen, sc, pos
+	cl.wg.Add(1)
+	return cl
+}
+
+// recycle returns a finished call to the spare list once nobody holds it:
+// the owner calls it after wg.Done, each waiter after dropping its count,
+// so whichever comes last recycles. Caller holds sh.mu.
+func (sh *shard) recycle(cl *call) {
+	if cl.waiters == 0 {
+		cl.err, cl.batch = nil, nil
+		sh.spare = append(sh.spare, cl)
+	}
+}
+
+// install copies a loaded block into a slot and makes it the most recently
+// used, taking a free slot, growing the slab or evicting the least recently
+// used block, in that order. The id is not resident: only the owner of its
+// one registered load installs it. Caller holds sh.mu.
+func (c *Sharded) install(sh *shard, id int, data []float64) {
+	var s int32
+	switch {
+	case len(sh.free) > 0:
+		s, sh.free = sh.free[len(sh.free)-1], sh.free[:len(sh.free)-1]
+	case len(sh.slots) <= c.capPerShard:
+		s = int32(len(sh.slots))
+		sh.slots = append(sh.slots, slot{})
+		if used := int(s - 1); used%slabChunk == 0 {
+			sh.slab = append(sh.slab, make([]float64, min(slabChunk, c.capPerShard-used)*c.blockSize))
+		}
+	default:
+		s = sh.slots[0].prev
+		sh.unlink(s)
+		delete(sh.ids, sh.slots[s].id)
+		c.evictions.Add(1)
+	}
+	sh.slots[s].id = id
+	sh.ids[id] = s
+	copy(sh.block(s, c.blockSize), data)
+	sh.pushFront(s)
+}
+
+// block returns slot s's block. Caller holds sh.mu.
+func (sh *shard) block(s int32, blockSize int) []float64 {
+	off := int(s-1) % slabChunk * blockSize
+	return sh.slab[(s-1)/slabChunk][off : off+blockSize : off+blockSize]
+}
+
+// unlink takes slot s out of the LRU list. Caller holds sh.mu.
+func (sh *shard) unlink(s int32) {
+	prev, next := sh.slots[s].prev, sh.slots[s].next
+	sh.slots[prev].next, sh.slots[next].prev = next, prev
+}
+
+// pushFront makes slot s the most recently used. Caller holds sh.mu.
+func (sh *shard) pushFront(s int32) {
+	next := sh.slots[0].next
+	sh.slots[s].prev, sh.slots[s].next = 0, next
+	sh.slots[next].prev, sh.slots[0].next = s, s
+}
+
+// drop discards id's resident copy, if any, and bumps its shard's
+// generation so a load that sampled the block before the caller's write is
+// not installed.
+func (c *Sharded) drop(id int) {
 	sh := c.shardOf(id)
 	sh.mu.Lock()
-	fresh := cl.gen == sh.gen
+	sh.gen++
+	if s, ok := sh.ids[id]; ok {
+		sh.unlink(s)
+		delete(sh.ids, id)
+		sh.free = append(sh.free, s)
+	}
 	sh.mu.Unlock()
-	return fresh
 }
 
 // WriteBlocks implements storage.BatchWriter: one vectored write-through,
@@ -349,34 +379,9 @@ func (c *Sharded) WriteBlocks(ids []int, data [][]float64) error {
 	}
 	err := storage.WriteBlocksOf(c.inner, ids, data)
 	for _, id := range ids {
-		sh := c.shardOf(id)
-		sh.mu.Lock()
-		sh.gen++
-		if el, ok := sh.entries[id]; ok {
-			sh.lru.Remove(el)
-			delete(sh.entries, id)
-		}
-		sh.mu.Unlock()
+		c.drop(id)
 	}
 	return err
-}
-
-// install adds a loaded block to the shard, evicting from the cold end if
-// the shard is over capacity. Caller holds sh.mu.
-func (c *Sharded) install(sh *shard, id int, data []float64) {
-	if el, ok := sh.entries[id]; ok {
-		// A racing load installed it first; refresh and promote.
-		copy(el.Value.(*entry).data, data)
-		sh.lru.MoveToFront(el)
-		return
-	}
-	sh.entries[id] = sh.lru.PushFront(&entry{id: id, data: data})
-	for sh.lru.Len() > c.capPerShard {
-		back := sh.lru.Back()
-		sh.lru.Remove(back)
-		delete(sh.entries, back.Value.(*entry).id)
-		c.evictions.Add(1)
-	}
 }
 
 // WriteBlock writes through to the underlying store and invalidates the
@@ -387,14 +392,7 @@ func (c *Sharded) WriteBlock(id int, data []float64) error {
 		return err
 	}
 	err := c.inner.WriteBlock(id, data)
-	sh := c.shardOf(id)
-	sh.mu.Lock()
-	sh.gen++
-	if el, ok := sh.entries[id]; ok {
-		sh.lru.Remove(el)
-		delete(sh.entries, id)
-	}
-	sh.mu.Unlock()
+	c.drop(id)
 	return err
 }
 
@@ -413,8 +411,12 @@ func (c *Sharded) Invalidate() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.gen++
-		sh.lru.Init()
-		sh.entries = make(map[int]*list.Element)
+		clear(sh.ids)
+		sh.slots[0] = slot{}
+		sh.free = sh.free[:0]
+		for s := 1; s < len(sh.slots); s++ {
+			sh.free = append(sh.free, int32(s))
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -425,17 +427,9 @@ func (c *Sharded) Invalidate() {
 // epoch — the only invalidation an epoch-qualified cache ever needs, since
 // a physical id is otherwise never rebound while referenced.
 func (c *Sharded) Drop(id int) {
-	if id < 0 {
-		return
+	if id >= 0 {
+		c.drop(id)
 	}
-	sh := c.shardOf(id)
-	sh.mu.Lock()
-	sh.gen++
-	if el, ok := sh.entries[id]; ok {
-		sh.lru.Remove(el)
-		delete(sh.entries, id)
-	}
-	sh.mu.Unlock()
 }
 
 // Len returns the number of resident blocks.
@@ -443,7 +437,7 @@ func (c *Sharded) Len() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.ids)
 		sh.mu.Unlock()
 	}
 	return n
