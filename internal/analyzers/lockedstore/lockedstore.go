@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 
 // unsafeStores are the internal/storage types documented as not safe for
 // concurrent use (stateful scratch or staging under the hood). MemStore,
-// FileStore, Counting, BufferPool, Retry, and Locked itself are absent: they
+// FileStore, Counting, BufferPool, and Locked itself are absent: they
 // synchronize internally or hold no shared state.
 var unsafeStores = map[string]bool{
 	"Durable":     true,

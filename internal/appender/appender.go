@@ -286,7 +286,7 @@ func (a *Appender) AppendBatch(dim int, slabs []*ndarray.Array) (AppendStats, er
 	}
 	// One group = one atomic batch on transactional backings.
 	if err := a.commitRetry(); err != nil {
-		if storage.Classify(err) == storage.ClassTransient {
+		if storage.IsTransient(err) {
 			// Retries exhausted with the journal possibly sealed: the group
 			// may replay on reopen. Refuse further work.
 			err = fmt.Errorf("%w: %v", ErrInDoubt, err)
@@ -410,7 +410,7 @@ func (a *Appender) commitRetry() error {
 		if err = a.store.Commit(); err == nil {
 			return nil
 		}
-		if storage.Classify(err) != storage.ClassTransient {
+		if !storage.IsTransient(err) {
 			return err
 		}
 		time.Sleep(backoff)

@@ -12,8 +12,8 @@ import (
 
 // BenchmarkAppender measures a fixed campaign of slab appends (no
 // expansions) at several worker counts; the dyadic-piece transforms fan out
-// to the pool while application stays sequential. BENCH_maintain.json
-// records a baseline.
+// to the pool while application stays sequential. TestAllocBudget in
+// internal/transform gates its workers=1 allocs/op.
 func BenchmarkAppender(b *testing.B) {
 	counts := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {

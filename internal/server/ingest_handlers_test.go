@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -222,6 +223,61 @@ func TestIngestBackpressure429(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("staged append failed: %v", err)
 		}
+	}
+}
+
+// TestIngestHTTPAmortization is group commit seen through the HTTP write
+// path: one request wedges the first commit, 16 more stage behind it, and
+// on release they all share the second group — one device commit for 16
+// requests, counted exactly, with no timer in the measurement.
+func TestIngestHTTPAmortization(t *testing.T) {
+	wedge := ingesttest.NewWedge()
+	ts, in := newIngestServerOn(t, wedge.Backing, ingest.Config{})
+	t.Cleanup(wedge.Release) // before the server's cleanups: a failed run leaves requests wedged
+	const followers = 16
+	statuses := make(chan int, followers+1)
+	post := func(c int) {
+		body := fmt.Sprintf(`{"shape":[4,1],"values":[%d,%d,%d,%d]}`, c, c, c, c)
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go post(0)
+	select {
+	case <-wedge.Entered():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the holder's commit never reached the store")
+	}
+	for c := 1; c <= followers; c++ {
+		go post(c)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for in.Stats().QueueSlabs != followers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests staged behind the wedge", in.Stats().QueueSlabs, followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	wedge.Release()
+	for i := 0; i <= followers; i++ {
+		if code := <-statuses; code != http.StatusOK {
+			t.Errorf("request status %d, want 200", code)
+		}
+	}
+	st := in.Stats()
+	if st.CommittedSlabs != followers+1 || st.Groups != 2 {
+		t.Fatalf("committed %d slabs in %d groups, want %d in 2", st.CommittedSlabs, st.Groups, followers+1)
+	}
+	if st.DeviceIO.Commits != st.Groups {
+		t.Errorf("device commits %d, groups %d", st.DeviceIO.Commits, st.Groups)
+	}
+	if st.AppendsPerJournalGroup < 8 {
+		t.Errorf("%.2f appends per journal group, want >= 8", st.AppendsPerJournalGroup)
 	}
 }
 

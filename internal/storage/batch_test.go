@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // mirror is one of the two identical store stacks the property test drives:
@@ -88,8 +87,6 @@ func buildStack(t *testing.T, rng *rand.Rand, dir string, bs int) *mirror {
 		case 2:
 			base = NewLocked(base)
 		case 3:
-			base = NewRetry(base, RetryOptions{Sleep: func(time.Duration) {}})
-		case 4:
 			base = NewFaulty(base) // disarmed: pure pass-through with counters
 		}
 	}
@@ -106,7 +103,7 @@ func buildStack(t *testing.T, rng *rand.Rand, dir string, bs int) *mirror {
 // TestBatchEquivalenceRandomStacks is the stack-permutation property test:
 // for many seeds it composes two identical randomly shuffled storage stacks
 // (Checksummed/Durable/FileStore base under shuffled Counting, BufferPool,
-// Locked, Retry, Faulty layers), drives the same randomized workload through
+// Locked, Faulty layers), drives the same randomized workload through
 // both — one using ReadBlocks/WriteBlocks, the other the per-block loop —
 // and asserts the delivered contents, the Counting totals, and the final
 // store states are identical.

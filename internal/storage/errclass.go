@@ -77,6 +77,12 @@ func Classify(err error) Class {
 	}
 }
 
+// IsTransient reports whether a storage error is worth retrying: injected
+// faults and other ErrTransient-classed errors are; corruption, space
+// exhaustion, and fail-stop errors (closed store, simulated power loss, bad
+// arguments) are not.
+func IsTransient(err error) bool { return Classify(err) == ClassTransient }
+
 // IsCorruption reports whether err is classified as on-media corruption.
 func IsCorruption(err error) bool { return err != nil && errors.Is(err, ErrCorruption) }
 

@@ -22,7 +22,8 @@ import (
 // per-call scratch buffers, so a FileStore is safe for concurrent use.
 // ReadBlocks/WriteBlocks coalesce runs of consecutive block ids into a
 // single pread/pwrite over a run-sized buffer; Preads/Pwrites count the
-// positional I/O calls issued, the syscall proxy BENCH_io.json reports.
+// positional I/O calls issued, the syscall proxy behind the benchmark's
+// device.read_calls_per_op row.
 type FileStore struct {
 	f          *os.File
 	blockSize  int

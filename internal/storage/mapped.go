@@ -397,7 +397,7 @@ func (s *MappedStore) NumBlocks() (int, error) { return s.fs.NumBlocks() }
 
 // Syscalls mirrors FileStore.Syscalls. Mapped reads issue no positional
 // reads, so preads stays 0 — the mapped traffic is reported separately
-// by MappedReads, keeping the BENCH_io syscall columns honest.
+// by MappedReads, keeping the syscall counts honest.
 func (s *MappedStore) Syscalls() (preads, pwrites int64) { return s.fs.Syscalls() }
 
 // MappedReads implements MappedReadsReporter: how many block reads were

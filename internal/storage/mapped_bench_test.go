@@ -7,7 +7,7 @@ import (
 
 // The mapped benchmarks pair with the FileStore ones in
 // batch_bench_test.go (same block count, block size, and access
-// patterns) so BENCH_io.json can put the two stores side by side. Warm
+// patterns) so one run puts the two stores side by side. Warm
 // reads are the headline: once the pages are faulted in, a mapped batch
 // read is a pure decode out of the page cache with zero read syscalls,
 // while FileStore pays one pread memcpy per 64-block run.
@@ -110,7 +110,7 @@ func BenchmarkMappedStoreWrite(b *testing.B) {
 
 // BenchmarkMappedVsFileWarmRead runs the two stores' warm batch-read
 // paths under one benchmark name so a single `-bench` invocation yields
-// the speedup ratio the BENCH_io re-baseline records.
+// the mapped-over-file warm-read speedup ratio.
 func BenchmarkMappedVsFileWarmRead(b *testing.B) {
 	b.Run("file", func(b *testing.B) {
 		fs, ids, frames := benchFileStore(b)

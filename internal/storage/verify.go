@@ -74,16 +74,6 @@ func (l *Locked) VerifyBlocks(ids []int) ([]int, error) {
 	return VerifyBlocksOf(l.inner, ids)
 }
 
-// VerifyBlocks retries the scan on transient failures; a corrupt-id result
-// is data, not an error, and is never retried.
-func (r *Retry) VerifyBlocks(ids []int) (corrupt []int, err error) {
-	err = r.do(func() error {
-		corrupt, err = VerifyBlocksOf(r.inner, ids)
-		return err
-	})
-	return corrupt, err
-}
-
 // Repairer is implemented by stores that can roll a corrupt block forward
 // from a retained post-image (Durable keeps the last committed batch and
 // the staging overlay as sources). repaired=false with a nil error means

@@ -62,9 +62,8 @@ func (v *FrameViews) Release() {
 
 // MappedReadsReporter is implemented by stores (and wrappers over
 // stores) that serve reads from a memory mapping rather than positional
-// read syscalls. The counter keeps the syscall-proxy columns of
-// BENCH_io.json honest: mapped stacks report 0 preads, and this counter
-// carries the traffic instead.
+// read syscalls. The counter keeps the syscall proxy honest: mapped
+// stacks report 0 preads, and this counter carries the traffic instead.
 type MappedReadsReporter interface {
 	MappedReads() int64
 }

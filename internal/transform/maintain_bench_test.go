@@ -12,7 +12,7 @@ import (
 )
 
 // The maintenance benchmarks measure full chunked-transform runs at several
-// worker counts; BENCH_maintain.json records a baseline. Run with -benchmem:
+// worker counts; TestAllocBudget gates their workers=1 allocs/op. Run with -benchmem:
 // the flat kernels must not allocate per coefficient, so allocations stay
 // proportional to the chunk count, not the cell count.
 
