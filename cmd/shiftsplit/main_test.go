@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit"
@@ -250,5 +251,22 @@ func TestFsckExitCodesAndScrub(t *testing.T) {
 	}
 	if st.Health().Status != "degraded" {
 		t.Fatalf("reopened store health = %+v", st.Health())
+	}
+}
+
+// TestUsageListsNoRetiredCommands checks that 'shiftsplit help' lists every
+// dispatched command and neither retired load generator (bench/run.sh
+// measures their workloads).
+func TestUsageListsNoRetiredCommands(t *testing.T) {
+	for _, cmd := range []string{"transform", "query", "extract", "append", "stream",
+		"compress", "approx", "serve", "info", "fsck", "recover"} {
+		if !strings.Contains(usageText, "\n  "+cmd+" ") {
+			t.Errorf("usage does not list %q", cmd)
+		}
+	}
+	for _, cmd := range []string{"bench-serve", "bench-ingest"} {
+		if strings.Contains(usageText, cmd) {
+			t.Errorf("usage still lists retired command %q", cmd)
+		}
 	}
 }

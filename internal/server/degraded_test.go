@@ -252,3 +252,59 @@ func TestBreakerOpenMapsTo503(t *testing.T) {
 		t.Fatalf("healthz with open breaker = %+v", h)
 	}
 }
+
+// TestTransientReadErrorSurfacesUnretried pins the DESIGN §12 row for a
+// transient device error on the read path: nothing in the serving stack
+// retries it. The query answers 500 after exactly one device attempt, the
+// breaker counts the failure, and the next query after the device heals
+// answers 200.
+func TestTransientReadErrorSurfacesUnretried(t *testing.T) {
+	shape := []int{16, 16}
+	path := buildDurableFile(t, shape)
+	var faulty *storage.Faulty
+	st, err := shiftsplit.OpenServingOpts(path, shiftsplit.ServeOptions{
+		Breaker: &storage.BreakerOptions{Threshold: 2, Cooldown: time.Hour},
+		BaseWrap: func(bs storage.BlockStore) storage.BlockStore {
+			faulty = storage.NewFaulty(bs)
+			return faulty
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ts := newTestServer(t, st, Config{})
+
+	faulty.FailReadAfter(1)
+	resp, body := postJSON(t, ts.URL+"/v1/point", `{"point":[3,3]}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("faulted point status %d: %s", resp.StatusCode, body)
+	}
+	// The trigger fails every read once it fires, so a retry anywhere in
+	// the stack would show up as a second injected fault.
+	if n := faulty.InjectedFaults(); n != 1 {
+		t.Fatalf("device saw %d failed reads for one query, want 1 (no retry)", n)
+	}
+	if state, _, _, _ := st.BreakerStats(); state != "closed" {
+		t.Fatalf("breaker %s after one failure under threshold 2", state)
+	}
+
+	// The device heals: the next query answers from the same store.
+	faulty.FailReadAfter(0)
+	resp, body = postJSON(t, ts.URL+"/v1/point", `{"point":[3,3]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healed point status %d: %s", resp.StatusCode, body)
+	}
+
+	// Two consecutive transient failures reach the threshold: the breaker
+	// counted each one.
+	faulty.FailReadAfter(1)
+	for _, p := range []string{`{"point":[5,5]}`, `{"point":[9,9]}`} {
+		if resp, body = postJSON(t, ts.URL+"/v1/point", p); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("faulted point %s status %d: %s", p, resp.StatusCode, body)
+		}
+	}
+	if state, trips, _, _ := st.BreakerStats(); state != "open" || trips != 1 {
+		t.Fatalf("breaker state=%s trips=%d after two transient failures, want open/1", state, trips)
+	}
+}
