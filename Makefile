@@ -132,6 +132,7 @@ bench-smoke:
 	$(GO) test -run 'TestMissAllocBudget' -count=1 -v ./internal/cache/
 	$(GO) test -run 'TestDurableCommitAllocBudget' -count=1 -v ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkHandlerOLAP' -benchmem -benchtime 20x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameVerify|BenchmarkDurableCommit' -benchmem -benchtime 2000x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \

@@ -1,10 +1,6 @@
 package shiftsplit
 
-import (
-	"fmt"
-
-	"github.com/shiftsplit/shiftsplit/internal/tile"
-)
+import "fmt"
 
 // The operations below exploit the linearity of the Haar transform at store
 // granularity: transforms of two datasets over the same domain combine
@@ -92,49 +88,15 @@ func (s *Store) Scale(factor float64) error {
 }
 
 // RollupFromStore computes the transform of the dataset summed over
-// dimension dim, reading only the coefficients whose index along dim is
-// zero — one hyperplane of the transform, not the whole store. Standard
-// form only. It returns the reduced in-memory transform and the number of
-// blocks read.
+// dimension dim from a snapshot, reading only the transform's index-0 face
+// along dim (Snapshot.OLAP's rollup), not the whole store. Standard form
+// only. It returns the reduced transform and the number of blocks read.
 func (s *Store) RollupFromStore(dim int) (*Array, int, error) {
-	tiling, ok := s.tiling.(*tile.Standard)
-	if !ok {
-		return nil, 0, fmt.Errorf("shiftsplit: RollupFromStore requires the standard form")
-	}
-	d := tiling.Dims()
-	if dim < 0 || dim >= d {
-		return nil, 0, fmt.Errorf("shiftsplit: roll-up dimension %d out of range", dim)
-	}
-	if d < 2 {
-		return nil, 0, fmt.Errorf("shiftsplit: roll-up needs at least 2 dimensions")
-	}
-	outShape := make([]int, 0, d-1)
-	for i, e := range s.opts.Shape {
-		if i != dim {
-			outShape = append(outShape, e)
-		}
-	}
-	out := NewArray(outShape...)
-	// Plan the index-0 hyperplane along dim, fetch its blocks once, then
-	// copy each coefficient out of its frame.
-	var fs tile.FetchSet
-	src := make([]int, d)
-	locate := func(coords []int) (block, slot int) {
-		copy(src[:dim], coords[:dim])
-		copy(src[dim+1:], coords[dim:])
-		return tiling.Locate(src)
-	}
-	out.Each(func(coords []int, _ float64) {
-		block, _ := locate(coords)
-		fs.Want(block)
-	})
-	if err := fs.Fetch(s.store); err != nil {
+	snap := s.AcquireSnapshot()
+	defer snap.Release()
+	data, blocks, err := snap.OLAP(OLAPOp{Op: "rollup", Dim: dim})
+	if err != nil {
 		return nil, 0, err
 	}
-	scale := float64(s.opts.Shape[dim])
-	out.Each(func(coords []int, _ float64) {
-		block, slot := locate(coords)
-		out.Set(scale*fs.Frame(block)[slot], coords...)
-	})
-	return out, fs.Len(), nil
+	return Transform(data, Standard), blocks, nil
 }

@@ -18,7 +18,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
-// cmdServe exposes a materialized store over the HTTP/JSON query API and
+// cmdServe exposes a store over the HTTP/JSON query API and
 // runs until SIGINT/SIGTERM, then drains in-flight queries.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)

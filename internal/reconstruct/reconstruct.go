@@ -56,6 +56,14 @@ func DyadicStandard(st *tile.Store, block dyadic.Range) (*ndarray.Array, int, er
 // at a time, each piece folds its path into index 0, takes its details in
 // place and runs the 1-d inverse, which leaves the box's cells.
 func Box(st *tile.Store, start, shape []int) (*ndarray.Array, int, error) {
+	return Band(st, start, shape, -1)
+}
+
+// Band is Box with dimension sum summed out (none if sum is -1), leaving
+// one cell along it: start[sum] is 0 and shape[sum] 1. The N cells along a
+// dimension sum to N times their average, its coefficient 0, so sum's plan
+// is that one coefficient with weight N: the transform's index-0 face.
+func Band(st *tile.Store, start, shape []int, sum int) (*ndarray.Array, int, error) {
 	arrShape, err := shapeOf(st)
 	if err != nil {
 		return nil, 0, err
@@ -66,8 +74,13 @@ func Box(st *tile.Store, start, shape []int) (*ndarray.Array, int, error) {
 	}
 	axes := make([]axisPlan, d)
 	for t := range axes {
-		if start[t] < 0 || shape[t] <= 0 || start[t]+shape[t] > arrShape[t] {
+		if start[t] < 0 || shape[t] <= 0 || start[t] > arrShape[t]-shape[t] || (t == sum && start[t]+shape[t] != 1) {
 			return nil, 0, fmt.Errorf("reconstruct: box %v+%v out of bounds %v", start, shape, arrShape)
+		}
+		if t == sum {
+			whole := []core.Target{{Index: 0, Weight: float64(arrShape[t])}}
+			axes[t] = axisPlan{idx: []int{0}, pieces: []piece{{path: whole, src: []int{0}}}}
+			continue
 		}
 		axes[t] = planAxis(bitutil.Log2(arrShape[t]), start[t], start[t]+shape[t])
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
@@ -417,5 +418,52 @@ func TestNaivePointwiseReadsTheCellsPaths(t *testing.T) {
 	}
 	if want := src.SubCopy(start, shape); !got.EqualApprox(want, 1e-9) {
 		t.Errorf("box differs by %g", got.MaxAbsDiff(want))
+	}
+}
+
+// Band with a dimension summed out answers the box's sums along it from the
+// transform's index-0 face: one vectored read, fewer blocks than the box
+// over the whole dimension, and the sums of the source cells.
+func TestBandSumsOutItsDimension(t *testing.T) {
+	for i, g := range []struct {
+		shape []int
+		b     int
+	}{{[]int{64, 16}, 2}, {[]int{16, 8, 32}, 2}} {
+		ns := make([]int, len(g.shape))
+		for t, e := range g.shape {
+			ns[t] = bitutil.Log2(e)
+		}
+		src := dataset.Dense(g.shape, int64(70+i))
+		st, counting, log := loggedStore(t, tile.NewStandard(ns, g.b), wavelet.TransformStandard(src))
+		rng := rand.New(rand.NewSource(71))
+		for sum := range g.shape {
+			for trial := 0; trial < 8; trial++ {
+				start, extent := make([]int, len(g.shape)), make([]int, len(g.shape))
+				for t, e := range g.shape {
+					start[t] = rng.Intn(e)
+					extent[t] = 1 + rng.Intn(e-start[t])
+				}
+				start[sum], extent[sum] = 0, g.shape[sum]
+				whole := src.SubCopy(start, extent)
+				_, full := checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return Box(st, start, extent) })
+				extent[sum] = 1
+				want := ndarray.New(extent...)
+				whole.Each(func(coords []int, v float64) {
+					at := slices.Clone(coords)
+					at[sum] = 0
+					want.Add(v, at...)
+				})
+				got, io := checkOneRead(t, counting, log, func() (*ndarray.Array, int, error) { return Band(st, start, extent, sum) })
+				if !closeRel(got, want) {
+					t.Fatalf("%v: band %v+%v summing %d differs by %g", g.shape, start, extent, sum, got.MaxAbsDiff(want))
+				}
+				if io >= full {
+					t.Fatalf("%v: band %v+%v summing %d read %d blocks, the whole box %d", g.shape, start, extent, sum, io, full)
+				}
+			}
+		}
+		if _, _, err := Band(st, make([]int, len(g.shape)), g.shape, 0); err == nil {
+			t.Fatalf("%v: a band with a summed dimension of extent %d accepted", g.shape, g.shape[0])
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/shiftsplit/shiftsplit"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
+	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
 
 // buildDurableFile materializes a durable store on disk and returns its
@@ -35,9 +36,9 @@ func buildDurableFile(t testing.TB, shape []int) string {
 	return path
 }
 
-// rotWrittenFrame flips one payload byte of the first written frame in a
-// durable store's data file and returns the block id.
-func rotWrittenFrame(t testing.TB, path string, blockSize int) int {
+// rotFrame flips one payload byte of written frame id in a durable store's
+// data file.
+func rotFrame(t testing.TB, path string, blockSize, id int) {
 	t.Helper()
 	fs, err := storage.OpenFileStore(path, blockSize+storage.ChecksumOverhead)
 	if err != nil {
@@ -48,28 +49,17 @@ func rotWrittenFrame(t testing.TB, path string, blockSize int) int {
 		fs.Close()
 		t.Fatal(err)
 	}
-	n, err := fs.NumBlocks()
-	if err != nil {
-		fs.Close()
-		t.Fatal(err)
-	}
-	bad := -1
-	for id := 0; id < n; id++ {
-		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
-			bad = id
-			break
-		}
-	}
+	_, version, err := chk.ReadMeta(id)
 	fs.Close()
-	if bad < 0 {
-		t.Fatal("no written frame to rot")
+	if err != nil || version == storage.FrameUnwritten {
+		t.Fatalf("frame %d is not a written frame to rot (%v)", id, err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	off := int64(bad)*int64(8*(blockSize+storage.ChecksumOverhead)) + 3
+	off := int64(id)*int64(8*(blockSize+storage.ChecksumOverhead)) + 3
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
@@ -78,7 +68,6 @@ func rotWrittenFrame(t testing.TB, path string, blockSize int) int {
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	return bad
 }
 
 func getJSON(t testing.TB, url string, dst any) *http.Response {
@@ -113,7 +102,11 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 		t.Fatalf("healthy store reports %+v", h)
 	}
 
-	bad := rotWrittenFrame(t, path, st.BlockSize())
+	// The block holding coefficients (15,0) and (7,0): a rollup over
+	// dimension 1 reads it, as does a range sum over rows 14 and 15, but the
+	// slice at row 0 does not (row 0's path along dimension 0 is 0,1,2,4,8).
+	bad, _ := tile.NewStandard([]int{4, 4}, 2).Locate([]int{15, 0})
+	rotFrame(t, path, st.BlockSize(), bad)
 	if n, err := st.ScrubOnce(context.Background()); err != nil || n != 1 {
 		t.Fatalf("scrub: n=%d err=%v", n, err)
 	}
@@ -123,9 +116,9 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 		t.Fatalf("healthz after scrub = %+v", h)
 	}
 
-	// A whole-domain range sum must touch the quarantined block: it still
-	// answers (200), carries the degraded flag, and is not NaN/Inf.
-	resp, body := postJSON(t, ts.URL+"/v1/rangesum", `{"start":[0,0],"extent":[16,16]}`)
+	// A range sum over rows 14 and 15 touches the quarantined block: it
+	// still answers (200), carries the degraded flag, and is not NaN/Inf.
+	resp, body := postJSON(t, ts.URL+"/v1/rangesum", `{"start":[14,0],"extent":[2,16]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded rangesum status %d: %s", resp.StatusCode, body)
 	}
@@ -134,24 +127,32 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rr.Degraded {
-		t.Fatalf("whole-domain answer over quarantined block %d not flagged degraded: %s", bad, body)
+		t.Fatalf("answer over quarantined block %d not flagged degraded: %s", bad, body)
 	}
 	if math.IsNaN(rr.Sum) || math.IsInf(rr.Sum, 0) {
 		t.Fatalf("degraded sum is not finite: %v", rr.Sum)
 	}
 
-	// OLAP over a degraded store is flagged and NOT cached: after a heal
-	// the next load must come back clean.
-	resp, body = postJSON(t, ts.URL+"/v1/olap/rollup", `{"dim":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded rollup status %d: %s", resp.StatusCode, body)
+	// OLAP flags per request, as point and range sum do: a rollup whose
+	// band holds the quarantined block is degraded, a slice whose band
+	// avoids it is not.
+	olapDegraded := func(route, body string) bool {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/olap/"+route, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", route, body, resp.StatusCode, b)
+		}
+		var or olapResponse
+		if err := json.Unmarshal(b, &or); err != nil {
+			t.Fatal(err)
+		}
+		return or.Degraded
 	}
-	var or olapResponse
-	if err := json.Unmarshal(body, &or); err != nil {
-		t.Fatal(err)
+	if !olapDegraded("rollup", `{"dim":1}`) {
+		t.Fatal("rollup over the quarantined block not flagged degraded")
 	}
-	if !or.Degraded {
-		t.Fatalf("degraded OLAP answer not flagged: %s", body)
+	if olapDegraded("slice", `{"dim":0,"index":0}`) {
+		t.Fatal("slice clear of the quarantined block flagged degraded")
 	}
 
 	var stats statsResponse
@@ -191,17 +192,8 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 		t.Fatalf("healthz after heal = %+v", h)
 	}
 
-	// The OLAP cache was not poisoned: a fresh load now answers clean.
-	resp, body = postJSON(t, ts.URL+"/v1/olap/rollup", `{"dim":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healed rollup status %d: %s", resp.StatusCode, body)
-	}
-	var healed olapResponse // fresh value: omitempty would leave a stale flag on re-unmarshal
-	if err := json.Unmarshal(body, &healed); err != nil {
-		t.Fatal(err)
-	}
-	if healed.Degraded {
-		t.Fatalf("healed OLAP answer still flagged degraded: %s", body)
+	if olapDegraded("rollup", `{"dim":1}`) || olapDegraded("slice", `{"dim":0,"index":0}`) {
+		t.Fatal("OLAP answer flagged degraded after the heal")
 	}
 }
 

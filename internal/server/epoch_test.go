@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,15 +126,14 @@ func TestEpochReportingEndpoints(t *testing.T) {
 	}
 }
 
-// TestOLAPCacheInvalidatesOnFlip: the in-memory OLAP cube is epoch-keyed —
-// a maintenance flip makes the next OLAP request reload instead of serving
-// the stale pre-flip cube.
-func TestOLAPCacheInvalidatesOnFlip(t *testing.T) {
+// TestOLAPFollowsFlip: every OLAP request pins its own snapshot, so the
+// response after a maintenance flip carries the new epoch and the new values.
+func TestOLAPFollowsFlip(t *testing.T) {
 	shape := []int{16, 16}
 	st := buildVersionedStore(t, shape, 64)
 	ts := newTestServer(t, st, Config{})
 
-	olap := func() []float64 {
+	olap := func() olapResponse {
 		resp, body := postJSON(t, ts.URL+"/v1/olap/rollup", `{"dim":0}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("rollup status %d: %s", resp.StatusCode, body)
@@ -141,9 +142,12 @@ func TestOLAPCacheInvalidatesOnFlip(t *testing.T) {
 		if err := json.Unmarshal(body, &or); err != nil {
 			t.Fatal(err)
 		}
-		return or.Values
+		return or
 	}
 	before := olap()
+	if before.Epoch != st.CurrentEpoch() {
+		t.Fatalf("rollup answered from epoch %d, store at %d", before.Epoch, st.CurrentEpoch())
+	}
 
 	// Merge a delta that changes the rolled-up values.
 	delta := dataset.Dense([]int{4, 4}, 3)
@@ -151,18 +155,14 @@ func TestOLAPCacheInvalidatesOnFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := olap()
-	if len(before) != len(after) {
-		t.Fatalf("rollup shape changed: %d -> %d", len(before), len(after))
+	if after.Epoch != before.Epoch+1 {
+		t.Fatalf("rollup after the flip answered from epoch %d, want %d", after.Epoch, before.Epoch+1)
 	}
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-			break
-		}
+	if len(before.Values) != len(after.Values) {
+		t.Fatalf("rollup shape changed: %d -> %d", len(before.Values), len(after.Values))
 	}
-	if same {
-		t.Fatal("OLAP response unchanged after a flip — stale epoch-0-style cube cache")
+	if slices.Equal(before.Values, after.Values) {
+		t.Fatal("rollup values unchanged after a flip that changes them")
 	}
 }
 
@@ -186,8 +186,8 @@ func (g *writeGate) WriteBlock(id int, data []float64) error {
 
 // TestQueriesProgressDuringWedgedFlip is serve-during-maintenance through
 // the real handlers: while a MergeBlock is wedged on its first device write
-// (holding the journaled write leg), point and range-sum requests must keep
-// answering from the pinned pre-merge epoch, with the pre-merge values.
+// (holding the journaled write leg), point, range-sum and OLAP requests must
+// keep answering from the pinned pre-merge epoch, with the pre-merge values.
 // Once the commit is released the next answer carries the flipped epoch.
 // The serve cache is off, so every request reads the device.
 func TestQueriesProgressDuringWedgedFlip(t *testing.T) {
@@ -222,26 +222,39 @@ func TestQueriesProgressDuringWedgedFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// query returns a request's answer (value or sum) and epoch.
+	// query returns a request's response body and epoch. Every fifth
+	// request is a point, a range sum, a rollup, a slice or a dice; on one
+	// epoch with the cache off each body, blocks_read included, is exact.
 	type answer struct {
-		Value, Sum float64
-		Epoch      uint64
+		Body  string
+		Epoch uint64
 	}
 	query := func(i int) (answer, error) {
-		url, body := ts.URL+"/v1/point", fmt.Sprintf(`{"point":[%d,%d]}`, i%32, (7*i)%32)
-		if i%2 == 1 {
-			url, body = ts.URL+"/v1/rangesum", fmt.Sprintf(`{"start":[%d,%d],"extent":[8,%d]}`, i%24, (3*i)%16, 1+i%16)
+		route, body := "point", fmt.Sprintf(`{"point":[%d,%d]}`, i%32, (7*i)%32)
+		switch i % 5 {
+		case 1:
+			route, body = "rangesum", fmt.Sprintf(`{"start":[%d,%d],"extent":[8,%d]}`, i%24, (3*i)%16, 1+i%16)
+		case 2:
+			route, body = "olap/rollup", fmt.Sprintf(`{"dim":%d}`, i%2)
+		case 3:
+			route, body = "olap/slice", fmt.Sprintf(`{"dim":%d,"index":%d}`, i%2, (5*i)%32)
+		case 4:
+			route, body = "olap/dice", fmt.Sprintf(`{"dim":%d,"start":%d,"length":8}`, i%2, 8*(i%4))
 		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/"+route, "application/json", strings.NewReader(body))
 		if err != nil {
 			return answer{}, err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return answer{}, fmt.Errorf("%s %s: status %d", url, body, resp.StatusCode)
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return answer{}, err
 		}
-		var a answer
-		return a, json.NewDecoder(resp.Body).Decode(&a)
+		if resp.StatusCode != http.StatusOK {
+			return answer{}, fmt.Errorf("%s %s: status %d: %s", route, body, resp.StatusCode, b)
+		}
+		a := answer{Body: string(b)}
+		return a, json.Unmarshal(b, &a)
 	}
 
 	const readers, perReader = 8, 25

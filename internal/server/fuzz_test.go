@@ -40,13 +40,14 @@ func fuzzServingStore() (*shiftsplit.Store, error) {
 
 // fuzzHandler builds one shared 16x16 server for the whole fuzz run; the
 // store is immutable, so reuse across inputs is safe and keeps iterations
-// fast.
+// fast. Its MaxResultCells of 128 lets a dice of the 16x16 store run into
+// the 413 path.
 var fuzzHandler = sync.OnceValue(func() http.Handler {
 	serving, err := fuzzServingStore()
 	if err != nil {
 		panic(err)
 	}
-	return New(serving, Config{}).Handler()
+	return New(serving, Config{MaxResultCells: 128}).Handler()
 })
 
 // requestSeeds is FuzzRequestDecoding's corpus; the fast decoders'
@@ -65,6 +66,11 @@ var requestSeeds = []string{
 	`{"dim":0,"index":3}`,
 	`{"dim":-1}`,
 	`{"dim":100000,"start":-5,"length":0}`,
+	`{"dim":1,"start":0,"length":16}`, // a dice past fuzzHandler's MaxResultCells: 413
+	`{"dim":0,"start":4,"length":3}`,  // a non-dyadic run
+	`{"dim":1,"index":-3,"start":-8}`, // a negative index and start
+	`{"dim":2,"index":1,"length":4}`,  // a dimension out of range
+	`{"dim":0,"start":8,"length":9223372036854775807}`,
 	`{`,
 	``,
 	`null`,

@@ -205,87 +205,45 @@ type olapRequest struct {
 }
 
 type olapResponse struct {
-	Op       string    `json:"op"`
-	Dim      int       `json:"dim"`
-	Shape    []int     `json:"shape"`
-	Values   []float64 `json:"values"`
-	Degraded bool      `json:"degraded,omitempty"` // see pointResponse.Degraded
+	Op         string    `json:"op"`
+	Dim        int       `json:"dim"`
+	Shape      []int     `json:"shape"`
+	Values     []float64 `json:"values"`
+	BlocksRead int       `json:"blocks_read"`
+	Degraded   bool      `json:"degraded,omitempty"` // see pointResponse.Degraded
+	Epoch      uint64    `json:"epoch,omitempty"`    // see pointResponse.Epoch
 }
 
-// olapTransform lazily loads the whole transform into memory; the OLAP
-// operators then run in the wavelet domain without touching disk. Only a
-// clean load is cached: a load that read zero-filled quarantined blocks
-// (or errored) is served degraded once and retried on the next request,
-// so a repaired store stops answering from stale corrupt data. The cache
-// is keyed by epoch: on a versioned store a maintenance flip invalidates
-// the cube and the next request reloads from a snapshot of the new epoch
-// (non-versioned stores stay at epoch 0 and cache forever, as before).
-func (s *Server) olapTransform() (hat *shiftsplit.Array, degraded bool, err error) {
-	s.olapMu.Lock()
-	defer s.olapMu.Unlock()
-	if s.olapHat != nil && s.olapEpoch == s.st.CurrentEpoch() {
-		return s.olapHat, false, nil
-	}
-	before := s.st.DegradedReads()
-	snap := s.st.AcquireSnapshot()
-	defer snap.Release()
-	hat, err = snap.ReadTransform()
-	if err != nil {
-		return nil, false, err
-	}
-	degraded = s.degradedSince(before) || len(s.st.Quarantined()) > 0
-	if !degraded {
-		s.olapHat, s.olapEpoch = hat, snap.Epoch()
-	}
-	return hat, degraded, nil
-}
-
+// handleOLAP answers a rollup, slice or dice from the request's own pinned
+// snapshot, reading only the operator's band. The request is validated and
+// its result sized against MaxResultCells before anything is pinned or read.
 func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
-	op := path.Base(r.URL.Path)
 	var req olapRequest
 	if err := decode(r, &req); err != nil {
 		s.failed.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.st.Form() != shiftsplit.Standard {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "OLAP operators need a standard-form store")
-		return
-	}
-	hat, degraded, err := s.olapTransform()
+	op := shiftsplit.OLAPOp{Op: path.Base(r.URL.Path), Dim: req.Dim, Index: req.Index, Start: req.Start, Length: req.Length}
+	cells, err := s.st.OLAPCells(op)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	// The facade validates dimensions and indices itself, wrapping
-	// query.ErrInvalid; fail() maps those to 400 responses.
-	var out *shiftsplit.Array
-	switch op {
-	case "rollup":
-		out, err = shiftsplit.Rollup(hat, req.Dim)
-	case "slice":
-		out, err = shiftsplit.SliceAt(hat, req.Dim, req.Index)
-	case "dice":
-		out, err = shiftsplit.DiceDyadic(hat, req.Dim, req.Start, req.Length)
-	default:
-		s.failed.Add(1)
-		writeError(w, http.StatusNotFound, "unknown OLAP operator")
-		return
-	}
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if out.Size() > s.cfg.MaxResultCells {
+	if cells > s.cfg.MaxResultCells {
 		s.failed.Add(1)
 		writeError(w, http.StatusRequestEntityTooLarge, "result cube too large for one response")
 		return
 	}
-	// The operators return the transform of the result cube; clients want
-	// data values, so invert before responding.
-	data := shiftsplit.Inverse(out, shiftsplit.Standard)
-	s.answer(w, olapResponse{Op: op, Dim: req.Dim, Shape: data.Shape(), Values: data.Data(), Degraded: degraded})
+	before := s.st.DegradedReads()
+	snap := s.st.AcquireSnapshot()
+	defer snap.Release()
+	out, blocks, err := snap.OLAP(op)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.answer(w, olapResponse{Op: op.Op, Dim: op.Dim, Shape: out.Shape(), Values: out.Data(), BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()})
 }
 
 type healthResponse struct {

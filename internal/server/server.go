@@ -1,7 +1,7 @@
-// Package server exposes a materialized SHIFT-SPLIT store over an
-// HTTP/JSON API — the query-serving subsystem on top of the library's
-// parallel read path. One Server multiplexes any number of concurrent
-// clients onto one shared store:
+// Package server exposes a SHIFT-SPLIT store over an HTTP/JSON API — the
+// query-serving subsystem on top of the library's parallel read path. One
+// Server multiplexes any number of concurrent clients onto one shared
+// store:
 //
 //	POST /v1/point         {"point":[5,7]}
 //	POST /v1/rangesum      {"start":[0,0],"extent":[8,8]}
@@ -30,7 +30,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,7 +53,7 @@ type Config struct {
 	// (default 15s).
 	DrainTimeout time.Duration
 	// MaxResultCells caps the number of cells an OLAP result may carry in
-	// one response (default 65536); larger results get 413.
+	// one response (default 65536); a larger one gets 413 and reads nothing.
 	MaxResultCells int
 	// MaxBodyBytes caps the request body (default 1 MiB).
 	MaxBodyBytes int64
@@ -100,10 +99,6 @@ type Server struct {
 	served   atomic.Int64
 	rejected atomic.Int64
 	failed   atomic.Int64
-
-	olapMu    sync.Mutex
-	olapHat   *shiftsplit.Array
-	olapEpoch uint64 // epoch olapHat was loaded from; a flip invalidates it
 
 	handler http.Handler
 }

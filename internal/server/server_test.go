@@ -120,6 +120,7 @@ func TestBadRequestsGet400NotPanic(t *testing.T) {
 		{"/v1/olap/rollup", `{"dim":7}`},
 		{"/v1/olap/slice", `{"dim":0,"index":-2}`},
 		{"/v1/olap/dice", `{"dim":1,"start":3,"length":3}`},
+		{"/v1/olap/dice", `{"dim":1,"start":8,"length":9223372036854775807}`},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
@@ -179,49 +180,55 @@ func TestProgressiveStreamsAndConverges(t *testing.T) {
 	}
 }
 
+// TestOLAPEndpointsMatchDirectOperators holds every route, along every
+// dimension of a 2-d and a 3-d store, to the dense operator applied to the
+// whole transform and inverted: max|Δ| ≤ 1e-12 · max|expected|.
 func TestOLAPEndpointsMatchDirectOperators(t *testing.T) {
-	shape := []int{16, 8}
-	st := buildStore(t, shape, 64)
-	ts := newTestServer(t, st, Config{})
-	hat, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(path, body string, want *shiftsplit.Array) {
-		t.Helper()
-		resp, b := postJSON(t, ts.URL+path, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, b)
-		}
-		var or olapResponse
-		if err := json.Unmarshal(b, &or); err != nil {
+	for _, shape := range [][]int{{16, 8}, {8, 4, 16}} {
+		st := buildStore(t, shape, 64)
+		ts := newTestServer(t, st, Config{})
+		hat, err := st.ReadTransform()
+		if err != nil {
 			t.Fatal(err)
 		}
-		wantData := shiftsplit.Inverse(want, shiftsplit.Standard)
-		if fmt.Sprint(or.Shape) != fmt.Sprint(wantData.Shape()) {
-			t.Fatalf("%s: shape %v, want %v", path, or.Shape, wantData.Shape())
+		check := func(route, body string, want *shiftsplit.Array, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b := postJSON(t, ts.URL+"/v1/olap/"+route, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v %s %s: status %d: %s", shape, route, body, resp.StatusCode, b)
+			}
+			var or olapResponse
+			if err := json.Unmarshal(b, &or); err != nil {
+				t.Fatal(err)
+			}
+			wantData := shiftsplit.Inverse(want, shiftsplit.Standard)
+			if fmt.Sprint(or.Shape) != fmt.Sprint(wantData.Shape()) {
+				t.Fatalf("%v %s %s: shape %v, want %v", shape, route, body, or.Shape, wantData.Shape())
+			}
+			scale, diff := 0.0, 0.0
+			for i, v := range wantData.Data() {
+				scale, diff = math.Max(scale, math.Abs(v)), math.Max(diff, math.Abs(or.Values[i]-v))
+			}
+			if diff > 1e-12*scale {
+				t.Errorf("%v %s %s: max|Δ| %g, max|expected| %g", shape, route, body, diff, scale)
+			}
 		}
-		for i, v := range wantData.Data() {
-			if math.Abs(or.Values[i]-v) > 1e-9 {
-				t.Fatalf("%s: values[%d] = %v, want %v", path, i, or.Values[i], v)
+		for dim, n := range shape {
+			rolled, err := shiftsplit.Rollup(hat, dim)
+			check("rollup", fmt.Sprintf(`{"dim":%d}`, dim), rolled, err)
+			for _, x := range []int{0, n/2 + 1, n - 1} {
+				sliced, err := shiftsplit.SliceAt(hat, dim, x)
+				check("slice", fmt.Sprintf(`{"dim":%d,"index":%d}`, dim, x), sliced, err)
+			}
+			for _, run := range [][2]int{{0, n}, {n / 2, n / 4}, {n - 1, 1}} {
+				diced, err := shiftsplit.DiceDyadic(hat, dim, run[0], run[1])
+				check("dice", fmt.Sprintf(`{"dim":%d,"start":%d,"length":%d}`, dim, run[0], run[1]), diced, err)
 			}
 		}
 	}
-	rolled, err := shiftsplit.Rollup(hat, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("/v1/olap/rollup", `{"dim":1}`, rolled)
-	sliced, err := shiftsplit.SliceAt(hat, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("/v1/olap/slice", `{"dim":0,"index":5}`, sliced)
-	diced, err := shiftsplit.DiceDyadic(hat, 1, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("/v1/olap/dice", `{"dim":1,"start":4,"length":4}`, diced)
 }
 
 func TestHealthzAndStats(t *testing.T) {

@@ -366,3 +366,51 @@ func benchmarkHandler(b *testing.B, route string) {
 func BenchmarkHandlerPoint(b *testing.B) { benchmarkHandler(b, "/v1/point") }
 
 func BenchmarkHandlerRangeSum(b *testing.B) { benchmarkHandler(b, "/v1/rangesum") }
+
+// benchmarkOLAP drives one OLAP route through the handler on the 1024²
+// band store (cache off) and reports the device blocks read per request.
+// "steady" serves one epoch; "flip" merges a 2×2 delta before every request
+// (outside the timer), so each request runs on a newly flipped epoch.
+func benchmarkOLAP(b *testing.B, route, body string) {
+	st := bandStore(b, false)
+	h := New(st, Config{}).Handler()
+	delta := shiftsplit.Transform(shiftsplit.FromSlice([]float64{1, 2, 3, 4}, 2, 2), shiftsplit.Standard)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", route, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", route, body, rec.Code, rec.Body)
+		}
+	}
+	for _, regime := range []string{"steady", "flip"} {
+		b.Run(regime, func(b *testing.B) {
+			serve()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var reads int64
+			for i := 0; i < b.N; i++ {
+				if regime == "flip" {
+					b.StopTimer()
+					if err := st.MergeBlock(shiftsplit.CubeBlock(1, i%512, 0), delta); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				before := st.Stats().Reads
+				serve()
+				reads += st.Stats().Reads - before
+			}
+			b.ReportMetric(float64(reads)/float64(b.N), "blocks/op")
+		})
+	}
+}
+
+func BenchmarkHandlerOLAPRollup(b *testing.B) { benchmarkOLAP(b, "/v1/olap/rollup", `{"dim":0}`) }
+
+func BenchmarkHandlerOLAPSlice(b *testing.B) {
+	benchmarkOLAP(b, "/v1/olap/slice", `{"dim":0,"index":513}`)
+}
+
+func BenchmarkHandlerOLAPDice(b *testing.B) {
+	benchmarkOLAP(b, "/v1/olap/dice", `{"dim":0,"start":128,"length":64}`)
+}

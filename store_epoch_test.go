@@ -1,6 +1,7 @@
 package shiftsplit
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -427,6 +428,96 @@ func TestReadersProgressDuringMaterialize(t *testing.T) {
 	}
 	if blocks != 1 {
 		t.Fatalf("materialized point query read %d blocks, want 1", blocks)
+	}
+}
+
+// TestRollupFromStoreDuringWedgedMerge: RollupFromStore reads a pinned
+// snapshot, not the builder's write leg, so with a MergeBlock wedged in its
+// commit (device writes blocked, write lock held) it still returns, with the
+// pre-merge answer; once the merge lands it answers from the new epoch.
+func TestRollupFromStoreDuringWedgedMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	src := randArray(rng, 16, 16)
+	path := filepath.Join(t.TempDir(), "gated.wav")
+	st, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Form: Standard, Path: path, Durable: true, Versioned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.TransformChunked(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gate := &writeGate{release: make(chan struct{})}
+	sv, err := OpenServingOpts(path, ServeOptions{BaseWrap: func(bs storage.BlockStore) storage.BlockStore {
+		gate.BlockStore = bs
+		return gate
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	// Deferred after Close so it runs first: a failing test must not leave
+	// Close waiting on the wedged commit.
+	release := sync.OnceFunc(func() {
+		gate.gating.Store(false)
+		close(gate.release)
+	})
+	defer release()
+
+	oracle := make([]*Array, 2)
+	for dim := range oracle {
+		if oracle[dim], _, err = sv.RollupFromStore(dim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta := Transform(randArray(rng, 4, 4), Standard)
+	gate.gating.Store(true)
+	mergeDone := make(chan error, 1)
+	go func() { mergeDone <- sv.MergeBlock(CubeBlock(2, 1, 1), delta) }()
+	deadline := time.After(10 * time.Second)
+	for gate.blocked.Load() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("the merge never reached the gated device write")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	rolled := make(chan error, 1)
+	go func() {
+		for dim, want := range oracle {
+			got, _, err := sv.RollupFromStore(dim)
+			if err == nil && !got.EqualApprox(want, 0) {
+				err = fmt.Errorf("RollupFromStore(%d) during the wedged merge differs from the pre-merge answer by %g", dim, got.MaxAbsDiff(want))
+			}
+			if err != nil {
+				rolled <- err
+				return
+			}
+		}
+		rolled <- nil
+	}()
+	select {
+	case err := <-rolled:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("RollupFromStore waited behind the wedged merge")
+	}
+
+	release()
+	if err := <-mergeDone; err != nil {
+		t.Fatalf("merge after release: %v", err)
+	}
+	got, _, err := sv.RollupFromStore(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.EqualApprox(oracle[0], 1e-9) {
+		t.Fatal("RollupFromStore after the merge still answers from the pre-merge epoch")
 	}
 }
 
