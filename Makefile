@@ -125,9 +125,15 @@ chaos-smoke:
 # forms), BenchmarkExtractBlock, BenchmarkR6PartialReconstruction and
 # BenchmarkProgressiveRangeSum report the extraction and progressive read
 # paths' ns/op, allocs/op and, for ExtractBox, blocks/op.
+# TestColdRangeSumAllocBudget gates the cold read path: a standard range sum
+# through OpenServingOpts on a durable, versioned pread store, every block a
+# cache miss, allocates its snapshot and nothing else (budget 1).
+# BenchmarkRangeSumNonStandard reports the non-standard range-sum kernel's
+# ns/op, allocs/op and blocks/op on the benchmark harness's geometry (1024²,
+# TileBits 4, its box distribution) over an in-memory store.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
-	$(GO) test -run 'TestMergeBlockAllocBudget' -count=1 ./
+	$(GO) test -run 'TestMergeBlockAllocBudget|TestColdRangeSumAllocBudget' -count=1 -v ./
 	$(GO) test -run 'TestHandlerAllocBudget' -count=1 -v ./internal/server/
 	$(GO) test -run 'TestMissAllocBudget' -count=1 -v ./internal/cache/
 	$(GO) test -run 'TestDurableCommitAllocBudget' -count=1 -v ./internal/storage/
@@ -145,6 +151,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileFlush' -benchmem -benchtime 3x ./internal/tile/
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractBlock$$|BenchmarkExtractBox|BenchmarkR6PartialReconstruction|BenchmarkProgressiveRangeSum' \
 		-benchmem -benchtime 20x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
 
 # bench/ is its own module, so nothing above compiles it: a signature
 # change in internal/tile or internal/storage would break the benchmark

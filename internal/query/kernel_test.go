@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
@@ -194,6 +195,105 @@ func TestRangeSumNonStandardMatchesOracles(t *testing.T) {
 	for _, c := range nonStandardCases(t) {
 		rng := rand.New(rand.NewSource(12))
 		starts, extents := boxes(rng, c.shape, 150)
+		for i := range starts {
+			s, e := starts[i], extents[i]
+			got, io, err := RangeSumNonStandard(c.st, s, e)
+			if err != nil {
+				t.Fatalf("%s box %v+%v: %v", c.name, s, e, err)
+			}
+			old, oldIO, err := oldRangeSumNonStandard(c.st, s, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.src.SumRange(s, e); !closeRel(got, want) || !closeRel(got, old) {
+				t.Fatalf("%s box %v+%v = %g, dense %g, old kernel %g", c.name, s, e, got, want, old)
+			}
+			if io != oldIO {
+				t.Fatalf("%s box %v+%v read %d blocks, old kernel %d", c.name, s, e, io, oldIO)
+			}
+		}
+	}
+}
+
+// tileBoxes returns boxes shaped against the tiling's tiles: for every
+// tile-root level (cell edge u) and dimension, a box whose face along that
+// dimension lies on a tile edge at its low side only and one at its high
+// side only, one a single cell wide, one inside a single level-u cell with
+// neither end on its edges (lo = hi at that level, both ends cut), and one
+// inside a single tile, on every dimension.
+func tileBoxes(rng *rand.Rand, tiling *tile.NonStandard, reps int) (starts, extents [][]int) {
+	shape := tiling.Domain()
+	d, size := len(shape), shape[0]
+	random := func(s, e []int) {
+		for t := range s {
+			s[t] = rng.Intn(size)
+			e[t] = 1 + rng.Intn(size-s[t])
+		}
+	}
+	// within picks [s, s+e) inside the u-cell k, strictly inside when it can.
+	within := func(u int, strict bool) (int, int) {
+		k := rng.Intn(size / u)
+		if !strict || u < 4 {
+			s := rng.Intn(u)
+			return k*u + s, 1 + rng.Intn(u-s)
+		}
+		s := 1 + rng.Intn(u-2)
+		return k*u + s, 1 + rng.Intn(u-1-s)
+	}
+	for j := bitutil.Log2(size); j >= 1; j-- {
+		if !tiling.Level(j).TileRoot() {
+			continue
+		}
+		u := 1 << uint(j)
+		for r := 0; r < reps; r++ {
+			for t := 0; t < d; t++ {
+				for kind := 0; kind < 5; kind++ {
+					s, e := make([]int, d), make([]int, d)
+					random(s, e)
+					switch kind {
+					case 0: // tile edge at the low side only
+						s[t] = u * rng.Intn(size/u)
+						e[t] = 1 + rng.Intn(size-s[t])
+						if (s[t]+e[t])%u == 0 && e[t] > 1 {
+							e[t]--
+						}
+					case 1: // tile edge at the high side only
+						hi := u * (1 + rng.Intn(size/u))
+						s[t] = rng.Intn(hi)
+						if s[t]%u == 0 && s[t]+1 < hi {
+							s[t]++
+						}
+						e[t] = hi - s[t]
+					case 2: // one cell wide
+						e[t] = 1
+					case 3: // lo = hi at level j, both ends cut
+						s[t], e[t] = within(u, true)
+					case 4: // inside a single tile
+						for x := range s {
+							s[x], e[x] = within(u, false)
+						}
+					}
+					starts, extents = append(starts, s), append(extents, e)
+				}
+			}
+		}
+	}
+	return starts, extents
+}
+
+// The fold's tile arithmetic on the boxes that stress it (tileBoxes) and
+// on random ones, over the benchmark harness's geometry — n = 10, d = 2,
+// b = 4: b ∤ n, so the top tile is 2 levels high — and over d = 3, where a
+// face interior is a 2-d box of runs, besides the property cases: every
+// box agrees with the dense array and with the old descent, and reads the
+// same blocks.
+func TestRangeSumNonStandardTileShapedBoxes(t *testing.T) {
+	cases := append(nonStandardCases(t), nonStandardCase(t, 10, 2, 4, 28), nonStandardCase(t, 5, 3, 2, 29))
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(30))
+		starts, extents := tileBoxes(rng, c.st.Tiling().(*tile.NonStandard), 2)
+		rs, re := boxes(rng, c.shape, 40)
+		starts, extents = append(starts, rs...), append(extents, re...)
 		for i := range starts {
 			s, e := starts[i], extents[i]
 			got, io, err := RangeSumNonStandard(c.st, s, e)

@@ -43,7 +43,7 @@ func PointStandardBatch(st *tile.Store, points [][]int) ([]float64, int, error) 
 	if !ok {
 		return nil, 0, fmt.Errorf("query: PointStandardBatch needs a *Standard tiling, got %T", st.Tiling())
 	}
-	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, p []int, accumulate bool) float64 {
+	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, _ int, p []int, accumulate bool) float64 {
 		if !accumulate {
 			sc.Want(leafStandard(tiling, p))
 			return 0
@@ -219,16 +219,16 @@ func RangeSumStandard(st *tile.Store, arrShape, start, shape []int) (float64, in
 // Batching amortizes the shared upper-tree tiles across queries — the
 // access-pattern benefit the tiling was designed for.
 func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
-	return pointBatch(st, shape, points, func(sc *scratch, p []int, accumulate bool) float64 {
+	return pointBatch(st, shape, points, func(sc *scratch, _ int, p []int, accumulate bool) float64 {
 		sc.planStandard(st.Tiling(), shape, p, nil)
 		return sc.walkStandard(st.Tiling(), accumulate)
 	})
 }
 
 // pointBatch validates every point, then answers them with one fetch of the
-// union of their blocks: walk names a point's blocks or, once fetched,
+// union of their blocks: walk names point i's blocks or, once fetched,
 // evaluates it.
-func pointBatch(st *tile.Store, shape []int, points [][]int, walk func(sc *scratch, p []int, accumulate bool) float64) ([]float64, int, error) {
+func pointBatch(st *tile.Store, shape []int, points [][]int, walk func(sc *scratch, i int, p []int, accumulate bool) float64) ([]float64, int, error) {
 	for _, p := range points {
 		if err := ValidatePoint(shape, p); err != nil {
 			return nil, 0, err
@@ -236,24 +236,24 @@ func pointBatch(st *tile.Store, shape []int, points [][]int, walk func(sc *scrat
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, p := range points {
-		walk(sc, p, false)
+	for i, p := range points {
+		walk(sc, i, p, false)
 	}
 	if err := sc.Fetch(st); err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, len(points))
 	for i, p := range points {
-		out[i] = walk(sc, p, true)
+		out[i] = walk(sc, i, p, true)
 	}
 	return out, sc.Len(), nil
 }
 
 // RangeSumNonStandard answers a box aggregate from a non-standard tiled
 // store as avg*vol plus, for every quadtree cell the box cuts, its details
-// weighted by the per-dimension overlaps (see walkLevel). Cells the box
+// weighted by the per-dimension overlaps (see foldNonStandard). Cells the box
 // covers whole or misses carry weight zero and are never visited, so the
-// walk follows the box faces level by level.
+// fold follows the box faces tile by tile.
 func RangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, error) {
 	tiling, ok := st.Tiling().(*tile.NonStandard)
 	if !ok {
@@ -294,7 +294,11 @@ func PointBatchNonStandard(st *tile.Store, points [][]int) ([]float64, int, erro
 	if !ok {
 		return nil, 0, fmt.Errorf("query: PointBatchNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, p []int, accumulate bool) float64 {
-		return sc.walkNonStandard(tiling, p, sc.ones(len(p)), accumulate)
+	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, i int, p []int, accumulate bool) float64 {
+		if !accumulate {
+			sc.planNonStandard(tiling, p, sc.ones(len(p)))
+			return 0
+		}
+		return sc.foldNonStandard(tiling, sc.queries[i])
 	})
 }

@@ -25,13 +25,25 @@ type scratch struct {
 	edge    int   // slots per dimension of a standard block
 	coords  []int // one coefficient's coordinates (tilings other than Standard)
 
-	// Non-standard plan: per dimension, the box against one quadtree level;
-	// unit is the all-ones extent of a point's box.
-	unit     []int
-	spans    []span
-	from, to []int // cell ranges of the face being walked
-	cell     []int
-	low      []float64 // per subband over the leading dimensions, the product of their D and T
+	// Non-standard plan, query after query (a batch plans every point
+	// before its one fetch): per query, the box against each level and
+	// the tiles whose root cell the box cuts, ascending. unit is the
+	// all-ones extent of a point's box.
+	unit    []int
+	queries []nsQuery
+	spans   []span   // d per level j = 1..n of each query
+	tiles   []nsTile // each query's run from nsQuery.tiles to .end
+	cell    []int    // the cell the tile enumeration stands on
+
+	// Non-standard fold of one query: its recipes per (level, rel), valid
+	// while stamped with gen, and their terms; while a recipe is built,
+	// per dimension the tile's cells and the group's weight per subband.
+	recipes []recipe
+	gen     int
+	terms   []term
+	runs    []run
+	edges   []edge
+	weights []float64
 }
 
 // maxPooledSlab bounds the frame slab (in float64s, 8 MiB) an arena may
@@ -44,6 +56,7 @@ var pool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch {
 	sc := pool.Get().(*scratch)
 	sc.Reset()
+	sc.queries, sc.spans, sc.tiles = sc.queries[:0], sc.spans[:0], sc.tiles[:0]
 	return sc
 }
 
@@ -211,172 +224,370 @@ func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []in
 // rangeSumNonStandard is the non-standard kernel behind RangeSumNonStandard
 // and PointViaRootPathNonStandard (extent all ones).
 func (sc *scratch) rangeSumNonStandard(st *tile.Store, tiling *tile.NonStandard, start, extent []int) (float64, int, error) {
-	sc.walkNonStandard(tiling, start, extent, false)
+	sc.planNonStandard(tiling, start, extent)
 	if err := sc.Fetch(st); err != nil {
 		return 0, 0, err
 	}
-	return sc.walkNonStandard(tiling, start, extent, true), sc.Len(), nil
+	return sc.foldNonStandard(tiling, sc.queries[0]), sc.Len(), nil
 }
 
-// walkNonStandard names the blocks of the box [start, start+extent) or,
-// once fetched, sums it: avg*vol plus every level's cut cells.
-func (sc *scratch) walkNonStandard(tiling *tile.NonStandard, start, extent []int, accumulate bool) float64 {
-	n := bitutil.Log2(tiling.Domain()[0])
-	if !accumulate {
-		sc.Want(0) // the overall average
-		for j := n; j >= 1; j-- {
-			// A cut cell's ancestors are cut too, and its node shares the
-			// tile of the ancestor that is a tile root: those levels name
-			// every block.
-			if lvl := tiling.Level(j); lvl.TileRoot() {
-				sc.walkLevel(lvl, j, start, extent, false)
-			}
-		}
-		return 0
-	}
-	vol := 1.0
-	for _, e := range extent {
-		vol *= float64(e)
-	}
-	sum := sc.Frame(0)[0] * vol
-	for j := n; j >= 1; j-- {
-		sum += sc.walkLevel(tiling.Level(j), j, start, extent, true)
-	}
-	return sum
+// nsQuery is one box of a non-standard plan: its levels' spans from
+// spans, its tiles tiles..end, how many (tile, level) pairs they span, and
+// its volume.
+type nsQuery struct {
+	spans, tiles, end, pairs int
+	vol                      float64
+}
+
+// nsTile is one tile a non-standard plan reads: its block, the levels
+// j..low of its band (j that of its root cell), and rel, which says per
+// dimension t, in bits 2t (low) and 2t+1 (high), which ends of the box the
+// tile holds.
+type nsTile struct {
+	block, j, low, rel int
 }
 
 // span is one dimension of a box against one quadtree level: the cells
-// lo..hi the box reaches, its Overlap (T, D) with the two end cells, and
-// the cells in..inEnd it covers whole, where T is the cell edge and D is 0.
+// lo..hi the box reaches, the cells in..inEnd it covers whole, and the
+// box's Overlap (T, D) with the two end cells. An end cell is cut — the
+// box neither covers nor misses it — iff it lies outside in..inEnd.
 type span struct {
-	lo, hi    int
-	tLo, dLo  float64
-	tHi, dHi  float64
-	in, inEnd int
-	// The box cuts cell lo / cell hi (hi counted only when hi != lo).
-	cutLo, cutHi bool
+	lo, hi, in, inEnd int
+	tLo, dLo          float64
+	tHi, dHi          float64
 }
 
-// walkLevel visits the level-j cells the box [start, start+extent) cuts —
-// those it neither covers nor misses — to name their blocks or, once
-// fetched, to fold their details. A cell's detail of subband mask carries
-// the product over dimensions of D_i where mask differences along i and
-// T_i where it averages; a covered cell has every D_i = 0, so only cut
-// cells count, and a cell is cut iff it is an end cell, cut by the box,
-// along at least one dimension. The cut cells are walked face by face:
-// face i fixes dimension i on a cut end cell, keeps dimensions before i on
-// whole-covered cells (so no cell is visited twice) and lets dimensions
-// after i range over every cell the box reaches.
-//
-// Every cut cell's block is read even where all its weights happen to
-// cancel: the set read is a function of the box and the tiling alone.
-func (sc *scratch) walkLevel(lvl tile.NonStdLevel, j int, start, extent []int, accumulate bool) float64 {
-	d := len(start)
-	sc.spans = resized(sc.spans, d)
-	sc.from, sc.to, sc.cell = resized(sc.from, d), resized(sc.to, d), resized(sc.cell, d)
-	sc.low = resized(sc.low, 1<<uint(d-1))
-	size := 1 << uint(j)
-	for i := range sc.spans {
-		s, e := start[i], start[i]+extent[i]
-		sp := span{lo: s >> uint(j), hi: (e - 1) >> uint(j)}
-		tLo, dLo := haar.Overlap(s, e, j, sp.lo)
+func newSpan(s, e, j int) span {
+	sp := span{lo: s >> uint(j), hi: (e - 1) >> uint(j)}
+	tLo, dLo := haar.Overlap(s, e, j, sp.lo)
+	sp.tLo, sp.dLo = float64(tLo), float64(dLo)
+	sp.in, sp.inEnd = sp.lo, sp.hi
+	if tLo < 1<<uint(j) {
+		sp.in++
+	}
+	if sp.hi != sp.lo {
 		tHi, dHi := haar.Overlap(s, e, j, sp.hi)
-		sp.tLo, sp.dLo, sp.tHi, sp.dHi = float64(tLo), float64(dLo), float64(tHi), float64(dHi)
-		sp.cutLo = tLo < size
-		sp.cutHi = sp.hi != sp.lo && tHi < size
-		sp.in, sp.inEnd = sp.lo, sp.hi
-		if sp.cutLo {
-			sp.in++
-		}
-		if sp.cutHi {
+		sp.tHi, sp.dHi = float64(tHi), float64(dHi)
+		if tHi < 1<<uint(j) {
 			sp.inEnd--
 		}
-		sc.spans[i] = sp
 	}
-	sum := 0.0
-	for i, sp := range sc.spans {
-		if sp.cutLo {
-			sum += sc.walkFace(lvl, size, i, sp.lo, accumulate)
+	return sp
+}
+
+// cut reports whether the box cuts cell c of the span.
+func (sp *span) cut(c int) bool {
+	return c == sp.lo && sp.in > sp.lo || c == sp.hi && sp.inEnd < sp.hi
+}
+
+// planNonStandard plans the box [start, start+extent): it records the box
+// against every level and names, in ascending block order, the overall
+// average's block and every tile whose root cell the box cuts. Those are
+// the blocks of all cut cells: a cut cell's ancestors are cut too, and a
+// node shares the tile of its nearest tile-root ancestor. Every cut cell's
+// tile is read even where all its weights happen to cancel, so the set
+// read is a function of the box and the tiling alone.
+func (sc *scratch) planNonStandard(tiling *tile.NonStandard, start, extent []int) {
+	levels, d := tiling.Levels(), len(start)
+	q := nsQuery{spans: len(sc.spans), tiles: len(sc.tiles), vol: 1}
+	for _, e := range extent {
+		q.vol *= float64(e)
+	}
+	// The lists are sized up front, so an arena fresh from the pool grows
+	// each once rather than append by append.
+	sc.spans = slices.Grow(sc.spans, len(levels)*d)
+	for j := 1; j <= len(levels); j++ {
+		for t, s := range start {
+			sc.spans = append(sc.spans, newSpan(s, s+extent[t], j))
 		}
-		if sp.cutHi {
-			sum += sc.walkFace(lvl, size, i, sp.hi, accumulate)
+	}
+	tiles := 0
+	for j := len(levels); j >= 1; j-- {
+		if levels[j-1].TileRoot() {
+			reached, covered := 1, 1
+			for _, sp := range sc.spans[q.spans+(j-1)*d:][:d] {
+				reached *= sp.hi - sp.lo + 1
+				covered *= max(0, sp.inEnd-sp.in+1)
+			}
+			tiles += reached - covered
+			q.pairs += (reached - covered) * (j - bandLow(levels, j) + 1)
+		}
+	}
+	sc.tiles = slices.Grow(sc.tiles, tiles)
+	sc.Want(0)
+	sc.cell = resized(sc.cell, d)
+	for j := len(levels); j >= 1; j-- {
+		if levels[j-1].TileRoot() {
+			sc.planTiles(levels[j-1], j, bandLow(levels, j), sc.spans[q.spans+(j-1)*d:][:d])
+		}
+	}
+	q.end = len(sc.tiles)
+	sc.queries = append(sc.queries, q)
+}
+
+// bandLow returns the lowest level of the band whose tiles are rooted at
+// level j.
+func bandLow(levels []tile.NonStdLevel, j int) int {
+	for j > 1 && !levels[j-2].TileRoot() {
+		j--
+	}
+	return j
+}
+
+// planTiles names the tiles rooted at level j whose root cell the box
+// cuts. A tile's root index concatenates its root cell's coordinates,
+// dimension 0 highest, so the cells are taken lexicographically: rows
+// along the last dimension, whole where an earlier coordinate is a cut end
+// cell and only the row's own cut ends elsewhere.
+func (sc *scratch) planTiles(lvl tile.NonStdLevel, j, low int, spans []span) {
+	last := len(spans) - 1
+	for t, sp := range spans {
+		sc.cell[t] = sp.lo
+	}
+	for {
+		cut := false
+		for t, c := range sc.cell[:last] {
+			cut = cut || spans[t].cut(c)
+		}
+		sp := spans[last]
+		for c := sp.lo; c <= sp.hi; c++ {
+			if !cut && !sp.cut(c) {
+				c = sp.inEnd // skip the covered cells to the hi end
+				continue
+			}
+			sc.cell[last] = c
+			root, local, rel := 0, 0, 0
+			for t, x := range sc.cell {
+				root, local = lvl.Push(root, local, x)
+				if x == spans[t].lo {
+					rel |= 1 << uint(2*t)
+				}
+				if x == spans[t].hi {
+					rel |= 2 << uint(2*t)
+				}
+			}
+			block, _ := lvl.At(root, local)
+			sc.Want(block)
+			sc.tiles = append(sc.tiles, nsTile{block: block, j: j, low: low, rel: rel})
+		}
+		t := last - 1
+		for ; t >= 0; t-- {
+			if sc.cell[t] < spans[t].hi {
+				sc.cell[t]++
+				break
+			}
+			sc.cell[t] = spans[t].lo
+		}
+		if t < 0 {
+			return
+		}
+	}
+}
+
+// foldNonStandard sums one planned box from the fetched frames:
+//
+//	Σ_box a = avg·vol + Σ_j Σ_cell Σ_mask w[j, mask, cell] · Π_i (mask_i ? D_i : T_i)
+//
+// where only cut cells count (a covered cell has every D_i = 0, a missed
+// one some T_i = 0). Tiles are folded in the plan's ascending block order,
+// one frame each, every level of the tile's band in turn. Along each
+// dimension a level-j cell holds an end of the box iff its tile's root
+// cell does, so which of a tile's level-j cells are cut, where they sit in
+// the tile and what they weigh depends on the level and the tile's rel
+// alone: one recipe per (level, rel), built on first use and replayed for
+// every tile that shares it.
+func (sc *scratch) foldNonStandard(tiling *tile.NonStandard, q nsQuery) float64 {
+	levels, d := tiling.Levels(), len(tiling.Domain())
+	rels := 1 << uint(2*d)
+	sc.recipes = resized(sc.recipes, len(levels)*rels)
+	sc.gen++
+	sc.edges, sc.weights = resized(sc.edges, d), resized(sc.weights, 1<<uint(d))
+	// A recipe per (tile, level) pair at most, a term and a run per face
+	// recipe: enough for most boxes at the first try.
+	sc.terms, sc.runs = slices.Grow(sc.terms[:0], q.pairs), slices.Grow(sc.runs[:0], q.pairs)
+	sum := sc.Frame(0)[0] * q.vol
+	for _, tl := range sc.tiles[q.tiles:q.end] {
+		frame := sc.Frame(tl.block)
+		for j := tl.j; j >= tl.low; j-- {
+			r := &sc.recipes[(j-1)*rels+tl.rel]
+			if r.gen != sc.gen {
+				*r = sc.recipe(&levels[j-1], j, sc.spans[q.spans+(j-1)*d:][:d], tl.rel)
+			}
+			for _, tm := range sc.terms[r.lo:r.hi] {
+				if tm.runs == tm.runsEnd { // a single node
+					sum += tm.w * frame[tm.off]
+				} else {
+					sum += tm.w * sumBox(frame, tm.off, sc.runs[tm.runs:tm.runsEnd])
+				}
+			}
 		}
 	}
 	return sum
 }
 
-// overlap returns the box's T and D along the span's dimension with cell c.
-func (sp *span) overlap(c, size int) (t, d float64) {
-	switch c {
-	case sp.lo:
-		return sp.tLo, sp.dLo
-	case sp.hi:
-		return sp.tHi, sp.dHi
-	}
-	return float64(size), 0
+// recipe is the fold of one level for the tiles of one rel: its terms
+// sc.terms[lo:hi], valid while gen is the arena's current one.
+type recipe struct{ gen, lo, hi int }
+
+// term is one subband of one cut-set group inside a tile: the weight c_m
+// its cells carry, the slot of its first node, and the group's free
+// dimensions, sc.runs[runs:runsEnd].
+type term struct {
+	off, runs, runsEnd int
+	w                  float64
 }
 
-// walkFace visits the cells of one face of walkLevel: dimension i at cell
-// v, earlier dimensions on whole-covered cells, later ones unrestricted.
-// Cells are taken in rows along the last dimension: what the leading
-// dimensions contribute — the node indices so far and, per subband over
-// those dimensions, the product of their D and T — is worked out once per
-// row.
-func (sc *scratch) walkFace(lvl tile.NonStdLevel, size, i, v int, accumulate bool) float64 {
-	for t, sp := range sc.spans {
-		switch {
-		case t < i:
-			sc.from[t], sc.to[t] = sp.in, sp.inEnd
-		case t == i:
-			sc.from[t], sc.to[t] = v, v
+// run is one free dimension of a cut-set group inside a tile: n nodes,
+// step slots apart.
+type run struct{ n, step int }
+
+// edge is one dimension of a tile at one level: the cells of the tile the
+// box covers whole, from..to counted from the tile's lowest cell (none
+// when from > to), the cut end cells the tile holds (ends[:n]) and the one
+// a group being added stands on (ends[pick]), and the slot step between
+// neighbouring cells.
+type edge struct {
+	from, to, step, n, pick int
+	ends                    [2]cutEnd
+}
+
+// cutEnd is a cut end cell inside a tile: its slot offset from the tile's
+// lowest cell and the box's T and D on it.
+type cutEnd struct {
+	off  int
+	t, d float64
+}
+
+// recipe builds the recipe of the level-j cut cells of a tile in relation
+// rel to the box. They fall into cut-set groups: S is the set of
+// dimensions on which a cell is a cut end cell, the others standing on
+// covered cells. Every cell of a group (S and a choice of cut ends)
+// carries the same weights — for each subband m ⊆ S, m ≠ 0,
+//
+//	c_m = Π_{i∈m} D_i · Π_{i∈S∖m} T_i · 2^{j(d−|S|)}
+//
+// — and the group's cells inside the tile form a box: a term per subband,
+// a strided sum over runs along the group's last free dimension. For
+// |S| = 1, the face interiors and nearly every cut cell, that is a single
+// coefficient per cell.
+func (sc *scratch) recipe(lvl *tile.NonStdLevel, j int, spans []span, rel int) recipe {
+	d, depth := len(spans), uint(lvl.Depth())
+	r := recipe{gen: sc.gen, lo: len(sc.terms)}
+	ends := 0 // the dimensions with a cut end cell in the tile
+	for t := range spans {
+		sp, e := &spans[t], &sc.edges[t]
+		e.step, e.n, e.pick = lvl.Step(t, d), 0, 0
+		a := 0 // the tile's lowest cell
+		switch rel >> uint(2*t) & 3 {
+		case 0: // between the box's ends: every cell covered
+			e.from, e.to = 0, 1<<depth-1
+			continue
+		case 1:
+			a = sp.lo >> depth << depth
 		default:
-			sc.from[t], sc.to[t] = sp.lo, sp.hi
+			a = sp.hi >> depth << depth
 		}
-		if sc.from[t] > sc.to[t] {
-			return 0
+		b := a + 1<<depth - 1
+		e.from, e.to = max(sp.in, a)-a, min(sp.inEnd, b)-a
+		if sp.in > sp.lo && a <= sp.lo && sp.lo <= b {
+			e.ends[0] = cutEnd{off: (sp.lo - a) * e.step, t: sp.tLo, d: sp.dLo}
+			e.n = 1
+		}
+		if sp.inEnd < sp.hi && a <= sp.hi && sp.hi <= b {
+			e.ends[e.n] = cutEnd{off: (sp.hi - a) * e.step, t: sp.tHi, d: sp.dHi}
+			e.n++
+		}
+		if e.n > 0 {
+			ends |= 1 << uint(t)
 		}
 	}
-	copy(sc.cell, sc.from)
-	last := len(sc.cell) - 1
-	top := 1 << uint(last) // the subband bit of the last dimension
-	sum := 0.0
-	for {
-		root, local := 0, 0
-		sc.low[0] = 1
-		for t, c := range sc.cell[:last] {
-			root, local = lvl.Push(root, local, c)
-			tw, dw := sc.spans[t].overlap(c, size)
-			for m := 0; m < 1<<uint(t); m++ {
-				sc.low[m|1<<uint(t)] = sc.low[m] * dw
-				sc.low[m] *= tw
-			}
-		}
-		for c := sc.from[last]; c <= sc.to[last]; c++ {
-			block, slot := lvl.At(lvl.Push(root, local, c))
-			if !accumulate {
-				sc.Want(block)
+	size := float64(int(1) << uint(j))
+	for set := ends; set > 0; set = (set - 1) & ends {
+		// The dimensions outside S stand on covered cells: the group's
+		// runs, or a single cell.
+		off, scale, runs := lvl.Origin(), 1.0, len(sc.runs)
+		t := 0
+		for ; t < d; t++ {
+			e := &sc.edges[t]
+			if set>>uint(t)&1 == 1 {
 				continue
 			}
-			frame := sc.Frame(block)
-			tw, dw := sc.spans[last].overlap(c, size)
-			// Subband m|top differences along the last dimension, m
-			// averages along it; m = 0 alone is the average, not a detail.
-			part := dw * sc.low[0] * frame[slot+top-1]
-			for m := 1; m < top; m++ {
-				part += sc.low[m] * (tw*frame[slot+m-1] + dw*frame[slot+m+top-1])
-			}
-			sum += part
-		}
-		t := last - 1
-		for ; t >= 0; t-- {
-			if sc.cell[t] < sc.to[t] {
-				sc.cell[t]++
+			if e.from > e.to {
 				break
 			}
-			sc.cell[t] = sc.from[t]
+			off += e.from * e.step
+			scale *= size
+			if e.to > e.from {
+				sc.runs = append(sc.runs, run{n: e.to - e.from + 1, step: e.step})
+			}
+		}
+		if t < d {
+			sc.runs = sc.runs[:runs]
+			continue
+		}
+		sc.addTerms(set, off, scale, runs)
+	}
+	r.hi = len(sc.terms)
+	return r
+}
+
+// addTerms adds the terms of the groups of cut set S: every choice of cut
+// ends along S (the edges' picks, all zero between calls), every subband m ⊆ S,
+// its weight built up one dimension of S at a time; the detail of subband
+// m sits at slot + m - 1.
+func (sc *scratch) addTerms(set, off int, scale float64, runs int) {
+	d, w := len(sc.edges), sc.weights
+	for {
+		cell, done := off, 0
+		w[0] = scale
+		for t := 0; t < d; t++ {
+			bit := 1 << uint(t)
+			if set&bit == 0 {
+				continue
+			}
+			x := &sc.edges[t].ends[sc.edges[t].pick]
+			cell += x.off
+			for m := done; ; m = (m - 1) & done {
+				w[m|bit] = w[m] * x.d
+				w[m] *= x.t
+				if m == 0 {
+					break
+				}
+			}
+			done |= bit
+		}
+		for m := set; m > 0; m = (m - 1) & set {
+			sc.terms = append(sc.terms, term{off: cell + m - 1, runs: runs, runsEnd: len(sc.runs), w: w[m]})
+		}
+		t := d - 1
+		for ; t >= 0; t-- {
+			if set>>uint(t)&1 == 0 {
+				continue
+			}
+			e := &sc.edges[t]
+			if e.pick++; e.pick < e.n {
+				break
+			}
+			e.pick = 0
 		}
 		if t < 0 {
-			return sum
+			return
 		}
 	}
+}
+
+// sumBox sums frame over a box of nodes: from off, runs[0].n nodes
+// runs[0].step apart, each the start of the box of the remaining runs, the
+// last run innermost. runs is not empty.
+func sumBox(frame []float64, off int, runs []run) float64 {
+	r, sum := runs[0], 0.0
+	for k := 0; k < r.n; k++ {
+		if len(runs) == 1 {
+			sum += frame[off]
+		} else {
+			sum += sumBox(frame, off, runs[1:])
+		}
+		off += r.step
+	}
+	return sum
 }

@@ -172,49 +172,25 @@ func encodeFrames(b []byte, data ...[]float64) {
 	}
 }
 
-// fetchedRun is one pread's result: the pooled buffer it landed in (owned
-// by whoever holds the fetchedRun, until deliver returns it to its pool),
-// the bytes read and the error.
-type fetchedRun struct {
-	bp   *[]byte
-	pool *sync.Pool
-	n    int
-	err  error
-}
-
-// fetchRun preads run r of ids into a pooled buffer.
-func (s *FileStore) fetchRun(ids []int, r runSpan) fetchedRun {
+// readRun preads run r of ids into a pooled buffer and decodes it into its
+// buffers, extents beyond the file reading as zeros.
+func (s *FileStore) readRun(ids []int, bufs [][]float64, r runSpan) error {
 	bp, pool := s.runBuf(r.end - r.start)
+	defer pool.Put(bp)
 	s.preads.Add(1)
 	n, err := s.f.ReadAt(*bp, int64(ids[r.start])*int64(s.frameBytes()))
-	if err == io.EOF {
-		err = nil
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("storage: read blocks %d..%d: %w", ids[r.start], ids[r.end-1], err)
 	}
-	return fetchedRun{bp, pool, n, err}
-}
-
-// deliver decodes a fetched run into its buffers, extents beyond the file
-// reading as zeros, and releases the run buffer.
-func (f fetchedRun) deliver(ids []int, bufs [][]float64, r runSpan) error {
-	defer f.pool.Put(f.bp)
-	if f.err != nil {
-		return fmt.Errorf("storage: read blocks %d..%d: %w", ids[r.start], ids[r.end-1], f.err)
-	}
-	clear((*f.bp)[f.n:])
-	decodeFrames(*f.bp, bufs[r.start:r.end]...)
+	clear((*bp)[n:])
+	decodeFrames(*bp, bufs[r.start:r.end]...)
 	return nil
 }
 
 // ReadBlocks implements BatchReader: each maximal run of consecutive block
-// ids becomes one pread over a run-sized buffer, with extents beyond the
-// file reading as zeros exactly as ReadBlock does.
-//
-// Batches spanning several runs are pipelined: a prefetch goroutine
-// issues the pread for run k+1 while the caller decodes run k (the
-// channel's single-slot buffer bounds the lookahead to one run, so at
-// most two run buffers are in flight). Errors surface for the first
-// failing run in id order, exactly as the sequential loop's would; the
-// prefetcher stops after its first error.
+// ids becomes one pread over a run-sized buffer, decoded before the next
+// run is read, with extents beyond the file reading as zeros exactly as
+// ReadBlock does. Errors surface for the first failing run in id order.
 func (s *FileStore) ReadBlocks(ids []int, bufs [][]float64) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -222,26 +198,8 @@ func (s *FileStore) ReadBlocks(ids []int, bufs [][]float64) error {
 	if err := checkBatchArgs(s, ids, bufs); err != nil {
 		return err
 	}
-	first := coalesceRuns(ids, 0)
-	if first.end == len(ids) {
-		// At most one run, nothing to overlap: fetch and decode right here.
-		if first.start == first.end {
-			return nil
-		}
-		return s.fetchRun(ids, first).deliver(ids, bufs, first)
-	}
-	fetched := make(chan fetchedRun, 1)
-	go func() {
-		for r := first; r.start < len(ids); r = coalesceRuns(ids, r.end) {
-			f := s.fetchRun(ids, r)
-			fetched <- f
-			if f.err != nil {
-				return
-			}
-		}
-	}()
-	for r := first; r.start < len(ids); r = coalesceRuns(ids, r.end) {
-		if err := (<-fetched).deliver(ids, bufs, r); err != nil {
+	for r := coalesceRuns(ids, 0); r.start < len(ids); r = coalesceRuns(ids, r.end) {
+		if err := s.readRun(ids, bufs, r); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
@@ -63,14 +64,20 @@ func (f *FetchSet) Fetch(st *Store) error {
 func (f *FetchSet) Len() int { return len(f.blocks) }
 
 // Frame returns the fetched contents of a block the plan asked for. Walks
-// stay on a block for a run and mostly step to the next id.
+// stay on a block for a run and mostly step to the next id. Asking for a
+// block the plan did not name is a bug in the walk, and panics rather than
+// hand back a neighbour's frame.
 func (f *FetchSet) Frame(block int) []float64 {
 	switch next := f.hit + 1; {
 	case f.blocks[f.hit] == block:
 	case next < len(f.blocks) && f.blocks[next] == block:
 		f.hit = next
 	default:
-		f.hit, _ = slices.BinarySearch(f.blocks, block)
+		i, ok := slices.BinarySearch(f.blocks, block)
+		if !ok {
+			panic(fmt.Sprintf("tile: FetchSet.Frame(%d): block not in the fetched plan", block))
+		}
+		f.hit = i
 	}
 	return f.frames[f.hit]
 }

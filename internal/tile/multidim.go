@@ -214,6 +214,11 @@ func (t *NonStandard) Level(j int) NonStdLevel {
 	return t.levels[j-1]
 }
 
+// Levels returns the table Level reads: Levels()[j-1] is Level(j). The
+// slice is the tiling's own, for callers walking many levels per query,
+// and must not be modified.
+func (t *NonStandard) Levels() []NonStdLevel { return t.levels }
+
 func (t *NonStandard) level(j int) NonStdLevel {
 	depth := t.n - j
 	band := t.bandOf(depth)
@@ -249,6 +254,20 @@ func (l NonStdLevel) At(root, local int) (block, slot int) {
 // Every other level's nodes sit in the tile of their ancestor at the
 // nearest such level above.
 func (l NonStdLevel) TileRoot() bool { return l.localBits == 0 }
+
+// Depth returns how many levels the level's nodes sit below their tile
+// root: a tile holds the 2^Depth cells per dimension under its root cell.
+func (l NonStdLevel) Depth() int { return int(l.localBits) }
+
+// Origin returns the slot of the first detail of the level's node at a
+// tile's lowest corner cell. The other nodes of the level in that tile sit
+// at Origin plus, per dimension t, the cell's offset from that corner times
+// Step(t, d).
+func (l NonStdLevel) Origin() int { return 1 + l.nodeBase*l.details }
+
+// Step returns how far apart the slots of two of the level's nodes lie
+// whose cells are adjacent along dimension t of d inside one tile.
+func (l NonStdLevel) Step(t, d int) int { return l.details << (l.localBits * uint(d-1-t)) }
 
 // Locate maps Mallat-layout coordinates of the cubic transform to
 // (block, slot). The overall average at the origin maps to slot 0 of the

@@ -321,3 +321,50 @@ func TestTileIndicesInvertLocate(t *testing.T) {
 		}
 	}
 }
+
+// Origin and Step place every node of a level inside its tile as Push and
+// At do: the node at cell offset o from the tile's lowest cell sits at
+// Origin + Σ_t o_t·Step(t, d), in the block of the tile's root.
+func TestNonStdLevelOriginStepMatchAt(t *testing.T) {
+	for _, c := range []struct{ n, d, b int }{{6, 2, 2}, {5, 2, 3}, {4, 3, 3}, {7, 1, 3}, {10, 2, 4}} {
+		tiling := NewNonStandard(c.n, c.d, c.b)
+		cell := make([]int, c.d)
+		for j := 1; j <= c.n; j++ {
+			lvl := tiling.Level(j)
+			depth, cells := lvl.Depth(), 1<<uint(c.n-j)
+			for i := range cell {
+				cell[i] = 0
+			}
+			for {
+				root, local := 0, 0
+				for _, x := range cell {
+					root, local = lvl.Push(root, local, x)
+				}
+				block, slot := lvl.At(root, local)
+				top := tiling.Level(j + depth)
+				want := lvl.Origin()
+				root, local = 0, 0
+				for i, x := range cell {
+					root, local = top.Push(root, local, x>>uint(depth))
+					want += (x - x>>uint(depth)<<uint(depth)) * lvl.Step(i, c.d)
+				}
+				if rootBlock, _ := top.At(root, local); block != rootBlock || !top.TileRoot() {
+					t.Fatalf("n=%d d=%d b=%d level %d cell %v: block %d, its root's %d (tile root %v)", c.n, c.d, c.b, j, cell, block, rootBlock, top.TileRoot())
+				}
+				if slot != want {
+					t.Fatalf("n=%d d=%d b=%d level %d cell %v: slot %d, Origin/Step give %d", c.n, c.d, c.b, j, cell, slot, want)
+				}
+				i := c.d - 1
+				for ; i >= 0; i-- {
+					if cell[i]++; cell[i] < cells {
+						break
+					}
+					cell[i] = 0
+				}
+				if i < 0 {
+					break
+				}
+			}
+		}
+	}
+}
