@@ -15,10 +15,11 @@
 //	resourceleak   tickers/timers/files/handles must reach Stop/Close on every path; goroutines must be joinable
 //	snapshotrelease  acquired MVCC epoch snapshots must reach Release on every path
 //
-// The last five are CFG-based: they run dataflow analyses over
-// internal/analyzers/cfg control-flow graphs instead of matching syntax,
-// and share cross-package facts (lock acquisition sets, atomic fields)
-// through the multichecker's fact store.
+// Three are CFG-based — lockorder, resourceleak and snapshotrelease run
+// path analyses over internal/analyzers/cfg control-flow graphs instead of
+// matching syntax — and two share cross-package facts through the
+// multichecker's fact store: lockorder its lock acquisition sets,
+// atomicfield its atomic fields.
 //
 // Usage:
 //

@@ -13,10 +13,10 @@
 // APIs — WriteBlock and Truncate on any storage.BlockStore implementation,
 // and the TruncateIfAble helper — outside the packages that are the
 // journal/commit/recovery machinery itself (internal/storage), the
-// sanctioned tiled write path that commits through it (internal/tile), and
-// the serve cache's write-through invalidation (internal/cache). Everything
-// else must mutate blocks through tile.Store, whose Commit seals the
-// batch.
+// sanctioned tiled write path into it (internal/tile), and the serve
+// cache's write-through invalidation (internal/cache). Everything else must
+// mutate blocks through tile.Store and seal the batch with a Commit on the
+// stack under it.
 //
 // A second rule guards the parallel maintenance engine's write discipline:
 // tile-level mutations (WriteTile, Set, Add, ApplyBuckets) issued from an ad

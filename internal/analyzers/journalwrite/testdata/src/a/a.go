@@ -24,14 +24,14 @@ func direct(bs storage.BlockStore, fs *storage.FileStore, buf []float64) error {
 	return bs.ReadBlock(0, buf) // reads never bypass anything
 }
 
-func sanctioned(st *tile.Store, buf []float64) error {
+func sanctioned(st *tile.Store, batch storage.Committer, buf []float64) error {
 	if err := st.WriteTile(0, buf); err != nil { // the journaled path: no finding
 		return err
 	}
 	if err := st.Set([]int{0, 0}, 1.5); err != nil {
 		return err
 	}
-	return st.Commit()
+	return batch.Commit()
 }
 
 func suppressed(fs *storage.FileStore, buf []float64) error {

@@ -407,7 +407,7 @@ func (a *Appender) commitRetry() error {
 	backoff := time.Millisecond
 	var err error
 	for attempt := 0; attempt < 6; attempt++ {
-		if err = a.store.Commit(); err == nil {
+		if err = a.counting.Commit(); err == nil {
 			return nil
 		}
 		if !storage.IsTransient(err) {

@@ -455,22 +455,5 @@ func (c *Sharded) Stats() Stats {
 	}
 }
 
-// Sync forwards to the wrapped store.
-func (c *Sharded) Sync() error { return storage.SyncIfAble(c.inner) }
-
-// Truncate discards every cached block and forwards to the wrapped store.
-func (c *Sharded) Truncate() error {
-	err := storage.TruncateIfAble(c.inner)
-	c.Invalidate()
-	return err
-}
-
-// Commit forwards a durability point to the wrapped store.
-func (c *Sharded) Commit() error { return storage.CommitIfAble(c.inner) }
-
 // Close closes the wrapped store.
 func (c *Sharded) Close() error { return c.inner.Close() }
-
-// MappedReads forwards the inner stack's mapped-read counter (cache
-// hits touch no device and so do not move it).
-func (c *Sharded) MappedReads() int64 { return storage.MappedReadsOf(c.inner) }

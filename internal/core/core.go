@@ -84,38 +84,6 @@ func EmbedTargets1D(n, m, k int) [][]Target {
 	return out
 }
 
-// Merge1D adds the embedding of bHat (the transform of dyadic block k of
-// size 2^m) into aHat (a transform of size 2^n). If aHat previously held
-// the transform of vector a, afterwards it holds the transform of a with
-// the block's (inverse-transformed) values added — which covers both
-// construction from zero (Example 1) and batched updates (Example 2).
-func Merge1D(aHat, bHat []float64, k int) {
-	n := bitutil.Log2(len(aHat))
-	m := bitutil.Log2(len(bHat))
-	for idx := 1; idx < len(bHat); idx++ {
-		if bHat[idx] != 0 {
-			aHat[ShiftIndex(n, m, k, idx)] += bHat[idx]
-		}
-	}
-	for _, t := range SplitTargets(n, m, k) {
-		aHat[t.Index] += t.Weight * bHat[0]
-	}
-}
-
-// Extract1D computes the exact transform of the (k+1)-th dyadic block of
-// size 2^m directly from aHat, using the inverse SHIFT for details and the
-// inverse SPLIT (a root-path descent) for the block average. It touches
-// M-1 shifted coefficients plus the n-m+1 path coefficients.
-func Extract1D(aHat []float64, m, k int) []float64 {
-	n := bitutil.Log2(len(aHat))
-	out := make([]float64, 1<<uint(m))
-	for idx := 1; idx < len(out); idx++ {
-		out[idx] = aHat[ShiftIndex(n, m, k, idx)]
-	}
-	out[0] = haar.ScalingAt(aHat, m, k)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Standard multidimensional form
 // ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ func TestSplitWeightsSumMatchesEnergy(t *testing.T) {
 	bHat := make([]float64, 1<<uint(m))
 	bHat[0] = 4.0 // a constant block of value 4
 	aHat := make([]float64, 1<<uint(n))
-	Merge1D(aHat, bHat, k)
+	merge1D(aHat, bHat, k)
 	a := haar.Inverse(aHat)
 	for i := range a {
 		want := 0.0

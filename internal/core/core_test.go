@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
@@ -31,6 +32,19 @@ func randArray(rng *rand.Rand, shape ...int) *ndarray.Array {
 }
 
 // --- 1-d -------------------------------------------------------------------
+
+// The one-dimensional transform is the d = 1 case of the standard form:
+// merge1D and extract1D run MergeStandard and ExtractStandard on it, so the
+// paper's 1-d examples below check the d-dimensional kernels at d = 1.
+
+func merge1D(aHat, bHat []float64, k int) {
+	block := blockOf([]int{bitutil.Log2(len(bHat))}, []int{k})
+	MergeStandard(ndarray.FromSlice(aHat, len(aHat)), block, ndarray.FromSlice(bHat, len(bHat)))
+}
+
+func extract1D(aHat []float64, m, k int) []float64 {
+	return ExtractStandard(ndarray.FromSlice(aHat, len(aHat)), blockOf([]int{m}, []int{k})).Data()
+}
 
 func TestShiftIndexIdentityWhenBlockIsWholeDomain(t *testing.T) {
 	for idx := 1; idx < 16; idx++ {
@@ -105,7 +119,7 @@ func TestMerge1DEqualsPaddedTransform(t *testing.T) {
 			copy(padded[k<<uint(m):], b)
 			want := haar.Transform(padded)
 			got := make([]float64, 1<<uint(n))
-			Merge1D(got, haar.Transform(b), k)
+			merge1D(got, haar.Transform(b), k)
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > tol {
 					t.Fatalf("n=%d m=%d k=%d: coefficient %d = %g, want %g", n, m, k, i, got[i], want[i])
@@ -123,7 +137,7 @@ func TestMerge1DBatchUpdate(t *testing.T) {
 	a := randVec(rng, 1<<uint(n))
 	delta := randVec(rng, 1<<uint(m))
 	aHat := haar.Transform(a)
-	Merge1D(aHat, haar.Transform(delta), k)
+	merge1D(aHat, haar.Transform(delta), k)
 	updated := append([]float64(nil), a...)
 	for i, dv := range delta {
 		updated[k<<uint(m)+i] += dv
@@ -143,7 +157,7 @@ func TestExtract1DIsExact(t *testing.T) {
 		aHat := haar.Transform(a)
 		for m := 0; m <= n; m++ {
 			k := rng.Intn(1 << uint(n-m))
-			got := Extract1D(aHat, m, k)
+			got := extract1D(aHat, m, k)
 			want := haar.Transform(a[k<<uint(m) : (k+1)<<uint(m)])
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-8 {
@@ -160,8 +174,8 @@ func TestMergeExtractRoundTrip1D(t *testing.T) {
 	b := randVec(rng, 1<<uint(m))
 	bHat := haar.Transform(b)
 	aHat := make([]float64, 1<<uint(n))
-	Merge1D(aHat, bHat, k)
-	back := Extract1D(aHat, m, k)
+	merge1D(aHat, bHat, k)
+	back := extract1D(aHat, m, k)
 	for i := range bHat {
 		if math.Abs(back[i]-bHat[i]) > tol {
 			t.Fatalf("round trip differs at %d", i)
@@ -405,7 +419,7 @@ func TestShiftSplitNonStandardCounts(t *testing.T) {
 
 // --- property tests ----------------------------------------------------------
 
-func TestQuickMerge1D(t *testing.T) {
+func TestQuickmerge1D(t *testing.T) {
 	f := func(seed int64, mRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 7
@@ -416,7 +430,7 @@ func TestQuickMerge1D(t *testing.T) {
 		copy(padded[k<<uint(m):], b)
 		want := haar.Transform(padded)
 		got := make([]float64, 1<<uint(n))
-		Merge1D(got, haar.Transform(b), k)
+		merge1D(got, haar.Transform(b), k)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > tol {
 				return false

@@ -261,18 +261,6 @@ func (a *Array) Fiber(dim int, fixed []int) []float64 {
 	return out
 }
 
-// FiberInto copies the 1-d line along dimension dim into dst, whose length
-// must equal the dimension's extent. It is the allocation-free form of Fiber.
-func (a *Array) FiberInto(dst []float64, dim int, fixed []int) {
-	base, stride, n := a.fiberSpec(dim, fixed)
-	if len(dst) != n {
-		panic(fmt.Sprintf("ndarray: FiberInto dst length %d for extent %d", len(dst), n))
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = a.data[base+i*stride]
-	}
-}
-
 // FiberSpan exposes the strided layout of the 1-d line along dimension dim:
 // the line's cells live at Data()[base + i*stride] for i in [0, n). The
 // in-place transforms use it to read and write fibers without copying

@@ -202,33 +202,8 @@ func (b *Breaker) WriteBlocks(ids []int, data [][]float64) error {
 	return b.do(func() error { return WriteBlocksOf(b.inner, ids, data) })
 }
 
-// Sync fails fast when the circuit is open.
-func (b *Breaker) Sync() error {
-	return b.do(func() error { return SyncIfAble(b.inner) })
-}
-
-// Commit fails fast when the circuit is open.
-func (b *Breaker) Commit() error {
-	return b.do(func() error { return CommitIfAble(b.inner) })
-}
-
-// Truncate forwards (an explicit administrative operation, not load).
-func (b *Breaker) Truncate() error { return TruncateIfAble(b.inner) }
-
-// VerifyBlocks forwards: the scrubber runs below the breaker by design,
-// but a caller holding only the breaker still gets verification.
-func (b *Breaker) VerifyBlocks(ids []int) ([]int, error) {
-	return VerifyBlocksOf(b.inner, ids)
-}
-
-// RepairBlock forwards.
-func (b *Breaker) RepairBlock(id int) (bool, error) { return RepairBlockOf(b.inner, id) }
-
 // Close forwards.
 func (b *Breaker) Close() error { return b.inner.Close() }
-
-// MappedReads forwards the inner stack's mapped-read counter.
-func (b *Breaker) MappedReads() int64 { return MappedReadsOf(b.inner) }
 
 // String describes the breaker state for logs.
 func (b *Breaker) String() string {

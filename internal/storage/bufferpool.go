@@ -273,10 +273,6 @@ func (p *BufferPool) Len() int {
 	return p.lru.Len()
 }
 
-// MappedReads forwards the inner stack's mapped-read counter (pool hits
-// touch no device and so do not move it).
-func (p *BufferPool) MappedReads() int64 { return MappedReadsOf(p.inner) }
-
 // Close flushes dirty blocks and closes the underlying store.
 func (p *BufferPool) Close() error {
 	p.mu.Lock()

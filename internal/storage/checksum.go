@@ -254,14 +254,5 @@ func (c *Checksummed) ReadMeta(id int) (epoch uint64, version int, err error) {
 	return verifyFrame(c.sc.bytes, c.BlockSize(), id, c.sc.frame)
 }
 
-// Sync flushes the inner store.
-func (c *Checksummed) Sync() error { return SyncIfAble(c.inner) }
-
-// MappedReads forwards the inner stack's mapped-read counter.
-func (c *Checksummed) MappedReads() int64 { return MappedReadsOf(c.inner) }
-
-// Truncate forwards to the inner store.
-func (c *Checksummed) Truncate() error { return TruncateIfAble(c.inner) }
-
 // Close closes the inner store.
 func (c *Checksummed) Close() error { return c.inner.Close() }

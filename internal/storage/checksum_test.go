@@ -125,7 +125,7 @@ func TestChecksummedOnFileStore(t *testing.T) {
 	if err := c.WriteBlock(2, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Sync(); err != nil {
+	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

@@ -35,9 +35,6 @@ func (p *CrashPlan) ArmAt(n int64) { p.failAt = n }
 // run uses it to size the campaign sweep.
 func (p *CrashPlan) Ops() int64 { return p.ops }
 
-// Crashed reports whether the power cut has fired.
-func (p *CrashPlan) Crashed() bool { return p.crashed }
-
 // step counts one mutation and reports whether the power cut fires on it.
 func (p *CrashPlan) step() bool {
 	if p.crashed {
@@ -60,7 +57,9 @@ func (p *CrashPlan) step() bool {
 // lost, and all subsequent operations fail with ErrCrashed.
 //
 // Wrap the data and journal FileStores of one Durable in two CrashStores
-// sharing a plan to exercise the full commit protocol.
+// sharing a plan to exercise the full commit protocol. CrashStore does not
+// offer FrameViewer: its volatile write cache shadows the medium, so
+// zero-copy views would read around unsynced state.
 type CrashStore struct {
 	inner BlockStore
 	plan  *CrashPlan
@@ -212,11 +211,6 @@ func (c *CrashStore) Truncate() error {
 	c.cache = make(map[int][]float64)
 	return TruncateIfAble(c.inner)
 }
-
-// MappedReads forwards the medium's mapped-read counter. CrashStore
-// does NOT forward FrameViewer: its volatile write cache shadows the
-// medium, so zero-copy views would read around uncommitted state.
-func (c *CrashStore) MappedReads() int64 { return MappedReadsOf(c.inner) }
 
 // Close closes the medium. A graceful close flushes the cache first; after
 // a crash the cache is already gone.

@@ -219,7 +219,7 @@ func TestCrashStoreTearIsDetected(t *testing.T) {
 	if err := chk.WriteBlock(0, []float64{1, 1, 1, 1, 1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := chk.Sync(); err != nil {
+	if err := cs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	tornSeen := false

@@ -113,33 +113,5 @@ func (d *Degraded) WriteBlocks(ids []int, data [][]float64) error {
 	return nil
 }
 
-// VerifyBlocks forwards: verification must see the medium, not the
-// quarantine overlay.
-func (d *Degraded) VerifyBlocks(ids []int) ([]int, error) {
-	return VerifyBlocksOf(d.inner, ids)
-}
-
-// RepairBlock forwards and releases the block from quarantine when the
-// repair lands.
-func (d *Degraded) RepairBlock(id int) (bool, error) {
-	ok, err := RepairBlockOf(d.inner, id)
-	if ok && err == nil {
-		d.q.Remove(id)
-	}
-	return ok, err
-}
-
-// Sync delegates.
-func (d *Degraded) Sync() error { return SyncIfAble(d.inner) }
-
-// Truncate delegates.
-func (d *Degraded) Truncate() error { return TruncateIfAble(d.inner) }
-
-// Commit delegates.
-func (d *Degraded) Commit() error { return CommitIfAble(d.inner) }
-
 // Close delegates.
 func (d *Degraded) Close() error { return d.inner.Close() }
-
-// MappedReads forwards the inner stack's mapped-read counter.
-func (d *Degraded) MappedReads() int64 { return MappedReadsOf(d.inner) }

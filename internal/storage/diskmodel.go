@@ -30,16 +30,6 @@ func Disk2005(blockBytes int) DiskModel {
 	}
 }
 
-// SSD2020 approximates a modern NVMe device: negligible positioning,
-// ~2 GB/s transfer. Useful for showing which conclusions survive the
-// hardware shift.
-func SSD2020(blockBytes int) DiskModel {
-	return DiskModel{
-		SeekTime:         20 * time.Microsecond,
-		TransferPerBlock: time.Duration(float64(blockBytes) / 2e9 * float64(time.Second)),
-	}
-}
-
 // Estimate returns the modeled time for the given I/O counts.
 func (m DiskModel) Estimate(s Stats) time.Duration {
 	ops := float64(s.Total())

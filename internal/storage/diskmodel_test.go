@@ -33,13 +33,6 @@ func TestDisk2005DominatedBySeeks(t *testing.T) {
 	}
 }
 
-func TestSSDFasterThanDisk(t *testing.T) {
-	stats := Stats{Reads: 500, Writes: 500}
-	if SSD2020(4096).Estimate(stats) >= Disk2005(4096).Estimate(stats) {
-		t.Error("SSD should beat the 2005 disk")
-	}
-}
-
 func TestDiskModelString(t *testing.T) {
 	if !strings.Contains(Disk2005(4096).String(), "seek=") {
 		t.Error("String rendering wrong")

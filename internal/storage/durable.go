@@ -134,7 +134,7 @@ func CreateDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func
 // device: committed blocks read zero-copy through the Checksummed frame
 // views while writes keep the pwrite+journal protocol unchanged. The
 // data layout is FileStore's, so Fsck and OpenDurable work on the same
-// file. Ordering: Commit calls data.Sync() — which for a MappedStore is
+// file. Ordering: Commit syncs the data device — for a MappedStore that is
 // msync(MS_SYNC) then fsync — strictly before the journal is retired,
 // so the mapped store inherits the journal protocol's crash safety.
 func CreateDurableMapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
@@ -178,7 +178,7 @@ func (d *Durable) recover() error {
 	if err := WriteBlocksOf(d.data.inner, batch.IDs, batch.Frames); err != nil {
 		return err
 	}
-	if err := d.data.Sync(); err != nil {
+	if err := SyncIfAble(d.data.inner); err != nil {
 		return err
 	}
 	if err := d.journal.Reset(); err != nil {
@@ -322,7 +322,7 @@ func (d *Durable) Commit() error {
 	if err := WriteBlocksOf(d.data.inner, ids, frames); err != nil {
 		return fmt.Errorf("storage: apply batch of %d blocks: %w", len(ids), err)
 	}
-	if err := d.data.Sync(); err != nil {
+	if err := SyncIfAble(d.data.inner); err != nil {
 		return fmt.Errorf("storage: sync data: %w", err)
 	}
 	if err := d.journal.Reset(); err != nil {
@@ -389,7 +389,7 @@ func (d *Durable) RepairBlock(id int) (repaired bool, err error) {
 	if err := d.data.WriteBlock(id, data); err != nil {
 		return false, fmt.Errorf("storage: repair block %d: %w", id, err)
 	}
-	if err := d.data.Sync(); err != nil {
+	if err := SyncIfAble(d.data.inner); err != nil {
 		return false, fmt.Errorf("storage: repair block %d: sync: %w", id, err)
 	}
 	return true, nil
@@ -399,14 +399,6 @@ func (d *Durable) RepairBlock(id int) (repaired bool, err error) {
 func (d *Durable) Rollback() {
 	d.pending = make(map[int][]float64)
 }
-
-// Sync commits: for a transactional store the only meaningful durability
-// point is a batch boundary.
-func (d *Durable) Sync() error { return d.Commit() }
-
-// MappedReads forwards the data device's mapped-read counter (journal
-// traffic is positional I/O and never mapped).
-func (d *Durable) MappedReads() int64 { return MappedReadsOf(d.data) }
 
 // Close commits staged writes and closes both underlying stores. The
 // stores are closed even when the final commit fails (e.g. after a

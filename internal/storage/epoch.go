@@ -598,12 +598,6 @@ func (v *Versioned) Commit() error {
 	if err := CommitIfAble(v.write); err != nil {
 		return fmt.Errorf("storage: commit epoch %d: %w", next.epoch, err)
 	}
-	if _, transactional := v.write.(Committer); !transactional {
-		// Non-transactional media: at least push the flip to stable storage.
-		if err := SyncIfAble(v.write); err != nil {
-			return fmt.Errorf("storage: sync epoch %d: %w", next.epoch, err)
-		}
-	}
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -735,10 +729,6 @@ func (v *Versioned) Stats() EpochStats {
 	}
 	return st
 }
-
-// Sync seals the building epoch: on a versioned store the only meaningful
-// durability point is an epoch flip.
-func (v *Versioned) Sync() error { return v.Commit() }
 
 // Close seals any building epoch and closes the underlying stack exactly
 // once: through the read path when it is distinct (the serving composition

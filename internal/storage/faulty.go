@@ -19,9 +19,9 @@ import (
 //     dead;
 //   - every-Nth: FailEveryNthRead/FailEveryNthWrite fail one operation in
 //     every N — deterministic sustained flakiness;
-//   - probabilistic: FailReadsWithProbability/FailWritesWithProbability
-//     fail each operation with probability p under a seeded RNG — random
-//     sustained flakiness for stress tests.
+//   - probabilistic: FailReadsWithProbability fails each read with
+//     probability p under a seeded RNG — random sustained flakiness for
+//     stress tests.
 //
 // Two silent modes model faults the device does NOT report:
 //
@@ -33,7 +33,9 @@ import (
 //     for timeout and rate-limit tests.
 //
 // All arming methods and triggers are mutex-guarded, so a chaos campaign
-// can re-arm a Faulty while other goroutines drive I/O through it.
+// can re-arm a Faulty while other goroutines drive I/O through it. Faulty
+// does not offer FrameViewer: zero-copy views would bypass fault
+// injection, so faulted stacks always take the copying read path.
 type Faulty struct {
 	inner BlockStore
 
@@ -45,7 +47,6 @@ type Faulty struct {
 	everyNthRead   int64
 	everyNthWrite  int64
 	pRead          float64
-	pWrite         float64
 	pRotRead       float64
 	pRotWrite      float64
 	delay          time.Duration
@@ -127,17 +128,6 @@ func (f *Faulty) FailReadsWithProbability(p float64, seed int64) {
 		f.seedRNG(seed)
 	}
 	f.pRead = p
-}
-
-// FailWritesWithProbability fails each write with probability p, drawn
-// from an RNG seeded on the first probabilistic call (p <= 0 disarms).
-func (f *Faulty) FailWritesWithProbability(p float64, seed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if p > 0 {
-		f.seedRNG(seed)
-	}
-	f.pWrite = p
 }
 
 // RotReadsWithProbability silently flips one bit of one slot in each read
@@ -240,7 +230,6 @@ func (f *Faulty) writePlan() (fail bool, rot rotPlan, delay time.Duration) {
 	f.writes++
 	fail = f.failWriteAfter != 0 && f.writes >= f.failWriteAfter
 	fail = fail || (f.everyNthWrite > 0 && f.writes%f.everyNthWrite == 0)
-	fail = fail || (f.pWrite > 0 && f.rng.Float64() < f.pWrite)
 	if fail {
 		f.injected++
 		return fail, rot, delay
@@ -367,19 +356,9 @@ func (f *Faulty) WriteBlocks(ids []int, data [][]float64) error {
 	return nil
 }
 
-// Sync delegates (faults target block transfers, not barriers).
+// Sync delegates (faults target block transfers, not barriers): slid in as
+// a BaseWrap, Faulty stands in for the device the layers above sync.
 func (f *Faulty) Sync() error { return SyncIfAble(f.inner) }
-
-// Truncate delegates.
-func (f *Faulty) Truncate() error { return TruncateIfAble(f.inner) }
-
-// Commit delegates.
-func (f *Faulty) Commit() error { return CommitIfAble(f.inner) }
 
 // Close delegates.
 func (f *Faulty) Close() error { return f.inner.Close() }
-
-// MappedReads forwards the inner stack's mapped-read counter. Note that
-// Faulty does NOT forward FrameViewer: zero-copy views would bypass
-// fault injection, so faulted stacks always use the copying read path.
-func (f *Faulty) MappedReads() int64 { return MappedReadsOf(f.inner) }

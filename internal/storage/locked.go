@@ -50,20 +50,6 @@ func (l *Locked) WriteBlocks(ids []int, data [][]float64) error {
 	return WriteBlocksOf(l.inner, ids, data)
 }
 
-// Sync delegates under the lock.
-func (l *Locked) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return SyncIfAble(l.inner)
-}
-
-// Truncate delegates under the lock.
-func (l *Locked) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return TruncateIfAble(l.inner)
-}
-
 // Commit delegates under the lock.
 func (l *Locked) Commit() error {
 	l.mu.Lock()
@@ -77,7 +63,3 @@ func (l *Locked) Close() error {
 	defer l.mu.Unlock()
 	return l.inner.Close()
 }
-
-// MappedReads forwards the inner stack's mapped-read counter. The
-// counter is atomic at the device, so no lock is needed.
-func (l *Locked) MappedReads() int64 { return MappedReadsOf(l.inner) }

@@ -408,7 +408,7 @@ func (s *MappedStore) MappedReads() int64 { return s.mappedReads.Load() }
 // the mapped extent, then fsync. The mapping is PROT_READ so it never
 // holds dirty pages, but the explicit barrier keeps the
 // msync-before-journal-retire ordering independent of that invariant —
-// Durable.Commit calls data.Sync() before retiring the journal, so the
+// Durable.Commit syncs its data device before retiring the journal, so the
 // ordering holds with no changes to the journal protocol.
 func (s *MappedStore) Sync() error {
 	if s.fs.closed.Load() {

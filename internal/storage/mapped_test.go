@@ -436,7 +436,11 @@ func TestCrashCampaignMappedStore(t *testing.T) {
 		// Power restored: recovery must work through the mapped device
 		// too, and its reads must be mapped (zero preads on the data
 		// device, mapped-read counter moving).
-		d2, err := OpenDurableMapped(path, blockSize, nil, nil)
+		var dev MappedReadsReporter
+		d2, err := OpenDurableMapped(path, blockSize, nil, func(bs BlockStore) BlockStore {
+			dev = bs.(*MappedStore)
+			return bs
+		})
 		if err != nil {
 			t.Fatalf("trial %d: reopen: %v", w, err)
 		}
@@ -449,7 +453,7 @@ func TestCrashCampaignMappedStore(t *testing.T) {
 		default:
 			t.Fatalf("trial %d: hybrid state after recovery: %v", w, got)
 		}
-		if d2.MappedReads() == 0 {
+		if dev.MappedReads() == 0 {
 			t.Fatalf("trial %d: recovered mapped store served no mapped reads", w)
 		}
 		if err := d2.Close(); err != nil {

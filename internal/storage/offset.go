@@ -70,6 +70,3 @@ func (o *Offset) WriteBlocks(ids []int, data [][]float64) error {
 
 // Close is a no-op: the shared inner store outlives its views.
 func (o *Offset) Close() error { return nil }
-
-// MappedReads forwards the shared device's mapped-read counter.
-func (o *Offset) MappedReads() int64 { return MappedReadsOf(o.inner) }

@@ -168,9 +168,6 @@ func (r *ChecksumReader) WriteBlock(id int, data []float64) error {
 	return fmt.Errorf("storage: checksum reader is read-only (block %d)", id)
 }
 
-// MappedReads forwards the device's mapped-read counter.
-func (r *ChecksumReader) MappedReads() int64 { return MappedReadsOf(r.inner) }
-
 // Close is a no-op: the write path owns the device.
 func (r *ChecksumReader) Close() error { return nil }
 
@@ -226,14 +223,8 @@ func (s *SplitRW) WriteBlocks(ids []int, data [][]float64) error {
 	return WriteBlocksOf(s.w, ids, data)
 }
 
-// Sync forwards the durability point to the write path.
-func (s *SplitRW) Sync() error { return SyncIfAble(s.w) }
-
 // Commit forwards the transactional group boundary to the write path.
 func (s *SplitRW) Commit() error { return CommitIfAble(s.w) }
-
-// Truncate forwards to the write path.
-func (s *SplitRW) Truncate() error { return TruncateIfAble(s.w) }
 
 // VerifyBlocks routes verification through the write path, which knows
 // about staged-but-uncommitted frames.
@@ -243,10 +234,6 @@ func (s *SplitRW) VerifyBlocks(ids []int) (corrupt []int, err error) {
 
 // RepairBlock routes repair through the write path.
 func (s *SplitRW) RepairBlock(id int) (bool, error) { return RepairBlockOf(s.w, id) }
-
-// MappedReads reports the shared device's mapped-read counter (both legs
-// bottom out at the same medium, so either leg's counter is the counter).
-func (s *SplitRW) MappedReads() int64 { return MappedReadsOf(s.w) }
 
 // Close closes the write path (which owns the medium), then the read leg
 // (a no-op for ChecksumReader).

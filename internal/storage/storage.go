@@ -32,8 +32,10 @@ type BlockStore interface {
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("storage: store is closed")
 
-// Syncer is implemented by stores that can flush buffered writes to stable
-// media (FileStore, and wrappers that forward to one).
+// Syncer is implemented by devices that can flush buffered writes to stable
+// media (FileStore, MappedStore, CrashStore), by the device wrappers a
+// BaseWrap slides under the checksum layer, and by Counting, which counts
+// the barrier.
 type Syncer interface {
 	Sync() error
 }
@@ -61,15 +63,17 @@ func TruncateIfAble(bs BlockStore) error {
 	return fmt.Errorf("storage: %T does not support Truncate", bs)
 }
 
-// Committer is implemented by transactional stores (Durable) whose writes
-// are staged until Commit makes them atomic and durable.
+// Committer is implemented by transactional stores (Durable, Versioned)
+// whose writes are staged until Commit makes them atomic and durable, by
+// BufferPool, which flushes first, and by the layers that count (Counting),
+// lock (Locked) or pick a leg (SplitRW) on the way down to one.
 type Committer interface {
 	Commit() error
 }
 
 // CommitIfAble commits bs when it is transactional and is a no-op
-// otherwise, so engines can request durability points without knowing how
-// their store stack is composed.
+// otherwise: the layers above pass a durability point down without knowing
+// what they were stacked on.
 func CommitIfAble(bs BlockStore) error {
 	if c, ok := bs.(Committer); ok {
 		return c.Commit()
@@ -220,7 +224,9 @@ type Stats struct {
 	Commits int64 // Commit durability points forwarded to the underlying store
 	// MappedReads is how many of the Reads were served from a memory
 	// mapping (zero positional read syscalls) — a subset of Reads, not
-	// an addition to Total.
+	// an addition to Total. The counter lives on the device (MappedStore);
+	// Counting cannot see it and leaves the field zero, and the owner of
+	// the stack fills it in.
 	MappedReads int64
 }
 
@@ -262,10 +268,6 @@ type Counting struct {
 	writes  atomic.Int64
 	syncs   atomic.Int64
 	commits atomic.Int64
-	// mappedBase snapshots the inner stack's mapped-read counter at the
-	// last Reset, so Stats reports mapped reads over the same window as
-	// the other counters even though the device counter is cumulative.
-	mappedBase atomic.Int64
 }
 
 // NewCounting wraps inner with an I/O counter.
@@ -320,9 +322,6 @@ func (c *Counting) Sync() error {
 	return SyncIfAble(c.inner)
 }
 
-// Truncate forwards to the wrapped store.
-func (c *Counting) Truncate() error { return TruncateIfAble(c.inner) }
-
 // Commit counts one durability point and forwards it to the wrapped store.
 func (c *Counting) Commit() error {
 	c.commits.Add(1)
@@ -332,18 +331,12 @@ func (c *Counting) Commit() error {
 // Stats returns the counters accumulated so far.
 func (c *Counting) Stats() Stats {
 	return Stats{
-		Reads:       c.reads.Load(),
-		Writes:      c.writes.Load(),
-		Syncs:       c.syncs.Load(),
-		Commits:     c.commits.Load(),
-		MappedReads: MappedReadsOf(c.inner) - c.mappedBase.Load(),
+		Reads:   c.reads.Load(),
+		Writes:  c.writes.Load(),
+		Syncs:   c.syncs.Load(),
+		Commits: c.commits.Load(),
 	}
 }
-
-// MappedReads implements MappedReadsReporter by forwarding the inner
-// stack's cumulative counter (not windowed by Reset), so stacked
-// Countings agree with the device.
-func (c *Counting) MappedReads() int64 { return MappedReadsOf(c.inner) }
 
 // Reset zeroes the counters.
 func (c *Counting) Reset() {
@@ -351,5 +344,4 @@ func (c *Counting) Reset() {
 	c.writes.Store(0)
 	c.syncs.Store(0)
 	c.commits.Store(0)
-	c.mappedBase.Store(MappedReadsOf(c.inner))
 }

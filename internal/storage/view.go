@@ -60,19 +60,11 @@ func (v *FrameViews) Release() {
 	v.frames = nil
 }
 
-// MappedReadsReporter is implemented by stores (and wrappers over
-// stores) that serve reads from a memory mapping rather than positional
-// read syscalls. The counter keeps the syscall proxy honest: mapped
-// stacks report 0 preads, and this counter carries the traffic instead.
+// MappedReadsReporter is implemented by devices that serve reads from a
+// memory mapping rather than positional read syscalls (MappedStore). The
+// counter keeps the syscall proxy honest: mapped stacks report 0 preads,
+// and this counter carries the traffic instead. The layers stacked above
+// a device do not forward it; whoever opened the device reads it there.
 type MappedReadsReporter interface {
 	MappedReads() int64
-}
-
-// MappedReadsOf returns bs's mapped-read count, or 0 when the stack has
-// no mapping underneath.
-func MappedReadsOf(bs BlockStore) int64 {
-	if r, ok := bs.(MappedReadsReporter); ok {
-		return r.MappedReads()
-	}
-	return 0
 }

@@ -38,7 +38,6 @@ type OnceWriter struct {
 	store      *Store
 	capacities map[int]int
 	pending    map[int]*onceBlock
-	written    map[int]bool
 	// Completed blocks recycle their buffers here: every BlockStore copies
 	// written data before returning, so once WriteTile succeeds the slice
 	// (zeroed) and the onceBlock header can back the next block. The
@@ -60,7 +59,6 @@ func NewOnceWriter(st *Store, capacities map[int]int) *OnceWriter {
 		store:      st,
 		capacities: capacities,
 		pending:    make(map[int]*onceBlock),
-		written:    make(map[int]bool),
 	}
 }
 
@@ -103,11 +101,7 @@ func (w *OnceWriter) complete(block int, ob *onceBlock) error {
 	err := w.store.WriteTile(block, data)
 	clear(data)
 	w.freeData = append(w.freeData, data)
-	if err != nil {
-		return err
-	}
-	w.written[block] = true
-	return nil
+	return err
 }
 
 // Set records a final coefficient value, flushing its block if complete.
@@ -161,9 +155,6 @@ func (w *OnceWriter) MergeBucket(block int, deltas []float64, touches int) error
 // memory footprint beyond the chunk itself).
 func (w *OnceWriter) Pending() int { return len(w.pending) }
 
-// MaxWrites returns how many blocks have been written so far.
-func (w *OnceWriter) MaxWrites() int { return len(w.written) }
-
 // Flush writes any incomplete blocks (normally only blocks whose unset
 // slots are reserved scaling slots) in ascending id order. All-zero blocks
 // are dropped.
@@ -184,13 +175,7 @@ func (w *OnceWriter) Flush() error {
 		outIDs = append(outIDs, id)
 		outData = append(outData, ob.data)
 	}
-	if err := w.store.WriteTiles(outIDs, outData); err != nil {
-		return err
-	}
-	for _, id := range outIDs {
-		w.written[id] = true
-	}
-	return nil
+	return w.store.WriteTiles(outIDs, outData)
 }
 
 // WriteArray stores a full in-memory transform through a tiled store with

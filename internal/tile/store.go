@@ -140,11 +140,5 @@ func (s *Store) WriteTiles(blocks []int, data [][]float64) error {
 	return storage.WriteBlocksOf(s.bs, blocks, data)
 }
 
-// Commit makes the writes since the previous commit durable and atomic
-// when the underlying block store stack is transactional (it contains a
-// storage.Durable); otherwise it flushes write-back caches and is a no-op
-// at the device. Maintenance engines call it at batch boundaries.
-func (s *Store) Commit() error { return storage.CommitIfAble(s.bs) }
-
 // Close closes the underlying block store.
 func (s *Store) Close() error { return s.bs.Close() }

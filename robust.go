@@ -94,15 +94,12 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// ensureScrubber lazily builds the scrubber over scrubBase.
+// ensureScrubber lazily builds the scrubber over base.
 func (s *Store) ensureScrubber(opts storage.ScrubberOptions) (*storage.Scrubber, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
 	if s.scrubber != nil {
 		return s.scrubber, nil
-	}
-	if s.scrubBase == nil || s.quarantine == nil {
-		return nil, fmt.Errorf("shiftsplit: store has no scrubbable storage stack")
 	}
 	// On a versioned store the scrubber walks the physical id space below
 	// the epoch layer (superblock, remap pages, allocated data blocks);
@@ -111,7 +108,7 @@ func (s *Store) ensureScrubber(opts storage.ScrubberOptions) (*storage.Scrubber,
 	if s.versioned != nil {
 		extent = s.versioned.PhysExtent
 	}
-	sc, err := storage.NewScrubber(s.scrubBase, extent, s.quarantine, opts)
+	sc, err := storage.NewScrubber(s.base, extent, s.quarantine, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +192,8 @@ func (s *Store) StopScrub() {
 // blocks no source covers stay quarantined and are counted in unrepaired —
 // only a re-materialize can recover those.
 func (s *Store) RepairQuarantined() (repaired, unrepaired int, err error) {
-	if s.quarantine == nil || s.scrubBase == nil {
-		return 0, 0, nil
-	}
 	for _, rec := range s.quarantine.Snapshot() {
-		ok, rerr := storage.RepairBlockOf(s.scrubBase, rec.Block)
+		ok, rerr := s.base.RepairBlock(rec.Block)
 		if rerr != nil {
 			return repaired, unrepaired, fmt.Errorf("shiftsplit: repair block %d: %w", rec.Block, rerr)
 		}
@@ -208,7 +202,7 @@ func (s *Store) RepairQuarantined() (repaired, unrepaired int, err error) {
 			continue
 		}
 		// Trust nothing: the block must verify clean before release.
-		corrupt, verr := storage.VerifyBlocksOf(s.scrubBase, []int{rec.Block})
+		corrupt, verr := s.base.VerifyBlocks([]int{rec.Block})
 		if verr != nil {
 			return repaired, unrepaired, fmt.Errorf("shiftsplit: verify repaired block %d: %w", rec.Block, verr)
 		}

@@ -57,9 +57,9 @@ func openDevice(sp stackSpec, blockSize int) (storage.BlockStore, error) {
 }
 
 // openDurable builds the transactional block store of a durable Store:
-// file-backed with a ".wal" journal sidecar, or in memory. Opening replays
-// or discards an interrupted batch.
-func openDurable(sp stackSpec, blockSize int) (*storage.Durable, error) {
+// file-backed with a ".wal" journal sidecar, or in memory, with wrap applied
+// to the raw data device. Opening replays or discards an interrupted batch.
+func openDurable(sp stackSpec, blockSize int, wrap func(storage.BlockStore) storage.BlockStore) (*storage.Durable, error) {
 	switch {
 	case sp.path == "":
 		crash := func(bs storage.BlockStore) storage.BlockStore {
@@ -68,19 +68,26 @@ func openDurable(sp stackSpec, blockSize int) (*storage.Durable, error) {
 			}
 			return storage.NewCrashStore(bs, sp.plan)
 		}
-		var data storage.BlockStore = storage.NewMemStore(blockSize + storage.ChecksumOverhead)
-		if sp.wrap != nil {
-			data = sp.wrap(data)
-		}
+		data := wrap(storage.NewMemStore(blockSize + storage.ChecksumOverhead))
 		return storage.NewDurable(crash(data), crash(storage.NewMemStore(blockSize+storage.JournalOverhead)))
 	case sp.meta.Mapped && sp.create:
-		return storage.CreateDurableMapped(sp.path, blockSize, sp.plan, sp.wrap)
+		return storage.CreateDurableMapped(sp.path, blockSize, sp.plan, wrap)
 	case sp.meta.Mapped:
-		return storage.OpenDurableMapped(sp.path, blockSize, sp.plan, sp.wrap)
+		return storage.OpenDurableMapped(sp.path, blockSize, sp.plan, wrap)
 	case sp.create:
-		return storage.CreateDurableWrapped(sp.path, blockSize, sp.plan, sp.wrap)
+		return storage.CreateDurableWrapped(sp.path, blockSize, sp.plan, wrap)
 	}
-	return storage.OpenDurableWrapped(sp.path, blockSize, sp.plan, sp.wrap)
+	return storage.OpenDurableWrapped(sp.path, blockSize, sp.plan, wrap)
+}
+
+// baseLayer is what assemble puts directly under the serving layers: the
+// Counting, or a Locked over it. Either one counts or locks a commit, a
+// verification or a repair and passes it down to the Durable or the device.
+type baseLayer interface {
+	storage.BlockStore
+	storage.Committer
+	storage.Verifier
+	storage.Repairer
 }
 
 // assemble builds the stack sp describes. Bottom to top:
@@ -105,9 +112,15 @@ func openDurable(sp stackSpec, blockSize int) (*storage.Durable, error) {
 //
 // The cache sits below the epoch layer and is keyed by physical block id,
 // so a flip invalidates nothing; only the rebinding of a reclaimed physical
-// block drops its entry (OnReuse). The scrubber walks scrubBase — below the
-// cache and breaker, sharing the read path's lock — so it sees the medium
-// and neither trips nor pollutes the layers above.
+// block drops its entry (OnReuse).
+//
+// No capability travels up this chain. The Store calls each one at the
+// layer that implements it, through the fields set here: a commit at the
+// Versioned, else the BufferPool, else base; a scrub, a repair and its
+// re-verification at base — the Counting, or the Locked over it that the
+// read path shares — below the cache and breaker, so they see the medium and
+// neither trip nor pollute the layers above; the mapped-read count at the
+// raw device, before any BaseWrap (DESIGN §11).
 //
 // Whatever has been opened is closed again on every error path.
 func assemble(sp stackSpec) (_ *Store, err error) {
@@ -124,15 +137,20 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		},
 		tiling: tiling,
 	}
+	// device sees the raw data device, then slides the BaseWrap over it.
+	device := func(bs storage.BlockStore) storage.BlockStore {
+		out.mapped, _ = bs.(storage.MappedReadsReporter)
+		if sp.wrap != nil {
+			bs = sp.wrap(bs)
+		}
+		return bs
+	}
 	var base storage.BlockStore
 	if m.Durable {
-		out.durable, err = openDurable(sp, tiling.BlockSize())
+		out.durable, err = openDurable(sp, tiling.BlockSize(), device)
 		base = out.durable
-	} else {
-		base, err = openDevice(sp, tiling.BlockSize())
-		if err == nil && sp.wrap != nil {
-			base = sp.wrap(base)
-		}
+	} else if base, err = openDevice(sp, tiling.BlockSize()); err == nil {
+		base = device(base)
 	}
 	if err != nil {
 		return nil, err
@@ -156,20 +174,20 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		}
 	}
 	out.counting = storage.NewCounting(counted)
+	out.base = out.counting
+	if serve && m.Durable && !m.Versioned {
+		out.base = storage.NewLocked(out.counting)
+	}
 	// write is where mutations and the epoch layer's table I/O enter, read
 	// is the chain queries come down.
-	var write, read storage.BlockStore = out.counting, out.counting
+	var write, read storage.BlockStore = out.counting, out.base
 	if !serve {
 		if sp.poolBlocks > 0 {
 			out.pool = storage.NewBufferPool(out.counting, sp.poolBlocks)
 			write, read = out.pool, out.pool
 		}
-		out.scrubBase = out.counting
 	} else {
-		if m.Durable && !m.Versioned {
-			read = storage.NewLocked(out.counting)
-		}
-		out.scrubBase, out.scrubSafe = read, true
+		out.scrubSafe = true
 		if sp.serve.Breaker != nil {
 			out.breaker = storage.NewBreaker(read, *sp.serve.Breaker)
 			read = out.breaker

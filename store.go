@@ -159,16 +159,23 @@ type Store struct {
 	// (always-correct) root-path queries.
 	matEpoch atomic.Uint64
 
+	// base is the layer under the serving layers where commits (on stores
+	// with neither epoch layer nor buffer pool), scrubs and repairs enter:
+	// below the cache and breaker, above the device, sharing the serving
+	// path's lock (see assemble).
+	base      baseLayer
+	scrubSafe bool // base may be walked concurrently with queries
+	// mapped is the raw data device's mapped-read counter when the device
+	// is a memory mapping; mappedBase is its value at the last ResetStats.
+	mapped     storage.MappedReadsReporter
+	mappedBase atomic.Int64
+
 	// Robustness plumbing (see robust.go): the quarantine registry tracks
-	// blocks known corrupt, degraded serves them as flagged zeros, the
-	// breaker sheds load off a dead backend, and scrubBase is the layer the
-	// background scrubber walks (below the cache and breaker, above the
-	// device, sharing the serving path's lock).
+	// blocks known corrupt, degraded serves them as flagged zeros, and the
+	// breaker sheds load off a dead backend.
 	quarantine *storage.Quarantine
 	degraded   *storage.Degraded
 	breaker    *storage.Breaker
-	scrubBase  storage.BlockStore
-	scrubSafe  bool // scrubBase may be walked concurrently with queries
 	metaMu     sync.Mutex
 	scrubMu    sync.Mutex
 	scrubber   *storage.Scrubber
@@ -240,11 +247,22 @@ func (s *Store) NumBlocks() int { return s.tiling.NumBlocks() }
 // Stats returns the accumulated block I/O counters.
 func (s *Store) Stats() IOStats {
 	st := s.counting.Stats()
-	return IOStats{Reads: st.Reads, Writes: st.Writes, Syncs: st.Syncs, Commits: st.Commits, MappedReads: st.MappedReads}
+	return IOStats{Reads: st.Reads, Writes: st.Writes, Syncs: st.Syncs, Commits: st.Commits, MappedReads: s.mappedReads() - s.mappedBase.Load()}
 }
 
 // ResetStats zeroes the I/O counters.
-func (s *Store) ResetStats() { s.counting.Reset() }
+func (s *Store) ResetStats() {
+	s.counting.Reset()
+	s.mappedBase.Store(s.mappedReads())
+}
+
+// mappedReads is the device's cumulative mapped-read count.
+func (s *Store) mappedReads() int64 {
+	if s.mapped == nil {
+		return 0
+	}
+	return s.mapped.MappedReads()
+}
 
 // Flush writes any cached dirty blocks through to the backing store; on a
 // durable store it additionally commits them as one atomic batch.
@@ -266,9 +284,29 @@ func (s *Store) Recovered() (blocks int, ok bool) {
 	return s.durable.Recovered()
 }
 
-// commit flushes the buffer pool and seals a durable batch. On non-durable
-// stores it degenerates to a pool flush.
-func (s *Store) commit() error { return s.store.Commit() }
+// commit seals a batch at the layer that implements it: the epoch layer
+// flips (committing the Durable under it), the buffer pool flushes, and
+// otherwise base passes the commit to the Durable. On a plain device the
+// commit is only counted. A non-durable, file-backed store has no journal
+// to make a flip durable, so the device is synced after each one.
+func (s *Store) commit() error {
+	switch {
+	case s.versioned != nil:
+		epoch := s.versioned.Epoch()
+		if err := s.versioned.Commit(); err != nil {
+			return err
+		}
+		if s.durable == nil && s.opts.Path != "" && s.versioned.Epoch() != epoch {
+			if err := s.counting.Sync(); err != nil {
+				return fmt.Errorf("shiftsplit: sync epoch %d: %w", s.versioned.Epoch(), err)
+			}
+		}
+		return nil
+	case s.pool != nil:
+		return s.pool.Commit()
+	}
+	return s.base.Commit()
+}
 
 // demote conservatively clears the materialized flag in the metadata
 // sidecar before a maintenance batch touches block storage. Ordering
