@@ -131,6 +131,8 @@ chaos-smoke:
 # BenchmarkRangeSumNonStandard reports the non-standard range-sum kernel's
 # ns/op, allocs/op and blocks/op on the benchmark harness's geometry (1024²,
 # TileBits 4, its box distribution) over an in-memory store.
+# TestPointAllocBudget gates the single-block point kernels of both forms:
+# a point allocates nothing, a batch only its result slice.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget|TestColdRangeSumAllocBudget' -count=1 -v ./
@@ -152,6 +154,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractBlock$$|BenchmarkExtractBox|BenchmarkR6PartialReconstruction|BenchmarkProgressiveRangeSum' \
 		-benchmem -benchtime 20x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
+	$(GO) test -run 'TestPointAllocBudget' -count=1 -v ./internal/query/
 
 # bench/ is its own module, so nothing above compiles it: a signature
 # change in internal/tile or internal/storage would break the benchmark

@@ -309,11 +309,9 @@ func BenchmarkAblationScalingSlot(b *testing.B) {
 		b.ReportMetric(float64(io)/float64(b.N), "blocks/op")
 	})
 	b.Run("root-path", func(b *testing.B) {
-		st.materialized.Store(false)
-		defer st.materialized.Store(true)
 		io := 0
 		for i := 0; i < b.N; i++ {
-			_, n, err := st.Point(i%64, (i*13)%64)
+			_, n, err := query.PointViaRootPath(st.store, st.opts.Shape, []int{i % 64, (i * 13) % 64})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -283,6 +283,9 @@ func TestQueryCostShapes(t *testing.T) {
 	if !(tiledRange < seqRange) {
 		t.Errorf("tiled range %g should beat sequential %g", tiledRange, seqRange)
 	}
+	if after := atofCell(t, tb.Rows[2][1]); after != 1 {
+		t.Errorf("after maintenance, scaling-slot point queries average %g blocks, want 1", after)
+	}
 }
 
 func TestExpansionTimeShapes(t *testing.T) {

@@ -621,7 +621,7 @@ func TestPointStandardBatchMatchesSingles(t *testing.T) {
 			if got[i] != want {
 				t.Fatalf("%v point %v = %v, single query %v", shape, p, got[i], want)
 			}
-			leaves[leafStandard(tiling, p)] = true
+			leaves[new(scratch).planLeafStandard(tiling, p)] = true
 		}
 		if io != len(leaves) {
 			t.Fatalf("%v: batch read %d blocks, %d distinct leaf tiles", shape, io, len(leaves))
@@ -652,6 +652,105 @@ func TestProgressiveMatchesOracle(t *testing.T) {
 					t.Fatalf("%s box %v+%v step %d = %+v, oracle %+v", c.name, starts[i], extents[i], k, got[k], want[k])
 				}
 			}
+		}
+	}
+}
+
+// leafCases are materialized stores of both forms, d = 1 to 3, b dividing
+// n and not, and a one-cell extent: the geometries the leaf kernels index.
+func leafCases(t testing.TB) []*tile.Store {
+	var out []*tile.Store
+	for _, g := range []struct {
+		shape []int
+		b     int
+	}{{[]int{128}, 3}, {[]int{64, 16}, 2}, {[]int{16, 8, 32}, 2}, {[]int{1, 8}, 2}, {[]int{32, 128}, 3}} {
+		tiling := tile.NewStandard(log2s(g.shape), g.b)
+		st, err := tile.NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tile.MaterializeStandard(st, wavelet.TransformStandard(dataset.Dense(g.shape, 30))); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	for _, g := range []struct{ n, d, b int }{{7, 1, 3}, {6, 2, 2}, {5, 2, 3}, {4, 3, 1}, {0, 2, 2}} {
+		tiling := tile.NewNonStandard(g.n, g.d, g.b)
+		st, err := tile.NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(dataset.Dense(tiling.Domain(), 31))); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// The leaf kernels on the pooled arena answer bit for bit as the kernels
+// they replaced, read exactly one block per point, and a batch reads each
+// point's leaf once: at most one block per point.
+func TestLeafPointsMatchOldKernels(t *testing.T) {
+	for _, st := range leafCases(t) {
+		shape, _ := domainShape(st)
+		points := randomPoints(rand.New(rand.NewSource(32)), shape, 60)
+		single, batch, old := PointStandard, PointStandardBatch, oldPointStandard
+		if _, ok := st.Tiling().(*tile.NonStandard); ok {
+			single, batch, old = PointNonStandard, PointNonStandardBatch, oldPointNonStandard
+		}
+		got, io, err := batch(st, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := map[int]bool{}
+		for i, p := range points {
+			want, err := old(st, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, n, err := single(st, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != want || got[i] != want || n != 1 {
+				t.Fatalf("%T%v point %v = %v (batch %v, %d blocks), old kernel %v", st.Tiling(), shape, p, v, got[i], n, want)
+			}
+			switch tiling := st.Tiling().(type) {
+			case *tile.Standard:
+				leaves[new(scratch).planLeafStandard(tiling, p)] = true
+			case *tile.NonStandard:
+				leaves[leafNonStandard(tiling, p)] = true
+			}
+		}
+		if io != len(leaves) {
+			t.Fatalf("%T%v: batch read %d blocks, %d distinct leaf tiles", st.Tiling(), shape, io, len(leaves))
+		}
+	}
+}
+
+// TestPointAllocBudget is the zero-allocation gate of the single-block
+// point kernels (run by make bench-smoke): steady state, a point allocates
+// nothing and a batch only its result slice.
+func TestPointAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	for _, st := range leafCases(t) {
+		shape, _ := domainShape(st)
+		points := randomPoints(rand.New(rand.NewSource(33)), shape, 8)
+		single, batch := PointStandard, PointStandardBatch
+		if _, ok := st.Tiling().(*tile.NonStandard); ok {
+			single, batch = PointNonStandard, PointNonStandardBatch
+		}
+		if _, _, err := batch(st, points); err != nil { // sizes the arena
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() { _, _, _ = single(st, points[0]) }); got != 0 {
+			t.Errorf("%T%v: %.2f allocs per point, want 0", st.Tiling(), shape, got)
+		}
+		if got := testing.AllocsPerRun(200, func() { _, _, _ = batch(st, points) }); got > 1 {
+			t.Errorf("%T%v: %.2f allocs per batch, want only its result", st.Tiling(), shape, got)
 		}
 	}
 }

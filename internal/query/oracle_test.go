@@ -284,3 +284,114 @@ func oldPointBatchNonStandard(st *tile.Store, shape []int, points [][]int) ([]fl
 	}
 	return out, reader.BlocksRead(), nil
 }
+
+// oldPointStandard is the single-block standard point as it was before it
+// moved onto the pooled arena: a ReadTile of the leaf and per-dimension
+// selection slices crossed over dimensions.
+func oldPointStandard(st *tile.Store, point []int) (float64, error) {
+	tiling := st.Tiling().(*tile.Standard)
+	block := 0
+	for t, p := range point {
+		if n := tiling.Dim(t).Levels(); n > 0 {
+			leaf, _ := tiling.Dim(t).Locate1D(haar.Index(n, 1, p/2))
+			block += leaf * tiling.Stride(t)
+		}
+	}
+	data, err := st.ReadTile(block)
+	if err != nil {
+		return 0, err
+	}
+	d := tiling.Dims()
+	type sel struct {
+		slot   int
+		weight float64
+	}
+	perDim := make([][]sel, d)
+	B := tiling.Dim(0).BlockSize()
+	for t := 0; t < d; t++ {
+		oneD := tiling.Dim(t)
+		n := oneD.Levels()
+		p := point[t]
+		sels := []sel{{slot: 0, weight: 1}}
+		if n > 0 {
+			leafBlock, _ := oneD.Locate1D(haar.Index(n, 1, p/2))
+			jr, _ := oneD.RootOf(leafBlock)
+			for level := jr; level >= 1; level-- {
+				_, slot := oneD.Locate1D(haar.Index(n, level, p>>uint(level)))
+				w := 1.0
+				if p>>uint(level-1)&1 == 1 {
+					w = -1
+				}
+				sels = append(sels, sel{slot: slot, weight: w})
+			}
+		}
+		perDim[t] = sels
+	}
+	choice := make([]int, d)
+	sum := 0.0
+	for {
+		w, slot := 1.0, 0
+		for t := 0; t < d; t++ {
+			s := perDim[t][choice[t]]
+			slot = slot*B + s.slot
+			w *= s.weight
+		}
+		sum += w * data[slot]
+		t := d - 1
+		for ; t >= 0; t-- {
+			choice[t]++
+			if choice[t] < len(perDim[t]) {
+				break
+			}
+			choice[t] = 0
+		}
+		if t < 0 {
+			return sum, nil
+		}
+	}
+}
+
+// oldPointNonStandard is the single-block non-standard point as it was: a
+// Locate of the leaf, a ReadTile, and a Locate per path detail.
+func oldPointNonStandard(st *tile.Store, point []int) (float64, error) {
+	tiling := st.Tiling().(*tile.NonStandard)
+	n, rootPos := tiling.RootOf(0)
+	d := len(rootPos)
+	if n == 0 {
+		data, err := st.ReadTile(0)
+		if err != nil {
+			return 0, err
+		}
+		return data[0], nil
+	}
+	leafCoords := make([]int, d)
+	for t := 0; t < d; t++ {
+		leafCoords[t] = point[t] / 2
+	}
+	leafCoords[0] += 1 << uint(n-1)
+	block, _ := tiling.Locate(leafCoords)
+	jr, _ := tiling.RootOf(block)
+	data, err := st.ReadTile(block)
+	if err != nil {
+		return 0, err
+	}
+	u := data[0]
+	coords := make([]int, d)
+	for j := jr; j >= 1; j-- {
+		for mask := 1; mask < 1<<uint(d); mask++ {
+			w := 1.0
+			for t := 0; t < d; t++ {
+				coords[t] = point[t] >> uint(j)
+				if mask>>uint(t)&1 == 1 {
+					coords[t] += 1 << uint(n-j)
+					if point[t]>>uint(j-1)&1 == 1 {
+						w = -w
+					}
+				}
+			}
+			_, slot := tiling.Locate(coords)
+			u += w * data[slot]
+		}
+	}
+	return u, nil
+}

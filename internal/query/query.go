@@ -13,107 +13,143 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
 
-// PointStandard answers a point query from a materialized standard-form
-// tiled store using only the deepest tile per dimension: the tile's scaling
-// slot plus the in-tile path details reconstruct the value, so exactly one
-// block is read. The store must have been filled with
-// tile.MaterializeStandard.
+// PointStandard answers a point query from a standard-form tiled store
+// whose scaling slots are valid using only the deepest tile per dimension:
+// the tile's scaling slot plus the in-tile path details reconstruct the
+// value, so exactly one block is read.
 func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 	tiling, ok := st.Tiling().(*tile.Standard)
 	if !ok {
 		return 0, 0, fmt.Errorf("query: PointStandard needs a *Standard tiling, got %T", st.Tiling())
 	}
-	arrShape, _ := domainShape(st)
-	if err := ValidatePoint(arrShape, point); err != nil {
+	if err := ValidatePoint(tiling.Domain(), point); err != nil {
 		return 0, 0, err
 	}
-	data, err := st.ReadTile(leafStandard(tiling, point))
-	if err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	block := sc.planLeafStandard(tiling, point)
+	sc.Want(block)
+	if err := sc.Fetch(st); err != nil {
 		return 0, 0, err
 	}
-	return pointInLeaf(tiling, point, data), 1, nil
+	return sc.foldLeafStandard(sc.Frame(block)), sc.Len(), nil
 }
 
-// PointStandardBatch answers many point queries from a materialized
-// standard-form tiled store: it fetches the points' distinct leaf tiles with
-// one vectored read and evaluates each point from its own, returning the
-// values and the number of distinct blocks read.
+// PointStandardBatch answers many point queries from a standard-form tiled
+// store whose scaling slots are valid: it fetches the points' distinct leaf
+// tiles with one vectored read and evaluates each point from its own,
+// returning the values and the number of distinct blocks read.
 func PointStandardBatch(st *tile.Store, points [][]int) ([]float64, int, error) {
 	tiling, ok := st.Tiling().(*tile.Standard)
 	if !ok {
 		return nil, 0, fmt.Errorf("query: PointStandardBatch needs a *Standard tiling, got %T", st.Tiling())
 	}
 	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, _ int, p []int, accumulate bool) float64 {
+		block := sc.planLeafStandard(tiling, p)
 		if !accumulate {
-			sc.Want(leafStandard(tiling, p))
+			sc.Want(block)
 			return 0
 		}
-		return pointInLeaf(tiling, p, sc.Frame(leafStandard(tiling, p)))
+		return sc.foldLeafStandard(sc.Frame(block))
 	})
 }
 
-// leafStandard returns the block of a point's leaf tile: per dimension, the
-// tile holding the level-1 detail over the point.
-func leafStandard(tiling *tile.Standard, point []int) int {
-	block := 0
-	for t, p := range point {
-		if n := tiling.Dim(t).Levels(); n > 0 {
-			leaf, _ := tiling.Dim(t).Locate1D(haar.Index(n, 1, p/2))
-			block += leaf * tiling.Stride(t)
-		}
+// PointNonStandard answers a point query from a non-standard tiled store
+// whose scaling slots are valid, reading only the leaf tile: its scaling
+// slot plus the quadtree path inside it.
+func PointNonStandard(st *tile.Store, point []int) (float64, int, error) {
+	tiling, ok := st.Tiling().(*tile.NonStandard)
+	if !ok {
+		return 0, 0, fmt.Errorf("query: PointNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	return block
+	if err := ValidatePoint(tiling.Domain(), point); err != nil {
+		return 0, 0, err
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	block := leafNonStandard(tiling, point)
+	sc.Want(block)
+	if err := sc.Fetch(st); err != nil {
+		return 0, 0, err
+	}
+	return foldLeafNonStandard(tiling, point, sc.Frame(block)), sc.Len(), nil
 }
 
-// pointInLeaf evaluates a point from its leaf tile: per dimension the tile's
-// scaling slot plus the in-tile path details, crossed over dimensions.
-func pointInLeaf(tiling *tile.Standard, point []int, data []float64) float64 {
-	d := tiling.Dims()
-	type sel struct {
-		slot   int
-		weight float64
+// PointNonStandardBatch is PointStandardBatch for a non-standard tiled
+// store whose scaling slots are valid: one vectored read of the points'
+// distinct leaf tiles, each point folded from its own.
+func PointNonStandardBatch(st *tile.Store, points [][]int) ([]float64, int, error) {
+	tiling, ok := st.Tiling().(*tile.NonStandard)
+	if !ok {
+		return nil, 0, fmt.Errorf("query: PointNonStandardBatch needs a *NonStandard tiling, got %T", st.Tiling())
 	}
-	perDim := make([][]sel, d)
-	B := tiling.Dim(0).BlockSize()
-	for t := 0; t < d; t++ {
+	return pointBatch(st, tiling.Domain(), points, func(sc *scratch, _ int, p []int, accumulate bool) float64 {
+		block := leafNonStandard(tiling, p)
+		if !accumulate {
+			sc.Want(block)
+			return 0
+		}
+		return foldLeafNonStandard(tiling, p, sc.Frame(block))
+	})
+}
+
+// planLeafStandard plans a point from its leaf tile, the tile holding the
+// level-1 detail over the point along every dimension: per dimension one
+// run, the tile's scaling slot then the in-tile path details from the
+// tile's root down. It returns the leaf block.
+func (sc *scratch) planLeafStandard(tiling *tile.Standard, point []int) int {
+	sc.entries, sc.axes = sc.entries[:0], sc.axes[:0]
+	sc.edge = tiling.Dim(0).BlockSize()
+	block := 0
+	for t, p := range point {
 		oneD := tiling.Dim(t)
-		n := oneD.Levels()
-		p := point[t]
-		sels := []sel{{slot: 0, weight: 1}} // the tile's scaling slot
+		a := axis{lo: len(sc.entries), stride: tiling.Stride(t)}
+		leaf, n := 0, oneD.Levels()
 		if n > 0 {
-			leafBlock, _ := oneD.Locate1D(haar.Index(n, 1, p/2))
-			jr, _ := oneD.RootOf(leafBlock)
+			leaf, _ = oneD.Locate1D(haar.Index(n, 1, p/2))
+		}
+		sc.entries = append(sc.entries, entry{tile: leaf, slot: 0, w: 1})
+		if n > 0 {
+			jr, _ := oneD.RootOf(leaf)
 			for level := jr; level >= 1; level-- {
-				idx := haar.Index(n, level, p>>uint(level))
-				_, slot := oneD.Locate1D(idx)
+				_, slot := oneD.Locate1D(haar.Index(n, level, p>>uint(level)))
 				w := 1.0
 				if p>>uint(level-1)&1 == 1 {
 					w = -1
 				}
-				sels = append(sels, sel{slot: slot, weight: w})
+				sc.entries = append(sc.entries, entry{tile: leaf, slot: slot, w: w})
 			}
 		}
-		perDim[t] = sels
+		a.hi = len(sc.entries)
+		a.glo, a.ghi = a.lo, a.hi
+		sc.axes = append(sc.axes, a)
+		block += leaf * a.stride
 	}
-	// Cross product of per-dimension selections, all within this block.
-	choice := make([]int, d)
+	return block
+}
+
+// foldLeafStandard sums the planned leaf tile: the cross product of the
+// axes' runs, last dimension fastest, weight the product of the entries'.
+func (sc *scratch) foldLeafStandard(frame []float64) float64 {
+	for t := range sc.axes {
+		sc.axes[t].glo = sc.axes[t].lo
+	}
 	sum := 0.0
 	for {
-		w := 1.0
-		slot := 0
-		for t := 0; t < d; t++ {
-			s := perDim[t][choice[t]]
-			slot = slot*B + s.slot
-			w *= s.weight
+		w, slot := 1.0, 0
+		for _, a := range sc.axes {
+			e := sc.entries[a.glo]
+			slot = slot*sc.edge + e.slot
+			w *= e.w
 		}
-		sum += w * data[slot]
-		t := d - 1
+		sum += w * frame[slot]
+		t := len(sc.axes) - 1
 		for ; t >= 0; t-- {
-			choice[t]++
-			if choice[t] < len(perDim[t]) {
+			a := &sc.axes[t]
+			if a.glo++; a.glo < a.hi {
 				break
 			}
-			choice[t] = 0
+			a.glo = a.lo
 		}
 		if t < 0 {
 			return sum
@@ -121,60 +157,49 @@ func pointInLeaf(tiling *tile.Standard, point []int, data []float64) float64 {
 	}
 }
 
-// PointNonStandard answers a point query from a materialized non-standard
-// tiled store, reading only the leaf tile (its scaling slot plus the
-// quadtree path inside it).
-func PointNonStandard(st *tile.Store, point []int) (float64, int, error) {
-	tiling, ok := st.Tiling().(*tile.NonStandard)
-	if !ok {
-		return 0, 0, fmt.Errorf("query: PointNonStandard needs a *NonStandard tiling, got %T", st.Tiling())
+// leafNonStandard returns the block of a point's leaf tile: the tile of the
+// level-1 node over the point (the top tile of a one-cell domain).
+func leafNonStandard(tiling *tile.NonStandard, point []int) int {
+	if len(tiling.Levels()) == 0 {
+		return 0
 	}
-	n, rootPos := tiling.RootOf(0)
-	d := len(rootPos)
-	arrShape, _ := domainShape(st)
-	if err := ValidatePoint(arrShape, point); err != nil {
-		return 0, 0, err
+	lvl := tiling.Level(1)
+	root, local := 0, 0
+	for _, p := range point {
+		root, local = lvl.Push(root, local, p>>1)
 	}
-	if n == 0 {
-		data, err := st.ReadTile(0)
-		if err != nil {
-			return 0, 0, err
+	block, _ := lvl.At(root, local)
+	return block
+}
+
+// foldLeafNonStandard evaluates a point from its leaf tile: the tile's
+// root-cell scaling coefficient in slot 0, plus at each level from the
+// tile's root down the details of the node over the point, weighted by the
+// point's side of it.
+func foldLeafNonStandard(tiling *tile.NonStandard, point []int, frame []float64) float64 {
+	u := frame[0]
+	levels := tiling.Levels()
+	if len(levels) == 0 {
+		return u
+	}
+	for j := 1 + levels[0].Depth(); j >= 1; j-- {
+		lvl := &levels[j-1]
+		root, local := 0, 0
+		for _, p := range point {
+			root, local = lvl.Push(root, local, p>>uint(j))
 		}
-		return data[0], 1, nil
-	}
-	// The leaf tile: the block holding the level-1 details over the point.
-	base := 1 << uint(n-1)
-	leafCoords := make([]int, d)
-	for t := 0; t < d; t++ {
-		leafCoords[t] = point[t] / 2
-	}
-	leafCoords[0] += base
-	block, _ := tiling.Locate(leafCoords)
-	jr, _ := tiling.RootOf(block)
-	data, err := st.ReadTile(block)
-	if err != nil {
-		return 0, 0, err
-	}
-	u := data[0] // the tile's root-cell scaling coefficient
-	coords := make([]int, d)
-	for j := jr; j >= 1; j-- {
-		jbase := 1 << uint(n-j)
-		for mask := 1; mask < 1<<uint(d); mask++ {
+		_, slot := lvl.At(root, local)
+		for mask := 1; mask < 1<<uint(len(point)); mask++ {
 			w := 1.0
-			for t := 0; t < d; t++ {
-				coords[t] = point[t] >> uint(j)
-				if mask>>uint(t)&1 == 1 {
-					coords[t] += jbase
-					if point[t]>>uint(j-1)&1 == 1 {
-						w = -w
-					}
+			for t, p := range point {
+				if mask>>uint(t)&1 == 1 && p>>uint(j-1)&1 == 1 {
+					w = -w
 				}
 			}
-			_, slot := tiling.Locate(coords)
-			u += w * data[slot]
+			u += w * frame[slot+mask-1]
 		}
 	}
-	return u, 1, nil
+	return u
 }
 
 // The kernels below share one shape: plan, fetch, accumulate. The plan

@@ -215,12 +215,6 @@ func TestQueriesProgressDuringWedgedFlip(t *testing.T) {
 		delta := dataset.Dense([]int{8, 8}, 11)
 		return st.MergeBlock(shiftsplit.CubeBlock(3, 1, 2), shiftsplit.Transform(delta, shiftsplit.Standard))
 	}
-	// A merge drops the materialized single-block point path, which rounds
-	// differently from the root path; one unwedged merge up front puts the
-	// oracle on the path the wedged phase takes, so answers match bit for bit.
-	if err := merge(); err != nil {
-		t.Fatal(err)
-	}
 
 	// query returns a request's response body and epoch. Every fifth
 	// request is a point, a range sum, a rollup, a slice or a dice; on one

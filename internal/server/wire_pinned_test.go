@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,8 +33,9 @@ const wireBodyCap = 96
 
 // wireStore builds a 16x16 durable versioned serving store of small
 // integers, whose transforms and sums are exact in float64 under any
-// summation order.
-func wireStore(t testing.TB, form shiftsplit.Form, materialize bool) *shiftsplit.Store {
+// summation order: materialized whole or chunk by chunk, and with stale
+// marked as a store whose scaling slots are stale.
+func wireStore(t testing.TB, form shiftsplit.Form, materialize, stale bool) *shiftsplit.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cube.wav")
 	st, err := shiftsplit.CreateStore(shiftsplit.StoreOptions{
@@ -54,12 +57,37 @@ func wireStore(t testing.TB, form shiftsplit.Form, materialize bool) *shiftsplit
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if stale {
+		staleSidecar(t, path)
+	}
 	serving, err := shiftsplit.OpenServing(path, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { serving.Close() })
 	return serving
+}
+
+// staleSidecar marks a closed store's scaling slots stale in its sidecar,
+// as a store last maintained by a binary that did not keep them says, so
+// its points take the root path.
+func staleSidecar(t testing.TB, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path + ".meta.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["materialized"] = false
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".meta.json", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // wireRequest is one scripted request: a body sent with a Content-Length,
@@ -207,14 +235,15 @@ type wireCase struct {
 }
 
 // wireCases builds the pinned servers — standard materialized, standard on
-// the root path, non-standard on the root path, and one mounting an
-// ingester — and pairs each with its scripts.
+// the root path (its scaling slots marked stale), non-standard maintained
+// by the chunked transform, and one mounting an ingester — and pairs each
+// with its scripts.
 func wireCases(t *testing.T) []wireCase {
 	t.Helper()
 	cfg := Config{MaxBodyBytes: wireBodyCap}
-	std := New(wireStore(t, shiftsplit.Standard, true), cfg).Handler()
-	stdRoot := New(wireStore(t, shiftsplit.Standard, false), cfg).Handler()
-	nonStd := New(wireStore(t, shiftsplit.NonStandard, false), cfg).Handler()
+	std := New(wireStore(t, shiftsplit.Standard, true, false), cfg).Handler()
+	stdRoot := New(wireStore(t, shiftsplit.Standard, false, true), cfg).Handler()
+	nonStd := New(wireStore(t, shiftsplit.NonStandard, false, false), cfg).Handler()
 	app, err := appender.New([]int{4, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +254,7 @@ func wireCases(t *testing.T) []wireCase {
 	}
 	t.Cleanup(func() { in.Close() })
 	cfg.Ingest = in
-	withIngest := New(wireStore(t, shiftsplit.Standard, true), cfg).Handler()
+	withIngest := New(wireStore(t, shiftsplit.Standard, true, false), cfg).Handler()
 	return []wireCase{
 		{"standard/point", std, pointScript},
 		{"standard/rangesum", std, rangeScript},

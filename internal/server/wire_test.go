@@ -311,7 +311,7 @@ func (rewindBody) Close() error { return nil }
 func handlerOps(t testing.TB) map[string]func() int {
 	ops := make(map[string]func() int)
 	for _, form := range []shiftsplit.Form{shiftsplit.Standard, shiftsplit.NonStandard} {
-		h := New(wireStore(t, form, false), Config{}).Handler()
+		h := New(wireStore(t, form, false, false), Config{}).Handler()
 		for route, body := range map[string]string{
 			"/v1/point":    `{"point":[5,11]}`,
 			"/v1/rangesum": `{"start":[1,2],"extent":[13,9]}`,

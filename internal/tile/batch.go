@@ -9,7 +9,8 @@ import (
 // BlockCapacities returns, for every block of the tiling, how many real
 // transform coefficients of an array with the given shape map into it. Slots
 // holding redundant scaling coefficients (slot 0 of non-root tiles) and
-// unused slots of shallow tiles are not counted.
+// unused slots of shallow tiles are not counted; an engine that writes the
+// scaling slots too counts them on top.
 func BlockCapacities(shape []int, t Tiling) map[int]int {
 	caps := make(map[int]int)
 	coords := make([]int, len(shape))
@@ -110,6 +111,12 @@ func (w *OnceWriter) complete(block int, ob *onceBlock) error {
 // paper's sparse-data savings (§5.1) for free.
 func (w *OnceWriter) Set(coords []int, v float64) error {
 	block, slot := w.store.Tiling().Locate(coords)
+	return w.SetSlot(block, slot, v)
+}
+
+// SetSlot is Set for a value located by block and slot, such as a tile's
+// scaling slot, which no coefficient coordinates name.
+func (w *OnceWriter) SetSlot(block, slot int, v float64) error {
 	ob := w.open(block)
 	if v != 0 {
 		if ob.data == nil {

@@ -37,6 +37,7 @@ type BucketSet struct {
 	index     map[int]int
 	buckets   []Bucket
 	free      [][]float64 // zeroed block-sized slices awaiting reuse
+	slots     slotScratch // AccumulateScalingSlots' working state
 }
 
 // NewBucketSet creates an empty set for tiles of the given slot count.

@@ -312,12 +312,18 @@ func (t *NonStandard) Locate(coords []int) (block, slot int) {
 // scaling coefficient occupies slot 0. For the top tile it returns the root
 // node (level n, origin).
 func (t *NonStandard) RootOf(block int) (level int, pos []int) {
+	pos = make([]int, t.d)
+	return t.rootInto(block, pos), pos
+}
+
+// rootInto is RootOf writing the position into pos (length d).
+func (t *NonStandard) rootInto(block int, pos []int) (level int) {
 	if block < 0 || block >= t.NumBlocks() {
 		panic(fmt.Sprintf("tile: NonStandard.RootOf(%d)", block))
 	}
-	pos = make([]int, t.d)
 	if t.n == 0 {
-		return 0, pos
+		clear(pos)
+		return 0
 	}
 	band := 0
 	for band+1 < len(t.cumRoot) && t.cumRoot[band+1] <= block {
@@ -329,7 +335,7 @@ func (t *NonStandard) RootOf(block int) (level int, pos []int) {
 		pos[i] = rootIdx & (1<<uint(start) - 1)
 		rootIdx >>= uint(start)
 	}
-	return t.n - start, pos
+	return t.n - start
 }
 
 // TileHeight returns how many quadtree levels the block spans.

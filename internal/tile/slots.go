@@ -1,0 +1,328 @@
+package tile
+
+import (
+	"math/bits"
+
+	"github.com/shiftsplit/shiftsplit/internal/ndarray"
+)
+
+// AccumulateScalingSlots completes a bucketed linear update with the change
+// it makes to the redundant scaling slots of the tiles it touches, so that a
+// store maintained by buckets keeps every tile's root average current
+// without reading or writing a tile the update does not already touch.
+//
+// A slot is linear in the coefficients: the scaling coefficient u[j,k] of a
+// tile root is the overall average plus the ±1-weighted details on its path
+// to the root (core.ScalingPath1D per dimension on the standard form, the
+// quadtree path of core.ScalingNonStandard on the non-standard). Its change
+// is therefore the same sum over the set's own deltas. Every such path lies
+// in tiles above the slot's tile, and a tile whose root average changes is
+// always touched by the update (it holds a SHIFT or SPLIT target), so the
+// step adds to buckets that exist and reads only real-coefficient deltas;
+// every non-slot delta stays bit-identical. Tilings other than Standard and
+// NonStandard carry no slots and are left alone.
+func AccumulateScalingSlots(t Tiling, bs *BucketSet) {
+	switch tt := t.(type) {
+	case *Standard:
+		bs.slotsStandard(tt)
+	case *NonStandard:
+		bs.slotsNonStandard(tt)
+	}
+}
+
+// slotScratch is the reusable state of the slot step, kept with its
+// BucketSet so a pooled set runs the step without allocating.
+type slotScratch struct {
+	// Standard form: per dimension the bucket's 1-d tile, the range of its
+	// real slots, and the located scaling path of a non-top tile grouped
+	// by the ancestor tile each entry lies in (groups[t] indexes path[t]).
+	tiles  []int
+	lo, hi []int
+	path   [][]locTarget
+	groups [][]pathGroup
+	choice []int
+	in     int // bit t set: dimension t contributes its scaling path
+	edge   int
+	dst    []float64
+	src    []float64
+
+	// Non-standard form: the root cell of the bucket's tile, and the cell
+	// averages a chunk's in-chunk tiles are unfolded from.
+	pos        []int
+	avgs, next []float64
+}
+
+// pathGroup is a run path[lo:hi] of one dimension's scaling path whose
+// entries lie in the 1-d tile bt.
+type pathGroup struct{ bt, lo, hi int }
+
+// slotsStandard adds, to every scaling slot of every touched tile, the
+// change the set's deltas make to it. A slot of a standard block crosses one
+// slot per dimension; it is a scaling slot when, along some non-top
+// dimension, its component is slot 0, the tile-root scaling. Such a slot
+// is the sum, over the cross product of those dimensions' scaling paths,
+// of the real coefficient the other dimensions' components name.
+func (bs *BucketSet) slotsStandard(std *Standard) {
+	d := std.Dims()
+	sc := &bs.slots
+	sc.tiles, sc.lo, sc.hi, sc.choice = resized(sc.tiles, d), resized(sc.lo, d), resized(sc.hi, d), resized(sc.choice, d)
+	if len(sc.path) < d {
+		sc.path, sc.groups = make([][]locTarget, d), make([][]pathGroup, d)
+	}
+	sc.edge = std.Dim(0).BlockSize()
+	for i := range bs.buckets {
+		b := &bs.buckets[i]
+		nonTop := 0
+		for t := 0; t < d; t++ {
+			od := std.Dim(t)
+			bt := b.Block / std.Stride(t) % od.NumBlocks()
+			sc.tiles[t] = bt
+			sc.lo[t], sc.hi[t] = 1, sc.edge
+			if bt == od.top {
+				sc.lo[t], sc.hi[t] = 0, 1<<uint(od.TileHeight(bt))
+				continue
+			}
+			nonTop |= 1 << uint(t)
+			sc.path[t], sc.groups[t] = od.appendScalingPath(sc.path[t][:0], sc.groups[t][:0], bt)
+		}
+		sc.dst = b.Deltas
+		for set := nonTop; set > 0; set = (set - 1) & nonTop {
+			sc.in = set
+			bs.slotsStandardSet(std, b.Block)
+		}
+	}
+}
+
+// slotsStandardSet adds the slots whose scaling dimensions are exactly
+// sc.in: one source block per choice of ancestor tile along those
+// dimensions, each folded over every real slot of the others.
+func (bs *BucketSet) slotsStandardSet(std *Standard, block int) {
+	sc := &bs.slots
+	d := len(sc.tiles)
+	for t := 0; t < d; t++ {
+		sc.choice[t] = 0
+	}
+	for {
+		src := block
+		for t := 0; t < d; t++ {
+			if sc.in>>uint(t)&1 == 1 {
+				src += (sc.groups[t][sc.choice[t]].bt - sc.tiles[t]) * std.Stride(t)
+			}
+		}
+		if k, ok := bs.index[src]; ok {
+			sc.src = bs.buckets[k].Deltas
+			sc.fold(0, 0, 0, 1)
+		}
+		t := d - 1
+		for ; t >= 0; t-- {
+			if sc.in>>uint(t)&1 == 0 {
+				continue
+			}
+			if sc.choice[t]++; sc.choice[t] < len(sc.groups[t]) {
+				break
+			}
+			sc.choice[t] = 0
+		}
+		if t < 0 {
+			return
+		}
+	}
+}
+
+// fold walks dimensions t.. of one source block, dst and src the slot
+// prefixes of dimensions ..t-1: a scaling dimension takes slot 0 in the
+// destination and its chosen group's path entries in the source, any other
+// the same real slot in both. The last dimension is folded in place.
+func (sc *slotScratch) fold(t, dst, src int, w float64) {
+	dst *= sc.edge
+	src *= sc.edge
+	last := t == len(sc.tiles)-1
+	if sc.in>>uint(t)&1 == 1 {
+		g := sc.groups[t][sc.choice[t]]
+		path := sc.path[t][g.lo:g.hi]
+		if last {
+			sum := 0.0
+			for _, e := range path {
+				sum += e.w * sc.src[src+e.st]
+			}
+			sc.dst[dst] += w * sum
+			return
+		}
+		for _, e := range path {
+			sc.fold(t+1, dst, src+e.st, w*e.w)
+		}
+		return
+	}
+	lo, hi := sc.lo[t], sc.hi[t]
+	if last {
+		d, s := sc.dst[dst+lo:dst+hi], sc.src[src+lo:src+hi]
+		for i := range d {
+			d[i] += w * s[i]
+		}
+		return
+	}
+	for s := lo; s < hi; s++ {
+		sc.fold(t+1, dst+s, src+s, w)
+	}
+}
+
+// appendScalingPath appends the located core.ScalingPath1D of a non-top
+// tile's root — the overall average, then the ±1-weighted details from the
+// root level down to the level above the tile's root — and its grouping by
+// tile: entries lie in the tile's ancestors, top first, each tile's run
+// contiguous.
+func (t *OneD) appendScalingPath(path []locTarget, groups []pathGroup, block int) ([]locTarget, []pathGroup) {
+	j, k := t.RootOf(block)
+	path = append(path, locTarget{w: 1, bt: t.top, st: 0})
+	for l := t.n; l > j; l-- {
+		w := 1.0
+		if k>>uint(l-j-1)&1 == 1 {
+			w = -1
+		}
+		bt, st := t.Locate1D(1<<uint(t.n-l) + k>>uint(l-j))
+		path = append(path, locTarget{w: w, bt: bt, st: st})
+	}
+	for i, e := range path {
+		if n := len(groups); n > 0 && groups[n-1].bt == e.bt {
+			groups[n-1].hi = i + 1
+			continue
+		}
+		groups = append(groups, pathGroup{bt: e.bt, lo: i, hi: i + 1})
+	}
+	return path, groups
+}
+
+// slotsNonStandard adds, to slot 0 of every touched tile but the top one,
+// the change the set's deltas make to its root cell's scaling coefficient:
+// the overall average plus, at every level above the root cell, the
+// details of its ancestor node weighted by the cell's side of it.
+func (bs *BucketSet) slotsNonStandard(nst *NonStandard) {
+	sc := &bs.slots
+	sc.pos = resized(sc.pos, nst.d)
+	avg := 0.0
+	if k, ok := bs.index[0]; ok {
+		avg = bs.buckets[k].Deltas[0]
+	}
+	for i := range bs.buckets {
+		b := &bs.buckets[i]
+		if b.Block == 0 {
+			continue
+		}
+		j := nst.rootInto(b.Block, sc.pos)
+		sum, last, deltas := avg, -1, []float64(nil)
+		for l := nst.n; l > j; l-- {
+			lvl := &nst.levels[l-1]
+			root, local := 0, 0
+			for _, p := range sc.pos {
+				root, local = lvl.Push(root, local, p>>uint(l-j))
+			}
+			block, slot := lvl.At(root, local)
+			if block != last {
+				last, deltas = block, nil
+				if k, ok := bs.index[block]; ok {
+					deltas = bs.buckets[k].Deltas
+				}
+			}
+			if deltas == nil {
+				continue
+			}
+			for mask := 1; mask < 1<<uint(nst.d); mask++ {
+				w := 1.0
+				for t, p := range sc.pos {
+					if mask>>uint(t)&1 == 1 && p>>uint(l-j-1)&1 == 1 {
+						w = -w
+					}
+				}
+				sum += w * deltas[slot+mask-1]
+			}
+		}
+		b.Deltas[0] += sum
+	}
+}
+
+// AccumulateChunkScalingNonStandard buckets slot 0 of every tile rooted
+// strictly inside a chunk: the chunk of edge 2^m at position pos (in chunk
+// units) with non-standard transform hat. Those tiles' root averages depend
+// on the chunk alone, so the write-once engine records them with the
+// chunk's details, one touch per tile; tiles rooted at level m or above
+// take theirs from the crest. The averages are unfolded level by level from
+// the chunk average down to the lowest tile-root level, and an all-zero hat
+// records zeros.
+func AccumulateChunkScalingNonStandard(nst *NonStandard, m int, pos []int, hat *ndarray.Array, bs *BucketSet) {
+	low := 1
+	for low < m && !nst.levels[low-1].TileRoot() {
+		low++
+	}
+	if low >= m {
+		return // no tile is rooted inside the chunk
+	}
+	d, data := nst.d, hat.Data()
+	sc := &bs.slots
+	sc.pos = resized(sc.pos, d)
+	sc.avgs = append(sc.avgs[:0], data[0])
+	for l := m; l > low; l-- {
+		// avgs holds the cells of level l, row-major over P per dimension;
+		// unfold the cells of level l-1 from them and the level-l details,
+		// which sit at offset P along each differenced dimension.
+		P := 1 << uint(m-l)
+		size := 1 << uint(d*(m-l+1))
+		sc.next = resized(sc.next, size)
+		for t := range sc.pos {
+			sc.pos[t] = 0
+		}
+		for x := 0; x < size; x++ {
+			parent, off, side := 0, 0, 0
+			for t, p := range sc.pos {
+				parent = parent*P + p>>1
+				off = off<<uint(m) + p>>1
+				side |= (p & 1) << uint(t)
+			}
+			v := sc.avgs[parent]
+			for mask := 1; mask < 1<<uint(d); mask++ {
+				doff := off
+				for t := 0; t < d; t++ {
+					if mask>>uint(t)&1 == 1 {
+						doff += P << uint((d-1-t)*m)
+					}
+				}
+				if bits.OnesCount(uint(mask&side))&1 == 1 {
+					v -= data[doff]
+				} else {
+					v += data[doff]
+				}
+			}
+			sc.next[x] = v
+			for t := d - 1; t >= 0; t-- {
+				if sc.pos[t]++; sc.pos[t] < 2*P {
+					break
+				}
+				sc.pos[t] = 0
+			}
+		}
+		sc.avgs, sc.next = sc.next, sc.avgs
+		lvl := &nst.levels[l-2]
+		if !lvl.TileRoot() {
+			continue
+		}
+		for x, v := range sc.avgs[:size] {
+			root, local, rest := 0, 0, x
+			for t := d - 1; t >= 0; t-- {
+				sc.pos[t], rest = rest%(2*P), rest/(2*P)
+			}
+			for t, p := range sc.pos {
+				root, local = lvl.Push(root, local, pos[t]<<uint(m-l+1)+p)
+			}
+			block, _ := lvl.At(root, local)
+			bs.Add(block, 0, v)
+		}
+	}
+}
+
+// resized returns s with length n, reallocated only when too short; the
+// contents are whatever the last use left.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

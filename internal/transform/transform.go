@@ -171,6 +171,7 @@ func ChunkedStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts parall
 		}
 		wavelet.TransformStandardInPlace(sc.chunk, sc.ws)
 		tile.AccumulateEmbedStandard(out.Tiling(), shape, dyadic.NewCubeRange(m, pos), sc.chunk, sc.set)
+		tile.AccumulateScalingSlots(out.Tiling(), sc.set)
 		res.buckets = sc.set.Buckets()
 		return res, nil
 	}
@@ -267,6 +268,7 @@ func chunkedNonStdRowMajor(src *ndarray.Array, n, m int, out *tile.Store, popts 
 		wavelet.TransformNonStandardInPlace(sc.chunk, sc.ws)
 		tile.AccumulateShiftNonStandard(out.Tiling(), ph, m, pos, sc.chunk, sc.set)
 		tile.AccumulateSplitNonStandard(out.Tiling(), ph, m, pos, sc.chunk.At(origin...), sc.set)
+		tile.AccumulateScalingSlots(out.Tiling(), sc.set)
 		res.buckets = sc.set.Buckets()
 		return res, nil
 	}
@@ -320,6 +322,10 @@ type Crest struct {
 	parents [][]int
 	coords  []int
 	origin  []int
+	// onAverage, when set, receives the average of every cell below the
+	// root as it is pushed (its level and position), before it folds into
+	// its parent: the z-order engine's source of crest tiles' scaling slots.
+	onAverage func(level int, pos []int, avg float64) error
 }
 
 // Root returns the overall average after the final Push.
@@ -349,6 +355,11 @@ func (c *Crest) Push(depth int, pos []int, avg float64) error {
 	if c.m+depth == c.n {
 		c.root = avg
 		return c.emit(c.origin, avg)
+	}
+	if c.onAverage != nil {
+		if err := c.onAverage(c.m+depth, pos, avg); err != nil {
+			return err
+		}
 	}
 	slot := 0
 	for i := 0; i < c.d; i++ {
@@ -412,6 +423,30 @@ func chunkedNonStdCrest(src *ndarray.Array, n, m int, out *tile.Store, popts par
 	caps := tile.BlockCapacities(src.Shape(), out.Tiling())
 	writer := tile.NewOnceWriter(out, caps)
 	cr := NewCrest(d, n, m, writer.Set)
+	// Every tile but the top one also holds its root cell's average in slot
+	// 0, written with the rest of the block: a tile rooted inside a chunk
+	// takes it from the chunk's transform, any other from the crest.
+	nst, slots := out.Tiling().(*tile.NonStandard)
+	if slots {
+		for block := 1; block < nst.NumBlocks(); block++ {
+			caps[block]++
+		}
+		cr.onAverage = func(level int, pos []int, avg float64) error {
+			if level == 0 {
+				return nil // a single cell roots no tile
+			}
+			lvl := nst.Level(level)
+			if !lvl.TileRoot() {
+				return nil
+			}
+			root, local := 0, 0
+			for _, p := range pos {
+				root, local = lvl.Push(root, local, p)
+			}
+			block, _ := lvl.At(root, local)
+			return writer.SetSlot(block, 0, avg)
+		}
+	}
 	ph := cubicShape(n, d)
 	zeroHat := ndarray.New(chunkShape...) // read-only stand-in for all-zero chunks
 	// The z-order chunk schedule, fixed up front so workers can transform
@@ -446,6 +481,9 @@ func chunkedNonStdCrest(src *ndarray.Array, n, m int, out *tile.Store, popts par
 		// Details of the chunk subtree are final: bucket them for the
 		// write-once sink.
 		tile.AccumulateShiftNonStandard(out.Tiling(), ph, m, pos, hat, sc.set)
+		if slots {
+			tile.AccumulateChunkScalingNonStandard(nst, m, pos, hat, sc.set)
+		}
 		res.buckets = sc.set.Buckets()
 		return res, nil
 	}

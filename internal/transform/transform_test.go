@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -305,5 +306,75 @@ func TestCrestIOIsExactlyOptimal(t *testing.T) {
 	stats := counting.Stats()
 	if stats.Reads != 0 || stats.Writes != 1024 {
 		t.Errorf("crest I/O = %+v, want exactly 0 reads and 1024 writes", stats)
+	}
+}
+
+// TestChunkedEnginesWriteScalingSlots holds every block the chunked engines
+// write — scaling slots included — to the layout the materializers write
+// for the same transform, for every chunk size, tile bits that do and do
+// not divide the levels, and d = 1 to 3. The z-order engine still writes
+// each block exactly once and reads none.
+func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
+	layout := func(t *testing.T, tiling tile.Tiling, hat *ndarray.Array) *tile.Store {
+		st, _ := countedStore(t, tiling)
+		var err error
+		if _, ok := tiling.(*tile.Standard); ok {
+			err = tile.MaterializeStandard(st, hat)
+		} else {
+			err = tile.MaterializeNonStandard(st, hat)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	same := func(t *testing.T, name string, got, want *tile.Store) {
+		t.Helper()
+		for id := 0; id < want.Tiling().NumBlocks(); id++ {
+			g, err := got.ReadTile(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.ReadTile(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := range w {
+				if math.Abs(g[slot]-w[slot]) > 1e-12*math.Max(1, math.Abs(w[slot])) {
+					t.Fatalf("%s: block %d slot %d = %v, materialized %v", name, id, slot, g[slot], w[slot])
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ n, d, b int }{{5, 1, 2}, {4, 2, 3}, {5, 2, 2}, {3, 3, 2}} {
+		shape := make([]int, c.d)
+		ns := make([]int, c.d)
+		for i := range shape {
+			shape[i], ns[i] = 1<<uint(c.n), c.n
+		}
+		src := dataset.Dense(shape, int64(c.n+c.d))
+		wantStd := layout(t, tile.NewStandard(ns, c.b), wavelet.TransformStandard(src))
+		wantNon := layout(t, tile.NewNonStandard(c.n, c.d, c.b), wavelet.TransformNonStandard(src))
+		for m := 0; m <= c.n; m++ {
+			name := func(engine string) string { return fmt.Sprintf("%s n=%d d=%d b=%d m=%d", engine, c.n, c.d, c.b, m) }
+			std, _ := countedStore(t, tile.NewStandard(ns, c.b))
+			if _, err := ChunkedStandard(src, m, std); err != nil {
+				t.Fatal(err)
+			}
+			same(t, name("standard"), std, wantStd)
+			row, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
+			if _, err := ChunkedNonStandard(src, m, row, NonStdOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			same(t, name("row-major"), row, wantNon)
+			crest, counting := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
+			if _, err := ChunkedNonStandard(src, m, crest, NonStdOptions{ZOrderCrest: true}); err != nil {
+				t.Fatal(err)
+			}
+			if st := counting.Stats(); st.Reads != 0 || st.Writes != int64(crest.Tiling().NumBlocks()) {
+				t.Errorf("%s: %d reads and %d writes, want 0 and one per block (%d)", name("z-order"), st.Reads, st.Writes, crest.Tiling().NumBlocks())
+			}
+			same(t, name("z-order"), crest, wantNon)
+		}
 	}
 }

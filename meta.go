@@ -14,11 +14,14 @@ import (
 // storeMeta is the JSON sidecar written next to file-backed stores so they
 // can be reopened with OpenStore.
 type storeMeta struct {
-	Shape        []int  `json:"shape"`
-	Form         string `json:"form"`
-	TileBits     int    `json:"tile_bits"`
-	Materialized bool   `json:"materialized"`
-	Durable      bool   `json:"durable,omitempty"`
+	Shape    []int  `json:"shape"`
+	Form     string `json:"form"`
+	TileBits int    `json:"tile_bits"`
+	// Materialized records that every block's scaling slots are valid.
+	// Every maintenance path keeps them so; it is false only on stores
+	// last maintained by a binary that did not, until a Materialize.
+	Materialized bool `json:"materialized"`
+	Durable      bool `json:"durable,omitempty"`
 	// Mapped records that the store was created with mmap-backed reads,
 	// so OpenStore reopens it the same way (the on-disk layout itself is
 	// identical either way).
@@ -38,8 +41,8 @@ func metaPath(path string) string { return path + ".meta.json" }
 // temporary file, fsynced, and renamed over the old sidecar, so a crash
 // mid-save leaves either the old or the new metadata — never a torn file.
 // The metaMu serializes writers: the background scrubber persists
-// quarantine transitions concurrently with maintenance persisting the
-// materialized flag.
+// quarantine transitions concurrently with a Materialize persisting that
+// the slots are valid.
 func (s *Store) saveMeta() error {
 	if s.opts.Path == "" {
 		return nil
@@ -50,7 +53,7 @@ func (s *Store) saveMeta() error {
 		Shape:        s.opts.Shape,
 		Form:         s.opts.Form.String(),
 		TileBits:     s.opts.TileBits,
-		Materialized: s.materialized.Load(),
+		Materialized: s.slotsOnMedia,
 		Durable:      s.opts.Durable,
 		Mapped:       s.opts.Mapped,
 		Versioned:    s.opts.Versioned,
@@ -63,6 +66,14 @@ func (s *Store) saveMeta() error {
 		return err
 	}
 	return writeFileAtomic(metaPath(s.opts.Path), data, 0o644)
+}
+
+// slotsValid reports whether the medium's scaling slots are valid: as
+// opened, or rewritten by a Materialize since.
+func (s *Store) slotsValid() bool {
+	s.metaMu.Lock()
+	defer s.metaMu.Unlock()
+	return s.slotsOnMedia
 }
 
 // writeFileAtomic replaces path with data via a fsynced temporary file and
@@ -155,7 +166,7 @@ func OpenStore(path string) (*Store, error) {
 }
 
 // Sync commits any buffered block writes and persists metadata (form,
-// shape, materialization state) for file-backed stores; in-memory
+// shape, slot validity) for file-backed stores; in-memory
 // non-durable stores ignore it.
 func (s *Store) Sync() error {
 	if err := s.commit(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
@@ -181,7 +182,11 @@ func TestReadConsumersCountWhatTheyRead(t *testing.T) {
 				}
 				points = append(points, points[3]) // a repeat reads nothing more
 				check("Points", func() (int, error) {
-					vals, blocks, err := st.Points(points)
+					batch := st.Points
+					if !materialized {
+						batch = rootPathPoints(st)
+					}
+					vals, blocks, err := batch(points)
 					for i, p := range points {
 						if err == nil && !closeTo(vals[i], data.At(p...)) {
 							t.Fatalf("Points %v = %v, the reader %v", p, vals[i], data.At(p...))
@@ -206,6 +211,19 @@ func TestReadConsumersCountWhatTheyRead(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// rootPathPoints returns a batch point query on the root path, the one a
+// store whose scaling slots are stale takes.
+func rootPathPoints(st *Store) func([][]int) ([]float64, int, error) {
+	return func(points [][]int) ([]float64, int, error) {
+		snap := st.AcquireSnapshot()
+		defer snap.Release()
+		if st.opts.Form == Standard {
+			return query.PointBatch(snap.ts, st.opts.Shape, points)
+		}
+		return query.PointBatchNonStandard(snap.ts, points)
 	}
 }
 

@@ -28,10 +28,9 @@ import (
 // Snapshots are safe for concurrent use whenever the store's read path is
 // (anything opened with OpenServing, in-memory and plain file stores).
 type Snapshot struct {
-	st           *Store
-	ts           *tile.Store // &tiles on a versioned store, else the live store
-	materialized bool
-	epoch        uint64
+	st    *Store
+	ts    *tile.Store // &tiles on a versioned store, else the live store
+	epoch uint64
 	// pin and tiles are held by value, so acquiring a snapshot is one
 	// allocation: pin is the epoch pin (versioned stores only) and tiles the
 	// tile view over it.
@@ -44,7 +43,6 @@ type Snapshot struct {
 func (s *Store) AcquireSnapshot() *Snapshot {
 	sn := &Snapshot{st: s, ts: s.store}
 	if s.versioned == nil {
-		sn.materialized = s.materialized.Load()
 		return sn
 	}
 	s.versioned.Pin(&sn.pin)
@@ -52,15 +50,10 @@ func (s *Store) AcquireSnapshot() *Snapshot {
 		// Unreachable: the snapshot's block size equals the tiling's by
 		// construction. Degrade to the live store rather than failing reads.
 		sn.pin.Release()
-		sn.materialized = s.materialized.Load()
 		return sn
 	}
 	sn.ts = &sn.tiles
 	sn.epoch = sn.pin.Epoch()
-	// Materialization is an epoch property here: only a snapshot of the
-	// exact epoch whose blocks carry scaling coefficients may use the
-	// single-block query path. matEpoch holds that epoch + 1.
-	sn.materialized = s.matEpoch.Load() == sn.epoch+1
 	return sn
 }
 
@@ -75,23 +68,20 @@ func (sn *Snapshot) Release() {
 // Epoch returns the pinned epoch (always 0 on non-versioned stores).
 func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
-// Materialized reports whether the pinned epoch's blocks carry the per-tile
-// scaling coefficients that enable single-block point queries.
-func (sn *Snapshot) Materialized() bool { return sn.materialized }
-
 // Shape returns the transformed domain extents.
 func (sn *Snapshot) Shape() []int { return sn.st.Shape() }
 
 // Form returns the decomposition form.
 func (sn *Snapshot) Form() Form { return sn.st.Form() }
 
-// Point reconstructs a single cell as of the pinned epoch. On a
-// materialized view this reads exactly one block (the §3 payoff of the
-// stored scaling coefficients); otherwise the range-sum kernel of its form
-// sums the cell as a box of extent 1, reading its root path.
+// Point reconstructs a single cell as of the pinned epoch. With valid
+// scaling slots this reads exactly one block (the §3 payoff of the stored
+// scaling coefficients); on a store whose slots are stale the range-sum
+// kernel of its form sums the cell as a box of extent 1, reading its root
+// path.
 func (sn *Snapshot) Point(point ...int) (float64, int, error) {
 	s := sn.st
-	if sn.materialized {
+	if s.slots {
 		if s.opts.Form == Standard {
 			return query.PointStandard(sn.ts, point)
 		}
@@ -150,18 +140,20 @@ func (sn *Snapshot) ReadTransform() (*Array, error) {
 }
 
 // Points answers a batch of point queries against the pinned epoch with
-// one vectored read of the blocks the whole batch needs. It returns the
-// values in input order and the number of distinct blocks read.
+// one vectored read of the blocks the whole batch needs: with valid scaling
+// slots each point's leaf tile alone, at most one block per point. It
+// returns the values in input order and the number of distinct blocks read.
 func (sn *Snapshot) Points(points [][]int) ([]float64, int, error) {
 	s := sn.st
 	switch {
-	case s.opts.Form != Standard:
-		return query.PointBatchNonStandard(sn.ts, points)
-	case sn.materialized:
-		// Single-tile queries: each point needs only its leaf tile.
+	case s.slots && s.opts.Form == Standard:
 		return query.PointStandardBatch(sn.ts, points)
-	default:
+	case s.slots:
+		return query.PointNonStandardBatch(sn.ts, points)
+	case s.opts.Form == Standard:
 		return query.PointBatch(sn.ts, s.opts.Shape, points)
+	default:
+		return query.PointBatchNonStandard(sn.ts, points)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // stackSpec is everything that decides which layers a Store runs on.
 type stackSpec struct {
 	// meta carries the geometry (shape, form, tile bits) and the on-media
-	// layout (durable, mapped, versioned); when opening, also the
-	// materialized flag and quarantine records the sidecar recorded.
+	// layout (durable, mapped, versioned); when opening, also whether the
+	// scaling slots are valid and the quarantine records the sidecar
+	// recorded.
 	meta storeMeta
 	// path backs the store with files; empty keeps it in memory.
 	path string
@@ -205,7 +206,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 			read = out.degraded
 		}
 	}
-	out.materialized.Store(m.Materialized)
+	out.slots, out.slotsOnMedia = m.Materialized, m.Materialized
 	if m.Versioned {
 		// Durable recovery has already run (journal replayed or discarded),
 		// so the superblock read here lands on a consistent epoch.
@@ -214,9 +215,6 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		}
 		if out.cache != nil {
 			out.versioned.OnReuse(out.cache.Drop)
-		}
-		if m.Materialized {
-			out.matEpoch.Store(out.versioned.Epoch() + 1)
 		}
 		read = out.versioned
 	}

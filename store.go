@@ -147,17 +147,17 @@ type Store struct {
 	// mergeSets pools the *tile.BucketSet MergeBlock buckets an embedding
 	// into, so a steady stream of merges reuses the delta slices.
 	mergeSets sync.Pool
-	// materialized is atomic: the serving read path branches on it while a
-	// concurrent healing Materialize (re-writing the same store it serves)
-	// may be clearing and re-asserting it.
-	materialized atomic.Bool
-	// matEpoch resolves the materialized flag per epoch on versioned
-	// stores: it holds epoch+1 of the epoch whose blocks carry scaling
-	// coefficients, 0 when none does. A pinned snapshot runs the
-	// single-block query path only when its own epoch matches — a snapshot
-	// raced by a concurrent Materialize conservatively falls back to the
-	// (always-correct) root-path queries.
-	matEpoch atomic.Uint64
+	// slots reports whether every block's scaling slots are valid, so
+	// points read one block. It is fixed for the life of the handle: true
+	// on a created store, the sidecar's "materialized" key on an opened one.
+	// Every maintenance path keeps valid slots valid, committing them in
+	// the same batch and epoch as the coefficients; a store last maintained
+	// by an older binary has stale slots and keeps the root path until it
+	// is re-materialized and reopened.
+	slots bool
+	// slotsOnMedia is what the sidecar records (guarded by metaMu): slots,
+	// or true once a Materialize has rewritten every slot.
+	slotsOnMedia bool
 
 	// base is the layer under the serving layers where commits (on stores
 	// with neither epoch layer nor buffer pool), scrubs and repairs enter:
@@ -225,7 +225,8 @@ func CreateStore(opts StoreOptions) (*Store, error) {
 	return assemble(stackSpec{
 		meta: storeMeta{
 			Shape: opts.Shape, Form: opts.Form.String(), TileBits: opts.TileBits,
-			Durable: opts.Durable, Mapped: opts.Mapped, Versioned: opts.Versioned,
+			Materialized: true, // an empty store's slots are valid: all zero
+			Durable:      opts.Durable, Mapped: opts.Mapped, Versioned: opts.Versioned,
 		},
 		path: opts.Path, create: true,
 		plan: opts.FaultPlan, wrap: opts.BaseWrap, poolBlocks: opts.CacheBlocks,
@@ -308,20 +309,6 @@ func (s *Store) commit() error {
 	return s.base.Commit()
 }
 
-// demote conservatively clears the materialized flag in the metadata
-// sidecar before a maintenance batch touches block storage. Ordering
-// matters for crash safety: "materialized" may only be claimed after the
-// blocks that justify it are durable, so it is dropped first and
-// re-asserted (by Materialize) only after a successful commit.
-func (s *Store) demote() error {
-	s.matEpoch.Store(0)
-	if !s.materialized.Load() {
-		return nil
-	}
-	s.materialized.Store(false)
-	return s.saveMeta()
-}
-
 // Close stops any background scrubber, flushes caches, and releases the
 // underlying storage.
 func (s *Store) Close() error {
@@ -342,9 +329,6 @@ func (s *Store) Materialize(a *Array) error {
 // ascending block order regardless of the worker count, so the on-disk
 // result and the I/O counters match the sequential path exactly.
 func (s *Store) MaterializeOpts(a *Array, opts MaintainOptions) error {
-	if err := s.demote(); err != nil {
-		return err
-	}
 	hat := Transform(a, s.opts.Form)
 	var err error
 	switch s.tiling.(type) {
@@ -364,20 +348,19 @@ func (s *Store) MaterializeOpts(a *Array, opts MaintainOptions) error {
 	if s.quarantine != nil && s.quarantine.Len() > 0 {
 		s.quarantine.Replace(nil)
 	}
-	s.materialized.Store(true)
-	if s.versioned != nil {
-		// The epoch the commit just flipped to is the one whose blocks carry
-		// scaling coefficients; snapshots of any other epoch must keep using
-		// the root-path queries.
-		s.matEpoch.Store(s.versioned.Epoch() + 1)
-	}
+	// Every slot is valid now: a store opened with stale ones records so,
+	// and takes the single-block path from its next open.
+	s.metaMu.Lock()
+	s.slotsOnMedia = true
+	s.metaMu.Unlock()
 	return s.saveMeta()
 }
 
 // TransformChunked runs the paper's I/O-efficient chunked transformation
 // (Result 1 for the standard form; Result 2, with z-ordered chunks and an
 // in-memory crest, for the non-standard form), using memory for one chunk
-// of edge 2^chunkBits per dimension.
+// of edge 2^chunkBits per dimension. The per-tile scaling slots are written
+// with the coefficients, at no extra block I/O.
 func (s *Store) TransformChunked(src *Array, chunkBits int) error {
 	return s.TransformChunkedOpts(src, chunkBits, MaintainOptions{})
 }
@@ -391,9 +374,6 @@ func (s *Store) TransformChunkedOpts(src *Array, chunkBits int, opts MaintainOpt
 	if err := s.maintenanceGuard(); err != nil {
 		return err
 	}
-	if err := s.demote(); err != nil { // scaling slots are not maintained by the engines
-		return err
-	}
 	var err error
 	switch s.opts.Form {
 	case Standard:
@@ -404,25 +384,20 @@ func (s *Store) TransformChunkedOpts(src *Array, chunkBits int, opts MaintainOpt
 	if err != nil {
 		return err
 	}
-	if err := s.commit(); err != nil {
-		return err
-	}
-	return s.saveMeta()
+	return s.commit()
 }
 
 // MergeBlock folds bHat (the transform of a block's contents, same form)
 // into the stored transform — the disk-resident SHIFT-SPLIT batch update.
-// The embedding is bucketed by destination tile with the flat kernels and
-// applied as one vectored read and one vectored write of the touched tiles,
-// then sealed by one commit.
+// The embedding is bucketed by destination tile with the flat kernels, the
+// touched tiles' scaling slots take the change it makes to their root
+// averages, and the buckets are applied as one vectored read and one
+// vectored write of the touched tiles, then sealed by one commit.
 func (s *Store) MergeBlock(b Block, bHat *Array) error {
 	if err := validateMerge(s.opts.Shape, s.opts.Form, b, bHat); err != nil {
 		return err
 	}
 	if err := s.maintenanceGuard(); err != nil {
-		return err
-	}
-	if err := s.demote(); err != nil {
 		return err
 	}
 	set, ok := s.mergeSets.Get().(*tile.BucketSet)
@@ -440,6 +415,7 @@ func (s *Store) MergeBlock(b Block, bHat *Array) error {
 		tile.AccumulateShiftNonStandard(s.tiling, s.opts.Shape, m, pos, bHat, set)
 		tile.AccumulateSplitNonStandard(s.tiling, s.opts.Shape, m, pos, bHat.Data()[0], set)
 	}
+	tile.AccumulateScalingSlots(s.tiling, set)
 	if err := s.store.ApplyBuckets(set.Buckets()); err != nil {
 		return err
 	}
@@ -485,10 +461,10 @@ func (s *Store) ExtractBox(start, shape []int) (*Array, int, error) {
 	return snap.ExtractBox(start, shape)
 }
 
-// Point reconstructs a single cell. On a materialized store this reads
-// exactly one block (the §3 payoff of the stored scaling coefficients);
-// otherwise it walks the root path. On a versioned store the read pins the
-// current epoch for its duration (see AcquireSnapshot).
+// Point reconstructs a single cell. It reads exactly one block (the §3
+// payoff of the stored scaling coefficients), except on a store whose slots
+// are stale, which walks the root path. On a versioned store the read pins
+// the current epoch for its duration (see AcquireSnapshot).
 func (s *Store) Point(point ...int) (float64, int, error) {
 	snap := s.AcquireSnapshot()
 	defer snap.Release()

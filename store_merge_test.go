@@ -23,9 +23,6 @@ func mergeBlockOldPath(s *Store, b Block, bHat *Array) error {
 	if err := s.maintenanceGuard(); err != nil {
 		return err
 	}
-	if err := s.demote(); err != nil {
-		return err
-	}
 	tiles := make(map[int][]float64)
 	var applyErr error
 	add := func(coords []int, delta float64) {
@@ -192,9 +189,12 @@ func TestMergeBlockRejectsMismatchedInput(t *testing.T) {
 			}
 			for _, tc := range all {
 				t.Run(fmt.Sprintf("%v/versioned=%v/%s", form, versioned, tc.name), func(t *testing.T) {
-					io, mat := st.Stats(), st.materialized.Load()
+					before, _, err := st.Point(5, 9)
+					if err != nil {
+						t.Fatal(err)
+					}
+					io := st.Stats()
 					epoch, _ := st.EpochStats()
-					var err error
 					if tc.bHat != nil {
 						err = st.MergeBlock(tc.b, tc.bHat)
 					} else {
@@ -209,8 +209,9 @@ func TestMergeBlockRejectsMismatchedInput(t *testing.T) {
 					if got, _ := st.EpochStats(); got != epoch {
 						t.Errorf("rejected input moved the epoch layer: %+v -> %+v", epoch, got)
 					}
-					if st.materialized.Load() != mat {
-						t.Error("rejected input demoted the store")
+					st.ResetStats()
+					if v, blocks, err := st.Point(5, 9); err != nil || v != before || blocks != 1 {
+						t.Errorf("after a rejected input point (5, 9) = %v in %d blocks (%v), was %v in 1", v, blocks, err, before)
 					}
 				})
 			}
