@@ -300,3 +300,45 @@ func TestTransientReadErrorSurfacesUnretried(t *testing.T) {
 		t.Fatalf("breaker state=%s trips=%d after two transient failures, want open/1", state, trips)
 	}
 }
+
+// TestMappedFaultAnswersNotCrashes truncates a served mapped store's data
+// file under its live mapping: the point that next touches a mapped page
+// faults, and the server answers it with an error status or a degraded
+// answer, then goes on serving.
+func TestMappedFaultAnswersNotCrashes(t *testing.T) {
+	shape := []int{16, 16}
+	path := filepath.Join(t.TempDir(), "cube.wav")
+	st, err := shiftsplit.CreateStore(shiftsplit.StoreOptions{
+		Shape: shape, Form: shiftsplit.NonStandard, TileBits: 2, Path: path, Durable: true, Mapped: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Materialize(dataset.Dense(shape, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served, err := shiftsplit.OpenServing(path, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	ts := newTestServer(t, served, Config{})
+	if resp, body := postJSON(t, ts.URL+"/v1/point", `{"point":[3,5]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy point status %d: %s", resp.StatusCode, body)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{`{"point":[3,5]}`, `{"point":[12,9]}`} {
+		resp, body := postJSON(t, ts.URL+"/v1/point", p)
+		var pr pointResponse
+		if resp.StatusCode == http.StatusOK && (json.Unmarshal(body, &pr) != nil || !pr.Degraded) {
+			t.Fatalf("point %s over a truncated mapping answered 200 undegraded: %s", p, body)
+		}
+	}
+	var h healthResponse
+	getJSON(t, ts.URL+"/v1/healthz", &h) // the process, and its server, live on
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -179,6 +181,42 @@ func (s *MappedStore) ensureMapped(end int64) error {
 	}
 }
 
+// guardFault makes a fault on mapped bytes (a file truncated under the
+// mapping, a media error behind a mapped page) a panic of the calling
+// goroutine instead of a fatal signal. Every access to mapped bytes runs
+// under it, deferred as
+//
+//	defer debug.SetPanicOnFault(guardFault())
+//	defer recoverFault(&err)
+//
+// so the previous setting comes back once the recovery has run.
+func guardFault() bool { return debug.SetPanicOnFault(true) }
+
+// recoverFault turns a recovered memory fault into a device read error in
+// *err and re-panics anything else. The error wraps syscall.EIO, so
+// Classify puts it where a failed pread lands, and quarantine, the breaker
+// and degraded serving handle it the same way.
+func recoverFault(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	re, ok := r.(runtime.Error)
+	fault, hasAddr := r.(interface{ Addr() uintptr })
+	if !ok || !hasAddr {
+		panic(r)
+	}
+	*err = fmt.Errorf("storage: fault at %#x reading the mapping (%v): %w", fault.Addr(), re, syscall.EIO)
+}
+
+// copyMapped copies mapped bytes src into dst under guardFault.
+func copyMapped(dst, src []byte) (err error) {
+	defer debug.SetPanicOnFault(guardFault())
+	defer recoverFault(&err)
+	copy(dst, src)
+	return nil
+}
+
 // decodeFrame fills buf from the mapped bytes at off, reading zeros for
 // any part of the frame beyond the mapped extent (a lazily allocated
 // medium, exactly as FileStore reads past EOF).
@@ -200,7 +238,7 @@ func decodeFrame(data []byte, off int64, buf []float64) {
 
 // ReadBlock serves block id from the mapping; extents beyond the file
 // read as zeros.
-func (s *MappedStore) ReadBlock(id int, buf []float64) error {
+func (s *MappedStore) ReadBlock(id int, buf []float64) (err error) {
 	if s.fs.closed.Load() {
 		return ErrClosed
 	}
@@ -214,6 +252,8 @@ func (s *MappedStore) ReadBlock(id int, buf []float64) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	defer debug.SetPanicOnFault(guardFault())
+	defer recoverFault(&err)
 	s.mappedReads.Add(1)
 	if s.m == nil || off >= int64(len(s.m.data)) {
 		ZeroFill(buf)
@@ -242,7 +282,7 @@ func (s *MappedStore) advise(data []byte, off, end int64) {
 // each block decodes straight out of the mapping, with one MADV_WILLNEED
 // hint over the batch's span so the kernel readahead overlaps the
 // decode of earlier frames with the faulting of later ones.
-func (s *MappedStore) ReadBlocks(ids []int, bufs [][]float64) error {
+func (s *MappedStore) ReadBlocks(ids []int, bufs [][]float64) (err error) {
 	if s.fs.closed.Load() {
 		return ErrClosed
 	}
@@ -264,6 +304,8 @@ func (s *MappedStore) ReadBlocks(ids []int, bufs [][]float64) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	defer debug.SetPanicOnFault(guardFault())
+	defer recoverFault(&err)
 	s.mappedReads.Add(int64(len(ids)))
 	if s.m == nil {
 		for i := range bufs {
@@ -378,7 +420,9 @@ func (s *MappedStore) ViewFrames(ids []int) (*FrameViews, error) {
 			// Partial trailing extent (a torn tail): pad a private copy so
 			// the checksum layer still sees the torn bytes, not clean zeros.
 			fr := make([]byte, fb)
-			copy(fr, data[off:])
+			if err := copyMapped(fr, data[off:]); err != nil {
+				return nil, err
+			}
 			v.frames[i] = fr
 		default:
 			// Entirely beyond EOF: nil means an all-zero (unwritten) frame.

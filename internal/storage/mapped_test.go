@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -506,4 +507,50 @@ func TestMappedStorePartialBatchKeepsSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMappedFaultIsAnError truncates the file under a live mapping: the
+// pages behind it are gone, so touching them faults. Every mapped read
+// leg returns that fault as an error classed like a failed pread, and the
+// process goes on.
+func TestMappedFaultIsAnError(t *testing.T) {
+	const bs = 512 // 4 KiB frames: every block its own page
+	path := filepath.Join(t.TempDir(), "fault.dat")
+	ms, err := NewMappedStore(path, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	ids := make([]int, 64)
+	bufs := make([][]float64, 64)
+	for id := range ids {
+		ids[id], bufs[id] = id, make([]float64, bs)
+		fillMappedBlock(bufs[id], id)
+	}
+	if err := ms.WriteBlocks(ids, bufs); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.ReadBlocks(ids, bufs); err != nil {
+		t.Fatal(err)
+	}
+	chk, err := NewChecksumReader(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s over a truncated mapping returned no error", what)
+		}
+		if !errors.Is(err, syscall.EIO) || Classify(err) != Classify(fmt.Errorf("pread: %w", syscall.EIO)) {
+			t.Fatalf("%s: %v is not classed as a device read error", what, err)
+		}
+	}
+	check("ReadBlock", ms.ReadBlock(5, bufs[0]))
+	check("ReadBlocks", ms.ReadBlocks([]int{0, 63}, bufs[:2]))
+	small := [][]float64{make([]float64, chk.BlockSize()), make([]float64, chk.BlockSize())}
+	check("checksummed ReadBlocks", chk.ReadBlocks([]int{0, 63}, small))
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -137,12 +138,14 @@ func (r *ChecksumReader) ReadBlocks(ids []int, bufs [][]float64) error {
 // readBlocksViews is the zero-copy leg: borrow, verify in place, decode
 // straight into the caller's buffers, release. The borrow never escapes
 // this call — the discipline the scratch-escape analyzer polices.
-func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]float64) error {
+func (r *ChecksumReader) readBlocksViews(fv FrameViewer, ids []int, bufs [][]float64) (err error) {
 	views, err := fv.ViewFrames(ids)
 	if err != nil {
 		return err
 	}
 	defer views.Release()
+	defer debug.SetPanicOnFault(guardFault())
+	defer recoverFault(&err)
 	p := r.BlockSize()
 	for i, id := range ids {
 		fb := views.Frame(i)
