@@ -198,6 +198,32 @@ var rangeScript = []wireRequest{
 	{path: "/v1/rangesum", body: `[0,0]`},
 }
 
+// progressiveScript and olapScript hold the routes that plan a standard
+// box per dimension: the step order and coefficient counts of a stream,
+// each cube's cells, and every line's blocks_read.
+var progressiveScript = []wireRequest{
+	{path: "/v1/progressive", body: `{"start":[0,0],"extent":[8,8]}`},
+	{path: "/v1/progressive", body: `{"start":[2,3],"extent":[5,9],"every":4}`},
+	{path: "/v1/progressive", body: `{"start":[15,0],"extent":[1,16],"every":3}`},
+	{path: "/v1/progressive", body: `{"start":[0,0],"extent":[17,1]}`},
+	{path: "/v1/progressive", body: `{"start":[4,4],"extent":[0,2]}`},
+	{path: "/v1/progressive", body: `{"start":[4,4]}`},
+}
+
+var olapScript = []wireRequest{
+	{path: "/v1/olap/rollup", body: `{"dim":1}`},
+	{path: "/v1/olap/rollup", body: `{"dim":0}`},
+	{path: "/v1/olap/rollup", body: `{"dim":2}`},
+	{path: "/v1/olap/slice", body: `{"dim":1,"index":3}`},
+	{path: "/v1/olap/slice", body: `{"dim":0,"index":15}`},
+	{path: "/v1/olap/slice", body: `{"dim":0,"index":16}`},
+	{path: "/v1/olap/dice", body: `{"dim":1,"start":4,"length":4}`},
+	{path: "/v1/olap/dice", body: `{"dim":0,"start":8,"length":2}`},
+	{path: "/v1/olap/dice", body: `{"dim":0,"start":3,"length":5}`},
+	{path: "/v1/olap/dice", body: `{"dim":0,"start":12,"length":8}`},
+	{path: "/v1/olap/dice", body: `{"dim":1,"start":2,"length":0}`},
+}
+
 var ingestScript = []wireRequest{
 	{path: "/v1/ingest", body: `{"shape":[4,1],"values":[1,2,3,4]}`},
 	{path: "/v1/ingest", body: ` {"values":[0.5,-0,1e-7,2E+3],"shape":[4,1]} `},
@@ -261,6 +287,10 @@ func wireCases(t *testing.T) []wireCase {
 		{"standard-rootpath/point", stdRoot, pointScript},
 		{"nonstandard/point", nonStd, pointScript},
 		{"nonstandard/rangesum", nonStd, rangeScript},
+		{"standard/progressive", std, progressiveScript},
+		{"nonstandard/progressive", nonStd, progressiveScript},
+		{"standard/olap", std, olapScript},
+		{"nonstandard/olap", nonStd, olapScript},
 		{"ingest", withIngest, ingestScript},
 	}
 }
