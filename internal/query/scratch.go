@@ -17,13 +17,8 @@ import (
 type scratch struct {
 	tile.FetchSet
 
-	// Standard-form plan: per dimension, the Lemma-2 list located in that
-	// dimension's tiling and sorted by tile.
-	coefs   []haar.Coef
-	entries []entry
-	axes    []axis
-	edge    int   // slots per dimension of a standard block
-	coords  []int // one coefficient's coordinates (tilings other than Standard)
+	// Standard-form plan: per dimension the query's list, located.
+	plan tile.Plan
 
 	// Non-standard plan, query after query (a batch plans every point
 	// before its one fetch): per query, the box against each level and
@@ -80,133 +75,67 @@ func resized[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// entry is one coefficient of a dimension's Lemma-2 list: where it sits in
-// that dimension's 1-d tiling and the weight D (the extent, for index 0) it
-// carries.
-type entry struct {
-	tile, slot int
-	w          float64
-}
-
-// axis is one dimension of a standard-form plan: entries[lo:hi] sorted by
-// tile, and entries[glo:ghi], the run inside the tile the walk stands on.
-type axis struct {
-	lo, hi   int
-	glo, ghi int
-	stride   int // block-id step per tile along this dimension
-}
-
-// planStandard lists, per dimension, the coefficients of the box
-// [start, start+extent) — of the cell at start when extent is nil — and
-// groups them by tile. A d-dimensional standard block is the cross product
-// of one tile per dimension, so the blocks of the query are the cross
-// product of the axes' tiles and each is visited once. Under a tiling
-// other than Standard there is no per-dimension tile: every coefficient
-// becomes its own run and is located whole by walkStandard.
+// planStandard plans the box [start, start+extent) — the cell at start
+// when extent is nil — as the cross product of its per-dimension Lemma-2
+// lists (tile.Plan.RangeSum).
 func (sc *scratch) planStandard(tiling tile.Tiling, arrShape, start, extent []int) {
-	std, _ := tiling.(*tile.Standard)
-	sc.entries, sc.axes = sc.entries[:0], sc.axes[:0]
-	sc.coords = resized(sc.coords, len(start))
-	if std != nil {
-		sc.edge = std.Dim(0).BlockSize()
-	}
+	sc.plan.Reset(tiling)
 	for t, l := range start {
 		r := l
 		if extent != nil {
 			r = l + extent[t] - 1
 		}
-		sc.coefs = haar.AppendRangeSumCoefs(sc.coefs[:0], bitutil.Log2(arrShape[t]), l, r)
-		a := axis{lo: len(sc.entries)}
-		if std != nil {
-			a.stride = std.Stride(t)
-		}
-		for _, c := range sc.coefs {
-			e := entry{tile: c.Index, slot: c.Index, w: c.Weight}
-			if std != nil {
-				e.tile, e.slot = std.Dim(t).Locate1D(c.Index)
-			}
-			sc.entries = append(sc.entries, e)
-		}
-		a.hi = len(sc.entries)
-		// Stable, so slots inside a tile keep the list's level order and
-		// the sum folds in the same order on every call.
-		slices.SortStableFunc(sc.entries[a.lo:a.hi], func(x, y entry) int { return x.tile - y.tile })
-		a.glo, a.ghi = a.lo, sc.runEnd(a.lo, a.hi)
-		sc.axes = append(sc.axes, a)
+		sc.plan.RangeSum(bitutil.Log2(arrShape[t]), l, r)
 	}
-}
-
-// runEnd returns the end of the run of entries sharing entries[from]'s tile.
-func (sc *scratch) runEnd(from, hi int) int {
-	i := from + 1
-	for i < hi && sc.entries[i].tile == sc.entries[from].tile {
-		i++
-	}
-	return i
-}
-
-// nextTile steps the axes to the next combination of per-dimension tiles,
-// last dimension fastest (ascending block ids under NewStandard's strides;
-// fetch sorts whatever order the tiling gives). After the last combination
-// it reports false with the axes back on the first.
-func (sc *scratch) nextTile() bool {
-	for t := len(sc.axes) - 1; t >= 0; t-- {
-		a := &sc.axes[t]
-		if a.ghi < a.hi {
-			a.glo, a.ghi = a.ghi, sc.runEnd(a.ghi, a.hi)
-			return true
-		}
-		a.glo, a.ghi = a.lo, sc.runEnd(a.lo, a.hi)
-	}
-	return false
 }
 
 // walkStandard visits every block of the plan once: to name it for the
 // fetch, or, once fetched, to fold its weighted slots.
-func (sc *scratch) walkStandard(tiling tile.Tiling, accumulate bool) float64 {
-	_, std := tiling.(*tile.Standard)
-	sum := 0.0
-	for {
-		block, slot, w := 0, 0, 1.0
-		if std {
-			for _, a := range sc.axes {
-				block += sc.entries[a.glo].tile * a.stride
-			}
-		} else {
-			for t, a := range sc.axes {
-				sc.coords[t] = sc.entries[a.glo].slot
-				w *= sc.entries[a.glo].w
-			}
-			block, slot = tiling.Locate(sc.coords)
-		}
+func (sc *scratch) walkStandard(accumulate bool) float64 {
+	p, sum := &sc.plan, 0.0
+	for p.Next() {
+		block, _ := p.Block()
 		switch {
 		case !accumulate:
 			sc.Want(block)
-		case std:
+		case p.Edge() > 0:
 			sum += sc.sumTile(sc.Frame(block), 0, 0)
 		default:
-			sum += w * sc.Frame(block)[slot]
-		}
-		if !sc.nextTile() {
-			return sum
+			sum += foldFlat(p, sc.Frame(block))
 		}
 	}
+	return sum
 }
 
-// sumTile folds one standard block: the cross product of the axes' current
-// runs, with slot = (slot_0*B + slot_1)*B + ... and weight the product.
+// sumTile folds one standard block: the cross product of the dimensions'
+// current runs, with slot = (slot_0*B + slot_1)*B + ... and weight the
+// product, summed innermost dimension first.
 func (sc *scratch) sumTile(frame []float64, t, slot int) float64 {
-	a := sc.axes[t]
-	sum := 0.0
-	if t == len(sc.axes)-1 {
-		for _, e := range sc.entries[a.glo:a.ghi] {
-			sum += e.w * frame[slot*sc.edge+e.slot]
+	p, sum := &sc.plan, 0.0
+	slot *= p.Edge()
+	if t == p.Dims()-1 {
+		for _, e := range p.Run(t) {
+			sum += e.W * frame[slot+e.Slot]
 		}
 		return sum
 	}
-	for _, e := range sc.entries[a.glo:a.ghi] {
-		sum += e.w * sc.sumTile(frame, t+1, slot*sc.edge+e.slot)
+	for _, e := range p.Run(t) {
+		sum += e.W * sc.sumTile(frame, t+1, slot+e.Slot)
 	}
+	return sum
+}
+
+// foldFlat sums the block the plan's walk stands on one coefficient at a
+// time: weight the product of its entries' times its slot.
+func foldFlat(p *tile.Plan, frame []float64) float64 {
+	sum := 0.0
+	p.EachCoef(func(slot int, pick []tile.PlanEntry) {
+		w := 1.0
+		for _, e := range pick {
+			w *= e.W
+		}
+		sum += w * frame[slot]
+	})
 	return sum
 }
 
@@ -214,11 +143,11 @@ func (sc *scratch) sumTile(frame []float64, t, slot int) float64 {
 // (extent set) and PointViaRootPath (extent nil).
 func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []int) (float64, int, error) {
 	sc.planStandard(st.Tiling(), arrShape, start, extent)
-	sc.walkStandard(st.Tiling(), false)
+	sc.walkStandard(false)
 	if err := sc.Fetch(st); err != nil {
 		return 0, 0, err
 	}
-	return sc.walkStandard(st.Tiling(), true), sc.Len(), nil
+	return sc.walkStandard(true), sc.Len(), nil
 }
 
 // rangeSumNonStandard is the non-standard kernel behind RangeSumNonStandard

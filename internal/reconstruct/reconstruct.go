@@ -141,35 +141,36 @@ func planAxis(n, s, e int) axisPlan {
 }
 
 // gather fetches the cross product of the axes' unions with one vectored
-// read and returns it row-major, with the number of blocks read.
+// read and returns it row-major, with the number of blocks read: the plan
+// names the blocks, and each block's share of the product lands at the
+// positions its entries' source tags give.
 func gather(st *tile.Store, axes []axisPlan) ([]float64, int, error) {
-	d := len(axes)
-	idx, limit, coords := make([]int, d), make([]int, d), make([]int, d)
+	var p tile.Plan
+	p.Reset(st.Tiling())
 	size := 1
-	for t, a := range axes {
-		limit[t] = len(a.idx)
+	for _, a := range axes {
+		p.Union(a.idx)
 		size *= len(a.idx)
 	}
-	locate := func() (block, slot int) {
-		for t, i := range idx {
-			coords[t] = axes[t].idx[i]
-		}
-		return st.Tiling().Locate(coords)
-	}
 	var fs tile.FetchSet
-	for off := 0; off < size; off++ {
-		block, _ := locate()
+	for p.Next() {
+		block, _ := p.Block()
 		fs.Want(block)
-		step(idx, limit)
 	}
 	if err := fs.Fetch(st); err != nil {
 		return nil, 0, err
 	}
 	g := make([]float64, size)
-	for off := range g {
-		block, slot := locate()
-		g[off] = fs.Frame(block)[slot]
-		step(idx, limit)
+	for p.Next() {
+		block, _ := p.Block()
+		frame := fs.Frame(block)
+		p.EachCoef(func(slot int, pick []tile.PlanEntry) {
+			off := 0
+			for t, e := range pick {
+				off = off*len(axes[t].idx) + e.Src
+			}
+			g[off] = frame[slot]
+		})
 	}
 	return g, fs.Len(), nil
 }

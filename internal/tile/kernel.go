@@ -2,6 +2,7 @@ package tile
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
@@ -37,6 +38,7 @@ type BucketSet struct {
 	index     map[int]int
 	buckets   []Bucket
 	free      [][]float64 // zeroed block-sized slices awaiting reuse
+	plan      Plan        // the standard-form kernel's and slot step's plan
 	slots     slotScratch // AccumulateScalingSlots' working state
 }
 
@@ -130,199 +132,42 @@ func (s *Store) ApplyBuckets(buckets []Bucket) error {
 	return s.WriteTiles(blocks, tiles)
 }
 
-// locTarget is a located 1-d embedding target: weight plus (tile, slot)
-// along one dimension.
-type locTarget struct {
-	w      float64
-	bt, st int
-}
-
-// detailRun is a maximal run of consecutive innermost-dimension detail
-// sources whose targets occupy consecutive slots of one 1-d tile.
-type detailRun struct {
-	src, n, bt, st int
-}
-
-// stdDimTab is the per-dimension geometry of a standard-form embedding.
-type stdDimTab struct {
-	stride, bsz, m int // block-id stride, 1-d tile slot count, chunk extent
-	split          []locTarget
-	det            []locTarget // det[i-1] locates the target of source index i
-	runs           []detailRun // innermost dimension only
-}
-
 // AccumulateEmbedStandard buckets the complete SHIFT-SPLIT embedding of bHat
 // (the standard transform of the block's contents) by destination tile of t.
 // It produces exactly the contributions core.EachEmbedStandard enumerates,
-// in a fixed order, but without per-coefficient coordinate slices: for a
-// *Standard tiling the pure-SHIFT bulk — (M_1-1)···(M_d-1) sources, each
-// with a single weight-1 target — is applied as contiguous row adds per
-// wavelet level, and only the split fringe walks a target cross product.
-// Other tilings fall back to the per-coefficient enumeration.
+// but without per-coefficient coordinate slices: the embedding is the cross
+// product of each dimension's targets (Plan.Embed), so the plan's walk
+// visits each destination tile once and adds its share of the product, a
+// source coefficient times its targets' weights per slot. Every target slot
+// takes one contribution, so the order of the adds does not show in the
+// sums. Other tilings locate each target whole.
 func AccumulateEmbedStandard(t Tiling, shape []int, block dyadic.Range, bHat *ndarray.Array, bs *BucketSet) {
-	std, ok := t.(*Standard)
-	if !ok {
-		core.EachEmbedStandard(shape, block, bHat, func(coords []int, delta float64) {
-			b, s := t.Locate(coords)
-			bs.Add(b, s, delta)
-		})
-		return
+	d := len(shape)
+	if block.Dims() != d || bHat.Dims() != d {
+		panic(fmt.Sprintf("tile: AccumulateEmbedStandard shape %v, block %v", shape, block))
 	}
-	d := std.Dims()
-	if len(shape) != d || block.Dims() != d || bHat.Dims() != d {
-		panic(fmt.Sprintf("tile: AccumulateEmbedStandard shape %v, block %v for %d-d tiling", shape, block, d))
-	}
-	tabs := make([]stdDimTab, d)
-	for t := 0; t < d; t++ {
-		od := std.Dim(t)
-		n, m, k := od.Levels(), block[t].Level, block[t].Pos
-		if shape[t] != 1<<uint(n) || m > n || k < 0 || k >= 1<<uint(n-m) || bHat.Extent(t) != 1<<uint(m) {
+	p := &bs.plan
+	p.Reset(t)
+	for i, e := range shape {
+		n, m, k := bits.Len(uint(e))-1, block[i].Level, block[i].Pos
+		if e != 1<<uint(n) || m > n || k < 0 || k >= 1<<uint(n-m) || bHat.Extent(i) != 1<<uint(m) {
 			panic(fmt.Sprintf("tile: AccumulateEmbedStandard block %v out of bounds for shape %v", block, shape))
 		}
-		tab := stdDimTab{stride: std.Stride(t), bsz: od.BlockSize(), m: 1 << uint(m)}
-		for _, tt := range core.SplitTargets(n, m, k) {
-			bt, st := od.Locate1D(tt.Index)
-			tab.split = append(tab.split, locTarget{w: tt.Weight, bt: bt, st: st})
-		}
-		tab.det = make([]locTarget, tab.m-1)
-		for i := 1; i < tab.m; i++ {
-			bt, st := od.Locate1D(core.ShiftIndex(n, m, k, i))
-			tab.det[i-1] = locTarget{w: 1, bt: bt, st: st}
-		}
-		tabs[t] = tab
-	}
-	stride := make([]int, d)
-	stride[d-1] = 1
-	for t := d - 2; t >= 0; t-- {
-		stride[t] = stride[t+1] * tabs[t+1].m
+		p.Embed(n, m, k)
 	}
 	data := bHat.Data()
-
-	// Pure-SHIFT bulk: every dimension contributes a detail index (>= 1).
-	allDetails := true
-	for t := 0; t < d; t++ {
-		if tabs[t].m < 2 {
-			allDetails = false
-			break
-		}
-	}
-	if allDetails {
-		last := &tabs[d-1]
-		// Coalesce the innermost dimension's targets into slot-contiguous
-		// runs (consecutive detail indices within one wavelet level land in
-		// consecutive slots of one 1-d tile).
-		r := detailRun{src: 1, n: 1, bt: last.det[0].bt, st: last.det[0].st}
-		for i := 2; i < last.m; i++ {
-			p := last.det[i-1]
-			if p.bt == r.bt && p.st == r.st+r.n {
-				r.n++
-				continue
+	for p.Next() {
+		id, _ := p.Block()
+		bk := bs.bucket(id)
+		p.EachCoef(func(slot int, pick []PlanEntry) {
+			off, w := 0, 1.0
+			for i, e := range pick {
+				off = off*bHat.Extent(i) + e.Src
+				w *= e.W
 			}
-			last.runs = append(last.runs, r)
-			r = detailRun{src: i, n: 1, bt: p.bt, st: p.st}
-		}
-		last.runs = append(last.runs, r)
-
-		outer := make([]int, d-1) // detail indices for dims 0..d-2
-		for t := range outer {
-			outer[t] = 1
-		}
-		for {
-			blockBase, slotBase, off := 0, 0, 0
-			for t := 0; t < d-1; t++ {
-				p := tabs[t].det[outer[t]-1]
-				blockBase += p.bt * tabs[t].stride
-				slotBase = slotBase*tabs[t].bsz + p.st
-				off += outer[t] * stride[t]
-			}
-			for _, r := range last.runs {
-				bk := bs.bucket(blockBase + r.bt*last.stride)
-				dst := bk.Deltas[slotBase*last.bsz+r.st:]
-				src := data[off+r.src : off+r.src+r.n]
-				for i, v := range src {
-					dst[i] += v
-				}
-				bk.Touches += r.n
-			}
-			t := d - 2
-			for ; t >= 0; t-- {
-				outer[t]++
-				if outer[t] < tabs[t].m {
-					break
-				}
-				outer[t] = 1
-			}
-			if t < 0 {
-				break
-			}
-		}
-	}
-
-	// Split fringe: sources with a scaling index (0) in at least one
-	// dimension fan out over the cross product of per-dimension targets.
-	src := make([]int, d)
-	choice := make([]int, d)
-	lists := make([][]locTarget, d)
-	singles := make([]locTarget, d)
-	for {
-		anyZero := false
-		for t := 0; t < d; t++ {
-			if src[t] == 0 {
-				anyZero = true
-				break
-			}
-		}
-		if anyZero {
-			off := 0
-			for t := 0; t < d; t++ {
-				off += src[t] * stride[t]
-				if src[t] == 0 {
-					lists[t] = tabs[t].split
-				} else {
-					singles[t] = tabs[t].det[src[t]-1]
-					lists[t] = singles[t : t+1]
-				}
-			}
-			v := data[off]
-			for t := range choice {
-				choice[t] = 0
-			}
-			for {
-				w := v
-				blockID, slot := 0, 0
-				for t := 0; t < d; t++ {
-					tt := lists[t][choice[t]]
-					w *= tt.w
-					blockID += tt.bt * tabs[t].stride
-					slot = slot*tabs[t].bsz + tt.st
-				}
-				bk := bs.bucket(blockID)
-				bk.Deltas[slot] += w
-				bk.Touches++
-				t := d - 1
-				for ; t >= 0; t-- {
-					choice[t]++
-					if choice[t] < len(lists[t]) {
-						break
-					}
-					choice[t] = 0
-				}
-				if t < 0 {
-					break
-				}
-			}
-		}
-		t := d - 1
-		for ; t >= 0; t-- {
-			src[t]++
-			if src[t] < tabs[t].m {
-				break
-			}
-			src[t] = 0
-		}
-		if t < 0 {
-			return
-		}
+			bk.Deltas[slot] += data[off] * w
+			bk.Touches++
+		})
 	}
 }
 

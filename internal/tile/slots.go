@@ -33,15 +33,12 @@ func AccumulateScalingSlots(t Tiling, bs *BucketSet) {
 // slotScratch is the reusable state of the slot step, kept with its
 // BucketSet so a pooled set runs the step without allocating.
 type slotScratch struct {
-	// Standard form: per dimension the bucket's 1-d tile, the range of its
-	// real slots, and the located scaling path of a non-top tile grouped
-	// by the ancestor tile each entry lies in (groups[t] indexes path[t]).
+	// Standard form: per dimension the bucket's 1-d tile and the range of
+	// its real slots; the set of dimensions whose scaling path the plan
+	// walks (bit t for dimension t), and the destination and source deltas.
 	tiles  []int
 	lo, hi []int
-	path   [][]locTarget
-	groups [][]pathGroup
-	choice []int
-	in     int // bit t set: dimension t contributes its scaling path
+	in     int
 	edge   int
 	dst    []float64
 	src    []float64
@@ -52,10 +49,6 @@ type slotScratch struct {
 	avgs, next []float64
 }
 
-// pathGroup is a run path[lo:hi] of one dimension's scaling path whose
-// entries lie in the 1-d tile bt.
-type pathGroup struct{ bt, lo, hi int }
-
 // slotsStandard adds, to every scaling slot of every touched tile, the
 // change the set's deltas make to it. A slot of a standard block crosses one
 // slot per dimension; it is a scaling slot when, along some non-top
@@ -65,10 +58,7 @@ type pathGroup struct{ bt, lo, hi int }
 func (bs *BucketSet) slotsStandard(std *Standard) {
 	d := std.Dims()
 	sc := &bs.slots
-	sc.tiles, sc.lo, sc.hi, sc.choice = resized(sc.tiles, d), resized(sc.lo, d), resized(sc.hi, d), resized(sc.choice, d)
-	if len(sc.path) < d {
-		sc.path, sc.groups = make([][]locTarget, d), make([][]pathGroup, d)
-	}
+	sc.tiles, sc.lo, sc.hi = resized(sc.tiles, d), resized(sc.lo, d), resized(sc.hi, d)
 	sc.edge = std.Dim(0).BlockSize()
 	for i := range bs.buckets {
 		b := &bs.buckets[i]
@@ -83,73 +73,60 @@ func (bs *BucketSet) slotsStandard(std *Standard) {
 				continue
 			}
 			nonTop |= 1 << uint(t)
-			sc.path[t], sc.groups[t] = od.appendScalingPath(sc.path[t][:0], sc.groups[t][:0], bt)
 		}
 		sc.dst = b.Deltas
 		for set := nonTop; set > 0; set = (set - 1) & nonTop {
 			sc.in = set
-			bs.slotsStandardSet(std, b.Block)
+			bs.slotsStandardSet(std)
 		}
 	}
 }
 
 // slotsStandardSet adds the slots whose scaling dimensions are exactly
-// sc.in: one source block per choice of ancestor tile along those
-// dimensions, each folded over every real slot of the others.
-func (bs *BucketSet) slotsStandardSet(std *Standard, block int) {
-	sc := &bs.slots
-	d := len(sc.tiles)
-	for t := 0; t < d; t++ {
-		sc.choice[t] = 0
-	}
-	for {
-		src := block
-		for t := 0; t < d; t++ {
-			if sc.in>>uint(t)&1 == 1 {
-				src += (sc.groups[t][sc.choice[t]].bt - sc.tiles[t]) * std.Stride(t)
-			}
+// sc.in. Its plan takes those dimensions' scaling paths (Plan.ScalingPath)
+// and stays on the bucket's tile along the others, so the walk visits one
+// source block per choice of ancestor tile along the scaling dimensions,
+// its runs the path entries in that tile; each is folded over every real
+// slot of the other dimensions.
+func (bs *BucketSet) slotsStandardSet(std *Standard) {
+	sc, p := &bs.slots, &bs.plan
+	p.Reset(std)
+	for t, bt := range sc.tiles {
+		if sc.in>>uint(t)&1 == 1 {
+			p.ScalingPath(bt)
+		} else {
+			p.Stay(bt)
 		}
+	}
+	for p.Next() {
+		src, _ := p.Block()
 		if k, ok := bs.index[src]; ok {
 			sc.src = bs.buckets[k].Deltas
-			sc.fold(0, 0, 0, 1)
-		}
-		t := d - 1
-		for ; t >= 0; t-- {
-			if sc.in>>uint(t)&1 == 0 {
-				continue
-			}
-			if sc.choice[t]++; sc.choice[t] < len(sc.groups[t]) {
-				break
-			}
-			sc.choice[t] = 0
-		}
-		if t < 0 {
-			return
+			sc.fold(p, 0, 0, 0, 1)
 		}
 	}
 }
 
 // fold walks dimensions t.. of one source block, dst and src the slot
 // prefixes of dimensions ..t-1: a scaling dimension takes slot 0 in the
-// destination and its chosen group's path entries in the source, any other
-// the same real slot in both. The last dimension is folded in place.
-func (sc *slotScratch) fold(t, dst, src int, w float64) {
+// destination and its run of path entries in the source, any other the
+// same real slot in both. The last dimension is folded in place.
+func (sc *slotScratch) fold(p *Plan, t, dst, src int, w float64) {
 	dst *= sc.edge
 	src *= sc.edge
 	last := t == len(sc.tiles)-1
 	if sc.in>>uint(t)&1 == 1 {
-		g := sc.groups[t][sc.choice[t]]
-		path := sc.path[t][g.lo:g.hi]
+		path := p.Run(t)
 		if last {
 			sum := 0.0
 			for _, e := range path {
-				sum += e.w * sc.src[src+e.st]
+				sum += e.W * sc.src[src+e.Slot]
 			}
 			sc.dst[dst] += w * sum
 			return
 		}
 		for _, e := range path {
-			sc.fold(t+1, dst, src+e.st, w*e.w)
+			sc.fold(p, t+1, dst, src+e.Slot, w*e.W)
 		}
 		return
 	}
@@ -162,34 +139,8 @@ func (sc *slotScratch) fold(t, dst, src int, w float64) {
 		return
 	}
 	for s := lo; s < hi; s++ {
-		sc.fold(t+1, dst+s, src+s, w)
+		sc.fold(p, t+1, dst+s, src+s, w)
 	}
-}
-
-// appendScalingPath appends the located core.ScalingPath1D of a non-top
-// tile's root — the overall average, then the ±1-weighted details from the
-// root level down to the level above the tile's root — and its grouping by
-// tile: entries lie in the tile's ancestors, top first, each tile's run
-// contiguous.
-func (t *OneD) appendScalingPath(path []locTarget, groups []pathGroup, block int) ([]locTarget, []pathGroup) {
-	j, k := t.RootOf(block)
-	path = append(path, locTarget{w: 1, bt: t.top, st: 0})
-	for l := t.n; l > j; l-- {
-		w := 1.0
-		if k>>uint(l-j-1)&1 == 1 {
-			w = -1
-		}
-		bt, st := t.Locate1D(1<<uint(t.n-l) + k>>uint(l-j))
-		path = append(path, locTarget{w: w, bt: bt, st: st})
-	}
-	for i, e := range path {
-		if n := len(groups); n > 0 && groups[n-1].bt == e.bt {
-			groups[n-1].hi = i + 1
-			continue
-		}
-		groups = append(groups, pathGroup{bt: e.bt, lo: i, hi: i + 1})
-	}
-	return path, groups
 }
 
 // slotsNonStandard adds, to slot 0 of every touched tile but the top one,
