@@ -59,12 +59,6 @@ func (iv Interval) Covers(other Interval) bool {
 	return iv.Level >= other.Level && other.Pos>>uint(iv.Level-other.Level) == iv.Pos
 }
 
-// Overlaps reports whether the two intervals share any point. For dyadic
-// intervals this happens iff one covers the other.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Covers(other) || other.Covers(iv)
-}
-
 // Parent returns the dyadic interval one level up that covers iv.
 func (iv Interval) Parent() Interval {
 	return Interval{Level: iv.Level + 1, Pos: iv.Pos / 2}
@@ -86,10 +80,6 @@ func (iv Interval) Right() Interval {
 	}
 	return Interval{Level: iv.Level - 1, Pos: 2*iv.Pos + 1}
 }
-
-// IsLeftChild reports whether iv is the left child of its parent,
-// i.e. whether Pos is even.
-func (iv Interval) IsLeftChild() bool { return iv.Pos%2 == 0 }
 
 // AncestorAt returns the dyadic interval at the given level >= iv.Level
 // that covers iv.
@@ -157,16 +147,6 @@ func (r Range) Volume() int {
 	return v
 }
 
-// IsCubic reports whether all dimensions share one level.
-func (r Range) IsCubic() bool {
-	for _, iv := range r[1:] {
-		if iv.Level != r[0].Level {
-			return false
-		}
-	}
-	return true
-}
-
 // Start returns the lower corner of the range.
 func (r Range) Start() []int {
 	s := make([]int, len(r))
@@ -222,17 +202,4 @@ func (r Range) Contains(point []int) bool {
 		}
 	}
 	return true
-}
-
-// Intersect returns the common dyadic interval of two overlapping
-// intervals (the smaller of the two, since dyadic intervals are nested or
-// disjoint) and reports whether they overlap at all.
-func (iv Interval) Intersect(other Interval) (Interval, bool) {
-	if iv.Covers(other) {
-		return other, true
-	}
-	if other.Covers(iv) {
-		return iv, true
-	}
-	return Interval{}, false
 }

@@ -57,9 +57,6 @@ func TestParentChildRoundTrip(t *testing.T) {
 			if iv.Left().Parent() != iv || iv.Right().Parent() != iv {
 				t.Fatalf("parent/child round trip failed at %v", iv)
 			}
-			if !iv.Left().IsLeftChild() || iv.Right().IsLeftChild() {
-				t.Fatalf("IsLeftChild wrong at %v", iv)
-			}
 		}
 	}
 }
@@ -92,18 +89,6 @@ func TestAncestorAt(t *testing.T) {
 	anc := iv.AncestorAt(4)
 	if !anc.Covers(iv) {
 		t.Error("ancestor does not cover")
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := NewInterval(2, 1) // [4,7]
-	b := NewInterval(1, 2) // [4,5]
-	c := NewInterval(1, 4) // [8,9]
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested intervals should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("disjoint intervals should not overlap")
 	}
 }
 
@@ -154,7 +139,7 @@ func TestDecomposeProperties(t *testing.T) {
 		// Minimality: no two adjacent same-level intervals that could merge.
 		for i := 1; i < len(ivs); i++ {
 			a, b := ivs[i-1], ivs[i]
-			if a.Level == b.Level && a.Pos+1 == b.Pos && a.IsLeftChild() {
+			if a.Level == b.Level && a.Pos+1 == b.Pos && a.Pos%2 == 0 {
 				t.Fatalf("non-minimal decomposition: %v + %v mergeable", a, b)
 			}
 		}
@@ -163,7 +148,7 @@ func TestDecomposeProperties(t *testing.T) {
 
 func TestRangeBasics(t *testing.T) {
 	r := NewCubeRange(2, []int{1, 3})
-	if r.Dims() != 2 || r.Volume() != 16 || !r.IsCubic() {
+	if r.Dims() != 2 || r.Volume() != 16 {
 		t.Fatalf("range geometry wrong: %v", r)
 	}
 	if s := r.Start(); s[0] != 4 || s[1] != 12 {
@@ -259,9 +244,6 @@ func TestCubeRangePathToRoot(t *testing.T) {
 
 func TestRangeNonCubic(t *testing.T) {
 	r := Range{NewInterval(2, 0), NewInterval(3, 0)}
-	if r.IsCubic() {
-		t.Error("mixed levels reported cubic")
-	}
 	if r.Volume() != 32 {
 		t.Errorf("Volume = %d", r.Volume())
 	}
@@ -297,21 +279,5 @@ func TestRangeContains(t *testing.T) {
 	}
 	if r.Contains([]int{3, 6}) || r.Contains([]int{5, 8}) || r.Contains([]int{5}) {
 		t.Error("points outside contained")
-	}
-}
-
-func TestIntervalIntersect(t *testing.T) {
-	big := NewInterval(3, 0)   // [0,7]
-	small := NewInterval(1, 2) // [4,5]
-	got, ok := big.Intersect(small)
-	if !ok || got != small {
-		t.Errorf("Intersect = %v, %v", got, ok)
-	}
-	got, ok = small.Intersect(big)
-	if !ok || got != small {
-		t.Errorf("reverse Intersect = %v, %v", got, ok)
-	}
-	if _, ok := small.Intersect(NewInterval(1, 3)); ok {
-		t.Error("disjoint intervals intersected")
 	}
 }

@@ -124,17 +124,6 @@ func PointPath(n, i int) []Coef {
 	return path
 }
 
-// ReconstructPoint evaluates a[i] from the transform using Lemma 1, touching
-// exactly log2(len(hat)) + 1 coefficients.
-func ReconstructPoint(hat []float64, i int) float64 {
-	n := bitutil.Log2(len(hat))
-	v := 0.0
-	for _, c := range PointPath(n, i) {
-		v += c.Weight * hat[c.Index]
-	}
-	return v
-}
-
 // PrefixSumCoefs returns the weighted coefficients whose combination yields
 // the prefix sum S(t) = a[0] + ... + a[t-1], for 0 <= t <= 2^n. At most
 // n+1 coefficients are referenced (the overall average plus one detail per
@@ -249,13 +238,6 @@ func ScalingAt(hat []float64, j, k int) float64 {
 		}
 	}
 	return u
-}
-
-// ChildScaling applies one inverse decomposition step: given the scaling
-// coefficient u of a node and its detail w, it returns the two child scaling
-// coefficients (left = u + w, right = u - w).
-func ChildScaling(u, w float64) (left, right float64) {
-	return u + w, u - w
 }
 
 // TransformInto computes the Haar transform of src into dst (both length

@@ -80,11 +80,11 @@ func TestApproximateRangeSumFromCompressed(t *testing.T) {
 		s := []int{rng.Intn(16), rng.Intn(16)}
 		sh := []int{8 + rng.Intn(8), 8 + rng.Intn(8)}
 		exact := src.SumRange(s, sh)
-		full := ApproximateRangeSum(exactHat.Transform(), s, sh)
+		full := wavelet.RangeSumStandard(exactHat.Transform(), s, sh)
 		if math.Abs(full-exact) > 1e-6 {
 			t.Fatalf("lossless synopsis answered %g, exact %g", full, exact)
 		}
-		approx := ApproximateRangeSum(small.Transform(), s, sh)
+		approx := wavelet.RangeSumStandard(small.Transform(), s, sh)
 		rel := math.Abs(approx-exact) / (1 + math.Abs(exact))
 		if rel > worstSmall {
 			worstSmall = rel
