@@ -19,6 +19,14 @@
 // A Sequential tiling (flat row-major chunks of the coefficient array,
 // ignoring tree structure) is included as the ablation baseline.
 //
+// Every standard-form operation reads or writes the cross product of one
+// coefficient list per dimension: Lemma 2's range-sum lists, a point's
+// leaf path, an extraction's dyadic pieces, a merge's SPLIT targets and
+// SHIFT details, a tile root's scaling path. Plan holds those lists, each
+// located in its dimension's OneD tiling, and walks the blocks of their
+// cross product once each; the query kernels, extraction, progressive
+// queries, the merge kernel and the scaling-slot step all plan on it.
+//
 // Slot 0 of every tile is reserved for the scaling coefficient of the tile's
 // root. For the tile containing the tree root this is the transform's
 // overall average; for all other tiles it is redundant derived data that the
