@@ -66,13 +66,14 @@ func checkV2(a, b []byte) uint64 {
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // mediaBytes returns the on-media bytes of s: s's own memory on a
-// little-endian host, so a check hashes the slots in place; elsewhere s
+// little-endian host, so a check hashes the slots in place and the frame
+// codec (decodeFrames, encodeFrames) copies through it; elsewhere s
 // serialized into scratch, which must hold 8*len(s) bytes.
 func mediaBytes(s []float64, scratch []byte) []byte {
 	if littleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
 	}
-	encodeFrames(scratch, s)
+	encodeFramesPortable(scratch, s)
 	return scratch[:8*len(s)]
 }
 

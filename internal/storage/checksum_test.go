@@ -472,18 +472,6 @@ func TestSetEpochRejectsOverflow(t *testing.T) {
 	}
 }
 
-// TestMediaBytesMatchesEncoding: the in-place view a little-endian host
-// hashes is exactly the serialization every other host hashes.
-func TestMediaBytesMatchesEncoding(t *testing.T) {
-	s := []float64{0, -0.0, 1.5, math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(1 << 63)}
-	want := make([]byte, 8*len(s))
-	encodeFrames(want, s)
-	got := mediaBytes(s, make([]byte, 8*len(s)))
-	if string(got) != string(want) {
-		t.Fatalf("mediaBytes = %x, want %x", got, want)
-	}
-}
-
 // BenchmarkFrameVerify verifies one framed 2 KiB block in memory, the check
 // every verified read pays: v1 (CRC-64, read-only) against v2.
 func BenchmarkFrameVerify(b *testing.B) {

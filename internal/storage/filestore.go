@@ -152,8 +152,31 @@ func (s *FileStore) runBuf(blocks int) (*[]byte, *sync.Pool) {
 }
 
 // decodeFrames decodes consecutive little-endian frames from b, one per
-// buffer.
+// buffer. On a little-endian host a buffer's own memory is its on-media
+// bytes, so each frame is one copy; elsewhere it is decoded per slot.
 func decodeFrames(b []byte, bufs ...[]float64) {
+	if !littleEndian {
+		decodeFramesPortable(b, bufs...)
+		return
+	}
+	for _, buf := range bufs {
+		b = b[copy(mediaBytes(buf, nil), b):]
+	}
+}
+
+// encodeFrames is the inverse of decodeFrames.
+func encodeFrames(b []byte, data ...[]float64) {
+	if !littleEndian {
+		encodeFramesPortable(b, data...)
+		return
+	}
+	for _, d := range data {
+		b = b[copy(b, mediaBytes(d, nil)):]
+	}
+}
+
+// decodeFramesPortable is decodeFrames one slot at a time, for any host.
+func decodeFramesPortable(b []byte, bufs ...[]float64) {
 	for _, buf := range bufs {
 		for j := range buf {
 			buf[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
@@ -162,8 +185,8 @@ func decodeFrames(b []byte, bufs ...[]float64) {
 	}
 }
 
-// encodeFrames is the inverse of decodeFrames.
-func encodeFrames(b []byte, data ...[]float64) {
+// encodeFramesPortable is encodeFrames one slot at a time, for any host.
+func encodeFramesPortable(b []byte, data ...[]float64) {
 	for _, d := range data {
 		for j, v := range d {
 			binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(v))

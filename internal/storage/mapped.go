@@ -219,8 +219,19 @@ func copyMapped(dst, src []byte) (err error) {
 
 // decodeFrame fills buf from the mapped bytes at off, reading zeros for
 // any part of the frame beyond the mapped extent (a lazily allocated
-// medium, exactly as FileStore reads past EOF).
+// medium, exactly as FileStore reads past EOF). On a little-endian host it
+// is one copy of the bytes that exist.
 func decodeFrame(data []byte, off int64, buf []float64) {
+	if !littleEndian {
+		decodeFramePortable(data, off, buf)
+		return
+	}
+	dst := mediaBytes(buf, nil)
+	clear(dst[copy(dst, data[off:]):])
+}
+
+// decodeFramePortable is decodeFrame one slot at a time, for any host.
+func decodeFramePortable(data []byte, off int64, buf []float64) {
 	for j := range buf {
 		p := off + int64(8*j)
 		if p+8 <= int64(len(data)) {
