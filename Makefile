@@ -119,15 +119,23 @@ chaos-smoke:
 # ns/op and allocs/op on both forms.
 # TestDurableCommitAllocBudget gates a steady-state 9-block durable commit
 # (the journal reuses its record slab); BenchmarkDurableCommit reports its
-# cost, and BenchmarkFrameVerify/v1 and /v2 the check one verified 2 KiB
-# read pays in each on-media format.
+# cost, BenchmarkFrameVerify/v1 and /v2 the check one verified 2 KiB
+# read pays in each on-media format, and BenchmarkFrameCodec the conversion
+# between frame bytes and coefficients every device read and write pays,
+# for one frame and for a 64-frame coalesced run (one copy per frame on a
+# little-endian host; TestFrameCodecBitExact pins it bit for bit).
 # BenchmarkExtractBox (a many-piece box of a 1024² store at TileBits 4, both
 # forms), BenchmarkExtractBlock, BenchmarkR6PartialReconstruction and
 # BenchmarkProgressiveRangeSum report the extraction and progressive read
 # paths' ns/op, allocs/op and, for ExtractBox, blocks/op.
-# TestColdRangeSumAllocBudget gates the cold read path: a standard range sum
-# through OpenServingOpts on a durable, versioned pread store, every block a
-# cache miss, allocates its snapshot and nothing else (budget 1).
+# TestColdRangeSumAllocBudget gates the cold read path: a range sum of
+# either form through OpenServingOpts on a durable, versioned store, on the
+# pread and on the mapped read leg, every block a cache miss, allocates its
+# snapshot and nothing else (budget 1). BenchmarkRangeSumCold reports the
+# same path's ns/op, allocs/op and blocks/op on the benchmark harness's
+# query_cold setup (1024², TileBits 4, a cache of 1/16 of the blocks, its
+# box distribution), std/pread and nonstd/mapped; add -cpuprofile to
+# profile the cold path without bench/.
 # BenchmarkRangeSumNonStandard reports the non-standard range-sum kernel's
 # ns/op, allocs/op and blocks/op on the benchmark harness's geometry (1024²,
 # TileBits 4, its box distribution) over an in-memory store.
@@ -142,7 +150,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerOLAP' -benchmem -benchtime 20x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameVerify|BenchmarkDurableCommit' -benchmem -benchtime 2000x ./internal/storage/
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameVerify|BenchmarkDurableCommit|BenchmarkFrameCodec' -benchmem -benchtime 2000x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
 		-benchmem -benchtime 3x ./internal/transform/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppender$$|BenchmarkAppendBatchGroup|BenchmarkExpand' -benchmem -benchtime 3x ./internal/appender/
@@ -153,6 +161,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileFlush' -benchmem -benchtime 3x ./internal/tile/
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractBlock$$|BenchmarkExtractBox|BenchmarkR6PartialReconstruction|BenchmarkProgressiveRangeSum' \
 		-benchmem -benchtime 20x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumCold' -benchmem -benchtime 2000x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
 	$(GO) test -run 'TestPointAllocBudget' -count=1 -v ./internal/query/
 

@@ -7,6 +7,7 @@ package shiftsplit
 
 import (
 	"math/rand"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -181,6 +182,66 @@ func BenchmarkExtractBox(b *testing.B) {
 			blocks := 0
 			for i := 0; i < b.N; i++ {
 				_, n, err := st.ExtractBox(start, extent)
+				if err != nil {
+					b.Fatal(err)
+				}
+				blocks += n
+			}
+			b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+		})
+	}
+}
+
+// BenchmarkRangeSumCold serves range sums the way the benchmark harness's
+// query_cold workload does: a durable, versioned 1024² store at TileBits 4,
+// reopened for serving with a cache of 1/16 of its blocks, asked the
+// harness's boxes (start below 512 and extent 1..512 per dimension). The
+// standard store reads through pread, the non-standard one through the
+// mapping, so the two sub-benchmarks cover both device read legs; run it
+// with -cpuprofile to see where a cold block's time goes. It reports
+// ns/op, allocs/op and blocks/op.
+func BenchmarkRangeSumCold(b *testing.B) {
+	src := dataset.Dense([]int{1024, 1024}, 1)
+	rng := rand.New(rand.NewSource(1))
+	const half = 512
+	starts, extents := make([][]int, 1024), make([][]int, 1024)
+	for i := range starts {
+		starts[i] = []int{rng.Intn(half), rng.Intn(half)}
+		extents[i] = []int{1 + rng.Intn(half), 1 + rng.Intn(half)}
+	}
+	for _, c := range []struct {
+		name   string
+		form   Form
+		mapped bool
+	}{{"std/pread", Standard, false}, {"nonstd/mapped", NonStandard, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "cold.wav")
+			st, err := CreateStore(StoreOptions{Shape: []int{1024, 1024}, Form: c.form, TileBits: 4, Path: path, Durable: true, Versioned: true, Mapped: c.mapped})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.TransformChunked(src, 6); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			sv, err := OpenServingOpts(path, ServeOptions{CacheBlocks: st.NumBlocks() / 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sv.Close()
+			for k := range starts { // fill the cache with the workload's own blocks
+				if _, _, err := sv.RangeSum(starts[k], extents[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			blocks := 0
+			for i := 0; i < b.N; i++ {
+				k := i % len(starts)
+				_, n, err := sv.RangeSum(starts[k], extents[k])
 				if err != nil {
 					b.Fatal(err)
 				}

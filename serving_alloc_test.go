@@ -1,23 +1,39 @@
 package shiftsplit
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
 )
 
-// TestColdRangeSumAllocBudget gates a cold standard range sum through the
-// serving stack on the benchmark's standard store kind — durable,
-// versioned, pread — with the cache emptied before every query, so each
-// block misses, is remapped through the epoch table, read by the
-// FileStore in coalesced runs and checksum-verified. What is left is the
-// pinned snapshot; the read path itself allocates nothing.
+// TestColdRangeSumAllocBudget gates a cold range sum through the serving
+// stack on the benchmark's store kind — durable, versioned — in both forms
+// on both read legs (pread and mapped), with the cache emptied before
+// every query, so each block misses, is remapped through the epoch table,
+// read by the device (in coalesced runs, or out of the mapping) and
+// checksum-verified. What is left is the pinned snapshot; the read path
+// itself allocates nothing.
 func TestColdRangeSumAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector: allocation counts are not the product's")
 	}
+	for _, form := range []Form{Standard, NonStandard} {
+		for _, mapped := range []bool{false, true} {
+			leg := "pread"
+			if mapped {
+				leg = "mapped"
+			}
+			t.Run(fmt.Sprintf("%v/%s", form, leg), func(t *testing.T) {
+				coldRangeSumAllocs(t, form, mapped)
+			})
+		}
+	}
+}
+
+func coldRangeSumAllocs(t *testing.T, form Form, mapped bool) {
 	path := filepath.Join(t.TempDir(), "cold.wav")
-	st, err := CreateStore(StoreOptions{Shape: []int{256, 256}, Form: Standard, TileBits: 4, Path: path, Durable: true, Versioned: true})
+	st, err := CreateStore(StoreOptions{Shape: []int{256, 256}, Form: form, TileBits: 4, Path: path, Durable: true, Versioned: true, Mapped: mapped})
 	if err != nil {
 		t.Fatal(err)
 	}
