@@ -31,9 +31,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The repo's own invariant suite (journal bypasses, dropped storage
-# errors, escaping pooled scratch, map-ordered float sums, unlocked
-# durable stores), then the pinned external linters when present.
+# The repo's own invariant suite, eleven analyzers (journalwrite,
+# storageerr, scratchescape, maprangefloat, lockedstore, batchio, errclass,
+# ctxflow, lockorder, atomicfield, resourceleak; DESIGN §9), then the
+# pinned external linters when present.
 lint:
 	$(GO) run ./cmd/shiftsplitvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -95,9 +95,12 @@ func (s *Store) Scale(factor float64) error {
 // along dim (Snapshot.OLAP's rollup), not the whole store. Standard form
 // only. It returns the reduced transform and the number of blocks read.
 func (s *Store) RollupFromStore(dim int) (*Array, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	data, blocks, err := snap.OLAP(OLAPOp{Op: "rollup", Dim: dim})
+	var data *Array
+	var blocks int
+	err := s.WithSnapshot(func(sn *Snapshot) (err error) {
+		data, blocks, err = sn.OLAP(OLAPOp{Op: "rollup", Dim: dim})
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}

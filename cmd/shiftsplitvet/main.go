@@ -13,13 +13,13 @@
 //	lockorder      consistent lock acquisition order; no self-deadlock, leaked locks, or channel ops under a lock
 //	atomicfield    a field accessed via sync/atomic anywhere must be atomic everywhere
 //	resourceleak   tickers/timers/files/handles must reach Stop/Close on every path; goroutines must be joinable
-//	snapshotrelease  acquired MVCC epoch snapshots must reach Release on every path
 //
-// Three are CFG-based — lockorder, resourceleak and snapshotrelease run
-// path analyses over internal/analyzers/cfg control-flow graphs instead of
-// matching syntax — and two share cross-package facts through the
-// multichecker's fact store: lockorder its lock acquisition sets,
-// atomicfield its atomic fields.
+// Two are CFG-based — lockorder and resourceleak run path analyses over
+// internal/analyzers/cfg control-flow graphs instead of matching syntax —
+// and two share cross-package facts through the multichecker's fact store:
+// lockorder its lock acquisition sets, atomicfield its atomic fields.
+// Snapshot pins need no analyzer: Store.WithSnapshot is the only way to
+// take one and releases it on every exit.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/analyzers/multichecker"
 	"github.com/shiftsplit/shiftsplit/internal/analyzers/resourceleak"
 	"github.com/shiftsplit/shiftsplit/internal/analyzers/scratchescape"
-	"github.com/shiftsplit/shiftsplit/internal/analyzers/snapshotrelease"
 	"github.com/shiftsplit/shiftsplit/internal/analyzers/storageerr"
 )
 
@@ -60,6 +59,5 @@ func main() {
 		lockorder.Analyzer,
 		atomicfield.Analyzer,
 		resourceleak.Analyzer,
-		snapshotrelease.Analyzer,
 	)
 }

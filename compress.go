@@ -71,10 +71,12 @@ type ProgressiveStep = query.ProgressiveStep
 // ProgressiveRangeSum answers a box aggregate progressively (coarse
 // coefficients first), returning the running estimates; the final step is
 // exact and its Blocks is the I/O done. Standard form only.
-func (s *Store) ProgressiveRangeSum(start, shape []int) ([]ProgressiveStep, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.ProgressiveRangeSum(start, shape)
+func (s *Store) ProgressiveRangeSum(start, shape []int) (steps []ProgressiveStep, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		steps, err = sn.ProgressiveRangeSum(start, shape)
+		return err
+	})
+	return steps, err
 }
 
 // ProgressiveRangeSumFunc is the streaming form of ProgressiveRangeSum: fn
@@ -82,7 +84,7 @@ func (s *Store) ProgressiveRangeSum(start, shape []int) ([]ProgressiveStep, erro
 // flush partial answers while later coefficients are still being folded. A
 // non-nil error from fn aborts the walk and is returned unchanged.
 func (s *Store) ProgressiveRangeSumFunc(start, shape []int, fn func(ProgressiveStep) error) error {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.ProgressiveRangeSumFunc(start, shape, fn)
+	return s.WithSnapshot(func(sn *Snapshot) error {
+		return sn.ProgressiveRangeSumFunc(start, shape, fn)
+	})
 }

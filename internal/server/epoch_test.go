@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -312,5 +315,74 @@ func TestQueriesProgressDuringWedgedFlip(t *testing.T) {
 	}
 	if got.Epoch != preEpoch+1 {
 		t.Fatalf("post-release response epoch %d, want %d", got.Epoch, preEpoch+1)
+	}
+}
+
+// hangUp is a ResponseWriter whose client goes away after the first
+// streamed line: the next write cancels the request and fails. It records
+// the pins held while that first line went out.
+type hangUp struct {
+	st     *shiftsplit.Store
+	header http.Header
+	cancel context.CancelFunc
+	lines  int
+	pinned int
+}
+
+func (h *hangUp) Header() http.Header { return h.header }
+func (h *hangUp) WriteHeader(int)     {}
+func (h *hangUp) Write(b []byte) (int, error) {
+	if h.lines > 0 {
+		h.cancel()
+		return 0, errors.New("client went away")
+	}
+	h.lines++
+	es, _ := h.st.EpochStats()
+	h.pinned = es.Pinned
+	return len(b), nil
+}
+
+// TestRequestMixLeavesNoPins sends a versioned store good requests on
+// every query route, a range sum that fails inside its pin, and a
+// progressive stream whose client goes away mid-stream; afterwards
+// /v1/stats must report no pinned snapshot.
+func TestRequestMixLeavesNoPins(t *testing.T) {
+	st := buildVersionedStore(t, []int{32, 32}, 64)
+	srv := New(st, Config{})
+	do := func(path, body string, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: status %d, want %d: %s", path, body, rec.Code, want, rec.Body)
+		}
+	}
+	do("/v1/point", `{"point":[5,7]}`, http.StatusOK)
+	do("/v1/rangesum", `{"start":[0,0],"extent":[8,8]}`, http.StatusOK)
+	do("/v1/progressive", `{"start":[3,5],"extent":[17,9]}`, http.StatusOK)
+	do("/v1/olap/rollup", `{"dim":0}`, http.StatusOK)
+	// The range-sum handler validates nothing itself: the kernel rejects
+	// the box under the pin.
+	do("/v1/rangesum", `{"start":[0,0],"extent":[99,4]}`, http.StatusBadRequest)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := &hangUp{st: st, header: make(http.Header), cancel: cancel}
+	req := httptest.NewRequest(http.MethodPost, "/v1/progressive", strings.NewReader(`{"start":[3,5],"extent":[17,9]}`)).WithContext(ctx)
+	failed := srv.failed.Load()
+	srv.Handler().ServeHTTP(client, req)
+	if client.lines != 1 || client.pinned != 1 || ctx.Err() == nil || srv.failed.Load() != failed+1 {
+		t.Fatalf("stream: %d lines sent with %d pins held, canceled %v, %d failures; want 1 line under 1 pin, then a failed, canceled stream",
+			client.lines, client.pinned, ctx.Err() != nil, srv.failed.Load()-failed)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Epochs == nil || stats.Epochs.Pinned != 0 {
+		t.Fatalf("after the request mix /v1/stats reports epochs %+v, want no pinned snapshot", stats.Epochs)
 	}
 }

@@ -47,18 +47,21 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		point = req.Point
 	}
 	before := s.st.DegradedReads()
-	snap := s.st.AcquireSnapshot()
-	defer snap.Release()
-	v, blocks, err := snap.Point(point...)
+	resp := pointResponse{Point: point}
+	err := s.st.WithSnapshot(func(snap *shiftsplit.Snapshot) (err error) {
+		resp.Value, resp.BlocksRead, err = snap.Point(point...)
+		resp.Epoch = snap.Epoch()
+		return err
+	})
 	if err == nil {
-		err = finite("value", v)
+		err = finite("value", resp.Value)
 	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.served.Add(1)
-	resp := pointResponse{Point: point, Value: v, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()}
+	resp.Degraded = s.degradedSince(before)
 	sc.out = resp.appendJSON(sc.out[:0])
 	send(w, jsonContentType, sc.out)
 }
@@ -94,18 +97,21 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 		start, extent = req.Start, req.Extent
 	}
 	before := s.st.DegradedReads()
-	snap := s.st.AcquireSnapshot()
-	defer snap.Release()
-	sum, blocks, err := snap.RangeSum(start, extent)
+	resp := rangeResponse{Start: start, Extent: extent}
+	err := s.st.WithSnapshot(func(snap *shiftsplit.Snapshot) (err error) {
+		resp.Sum, resp.BlocksRead, err = snap.RangeSum(start, extent)
+		resp.Epoch = snap.Epoch()
+		return err
+	})
 	if err == nil {
-		err = finite("sum", sum)
+		err = finite("sum", resp.Sum)
 	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.served.Add(1)
-	resp := rangeResponse{Start: start, Extent: extent, Sum: sum, BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()}
+	resp.Degraded = s.degradedSince(before)
 	sc.out = resp.appendJSON(sc.out[:0])
 	send(w, jsonContentType, sc.out)
 }
@@ -158,13 +164,11 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w) // Encode appends the NDJSON newline
 	before := s.st.DegradedReads()
-	// One pin for the whole stream: every refinement line describes the same
-	// epoch even while maintenance flips underneath.
-	snap := s.st.AcquireSnapshot()
-	defer snap.Release()
 	var last progressiveStep
 	have := false
-	err := snap.ProgressiveRangeSumFunc(req.Start, req.Extent, func(st shiftsplit.ProgressiveStep) error {
+	// One pin for the whole stream: every refinement line describes the same
+	// epoch even while maintenance flips underneath.
+	err := s.st.ProgressiveRangeSumFunc(req.Start, req.Extent, func(st shiftsplit.ProgressiveStep) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -236,14 +240,19 @@ func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	before := s.st.DegradedReads()
-	snap := s.st.AcquireSnapshot()
-	defer snap.Release()
-	out, blocks, err := snap.OLAP(op)
+	var out *shiftsplit.Array
+	resp := olapResponse{Op: op.Op, Dim: op.Dim}
+	err = s.st.WithSnapshot(func(snap *shiftsplit.Snapshot) (err error) {
+		out, resp.BlocksRead, err = snap.OLAP(op)
+		resp.Epoch = snap.Epoch()
+		return err
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.answer(w, olapResponse{Op: op.Op, Dim: op.Dim, Shape: out.Shape(), Values: out.Data(), BlocksRead: blocks, Degraded: s.degradedSince(before), Epoch: snap.Epoch()})
+	resp.Shape, resp.Values, resp.Degraded = out.Shape(), out.Data(), s.degradedSince(before)
+	s.answer(w, resp)
 }
 
 type healthResponse struct {

@@ -96,10 +96,12 @@ func TestOLAPReadsOnlyItsBand(t *testing.T) {
 				t.Errorf("mapped=%v dice %s: the 413 read %d blocks", mapped, body, reads)
 			}
 			// Half the domain is past MaxResultCells, so ask the library.
-			snap := st.AcquireSnapshot()
-			reads = st.Stats().Reads
-			_, blocks, err := snap.OLAP(shiftsplit.OLAPOp{Op: "dice", Dim: dim, Start: 512, Length: 512})
-			snap.Release()
+			var blocks int
+			err := st.WithSnapshot(func(snap *shiftsplit.Snapshot) (err error) {
+				reads = st.Stats().Reads
+				_, blocks, err = snap.OLAP(shiftsplit.OLAPOp{Op: "dice", Dim: dim, Start: 512, Length: 512})
+				return err
+			})
 			if reads = st.Stats().Reads - reads; err != nil || blocks != 2415 || int64(blocks) != reads {
 				t.Errorf("mapped=%v dice [512,+512) along %d: %d blocks, device reads %d, want 2415 (%v)", mapped, dim, blocks, reads, err)
 			}

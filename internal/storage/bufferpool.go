@@ -243,18 +243,6 @@ func (p *BufferPool) flushLocked() error {
 	return nil
 }
 
-// Commit flushes dirty blocks and forwards the durability point to the
-// wrapped store, so a transactional store under the pool seals everything
-// the pool was holding into the batch.
-func (p *BufferPool) Commit() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	return CommitIfAble(p.inner)
-}
-
 // HitRate returns hits, misses, and the hit fraction (0 when unused).
 func (p *BufferPool) HitRate() (hits, misses int64, rate float64) {
 	p.mu.Lock()

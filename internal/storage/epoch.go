@@ -819,9 +819,9 @@ func FsckVersioned(path string, blockSize, logical int) (*VersionedInfo, error) 
 // implements BlockStore for reads (writes fail with ErrSnapshotReadOnly)
 // and resolves every logical id through its pinned table against the
 // Versioned's read path, so it is safe for concurrent use whenever that
-// path is. Every Snapshot must reach Release on all paths — the
-// snapshotrelease analyzer proves it — or its epoch's blocks are never
-// reclaimed.
+// path is. Every Snapshot must be released, or its epoch's blocks are
+// never reclaimed; the root package pins only inside Store.WithSnapshot,
+// which releases on every exit.
 type Snapshot struct {
 	v *Versioned
 	t *epochTable

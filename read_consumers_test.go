@@ -217,13 +217,16 @@ func TestReadConsumersCountWhatTheyRead(t *testing.T) {
 // rootPathPoints returns a batch point query on the root path, the one a
 // store whose scaling slots are stale takes.
 func rootPathPoints(st *Store) func([][]int) ([]float64, int, error) {
-	return func(points [][]int) ([]float64, int, error) {
-		snap := st.AcquireSnapshot()
-		defer snap.Release()
-		if st.opts.Form == Standard {
-			return query.PointBatch(snap.ts, st.opts.Shape, points)
-		}
-		return query.PointBatchNonStandard(snap.ts, points)
+	return func(points [][]int) (vals []float64, blocks int, err error) {
+		err = st.WithSnapshot(func(snap *Snapshot) error {
+			if st.opts.Form == Standard {
+				vals, blocks, err = query.PointBatch(snap.ts, st.opts.Shape, points)
+			} else {
+				vals, blocks, err = query.PointBatchNonStandard(snap.ts, points)
+			}
+			return err
+		})
+		return vals, blocks, err
 	}
 }
 

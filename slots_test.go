@@ -82,29 +82,33 @@ func checkSlots(t *testing.T, st *Store) {
 			}
 		}
 	}
-	sn := st.AcquireSnapshot()
-	defer sn.Release()
 	point := make([]int, len(st.opts.Shape))
-	for cell := 0; cell < volume(st.opts.Shape); cell++ {
-		for i, rest := len(point)-1, cell; i >= 0; i-- {
-			point[i], rest = rest%st.opts.Shape[i], rest/st.opts.Shape[i]
+	err = st.WithSnapshot(func(sn *Snapshot) error {
+		for cell := 0; cell < volume(st.opts.Shape); cell++ {
+			for i, rest := len(point)-1, cell; i >= 0; i-- {
+				point[i], rest = rest%st.opts.Shape[i], rest/st.opts.Shape[i]
+			}
+			got, blocks, err := sn.Point(point...)
+			if err != nil {
+				return err
+			}
+			var root float64
+			if st.opts.Form == Standard {
+				root, _, err = query.PointViaRootPath(sn.ts, st.opts.Shape, point)
+			} else {
+				root, _, err = query.PointViaRootPathNonStandard(sn.ts, point)
+			}
+			if err != nil {
+				return err
+			}
+			if blocks != 1 || math.Abs(got-root) > 1e-12*math.Max(1, math.Abs(root)) {
+				return fmt.Errorf("cell %v = %v in %d blocks, the root path gives %v", point, got, blocks, root)
+			}
 		}
-		got, blocks, err := sn.Point(point...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var root float64
-		if st.opts.Form == Standard {
-			root, _, err = query.PointViaRootPath(sn.ts, st.opts.Shape, point)
-		} else {
-			root, _, err = query.PointViaRootPathNonStandard(sn.ts, point)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blocks != 1 || math.Abs(got-root) > 1e-12*math.Max(1, math.Abs(root)) {
-			t.Fatalf("cell %v = %v in %d blocks, the root path gives %v", point, got, blocks, root)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

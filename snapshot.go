@@ -17,13 +17,9 @@ import (
 // pass-through to the live store, preserving that configuration's exact
 // behavior and I/O accounting.
 //
-// Every acquired Snapshot must reach Release on all paths, including error
-// branches — the shiftsplitvet snapshotrelease analyzer proves this for the
-// tree — or the pinned epoch's physical blocks are never reclaimed.
-// Release is idempotent; the usual shape is
-//
-//	snap := st.AcquireSnapshot()
-//	defer snap.Release()
+// A Snapshot exists only inside Store.WithSnapshot, which unpins it when
+// the callback exits, so a pin cannot leak by construction. A Snapshot must
+// not be used after its callback returns.
 //
 // Snapshots are safe for concurrent use whenever the store's read path is
 // (anything opened with OpenServing, in-memory and plain file stores).
@@ -31,38 +27,27 @@ type Snapshot struct {
 	st    *Store
 	ts    *tile.Store // &tiles on a versioned store, else the live store
 	epoch uint64
-	// pin and tiles are held by value, so acquiring a snapshot is one
-	// allocation: pin is the epoch pin (versioned stores only) and tiles the
-	// tile view over it.
+	// pin and tiles are held by value, so a snapshot is one allocation: pin
+	// is the epoch pin (versioned stores only) and tiles the tile view over
+	// it.
 	pin   storage.Snapshot
 	tiles tile.Store
 }
 
-// AcquireSnapshot pins the current committed epoch for reading (see
-// Snapshot). The caller must Release it on every path.
-func (s *Store) AcquireSnapshot() *Snapshot {
+// WithSnapshot pins the current committed epoch, runs fn against it and
+// returns its error. The pin is released on every exit of fn: a return, a
+// panic or runtime.Goexit.
+func (s *Store) WithSnapshot(fn func(*Snapshot) error) error {
 	sn := &Snapshot{st: s, ts: s.store}
-	if s.versioned == nil {
-		return sn
+	if s.versioned != nil {
+		s.versioned.Pin(&sn.pin)
+		defer sn.pin.Release()
+		if err := sn.tiles.Init(&sn.pin, s.tiling); err != nil {
+			return err
+		}
+		sn.ts, sn.epoch = &sn.tiles, sn.pin.Epoch()
 	}
-	s.versioned.Pin(&sn.pin)
-	if err := sn.tiles.Init(&sn.pin, s.tiling); err != nil {
-		// Unreachable: the snapshot's block size equals the tiling's by
-		// construction. Degrade to the live store rather than failing reads.
-		sn.pin.Release()
-		return sn
-	}
-	sn.ts = &sn.tiles
-	sn.epoch = sn.pin.Epoch()
-	return sn
-}
-
-// Release unpins the snapshot's epoch (idempotent, no-op on non-versioned
-// stores).
-func (sn *Snapshot) Release() {
-	if sn.st.versioned != nil {
-		sn.pin.Release()
-	}
+	return fn(sn)
 }
 
 // Epoch returns the pinned epoch (always 0 on non-versioned stores).

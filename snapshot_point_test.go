@@ -67,33 +67,37 @@ func TestNonStandardPointMatchesExtractBlock(t *testing.T) {
 			if err := st.TransformChunked(randArray(rand.New(rand.NewSource(31)), g.shape...), 1); err != nil {
 				t.Fatal(err)
 			}
-			sn := st.AcquireSnapshot()
-			defer sn.Release()
 			point := make([]int, len(g.shape))
-			for cell := 0; cell < volume(g.shape); cell++ {
-				for i, rest := len(point)-1, cell; i >= 0; i-- {
-					point[i], rest = rest%g.shape[i], rest/g.shape[i]
+			err = st.WithSnapshot(func(sn *Snapshot) error {
+				for cell := 0; cell < volume(g.shape); cell++ {
+					for i, rest := len(point)-1, cell; i >= 0; i-- {
+						point[i], rest = rest%g.shape[i], rest/g.shape[i]
+					}
+					clear(log.read)
+					want, wantIO, err := oldPointNonStandard(sn, point)
+					if err != nil {
+						return err
+					}
+					wantRead := maps.Clone(log.read)
+					if len(wantRead) != wantIO {
+						return fmt.Errorf("cell %v: extraction counts %d blocks, the device saw %v", point, wantIO, wantRead)
+					}
+					clear(log.read)
+					got, gotIO, err := query.PointViaRootPathNonStandard(sn.ts, point)
+					if err != nil {
+						return err
+					}
+					if gotIO != wantIO || !maps.Equal(log.read, wantRead) {
+						return fmt.Errorf("cell %v: %d blocks %v, extraction read %d blocks %v", point, gotIO, log.read, wantIO, wantRead)
+					}
+					if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+						return fmt.Errorf("cell %v = %v, extraction gives %v", point, got, want)
+					}
 				}
-				clear(log.read)
-				want, wantIO, err := oldPointNonStandard(sn, point)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRead := maps.Clone(log.read)
-				if len(wantRead) != wantIO {
-					t.Fatalf("cell %v: extraction counts %d blocks, the device saw %v", point, wantIO, wantRead)
-				}
-				clear(log.read)
-				got, gotIO, err := query.PointViaRootPathNonStandard(sn.ts, point)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotIO != wantIO || !maps.Equal(log.read, wantRead) {
-					t.Fatalf("cell %v: %d blocks %v, extraction read %d blocks %v", point, gotIO, log.read, wantIO, wantRead)
-				}
-				if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
-					t.Fatalf("cell %v = %v, extraction gives %v", point, got, want)
-				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -27,8 +27,6 @@ type stackSpec struct {
 	plan *storage.CrashPlan
 	// wrap wraps the raw data device, below the checksum layer.
 	wrap func(storage.BlockStore) storage.BlockStore
-	// poolBlocks sizes the single-threaded write-back buffer pool.
-	poolBlocks int
 	// serve, when non-nil, selects the concurrent serving topology.
 	serve *ServeOptions
 }
@@ -93,7 +91,7 @@ type baseLayer interface {
 
 // assemble builds the stack sp describes. Bottom to top:
 //
-//	maintenance: device → [Durable] → Counting → [BufferPool] → [Versioned] → tile.Store
+//	maintenance: device → [Durable] → Counting → [Versioned] → tile.Store
 //	serving:     device → [Durable] → Counting → [Locked] → [Breaker] → [cache] → [Degraded] → [Versioned] → tile.Store
 //
 // The serving chain is safe under any number of querying goroutines. Locked
@@ -117,11 +115,11 @@ type baseLayer interface {
 //
 // No capability travels up this chain. The Store calls each one at the
 // layer that implements it, through the fields set here: a commit at the
-// Versioned, else the BufferPool, else base; a scrub, a repair and its
-// re-verification at base — the Counting, or the Locked over it that the
-// read path shares — below the cache and breaker, so they see the medium and
-// neither trip nor pollute the layers above; the mapped-read count at the
-// raw device, before any BaseWrap (DESIGN §11).
+// Versioned, else base; a scrub, a repair and its re-verification at base —
+// the Counting, or the Locked over it that the read path shares — below the
+// cache and breaker, so they see the medium and neither trip nor pollute
+// the layers above; the mapped-read count at the raw device, before any
+// BaseWrap (DESIGN §11).
 //
 // Whatever has been opened is closed again on every error path.
 func assemble(sp stackSpec) (_ *Store, err error) {
@@ -134,7 +132,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		opts: StoreOptions{
 			Shape: m.Shape, Form: form, TileBits: m.TileBits, Path: sp.path,
 			Mapped: m.Mapped, Durable: m.Durable, Versioned: m.Versioned,
-			CacheBlocks: sp.poolBlocks, FaultPlan: sp.plan, BaseWrap: sp.wrap,
+			FaultPlan: sp.plan, BaseWrap: sp.wrap,
 		},
 		tiling: tiling,
 	}
@@ -179,15 +177,10 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 	if serve && m.Durable && !m.Versioned {
 		out.base = storage.NewLocked(out.counting)
 	}
-	// write is where mutations and the epoch layer's table I/O enter, read
-	// is the chain queries come down.
-	var write, read storage.BlockStore = out.counting, out.base
-	if !serve {
-		if sp.poolBlocks > 0 {
-			out.pool = storage.NewBufferPool(out.counting, sp.poolBlocks)
-			write, read = out.pool, out.pool
-		}
-	} else {
+	// read is the chain queries come down; mutations and the epoch layer's
+	// table I/O enter at the Counting.
+	var read storage.BlockStore = out.base
+	if serve {
 		out.scrubSafe = true
 		if sp.serve.Breaker != nil {
 			out.breaker = storage.NewBreaker(read, *sp.serve.Breaker)
@@ -210,7 +203,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 	if m.Versioned {
 		// Durable recovery has already run (journal replayed or discarded),
 		// so the superblock read here lands on a consistent epoch.
-		if out.versioned, err = storage.NewVersionedSplit(write, read, tiling.NumBlocks()); err != nil {
+		if out.versioned, err = storage.NewVersionedSplit(out.counting, read, tiling.NumBlocks()); err != nil {
 			return nil, err
 		}
 		if out.cache != nil {

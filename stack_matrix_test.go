@@ -254,7 +254,6 @@ func TestStackMatrixPinned(t *testing.T) {
 		{"durable", func(o *StoreOptions) { o.Durable = true }},
 		{"versioned", func(o *StoreOptions) { o.Versioned = true }},
 		{"durable+versioned", func(o *StoreOptions) { o.Durable, o.Versioned = true, true }},
-		{"pool", func(o *StoreOptions) { o.CacheBlocks = 24 }},
 	}
 	seen := make(map[string]bool)
 	check := func(name string, o StoreOptions, h matrixHandle) {

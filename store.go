@@ -51,11 +51,6 @@ type StoreOptions struct {
 	// path, and the on-disk layout is unchanged — a mapped store's file
 	// can be reopened unmapped and vice versa. Requires Path.
 	Mapped bool
-	// CacheBlocks, when positive, interposes a write-back LRU buffer pool
-	// of that many blocks between the store and its I/O counter — the
-	// "available memory" knob of the paper's query scenarios. Stats then
-	// reports only the I/O that misses the cache.
-	CacheBlocks int
 	// Durable layers crash safety under the store: every block is framed
 	// with a 64-bit check word + epoch so torn writes and bit rot are
 	// detected on read, and every maintenance operation (Materialize,
@@ -107,15 +102,15 @@ type MaintainOptions struct {
 
 // engine lowers the public options to the internal pool configuration. The
 // physical I/O order on the destination must be exactly the sequential
-// engine's whenever the storage stack is order-sensitive: the write-back
-// buffer pool (hit/miss counts depend on access order), the serve cache
-// (ditto), and durable stores (crash campaigns kill maintenance at every
-// physical write index and expect a deterministic sequence).
+// engine's whenever the storage stack is order-sensitive: the serve cache
+// (hit/miss counts depend on access order) and durable stores (crash
+// campaigns kill maintenance at every physical write index and expect a
+// deterministic sequence).
 func (o MaintainOptions) engine(s *Store) parallel.Options {
 	return parallel.Options{
 		Workers:     o.Workers,
 		ChunkQueue:  o.ChunkQueue,
-		SerialApply: s.pool != nil || s.cache != nil || s.durable != nil || s.versioned != nil,
+		SerialApply: s.cache != nil || s.durable != nil || s.versioned != nil,
 	}
 }
 
@@ -129,19 +124,17 @@ func (o MaintainOptions) engine(s *Store) parallel.Options {
 // stores whose block device is — in-memory stores, plain file stores, and
 // anything opened with OpenServing — as every query works from per-call
 // buffers. Maintenance (Materialize, TransformChunked, MergeBlock,
-// ClearBlock) and stores opened with CacheBlocks > 0 (the single-threaded
-// write-back buffer pool) still require external synchronization, and
-// maintenance must not run concurrently with queries.
+// ClearBlock) still requires external synchronization, and maintenance
+// must not run concurrently with queries.
 type Store struct {
 	opts     StoreOptions
 	tiling   tile.Tiling
 	counting *storage.Counting
-	pool     *storage.BufferPool
 	cache    *cache.Sharded
 	durable  *storage.Durable
 	// versioned, when non-nil, is the MVCC epoch layer the tile store sits
 	// on: queries pin epochs through it, maintenance builds the next epoch
-	// behind it (see AcquireSnapshot).
+	// behind it (see WithSnapshot).
 	versioned *storage.Versioned
 	store     *tile.Store
 	// mergeSets pools the *tile.BucketSet MergeBlock buckets an embedding
@@ -160,9 +153,9 @@ type Store struct {
 	slotsOnMedia bool
 
 	// base is the layer under the serving layers where commits (on stores
-	// with neither epoch layer nor buffer pool), scrubs and repairs enter:
-	// below the cache and breaker, above the device, sharing the serving
-	// path's lock (see assemble).
+	// without the epoch layer), scrubs and repairs enter: below the cache
+	// and breaker, above the device, sharing the serving path's lock (see
+	// assemble).
 	base      baseLayer
 	scrubSafe bool // base may be walked concurrently with queries
 	// mapped is the raw data device's mapped-read counter when the device
@@ -229,7 +222,7 @@ func CreateStore(opts StoreOptions) (*Store, error) {
 			Durable:      opts.Durable, Mapped: opts.Mapped, Versioned: opts.Versioned,
 		},
 		path: opts.Path, create: true,
-		plan: opts.FaultPlan, wrap: opts.BaseWrap, poolBlocks: opts.CacheBlocks,
+		plan: opts.FaultPlan, wrap: opts.BaseWrap,
 	})
 }
 
@@ -265,8 +258,9 @@ func (s *Store) mappedReads() int64 {
 	return s.mapped.MappedReads()
 }
 
-// Flush writes any cached dirty blocks through to the backing store; on a
-// durable store it additionally commits them as one atomic batch.
+// Flush seals the writes made since the last commit: on a versioned store
+// it flips the epoch, on a durable store it commits them as one atomic
+// batch.
 func (s *Store) Flush() error { return s.commit() }
 
 // Durable reports whether the store runs on the crash-safe storage layer.
@@ -286,27 +280,24 @@ func (s *Store) Recovered() (blocks int, ok bool) {
 }
 
 // commit seals a batch at the layer that implements it: the epoch layer
-// flips (committing the Durable under it), the buffer pool flushes, and
-// otherwise base passes the commit to the Durable. On a plain device the
+// flips (committing the Durable under it), and otherwise base passes the
+// commit to the Durable. On a plain device the
 // commit is only counted. A non-durable, file-backed store has no journal
 // to make a flip durable, so the device is synced after each one.
 func (s *Store) commit() error {
-	switch {
-	case s.versioned != nil:
-		epoch := s.versioned.Epoch()
-		if err := s.versioned.Commit(); err != nil {
-			return err
-		}
-		if s.durable == nil && s.opts.Path != "" && s.versioned.Epoch() != epoch {
-			if err := s.counting.Sync(); err != nil {
-				return fmt.Errorf("shiftsplit: sync epoch %d: %w", s.versioned.Epoch(), err)
-			}
-		}
-		return nil
-	case s.pool != nil:
-		return s.pool.Commit()
+	if s.versioned == nil {
+		return s.base.Commit()
 	}
-	return s.base.Commit()
+	epoch := s.versioned.Epoch()
+	if err := s.versioned.Commit(); err != nil {
+		return err
+	}
+	if s.durable == nil && s.opts.Path != "" && s.versioned.Epoch() != epoch {
+		if err := s.counting.Sync(); err != nil {
+			return fmt.Errorf("shiftsplit: sync epoch %d: %w", s.versioned.Epoch(), err)
+		}
+	}
+	return nil
 }
 
 // Close stops any background scrubber, flushes caches, and releases the
@@ -447,52 +438,64 @@ func (s *Store) ClearBlock(b Block) error {
 // ExtractBlock reconstructs the original contents of a dyadic block from
 // the store via inverse SHIFT-SPLIT (Result 6), returning the values and
 // the number of blocks read.
-func (s *Store) ExtractBlock(b Block) (*Array, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.ExtractBlock(b)
+func (s *Store) ExtractBlock(b Block) (out *Array, blocks int, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		out, blocks, err = sn.ExtractBlock(b)
+		return err
+	})
+	return out, blocks, err
 }
 
 // ExtractBox reconstructs an arbitrary box by dyadic decomposition (the
 // non-standard form additionally splits pieces into cubes, §4.1).
-func (s *Store) ExtractBox(start, shape []int) (*Array, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.ExtractBox(start, shape)
+func (s *Store) ExtractBox(start, shape []int) (out *Array, blocks int, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		out, blocks, err = sn.ExtractBox(start, shape)
+		return err
+	})
+	return out, blocks, err
 }
 
 // Point reconstructs a single cell. It reads exactly one block (the §3
 // payoff of the stored scaling coefficients), except on a store whose slots
 // are stale, which walks the root path. On a versioned store the read pins
-// the current epoch for its duration (see AcquireSnapshot).
-func (s *Store) Point(point ...int) (float64, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.Point(point...)
+// the current epoch for its duration (see WithSnapshot).
+func (s *Store) Point(point ...int) (v float64, blocks int, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		v, blocks, err = sn.Point(point...)
+		return err
+	})
+	return v, blocks, err
 }
 
 // RangeSum evaluates the sum over [start, start+shape), returning the value
 // and the number of blocks read.
-func (s *Store) RangeSum(start, shape []int) (float64, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.RangeSum(start, shape)
+func (s *Store) RangeSum(start, shape []int) (sum float64, blocks int, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		sum, blocks, err = sn.RangeSum(start, shape)
+		return err
+	})
+	return sum, blocks, err
 }
 
 // ReadTransform reads the whole transform back into memory (mainly for
 // verification and small stores).
-func (s *Store) ReadTransform() (*Array, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.ReadTransform()
+func (s *Store) ReadTransform() (out *Array, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		out, err = sn.ReadTransform()
+		return err
+	})
+	return out, err
 }
 
 // Points answers a batch of point queries with one vectored read of the
 // blocks the whole batch needs, so that queries with overlapping root
 // paths pay for their common tiles once. It returns the values in input
 // order and the total number of distinct blocks read.
-func (s *Store) Points(points [][]int) ([]float64, int, error) {
-	snap := s.AcquireSnapshot()
-	defer snap.Release()
-	return snap.Points(points)
+func (s *Store) Points(points [][]int) (vals []float64, blocks int, err error) {
+	err = s.WithSnapshot(func(sn *Snapshot) error {
+		vals, blocks, err = sn.Points(points)
+		return err
+	})
+	return vals, blocks, err
 }

@@ -67,61 +67,6 @@ func TestClearBlockIdempotentOnZeroRegion(t *testing.T) {
 	}
 }
 
-func TestStoreCacheReducesCountedIO(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	src := randArray(rng, 32, 32)
-
-	measure := func(cache int) int64 {
-		st, err := CreateStore(StoreOptions{Shape: []int{32, 32}, Form: Standard, CacheBlocks: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		if err := st.Materialize(src); err != nil {
-			t.Fatal(err)
-		}
-		st.ResetStats()
-		for trial := 0; trial < 200; trial++ {
-			p := []int{rng.Intn(32), rng.Intn(32)}
-			if _, _, err := st.Point(p...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st.Stats().Reads
-	}
-	uncached := measure(0)
-	cached := measure(64)
-	if cached >= uncached {
-		t.Errorf("cached reads %d not below uncached %d", cached, uncached)
-	}
-}
-
-func TestStoreCacheFlushPersists(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	src := randArray(rng, 8, 8)
-	st, err := CreateStore(StoreOptions{Shape: []int{8, 8}, Form: Standard, CacheBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.TransformChunked(src, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Stats().Writes == 0 {
-		t.Error("flush wrote nothing through")
-	}
-	hat, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hat.EqualApprox(Transform(src, Standard), 1e-8) {
-		t.Error("cached store transform wrong")
-	}
-}
-
 func TestExtractBoxNonStandardFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	src := randArray(rng, 16, 16)

@@ -251,32 +251,29 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 					return
 				default:
 				}
-				snap := st.AcquireSnapshot()
-				got, err := snap.ReadTransform()
+				err := st.WithSnapshot(func(snap *Snapshot) error {
+					got, err := snap.ReadTransform()
+					if err != nil {
+						return err
+					}
+					switch {
+					case equalExact(got, preHat):
+						sawPre.Add(1)
+					case equalExact(got, postHat):
+						sawPost.Add(1)
+					default:
+						return fmt.Errorf("reader %d iter %d (epoch %d): observed a mid-batch transform", g, i, snap.Epoch())
+					}
+					// A point query through the same snapshot must agree with
+					// the full read — same pinned epoch, by construction.
+					p := []int{i % 8, (3 * i) % 8}
+					_, _, err = snap.Point(p...)
+					return err
+				})
 				if err != nil {
 					t.Error(err)
-					snap.Release()
 					return
 				}
-				switch {
-				case equalExact(got, preHat):
-					sawPre.Add(1)
-				case equalExact(got, postHat):
-					sawPost.Add(1)
-				default:
-					t.Errorf("reader %d iter %d (epoch %d): observed a mid-batch transform", g, i, snap.Epoch())
-					snap.Release()
-					return
-				}
-				// A point query through the same snapshot must agree with the
-				// full read — same pinned epoch, by construction.
-				p := []int{i % 8, (3 * i) % 8}
-				if _, _, err := snap.Point(p...); err != nil {
-					t.Error(err)
-					snap.Release()
-					return
-				}
-				snap.Release()
 			}
 		}(g)
 	}
