@@ -29,7 +29,7 @@ func TestWithSnapshotReleasesOnEveryExit(t *testing.T) {
 	if err := st.Materialize(intArray(rng, 16, 16)); err != nil {
 		t.Fatal(err)
 	}
-	stats := func() EpochStats {
+	stats := func(t *testing.T) EpochStats {
 		t.Helper()
 		es, ok := st.EpochStats()
 		if !ok {
@@ -41,10 +41,12 @@ func TestWithSnapshotReleasesOnEveryExit(t *testing.T) {
 	exits := []struct {
 		name  string
 		leave func() // called last inside the callback
-		run   func(fn func(*Snapshot) error) error
+		run   func(t *testing.T, fn func(*Snapshot) error) error
 	}{
-		{"error", func() {}, st.WithSnapshot},
-		{"panic", func() { panic(errExit) }, func(fn func(*Snapshot) error) (err error) {
+		{"error", func() {}, func(t *testing.T, fn func(*Snapshot) error) error {
+			return st.WithSnapshot(fn)
+		}},
+		{"panic", func() { panic(errExit) }, func(t *testing.T, fn func(*Snapshot) error) (err error) {
 			defer func() {
 				if r := recover(); r != errExit {
 					t.Errorf("recovered %v, want the callback's panic", r)
@@ -53,7 +55,7 @@ func TestWithSnapshotReleasesOnEveryExit(t *testing.T) {
 			}()
 			return st.WithSnapshot(fn)
 		}},
-		{"goexit", runtime.Goexit, func(fn func(*Snapshot) error) error {
+		{"goexit", runtime.Goexit, func(t *testing.T, fn func(*Snapshot) error) error {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -65,37 +67,39 @@ func TestWithSnapshotReleasesOnEveryExit(t *testing.T) {
 		}},
 	}
 	for _, exit := range exits {
-		var inside EpochStats
-		var pinned uint64
-		err := exit.run(func(sn *Snapshot) error {
-			pinned = sn.Epoch()
-			if es := stats(); es.Pinned != 1 || es.Epoch != pinned {
-				t.Errorf("%s: inside the callback %d pins at epoch %d, want 1 at %d", exit.name, es.Pinned, es.Epoch, pinned)
+		t.Run(exit.name, func(t *testing.T) {
+			var inside EpochStats
+			var pinned uint64
+			err := exit.run(t, func(sn *Snapshot) error {
+				pinned = sn.Epoch()
+				if es := stats(t); es.Pinned != 1 || es.Epoch != pinned {
+					t.Errorf("inside the callback %d pins at epoch %d, want 1 at %d", es.Pinned, es.Epoch, pinned)
+				}
+				if err := st.MergeBlock(CubeBlock(2, 1, 2), Transform(intArray(rng, 4, 4), Standard)); err != nil {
+					t.Error(err)
+				}
+				inside = stats(t)
+				exit.leave()
+				return errExit
+			})
+			if err != errExit {
+				t.Fatalf("WithSnapshot returned %v, want the callback's error", err)
 			}
-			if err := st.MergeBlock(CubeBlock(2, 1, 2), Transform(intArray(rng, 4, 4), Standard)); err != nil {
-				t.Error(err)
+			if inside.Epoch != pinned+1 || inside.OldestPinned != pinned || inside.Reclaimable == 0 {
+				t.Fatalf("after a flip under the pin: epoch %d, oldest pinned %d, %d reclaimable; want %d, %d, > 0",
+					inside.Epoch, inside.OldestPinned, inside.Reclaimable, pinned+1, pinned)
 			}
-			inside = stats()
-			exit.leave()
-			return errExit
+			after := stats(t)
+			if after.Pinned != 0 || after.OldestPinned != after.Epoch || after.Reclaimable != 0 {
+				t.Fatalf("after the callback %d pins, oldest pinned %d at epoch %d, %d reclaimable",
+					after.Pinned, after.OldestPinned, after.Epoch, after.Reclaimable)
+			}
+			// Every block the pin held back is free now, or gone from the top
+			// of the file with the high-water mark.
+			if freed := after.FreeBlocks + inside.PhysBlocks - after.PhysBlocks - inside.FreeBlocks; freed != inside.Reclaimable {
+				t.Fatalf("release freed %d blocks, the pinned epoch held %d", freed, inside.Reclaimable)
+			}
 		})
-		if err != errExit {
-			t.Fatalf("%s: WithSnapshot returned %v, want the callback's error", exit.name, err)
-		}
-		if inside.Epoch != pinned+1 || inside.OldestPinned != pinned || inside.Reclaimable == 0 {
-			t.Fatalf("%s: after a flip under the pin: epoch %d, oldest pinned %d, %d reclaimable; want %d, %d, > 0",
-				exit.name, inside.Epoch, inside.OldestPinned, inside.Reclaimable, pinned+1, pinned)
-		}
-		after := stats()
-		if after.Pinned != 0 || after.OldestPinned != after.Epoch || after.Reclaimable != 0 {
-			t.Fatalf("%s: after the callback %d pins, oldest pinned %d at epoch %d, %d reclaimable",
-				exit.name, after.Pinned, after.OldestPinned, after.Epoch, after.Reclaimable)
-		}
-		// Every block the pin held back is free now, or gone from the top of
-		// the file with the high-water mark.
-		if freed := after.FreeBlocks + inside.PhysBlocks - after.PhysBlocks - inside.FreeBlocks; freed != inside.Reclaimable {
-			t.Fatalf("%s: release freed %d blocks, the pinned epoch held %d", exit.name, freed, inside.Reclaimable)
-		}
 	}
 }
 
@@ -170,19 +174,24 @@ func TestSnapshotMisuseDoesNotCompile(t *testing.T) {
 		write(filepath.Join(c.name, c.name+".go"), "package "+c.name+"\n\nimport \"github.com/shiftsplit/shiftsplit\"\n"+c.body)
 	}
 	for _, c := range misuseCases {
-		cmd := exec.Command(gobin, "build", "./"+c.name)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOTOOLCHAIN=local", "GOWORK=off")
-		out, err := cmd.CombinedOutput()
-		switch {
-		case c.want == "":
-			if err != nil {
-				t.Fatalf("%s: the control does not build: %v\n%s", c.name, err, out)
+		ok := t.Run(c.name, func(t *testing.T) {
+			cmd := exec.Command(gobin, "build", "./"+c.name)
+			cmd.Dir = dir
+			cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOTOOLCHAIN=local", "GOWORK=off")
+			out, err := cmd.CombinedOutput()
+			switch {
+			case c.want == "":
+				if err != nil {
+					t.Fatalf("the control does not build: %v\n%s", err, out)
+				}
+			case err == nil:
+				t.Errorf("built, want the compiler to reject it with %q", c.want)
+			case !strings.Contains(string(out), c.want):
+				t.Errorf("rejected for another reason, want %q:\n%s", c.want, out)
 			}
-		case err == nil:
-			t.Errorf("%s: built, want the compiler to reject it with %q", c.name, c.want)
-		case !strings.Contains(string(out), c.want):
-			t.Errorf("%s: rejected for another reason, want %q:\n%s", c.name, c.want, out)
+		})
+		if !ok && c.want == "" {
+			t.FailNow() // the misuse verdicts mean nothing if the control fails
 		}
 	}
 }
