@@ -720,7 +720,15 @@ func TestLeafPointsMatchOldKernels(t *testing.T) {
 			case *tile.Standard:
 				leaves[new(scratch).planLeafStandard(tiling, p)] = true
 			case *tile.NonStandard:
-				leaves[leafNonStandard(tiling, p)] = true
+				// The leaf tile holds the level-1 node over the point.
+				n, coords := bitutil.Log2(shape[0]), make([]int, len(p))
+				for t, x := range p {
+					if n > 0 {
+						coords[t] = x>>1 + 1<<uint(n-1)
+					}
+				}
+				block, _ := tiling.Locate(coords)
+				leaves[block] = true
 			}
 		}
 		if io != len(leaves) {

@@ -43,10 +43,12 @@ type slotScratch struct {
 	dst    []float64
 	src    []float64
 
-	// Non-standard form: the root cell of the bucket's tile, and the cell
-	// averages a chunk's in-chunk tiles are unfolded from.
+	// Non-standard form: the root cell of the bucket's tile, the cell
+	// averages a chunk's in-chunk tiles are unfolded from, and the SPLIT's
+	// attenuated chunk average per level.
 	pos        []int
 	avgs, next []float64
+	attn       []float64
 }
 
 // slotsStandard adds, to every scaling slot of every touched tile, the
@@ -145,10 +147,10 @@ func (sc *slotScratch) fold(p *Plan, t, dst, src int, w float64) {
 
 // slotsNonStandard adds, to slot 0 of every touched tile but the top one,
 // the change the set's deltas make to its root cell's scaling coefficient:
-// the overall average plus, at every level above the root cell, the
-// details of its ancestor node weighted by the cell's side of it.
+// the overall average plus its root cell's path (a NonStdPlan cube), the
+// details of every ancestor node weighted by the cell's side of it.
 func (bs *BucketSet) slotsNonStandard(nst *NonStandard) {
-	sc := &bs.slots
+	sc, p := &bs.slots, &bs.ns
 	sc.pos = resized(sc.pos, nst.d)
 	avg := 0.0
 	if k, ok := bs.index[0]; ok {
@@ -160,31 +162,11 @@ func (bs *BucketSet) slotsNonStandard(nst *NonStandard) {
 			continue
 		}
 		j := nst.rootInto(b.Block, sc.pos)
-		sum, last, deltas := avg, -1, []float64(nil)
-		for l := nst.n; l > j; l-- {
-			lvl := &nst.levels[l-1]
-			root, local := 0, 0
-			for _, p := range sc.pos {
-				root, local = lvl.Push(root, local, p>>uint(l-j))
-			}
-			block, slot := lvl.At(root, local)
-			if block != last {
-				last, deltas = block, nil
-				if k, ok := bs.index[block]; ok {
-					deltas = bs.buckets[k].Deltas
-				}
-			}
-			if deltas == nil {
-				continue
-			}
-			for mask := 1; mask < 1<<uint(nst.d); mask++ {
-				w := 1.0
-				for t, p := range sc.pos {
-					if mask>>uint(t)&1 == 1 && p>>uint(l-j-1)&1 == 1 {
-						w = -w
-					}
-				}
-				sum += w * deltas[slot+mask-1]
+		sum := avg
+		p.Cube(nst, j, sc.pos, j+1, nst.n)
+		for p.Next() {
+			if k, ok := bs.index[p.Block()]; ok {
+				sum = p.FoldPath(sum, bs.buckets[k].Deltas)
 			}
 		}
 		b.Deltas[0] += sum
@@ -251,20 +233,15 @@ func AccumulateChunkScalingNonStandard(nst *NonStandard, m int, pos []int, hat *
 			}
 		}
 		sc.avgs, sc.next = sc.next, sc.avgs
-		lvl := &nst.levels[l-2]
-		if !lvl.TileRoot() {
+		if !nst.levels[l-2].TileRoot() {
 			continue
 		}
-		for x, v := range sc.avgs[:size] {
-			root, local, rest := 0, 0, x
-			for t := d - 1; t >= 0; t-- {
-				sc.pos[t], rest = rest%(2*P), rest/(2*P)
-			}
-			for t, p := range sc.pos {
-				root, local = lvl.Push(root, local, pos[t]<<uint(m-l+1)+p)
-			}
-			block, _ := lvl.At(root, local)
-			bs.Add(block, 0, v)
+		// The tiles rooted at level l-1 are the chunk's cells there, and
+		// the walk takes them in the averages' row-major order.
+		p := &bs.ns
+		p.Cube(nst, m, pos, l-1, l-1)
+		for x := 0; p.Next(); x++ {
+			bs.Add(p.Block(), 0, sc.avgs[x])
 		}
 	}
 }
