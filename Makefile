@@ -142,6 +142,10 @@ chaos-smoke:
 # TileBits 4, its box distribution) over an in-memory store.
 # TestPointAllocBudget gates the single-block point kernels of both forms:
 # a point allocates nothing, a batch only its result slice.
+# BenchmarkStoreMergeBlock reports the maintain workload's kernel, a
+# MergeBlock of a 16x16 chunk into a versioned in-memory 1024² store at
+# TileBits 4 (SHIFT-SPLIT kernels, slot step, vectored apply, epoch flip),
+# in each form, with its ns/op and allocs/op.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget|TestColdRangeSumAllocBudget' -count=1 -v ./
@@ -163,6 +167,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractBlock$$|BenchmarkExtractBox|BenchmarkR6PartialReconstruction|BenchmarkProgressiveRangeSum' \
 		-benchmem -benchtime 20x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumCold' -benchmem -benchtime 2000x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreMergeBlock' -benchmem -benchtime 2000x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
 	$(GO) test -run 'TestPointAllocBudget' -count=1 -v ./internal/query/
 

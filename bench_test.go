@@ -146,6 +146,44 @@ func BenchmarkMergeBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreMergeBlock merges 16x16 chunks into a versioned in-memory
+// 1024² store at TileBits 4 in each form, the maintain workload's
+// geometry: the SHIFT-SPLIT kernels, the slot step, the vectored apply and
+// one epoch flip per merge. It reports ns/op and allocs/op.
+func BenchmarkStoreMergeBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	blocks := make([]Block, 64)
+	for i := range blocks {
+		blocks[i] = CubeBlock(4, rng.Intn(64), rng.Intn(64))
+	}
+	delta := randArray(rng, 16, 16)
+	for _, c := range []struct {
+		name string
+		form Form
+	}{{"standard", Standard}, {"non-standard", NonStandard}} {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := CreateStore(StoreOptions{Shape: []int{1024, 1024}, Form: c.form, TileBits: 4, Versioned: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			bHat := Transform(delta, c.form)
+			for _, blk := range blocks { // reach the pools' steady state
+				if err := st.MergeBlock(blk, bHat); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.MergeBlock(blocks[i%len(blocks)], bHat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkExtractBlock(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	a := randArray(rng, 256, 256)
