@@ -27,6 +27,15 @@
 // cross product once each; the query kernels, extraction, progressive
 // queries, the merge kernel and the scaling-slot step all plan on it.
 //
+// Every non-standard operation reads or writes the nodes of one box
+// against the quadtree's levels: the cells a range sum cuts, a dyadic
+// cube's path above it (SPLIT targets, inverse SPLIT, a tile root's
+// scaling path, a point's leaf path) or its subtree (SHIFT targets,
+// inverse SHIFT). NonStdPlan holds that box and walks the tiles holding
+// its nodes once each, giving each level of a tile as a box of cells in
+// it; the range sum, the leaf point, extraction, both merge kernels and
+// both slot steps plan on it.
+//
 // Slot 0 of every tile is reserved for the scaling coefficient of the tile's
 // root. For the tile containing the tree root this is the transform's
 // overall average; for all other tiles it is redundant derived data that the
