@@ -433,7 +433,7 @@ func BenchmarkAblationZOrder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := transform.ChunkedNonStandard(src, 2, st, opts); err != nil {
+			if _, err := transform.ChunkedNonStandard(src, 2, st, opts, 0); err != nil {
 				b.Fatal(err)
 			}
 			blocks += cnt.Stats().Total()
@@ -462,7 +462,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := transform.ChunkedStandard(src, 3, st); err != nil {
+			if _, err := transform.ChunkedStandard(src, 3, st, 0); err != nil {
 				b.Fatal(err)
 			}
 			if p, ok := bs.(*storage.BufferPool); ok {
@@ -542,7 +542,7 @@ func BenchmarkSparseTransform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := transform.ChunkedNonStandard(src, 2, st, transform.NonStdOptions{ZOrderCrest: true}); err != nil {
+		if _, err := transform.ChunkedNonStandard(src, 2, st, transform.NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

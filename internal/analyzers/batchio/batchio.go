@@ -5,7 +5,7 @@
 // so a loop that issues one ReadBlock or WriteTile per iteration forfeits
 // run coalescing — one positional syscall per consecutive id run — and
 // regresses to one device request per block. Inside the engine packages
-// (tile, transform, appender, reconstruct, query, parallel) that is almost
+// (tile, transform, appender, reconstruct, query) that is almost
 // always an accident: the loop already knows its id set up front and should
 // collect it into one batched call.
 //
@@ -40,7 +40,6 @@ var enginePkgs = []string{
 	"internal/appender",
 	"internal/reconstruct",
 	"internal/query",
-	"internal/parallel",
 }
 
 // batched maps each per-block method to its vectored replacement.

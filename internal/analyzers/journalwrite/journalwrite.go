@@ -18,15 +18,12 @@
 // mutate blocks through tile.Store and seal the batch with a Commit on the
 // stack under it.
 //
-// A second rule guards the parallel maintenance engine's write discipline:
-// tile-level mutations (WriteTile, Set, Add, ApplyBuckets) issued from an ad
-// hoc go statement. The engine keeps results bit-identical and journal
-// batches deterministic by funneling every tile mutation through one
-// goroutine per tile in a fixed order (internal/parallel's Run consumer and
-// Applier shards); a goroutine launched elsewhere that writes tiles races
-// that ordering and the journal's batch boundary. Only the engine packages
-// themselves (internal/tile, internal/parallel, internal/transform,
-// internal/appender) may mutate tiles from goroutines they manage.
+// A second rule guards the maintenance engines' write discipline: tile-level
+// mutations (WriteTile, Set, Add, ApplyBuckets) issued from a go statement.
+// The engines keep results bit-identical and journal batches deterministic
+// by mutating tiles only in internal/parallel's Run consumer, on the calling
+// goroutine, in chunk order; a goroutine that writes tiles races that order
+// and the journal's batch boundary. No package is exempt.
 package journalwrite
 
 import (
@@ -66,8 +63,8 @@ var allowedPkgs = []string{
 	"internal/cache",
 }
 
-// tileMutators are the tile-level mutation entry points that the parallel
-// engine applies in a deterministic order; calling them from an ad hoc
+// tileMutators are the tile-level mutation entry points that the
+// maintenance engines apply in a deterministic order; calling them from a
 // goroutine forfeits that order.
 var tileMutators = map[string]bool{
 	"WriteTile":    true,
@@ -76,24 +73,8 @@ var tileMutators = map[string]bool{
 	"ApplyBuckets": true,
 }
 
-// goroutineWritePkgs own goroutines that are allowed to mutate tiles: the
-// tiled write path itself and the maintenance engines built on the parallel
-// worker pool.
-var goroutineWritePkgs = []string{
-	"internal/storage",
-	"internal/tile",
-	"internal/cache",
-	"internal/parallel",
-	"internal/transform",
-	"internal/appender",
-}
-
 func run(pass *analysis.Pass) error {
 	checkRaw := !vetutil.HasAnyPathSuffix(pass.Pkg.Path(), allowedPkgs...)
-	checkGo := !vetutil.HasAnyPathSuffix(pass.Pkg.Path(), goroutineWritePkgs...)
-	if !checkRaw && !checkGo {
-		return nil
-	}
 	for _, f := range pass.Files {
 		if checkRaw {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -119,16 +100,12 @@ func run(pass *analysis.Pass) error {
 				return true
 			})
 		}
-		if checkGo {
-			ast.Inspect(f, func(n ast.Node) bool {
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
 				checkGoroutineTileWrites(pass, g)
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -149,7 +126,7 @@ func checkGoroutineTileWrites(pass *analysis.Pass, g *ast.GoStmt) {
 		sig := fn.Type().(*types.Signature)
 		if sig.Recv() != nil && tileMutators[fn.Name()] {
 			pass.Reportf(call.Pos(),
-				"tile.%s from an ad hoc goroutine races the maintenance engine's deterministic write order; route tile mutations through parallel.Run/Applier or apply them on one goroutine",
+				"tile.%s from an ad hoc goroutine races the maintenance engine's deterministic write order; apply tile mutations in parallel.Run's consumer or on one goroutine",
 				fn.Name())
 		}
 		return true

@@ -15,7 +15,7 @@ func fanOutCaptured(n int) error {
 	bp := pool.Get().(*[]float64)
 	defer pool.Put(bp)
 	b := *bp
-	return parallel.Run(n, parallel.Options{},
+	return parallel.Run(n, 0,
 		func(seq int) (float64, error) {
 			return b[seq], nil // want `pooled scratch buffer b is captured by a closure handed to the parallel worker pool`
 		},
@@ -27,7 +27,7 @@ func fanOutCopied(n int) error {
 	c := append([]float64(nil), (*bp)...)
 	pool.Put(bp)
 	// The closure owns its own copy: no finding.
-	return parallel.Run(n, parallel.Options{},
+	return parallel.Run(n, 0,
 		func(seq int) (float64, error) { return c[seq], nil },
 		func(seq int, v float64) error { return nil })
 }
@@ -39,7 +39,7 @@ func consumeOnCaller(n int) error {
 	// consume runs on the calling goroutine, but the analyzer cannot tell
 	// the stages apart and the buffer still outlives individual calls, so
 	// capturing scratch in any worker-pool closure is flagged.
-	return parallel.Run(n, parallel.Options{},
+	return parallel.Run(n, 0,
 		func(seq int) (float64, error) { return 0, nil },
 		func(seq int, v float64) error {
 			b[seq] = v // want `pooled scratch buffer b is captured by a closure handed to the parallel worker pool`
@@ -58,7 +58,7 @@ type stageResult struct {
 // its result; consume, the only other holder, Puts it. Ownership moves, it
 // is never shared: no finding.
 func drawnInWorker(n int) error {
-	return parallel.Run(n, parallel.Options{},
+	return parallel.Run(n, 0,
 		func(seq int) (stageResult, error) {
 			bp := pool.Get().(*[]float64)
 			(*bp)[0] = float64(seq)

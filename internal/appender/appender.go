@@ -61,7 +61,7 @@ type Appender struct {
 	store    *tile.Store        // the device under the current domain's tiling
 	base     storage.BlockStore // the device (rollback seam)
 	counting *storage.Counting
-	opts     parallel.Options
+	workers  int // transform goroutines per group; <= 0 selects GOMAXPROCS
 
 	// Separate attributions of the lifetime I/O (satellite of the ingest
 	// work: fsync-amortization claims need slab-write cost unpolluted by
@@ -90,12 +90,13 @@ type mergeScratch struct {
 	cells []float64
 }
 
-// SetOptions configures the worker pool used to gather and transform the
-// dyadic runs of each group. Bucketing stays sequential in run order and the
-// buckets meet the store in one ascending-id batch, so the floating-point
-// sums and the physical write sequence — and with it the crash-campaign
-// behavior of durable backings — are identical for every worker count.
-func (a *Appender) SetOptions(opts parallel.Options) { a.opts = opts }
+// SetWorkers sets how many goroutines gather and transform the dyadic runs
+// of each group; <= 0 selects runtime.GOMAXPROCS(0). Bucketing stays
+// sequential in run order and the buckets meet the store in one
+// ascending-id batch, so the floating-point sums and the physical write
+// sequence — and with it the crash-campaign behavior of durable backings —
+// are identical for every worker count.
+func (a *Appender) SetWorkers(workers int) { a.workers = workers }
 
 // AppendStats reports the cost of one Append or AppendBatch call.
 // ExpansionIO and MergeIO are disjoint windows: expansion covers the
@@ -342,7 +343,7 @@ func (a *Appender) merge(dim int, slabs []*ndarray.Array, growth int) error {
 	// The runs' gathers and transforms fan out to the worker pool;
 	// bucketing happens in run order on this goroutine, so the
 	// floating-point sums do not depend on the worker count.
-	err := parallel.Run(len(runs), a.opts,
+	err := parallel.Run(len(runs), a.workers,
 		func(seq int) (runResult, error) {
 			iv := runs[seq]
 			n := iv.Len()

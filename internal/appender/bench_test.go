@@ -7,7 +7,6 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 )
 
 // BenchmarkAppender measures a fixed campaign of slab appends (no
@@ -29,7 +28,7 @@ func BenchmarkAppender(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a.SetOptions(parallel.Options{Workers: w})
+				a.SetWorkers(w)
 				for step := 0; step < 8; step++ {
 					if _, err := a.Append(0, slab); err != nil {
 						b.Fatal(err)

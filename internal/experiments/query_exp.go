@@ -140,7 +140,7 @@ func maintainedQueryStore(c QueryCostConfig, src *ndarray.Array, tiling *tile.St
 	if err != nil {
 		return nil, err
 	}
-	if _, err := transform.ChunkedStandard(src, c.LogN-2, st); err != nil {
+	if _, err := transform.ChunkedStandard(src, c.LogN-2, st, 0); err != nil {
 		return nil, err
 	}
 	shape := src.Shape()

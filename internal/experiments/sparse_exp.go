@@ -59,7 +59,7 @@ func SparseTransform(c SparseConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		statsS, err := transform.ChunkedStandard(src, c.ChunkBits, stS)
+		statsS, err := transform.ChunkedStandard(src, c.ChunkBits, stS, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func SparseTransform(c SparseConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true})
+		_, err = transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true}, 0)
 		if err != nil {
 			return nil, err
 		}

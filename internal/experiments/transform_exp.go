@@ -58,7 +58,7 @@ func Fig11(c Fig11Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, err := transform.ChunkedStandard(src, m, stS)
+		stats, err := transform.ChunkedStandard(src, m, stS, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func Fig11(c Fig11Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		statsN, err := transform.ChunkedNonStandard(src, m, stN, transform.NonStdOptions{ZOrderCrest: true})
+		statsN, err := transform.ChunkedNonStandard(src, m, stN, transform.NonStdOptions{ZOrderCrest: true}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func Fig12(c Fig12Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := transform.ChunkedStandard(src, c.ChunkBits, stS); err != nil {
+			if _, err := transform.ChunkedStandard(src, c.ChunkBits, stS, 0); err != nil {
 				return nil, err
 			}
 			cN := storage.NewCounting(storage.NewMemStore(bitutil.IntPow(1<<uint(b), 2)))
@@ -136,7 +136,7 @@ func Fig12(c Fig12Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true}); err != nil {
+			if _, err := transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 				return nil, err
 			}
 			row = append(row, cS.Stats().Total(), cN.Stats().Total())
@@ -205,14 +205,14 @@ func Table2(c Table2Config) (*Table, error) {
 	t.Add("Vitter et al. (standard)", cV.Stats().Total(), vitterFormula, "-", "-")
 
 	stdCoefs, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedStandard(src, c.ChunkBits, out)
+		_, err := transform.ChunkedStandard(src, c.ChunkBits, out, 0)
 		return err
 	}, tile.NewSequential(shape, 1))
 	if err != nil {
 		return nil, err
 	}
 	stdBlocks, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedStandard(src, c.ChunkBits, out)
+		_, err := transform.ChunkedStandard(src, c.ChunkBits, out, 0)
 		return err
 	}, tile.NewStandard(ns, c.TileBits))
 	if err != nil {
@@ -225,14 +225,14 @@ func Table2(c Table2Config) (*Table, error) {
 		stdBlocks, fmt.Sprintf("O(N^d/M^d (M/B+log_B N/M)^d) ~ %.0f", fBlocks))
 
 	nonCoefs, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true})
+		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true}, 0)
 		return err
 	}, tile.NewSequential(shape, 1))
 	if err != nil {
 		return nil, err
 	}
 	nonBlocks, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true})
+		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true}, 0)
 		return err
 	}, tile.NewNonStandard(c.LogN, c.Dims, c.TileBits))
 	if err != nil {

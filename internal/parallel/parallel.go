@@ -1,5 +1,5 @@
-// Package parallel is the bounded worker pool and tile-sharded delta
-// applier behind the maintenance engines.
+// Package parallel is the bounded worker pool behind the maintenance
+// engines.
 //
 // The chunked transformation of Results 1–2 is embarrassingly parallel on
 // the CPU side: chunks are disjoint, each chunk's transform depends only on
@@ -12,83 +12,20 @@
 // deterministic write sequence both assume chunk-ordered application.
 //
 // Run therefore fans chunk transforms out to a bounded pool but delivers
-// results to a single consumer in strictly ascending chunk order; Applier
-// then shards buckets by destination tile so that every tile is
-// read-modify-written by exactly one goroutine, with the per-tile operation
-// order still the chunk order. With Workers <= 1 both degrade to fully
-// inline sequential execution over the very same kernels, which is the
-// determinism argument: the parallel schedule performs the same
-// floating-point operations in the same per-tile order as the sequential
-// one, so the transforms are bit-identical and the I/O counters equal.
+// results to a single consumer, on the caller's goroutine, in strictly
+// ascending chunk order; the engines apply each chunk's buckets there. With
+// one worker Run degrades to fully inline sequential execution over the
+// very same kernels, which is the determinism argument: the parallel
+// schedule performs the same floating-point operations and the same storage
+// calls in the same order as the sequential one, so the transforms are
+// bit-identical, the I/O counters equal and the physical write sequence the
+// same for every worker count.
 package parallel
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
-
-// Options configures a maintenance run.
-type Options struct {
-	// Workers is the number of chunk-transform goroutines; <= 0 selects
-	// runtime.GOMAXPROCS(0). Workers == 1 runs fully inline (no goroutines).
-	Workers int
-	// ChunkQueue bounds the transformed-but-unapplied chunks in flight
-	// (each holds its bucketed deltas in memory); <= 0 selects 2*Workers.
-	ChunkQueue int
-	// Appliers is the number of tile shards applying deltas; <= 0 selects
-	// min(4, Workers). Ignored when SerialApply is set.
-	Appliers int
-	// SerialApply forces a single applier so that the physical read/write
-	// sequence on the destination store is exactly the sequential engine's
-	// (chunk-major, ascending block IDs). Engines set it for storage stacks
-	// whose behavior is order-sensitive: the write-back buffer pool (cache
-	// hits depend on access order), serve caches, and durable stores (crash
-	// campaigns assert a deterministic physical write index sequence).
-	SerialApply bool
-}
-
-// WorkerCount resolves the Workers default.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// queueDepth resolves the ChunkQueue default, never below workers (a
-// smaller window would idle the pool).
-func (o Options) queueDepth(workers int) int {
-	q := o.ChunkQueue
-	if q <= 0 {
-		q = 2 * workers
-	}
-	if q < workers {
-		q = workers
-	}
-	return q
-}
-
-// shardCount resolves how many applier goroutines to run; 0 means apply
-// inline on the consumer.
-func (o Options) shardCount() int {
-	w := o.WorkerCount()
-	if w <= 1 {
-		return 0
-	}
-	if o.SerialApply {
-		return 1
-	}
-	if o.Appliers > 0 {
-		return o.Appliers
-	}
-	if w < 4 {
-		return w
-	}
-	return 4
-}
 
 // item carries one produced result to the reordering consumer.
 type item[T any] struct {
@@ -98,16 +35,19 @@ type item[T any] struct {
 }
 
 // Run executes produce(seq) for every seq in [0, n) on a bounded worker
-// pool and feeds each result to consume in strictly ascending seq order.
-// consume runs on the calling goroutine only. At most queueDepth results
-// are in flight (being produced or buffered for reordering). The first
-// error — by seq order for produce, immediately for consume — cancels the
-// run and is returned after all workers have stopped.
+// pool of workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)) and feeds
+// each result to consume in strictly ascending seq order. consume runs on
+// the calling goroutine only. At most 2*workers results are in flight
+// (being produced or buffered for reordering). The first error — by seq
+// order for produce, immediately for consume — cancels the run and is
+// returned after all workers have stopped.
 //
 // With one worker (or n <= 1) everything runs inline on the caller: the
 // sequential fallback is the same code path minus the goroutines.
-func Run[T any](n int, opts Options, produce func(seq int) (T, error), consume func(seq int, v T) error) error {
-	workers := opts.WorkerCount()
+func Run[T any](n, workers int, produce func(seq int) (T, error), consume func(seq int, v T) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -123,7 +63,7 @@ func Run[T any](n int, opts Options, produce func(seq int) (T, error), consume f
 		}
 		return nil
 	}
-	queue := opts.queueDepth(workers)
+	queue := 2 * workers
 	jobs := make(chan int)
 	results := make(chan item[T], queue)
 	tickets := make(chan struct{}, queue)
@@ -191,192 +131,4 @@ func Run[T any](n int, opts Options, produce func(seq int) (T, error), consume f
 	halt()
 	wg.Wait()
 	return err
-}
-
-// Applier folds per-chunk tile buckets into a tile.Store. Buckets are
-// sharded by destination block ID so each tile is read-modify-written by
-// exactly one goroutine; within a shard, jobs are applied in the order
-// Apply was called (the chunk order), so per-tile accumulation order — and
-// with it the floating-point result — is independent of the shard count.
-// Device-level I/O calls are serialized by a mutex so any BlockStore stack
-// is safe underneath; the delta additions run outside it.
-//
-// With zero shards (Workers <= 1) Apply applies inline, which is also the
-// write-order-deterministic path SerialApply approximates with one shard.
-type Applier struct {
-	st     *tile.Store
-	shards []chan applyJob
-	ioMu   sync.Mutex
-	wg     sync.WaitGroup
-	failed atomic.Bool
-	errMu  sync.Mutex
-	err    error
-}
-
-// applyJob is one shard's portion of a chunk's buckets plus the countdown
-// hook that fires the chunk's release once every portion has landed.
-type applyJob struct {
-	buckets []tile.Bucket
-	done    func() // nil when the caller passed no release
-}
-
-// NewApplier creates an applier for the options' shard count and starts its
-// goroutines. Close must be called exactly once to stop them.
-func NewApplier(st *tile.Store, opts Options) *Applier {
-	a := &Applier{st: st}
-	n := opts.shardCount()
-	if n <= 0 {
-		return a
-	}
-	depth := opts.queueDepth(opts.WorkerCount())
-	a.shards = make([]chan applyJob, n)
-	for i := range a.shards {
-		ch := make(chan applyJob, depth)
-		a.shards[i] = ch
-		a.wg.Add(1)
-		go a.runShard(ch)
-	}
-	return a
-}
-
-func (a *Applier) runShard(ch chan applyJob) {
-	defer a.wg.Done()
-	for job := range ch {
-		if !a.failed.Load() {
-			if err := a.applyJob(job.buckets); err != nil {
-				a.setErr(err)
-			}
-		}
-		// The release hook fires whether the job applied or was drained
-		// after a failure: either way the shard holds no further reference
-		// to the buckets, so their owner may recycle them.
-		if job.done != nil {
-			job.done()
-		}
-	}
-}
-
-func (a *Applier) applyJob(job []tile.Bucket) error {
-	// One vectored read of the job's tiles, deltas applied outside the
-	// I/O lock, one vectored write. Each tile belongs to exactly one
-	// shard, so nothing can mutate these blocks between the phases, and
-	// within the shard jobs still land in chunk order — the per-tile
-	// accumulation order (and the floating-point result) is unchanged.
-	blocks := make([]int, len(job))
-	for i := range job {
-		blocks[i] = job[i].Block
-	}
-	a.ioMu.Lock()
-	tiles, err := a.st.ReadTiles(blocks)
-	a.ioMu.Unlock()
-	if err != nil {
-		return err
-	}
-	for i := range job {
-		data := tiles[i]
-		for slot, dv := range job[i].Deltas {
-			if dv != 0 {
-				data[slot] += dv
-			}
-		}
-	}
-	a.ioMu.Lock()
-	err = a.st.WriteTiles(blocks, tiles)
-	a.ioMu.Unlock()
-	return err
-}
-
-func (a *Applier) setErr(err error) {
-	a.errMu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	a.errMu.Unlock()
-	a.failed.Store(true)
-}
-
-// Err returns the first shard error, if any.
-func (a *Applier) Err() error {
-	a.errMu.Lock()
-	defer a.errMu.Unlock()
-	return a.err
-}
-
-// Apply submits one chunk's buckets (ascending block order, as returned by
-// BucketSet.Buckets). It must be called from a single goroutine, in chunk
-// order. A previously recorded shard error is returned immediately.
-func (a *Applier) Apply(buckets []tile.Bucket) error {
-	return a.ApplyReleasing(buckets, nil)
-}
-
-// ApplyReleasing is Apply with an ownership hand-back: release (when
-// non-nil) is called exactly once, after every shard has finished with the
-// buckets — on the inline path synchronously, on the sharded path from
-// whichever shard goroutine lands the last portion. The engines use it to
-// return pooled per-chunk scratch (the BucketSet backing these buckets)
-// without waiting for the asynchronous application to drain.
-func (a *Applier) ApplyReleasing(buckets []tile.Bucket, release func()) error {
-	if len(a.shards) == 0 {
-		err := a.st.ApplyBuckets(buckets)
-		if release != nil {
-			release()
-		}
-		return err
-	}
-	if a.failed.Load() {
-		if release != nil {
-			release()
-		}
-		return a.Err()
-	}
-	if len(a.shards) == 1 {
-		if len(buckets) > 0 {
-			a.shards[0] <- applyJob{buckets: buckets, done: release}
-		} else if release != nil {
-			release()
-		}
-		return nil
-	}
-	n := len(a.shards)
-	parts := make([][]tile.Bucket, n)
-	sent := 0
-	for i := range buckets {
-		s := buckets[i].Block % n
-		if parts[s] == nil {
-			sent++
-		}
-		parts[s] = append(parts[s], buckets[i])
-	}
-	if sent == 0 {
-		if release != nil {
-			release()
-		}
-		return nil
-	}
-	var done func()
-	if release != nil {
-		var remaining atomic.Int32
-		remaining.Store(int32(sent))
-		done = func() {
-			if remaining.Add(-1) == 0 {
-				release()
-			}
-		}
-	}
-	for s, part := range parts {
-		if len(part) > 0 {
-			a.shards[s] <- applyJob{buckets: part, done: done}
-		}
-	}
-	return nil
-}
-
-// Close stops the shard goroutines, waits for queued buckets to land, and
-// returns the first error any shard hit.
-func (a *Applier) Close() error {
-	for _, ch := range a.shards {
-		close(ch)
-	}
-	a.wg.Wait()
-	return a.Err()
 }

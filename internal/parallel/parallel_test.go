@@ -3,12 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-
-	"github.com/shiftsplit/shiftsplit/internal/storage"
-	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
 
 func TestRunDeliversInAscendingOrder(t *testing.T) {
@@ -17,7 +13,7 @@ func TestRunDeliversInAscendingOrder(t *testing.T) {
 			const n = 100
 			var produced atomic.Int64
 			var got []int
-			err := Run(n, Options{Workers: workers},
+			err := Run(n, workers,
 				func(seq int) (int, error) {
 					produced.Add(1)
 					return seq * seq, nil
@@ -48,12 +44,12 @@ func TestRunDeliversInAscendingOrder(t *testing.T) {
 }
 
 func TestRunZeroAndOneItems(t *testing.T) {
-	if err := Run(0, Options{Workers: 4}, func(int) (int, error) { return 0, nil },
+	if err := Run(0, 4, func(int) (int, error) { return 0, nil },
 		func(int, int) error { t.Fatal("consume on empty run"); return nil }); err != nil {
 		t.Fatalf("empty run: %v", err)
 	}
 	calls := 0
-	err := Run(1, Options{Workers: 4},
+	err := Run(1, 4,
 		func(seq int) (int, error) { return seq + 7, nil },
 		func(seq, v int) error { calls++; return nil })
 	if err != nil || calls != 1 {
@@ -63,7 +59,7 @@ func TestRunZeroAndOneItems(t *testing.T) {
 
 func TestRunProduceErrorWins(t *testing.T) {
 	wantErr := errors.New("boom")
-	err := Run(50, Options{Workers: 4},
+	err := Run(50, 4,
 		func(seq int) (int, error) {
 			if seq == 13 {
 				return 0, wantErr
@@ -84,7 +80,7 @@ func TestRunProduceErrorWins(t *testing.T) {
 func TestRunConsumeErrorHalts(t *testing.T) {
 	wantErr := errors.New("sink full")
 	consumed := 0
-	err := Run(200, Options{Workers: 4},
+	err := Run(200, 4,
 		func(seq int) (int, error) { return seq, nil },
 		func(seq, v int) error {
 			consumed++
@@ -101,10 +97,12 @@ func TestRunConsumeErrorHalts(t *testing.T) {
 	}
 }
 
+// TestRunBoundsInFlight checks the fixed window: at most 2*workers results
+// are being produced or waiting for the consumer at any time.
 func TestRunBoundsInFlight(t *testing.T) {
-	const workers, queue = 4, 6
+	const workers = 4
 	var inFlight, peak atomic.Int64
-	err := Run(300, Options{Workers: workers, ChunkQueue: queue},
+	err := Run(300, workers,
 		func(seq int) (int, error) {
 			cur := inFlight.Add(1)
 			for {
@@ -122,99 +120,7 @@ func TestRunBoundsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if p := peak.Load(); p > queue {
-		t.Fatalf("peak in-flight %d exceeds queue bound %d", p, queue)
-	}
-}
-
-// newTestStore builds a small standard-tiled store over an in-memory backing.
-func newTestStore(t *testing.T) *tile.Store {
-	t.Helper()
-	tiling := tile.NewStandard([]int{4, 4}, 1)
-	st, err := tile.NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func randomBuckets(rng *rand.Rand, numBlocks, blockSize int) []tile.Bucket {
-	bs := tile.NewBucketSet(blockSize)
-	for i := 0; i < 12; i++ {
-		bs.Add(rng.Intn(numBlocks), rng.Intn(blockSize), rng.NormFloat64())
-	}
-	return bs.Buckets()
-}
-
-func TestApplierMatchesInlineApply(t *testing.T) {
-	for _, opts := range []Options{
-		{Workers: 1},
-		{Workers: 4, SerialApply: true},
-		{Workers: 4, Appliers: 3},
-		{Workers: 8},
-	} {
-		t.Run(fmt.Sprintf("w%d_a%d_serial%v", opts.Workers, opts.Appliers, opts.SerialApply), func(t *testing.T) {
-			want := newTestStore(t)
-			got := newTestStore(t)
-			tiling := want.Tiling()
-
-			rng := rand.New(rand.NewSource(42))
-			jobs := make([][]tile.Bucket, 64)
-			for i := range jobs {
-				jobs[i] = randomBuckets(rng, tiling.NumBlocks(), tiling.BlockSize())
-			}
-			for _, job := range jobs {
-				if err := want.ApplyBuckets(job); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a := NewApplier(got, opts)
-			for _, job := range jobs {
-				if err := a.Apply(job); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := a.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for b := 0; b < tiling.NumBlocks(); b++ {
-				wd, err := want.ReadTile(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gd, err := got.ReadTile(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := range wd {
-					if wd[s] != gd[s] {
-						t.Fatalf("block %d slot %d: sharded %v != inline %v", b, s, gd[s], wd[s])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestApplierSurfacesStorageErrors(t *testing.T) {
-	tiling := tile.NewStandard([]int{4, 4}, 1)
-	faulty := storage.NewFaulty(storage.NewMemStore(tiling.BlockSize()))
-	st, err := tile.NewStore(faulty, tiling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty.FailWriteAfter(3)
-
-	a := NewApplier(st, Options{Workers: 4})
-	rng := rand.New(rand.NewSource(7))
-	var applyErr error
-	for i := 0; i < 32 && applyErr == nil; i++ {
-		applyErr = a.Apply(randomBuckets(rng, tiling.NumBlocks(), tiling.BlockSize()))
-	}
-	if cerr := a.Close(); applyErr == nil {
-		applyErr = cerr
-	}
-	if !errors.Is(applyErr, storage.ErrInjected) {
-		t.Fatalf("applier error = %v, want ErrInjected", applyErr)
+	if p := peak.Load(); p > 2*workers {
+		t.Fatalf("peak in-flight %d exceeds the bound 2*workers = %d", p, 2*workers)
 	}
 }

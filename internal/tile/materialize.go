@@ -21,11 +21,8 @@ const materializeGroup = 64
 // per-dimension scaling/detail products, §3.2) in the slots whose
 // per-dimension component is the tile-root scaling.
 //
-// fill computes one block into a caller-provided buffer; it is exported to
-// this package's materialization driver so block computation can run on a
-// worker pool while writes stay sequential (ascending block IDs, the order
-// crash recovery expects). MaterializeStandard itself computes and writes
-// blocks in ascending order.
+// Blocks are computed and written in ascending block order, the order
+// crash recovery expects.
 func MaterializeStandard(st *Store, hat *ndarray.Array) error {
 	fill, numBlocks, err := StandardBlockFiller(st.Tiling(), hat)
 	if err != nil {
@@ -55,9 +52,8 @@ func MaterializeStandard(st *Store, hat *ndarray.Array) error {
 
 // StandardBlockFiller returns a function computing any single block of the
 // materialized standard layout into a caller-provided buffer, plus the
-// block count. The returned filler is safe for concurrent use from multiple
-// goroutines (hat is only read); each call allocates only small per-call
-// index scratch.
+// block count. The filler only reads hat; each call allocates only small
+// per-call index scratch.
 func StandardBlockFiller(t Tiling, hat *ndarray.Array) (fill func(block int, out []float64), numBlocks int, err error) {
 	tiling, ok := t.(*Standard)
 	if !ok {
@@ -172,9 +168,7 @@ func MaterializeNonStandard(st *Store, hat *ndarray.Array) error {
 // NonStandardBlocks lays hat out into dense per-block slices (details and
 // the overall average at their Locate positions) and returns a function
 // computing any non-root block's slot-0 scaling coefficient. The scaling
-// function only reads hat and is safe for concurrent use, which lets the
-// materialization driver compute the per-tile scalings on a worker pool
-// while keeping writes sequential in ascending block order.
+// function only reads hat.
 func NonStandardBlocks(t Tiling, hat *ndarray.Array) ([][]float64, func(block int) float64, error) {
 	tiling, ok := t.(*NonStandard)
 	if !ok {

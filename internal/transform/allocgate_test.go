@@ -5,7 +5,6 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/appender"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
@@ -21,9 +20,9 @@ const allocBudgetSlack = 1.20
 // internal/appender's BenchmarkAppender (eight [32,256] slabs into a
 // 256x256 domain, tile bits 2).
 var allocBudgets = map[string]float64{
-	"ChunkedStandard/workers=1":    9806,
-	"ChunkedNonStandard/workers=1": 5887,
-	"Appender/workers=1":           8756,
+	"ChunkedStandard/workers=1":    8423,
+	"ChunkedNonStandard/workers=1": 5726,
+	"Appender/workers=1":           8608,
 }
 
 // overAllocBudget reports the limit for key (its budget +20%) and whether
@@ -81,7 +80,7 @@ func TestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandardOpts(srcStd, 5, st, parallel.Options{Workers: 1}); err != nil {
+		if _, err := ChunkedStandard(srcStd, 5, st, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -93,8 +92,8 @@ func TestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedNonStandardOpts(srcNon, 5, st,
-			NonStdOptions{ZOrderCrest: true}, parallel.Options{Workers: 1}); err != nil {
+		if _, err := ChunkedNonStandard(srcNon, 5, st,
+			NonStdOptions{ZOrderCrest: true}, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -105,7 +104,7 @@ func TestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.SetOptions(parallel.Options{Workers: 1})
+		a.SetWorkers(1)
 		for step := 0; step < 8; step++ {
 			if _, err := a.Append(0, slab); err != nil {
 				t.Fatal(err)

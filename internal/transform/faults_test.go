@@ -2,6 +2,7 @@ package transform
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
@@ -20,44 +21,61 @@ func faultyStore(t *testing.T, tiling tile.Tiling) (*tile.Store, *storage.Faulty
 	return st, f
 }
 
-func TestChunkedStandardSurfacesReadFault(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 1)
-	st, f := faultyStore(t, tile.NewStandard([]int{4, 4}, 2))
-	f.FailReadAfter(5)
-	_, err := ChunkedStandard(src, 2, st)
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("err = %v, want injected fault", err)
+// atWorkers runs check at workers 1 and 4. The engines apply buckets in
+// Run's consumer on the calling goroutine, so a storage fault must halt a
+// fanned-out Run and surface just as it does inline.
+func atWorkers(t *testing.T, check func(t *testing.T, workers int)) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { check(t, workers) })
 	}
+}
+
+func TestChunkedStandardSurfacesReadFault(t *testing.T) {
+	atWorkers(t, func(t *testing.T, workers int) {
+		src := dataset.Dense([]int{16, 16}, 1)
+		st, f := faultyStore(t, tile.NewStandard([]int{4, 4}, 2))
+		f.FailReadAfter(5)
+		_, err := ChunkedStandard(src, 2, st, workers)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("err = %v, want injected fault", err)
+		}
+	})
 }
 
 func TestChunkedStandardSurfacesWriteFault(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 1)
-	st, f := faultyStore(t, tile.NewStandard([]int{4, 4}, 2))
-	f.FailWriteAfter(3)
-	_, err := ChunkedStandard(src, 2, st)
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		src := dataset.Dense([]int{16, 16}, 1)
+		st, f := faultyStore(t, tile.NewStandard([]int{4, 4}, 2))
+		f.FailWriteAfter(3)
+		_, err := ChunkedStandard(src, 2, st, workers)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("err = %v, want injected fault", err)
+		}
+	})
 }
 
 func TestCrestEngineSurfacesWriteFault(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 2)
-	st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
-	f.FailWriteAfter(2)
-	_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{ZOrderCrest: true})
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		src := dataset.Dense([]int{16, 16}, 2)
+		st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
+		f.FailWriteAfter(2)
+		_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{ZOrderCrest: true}, workers)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("err = %v, want injected fault", err)
+		}
+	})
 }
 
 func TestRowMajorEngineSurfacesFault(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 3)
-	st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
-	f.FailReadAfter(4)
-	_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{})
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		src := dataset.Dense([]int{16, 16}, 3)
+		st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
+		f.FailReadAfter(4)
+		_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, workers)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("err = %v, want injected fault", err)
+		}
+	})
 }
 
 func TestVitterSurfacesFault(t *testing.T) {

@@ -29,7 +29,7 @@ func TestEnginesAgainstRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandard(src, 3, st); err != nil {
+		if _, err := ChunkedStandard(src, 3, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
@@ -59,7 +59,7 @@ func TestEnginesAgainstRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}); err != nil {
+		if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

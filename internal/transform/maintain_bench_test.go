@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
@@ -35,7 +34,7 @@ func BenchmarkChunkedStandard(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ChunkedStandardOpts(src, 5, st, parallel.Options{Workers: w}); err != nil {
+				if _, err := ChunkedStandard(src, 5, st, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,8 +53,8 @@ func BenchmarkChunkedNonStandard(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ChunkedNonStandardOpts(src, 5, st,
-					NonStdOptions{ZOrderCrest: true}, parallel.Options{Workers: w}); err != nil {
+				if _, err := ChunkedNonStandard(src, 5, st,
+					NonStdOptions{ZOrderCrest: true}, w); err != nil {
 					b.Fatal(err)
 				}
 			}

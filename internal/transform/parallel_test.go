@@ -2,14 +2,16 @@ package transform
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/appender"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
+	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 func workerCounts() []int {
@@ -59,7 +61,7 @@ func TestChunkedStandardParallelBitIdentical(t *testing.T) {
 		}
 		run := func(workers int) ([][]float64, Stats, storage.Stats) {
 			st, counting := countedStore(t, tile.NewStandard([]int{5, 5}, 2))
-			stats, err := ChunkedStandardOpts(src, 2, st, parallel.Options{Workers: workers})
+			stats, err := ChunkedStandard(src, 2, st, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,8 +96,8 @@ func TestChunkedNonStandardParallelBitIdentical(t *testing.T) {
 			}
 			run := func(workers int) ([][]float64, Stats, storage.Stats) {
 				st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
-				stats, err := ChunkedNonStandardOpts(src, 2, st,
-					NonStdOptions{ZOrderCrest: crest}, parallel.Options{Workers: workers})
+				stats, err := ChunkedNonStandard(src, 2, st,
+					NonStdOptions{ZOrderCrest: crest}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,42 +119,106 @@ func TestChunkedNonStandardParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelSerialApplyPreservesWriteSequence checks that with SerialApply
-// the physical write order seen by the backing store is exactly the
-// sequential engine's, which crash-campaign determinism relies on.
-func TestParallelSerialApplyPreservesWriteSequence(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 11)
-	run := func(workers int) []int {
-		tiling := tile.NewStandard([]int{4, 4}, 2)
+// writeRecorder is a block store that logs every physical block write, id
+// and bits, in the order the device sees it.
+type writeRecorder struct {
+	storage.BlockStore
+	ids    []int
+	frames [][]float64
+}
+
+func (w *writeRecorder) WriteBlock(id int, data []float64) error {
+	w.ids = append(w.ids, id)
+	w.frames = append(w.frames, append([]float64(nil), data...))
+	return w.BlockStore.WriteBlock(id, data)
+}
+
+// recordOn runs one maintenance operation at a worker count on a fresh
+// recording store under tiling.
+func recordOn(tiling tile.Tiling, run func(st *tile.Store, workers int) error) func(t *testing.T, workers int) *writeRecorder {
+	return func(t *testing.T, workers int) *writeRecorder {
 		rec := &writeRecorder{BlockStore: storage.NewMemStore(tiling.BlockSize())}
 		st, err := tile.NewStore(rec, tiling)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ChunkedStandardOpts(src, 2, st, parallel.Options{Workers: workers, SerialApply: true})
-		if err != nil {
+		if err := run(st, workers); err != nil {
 			t.Fatal(err)
 		}
-		return rec.order
-	}
-	want := run(1)
-	got := run(4)
-	if len(want) != len(got) {
-		t.Fatalf("parallel made %d writes, sequential %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("write %d went to block %d, sequential wrote block %d", i, got[i], want[i])
-		}
+		return rec
 	}
 }
 
-type writeRecorder struct {
-	storage.BlockStore
-	order []int
-}
-
-func (w *writeRecorder) WriteBlock(id int, data []float64) error {
-	w.order = append(w.order, id)
-	return w.BlockStore.WriteBlock(id, data)
+// TestWorkerCountInvariance runs every maintenance operation at workers 1
+// and 4 on a recording store, with no other option set, and requires the
+// same physical write sequence, block for block and bit for bit: each
+// operation applies its buckets on the calling goroutine in chunk order, so
+// the worker count changes nothing the device sees. Materialize takes no
+// worker count, so its cases run the same call twice: they keep it in the
+// table of operations whose write sequence is fixed.
+func TestWorkerCountInvariance(t *testing.T) {
+	src := dataset.Dense([]int{32, 32}, 11)
+	std, nonStd := tile.NewStandard([]int{5, 5}, 2), tile.NewNonStandard(5, 2, 2)
+	slab := dataset.Dense([]int{12, 32}, 12)
+	cases := []struct {
+		name string
+		run  func(t *testing.T, workers int) *writeRecorder
+	}{
+		{"standard", recordOn(std, func(st *tile.Store, workers int) error {
+			_, err := ChunkedStandard(src, 2, st, workers)
+			return err
+		})},
+		{"row-major", recordOn(nonStd, func(st *tile.Store, workers int) error {
+			_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{}, workers)
+			return err
+		})},
+		{"crest", recordOn(nonStd, func(st *tile.Store, workers int) error {
+			_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, workers)
+			return err
+		})},
+		{"materialize-standard", recordOn(std, func(st *tile.Store, _ int) error {
+			return tile.MaterializeStandard(st, wavelet.TransformStandard(src))
+		})},
+		{"materialize-non-standard", recordOn(nonStd, func(st *tile.Store, _ int) error {
+			return tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(src))
+		})},
+		{"appender", func(t *testing.T, workers int) *writeRecorder {
+			var rec *writeRecorder
+			a, err := appender.NewWithBacking([]int{32, 32}, 2, func(_, blockSize int) (storage.BlockStore, error) {
+				rec = &writeRecorder{BlockStore: storage.NewMemStore(blockSize)}
+				return rec, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetWorkers(workers)
+			// Slabs of 12 split into several dyadic runs and cross the
+			// initial extent, so the runs fan out and the domain expands.
+			for step := 0; step < 4; step++ {
+				if _, err := a.Append(0, slab); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rec
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, got := c.run(t, 1), c.run(t, 4)
+			if len(got.ids) != len(want.ids) {
+				t.Fatalf("workers=4 made %d writes, workers=1 %d", len(got.ids), len(want.ids))
+			}
+			for i := range want.ids {
+				if got.ids[i] != want.ids[i] {
+					t.Fatalf("write %d went to block %d at workers=4, block %d at workers=1", i, got.ids[i], want.ids[i])
+				}
+				for s := range want.frames[i] {
+					if math.Float64bits(got.frames[i][s]) != math.Float64bits(want.frames[i][s]) {
+						t.Fatalf("write %d (block %d) slot %d: %v at workers=4, %v at workers=1",
+							i, want.ids[i], s, got.frames[i][s], want.frames[i][s])
+					}
+				}
+			}
+		})
+	}
 }

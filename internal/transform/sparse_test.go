@@ -28,7 +28,7 @@ func TestSparseStandardCorrectAndCheaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := ChunkedStandard(data, 2, st)
+		stats, err := ChunkedStandard(data, 2, st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestSparseCrestCorrectAndSkipsZeroBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true})
+	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSparseRowMajorCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ChunkedNonStandard(src, 1, st, NonStdOptions{})
+	stats, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAllZeroDatasetCostsAlmostNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ChunkedStandard(src, 2, st)
+	stats, err := ChunkedStandard(src, 2, st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

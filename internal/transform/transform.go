@@ -126,36 +126,39 @@ func unflatten(seq int, grid []int) []int {
 // memory for one chunk of edge 2^m per dimension. Each chunk is transformed
 // in memory and merged with SHIFT-SPLIT; every touched tile costs one read
 // and one write per chunk (no cross-chunk caching, matching the paper's
-// Result 1 analysis). Chunk transforms run on the default worker pool; see
-// ChunkedStandardOpts.
-func ChunkedStandard(src *ndarray.Array, m int, out *tile.Store) (Stats, error) {
-	return ChunkedStandardOpts(src, m, out, parallel.Options{})
-}
-
-// ChunkedStandardOpts is ChunkedStandard with an explicit worker-pool
-// configuration. Chunk transforms and SHIFT-SPLIT bucketing run on
-// opts.Workers goroutines; deltas are applied tile-sharded in chunk order,
-// so results are bit-identical and I/O counts equal for every worker count
-// (Workers == 1 is the fully sequential fallback).
-func ChunkedStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts parallel.Options) (Stats, error) {
+// Result 1 analysis). Chunk transforms and SHIFT-SPLIT bucketing run on
+// workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)); each chunk's
+// deltas are applied on the calling goroutine in chunk order, so results
+// are bit-identical, I/O counts equal and the physical write sequence the
+// same for every worker count (1 is the fully sequential fallback).
+func ChunkedStandard(src *ndarray.Array, m int, out *tile.Store, workers int) (Stats, error) {
 	shape, err := checkChunkable(src, m)
 	if err != nil {
 		return Stats{}, err
 	}
+	return rowMajorChunks(src, m, out, workers, func(sc *chunkScratch, pos []int) {
+		wavelet.TransformStandardInPlace(sc.chunk, sc.ws)
+		tile.AccumulateEmbedStandard(out.Tiling(), shape, dyadic.NewCubeRange(m, pos), sc.chunk, sc.set)
+	})
+}
+
+// rowMajorChunks is the read-modify-write schedule the standard and the
+// row-major non-standard engines share. Workers copy each chunk of edge 2^m
+// out of src in row-major order and, unless it is all zero, hand it to
+// bucket with its chunk position to transform in place and bucket into
+// sc.set; the consumer applies each chunk's buckets to out in chunk order.
+func rowMajorChunks(src *ndarray.Array, m int, out *tile.Store, workers int, bucket func(sc *chunkScratch, pos []int)) (Stats, error) {
 	var st Stats
+	shape := src.Shape()
 	edge := 1 << uint(m)
-	d := len(shape)
-	grid := make([]int, d)
+	grid := make([]int, len(shape))
+	chunkShape := make([]int, len(shape))
 	nChunks := 1
 	for i, s := range shape {
 		grid[i] = s / edge
+		chunkShape[i] = edge
 		nChunks *= grid[i]
 	}
-	chunkShape := make([]int, d)
-	for i := range chunkShape {
-		chunkShape[i] = edge
-	}
-	applier := parallel.NewApplier(out, opts)
 	pool := newChunkPool(chunkShape, out.Tiling().BlockSize())
 	produce := func(seq int) (chunkResult, error) {
 		pos := unflatten(seq, grid)
@@ -169,8 +172,7 @@ func ChunkedStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts parall
 			res.zero = true
 			return res, nil
 		}
-		wavelet.TransformStandardInPlace(sc.chunk, sc.ws)
-		tile.AccumulateEmbedStandard(out.Tiling(), shape, dyadic.NewCubeRange(m, pos), sc.chunk, sc.set)
+		bucket(sc, pos)
 		tile.AccumulateScalingSlots(out.Tiling(), sc.set)
 		res.buckets = sc.set.Buckets()
 		return res, nil
@@ -178,18 +180,14 @@ func ChunkedStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts parall
 	consume := func(seq int, res chunkResult) error {
 		st.InputCoefReads += res.coefReads
 		st.Chunks++
-		sc := res.scratch
 		if res.zero {
 			st.SkippedChunks++
-			sc.release(pool)
-			return nil
 		}
-		return applier.ApplyReleasing(res.buckets, func() { sc.release(pool) })
+		err := out.ApplyBuckets(res.buckets)
+		res.scratch.release(pool)
+		return err
 	}
-	err = parallel.Run(nChunks, opts, produce, consume)
-	if cerr := applier.Close(); err == nil {
-		err = cerr
-	}
+	err := parallel.Run(nChunks, workers, produce, consume)
 	return st, err
 }
 
@@ -206,18 +204,12 @@ type NonStdOptions struct {
 // by out, with memory for one chunk of edge 2^m. Without options the chunks
 // are visited in row-major order and split contributions are read-modify-
 // written per chunk; with ZOrderCrest the engine achieves the optimal
-// write-only I/O of Result 2.
-func ChunkedNonStandard(src *ndarray.Array, m int, out *tile.Store, opts NonStdOptions) (Stats, error) {
-	return ChunkedNonStandardOpts(src, m, out, opts, parallel.Options{})
-}
-
-// ChunkedNonStandardOpts is ChunkedNonStandard with an explicit worker-pool
-// configuration (see ChunkedStandardOpts for the parallel contract). In the
-// z-order crest engine only the chunk transforms and SHIFT bucketing are
-// parallel; the crest folds and the write-once block accounting stay on the
-// single consumer goroutine, in z-order, which Result 2's zero-read,
-// one-write-per-block discipline requires.
-func ChunkedNonStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts NonStdOptions, popts parallel.Options) (Stats, error) {
+// write-only I/O of Result 2. workers is ChunkedStandard's parallel
+// contract. In the z-order crest engine only the chunk transforms and SHIFT
+// bucketing are parallel; the crest folds and the write-once block
+// accounting stay on the single consumer goroutine, in z-order, which
+// Result 2's zero-read, one-write-per-block discipline requires.
+func ChunkedNonStandard(src *ndarray.Array, m int, out *tile.Store, opts NonStdOptions, workers int) (Stats, error) {
 	shape, err := checkChunkable(src, m)
 	if err != nil {
 		return Stats{}, err
@@ -229,65 +221,19 @@ func ChunkedNonStandardOpts(src *ndarray.Array, m int, out *tile.Store, opts Non
 	}
 	n := bitutil.Log2(shape[0])
 	if opts.ZOrderCrest {
-		return chunkedNonStdCrest(src, n, m, out, popts)
+		return chunkedNonStdCrest(src, n, m, out, workers)
 	}
-	return chunkedNonStdRowMajor(src, n, m, out, popts)
+	return chunkedNonStdRowMajor(src, n, m, out, workers)
 }
 
-func chunkedNonStdRowMajor(src *ndarray.Array, n, m int, out *tile.Store, popts parallel.Options) (Stats, error) {
-	var st Stats
-	d := src.Dims()
-	edge := 1 << uint(m)
-	side := 1 << uint(n-m)
-	chunkShape := make([]int, d)
-	for i := range chunkShape {
-		chunkShape[i] = edge
-	}
-	grid := make([]int, d)
-	nChunks := 1
-	for i := range grid {
-		grid[i] = side
-		nChunks *= side
-	}
-	origin := make([]int, d)
-	ph := cubicShape(n, d)
-	applier := parallel.NewApplier(out, popts)
-	pool := newChunkPool(chunkShape, out.Tiling().BlockSize())
-	produce := func(seq int) (chunkResult, error) {
-		pos := unflatten(seq, grid)
-		sc := pool.Get().(*chunkScratch)
-		for i := range pos {
-			sc.start[i] = pos[i] * edge
-		}
-		src.SubCopyInto(sc.chunk, sc.start)
-		res := chunkResult{coefReads: int64(sc.chunk.Size()), scratch: sc}
-		if allZero(sc.chunk) {
-			res.zero = true
-			return res, nil
-		}
+func chunkedNonStdRowMajor(src *ndarray.Array, n, m int, out *tile.Store, workers int) (Stats, error) {
+	ph := cubicShape(n, src.Dims())
+	origin := make([]int, src.Dims())
+	return rowMajorChunks(src, m, out, workers, func(sc *chunkScratch, pos []int) {
 		wavelet.TransformNonStandardInPlace(sc.chunk, sc.ws)
 		tile.AccumulateShiftNonStandard(out.Tiling(), ph, m, pos, sc.chunk, sc.set)
 		tile.AccumulateSplitNonStandard(out.Tiling(), ph, m, pos, sc.chunk.At(origin...), sc.set)
-		tile.AccumulateScalingSlots(out.Tiling(), sc.set)
-		res.buckets = sc.set.Buckets()
-		return res, nil
-	}
-	consume := func(seq int, res chunkResult) error {
-		st.InputCoefReads += res.coefReads
-		st.Chunks++
-		sc := res.scratch
-		if res.zero {
-			st.SkippedChunks++
-			sc.release(pool)
-			return nil
-		}
-		return applier.ApplyReleasing(res.buckets, func() { sc.release(pool) })
-	}
-	err := parallel.Run(nChunks, popts, produce, consume)
-	if cerr := applier.Close(); err == nil {
-		err = cerr
-	}
-	return st, err
+	})
 }
 
 // cubicShape returns the shape of the cubic destination transform.
@@ -411,7 +357,7 @@ func (c *Crest) Push(depth int, pos []int, avg float64) error {
 	return c.Push(depth+1, parent, parentAvg)
 }
 
-func chunkedNonStdCrest(src *ndarray.Array, n, m int, out *tile.Store, popts parallel.Options) (Stats, error) {
+func chunkedNonStdCrest(src *ndarray.Array, n, m int, out *tile.Store, workers int) (Stats, error) {
 	var st Stats
 	d := src.Dims()
 	edge := 1 << uint(m)
@@ -512,7 +458,7 @@ func chunkedNonStdCrest(src *ndarray.Array, n, m int, out *tile.Store, popts par
 		}
 		return nil
 	}
-	if err := parallel.Run(len(positions), popts, produce, consume); err != nil {
+	if err := parallel.Run(len(positions), workers, produce, consume); err != nil {
 		return st, err
 	}
 	if err := writer.Flush(); err != nil {

@@ -62,7 +62,7 @@ func TestChunkedStandardCorrect(t *testing.T) {
 			ns[i] = log2(s)
 		}
 		st, _ := countedStore(t, tile.NewStandard(ns, c.b))
-		stats, err := ChunkedStandard(src, c.m, st)
+		stats, err := ChunkedStandard(src, c.m, st, 0)
 		if err != nil {
 			t.Fatalf("shape %v: %v", c.shape, err)
 		}
@@ -76,7 +76,7 @@ func TestChunkedStandardCorrect(t *testing.T) {
 func TestChunkedNonStandardRowMajorCorrect(t *testing.T) {
 	src := dataset.Dense([]int{16, 16}, 2)
 	st, _ := countedStore(t, tile.NewNonStandard(4, 2, 2))
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{})
+	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChunkedNonStandardCrestCorrect(t *testing.T) {
 		}
 		src := dataset.Dense(shape, 3)
 		st, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-		_, err := ChunkedNonStandard(src, c.m, st, NonStdOptions{ZOrderCrest: true})
+		_, err := ChunkedNonStandard(src, c.m, st, NonStdOptions{ZOrderCrest: true}, 0)
 		if err != nil {
 			t.Fatalf("n=%d d=%d m=%d: %v", c.n, c.d, c.m, err)
 		}
@@ -112,7 +112,7 @@ func TestCrestIsWriteOnly(t *testing.T) {
 	// Result 2: with z-order and the crest, the engine never reads a block.
 	src := dataset.Dense([]int{32, 32}, 4)
 	st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true})
+	_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestCrestIsWriteOnly(t *testing.T) {
 func TestCrestBeatsRowMajorIO(t *testing.T) {
 	src := dataset.Dense([]int{32, 32}, 5)
 	stZ, cZ := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, stZ, NonStdOptions{ZOrderCrest: true}); err != nil {
+	if _, err := ChunkedNonStandard(src, 1, stZ, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 		t.Fatal(err)
 	}
 	stR, cR := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, stR, NonStdOptions{}); err != nil {
+	if _, err := ChunkedNonStandard(src, 1, stR, NonStdOptions{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cZ.Stats().Total() >= cR.Stats().Total() {
@@ -152,7 +152,7 @@ func TestChunkedStandardIOScalesWithMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandard(src, m, st); err != nil {
+		if _, err := ChunkedStandard(src, m, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		total := counting.Stats().Total()
@@ -210,11 +210,11 @@ func TestShiftSplitBeatsVitter(t *testing.T) {
 	blockSize := 1 << uint(b*2)
 
 	stS, cS := countedStore(t, tile.NewStandard([]int{5, 5}, b))
-	if _, err := ChunkedStandard(src, 3, stS); err != nil {
+	if _, err := ChunkedStandard(src, 3, stS, 0); err != nil {
 		t.Fatal(err)
 	}
 	stN, cN := countedStore(t, tile.NewNonStandard(5, 2, b))
-	if _, err := ChunkedNonStandard(src, 3, stN, NonStdOptions{ZOrderCrest: true}); err != nil {
+	if _, err := ChunkedNonStandard(src, 3, stN, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 		t.Fatal(err)
 	}
 	cV := storage.NewCounting(storage.NewMemStore(blockSize))
@@ -232,7 +232,7 @@ func TestShiftSplitBeatsVitter(t *testing.T) {
 func TestChunkEdgeTooLarge(t *testing.T) {
 	src := ndarray.New(8, 8)
 	st, _ := countedStore(t, tile.NewStandard([]int{3, 3}, 2))
-	if _, err := ChunkedStandard(src, 4, st); err == nil {
+	if _, err := ChunkedStandard(src, 4, st, 0); err == nil {
 		t.Error("oversized chunk accepted")
 	}
 }
@@ -240,7 +240,7 @@ func TestChunkEdgeTooLarge(t *testing.T) {
 func TestNonStandardRejectsNonCubic(t *testing.T) {
 	src := ndarray.New(8, 16)
 	st, _ := countedStore(t, tile.NewNonStandard(3, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}); err == nil {
+	if _, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, 0); err == nil {
 		t.Error("non-cubic dataset accepted")
 	}
 }
@@ -250,7 +250,7 @@ func TestCrestMemoryBound(t *testing.T) {
 	// (2^d - 1) log(N/M) * B^d, far below the dataset size.
 	src := dataset.Dense([]int{64, 64}, 10)
 	st, _ := countedStore(t, tile.NewNonStandard(6, 2, 2))
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true})
+	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestStandardIOTracksPaperFormula(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandard(src, m, st); err != nil {
+		if _, err := ChunkedStandard(src, m, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		measured := float64(counting.Stats().Total())
@@ -300,7 +300,7 @@ func TestCrestIOIsExactlyOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}); err != nil {
+	if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats := counting.Stats()
@@ -358,17 +358,17 @@ func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 		for m := 0; m <= c.n; m++ {
 			name := func(engine string) string { return fmt.Sprintf("%s n=%d d=%d b=%d m=%d", engine, c.n, c.d, c.b, m) }
 			std, _ := countedStore(t, tile.NewStandard(ns, c.b))
-			if _, err := ChunkedStandard(src, m, std); err != nil {
+			if _, err := ChunkedStandard(src, m, std, 0); err != nil {
 				t.Fatal(err)
 			}
 			same(t, name("standard"), std, wantStd)
 			row, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-			if _, err := ChunkedNonStandard(src, m, row, NonStdOptions{}); err != nil {
+			if _, err := ChunkedNonStandard(src, m, row, NonStdOptions{}, 0); err != nil {
 				t.Fatal(err)
 			}
 			same(t, name("row-major"), row, wantNon)
 			crest, counting := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-			if _, err := ChunkedNonStandard(src, m, crest, NonStdOptions{ZOrderCrest: true}); err != nil {
+			if _, err := ChunkedNonStandard(src, m, crest, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
 				t.Fatal(err)
 			}
 			if st := counting.Stats(); st.Reads != 0 || st.Writes != int64(crest.Tiling().NumBlocks()) {

@@ -2,7 +2,6 @@ package shiftsplit
 
 import (
 	"github.com/shiftsplit/shiftsplit/internal/appender"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/stream"
 )
@@ -48,7 +47,7 @@ func NewAppenderOpts(shape []int, tileBits int, opts MaintainOptions) (*Appender
 	if err != nil {
 		return nil, err
 	}
-	a.SetOptions(parallel.Options{Workers: opts.Workers, ChunkQueue: opts.ChunkQueue})
+	a.SetWorkers(opts.Workers)
 	return &Appender{inner: a}, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/transform"
@@ -142,7 +141,7 @@ func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 					src, chunkBits := randArray(rng, g.shape...), 1+rng.Intn(minLevels)
 					var err error
 					if engine == "row-major" {
-						_, err = transform.ChunkedNonStandardOpts(src, chunkBits, st.store, transform.NonStdOptions{}, parallel.Options{Workers: 1})
+						_, err = transform.ChunkedNonStandard(src, chunkBits, st.store, transform.NonStdOptions{}, 1)
 					} else {
 						err = st.TransformChunked(src, chunkBits)
 					}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/cache"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/transform"
@@ -84,34 +83,15 @@ type StoreOptions struct {
 	BaseWrap func(storage.BlockStore) storage.BlockStore
 }
 
-// MaintainOptions tunes the worker pool behind the maintenance operations
-// (TransformChunked, Materialize, and the Appender). The zero value selects
-// the defaults: one transform worker per CPU and a chunk queue of twice the
-// worker count. Results are bit-identical and I/O counters equal for every
-// setting — parallelism changes wall-clock time only.
+// MaintainOptions tunes the worker pool behind the chunked maintenance
+// operations (TransformChunked and the Appender). The zero value selects one
+// transform worker per CPU. Results are bit-identical, I/O counters equal
+// and the physical write sequence the same for every setting — parallelism
+// changes wall-clock time only.
 type MaintainOptions struct {
 	// Workers is the number of goroutines transforming chunks; <= 0 selects
 	// runtime.GOMAXPROCS(0), and 1 runs fully sequentially.
 	Workers int
-	// ChunkQueue bounds how many transformed-but-unapplied chunks may be in
-	// flight, each holding its bucketed deltas in memory; <= 0 selects
-	// 2*Workers. Larger values smooth over chunks of uneven cost at the
-	// price of memory.
-	ChunkQueue int
-}
-
-// engine lowers the public options to the internal pool configuration. The
-// physical I/O order on the destination must be exactly the sequential
-// engine's whenever the storage stack is order-sensitive: the serve cache
-// (hit/miss counts depend on access order) and durable stores (crash
-// campaigns kill maintenance at every physical write index and expect a
-// deterministic sequence).
-func (o MaintainOptions) engine(s *Store) parallel.Options {
-	return parallel.Options{
-		Workers:     o.Workers,
-		ChunkQueue:  o.ChunkQueue,
-		SerialApply: s.cache != nil || s.durable != nil || s.versioned != nil,
-	}
 }
 
 // Store is a wavelet transform resident on tiled block storage, with every
@@ -312,21 +292,13 @@ func (s *Store) Close() error {
 // queries possible. Use TransformChunked instead when a does not fit the
 // I/O budget of an in-memory transform.
 func (s *Store) Materialize(a *Array) error {
-	return s.MaterializeOpts(a, MaintainOptions{})
-}
-
-// MaterializeOpts is Materialize with an explicit worker-pool configuration.
-// Block contents are computed concurrently; the physical writes happen in
-// ascending block order regardless of the worker count, so the on-disk
-// result and the I/O counters match the sequential path exactly.
-func (s *Store) MaterializeOpts(a *Array, opts MaintainOptions) error {
 	hat := Transform(a, s.opts.Form)
 	var err error
 	switch s.tiling.(type) {
 	case *tile.Standard:
-		err = parallel.MaterializeStandard(s.store, hat, opts.engine(s))
+		err = tile.MaterializeStandard(s.store, hat)
 	case *tile.NonStandard:
-		err = parallel.MaterializeNonStandard(s.store, hat, opts.engine(s))
+		err = tile.MaterializeNonStandard(s.store, hat)
 	}
 	if err != nil {
 		return err
@@ -358,9 +330,10 @@ func (s *Store) TransformChunked(src *Array, chunkBits int) error {
 
 // TransformChunkedOpts is TransformChunked with an explicit worker-pool
 // configuration: chunk transforms and SHIFT-SPLIT bucketing fan out to
-// opts.Workers goroutines while per-tile delta application stays in chunk
-// order, so the resulting transform is bit-identical and the I/O counters
-// equal for every worker count.
+// opts.Workers goroutines while the deltas are applied on the calling
+// goroutine in chunk order, so the resulting transform is bit-identical,
+// the I/O counters equal and the physical write sequence the same for
+// every worker count.
 func (s *Store) TransformChunkedOpts(src *Array, chunkBits int, opts MaintainOptions) error {
 	if err := s.maintenanceGuard(); err != nil {
 		return err
@@ -368,9 +341,9 @@ func (s *Store) TransformChunkedOpts(src *Array, chunkBits int, opts MaintainOpt
 	var err error
 	switch s.opts.Form {
 	case Standard:
-		_, err = transform.ChunkedStandardOpts(src, chunkBits, s.store, opts.engine(s))
+		_, err = transform.ChunkedStandard(src, chunkBits, s.store, opts.Workers)
 	case NonStandard:
-		_, err = transform.ChunkedNonStandardOpts(src, chunkBits, s.store, transform.NonStdOptions{ZOrderCrest: true}, opts.engine(s))
+		_, err = transform.ChunkedNonStandard(src, chunkBits, s.store, transform.NonStdOptions{ZOrderCrest: true}, opts.Workers)
 	}
 	if err != nil {
 		return err
