@@ -3,6 +3,7 @@ package shiftsplit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -46,5 +47,59 @@ func TestNonStdAppenderFacade(t *testing.T) {
 	}
 	if a.TotalIO().Total() == 0 {
 		t.Error("no I/O recorded")
+	}
+}
+
+// TestMaintenanceRejectsForeignShapes holds Materialize and
+// TransformChunked to an error, before any write, for an array whose shape
+// is not the store's: smaller, larger, non-square and not a power of two.
+func TestMaintenanceRejectsForeignShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	ops := []struct {
+		name string
+		run  func(*Store, *Array) error
+	}{
+		{"Materialize", (*Store).Materialize},
+		{"TransformChunked", func(st *Store, a *Array) error { return st.TransformChunked(a, 2) }},
+	}
+	for _, form := range []Form{Standard, NonStandard} {
+		for _, op := range ops {
+			name := op.name
+			for _, shape := range [][]int{{8, 8}, {32, 32}, {16, 8}, {12, 12}} {
+				st, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Form: form, TileBits: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Materialize(randArray(rng, 16, 16)); err != nil {
+					t.Fatal(err)
+				}
+				before, err := st.ReadTransform()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.ResetStats()
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%v %s of %v panicked: %v", form, name, shape, r)
+						}
+					}()
+					if err := op.run(st, randArray(rng, shape...)); err == nil {
+						t.Errorf("%v %s of %v into a 16x16 store returned nil", form, name, shape)
+					}
+				}()
+				if w := st.Stats().Writes; w != 0 {
+					t.Errorf("%v %s of %v wrote %d blocks", form, name, shape, w)
+				}
+				after, err := st.ReadTransform()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(after.Data(), before.Data()) {
+					t.Errorf("%v %s of %v changed the stored transform", form, name, shape)
+				}
+				st.Close()
+			}
+		}
 	}
 }
