@@ -110,7 +110,7 @@ func R6(c R6Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tile.MaterializeStandard(st, wavelet.TransformStandard(src)); err != nil {
+	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
 		return nil, err
 	}
 	// A coefficient-granular twin of the same transform measures the

@@ -604,7 +604,7 @@ func TestPointStandardBatchMatchesSingles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.MaterializeStandard(st, wavelet.TransformStandard(dataset.Dense(shape, 17))); err != nil {
+		if err := tile.Materialize(st, wavelet.TransformStandard(dataset.Dense(shape, 17))); err != nil {
 			t.Fatal(err)
 		}
 		points := randomPoints(rand.New(rand.NewSource(18)), shape, 40)
@@ -669,7 +669,7 @@ func leafCases(t testing.TB) []*tile.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.MaterializeStandard(st, wavelet.TransformStandard(dataset.Dense(g.shape, 30))); err != nil {
+		if err := tile.Materialize(st, wavelet.TransformStandard(dataset.Dense(g.shape, 30))); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, st)
@@ -680,7 +680,7 @@ func leafCases(t testing.TB) []*tile.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(dataset.Dense(tiling.Domain(), 31))); err != nil {
+		if err := tile.Materialize(st, wavelet.TransformNonStandard(dataset.Dense(tiling.Domain(), 31))); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, st)

@@ -28,7 +28,7 @@ func materializedStandard(t *testing.T, src *ndarray.Array, b int) *tile.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.MaterializeStandard(st, wavelet.TransformStandard(src)); err != nil {
+	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -41,7 +41,7 @@ func materializedNonStandard(t *testing.T, src *ndarray.Array, n, d, b int) *til
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(src)); err != nil {
+	if err := tile.Materialize(st, wavelet.TransformNonStandard(src)); err != nil {
 		t.Fatal(err)
 	}
 	return st

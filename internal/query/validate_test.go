@@ -26,7 +26,7 @@ func vStdStore(t *testing.T, shape []int) *tile.Store {
 		t.Fatal(err)
 	}
 	hat := wavelet.Transform(dataset.Dense(shape, 1), wavelet.Standard)
-	if err := tile.MaterializeStandard(st, hat); err != nil {
+	if err := tile.Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -44,7 +44,7 @@ func vNonStdStore(t *testing.T, n, d int) *tile.Store {
 		shape[i] = 1 << uint(n)
 	}
 	hat := wavelet.Transform(dataset.Dense(shape, 1), wavelet.NonStandard)
-	if err := tile.MaterializeNonStandard(st, hat); err != nil {
+	if err := tile.Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	return st

@@ -35,7 +35,7 @@ func fixtureStandard(t *testing.T, src *ndarray.Array, b int) (*tile.Store, *sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.MaterializeStandard(st, wavelet.TransformStandard(src)); err != nil {
+	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
 		t.Fatal(err)
 	}
 	counting.Reset()
@@ -50,7 +50,7 @@ func fixtureNonStandard(t *testing.T, src *ndarray.Array, n, d, b int) (*tile.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(src)); err != nil {
+	if err := tile.Materialize(st, wavelet.TransformNonStandard(src)); err != nil {
 		t.Fatal(err)
 	}
 	counting.Reset()

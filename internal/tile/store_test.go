@@ -79,7 +79,7 @@ func TestStoreIOCounts(t *testing.T) {
 	}
 }
 
-func TestMaterializeStandard1D(t *testing.T) {
+func TestMaterialize1DStandard(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, b := 5, 2
 	v := make([]float64, 1<<uint(n))
@@ -94,7 +94,7 @@ func TestMaterializeStandard1D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MaterializeStandard(st, hat); err != nil {
+	if err := Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	// Every real coefficient reads back exactly.
@@ -138,7 +138,7 @@ func TestMaterializedTileReconstructsPointAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MaterializeStandard(st, hat); err != nil {
+	if err := Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	oneD := tiling.Dim(0)
@@ -168,7 +168,7 @@ func TestMaterializedTileReconstructsPointAlone(t *testing.T) {
 	}
 }
 
-func TestMaterializeStandard2D(t *testing.T) {
+func TestMaterialize2DStandard(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randArray(rng, 16, 8)
 	hat := wavelet.TransformStandard(a)
@@ -177,7 +177,7 @@ func TestMaterializeStandard2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MaterializeStandard(st, hat); err != nil {
+	if err := Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	// All real coefficients read back.
@@ -196,7 +196,7 @@ func TestMaterializeStandard2D(t *testing.T) {
 	}
 }
 
-func TestMaterializeNonStandard(t *testing.T) {
+func TestMaterialize2DNonStandard(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randArray(rng, 16, 16)
 	hat := wavelet.TransformNonStandard(a)
@@ -205,7 +205,7 @@ func TestMaterializeNonStandard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MaterializeNonStandard(st, hat); err != nil {
+	if err := Materialize(st, hat); err != nil {
 		t.Fatal(err)
 	}
 	bad := 0

@@ -177,10 +177,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 			return err
 		})},
 		{"materialize-standard", recordOn(std, func(st *tile.Store, _ int) error {
-			return tile.MaterializeStandard(st, wavelet.TransformStandard(src))
+			return tile.Materialize(st, wavelet.TransformStandard(src))
 		})},
 		{"materialize-non-standard", recordOn(nonStd, func(st *tile.Store, _ int) error {
-			return tile.MaterializeNonStandard(st, wavelet.TransformNonStandard(src))
+			return tile.Materialize(st, wavelet.TransformNonStandard(src))
 		})},
 		{"appender", func(t *testing.T, workers int) *writeRecorder {
 			var rec *writeRecorder

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/core"
 	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/transform"
@@ -31,9 +32,9 @@ var slotGeometries = []struct {
 	{NonStandard, []int{8, 8, 8}, 2},
 }
 
-// checkSlots holds every block of st to the materialized layout of the
-// transform st holds, within 1e-12 of the layout's largest magnitude, and
-// every cell's Point to one block and to the root-path kernel's answer
+// checkSlots holds every block of st to the layout wantLayout derives for
+// the transform st holds, within 1e-12 of the layout's largest magnitude,
+// and every cell's Point to one block and to the root-path kernel's answer
 // within 1e-12 relative.
 func checkSlots(t *testing.T, st *Store) {
 	t.Helper()
@@ -41,29 +42,7 @@ func checkSlots(t *testing.T, st *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]float64, st.NumBlocks())
-	switch tiling := st.tiling.(type) {
-	case *tile.Standard:
-		fill, _, err := tile.StandardBlockFiller(tiling, hat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range want {
-			want[id] = make([]float64, st.BlockSize())
-			fill(id, want[id])
-		}
-	case *tile.NonStandard:
-		blocks, scaling, err := tile.NonStandardBlocks(tiling, hat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range want {
-			if id > 0 {
-				blocks[id][0] = scaling(id)
-			}
-			want[id] = blocks[id]
-		}
-	}
+	want := wantLayout(st.tiling, hat)
 	scale := 1.0
 	for _, b := range want {
 		for _, v := range b {
@@ -111,14 +90,84 @@ func checkSlots(t *testing.T, st *Store) {
 	}
 }
 
+// wantLayout derives the layout of hat from the definitions, not from a
+// writer under test: every coefficient at its Locate position, and slot 0
+// of every tile but the top one its root's scaling coefficient. On the
+// non-standard form that is core.ScalingNonStandard of the root cell. A
+// standard slot crosses one 1-d slot per dimension, each naming either a
+// coefficient or, as slot 0 of a non-top tile, its root's
+// core.ScalingPath1D; the slot holds the sum over the cross product.
+func wantLayout(tiling tile.Tiling, hat *Array) [][]float64 {
+	want := make([][]float64, tiling.NumBlocks())
+	for id := range want {
+		want[id] = make([]float64, tiling.BlockSize())
+	}
+	switch tl := tiling.(type) {
+	case *tile.Standard:
+		// basis[i][tile*B+slot] lists the weighted indices of dimension i
+		// the 1-d slot combines (nil for an unused slot).
+		d, B := tl.Dims(), tl.Dim(0).BlockSize()
+		basis := make([][][]core.Target, d)
+		for i := range basis {
+			od := tl.Dim(i)
+			basis[i] = make([][]core.Target, od.NumBlocks()*B)
+			for idx := 0; idx < 1<<uint(od.Levels()); idx++ {
+				bt, slot := od.Locate1D(idx)
+				basis[i][bt*B+slot] = []core.Target{{Index: idx, Weight: 1}}
+			}
+			for bt := 0; bt < od.NumBlocks(); bt++ {
+				if basis[i][bt*B] == nil { // not the top tile, whose slot 0 is index 0
+					j, k := od.RootOf(bt)
+					basis[i][bt*B] = core.ScalingPath1D(od.Levels(), j, k)
+				}
+			}
+		}
+		lists, coords := make([][]core.Target, d), make([]int, d)
+		for id := range want {
+			for slot := range want[id] {
+				for i, rest := d-1, slot; i >= 0; i, rest = i-1, rest/B {
+					bt := id / tl.Stride(i) % tl.Dim(i).NumBlocks()
+					lists[i] = basis[i][bt*B+rest%B]
+				}
+				want[id][slot] = crossSum(hat, lists, coords, 1)
+			}
+		}
+	case *tile.NonStandard:
+		hat.Each(func(coords []int, v float64) {
+			id, slot := tl.Locate(coords)
+			want[id][slot] = v
+		})
+		for id := 1; id < len(want); id++ {
+			level, pos := tl.RootOf(id)
+			want[id][0] = core.ScalingNonStandard(hat, level, pos)
+		}
+	}
+	return want
+}
+
+// crossSum returns w times the sum of hat over the cross product of the
+// lists of dimensions len(coords)-len(lists).., each term weighted by its
+// entries' weights; coords holds the earlier dimensions' indices.
+func crossSum(hat *Array, lists [][]core.Target, coords []int, w float64) float64 {
+	if len(lists) == 0 {
+		return w * hat.At(coords...)
+	}
+	t, sum := len(coords)-len(lists), 0.0
+	for _, e := range lists[0] {
+		coords[t] = e.Index
+		sum += crossSum(hat, lists[1:], coords, w*e.Weight)
+	}
+	return sum
+}
+
 // TestScalingSlotsSurviveMaintenance runs seeded sequences of maintenance —
-// a chunked transform (each engine of its form), then merges, clears,
-// scales and store additions in random order — and after every step holds
-// the whole store to the layout Materialize writes for the same transform,
-// and every point to one block.
+// a whole transform (Materialize or each chunked engine of its form), then
+// merges, clears, scales and store additions in random order — and after
+// every step holds the whole store to the layout wantLayout derives for the
+// same transform, and every point to one block.
 func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 	for gi, g := range slotGeometries {
-		engines := []string{"chunked"}
+		engines := []string{"materialize", "chunked"}
 		if g.form == NonStandard {
 			engines = append(engines, "row-major")
 		}
@@ -140,9 +189,12 @@ func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 				transformInto := func(st *Store) {
 					src, chunkBits := randArray(rng, g.shape...), 1+rng.Intn(minLevels)
 					var err error
-					if engine == "row-major" {
+					switch engine {
+					case "materialize":
+						err = st.Materialize(src)
+					case "row-major":
 						_, err = transform.ChunkedNonStandard(src, chunkBits, st.store, transform.NonStdOptions{}, 1)
-					} else {
+					default:
 						err = st.TransformChunked(src, chunkBits)
 					}
 					if err != nil {
