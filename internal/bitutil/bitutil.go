@@ -50,11 +50,6 @@ func CeilLog2(x int) int {
 	return bits.Len(uint(x - 1))
 }
 
-// NextPow2 returns the smallest power of two >= x, for x >= 1.
-func NextPow2(x int) int {
-	return Pow2(CeilLog2(x))
-}
-
 // CeilDiv returns ceil(a/b) for b > 0 and a >= 0.
 func CeilDiv(a, b int) int {
 	if b <= 0 || a < 0 {

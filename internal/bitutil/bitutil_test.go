@@ -65,15 +65,6 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 100: 128}
-	for x, want := range cases {
-		if got := NextPow2(x); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	cases := [][3]int{{0, 1, 0}, {1, 1, 1}, {5, 2, 3}, {6, 2, 3}, {7, 8, 1}, {8, 8, 1}, {9, 8, 2}}
 	for _, c := range cases {
@@ -113,17 +104,6 @@ func TestQuickPow2RoundTrip(t *testing.T) {
 	f := func(e uint8) bool {
 		x := int(e % 40)
 		return Log2(Pow2(x)) == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickNextPow2Bounds(t *testing.T) {
-	f := func(v uint32) bool {
-		x := int(v%1_000_000) + 1
-		p := NextPow2(x)
-		return IsPow2(p) && p >= x && (p == 1 || p/2 < x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -162,36 +162,3 @@ func minInt(a, b int) int {
 	}
 	return b
 }
-
-// Zipf fills an array with heavy-tailed values: cell magnitudes follow a
-// Zipf-like distribution over a shuffled rank order, the classic skewed
-// OLAP measure (a few hot cells carry most of the mass).
-func Zipf(shape []int, s float64, seed int64) *ndarray.Array {
-	if s <= 1 {
-		panic(fmt.Sprintf("dataset: Zipf exponent %g must exceed 1", s))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	a := ndarray.New(shape...)
-	data := a.Data()
-	perm := rng.Perm(len(data))
-	for rank, idx := range perm {
-		data[idx] = 1000 / math.Pow(float64(rank+1), s)
-	}
-	return a
-}
-
-// Seasonal returns a 1-d series with daily and weekly cycles plus drift and
-// noise — a realistic stream workload with structure at several scales.
-func Seasonal(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	drift := 0.0
-	for i := range out {
-		drift += rng.NormFloat64() * 0.02
-		out[i] = 10 +
-			4*math.Sin(2*math.Pi*float64(i)/24) +
-			2*math.Sin(2*math.Pi*float64(i)/(24*7)) +
-			drift + rng.NormFloat64()*0.2
-	}
-	return out
-}

@@ -142,64 +142,3 @@ func TestRandomWalk(t *testing.T) {
 		t.Errorf("mean squared step %g, want ~1", avg)
 	}
 }
-
-func TestZipfSkew(t *testing.T) {
-	a := Zipf([]int{32, 32}, 1.5, 3)
-	// The top 1% of cells must carry the majority of the mass.
-	vals := append([]float64(nil), a.Data()...)
-	// selection: find the 10 largest by simple scan
-	total := 0.0
-	for _, v := range vals {
-		total += v
-	}
-	top := 0.0
-	for i := 0; i < 10; i++ {
-		maxIdx := 0
-		for j, v := range vals {
-			if v > vals[maxIdx] {
-				maxIdx = j
-			}
-			_ = v
-		}
-		top += vals[maxIdx]
-		vals[maxIdx] = 0
-	}
-	if top < total/2 {
-		t.Errorf("top-10 cells carry %.1f of %.1f; expected heavy skew", top, total)
-	}
-}
-
-func TestZipfBadExponentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Zipf(1.0) did not panic")
-		}
-	}()
-	Zipf([]int{4}, 1.0, 1)
-}
-
-func TestSeasonalStructure(t *testing.T) {
-	s := Seasonal(24*14, 4)
-	if len(s) != 24*14 {
-		t.Fatal("length wrong")
-	}
-	// Same hour on consecutive days should correlate more than opposite
-	// hours: compare average absolute difference.
-	var samePhase, antiPhase float64
-	n := 0
-	for i := 0; i+36 < len(s); i++ {
-		samePhase += abs(s[i] - s[i+24])
-		antiPhase += abs(s[i] - s[i+12])
-		n++
-	}
-	if samePhase >= antiPhase {
-		t.Errorf("no daily cycle: same-phase diff %g vs anti-phase %g", samePhase/float64(n), antiPhase/float64(n))
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

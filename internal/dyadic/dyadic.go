@@ -81,15 +81,6 @@ func (iv Interval) Right() Interval {
 	return Interval{Level: iv.Level - 1, Pos: 2*iv.Pos + 1}
 }
 
-// AncestorAt returns the dyadic interval at the given level >= iv.Level
-// that covers iv.
-func (iv Interval) AncestorAt(level int) Interval {
-	if level < iv.Level {
-		panic(fmt.Sprintf("dyadic: AncestorAt level %d below interval level %d", level, iv.Level))
-	}
-	return Interval{Level: level, Pos: iv.Pos >> uint(level-iv.Level)}
-}
-
 // String renders the interval as I[j,k]=[start,end].
 func (iv Interval) String() string {
 	return fmt.Sprintf("I[%d,%d]=[%d,%d]", iv.Level, iv.Pos, iv.Start(), iv.End())

@@ -78,20 +78,6 @@ func TestLevelZeroChildPanics(t *testing.T) {
 	NewInterval(0, 5).Left()
 }
 
-func TestAncestorAt(t *testing.T) {
-	iv := NewInterval(0, 13) // point 13
-	if got := iv.AncestorAt(2); got != NewInterval(2, 3) {
-		t.Errorf("AncestorAt(2) = %v", got)
-	}
-	if got := iv.AncestorAt(0); got != iv {
-		t.Errorf("AncestorAt(0) = %v", got)
-	}
-	anc := iv.AncestorAt(4)
-	if !anc.Covers(iv) {
-		t.Error("ancestor does not cover")
-	}
-}
-
 func TestDecomposeExact(t *testing.T) {
 	// [3, 11) -> [3,3] [4,7] [8,9] [10,10]
 	got := Decompose(3, 11)
@@ -252,8 +238,8 @@ func TestRangeNonCubic(t *testing.T) {
 func TestQuickCoversTransitive(t *testing.T) {
 	f := func(l1, l2, l3, p uint8) bool {
 		a := NewInterval(int(l1%4), int(p%8))
-		b := a.AncestorAt(a.Level + int(l2%4))
-		c := b.AncestorAt(b.Level + int(l3%4))
+		b := NewInterval(a.Level+int(l2%4), a.Pos>>(l2%4))
+		c := NewInterval(b.Level+int(l3%4), b.Pos>>(l3%4))
 		return c.Covers(a) && c.Covers(b) && b.Covers(a)
 	}
 	if err := quick.Check(f, nil); err != nil {

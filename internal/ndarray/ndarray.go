@@ -250,37 +250,11 @@ func (a *Array) walkSub(start, shape []int, visit func(srcOff, dstOff int)) {
 	}
 }
 
-// Fiber copies the 1-d line along dimension dim passing through the cell at
-// fixed coordinates (the entry for dim is ignored).
-func (a *Array) Fiber(dim int, fixed []int) []float64 {
-	base, stride, n := a.fiberSpec(dim, fixed)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a.data[base+i*stride]
-	}
-	return out
-}
-
 // FiberSpan exposes the strided layout of the 1-d line along dimension dim:
 // the line's cells live at Data()[base + i*stride] for i in [0, n). The
 // in-place transforms use it to read and write fibers without copying
 // through an intermediate slice.
 func (a *Array) FiberSpan(dim int, fixed []int) (base, stride, n int) {
-	return a.fiberSpec(dim, fixed)
-}
-
-// SetFiber writes values along the 1-d line described by dim and fixed.
-func (a *Array) SetFiber(dim int, fixed []int, values []float64) {
-	base, stride, n := a.fiberSpec(dim, fixed)
-	if len(values) != n {
-		panic(fmt.Sprintf("ndarray: SetFiber got %d values for extent %d", len(values), n))
-	}
-	for i := 0; i < n; i++ {
-		a.data[base+i*stride] = values[i]
-	}
-}
-
-func (a *Array) fiberSpec(dim int, fixed []int) (base, stride, n int) {
 	if dim < 0 || dim >= len(a.shape) {
 		panic(fmt.Sprintf("ndarray: fiber dim %d for shape %v", dim, a.shape))
 	}

@@ -158,41 +158,6 @@ func TestSubCopyPasteRoundTrip3D(t *testing.T) {
 	}
 }
 
-func TestFiberRoundTrip(t *testing.T) {
-	a := New(3, 4, 5)
-	for i := range a.Data() {
-		a.Data()[i] = float64(i)
-	}
-	for dim := 0; dim < 3; dim++ {
-		fixed := []int{1, 2, 3}
-		f := a.Fiber(dim, fixed)
-		if len(f) != a.Extent(dim) {
-			t.Fatalf("fiber dim %d length %d", dim, len(f))
-		}
-		// Verify entries against At.
-		coords := append([]int(nil), fixed...)
-		for i, v := range f {
-			coords[dim] = i
-			if a.At(coords...) != v {
-				t.Fatalf("fiber dim %d entry %d = %g, want %g", dim, i, v, a.At(coords...))
-			}
-		}
-		// Round trip.
-		doubled := make([]float64, len(f))
-		for i, v := range f {
-			doubled[i] = 2 * v
-		}
-		a.SetFiber(dim, fixed, doubled)
-		got := a.Fiber(dim, fixed)
-		for i := range got {
-			if got[i] != doubled[i] {
-				t.Fatalf("SetFiber round trip failed dim %d", dim)
-			}
-		}
-		a.SetFiber(dim, fixed, f) // restore
-	}
-}
-
 func TestEachFiberCoversAll(t *testing.T) {
 	a := New(2, 3, 4)
 	for dim := 0; dim < 3; dim++ {
@@ -318,26 +283,6 @@ func TestStringRendering(t *testing.T) {
 	if len(s) > 100 {
 		t.Errorf("big arrays should summarize, got %d chars", len(s))
 	}
-}
-
-func TestSetFiberLengthMismatchPanics(t *testing.T) {
-	a := New(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetFiber with wrong length did not panic")
-		}
-	}()
-	a.SetFiber(0, []int{0, 0}, []float64{1, 2})
-}
-
-func TestFiberBadDimPanics(t *testing.T) {
-	a := New(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("Fiber with bad dim did not panic")
-		}
-	}()
-	a.Fiber(2, []int{0, 0})
 }
 
 func TestCoordsOutOfRangePanics(t *testing.T) {

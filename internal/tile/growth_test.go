@@ -149,9 +149,6 @@ func TestGrowthOrderStandard(t *testing.T) {
 					}
 					perm[tb] = gb
 					seen[gb] = true
-					if pd := g.PerDimBlocks(gb); !slices.Equal(pd, perDimOf(g, c)) {
-						t.Fatalf("%s: PerDimBlocks(%d) = %v, want %v", name, gb, pd, perDimOf(g, c))
-					}
 					if c[outer] == 0 {
 						return
 					}
@@ -170,14 +167,6 @@ func TestGrowthOrderStandard(t *testing.T) {
 			}
 		}
 	}
-}
-
-func perDimOf(s *Standard, c []int) []int {
-	out := make([]int, len(c))
-	for t, ct := range c {
-		out[t], _ = s.Dim(t).Locate1D(ct)
-	}
-	return out
 }
 
 // eachCoord visits every coordinate of the domain with log2 extents n.

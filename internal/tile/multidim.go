@@ -109,15 +109,6 @@ func (s *Standard) Locate(coords []int) (block, slot int) {
 	return block, slot
 }
 
-// PerDimBlocks splits a flat block ID back into per-dimension tile IDs.
-func (s *Standard) PerDimBlocks(block int) []int {
-	out := make([]int, len(s.dims))
-	for t, d := range s.dims {
-		out[t] = block / s.stride[t] % d.NumBlocks()
-	}
-	return out
-}
-
 // NonStandard tiles a non-standard transform of a cubic d-dimensional
 // domain of edge 2^n into quadtree subtrees of height b (§3.2, Figure 7).
 // Each block holds (D^h - 1)/(D - 1) nodes of D-1 detail coefficients each

@@ -188,20 +188,6 @@ func TestStandardPartition(t *testing.T) {
 	}
 }
 
-func TestStandardPerDimBlocksRoundTrip(t *testing.T) {
-	tiling := NewStandard([]int{4, 4, 4}, 2)
-	for blk := 0; blk < tiling.NumBlocks(); blk++ {
-		per := tiling.PerDimBlocks(blk)
-		re := 0
-		for t2 := 0; t2 < 3; t2++ {
-			re = re*tiling.Dim(t2).NumBlocks() + per[t2]
-		}
-		if re != blk {
-			t.Fatalf("PerDimBlocks(%d) = %v does not round trip", blk, per)
-		}
-	}
-}
-
 func TestNonStandardPartition(t *testing.T) {
 	for _, c := range []struct{ n, d, b int }{{3, 2, 1}, {3, 2, 2}, {4, 2, 2}, {2, 3, 1}, {3, 1, 2}, {4, 2, 3}} {
 		tiling := NewNonStandard(c.n, c.d, c.b)

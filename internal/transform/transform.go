@@ -258,7 +258,6 @@ type Crest struct {
 	buf   [][]float64
 	count []int
 	emit  func(coords []int, v float64) error
-	root  float64
 	// Preallocated per-depth scratch: Push runs once per chunk (and
 	// recursively per completed node), so its coordinate slices must not be
 	// rebuilt per call. coords is shared across depths — emit must not
@@ -273,9 +272,6 @@ type Crest struct {
 	// its parent: the z-order engine's source of crest tiles' scaling slots.
 	onAverage func(level int, pos []int, avg float64) error
 }
-
-// Root returns the overall average after the final Push.
-func (c *Crest) Root() float64 { return c.root }
 
 // NewCrest creates a crest for chunks of edge 2^m inside a cubic domain of
 // edge 2^n with d dimensions; emit receives each finalized coefficient. The
@@ -299,7 +295,6 @@ func NewCrest(d, n, m int, emit func(coords []int, v float64) error) *Crest {
 // always use depth 0 (a chunk average); recursion uses higher depths.
 func (c *Crest) Push(depth int, pos []int, avg float64) error {
 	if c.m+depth == c.n {
-		c.root = avg
 		return c.emit(c.origin, avg)
 	}
 	if c.onAverage != nil {
