@@ -146,6 +146,11 @@ chaos-smoke:
 # MergeBlock of a 16x16 chunk into a versioned in-memory 1024² store at
 # TileBits 4 (SHIFT-SPLIT kernels, slot step, vectored apply, epoch flip),
 # in each form, with its ns/op and allocs/op.
+# BenchmarkStoreMaterialize reports the whole-layout writer, Materialize of
+# a 1024² array at TileBits 4 in each form (in-memory transform, the
+# SHIFT-SPLIT kernels and slot step over the whole domain, one vectored
+# write of every block, the commit), on an in-memory store and on a
+# durable, versioned one, with its ns/op and allocs/op.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget|TestColdRangeSumAllocBudget' -count=1 -v ./
@@ -168,6 +173,7 @@ bench-smoke:
 		-benchmem -benchtime 20x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumCold' -benchmem -benchtime 2000x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreMergeBlock' -benchmem -benchtime 2000x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreMaterialize' -benchmem -benchtime 5x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
 	$(GO) test -run 'TestPointAllocBudget' -count=1 -v ./internal/query/
 
