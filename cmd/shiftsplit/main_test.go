@@ -109,6 +109,11 @@ func TestTransformRejectsBadInput(t *testing.T) {
 	if err := cmdTransform([]string{"-out", filepath.Join(dir, "x.wav"), "-shape", "16x16", "-data", "bogus"}); err == nil {
 		t.Error("bogus dataset accepted")
 	}
+	for _, form := range []string{"standard", "non-standard"} {
+		if err := cmdTransform([]string{"-out", filepath.Join(dir, "x.wav"), "-shape", "16x16", "-form", form, "-chunk", "-1"}); err == nil {
+			t.Errorf("%s: negative chunk bits accepted", form)
+		}
+	}
 }
 
 func TestCompressAndApproxCommands(t *testing.T) {

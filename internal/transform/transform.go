@@ -54,6 +54,9 @@ func allZero(a *ndarray.Array) bool {
 }
 
 func checkChunkable(src *ndarray.Array, m int) ([]int, error) {
+	if m < 0 {
+		return nil, fmt.Errorf("transform: negative chunk bits %d", m)
+	}
 	shape := src.Shape()
 	edge := 1 << uint(m)
 	for _, s := range shape {
