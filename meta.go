@@ -68,14 +68,6 @@ func (s *Store) saveMeta() error {
 	return writeFileAtomic(metaPath(s.opts.Path), data, 0o644)
 }
 
-// slotsValid reports whether the medium's scaling slots are valid: as
-// opened, or rewritten by a Materialize since.
-func (s *Store) slotsValid() bool {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	return s.slotsOnMedia
-}
-
 // writeFileAtomic replaces path with data via a fsynced temporary file and
 // an atomic rename. The temporary name is unique per call: two store
 // handles on the same path (a serving store's scrubber and a separate
@@ -165,11 +157,11 @@ func OpenStore(path string) (*Store, error) {
 	return assemble(stackSpec{meta: m, path: path})
 }
 
-// Sync commits any buffered block writes and persists metadata (form,
-// shape, slot validity) for file-backed stores; in-memory
+// Sync commits again a batch whose commit failed (see Flush) and persists
+// metadata (form, shape, slot validity) for file-backed stores; in-memory
 // non-durable stores ignore it.
 func (s *Store) Sync() error {
-	if err := s.commit(); err != nil {
+	if err := s.Flush(); err != nil {
 		return err
 	}
 	return s.saveMeta()

@@ -45,9 +45,9 @@ type ServeOptions struct {
 // goroutines. Durable stores are additionally serialized at the device so
 // the checksum/journal layer never sees interleaved calls.
 //
-// The returned store is meant to be read-only; running maintenance through
-// it is permitted but requires the same external synchronization as any
-// other store.
+// The returned store is meant to be read-only; writes through it are
+// permitted and serialize as on any other store (see Store for what
+// queries running beside them see).
 func OpenServing(path string, cacheBlocks, cacheShards int) (*Store, error) {
 	return OpenServingOpts(path, ServeOptions{CacheBlocks: cacheBlocks, CacheShards: cacheShards})
 }

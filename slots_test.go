@@ -162,9 +162,9 @@ func crossSum(hat *Array, lists [][]core.Target, coords []int, w float64) float6
 
 // TestScalingSlotsSurviveMaintenance runs seeded sequences of maintenance —
 // a whole transform (Materialize or each chunked engine of its form), then
-// merges, clears, scales and store additions in random order — and after
-// every step holds the whole store to the layout wantLayout derives for the
-// same transform, and every point to one block.
+// merges, clears and scales in random order — and after every step holds
+// the whole store to the layout wantLayout derives for the same transform,
+// and every point to one block.
 func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 	for gi, g := range slotGeometries {
 		engines := []string{"materialize", "chunked"}
@@ -218,7 +218,7 @@ func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 				checkSlots(t, st)
 				for step := 0; step < 8; step++ {
 					var err error
-					switch op := rng.Intn(4); op {
+					switch op := rng.Intn(3); op {
 					case 0:
 						b := randBlock()
 						err = st.MergeBlock(b, Transform(randArray(rng, b.Shape()...), g.form))
@@ -226,10 +226,6 @@ func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 						err = st.ClearBlock(randBlock())
 					case 2:
 						err = st.Scale(0.5 + rng.Float64())
-					case 3:
-						other := create()
-						transformInto(other)
-						err = st.AddStore(other)
 					}
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)

@@ -91,18 +91,23 @@ func (sn *Snapshot) RangeSum(start, shape []int) (float64, int, error) {
 // ExtractBlock reconstructs the original contents of a dyadic block via
 // inverse SHIFT-SPLIT (Result 6) as of the pinned epoch.
 func (sn *Snapshot) ExtractBlock(b Block) (*Array, int, error) {
-	s := sn.st
+	return sn.st.extractBlock(sn.ts, b)
+}
+
+// extractBlock is ExtractBlock over the tile view ts: a snapshot's, or the
+// view a write stages through (ClearBlock).
+func (s *Store) extractBlock(ts *tile.Store, b Block) (*Array, int, error) {
 	if err := b.validate(s.opts.Shape); err != nil {
 		return nil, 0, err
 	}
 	switch s.opts.Form {
 	case Standard:
-		return reconstruct.DyadicStandard(sn.ts, b.toRange())
+		return reconstruct.DyadicStandard(ts, b.toRange())
 	case NonStandard:
 		if !b.isCubic() {
 			return nil, 0, fmt.Errorf("shiftsplit: non-standard extract needs a cubic block")
 		}
-		return reconstruct.DyadicNonStandard(sn.ts, b.Levels[0], b.Pos)
+		return reconstruct.DyadicNonStandard(ts, b.Levels[0], b.Pos)
 	default:
 		return nil, 0, fmt.Errorf("shiftsplit: unknown form %v", s.opts.Form)
 	}
