@@ -19,14 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
-	"github.com/shiftsplit/shiftsplit/internal/parallel"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
@@ -61,7 +59,6 @@ type Appender struct {
 	store    *tile.Store        // the device under the current domain's tiling
 	base     storage.BlockStore // the device (rollback seam)
 	counting *storage.Counting
-	workers  int // transform goroutines per group; <= 0 selects GOMAXPROCS
 
 	// Separate attributions of the lifetime I/O (satellite of the ingest
 	// work: fsync-amortization claims need slab-write cost unpolluted by
@@ -75,28 +72,14 @@ type Appender struct {
 	// batch). Every later append fails with it.
 	poisoned error
 
-	// scratch pools the per-run transform state across groups (holds
-	// *mergeScratch); set is the group's delta buckets, recycled by Reset,
-	// so steady-state appends stop allocating run- and tile-sized buffers.
-	scratch sync.Pool
-	set     *tile.BucketSet
-}
-
-// mergeScratch is one worker's reusable transform state: the buffer a
-// dyadic run's cells are gathered into and transformed in, and the wavelet
-// working buffers.
-type mergeScratch struct {
+	// ws and cells are the transform scratch every dyadic run reuses (the
+	// buffer its cells are gathered into and transformed in); set is the
+	// group's delta buckets, recycled by Reset. Steady-state appends stop
+	// allocating run- and tile-sized buffers.
 	ws    *wavelet.Scratch
 	cells []float64
+	set   *tile.BucketSet
 }
-
-// SetWorkers sets how many goroutines gather and transform the dyadic runs
-// of each group; <= 0 selects runtime.GOMAXPROCS(0). Bucketing stays
-// sequential in run order and the buckets meet the store in one
-// ascending-id batch, so the floating-point sums and the physical write
-// sequence — and with it the crash-campaign behavior of durable backings —
-// are identical for every worker count.
-func (a *Appender) SetWorkers(workers int) { a.workers = workers }
 
 // AppendStats reports the cost of one Append or AppendBatch call.
 // ExpansionIO and MergeIO are disjoint windows: expansion covers the
@@ -333,60 +316,39 @@ func (a *Appender) merge(dim int, slabs []*ndarray.Array, growth int) error {
 	tiling := a.store.Tiling()
 	if a.set == nil {
 		a.set = tile.NewBucketSet(tiling.BlockSize())
+		a.ws = wavelet.NewScratch()
 	}
 	defer a.set.Reset()
-	type runResult struct {
-		sc    *mergeScratch
-		block dyadic.Range
-		bHat  *ndarray.Array
-	}
-	// The runs' gathers and transforms fan out to the worker pool;
-	// bucketing happens in run order on this goroutine, so the
-	// floating-point sums do not depend on the worker count.
-	err := parallel.Run(len(runs), a.workers,
-		func(seq int) (runResult, error) {
-			iv := runs[seq]
-			n := iv.Len()
-			sc, ok := a.scratch.Get().(*mergeScratch)
-			if !ok {
-				sc = &mergeScratch{ws: wavelet.NewScratch()}
+	shape := first.Shape()
+	for _, iv := range runs {
+		n := iv.Len()
+		if size := outer * n * inner; cap(a.cells) < size {
+			a.cells = make([]float64, size)
+		} else {
+			a.cells = a.cells[:size]
+		}
+		// Gather the run [lo, hi) — group coordinates — from the slabs it
+		// spans, the slab at hand covering [at, at+w).
+		lo, hi := iv.Start()-start, iv.Start()-start+n
+		at := 0
+		for _, slab := range slabs {
+			w := slab.Extent(dim)
+			from, to := max(lo, at), min(hi, at+w)
+			for o := 0; from < to && o < outer; o++ {
+				copy(a.cells[(o*n+from-lo)*inner:(o*n+to-lo)*inner],
+					slab.Data()[(o*w+from-at)*inner:(o*w+to-at)*inner])
 			}
-			if size := outer * n * inner; cap(sc.cells) < size {
-				sc.cells = make([]float64, size)
-			} else {
-				sc.cells = sc.cells[:size]
-			}
-			// Gather the run [lo, hi) — group coordinates — from the slabs
-			// it spans, the slab at hand covering [at, at+w).
-			lo, hi := iv.Start()-start, iv.Start()-start+n
-			at := 0
-			for _, slab := range slabs {
-				w := slab.Extent(dim)
-				from, to := max(lo, at), min(hi, at+w)
-				for o := 0; from < to && o < outer; o++ {
-					copy(sc.cells[(o*n+from-lo)*inner:(o*n+to-lo)*inner],
-						slab.Data()[(o*w+from-at)*inner:(o*w+to-at)*inner])
-				}
-				at += w
-			}
-			shape := first.Shape()
-			block := make(dyadic.Range, d)
-			shape[dim] = n
-			for t := range block {
-				block[t] = dyadic.NewInterval(bitutil.Log2(shape[t]), 0)
-			}
-			block[dim] = iv
-			bHat := ndarray.FromSlice(sc.cells, shape...)
-			wavelet.TransformStandardInPlace(bHat, sc.ws)
-			return runResult{sc: sc, block: block, bHat: bHat}, nil
-		},
-		func(seq int, res runResult) error {
-			tile.AccumulateEmbedStandard(tiling, a.shape, res.block, res.bHat, a.set)
-			a.scratch.Put(res.sc)
-			return nil
-		})
-	if err != nil {
-		return err
+			at += w
+		}
+		block := make(dyadic.Range, d)
+		shape[dim] = n
+		for t := range block {
+			block[t] = dyadic.NewInterval(bitutil.Log2(shape[t]), 0)
+		}
+		block[dim] = iv
+		bHat := ndarray.FromSlice(a.cells, shape...)
+		wavelet.TransformStandardInPlace(bHat, a.ws)
+		tile.AccumulateEmbedStandard(tiling, a.shape, block, bHat, a.set)
 	}
 	if err := a.store.ApplyBuckets(a.set.Buckets()); err != nil {
 		return err
@@ -428,9 +390,7 @@ func (a *Appender) rollback(view *tile.Store, shape, used []int) {
 	a.store = view
 	copy(a.shape, shape)
 	copy(a.used, used)
-	type rollbacker interface{ Rollback() }
-	if rb, ok := a.base.(rollbacker); ok {
-		rb.Rollback()
+	if storage.RollbackIfAble(a.base) {
 		return
 	}
 	a.poisoned = errors.New("appender: batch failed on a non-transactional backing; stored transform is partial")

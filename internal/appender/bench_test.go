@@ -2,7 +2,6 @@ package appender
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
@@ -10,41 +9,32 @@ import (
 )
 
 // BenchmarkAppender measures fixed campaigns of slab appends (no
-// expansions) at several worker counts; the dyadic-piece transforms fan out
-// to the pool while application stays sequential. The aligned campaign
-// appends eight [32,256] slabs at multiples of 32, so each append is one
-// dyadic run and runs inline at any worker count; the unaligned one
-// appends eight [24,256] slabs, each of which splits into two runs that
-// fan out. TestAllocBudget in internal/transform gates an aligned
-// campaign's workers=1 allocs/op with its own workload.
+// expansions). The aligned campaign appends eight [32,256] slabs at
+// multiples of 32, so each append is one dyadic run; the unaligned one
+// appends eight [24,256] slabs, each of which splits into two runs.
+// TestAllocBudget in internal/transform gates an aligned campaign's
+// allocs/op with its own workload.
 func BenchmarkAppender(b *testing.B) {
-	counts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		counts = append(counts, n)
-	}
 	shape := []int{256, 256}
 	for _, c := range []struct {
-		prefix string
-		rows   int
-	}{{"", 32}, {"unaligned/", 24}} {
+		name string
+		rows int
+	}{{"aligned", 32}, {"unaligned", 24}} {
 		slab := dataset.Dense([]int{c.rows, 256}, 5)
-		for _, w := range counts {
-			b.Run(fmt.Sprintf("%sworkers=%d", c.prefix, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a, err := New(shape, 2)
-					if err != nil {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := New(shape, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for step := 0; step < 8; step++ {
+					if _, err := a.Append(0, slab); err != nil {
 						b.Fatal(err)
 					}
-					a.SetWorkers(w)
-					for step := 0; step < 8; step++ {
-						if _, err := a.Append(0, slab); err != nil {
-							b.Fatal(err)
-						}
-					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -10,19 +10,19 @@ import (
 )
 
 // TestAllocBudget is the CI allocation gate (run by `make bench-smoke`):
-// it replays the maintenance workloads at workers=1 and fails when
-// allocs/op regress more than 20% past their budgets. Lowering a budget
-// after an allocation win is an edit to allocBudgets.
+// it replays the maintenance workloads (the chunked engines at workers=1)
+// and fails when allocs/op regress more than 20% past their budgets.
+// Lowering a budget after an allocation win is an edit to allocBudgets.
 const allocBudgetSlack = 1.20
 
-// allocBudgets are the workers=1 allocs/op of BenchmarkChunkedStandard,
-// BenchmarkChunkedNonStandard (256x256, chunk bits 5, tile bits 2) and
-// internal/appender's BenchmarkAppender (eight [32,256] slabs into a
-// 256x256 domain, tile bits 2).
+// allocBudgets are the workers=1 allocs/op of BenchmarkChunkedStandard and
+// BenchmarkChunkedNonStandard (256x256, chunk bits 5, tile bits 2), and the
+// allocs/op of internal/appender's BenchmarkAppender/aligned (eight
+// [32,256] slabs into a 256x256 domain, tile bits 2).
 var allocBudgets = map[string]float64{
 	"ChunkedStandard/workers=1":    8423,
 	"ChunkedNonStandard/workers=1": 5726,
-	"Appender/workers=1":           8608,
+	"Appender":                     8589,
 }
 
 // overAllocBudget reports the limit for key (its budget +20%) and whether
@@ -99,12 +99,11 @@ func TestAllocBudget(t *testing.T) {
 	})
 
 	slab := dataset.Dense([]int{32, 256}, 5)
-	checkAllocBudget(t, "Appender/workers=1", func(t *testing.T) {
+	checkAllocBudget(t, "Appender", func(t *testing.T) {
 		a, err := appender.New([]int{256, 256}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.SetWorkers(1)
 		for step := 0; step < 8; step++ {
 			if _, err := a.Append(0, slab); err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/shiftsplit/shiftsplit/internal/appender"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
@@ -159,7 +158,6 @@ func recordOn(tiling tile.Tiling, run func(st *tile.Store, workers int) error) f
 func TestWorkerCountInvariance(t *testing.T) {
 	src := dataset.Dense([]int{32, 32}, 11)
 	std, nonStd := tile.NewStandard([]int{5, 5}, 2), tile.NewNonStandard(5, 2, 2)
-	slab := dataset.Dense([]int{12, 32}, 12)
 	cases := []struct {
 		name string
 		run  func(t *testing.T, workers int) *writeRecorder
@@ -182,25 +180,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{"materialize-non-standard", recordOn(nonStd, func(st *tile.Store, _ int) error {
 			return tile.Materialize(st, wavelet.TransformNonStandard(src))
 		})},
-		{"appender", func(t *testing.T, workers int) *writeRecorder {
-			var rec *writeRecorder
-			a, err := appender.NewWithBacking([]int{32, 32}, 2, func(_, blockSize int) (storage.BlockStore, error) {
-				rec = &writeRecorder{BlockStore: storage.NewMemStore(blockSize)}
-				return rec, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.SetWorkers(workers)
-			// Slabs of 12 split into several dyadic runs and cross the
-			// initial extent, so the runs fan out and the domain expands.
-			for step := 0; step < 4; step++ {
-				if _, err := a.Append(0, slab); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return rec
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -35,19 +35,10 @@ type AppendResult struct {
 // domain of the given power-of-two shape, tiled with per-dimension block
 // edge 2^tileBits.
 func NewAppender(shape []int, tileBits int) (*Appender, error) {
-	return NewAppenderOpts(shape, tileBits, MaintainOptions{})
-}
-
-// NewAppenderOpts is NewAppender with an explicit worker-pool configuration.
-// The dyadic pieces of each slab are transformed and bucketed concurrently;
-// delta application stays sequential in piece order, so appends are
-// bit-identical and cost-identical for every worker count.
-func NewAppenderOpts(shape []int, tileBits int, opts MaintainOptions) (*Appender, error) {
 	a, err := appender.New(shape, tileBits)
 	if err != nil {
 		return nil, err
 	}
-	a.SetWorkers(opts.Workers)
 	return &Appender{inner: a}, nil
 }
 
