@@ -80,10 +80,13 @@ lint-tools:
 
 # The crash campaigns kill maintenance batches at every physical write
 # index and require recovery to a checksum-clean pre- or post-batch state.
-# CRASH_SEED pins the tear/drop RNG for reproducible failures.
+# CRASH_SEED pins the tear/drop RNG for reproducible failures. The
+# failed-write campaign fails every public Store write at every device
+# read (and write, on versioned stacks) and requires the pre-call state,
+# or after a failed commit the pre- or post-call one.
 crash-campaign:
 	SHIFTSPLIT_CRASH_SEED=$(CRASH_SEED) $(GO) test -v \
-		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestStoreCrashCampaign|TestGroupCommitCrash|TestExpandingGroupCrash|TestEpochFlipCrashCampaign' \
+		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestStoreCrashCampaign|TestGroupCommitCrash|TestExpandingGroupCrash|TestEpochFlipCrashCampaign|TestFailedWriteCampaign' \
 		./internal/storage/ ./internal/appender/ .
 
 # The chaos harness drives a real HTTP serving process through a
@@ -96,7 +99,8 @@ chaos-smoke:
 	$(GO) test -race -run 'TestChaosSmoke' -v ./internal/chaos/
 
 # A quick pass over the maintenance benchmarks (worker-count sweeps for
-# the chunked transforms and the appender) with -benchmem, so CI catches
+# the chunked transforms, the appender's aligned and unaligned campaigns)
+# with -benchmem, so CI catches
 # per-coefficient allocation regressions in the flat kernels and gross
 # slowdowns without a full benchmark run; the end-to-end record is
 # `bash bench/run.sh` (its maintain, mixed_rw and ingest rows cover the
