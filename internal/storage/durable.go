@@ -395,9 +395,11 @@ func (d *Durable) RepairBlock(id int) (repaired bool, err error) {
 	return true, nil
 }
 
-// Rollback discards all staged writes.
-func (d *Durable) Rollback() {
+// Rollback discards all staged writes. It reports true: a Durable stages
+// every write.
+func (d *Durable) Rollback() bool {
 	d.pending = make(map[int][]float64)
+	return true
 }
 
 // Close commits staged writes and closes both underlying stores. The
