@@ -147,37 +147,52 @@ func TestMaintenanceGuardAndMaterializeHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	bad := writtenBlock(t, path, st.BlockSize())
-	flipFrameByte(t, path, bad, st.BlockSize())
-	if _, err := st.ScrubOnce(context.Background()); err != nil {
-		t.Fatal(err)
+	// Both whole-domain writes rewrite every block from scratch and heal.
+	heals := []struct {
+		name  string
+		write func() error
+	}{
+		{"TransformChunked", func() error { return st.TransformChunked(a, 2) }},
+		{"Materialize", func() error { return st.Materialize(a) }},
 	}
-	if len(st.Quarantined()) != 1 {
-		t.Fatalf("quarantine = %v", st.Quarantined())
-	}
+	for _, h := range heals {
+		bad := writtenBlock(t, path, st.BlockSize())
+		flipFrameByte(t, path, bad, st.BlockSize())
+		if _, err := st.ScrubOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Quarantined()) != 1 {
+			t.Fatalf("quarantine = %v", st.Quarantined())
+		}
 
-	// Incremental maintenance must refuse.
-	src := ndarray.New(16, 16)
-	if err := st.TransformChunked(src, 2); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("TransformChunked err = %v, want ErrQuarantined", err)
-	}
-	b := CubeBlock(1, 0, 0)
-	if err := st.ClearBlock(b); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("ClearBlock err = %v, want ErrQuarantined", err)
-	}
+		// Incremental maintenance must refuse.
+		b := CubeBlock(1, 0, 0)
+		if err := st.ClearBlock(b); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("ClearBlock err = %v, want ErrQuarantined", err)
+		}
+		if err := st.MergeBlock(b, ndarray.New(2, 2)); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("MergeBlock err = %v, want ErrQuarantined", err)
+		}
 
-	// Materialize rewrites everything and heals.
-	if err := st.Materialize(a); err != nil {
-		t.Fatalf("Materialize on quarantined store: %v", err)
-	}
-	if len(st.Quarantined()) != 0 {
-		t.Fatalf("quarantine after materialize = %v", st.Quarantined())
-	}
-	if n, err := st.ScrubOnce(context.Background()); err != nil || n != 0 {
-		t.Fatalf("post-materialize scrub: n=%d err=%v", n, err)
-	}
-	if h := st.Health(); h.Status != "ok" {
-		t.Fatalf("health after heal = %+v", h)
+		if err := h.write(); err != nil {
+			t.Fatalf("%s on quarantined store: %v", h.name, err)
+		}
+		if len(st.Quarantined()) != 0 {
+			t.Fatalf("quarantine after %s = %v", h.name, st.Quarantined())
+		}
+		if n, err := st.ScrubOnce(context.Background()); err != nil || n != 0 {
+			t.Fatalf("post-%s scrub: n=%d err=%v", h.name, n, err)
+		}
+		if h := st.Health(); h.Status != "ok" {
+			t.Fatalf("health after heal = %+v", h)
+		}
+		got, err := st.ReadTransform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualApprox(Transform(a, Standard), 1e-9) {
+			t.Fatalf("%s left another transform", h.name)
+		}
 	}
 }
 

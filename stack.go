@@ -137,6 +137,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 			FaultPlan: sp.plan, BaseWrap: sp.wrap,
 		},
 		tiling: tiling,
+		blank:  sp.create,
 	}
 	out.mergeSets.New = func() any { return tile.NewBucketSet(tiling.BlockSize()) }
 	// device sees the raw data device, then slides the BaseWrap over it.
