@@ -152,7 +152,7 @@ func cmdTransform(args []string) error {
 	shapeStr := fs.String("shape", "64x64", "dataset shape, e.g. 64x64 or 16x16x16x16")
 	formStr := fs.String("form", "standard", "decomposition form: standard | non-standard")
 	tile := fs.Int("tile", 2, "per-dimension tile edge exponent b (blocks hold 2^(b*d) coefficients)")
-	chunk := fs.Int("chunk", 3, "chunk edge exponent m (memory holds 2^(m*d) cells)")
+	chunk := fs.Int("chunk", 3, "chunk edge exponent m: chunks of 2^m cells per dimension, clamped to each extent; 2^m may not exceed the largest extent")
 	seed := fs.Int64("seed", 1, "dataset seed")
 	kind := fs.String("data", "dense", "synthetic dataset: dense | temperature (4-d) | precipitation (3-d) | sparse")
 	durable := fs.Bool("durable", false, "crash-safe store: checksummed blocks + write-ahead journal")

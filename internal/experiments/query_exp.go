@@ -46,7 +46,7 @@ func QueryCost(c QueryCostConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tile.Materialize(tiled, hat); err != nil {
+	if _, err := transform.ChunkedStandard(src, c.LogN, tiled, 1); err != nil {
 		return nil, err
 	}
 	seqTiling := tile.NewSequential(shape, tiling.BlockSize())

@@ -69,7 +69,7 @@ func SparseTransform(c SparseConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true}, 0)
+		_, err = transform.ChunkedNonStandard(src, c.ChunkBits, stN, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
+	"github.com/shiftsplit/shiftsplit/internal/transform"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
@@ -110,7 +111,7 @@ func R6(c R6Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
+	if _, err := transform.ChunkedStandard(src, c.LogN, st, 1); err != nil {
 		return nil, err
 	}
 	// A coefficient-granular twin of the same transform measures the

@@ -69,7 +69,7 @@ func Fig11(c Fig11Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		statsN, err := transform.ChunkedNonStandard(src, m, stN, transform.NonStdOptions{ZOrderCrest: true}, 0)
+		statsN, err := transform.ChunkedNonStandard(src, m, stN, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +136,7 @@ func Fig12(c Fig12Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := transform.ChunkedNonStandard(src, c.ChunkBits, stN, transform.NonStdOptions{ZOrderCrest: true}, 0); err != nil {
+			if _, err := transform.ChunkedNonStandard(src, c.ChunkBits, stN, 0); err != nil {
 				return nil, err
 			}
 			row = append(row, cS.Stats().Total(), cN.Stats().Total())
@@ -225,14 +225,14 @@ func Table2(c Table2Config) (*Table, error) {
 		stdBlocks, fmt.Sprintf("O(N^d/M^d (M/B+log_B N/M)^d) ~ %.0f", fBlocks))
 
 	nonCoefs, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true}, 0)
+		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, 0)
 		return err
 	}, tile.NewSequential(shape, 1))
 	if err != nil {
 		return nil, err
 	}
 	nonBlocks, err := run(func(out *tile.Store) error {
-		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, transform.NonStdOptions{ZOrderCrest: true}, 0)
+		_, err := transform.ChunkedNonStandard(src, c.ChunkBits, out, 0)
 		return err
 	}, tile.NewNonStandard(c.LogN, c.Dims, c.TileBits))
 	if err != nil {

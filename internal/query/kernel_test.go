@@ -604,9 +604,7 @@ func TestPointStandardBatchMatchesSingles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.Materialize(st, wavelet.TransformStandard(dataset.Dense(shape, 17))); err != nil {
-			t.Fatal(err)
-		}
+		oneChunk(t, st, dataset.Dense(shape, 17))
 		points := randomPoints(rand.New(rand.NewSource(18)), shape, 40)
 		got, io, err := PointStandardBatch(st, points)
 		if err != nil {
@@ -669,9 +667,7 @@ func leafCases(t testing.TB) []*tile.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.Materialize(st, wavelet.TransformStandard(dataset.Dense(g.shape, 30))); err != nil {
-			t.Fatal(err)
-		}
+		oneChunk(t, st, dataset.Dense(g.shape, 30))
 		out = append(out, st)
 	}
 	for _, g := range []struct{ n, d, b int }{{7, 1, 3}, {6, 2, 2}, {5, 2, 3}, {4, 3, 1}, {0, 2, 2}} {
@@ -680,9 +676,7 @@ func leafCases(t testing.TB) []*tile.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tile.Materialize(st, wavelet.TransformNonStandard(dataset.Dense(tiling.Domain(), 31))); err != nil {
-			t.Fatal(err)
-		}
+		oneChunk(t, st, dataset.Dense(tiling.Domain(), 31))
 		out = append(out, st)
 	}
 	return out

@@ -3,14 +3,33 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/bitutil"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
+	"github.com/shiftsplit/shiftsplit/internal/transform"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
+
+// oneChunk writes src's transform into st with the chunked engine of st's
+// form, run as one chunk that covers the domain.
+func oneChunk(t testing.TB, st *tile.Store, src *ndarray.Array) {
+	t.Helper()
+	m := bitutil.Log2(slices.Max(src.Shape()))
+	var err error
+	if _, ok := st.Tiling().(*tile.NonStandard); ok {
+		_, err = transform.ChunkedNonStandard(src, m, st, 1)
+	} else {
+		_, err = transform.ChunkedStandard(src, m, st, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func materializedStandard(t *testing.T, src *ndarray.Array, b int) *tile.Store {
 	t.Helper()
@@ -28,9 +47,7 @@ func materializedStandard(t *testing.T, src *ndarray.Array, b int) *tile.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, src)
 	return st
 }
 
@@ -41,9 +58,7 @@ func materializedNonStandard(t *testing.T, src *ndarray.Array, n, d, b int) *til
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.Materialize(st, wavelet.TransformNonStandard(src)); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, src)
 	return st
 }
 

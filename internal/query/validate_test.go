@@ -7,7 +7,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
-	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 func vStdStore(t *testing.T, shape []int) *tile.Store {
@@ -25,10 +24,7 @@ func vStdStore(t *testing.T, shape []int) *tile.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hat := wavelet.Transform(dataset.Dense(shape, 1), wavelet.Standard)
-	if err := tile.Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, dataset.Dense(shape, 1))
 	return st
 }
 
@@ -43,10 +39,7 @@ func vNonStdStore(t *testing.T, n, d int) *tile.Store {
 	for i := range shape {
 		shape[i] = 1 << uint(n)
 	}
-	hat := wavelet.Transform(dataset.Dense(shape, 1), wavelet.NonStandard)
-	if err := tile.Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, dataset.Dense(shape, 1))
 	return st
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
+	"github.com/shiftsplit/shiftsplit/internal/transform"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
@@ -35,9 +36,7 @@ func fixtureStandard(t *testing.T, src *ndarray.Array, b int) (*tile.Store, *sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.Materialize(st, wavelet.TransformStandard(src)); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, src)
 	counting.Reset()
 	return st, counting
 }
@@ -50,11 +49,25 @@ func fixtureNonStandard(t *testing.T, src *ndarray.Array, n, d, b int) (*tile.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tile.Materialize(st, wavelet.TransformNonStandard(src)); err != nil {
-		t.Fatal(err)
-	}
+	oneChunk(t, st, src)
 	counting.Reset()
 	return st, counting
+}
+
+// oneChunk writes src's transform into st with the chunked engine of st's
+// form, run as one chunk that covers the domain.
+func oneChunk(t testing.TB, st *tile.Store, src *ndarray.Array) {
+	t.Helper()
+	m := bitutil.Log2(slices.Max(src.Shape()))
+	var err error
+	if _, ok := st.Tiling().(*tile.NonStandard); ok {
+		_, err = transform.ChunkedNonStandard(src, m, st, 1)
+	} else {
+		_, err = transform.ChunkedStandard(src, m, st, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDyadicStandardExact(t *testing.T) {

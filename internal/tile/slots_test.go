@@ -13,7 +13,7 @@ import (
 )
 
 // definedLayout derives every block of the layout of hat from the
-// definitions, not from Materialize or the slot step: every coefficient at
+// definitions, not from the kernels or the slot step: every coefficient at
 // its Locate position, and slot 0 of every tile but the top one its root's
 // scaling coefficient. On the non-standard form that is
 // core.ScalingNonStandard of the root cell. A standard slot crosses one 1-d
@@ -115,12 +115,13 @@ func sameBlocks(t *testing.T, got, want [][]float64) {
 	}
 }
 
-// TestScalingSlotsFollowMerges holds a materialized store to the layout
-// definedLayout derives, then applies seeded merges through the flat
-// kernels plus the slot step and after each one holds every block to the
-// defined layout of the merged transform. The standard geometries include
-// those of TestChunkedEnginesWriteScalingSlots, whose chunked engines are
-// compared with Materialize.
+// TestScalingSlotsFollowMerges starts from an empty store and applies
+// seeded merges through the flat kernels plus the slot step, the first of
+// them a whole-domain block (the layout a one-chunk transform writes), and
+// after each one holds every block to the layout definedLayout derives for
+// the merged transform. The standard geometries include those of
+// TestChunkedEnginesWriteScalingSlots, which holds every chunk size to the
+// one-chunk layout.
 func TestScalingSlotsFollowMerges(t *testing.T) {
 	for _, g := range []struct {
 		n []int
@@ -142,21 +143,20 @@ func TestScalingSlotsFollowMerges(t *testing.T) {
 				shape[i] = 1 << uint(ni)
 			}
 			tiling := NewStandard(g.n, g.b)
-			hat := randArray(rng, shape...)
+			hat := ndarray.New(shape...)
 			st, err := NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Materialize(st, hat); err != nil {
-				t.Fatal(err)
-			}
-			sameBlocks(t, readBlocks(t, st), definedLayout(tiling, hat))
 			set := NewBucketSet(tiling.BlockSize())
-			for step := 0; step < 8; step++ {
+			for step := 0; step < 9; step++ {
 				block := make(dyadic.Range, len(g.n))
 				bShape := make([]int, len(g.n))
 				for i, ni := range g.n {
-					m := rng.Intn(ni + 1)
+					m := ni
+					if step > 0 {
+						m = rng.Intn(ni + 1)
+					}
 					block[i] = dyadic.Interval{Level: m, Pos: rng.Intn(1 << uint(ni-m))}
 					bShape[i] = 1 << uint(m)
 				}
@@ -187,18 +187,17 @@ func TestScalingSlotsFollowMerges(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g.n*100 + g.d*10 + g.b)))
 			tiling := NewNonStandard(g.n, g.d, g.b)
 			shape := tiling.Domain()
-			hat := randArray(rng, shape...)
+			hat := ndarray.New(shape...)
 			st, err := NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Materialize(st, hat); err != nil {
-				t.Fatal(err)
-			}
-			sameBlocks(t, readBlocks(t, st), definedLayout(tiling, hat))
 			set := NewBucketSet(tiling.BlockSize())
-			for step := 0; step < 8; step++ {
-				m := rng.Intn(g.n + 1)
+			for step := 0; step < 9; step++ {
+				m := g.n
+				if step > 0 {
+					m = rng.Intn(g.n + 1)
+				}
 				pos := make([]int, g.d)
 				bShape := make([]int, g.d)
 				for i := range pos {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
@@ -79,6 +80,31 @@ func TestStoreIOCounts(t *testing.T) {
 	}
 }
 
+// mergeWhole merges hat into st as the whole-domain block, through the
+// kernels and the slot step: into an empty store, the layout a one-chunk
+// transform writes.
+func mergeWhole(t *testing.T, st *Store, hat *ndarray.Array) {
+	t.Helper()
+	tl := st.Tiling()
+	set := NewBucketSet(tl.BlockSize())
+	switch tt := tl.(type) {
+	case *Standard:
+		whole := make(dyadic.Range, tt.Dims())
+		for i := range whole {
+			whole[i].Level = tt.Dim(i).Levels()
+		}
+		AccumulateEmbedStandard(tl, tt.Domain(), whole, hat, set)
+	case *NonStandard:
+		pos := make([]int, tt.d)
+		AccumulateShiftNonStandard(tl, tt.Domain(), tt.n, pos, hat, set)
+		AccumulateSplitNonStandard(tl, tt.Domain(), tt.n, pos, hat.Data()[0], set)
+	}
+	AccumulateScalingSlots(tl, set)
+	if err := st.ApplyBuckets(set.Buckets()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMaterialize1DStandard(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, b := 5, 2
@@ -94,9 +120,7 @@ func TestMaterialize1DStandard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	mergeWhole(t, st, hat)
 	// Every real coefficient reads back exactly.
 	for idx := 0; idx < 1<<uint(n); idx++ {
 		got, err := st.Get([]int{idx})
@@ -138,9 +162,7 @@ func TestMaterializedTileReconstructsPointAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	mergeWhole(t, st, hat)
 	oneD := tiling.Dim(0)
 	for point := 0; point < len(v); point++ {
 		// Leaf tile: the one holding the level-1 detail covering the point.
@@ -177,9 +199,7 @@ func TestMaterialize2DStandard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	mergeWhole(t, st, hat)
 	// All real coefficients read back.
 	bad := 0
 	hat.Each(func(coords []int, v float64) {
@@ -205,9 +225,7 @@ func TestMaterialize2DNonStandard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Materialize(st, hat); err != nil {
-		t.Fatal(err)
-	}
+	mergeWhole(t, st, hat)
 	bad := 0
 	hat.Each(func(coords []int, v float64) {
 		got, err := st.Get(coords)

@@ -301,3 +301,26 @@ func (t *OneD) TileIndices(block int) []int {
 	}
 	return out
 }
+
+// AffectedTiles returns the number of distinct blocks touched by a set of
+// coefficient coordinates, the quantity Table 1 bounds for SHIFT and SPLIT.
+func AffectedTiles(t Tiling, each func(visit func(coords []int))) int {
+	seen := make(map[int]struct{})
+	each(func(coords []int) {
+		block, _ := t.Locate(coords)
+		seen[block] = struct{}{}
+	})
+	return len(seen)
+}
+
+// TheoreticalShiftTilesOneD returns ceil(M/B), the §4.2 bound on tiles
+// affected by a 1-d SHIFT of a block of size M with tile size B.
+func TheoreticalShiftTilesOneD(m, b int) int {
+	return bitutil.CeilDiv(1<<uint(m), 1<<uint(b))
+}
+
+// TheoreticalSplitTilesOneD returns ceil(log(N/M)/log B)-ish: the number of
+// tiles met by a root path of n-m levels when tiles span b levels.
+func TheoreticalSplitTilesOneD(n, m, b int) int {
+	return bitutil.CeilDiv(n-m, b)
+}

@@ -92,8 +92,7 @@ func TestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedNonStandard(srcNon, 5, st,
-			NonStdOptions{ZOrderCrest: true}, 1); err != nil {
+		if _, err := ChunkedNonStandard(srcNon, 5, st, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

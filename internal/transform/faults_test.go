@@ -59,19 +59,7 @@ func TestCrestEngineSurfacesWriteFault(t *testing.T) {
 		src := dataset.Dense([]int{16, 16}, 2)
 		st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
 		f.FailWriteAfter(2)
-		_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{ZOrderCrest: true}, workers)
-		if !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("err = %v, want injected fault", err)
-		}
-	})
-}
-
-func TestRowMajorEngineSurfacesFault(t *testing.T) {
-	atWorkers(t, func(t *testing.T, workers int) {
-		src := dataset.Dense([]int{16, 16}, 3)
-		st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))
-		f.FailReadAfter(4)
-		_, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, workers)
+		_, err := ChunkedNonStandard(src, 1, st, workers)
 		if !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}

@@ -59,7 +59,7 @@ func TestEnginesAgainstRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
+		if _, err := ChunkedNonStandard(src, 2, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

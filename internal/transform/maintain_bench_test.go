@@ -53,8 +53,7 @@ func BenchmarkChunkedNonStandard(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ChunkedNonStandard(src, 5, st,
-					NonStdOptions{ZOrderCrest: true}, w); err != nil {
+				if _, err := ChunkedNonStandard(src, 5, st, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
-	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 func workerCounts() []int {
@@ -81,38 +80,35 @@ func TestChunkedStandardParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChunkedNonStandardParallelBitIdentical covers both non-standard engines
-// (row-major and z-order crest).
+// TestChunkedNonStandardParallelBitIdentical covers the z-order crest
+// engine on dense and sparse data.
 func TestChunkedNonStandardParallelBitIdentical(t *testing.T) {
-	for _, crest := range []bool{false, true} {
-		for _, sparse := range []bool{false, true} {
-			shape := []int{32, 32}
-			var src *ndarray.Array
-			if sparse {
-				src = dataset.Sparse(shape, 0.1, 7)
-			} else {
-				src = dataset.Dense(shape, 7)
+	for _, sparse := range []bool{false, true} {
+		shape := []int{32, 32}
+		var src *ndarray.Array
+		if sparse {
+			src = dataset.Sparse(shape, 0.1, 7)
+		} else {
+			src = dataset.Dense(shape, 7)
+		}
+		run := func(workers int) ([][]float64, Stats, storage.Stats) {
+			st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
+			stats, err := ChunkedNonStandard(src, 2, st, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			run := func(workers int) ([][]float64, Stats, storage.Stats) {
-				st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
-				stats, err := ChunkedNonStandard(src, 2, st,
-					NonStdOptions{ZOrderCrest: crest}, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return readAll(t, st), stats, counting.Stats()
+			return readAll(t, st), stats, counting.Stats()
+		}
+		wantBlocks, wantStats, wantIO := run(1)
+		for _, workers := range workerCounts()[1:] {
+			label := fmt.Sprintf("sparse=%v workers=%d", sparse, workers)
+			gotBlocks, gotStats, gotIO := run(workers)
+			requireIdentical(t, label, wantBlocks, gotBlocks)
+			if gotStats != wantStats {
+				t.Errorf("%s: stats %+v, sequential %+v", label, gotStats, wantStats)
 			}
-			wantBlocks, wantStats, wantIO := run(1)
-			for _, workers := range workerCounts()[1:] {
-				label := fmt.Sprintf("crest=%v sparse=%v workers=%d", crest, sparse, workers)
-				gotBlocks, gotStats, gotIO := run(workers)
-				requireIdentical(t, label, wantBlocks, gotBlocks)
-				if gotStats != wantStats {
-					t.Errorf("%s: stats %+v, sequential %+v", label, gotStats, wantStats)
-				}
-				if gotIO != wantIO {
-					t.Errorf("%s: block I/O %+v, sequential %+v", label, gotIO, wantIO)
-				}
+			if gotIO != wantIO {
+				t.Errorf("%s: block I/O %+v, sequential %+v", label, gotIO, wantIO)
 			}
 		}
 	}
@@ -152,9 +148,9 @@ func recordOn(tiling tile.Tiling, run func(st *tile.Store, workers int) error) f
 // and 4 on a recording store, with no other option set, and requires the
 // same physical write sequence, block for block and bit for bit: each
 // operation applies its buckets on the calling goroutine in chunk order, so
-// the worker count changes nothing the device sees. Materialize takes no
-// worker count, so its cases run the same call twice: they keep it in the
-// table of operations whose write sequence is fixed.
+// the worker count changes nothing the device sees. The materialize cases
+// run each engine as the one chunk Materialize runs, which no worker count
+// can split.
 func TestWorkerCountInvariance(t *testing.T) {
 	src := dataset.Dense([]int{32, 32}, 11)
 	std, nonStd := tile.NewStandard([]int{5, 5}, 2), tile.NewNonStandard(5, 2, 2)
@@ -166,19 +162,17 @@ func TestWorkerCountInvariance(t *testing.T) {
 			_, err := ChunkedStandard(src, 2, st, workers)
 			return err
 		})},
-		{"row-major", recordOn(nonStd, func(st *tile.Store, workers int) error {
-			_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{}, workers)
-			return err
-		})},
 		{"crest", recordOn(nonStd, func(st *tile.Store, workers int) error {
-			_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, workers)
+			_, err := ChunkedNonStandard(src, 2, st, workers)
 			return err
 		})},
-		{"materialize-standard", recordOn(std, func(st *tile.Store, _ int) error {
-			return tile.Materialize(st, wavelet.TransformStandard(src))
+		{"materialize-standard", recordOn(std, func(st *tile.Store, workers int) error {
+			_, err := ChunkedStandard(src, 5, st, workers)
+			return err
 		})},
-		{"materialize-non-standard", recordOn(nonStd, func(st *tile.Store, _ int) error {
-			return tile.Materialize(st, wavelet.TransformNonStandard(src))
+		{"materialize-non-standard", recordOn(nonStd, func(st *tile.Store, workers int) error {
+			_, err := ChunkedNonStandard(src, 5, st, workers)
+			return err
 		})},
 	}
 	for _, c := range cases {

@@ -55,7 +55,7 @@ func TestSparseCrestCorrectAndSkipsZeroBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
+	stats, err := ChunkedNonStandard(src, 2, st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,23 +71,6 @@ func TestSparseCrestCorrectAndSkipsZeroBlocks(t *testing.T) {
 	}
 	if engineIO.Reads != 0 {
 		t.Error("crest engine read blocks")
-	}
-}
-
-func TestSparseRowMajorCorrect(t *testing.T) {
-	src := sparseBlob(16)
-	cnt := storage.NewCounting(storage.NewMemStore(16))
-	st, err := tile.NewStore(cnt, tile.NewNonStandard(4, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyAgainst(t, st, wavelet.TransformNonStandard(src), 1e-8)
-	if stats.SkippedChunks == 0 {
-		t.Error("row-major engine skipped nothing")
 	}
 }
 

@@ -73,19 +73,6 @@ func TestChunkedStandardCorrect(t *testing.T) {
 	}
 }
 
-func TestChunkedNonStandardRowMajorCorrect(t *testing.T) {
-	src := dataset.Dense([]int{16, 16}, 2)
-	st, _ := countedStore(t, tile.NewNonStandard(4, 2, 2))
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Chunks != 16 {
-		t.Errorf("chunks = %d", stats.Chunks)
-	}
-	verifyAgainst(t, st, wavelet.TransformNonStandard(src), 1e-8)
-}
-
 func TestChunkedNonStandardCrestCorrect(t *testing.T) {
 	for _, c := range []struct{ n, d, m, b int }{
 		{4, 2, 2, 2},
@@ -100,7 +87,7 @@ func TestChunkedNonStandardCrestCorrect(t *testing.T) {
 		}
 		src := dataset.Dense(shape, 3)
 		st, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-		_, err := ChunkedNonStandard(src, c.m, st, NonStdOptions{ZOrderCrest: true}, 0)
+		_, err := ChunkedNonStandard(src, c.m, st, 0)
 		if err != nil {
 			t.Fatalf("n=%d d=%d m=%d: %v", c.n, c.d, c.m, err)
 		}
@@ -112,7 +99,7 @@ func TestCrestIsWriteOnly(t *testing.T) {
 	// Result 2: with z-order and the crest, the engine never reads a block.
 	src := dataset.Dense([]int{32, 32}, 4)
 	st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	_, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
+	_, err := ChunkedNonStandard(src, 2, st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,21 +110,6 @@ func TestCrestIsWriteOnly(t *testing.T) {
 	// Every block is written exactly once: writes == blocks touched.
 	if stats.Writes > int64(st.Tiling().NumBlocks()) {
 		t.Errorf("writes %d exceed total blocks %d", stats.Writes, st.Tiling().NumBlocks())
-	}
-}
-
-func TestCrestBeatsRowMajorIO(t *testing.T) {
-	src := dataset.Dense([]int{32, 32}, 5)
-	stZ, cZ := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, stZ, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
-		t.Fatal(err)
-	}
-	stR, cR := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, stR, NonStdOptions{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if cZ.Stats().Total() >= cR.Stats().Total() {
-		t.Errorf("z-order crest I/O %d should beat row-major %d", cZ.Stats().Total(), cR.Stats().Total())
 	}
 }
 
@@ -214,7 +186,7 @@ func TestShiftSplitBeatsVitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	stN, cN := countedStore(t, tile.NewNonStandard(5, 2, b))
-	if _, err := ChunkedNonStandard(src, 3, stN, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
+	if _, err := ChunkedNonStandard(src, 3, stN, 0); err != nil {
 		t.Fatal(err)
 	}
 	cV := storage.NewCounting(storage.NewMemStore(blockSize))
@@ -240,7 +212,7 @@ func TestChunkEdgeTooLarge(t *testing.T) {
 func TestNonStandardRejectsNonCubic(t *testing.T) {
 	src := ndarray.New(8, 16)
 	st, _ := countedStore(t, tile.NewNonStandard(3, 2, 2))
-	if _, err := ChunkedNonStandard(src, 1, st, NonStdOptions{}, 0); err == nil {
+	if _, err := ChunkedNonStandard(src, 1, st, 0); err == nil {
 		t.Error("non-cubic dataset accepted")
 	}
 }
@@ -250,7 +222,7 @@ func TestCrestMemoryBound(t *testing.T) {
 	// (2^d - 1) log(N/M) * B^d, far below the dataset size.
 	src := dataset.Dense([]int{64, 64}, 10)
 	st, _ := countedStore(t, tile.NewNonStandard(6, 2, 2))
-	stats, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0)
+	stats, err := ChunkedNonStandard(src, 2, st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +272,7 @@ func TestCrestIOIsExactlyOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChunkedNonStandard(src, 2, st, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
+	if _, err := ChunkedNonStandard(src, 2, st, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats := counting.Stats()
@@ -310,22 +282,13 @@ func TestCrestIOIsExactlyOptimal(t *testing.T) {
 }
 
 // TestChunkedEnginesWriteScalingSlots holds every block the chunked engines
-// write — scaling slots included — to the layout Materialize writes
-// for the same transform, for every chunk size, tile bits that do and do
-// not divide the levels, and d = 1 to 3. Materialize shares the kernels and
-// the slot step of the standard and row-major engines, so it is no
-// reference on its own: internal/tile's TestScalingSlotsFollowMerges holds
-// it, on these geometries of both forms, to a layout derived from the
-// definitions. The z-order engine derives its slots apart, and still writes
-// each block exactly once and reads none.
+// write, scaling slots included, at every chunk size to the layout the same
+// engine writes as one chunk (m = n), for tile bits that do and do not
+// divide the levels, and d = 1 to 3. The one-chunk layout is Materialize's:
+// the root package's TestScalingSlotsSurviveMaintenance holds it, on both
+// forms, to a layout derived from the definitions. The z-order engine also
+// writes each block exactly once and reads none.
 func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
-	layout := func(t *testing.T, tiling tile.Tiling, hat *ndarray.Array) *tile.Store {
-		st, _ := countedStore(t, tiling)
-		if err := tile.Materialize(st, hat); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
 	same := func(t *testing.T, name string, got, want *tile.Store) {
 		t.Helper()
 		for id := 0; id < want.Tiling().NumBlocks(); id++ {
@@ -339,7 +302,7 @@ func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 			}
 			for slot := range w {
 				if math.Abs(g[slot]-w[slot]) > 1e-12*math.Max(1, math.Abs(w[slot])) {
-					t.Fatalf("%s: block %d slot %d = %v, materialized %v", name, id, slot, g[slot], w[slot])
+					t.Fatalf("%s: block %d slot %d = %v, one chunk %v", name, id, slot, g[slot], w[slot])
 				}
 			}
 		}
@@ -351,8 +314,14 @@ func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 			shape[i], ns[i] = 1<<uint(c.n), c.n
 		}
 		src := dataset.Dense(shape, int64(c.n+c.d))
-		wantStd := layout(t, tile.NewStandard(ns, c.b), wavelet.TransformStandard(src))
-		wantNon := layout(t, tile.NewNonStandard(c.n, c.d, c.b), wavelet.TransformNonStandard(src))
+		wantStd, _ := countedStore(t, tile.NewStandard(ns, c.b))
+		if _, err := ChunkedStandard(src, c.n, wantStd, 0); err != nil {
+			t.Fatal(err)
+		}
+		wantNon, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
+		if _, err := ChunkedNonStandard(src, c.n, wantNon, 0); err != nil {
+			t.Fatal(err)
+		}
 		for m := 0; m <= c.n; m++ {
 			name := func(engine string) string { return fmt.Sprintf("%s n=%d d=%d b=%d m=%d", engine, c.n, c.d, c.b, m) }
 			std, _ := countedStore(t, tile.NewStandard(ns, c.b))
@@ -360,13 +329,8 @@ func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(t, name("standard"), std, wantStd)
-			row, _ := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-			if _, err := ChunkedNonStandard(src, m, row, NonStdOptions{}, 0); err != nil {
-				t.Fatal(err)
-			}
-			same(t, name("row-major"), row, wantNon)
 			crest, counting := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-			if _, err := ChunkedNonStandard(src, m, crest, NonStdOptions{ZOrderCrest: true}, 0); err != nil {
+			if _, err := ChunkedNonStandard(src, m, crest, 0); err != nil {
 				t.Fatal(err)
 			}
 			if st := counting.Stats(); st.Reads != 0 || st.Writes != int64(crest.Tiling().NumBlocks()) {

@@ -10,7 +10,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/core"
 	"github.com/shiftsplit/shiftsplit/internal/query"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
-	"github.com/shiftsplit/shiftsplit/internal/transform"
 )
 
 // slotGeometries are the stores the slot tests maintain: d = 1 to 3, tile
@@ -161,17 +160,13 @@ func crossSum(hat *Array, lists [][]core.Target, coords []int, w float64) float6
 }
 
 // TestScalingSlotsSurviveMaintenance runs seeded sequences of maintenance —
-// a whole transform (Materialize or each chunked engine of its form), then
+// a whole transform (Materialize or the chunked engine of its form), then
 // merges, clears and scales in random order — and after every step holds
 // the whole store to the layout wantLayout derives for the same transform,
 // and every point to one block.
 func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 	for gi, g := range slotGeometries {
-		engines := []string{"materialize", "chunked"}
-		if g.form == NonStandard {
-			engines = append(engines, "row-major")
-		}
-		for _, engine := range engines {
+		for _, engine := range []string{"materialize", "chunked"} {
 			t.Run(fmt.Sprintf("%v%v/b=%d/%s", g.form, g.shape, g.tileBits, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(90 + gi)))
 				create := func() *Store {
@@ -192,8 +187,6 @@ func TestScalingSlotsSurviveMaintenance(t *testing.T) {
 					switch engine {
 					case "materialize":
 						err = st.Materialize(src)
-					case "row-major":
-						_, err = transform.ChunkedNonStandard(src, chunkBits, st.store, transform.NonStdOptions{}, 1)
 					default:
 						err = st.TransformChunked(src, chunkBits)
 					}
