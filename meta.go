@@ -19,7 +19,7 @@ type storeMeta struct {
 	TileBits int    `json:"tile_bits"`
 	// Materialized records that every block's scaling slots are valid.
 	// Every maintenance path keeps them so; it is false only on stores
-	// last maintained by a binary that did not, until a Materialize.
+	// last maintained by a binary that did not, until a whole-domain write.
 	Materialized bool `json:"materialized"`
 	Durable      bool `json:"durable,omitempty"`
 	// Mapped records that the store was created with mmap-backed reads,
@@ -41,8 +41,8 @@ func metaPath(path string) string { return path + ".meta.json" }
 // temporary file, fsynced, and renamed over the old sidecar, so a crash
 // mid-save leaves either the old or the new metadata — never a torn file.
 // The metaMu serializes writers: the background scrubber persists
-// quarantine transitions concurrently with a Materialize persisting that
-// the slots are valid.
+// quarantine transitions concurrently with a whole-domain write persisting
+// that the slots are valid.
 func (s *Store) saveMeta() error {
 	if s.opts.Path == "" {
 		return nil
