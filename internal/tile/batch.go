@@ -13,6 +13,15 @@ import (
 // scaling slots too counts them on top.
 func BlockCapacities(shape []int, t Tiling) map[int]int {
 	caps := make(map[int]int)
+	if nt, ok := t.(*NonStandard); ok {
+		// A tile of height h holds its quadtree's 2^(d*h) - 1 details; the
+		// top tile also holds the overall average.
+		for block := 0; block < nt.NumBlocks(); block++ {
+			caps[block] = 1<<uint(nt.d*nt.TileHeight(block)) - 1
+		}
+		caps[0]++
+		return caps
+	}
 	coords := make([]int, len(shape))
 	var rec func(dim int)
 	rec = func(dim int) {

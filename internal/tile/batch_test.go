@@ -130,6 +130,29 @@ func TestBlockCapacitiesSumToDomain(t *testing.T) {
 	}
 }
 
+// TestNonStandardCapacitiesCountLocations holds the non-standard closed
+// form to a count of where Locate puts every coefficient, with n a
+// multiple of b and not, n below b, a single cell, and d = 1 to 3.
+func TestNonStandardCapacitiesCountLocations(t *testing.T) {
+	for _, c := range []struct{ n, d, b int }{{0, 2, 2}, {1, 2, 2}, {3, 2, 2}, {4, 2, 2}, {4, 2, 3}, {5, 1, 2}, {4, 3, 1}, {2, 3, 3}} {
+		nt := NewNonStandard(c.n, c.d, c.b)
+		want := make(map[int]int)
+		ndarray.New(nt.Domain()...).Each(func(coords []int, _ float64) {
+			block, _ := nt.Locate(coords)
+			want[block]++
+		})
+		got := BlockCapacities(nt.Domain(), nt)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d d=%d b=%d: %d blocks, Locate reaches %d", c.n, c.d, c.b, len(got), len(want))
+		}
+		for block, w := range want {
+			if got[block] != w {
+				t.Fatalf("n=%d d=%d b=%d: block %d capacity %d, Locate puts %d there", c.n, c.d, c.b, block, got[block], w)
+			}
+		}
+	}
+}
+
 func TestWriteArrayRoundTrip(t *testing.T) {
 	tiling := NewNonStandard(3, 2, 2)
 	st, err := NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
