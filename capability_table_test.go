@@ -20,7 +20,6 @@ import (
 var capabilityChecks = map[string]func(any) bool{
 	"BatchReader":         func(v any) bool { _, ok := v.(storage.BatchReader); return ok },
 	"BatchWriter":         func(v any) bool { _, ok := v.(storage.BatchWriter); return ok },
-	"StagedReader":        func(v any) bool { _, ok := v.(storage.StagedReader); return ok },
 	"Syncer":              func(v any) bool { _, ok := v.(storage.Syncer); return ok },
 	"Truncater":           func(v any) bool { _, ok := v.(storage.Truncater); return ok },
 	"Committer":           func(v any) bool { _, ok := v.(storage.Committer); return ok },

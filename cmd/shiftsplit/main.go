@@ -27,6 +27,7 @@ import (
 
 	"github.com/shiftsplit/shiftsplit"
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 // Exit codes. Scripts branch on fsck/recover results, so the unhealthy
@@ -435,10 +436,28 @@ func printFsckReport(rep *shiftsplit.FsckReport) {
 	default:
 		fmt.Println("journal:  empty")
 	}
-	if rep.Versioned != nil {
-		fmt.Printf("mvcc:     epoch %d, %d of %d logical blocks mapped over %d table pages (data from block %d)\n",
-			rep.Versioned.Epoch, rep.Versioned.Mapped, rep.Versioned.Logical,
+	if v := rep.Versioned; v != nil {
+		for i, sl := range v.Slots {
+			switch {
+			case sl.State != storage.SlotValid:
+				fmt.Printf("slot %d:   %s\n", i, sl.State)
+			case i == v.Current:
+				fmt.Printf("slot %d:   epoch %d, verifies (current)\n", i, sl.Epoch)
+			default:
+				fmt.Printf("slot %d:   epoch %d, verifies\n", i, sl.Epoch)
+			}
+		}
+	}
+	switch {
+	case rep.VersionedErr != "":
+		fmt.Printf("mvcc:     UNREADABLE: %s\n", rep.VersionedErr)
+	case rep.Versioned != nil:
+		fmt.Printf("mvcc:     epoch %d (format %d), %d of %d logical blocks mapped over %d table pages (data from block %d)\n",
+			rep.Versioned.Epoch, rep.Versioned.Format, rep.Versioned.Mapped, rep.Versioned.Logical,
 			rep.Versioned.TablePages, rep.Versioned.DataBase)
+	}
+	if len(rep.Unreachable) > 0 {
+		fmt.Printf("free:     %d torn frames in blocks no epoch references (ignored): %v\n", len(rep.Unreachable), rep.Unreachable)
 	}
 	if len(rep.Corrupt) > 0 {
 		fmt.Printf("CORRUPT:  %d blocks failed checksum verification: %v\n", len(rep.Corrupt), rep.Corrupt)
@@ -470,7 +489,7 @@ func cmdFsck(args []string) error {
 	// Distinct exit codes so scripts can branch: corruption dominates a
 	// pending journal batch (replaying onto rotten frames helps nobody).
 	switch {
-	case len(rep.Corrupt) > 0 || rep.JournalErr != "":
+	case len(rep.Corrupt) > 0 || rep.JournalErr != "" || rep.VersionedErr != "":
 		return exitf(exitCorrupt, "%s is corrupt", *store)
 	case rep.JournalCommitted:
 		return exitf(exitNeedsRecovery, "%s has a sealed batch awaiting replay", *store)
@@ -524,7 +543,7 @@ func cmdRecover(args []string) error {
 		return err
 	}
 	printFsckReport(rep)
-	if len(rep.Corrupt) > 0 || rep.JournalErr != "" {
+	if len(rep.Corrupt) > 0 || rep.JournalErr != "" || rep.VersionedErr != "" {
 		return exitf(exitCorrupt, "%s is corrupt after recovery", *store)
 	}
 	if !rep.Clean() {

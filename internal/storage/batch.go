@@ -75,28 +75,6 @@ func ReadBlocksOf(bs BlockStore, ids []int, bufs [][]float64) error {
 	return nil
 }
 
-// StagedReader is implemented by stacks whose plain reads go to a
-// committed-only leg (SplitRW over a ChecksumReader and a Durable): a staged
-// read goes through the leg that also holds the blocks written since the
-// last commit. The epoch builder issues one for every block its building
-// epoch has already written; every other read stays on the plain leg.
-type StagedReader interface {
-	ReadStagedBlocks(ids []int, bufs [][]float64) error
-}
-
-// ReadStagedBlocksOf reads a batch of staged blocks through bs: through its
-// staging leg when it has one, else as ReadBlocksOf — on every other stack
-// a plain read already sees staged writes.
-func ReadStagedBlocksOf(bs BlockStore, ids []int, bufs [][]float64) error {
-	if len(ids) == 0 && len(bufs) == 0 {
-		return nil
-	}
-	if sr, ok := bs.(StagedReader); ok {
-		return sr.ReadStagedBlocks(ids, bufs)
-	}
-	return ReadBlocksOf(bs, ids, bufs)
-}
-
 // WriteBlocksOf writes a batch through bs: natively when bs implements
 // BatchWriter, else by a per-block loop (in slice order) that stops at the
 // first error.

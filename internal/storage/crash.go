@@ -17,9 +17,21 @@ var ErrCrashed = errors.New("storage: simulated power failure")
 type CrashPlan struct {
 	rng     *rand.Rand
 	failAt  int64
+	fate    CrashFate
 	ops     int64
 	crashed bool
 }
+
+// CrashFate is what the power cut does to each write it catches in flight:
+// the write being issued, or every write an interrupted Sync was flushing.
+type CrashFate int
+
+const (
+	FateRandom  CrashFate = iota // drop, tear or persist, by the plan's seeded RNG
+	FateDrop                     // the write is lost
+	FateTear                     // a prefix of the write persists
+	FatePersist                  // the write persists whole
+)
 
 // NewCrashPlan creates a disarmed plan; the seed drives the tear/drop
 // choices made at the crash point.
@@ -30,6 +42,18 @@ func NewCrashPlan(seed int64) *CrashPlan {
 // ArmAt schedules the power cut at the n-th mutation from the start of
 // counting (1-based); n <= 0 disarms.
 func (p *CrashPlan) ArmAt(n int64) { p.failAt = n }
+
+// ArmAtFate is ArmAt with the fate of the writes the cut catches chosen
+// rather than drawn, so a campaign can visit every outcome of each index.
+func (p *CrashPlan) ArmAtFate(n int64, f CrashFate) { p.failAt, p.fate = n, f }
+
+// pick draws the fate of one caught write: 0 drop, 1 tear, 2 persist.
+func (p *CrashPlan) pick() int {
+	if p.fate != FateRandom {
+		return int(p.fate) - 1
+	}
+	return p.rng.Intn(3)
+}
 
 // Ops returns how many mutations have been counted so far; a disarmed dry
 // run uses it to size the campaign sweep.
@@ -127,7 +151,7 @@ func (c *CrashStore) WriteBlock(id int, data []float64) error {
 		return ErrCrashed
 	}
 	if c.plan.step() {
-		switch c.plan.rng.Intn(3) {
+		switch c.plan.pick() {
 		case 0: // dropped entirely
 		case 1: // torn
 			c.persistTorn(id, data)
@@ -173,7 +197,7 @@ func (c *CrashStore) Sync() error {
 	sort.Ints(ids)
 	if c.plan.step() {
 		for _, id := range ids {
-			switch c.plan.rng.Intn(3) {
+			switch c.plan.pick() {
 			case 0: // lost
 			case 1:
 				c.persistTorn(id, c.cache[id])

@@ -50,6 +50,14 @@ func (l *Locked) WriteBlocks(ids []int, data [][]float64) error {
 	return WriteBlocksOf(l.inner, ids, data)
 }
 
+// Sync delegates under the lock: an epoch flip on a served durable store
+// syncs the Durable through it.
+func (l *Locked) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return SyncIfAble(l.inner)
+}
+
 // Commit delegates under the lock.
 func (l *Locked) Commit() error {
 	l.mu.Lock()

@@ -21,6 +21,12 @@ type ScrubberOptions struct {
 	// Sleep is the delay function (default time.Sleep; tests inject a
 	// recorder).
 	Sleep func(time.Duration)
+	// Live, when non-nil, reports the ids that hold state something reads;
+	// the pass verifies only those and releases the others from quarantine.
+	// A versioned store passes Versioned.Committed: its free space may hold
+	// frames a crash tore, which nothing reads and the next allocation
+	// overwrites.
+	Live func(id int) bool
 }
 
 // ScrubStats is a snapshot of scrubber progress.
@@ -91,7 +97,11 @@ func (s *Scrubber) RunOnce(ctx context.Context) (quarantined int, err error) {
 		}
 		ids = ids[:0]
 		for id := start; id < end; id++ {
-			ids = append(ids, id)
+			if s.opts.Live == nil || s.opts.Live(id) {
+				ids = append(ids, id)
+			} else if s.q.Remove(id) {
+				s.healed.Add(1)
+			}
 		}
 		batchStart := time.Now()
 		corrupt, err := VerifyBlocksOf(s.bs, ids)

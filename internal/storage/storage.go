@@ -313,13 +313,6 @@ func (c *Counting) ReadBlocks(ids []int, bufs [][]float64) error {
 	return ReadBlocksOf(c.inner, ids, bufs)
 }
 
-// ReadStagedBlocks counts one read per block and forwards the batch to the
-// inner stack's staging leg (see StagedReader).
-func (c *Counting) ReadStagedBlocks(ids []int, bufs [][]float64) error {
-	c.reads.Add(int64(len(ids)))
-	return ReadStagedBlocksOf(c.inner, ids, bufs)
-}
-
 // WriteBlocks counts one write per block and forwards the batch.
 func (c *Counting) WriteBlocks(ids []int, data [][]float64) error {
 	c.writes.Add(int64(len(ids)))

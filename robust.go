@@ -102,11 +102,13 @@ func (s *Store) ensureScrubber(opts storage.ScrubberOptions) (*storage.Scrubber,
 		return s.scrubber, nil
 	}
 	// On a versioned store the scrubber walks the physical id space below
-	// the epoch layer (superblock, remap pages, allocated data blocks);
-	// otherwise physical and logical ids coincide.
+	// the epoch layer and verifies what a committed epoch references (the
+	// current superblock slot, table pages, data blocks); otherwise
+	// physical and logical ids coincide.
 	extent := s.tiling.NumBlocks
 	if s.versioned != nil {
 		extent = s.versioned.PhysExtent
+		opts.Live = s.versioned.Committed
 	}
 	sc, err := storage.NewScrubber(s.base, extent, s.quarantine, opts)
 	if err != nil {

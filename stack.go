@@ -107,9 +107,10 @@ type baseLayer interface {
 //	reads:  Snapshot → Degraded → cache → Breaker → Counting → SplitRW → ChecksumReader → device
 //	writes: Versioned builder → Counting → SplitRW → Locked → Durable
 //
-// The builder's own reads take the read leg for committed blocks and the
-// write leg, through Durable's staging area, for the blocks its building
-// epoch has already written (storage.StagedReader).
+// Nothing is staged on that leg: the Durable writes every block of a
+// building epoch straight through to the device (storage.Durable.ShadowFrom,
+// set by Versioned.AttachDurable), so the builder's reads of what it has
+// written take the read leg like every other read.
 //
 // The cache sits below the epoch layer and is keyed by physical block id,
 // so a flip invalidates nothing; only the rebinding of a reclaimed physical
@@ -209,6 +210,9 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		// so the superblock read here lands on a consistent epoch.
 		if out.versioned, err = storage.NewVersionedSplit(out.counting, read, tiling.NumBlocks()); err != nil {
 			return nil, err
+		}
+		if out.durable != nil {
+			out.versioned.AttachDurable(out.durable)
 		}
 		if out.cache != nil {
 			out.versioned.OnReuse(out.cache.Drop)

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 // TestFailedOpenReleasesDevices: an open that fails after the devices are
-// up — here the epoch layer rejecting a corrupt superblock — must close
-// the data file, the journal and the mapping it opened.
+// up — here the epoch layer rejecting a superblock neither of whose slots
+// verifies — must close the data file, the journal and the mapping it
+// opened.
 func TestFailedOpenReleasesDevices(t *testing.T) {
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -36,14 +39,17 @@ func TestFailedOpenReleasesDevices(t *testing.T) {
 			t.Fatal(err)
 		}
 		frame := make([]byte, 3)
-		if _, err := f.ReadAt(frame, 8); err != nil {
-			t.Fatal(err)
-		}
-		for i := range frame {
-			frame[i] ^= 0xFF
-		}
-		if _, err := f.WriteAt(frame, 8); err != nil {
-			t.Fatal(err)
+		for slot := 0; slot < 2; slot++ {
+			at := int64(slot*(st.BlockSize()+storage.ChecksumOverhead)*8 + 8)
+			if _, err := f.ReadAt(frame, at); err != nil {
+				t.Fatal(err)
+			}
+			for i := range frame {
+				frame[i] ^= 0xFF
+			}
+			if _, err := f.WriteAt(frame, at); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)

@@ -72,11 +72,14 @@ type StoreOptions struct {
 	// the next epoch in freshly allocated physical blocks and commits it
 	// with an atomic flip, while queries pin the current epoch through a
 	// refcounted Snapshot — so reads never observe a mid-batch state and
-	// never contend with writers. On a durable store the flip commits in
-	// the same journal group as the batch (crash recovers to exactly the
-	// old or exactly the new epoch). Versioned stores use a different
-	// on-disk layout (superblock + remap table ahead of the data blocks)
-	// and are not interchangeable with non-versioned files.
+	// never contend with writers. The flip is shadow-paged: the batch and
+	// its table pages go to blocks no committed epoch references, and the
+	// new superblock goes into the alternate of two slots between two
+	// syncs, so on a durable store a crash recovers to exactly the old or
+	// exactly the new epoch with nothing journaled. Versioned stores use a
+	// different on-disk layout (two superblock slots ahead of the data
+	// blocks and table pages) and are not interchangeable with
+	// non-versioned files.
 	Versioned bool
 	// FaultPlan, when non-nil, routes the physical writes of a durable
 	// store through a storage.CrashStore governed by the plan — the
@@ -284,24 +287,14 @@ func (s *Store) Recovered() (blocks int, ok bool) {
 }
 
 // commit seals a batch at the layer that implements it: the epoch layer
-// flips (committing the Durable under it), and otherwise base passes the
-// commit to the Durable. On a plain device the
-// commit is only counted. A non-durable, file-backed store has no journal
-// to make a flip durable, so the device is synced after each one.
+// flips (syncing the device twice, and committing the Durable under it),
+// and otherwise base passes the commit to the Durable. On a plain device
+// the commit is only counted.
 func (s *Store) commit() error {
 	if s.versioned == nil {
 		return s.base.Commit()
 	}
-	epoch := s.versioned.Epoch()
-	if err := s.versioned.Commit(); err != nil {
-		return err
-	}
-	if s.durable == nil && s.opts.Path != "" && s.versioned.Epoch() != epoch {
-		if err := s.counting.Sync(); err != nil {
-			return fmt.Errorf("shiftsplit: sync epoch %d: %w", s.versioned.Epoch(), err)
-		}
-	}
-	return nil
+	return s.versioned.Commit()
 }
 
 // seal commits the staged batch and records whether the commit left it
@@ -316,8 +309,8 @@ func (s *Store) seal() error {
 // layer, else at base; both reach the Durable. A plain device keeps what
 // was written. A flat serving store's cache sits above base, and frames the
 // batch staged may have been read back into it, so it is emptied after the
-// Durable drops them; a versioned store reads its staged frames past the
-// cache, which holds committed physical blocks only.
+// Durable drops them; a versioned store reads its building epoch's blocks
+// past the cache, which holds committed physical blocks only.
 func (s *Store) rollback() {
 	if s.versioned != nil {
 		s.versioned.Rollback()
@@ -334,8 +327,9 @@ func (s *Store) rollback() {
 // are quarantined (a healing write rewrites every block), hands fn the only
 // write-capable view of the stack, then rolls back what fn staged if fn
 // fails or panics, else commits once. A failed commit is not rolled back:
-// the journal may have sealed the batch, so it stays staged until the next
-// write seals it first, and a rollback discards only its own call's writes.
+// the journal may have sealed the batch, or the epoch's superblock reached
+// the medium, so it stays staged until the next write seals it first, and a
+// rollback discards only its own call's writes.
 func (s *Store) write(heal bool, fn func(*tile.Store) error) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
