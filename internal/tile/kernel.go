@@ -8,6 +8,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/core"
 	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 // Bucket holds the deltas one chunk contributes to one destination tile.
@@ -102,34 +103,69 @@ func (bs *BucketSet) Buckets() []Bucket {
 	return bs.buckets
 }
 
+// applyGroup is how many tiles ApplyBuckets reads per vectored call: the
+// run a FileStore coalesces into one positional read.
+const applyGroup = 64
+
+// applyScratch is ApplyBuckets' reused state: the batch's ids and written
+// frames, and one group of read frames. Writes are serialized, so one per
+// Store serves them all.
+type applyScratch struct {
+	ids    []int
+	data   [][]float64
+	slab   []float64
+	frames [][]float64
+}
+
 // ApplyBuckets folds bucketed deltas into the store: one ReadTile and one
 // WriteTile per bucket, exactly the I/O of a per-coefficient
-// read-modify-write loop that loads each tile once, but issued as one
-// vectored read of every touched tile followed by one vectored write.
-// Buckets arrive in ascending block order (BucketSet sorts them), so the
-// batch is one consecutive run per dense region and the physical write
-// sequence matches what the interleaved loop produced.
+// read-modify-write loop that loads each tile once, issued as vectored
+// reads of the touched tiles, a group at a time into a slab the Store
+// keeps, followed by one vectored write. Buckets arrive in ascending block
+// order (BucketSet sorts them), so the batch is one consecutive run per
+// dense region and the physical write sequence matches what the
+// interleaved loop produced.
+//
+// The buckets are consumed: each tile is folded into its bucket's Deltas,
+// which are what is written, so the call holds no second copy of the
+// touched tiles. Like every write, it must not run concurrently with
+// another write on the same Store.
 func (s *Store) ApplyBuckets(buckets []Bucket) error {
 	if len(buckets) == 0 {
 		return nil
 	}
-	blocks := make([]int, len(buckets))
-	for i := range buckets {
-		blocks[i] = buckets[i].Block
+	sc := &s.apply
+	bsz := s.tiling.BlockSize()
+	if sc.frames == nil {
+		sc.slab = make([]float64, applyGroup*bsz)
+		sc.frames = storage.SliceFrames(sc.slab, applyGroup, bsz)
 	}
-	tiles, err := s.ReadTiles(blocks)
-	if err != nil {
-		return err
-	}
+	sc.ids, sc.data = sc.ids[:0], sc.data[:0]
 	for i := range buckets {
-		data := tiles[i]
-		for slot, dv := range buckets[i].Deltas {
-			if dv != 0 {
-				data[slot] += dv
+		sc.ids = append(sc.ids, buckets[i].Block)
+		sc.data = append(sc.data, buckets[i].Deltas)
+	}
+	defer clear(sc.data) // drop the references to the caller's buckets
+	for lo := 0; lo < len(buckets); lo += applyGroup {
+		hi := min(lo+applyGroup, len(buckets))
+		frames := sc.frames[:hi-lo]
+		if err := s.ReadTilesInto(sc.ids[lo:hi], frames); err != nil {
+			return err
+		}
+		for i, tile := range frames {
+			// tile + delta, as the read-modify-write loop adds it; a zero
+			// delta leaves the stored value (and its sign) untouched.
+			d := buckets[lo+i].Deltas
+			for slot, dv := range d {
+				if dv != 0 {
+					d[slot] = tile[slot] + dv
+				} else {
+					d[slot] = tile[slot]
+				}
 			}
 		}
 	}
-	return s.WriteTiles(blocks, tiles)
+	return s.WriteTiles(sc.ids, sc.data)
 }
 
 // AccumulateEmbedStandard buckets the complete SHIFT-SPLIT embedding of bHat

@@ -24,6 +24,7 @@ type Store struct {
 	tiling Tiling
 	mu     sync.Mutex // serializes read-modify-write block updates
 	bufs   sync.Pool  // *[]float64 scratch blocks
+	apply  applyScratch
 }
 
 // NewStore binds a tiling to a block store. The store's block size must
