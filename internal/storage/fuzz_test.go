@@ -184,3 +184,124 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 	})
 }
+
+// Superblock fuzzing geometry: blocks of 8 values and 40 logical blocks
+// make three table pages and two-block superblock slots, so a torn slot
+// can carry two epochs.
+const (
+	fuzzSuperBlock   = 8
+	fuzzSuperLogical = 40
+)
+
+// fuzzSuperImage builds a store whose two slots both verify (epochs 1 and
+// 2) and returns it with the blocks the fuzz input covers: both slots,
+// then the current table pages.
+func fuzzSuperImage(t *testing.T) (keepOpen, []int) {
+	base := keepOpen{NewMemStore(fuzzSuperBlock)}
+	v, err := NewVersioned(base, fuzzSuperLogical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for id := round; id < fuzzSuperLogical; id += 3 {
+			if err := v.WriteBlock(id, fillSeq(fuzzSuperBlock, float64(10*id+round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := v.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	region := make([]int, 0, 2*v.hdr+v.pages)
+	for id := 0; id < v.dataBase; id++ {
+		region = append(region, id)
+	}
+	for _, p := range v.cur.pagePhys {
+		if p >= 0 {
+			region = append(region, p)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return base, region
+}
+
+// FuzzSuperblock XORs hostile bytes over both superblock slots and the
+// current table pages of a valid store — with reseal, after recomputing
+// each slot's check word, so field values reach the decoder — and requires
+// open and the fsck decode never to panic and always to classify the
+// input: it opens, serving every block and the next flip, or it fails
+// with an error of the corruption class.
+func FuzzSuperblock(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, mask []byte, reseal bool) {
+		base, region := fuzzSuperImage(t)
+		bs := fuzzSuperBlock
+		blocks := make([][]float64, len(region))
+		for i, id := range region {
+			blocks[i] = make([]float64, bs)
+			if err := base.ReadBlock(id, blocks[i]); err != nil {
+				t.Fatal(err)
+			}
+			raw := make([]byte, 8*bs)
+			encodeFrames(raw, blocks[i])
+			for j := range raw {
+				if k := 8*bs*i + j; k < len(mask) {
+					raw[j] ^= mask[k]
+				}
+			}
+			decodeFrames(raw, blocks[i])
+		}
+		hdr := (slotFixed + (fuzzSuperLogical+2*bs-1)/(2*bs) + bs - 2) / (bs - 1)
+		if reseal {
+			for s := 0; s < 2; s++ {
+				slot := make([]float64, 0, hdr*bs)
+				for k := 0; k < hdr; k++ {
+					slot = append(slot, blocks[s*hdr+k]...)
+				}
+				n := len(slot)
+				last := blocks[s*hdr+hdr-1]
+				last[bs-1] = math.Float64frombits(slotCheck(slot[:n-1]))
+			}
+		}
+		for i, id := range region {
+			if err := base.WriteBlock(id, blocks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		info, ierr := ReadVersionedInfo(base, fuzzSuperLogical)
+		v, err := NewVersioned(base, fuzzSuperLogical)
+		if (err == nil) != (ierr == nil) {
+			t.Fatalf("open %v, fsck decode %v", err, ierr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruption) {
+				t.Fatalf("unclassified open error: %v", err)
+			}
+			return
+		}
+		if info.Epoch != v.Epoch() || info.Current != int(v.Epoch()%2) && v.Epoch() != 0 {
+			t.Fatalf("fsck decodes epoch %d in slot %d, open %d", info.Epoch, info.Current, v.Epoch())
+		}
+		for id := 0; id < v.PhysExtent()+2; id++ {
+			info.Reachable(id)
+		}
+		buf := make([]float64, bs)
+		for id := 0; id < fuzzSuperLogical; id++ {
+			if err := v.ReadBlock(id, buf); err != nil {
+				t.Fatalf("read of logical %d from an open store: %v", id, err)
+			}
+		}
+		if err := v.WriteBlock(fuzzSuperLogical-1, fillSeq(bs, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Commit(); err != nil {
+			t.Fatalf("flip of an open store: %v", err)
+		}
+		if _, err := NewVersioned(base, fuzzSuperLogical); err != nil {
+			t.Fatalf("reopen after a flip: %v", err)
+		}
+	})
+}

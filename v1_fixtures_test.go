@@ -76,24 +76,29 @@ func fsckV1(t *testing.T, path string) *FsckReport {
 // TestV1StoresOpen opens each v1 fixture: a durable store, a durable
 // versioned store, and a durable store whose journal holds a sealed batch
 // never applied. Each verifies, replays where it must, answers every cell,
-// takes a merge (writing v2 frames beside the v1 ones) and reopens to the
-// same answers with a clean fsck.
+// takes a merge (writing v2 frames beside the v1 ones; the versioned one's
+// converts its format-1 superblock to format 2) and reopens to the same
+// answers with a clean fsck.
 func TestV1StoresOpen(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		form   Form
-		merges int // merges the fixture already holds, a sealed one included
-		sealed bool
+		name      string
+		form      Form
+		merges    int // merges the fixture already holds, a sealed one included
+		sealed    bool
+		versioned bool
 	}{
-		{"durable.wav", Standard, 1, false},
-		{"versioned.wav", NonStandard, 0, false},
-		{"sealed.wav", Standard, 1, true},
+		{"durable.wav", Standard, 1, false, false},
+		{"versioned.wav", NonStandard, 0, false, true},
+		{"sealed.wav", Standard, 1, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := copyV1Fixture(t, tc.name)
 			rep := fsckV1(t, path)
 			if rep.NeedsRecovery() != tc.sealed || len(rep.Corrupt) != 0 || rep.JournalErr != "" {
 				t.Fatalf("fsck of the fixture: %+v", rep)
+			}
+			if v := rep.Versioned; (v != nil) != tc.versioned || v != nil && v.Format != 1 {
+				t.Fatalf("fsck of the fixture reads the epoch superblock %+v", v)
 			}
 			if rep.Written == 0 || rep.WrittenV1 != rep.Written {
 				t.Fatalf("fixture holds %d written frames, %d of them v1: not a v1 store", rep.Written, rep.WrittenV1)
@@ -127,6 +132,10 @@ func TestV1StoresOpen(t *testing.T) {
 			rep = fsckV1(t, path)
 			if !rep.Clean() || rep.WrittenV1 == 0 || rep.WrittenV1 == rep.Written {
 				t.Fatalf("after a merge the store should mix v1 and v2 frames, clean: %+v", rep)
+			}
+			// The merge converted a format-1 versioned store to format 2.
+			if v := rep.Versioned; (v != nil) != tc.versioned || v != nil && v.Format != 2 {
+				t.Fatalf("after a merge the epoch superblock reads %+v", v)
 			}
 			st, err = OpenStore(path)
 			if err != nil {
