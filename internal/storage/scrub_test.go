@@ -125,6 +125,43 @@ func TestScrubberQuarantinesAndHeals(t *testing.T) {
 	}
 }
 
+// TestScrubberSkipsDeadBlocks: with a Live filter (a versioned store's
+// Committed), a torn frame in a block nothing reads is neither verified
+// nor quarantined, and a quarantined block that stopped being live is
+// released.
+func TestScrubberSkipsDeadBlocks(t *testing.T) {
+	inner := NewMemStore(6)
+	cs, err := NewChecksummed(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for id := 0; id < n; id++ {
+		if err := cs.WriteBlock(id, []float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotFrame(t, inner, 4)  // live: quarantined
+	rotFrame(t, inner, 11) // free: ignored
+	free := map[int]bool{11: true, 12: true}
+	q := NewQuarantine()
+	q.Add(12, "left from an earlier pass")
+	sc, err := NewScrubber(cs, func() int { return n }, q, ScrubberOptions{Live: func(id int) bool { return !free[id] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := sc.RunOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 1 || !q.Has(4) || q.Has(11) || q.Has(12) {
+		t.Fatalf("quarantine after the pass: %v, want block 4 alone", q.Snapshot())
+	}
+	if st := sc.Stats(); st.Scanned != n-2 || st.Healed != 1 {
+		t.Fatalf("stats = %+v, want %d scanned and 1 healed", st, n-2)
+	}
+}
+
 func TestScrubberRateLimit(t *testing.T) {
 	cs, err := NewChecksummed(NewMemStore(6))
 	if err != nil {
