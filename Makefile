@@ -80,15 +80,16 @@ lint-tools:
 
 # The crash campaigns kill maintenance batches at every physical write
 # index and require recovery to a checksum-clean pre- or post-batch state;
-# the versioned ones (a flip, a whole-domain write, a format-1 conversion)
+# the versioned ones (a flip, a whole-domain write, a given-up epoch) and
+# the upgrade at open of each v1 fixture (its writes, syncs and renames)
 # visit every index once per fate of the caught writes.
 # CRASH_SEED pins the tear/drop RNG for reproducible failures. The
 # failed-write campaign fails every public Store write at every device
-# read (and write, on versioned stacks) and requires the pre-call state,
+# read and write and requires the pre-call state,
 # or after a failed commit the pre- or post-call one.
 crash-campaign:
 	SHIFTSPLIT_CRASH_SEED=$(CRASH_SEED) $(GO) test -v \
-		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestStoreCrashCampaign|TestGroupCommitCrash|TestExpandingGroupCrash|TestEpochFlipCrashCampaign|TestWholeDomainWriteCrashCampaign|TestV1ConversionCrashCampaign|TestGivenUpEpochCrashCampaign|TestShadowFlipStates|TestFailedWriteCampaign' \
+		-run 'TestCrashCampaignDurable|TestCrashCampaignMappedStore|TestCrashCampaignBatchedCommit|TestAppenderCrashDuringAppendIsAtomic|TestGroupCommitCrash|TestExpandingGroupCrash|TestEpochFlipCrashCampaign|TestWholeDomainWriteCrashCampaign|TestUpgradeCrashCampaign|TestGivenUpEpochCrashCampaign|TestShadowFlipStates|TestFailedWriteCampaign' \
 		./internal/storage/ ./internal/appender/ .
 
 # The chaos harness drives a real HTTP serving process through a

@@ -156,7 +156,7 @@ func cmdTransform(args []string) error {
 	chunk := fs.Int("chunk", 3, "chunk edge exponent m: chunks of 2^m cells per dimension, clamped to each extent; 2^m may not exceed the largest extent")
 	seed := fs.Int64("seed", 1, "dataset seed")
 	kind := fs.String("data", "dense", "synthetic dataset: dense | temperature (4-d) | precipitation (3-d) | sparse")
-	durable := fs.Bool("durable", false, "crash-safe store: checksummed blocks + write-ahead journal")
+	durable := fs.Bool("durable", false, "crash-safe store: checksummed blocks, committed by the epoch layer's shadow-paged flip (implies -versioned)")
 	mapped := fs.Bool("mapped", false, "serve block reads from a shared memory mapping (zero-copy, zero read syscalls when warm)")
 	versioned := fs.Bool("versioned", false, "MVCC epoch store: maintenance builds the next epoch copy-on-write while readers pin consistent snapshots")
 	workers := fs.Int("workers", 0, "worker goroutines for chunk transforms (0 = one per CPU, 1 = sequential)")
@@ -436,7 +436,7 @@ func printFsckReport(rep *shiftsplit.FsckReport) {
 	default:
 		fmt.Println("journal:  empty")
 	}
-	if v := rep.Versioned; v != nil {
+	if v := rep.Versioned; v != nil && v.Format == 2 {
 		for i, sl := range v.Slots {
 			switch {
 			case sl.State != storage.SlotValid:
@@ -451,10 +451,15 @@ func printFsckReport(rep *shiftsplit.FsckReport) {
 	switch {
 	case rep.VersionedErr != "":
 		fmt.Printf("mvcc:     UNREADABLE: %s\n", rep.VersionedErr)
+	case rep.Versioned != nil && rep.Versioned.Format == 1:
+		fmt.Println("mvcc:     format 1")
 	case rep.Versioned != nil:
 		fmt.Printf("mvcc:     epoch %d (format %d), %d of %d logical blocks mapped over %d table pages (data from block %d)\n",
 			rep.Versioned.Epoch, rep.Versioned.Format, rep.Versioned.Mapped, rep.Versioned.Logical,
 			rep.Versioned.TablePages, rep.Versioned.DataBase)
+	}
+	if rep.Upgrade != "" {
+		fmt.Printf("upgrade:  %s\n", rep.Upgrade)
 	}
 	if len(rep.Unreachable) > 0 {
 		fmt.Printf("free:     %d torn frames in blocks no epoch references (ignored): %v\n", len(rep.Unreachable), rep.Unreachable)
@@ -571,6 +576,11 @@ func cmdInfo(args []string) error {
 	fmt.Printf("durable:    %v\n", st.Durable())
 	fmt.Printf("mapped:     %v\n", st.Mapped())
 	fmt.Printf("versioned:  %v\n", st.Versioned())
+	if st.Versioned() {
+		fmt.Println("format:     2 (two superblock slots, remap table, copy-on-write blocks)")
+	} else {
+		fmt.Println("format:     plain (blocks in place, unframed)")
+	}
 	if es, ok := st.EpochStats(); ok {
 		fmt.Printf("epoch:      %d (oldest pinned %d, %d snapshot(s) held)\n",
 			es.Epoch, es.OldestPinned, es.Pinned)

@@ -2,12 +2,14 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 func TestParseInts(t *testing.T) {
@@ -195,17 +197,32 @@ func TestFsckFlagsTamperedStore(t *testing.T) {
 	if err := cmdTransform([]string{"-out", store, "-shape", "16x16", "-chunk", "2", "-durable"}); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the middle of the data file.
+	rotLogical(t, store, 1)
+	if err := cmdFsck([]string{"-store", store}); err == nil {
+		t.Error("fsck passed a tampered store")
+	}
+}
+
+// rotLogical writes a byte into the frame of the block that holds logical
+// block id of a durable store, 56 bytes into the frame.
+func rotLogical(t *testing.T, store string, id int) {
+	t.Helper()
+	rep, err := shiftsplit.Fsck(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := rep.Versioned.Phys(id)
+	if phys < 0 {
+		t.Fatalf("logical block %d is unmapped", id)
+	}
 	f, err := os.OpenFile(store, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xAB}, 200); err != nil {
+	defer f.Close()
+	off := int64(phys)*int64(8*(rep.BlockSize+storage.ChecksumOverhead)) + 56
+	if _, err := f.WriteAt([]byte{0xAB}, off); err != nil {
 		t.Fatal(err)
-	}
-	f.Close()
-	if err := cmdFsck([]string{"-store", store}); err == nil {
-		t.Error("fsck passed a tampered store")
 	}
 }
 
@@ -232,14 +249,7 @@ func TestFsckExitCodesAndScrub(t *testing.T) {
 
 	// Rot the medium: fsck must exit with the corruption code, and -scrub
 	// must persist the quarantine so a reopened store starts degraded.
-	f, err := os.OpenFile(store, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xAB}, 200); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	rotLogical(t, store, 1)
 	if code := exitCodeOf(cmdFsck([]string{"-store", store})); code != exitCorrupt {
 		t.Fatalf("corrupt fsck exit code %d, want %d", code, exitCorrupt)
 	}
@@ -273,5 +283,75 @@ func TestUsageListsNoRetiredCommands(t *testing.T) {
 		if strings.Contains(usageText, cmd) {
 			t.Errorf("usage still lists retired command %q", cmd)
 		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	return string(<-done), ferr
+}
+
+// TestFsckNamesPendingUpgrade runs fsck and info on stores written in the
+// layouts older binaries wrote (the v1 fixtures): fsck checks each in its
+// own layout, prints the upgrade the next open performs and keeps its exit
+// codes (0 clean, 3 for a sealed batch); a format-1 conversion an older
+// writer left cut in its flip exits 3, not 4, and needs no upgrade. info
+// opens, and so upgrades, a flat store and prints format 2.
+func TestFsckNamesPendingUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name    string
+		code    int
+		upgrade bool
+	}{
+		{"durable.wav", exitOK, true},
+		{"versioned.wav", exitOK, true},
+		{"sealed.wav", exitNeedsRecovery, true},
+		{"converting.wav", exitNeedsRecovery, false},
+	} {
+		store := filepath.Join(dir, tc.name)
+		for _, suffix := range []string{"", ".wal", ".meta.json"} {
+			b, err := os.ReadFile(filepath.Join("..", "..", "internal", "storage", "testdata", "v1", tc.name+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(store+suffix, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := captureStdout(t, func() error { return cmdFsck([]string{"-store", store}) })
+		if code := exitCodeOf(err); code != tc.code {
+			t.Errorf("%s: fsck exit code %d, want %d\n%s", tc.name, code, tc.code, out)
+		}
+		if got := strings.Contains(out, "upgrade:  "); got != tc.upgrade {
+			t.Errorf("%s: fsck prints an upgrade line: %v, want %v\n%s", tc.name, got, tc.upgrade, out)
+		}
+	}
+	store := filepath.Join(dir, "durable.wav")
+	out, err := captureStdout(t, func() error { return cmdInfo([]string{"-store", store}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "format:     2") {
+		t.Errorf("info of the upgraded store:\n%s", out)
+	}
+	out, err = captureStdout(t, func() error { return cmdFsck([]string{"-store", store}) })
+	if err != nil || strings.Contains(out, "upgrade:") {
+		t.Errorf("fsck after the upgrade (%v):\n%s", err, out)
 	}
 }

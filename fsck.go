@@ -16,7 +16,8 @@ type FsckReport = storage.FsckReport
 // inspected for an interrupted maintenance batch. On a versioned store both
 // superblock slots are decoded, and a failing frame counts as corrupt only
 // where a committed epoch references it (FsckReport.Unreachable lists the
-// rest).
+// rest). A store in a layout older binaries wrote is checked in that
+// layout, and FsckReport.Upgrade says what the next open rewrites.
 // A report with NeedsRecovery() true means OpenStore would roll the batch
 // forward; JournalErr is non-empty only for media-level corruption the
 // journal protocol cannot repair.
@@ -36,23 +37,25 @@ func Fsck(path string) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Versioned {
-		info, ierr := storage.FsckVersioned(path, tiling.BlockSize(), tiling.NumBlocks())
-		rep.Versioned = info // the slots' states, even when the table does not load
-		if ierr != nil {
-			rep.VersionedErr = ierr.Error()
-			return rep, nil
-		}
-		// A torn frame no committed epoch references is free space.
-		corrupt := rep.Corrupt[:0]
-		for _, id := range rep.Corrupt {
-			if info.Reachable(id) {
-				corrupt = append(corrupt, id)
-			} else {
-				rep.Unreachable = append(rep.Unreachable, id)
-			}
-		}
-		rep.Corrupt = corrupt
+	kind, info, ierr := probeUpgrade(path, m)
+	rep.Upgrade = string(kind)
+	if kind == upgradeFlat {
+		return rep, nil
 	}
+	rep.Versioned = info // the slots' states, even when the table does not load
+	if ierr != nil {
+		rep.VersionedErr = ierr.Error()
+		return rep, nil
+	}
+	// A torn frame no committed epoch references is free space.
+	corrupt := rep.Corrupt[:0]
+	for _, id := range rep.Corrupt {
+		if info.Reachable(id) {
+			corrupt = append(corrupt, id)
+		} else {
+			rep.Unreachable = append(rep.Unreachable, id)
+		}
+	}
+	rep.Corrupt = corrupt
 	return rep, nil
 }

@@ -11,8 +11,9 @@
 //     a clean-looking wrong answer is not.
 //   - Detection: every block rotted on the medium ends up quarantined by
 //     the background scrubber while faults are active.
-//   - Convergence: after the faults stop and the store is re-materialized,
-//     health returns to "ok" and answers are clean and exact again.
+//   - Convergence: after the faults stop and the serving store is
+//     re-materialized through its own write path, health returns to "ok"
+//     and answers are clean and exact again.
 package chaos
 
 import (
@@ -258,19 +259,18 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	// Phase 3: recovered. Stop injecting, heal the medium, and require
-	// convergence back to a clean, exact store.
+	// convergence back to a clean, exact store. The heal is a whole-domain
+	// write through the serving store itself: the file has one open handle,
+	// and a second one's flips would be invisible to it. The scrubber rests
+	// while the write runs.
 	faulty.FailReadsWithProbability(0, 0)
 	faulty.RotReadsWithProbability(0, 0)
 	faulty.Delay(0)
-	mt, err := shiftsplit.OpenStore(path)
-	if err != nil {
+	serving.StopScrub()
+	if err := serving.Materialize(oracle); err != nil {
 		return res, err
 	}
-	if err := mt.Materialize(oracle); err != nil {
-		_ = mt.Close()
-		return res, err
-	}
-	if err := mt.Close(); err != nil {
+	if err := serving.StartScrub(ctx, 25*time.Millisecond, 0); err != nil {
 		return res, err
 	}
 	// Health convergence needs live traffic: the breaker only half-opens
@@ -585,41 +585,32 @@ func (h *harness) waitFor(d time.Duration, cond func() (bool, string)) error {
 	return fmt.Errorf("timed out after %s: %s", d, detail)
 }
 
-// rotFrames flips one payload byte in n distinct written frames of a
-// durable store's data file and returns their block ids.
+// rotFrames flips one payload byte in the frames of the first n logical
+// blocks the current epoch of a durable store maps, and returns their
+// physical block ids.
 func rotFrames(path string, blockSize, n int) ([]int, error) {
-	frameBytes := 8 * (blockSize + storage.ChecksumOverhead)
-	fs, err := storage.OpenFileStore(path, blockSize+storage.ChecksumOverhead)
+	rep, err := shiftsplit.Fsck(path)
 	if err != nil {
 		return nil, err
 	}
-	chk, err := storage.NewChecksummed(fs)
-	if err != nil {
-		_ = fs.Close()
-		return nil, err
-	}
-	total, err := fs.NumBlocks()
-	if err != nil {
-		_ = fs.Close()
-		return nil, err
+	if rep.Versioned == nil {
+		return nil, fmt.Errorf("chaos: %s has no epoch layer to read", path)
 	}
 	var ids []int
-	for id := 0; id < total && len(ids) < n; id++ {
-		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
-			ids = append(ids, id)
+	for id := 0; id < rep.Versioned.Logical && len(ids) < n; id++ {
+		if p := rep.Versioned.Phys(id); p >= 0 {
+			ids = append(ids, p)
 		}
 	}
-	if err := fs.Close(); err != nil {
-		return nil, err
-	}
 	if len(ids) < n {
-		return nil, fmt.Errorf("chaos: only %d written frames, need %d", len(ids), n)
+		return nil, fmt.Errorf("chaos: only %d mapped blocks, need %d", len(ids), n)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	frameBytes := 8 * (blockSize + storage.ChecksumOverhead)
 	for _, id := range ids {
 		off := int64(id)*int64(frameBytes) + 3
 		var b [1]byte

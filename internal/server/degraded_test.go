@@ -105,7 +105,14 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 	// The block holding coefficients (15,0) and (7,0): a rollup over
 	// dimension 1 reads it, as does a range sum over rows 14 and 15, but the
 	// slice at row 0 does not (row 0's path along dimension 0 is 0,1,2,4,8).
-	bad, _ := tile.NewStandard([]int{4, 4}, 2).Locate([]int{15, 0})
+	// The scrubber and the registry name the physical block the current
+	// epoch maps it to.
+	logical, _ := tile.NewStandard([]int{4, 4}, 2).Locate([]int{15, 0})
+	rep, err := shiftsplit.Fsck(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := rep.Versioned.Phys(logical)
 	rotFrame(t, path, st.BlockSize(), bad)
 	if n, err := st.ScrubOnce(context.Background()); err != nil || n != 1 {
 		t.Fatalf("scrub: n=%d err=%v", n, err)
@@ -169,21 +176,12 @@ func TestDegradedServingEndToEnd(t *testing.T) {
 
 	// Heal: repair rolls the block forward from the retained batch (the
 	// serving store was freshly opened, so no batch is retained — use
-	// re-materialize via a maintenance handle instead of asserting repair).
-	// Here the cheap heal is a clean rewrite through the serving store's
-	// write path; re-scrub releases the quarantine.
-	mt, err := shiftsplit.OpenStore(path)
-	if err != nil {
+	// re-materialize instead of asserting repair). The heal is a clean
+	// rewrite through the serving store's own write path (a second handle's
+	// flips are invisible to it); a scrub pass then finds nothing.
+	if err := st.Materialize(dataset.Dense(shape, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := mt.Materialize(dataset.Dense(shape, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The serving store's registry is its own; a scrub pass observes the
-	// healed medium and releases the block.
 	if n, err := st.ScrubOnce(context.Background()); err != nil || n != 0 {
 		t.Fatalf("post-heal scrub: n=%d err=%v", n, err)
 	}

@@ -72,6 +72,26 @@ func (p *CrashPlan) step() bool {
 	return false
 }
 
+// Atomic runs op, an all-or-nothing file-system operation (a rename, a
+// directory sync, an atomic file replacement), as one mutation of the
+// plan. When the power cut fires on it, op has happened or not: not for a
+// dropped write, whole for a persisted one, and by the plan's RNG for a
+// torn one. A nil plan only runs op.
+func (p *CrashPlan) Atomic(op func() error) error {
+	switch {
+	case p == nil:
+		return op()
+	case p.crashed:
+		return ErrCrashed
+	case !p.step():
+		return op()
+	}
+	if f := p.pick(); f == 2 || f == 1 && p.rng.Intn(2) == 0 {
+		_ = op() // the machine is dying; the cut is what is reported
+	}
+	return ErrCrashed
+}
+
 // CrashStore wraps the durable medium under a store stack and simulates a
 // power cut at an arbitrary mutation. It models a volatile write cache the
 // way a real OS does: WriteBlock lands in memory and reaches the medium

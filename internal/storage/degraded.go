@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -15,8 +16,10 @@ import (
 //     still returns the error — the first hit must fail, because a
 //     read-modify-write cycle above (tile updates, delta merges) that got
 //     zeros here would fold them into a rewrite and silently destroy data;
-//   - a successful full-frame write heals the block: overwriting a frame
-//     replaces its bytes entirely, so the stored value is good again.
+//   - it is read-only: writes fail. The epoch layer above it reads
+//     committed blocks through it and writes below it, so a quarantined
+//     block leaves the registry only by a scrub that finds it clean, a
+//     repair, or a whole-domain write.
 //
 // DegradedReads counts zero-filled block reads; the serving layer samples
 // it around a query to set the response's degraded flag.
@@ -37,9 +40,6 @@ func NewDegraded(inner BlockStore, q *Quarantine) (*Degraded, error) {
 // DegradedReads returns how many block reads have been served as zeros
 // because the block was quarantined.
 func (d *Degraded) DegradedReads() int64 { return d.degradedReads.Load() }
-
-// Quarantine returns the registry backing this store.
-func (d *Degraded) Quarantine() *Quarantine { return d.q }
 
 // BlockSize returns the wrapped block size.
 func (d *Degraded) BlockSize() int { return d.inner.BlockSize() }
@@ -92,26 +92,14 @@ func (d *Degraded) ReadBlocks(ids []int, bufs [][]float64) error {
 	return err
 }
 
-// WriteBlock forwards the write and heals the block on success: the frame
-// bytes were fully replaced.
-func (d *Degraded) WriteBlock(id int, data []float64) error {
-	if err := d.inner.WriteBlock(id, data); err != nil {
-		return err
-	}
-	d.q.Remove(id)
-	return nil
-}
+// errDegradedWrite is what a write through a Degraded returns.
+var errDegradedWrite = errors.New("storage: degraded serving layer is read-only")
 
-// WriteBlocks forwards the batch and heals every written block on success.
-func (d *Degraded) WriteBlocks(ids []int, data [][]float64) error {
-	if err := WriteBlocksOf(d.inner, ids, data); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		d.q.Remove(id)
-	}
-	return nil
-}
+// WriteBlock fails: the layer is read-only.
+func (d *Degraded) WriteBlock(int, []float64) error { return errDegradedWrite }
+
+// WriteBlocks fails: the layer is read-only.
+func (d *Degraded) WriteBlocks([]int, [][]float64) error { return errDegradedWrite }
 
 // Close delegates.
 func (d *Degraded) Close() error { return d.inner.Close() }

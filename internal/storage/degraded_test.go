@@ -104,27 +104,24 @@ func TestDegradedBatchQuarantinesEveryCorruptBlock(t *testing.T) {
 	}
 }
 
-func TestDegradedWriteHeals(t *testing.T) {
-	_, _, dg, q := degradedStack(t, 4)
+// TestDegradedIsReadOnly: writes through the serving layer fail and
+// neither reach the medium nor release a quarantined block.
+func TestDegradedIsReadOnly(t *testing.T) {
+	_, cs, dg, q := degradedStack(t, 4)
 	q.Add(1, "test")
-	q.Add(2, "test")
-	if err := dg.WriteBlock(1, []float64{5, 5, 5, 5}); err != nil {
-		t.Fatal(err)
+	if err := dg.WriteBlock(1, []float64{5, 5, 5, 5}); err == nil {
+		t.Fatal("WriteBlock through the degraded layer succeeded")
 	}
-	if q.Has(1) {
-		t.Fatal("full-frame write did not heal")
+	if err := dg.WriteBlocks([]int{1, 2}, [][]float64{{6, 6, 6, 6}, {7, 7, 7, 7}}); err == nil {
+		t.Fatal("WriteBlocks through the degraded layer succeeded")
 	}
-	if err := dg.WriteBlocks([]int{2, 3}, [][]float64{{6, 6, 6, 6}, {7, 7, 7, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("batch write did not heal: %v", q.Snapshot())
+	if !q.Has(1) || q.Len() != 1 {
+		t.Fatalf("a failed write changed the quarantine: %v", q.Snapshot())
 	}
 	buf := make([]float64, 4)
-	if err := dg.ReadBlock(1, buf); err != nil || buf[0] != 5 {
-		t.Fatalf("healed block: buf=%v err=%v", buf, err)
-	}
-	if dg.DegradedReads() != 0 {
-		t.Fatal("healed reads counted as degraded")
+	for id := 1; id <= 2; id++ {
+		if err := cs.ReadBlock(id, buf); err != nil || buf[0] != float64(id) {
+			t.Fatalf("block %d on the medium: buf=%v err=%v", id, buf, err)
+		}
 	}
 }

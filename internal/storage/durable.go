@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"sort"
@@ -23,29 +22,28 @@ import (
 // staged writes immediately, so the engines above are oblivious to the
 // staging.
 //
-// Under a versioned store the journal steps aside (ShadowFrom): the epoch
-// layer writes every block of an epoch to a block no committed epoch
-// references and orders its own syncs, so writes at or above the shadow
-// floor are framed and written straight to the data device, never staged
-// or journaled, and Commit only retires the batch. The Durable stays in
-// that stack to replay a journal left by an older writer on open, to
-// journal a format-1 store's converting superblock (below the floor), and
-// to keep the last batch as the repair source.
+// Under a versioned store the journal steps aside (WriteThrough): the
+// epoch layer writes every block of an epoch to a block no committed epoch
+// references and orders its own syncs, so every write is framed and
+// written straight to the data device, never staged or journaled, and
+// Commit only retires the batch. The Durable stays in that stack to replay
+// a journal left by an older writer on open and to keep the last batch as
+// the repair source.
 //
 // Durable is not safe for concurrent use; wrap it in Locked if needed.
 type Durable struct {
 	data      *Checksummed
 	journal   *Journal
 	pending   map[int][]float64
-	lastBatch map[int][]float64 // post-images of the last committed batch (repair source)
+	lastBatch map[int][]float64 // post-images of the last batch written through (repair source)
 	epoch     uint64
 	recovered int // blocks replayed by the last recovery, -1 if none
 	closed    bool
 	ids       []int       // Commit's sorted batch, reused
 	blocks    [][]float64 // its post-images, reused
 
-	// shadow is the first block id written through (math.MaxInt: none).
-	shadow int
+	// through writes every block straight to the data device (WriteThrough).
+	through bool
 	// direct reports blocks written through since the last Commit; batch
 	// holds copies of them for repair unless dropped (the batch outgrew
 	// maxRetainedBlocks), and spare the buffers of retired batches.
@@ -77,7 +75,7 @@ func NewDurable(data, journal BlockStore) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{data: chk, journal: j, pending: make(map[int][]float64), recovered: -1, shadow: math.MaxInt}
+	d := &Durable{data: chk, journal: j, pending: make(map[int][]float64), recovered: -1}
 	if err := d.recover(); err != nil {
 		return nil, err
 	}
@@ -271,8 +269,8 @@ func (d *Durable) ReadBlocks(ids []int, bufs [][]float64) error {
 	return d.data.ReadBlocks(missIDs, missBufs)
 }
 
-// WriteBlock stages a block; it reaches the medium on the next Commit. A
-// block at or above the shadow floor is written through instead.
+// WriteBlock stages a block; it reaches the medium on the next Commit. In
+// write-through mode it is written to the data device at once instead.
 func (d *Durable) WriteBlock(id int, data []float64) error {
 	if d.closed {
 		return ErrClosed
@@ -280,7 +278,7 @@ func (d *Durable) WriteBlock(id int, data []float64) error {
 	if err := checkBlockArgs(d, id, data); err != nil {
 		return err
 	}
-	if id >= d.shadow {
+	if d.through {
 		return d.writeThrough([]int{id}, [][]float64{data})
 	}
 	d.stage(id, data)
@@ -289,8 +287,7 @@ func (d *Durable) WriteBlock(id int, data []float64) error {
 
 // WriteBlocks implements BatchWriter by staging the whole batch; it costs
 // no device I/O until Commit, exactly like the per-block loop. Written
-// through (at or above the shadow floor), it is one vectored write. A batch
-// must lie wholly on one side of the floor.
+// through, it is one vectored write.
 func (d *Durable) WriteBlocks(ids []int, data [][]float64) error {
 	if d.closed {
 		return ErrClosed
@@ -298,13 +295,7 @@ func (d *Durable) WriteBlocks(ids []int, data [][]float64) error {
 	if err := checkBatchArgs(d, ids, data); err != nil {
 		return err
 	}
-	through := len(ids) > 0 && ids[0] >= d.shadow
-	for _, id := range ids {
-		if id >= d.shadow != through {
-			return fmt.Errorf("storage: batch straddles the shadow floor at block %d", d.shadow)
-		}
-	}
-	if through {
+	if d.through {
 		return d.writeThrough(ids, data)
 	}
 	for i, id := range ids {
@@ -322,12 +313,11 @@ func (d *Durable) stage(id int, data []float64) {
 	copy(dst, data)
 }
 
-// ShadowFrom makes writes to block ids at or above floor bypass the
-// journal: each is framed under the next batch's epoch and written to the
-// data device at once, and the layer above owns write order and syncs
-// (Sync). Writes below floor keep the journal. math.MaxInt (the default)
-// journals everything.
-func (d *Durable) ShadowFrom(floor int) { d.shadow = floor }
+// WriteThrough makes every later write bypass the journal: each block is
+// framed under the next batch's epoch and written to the data device at
+// once, and the layer above owns write order and syncs (Sync). A Durable
+// journals every write until this is called.
+func (d *Durable) WriteThrough() { d.through = true }
 
 // writeThrough frames a batch and writes it to the data device, keeping a
 // copy of each block as the repair source.
@@ -452,60 +442,34 @@ func (d *Durable) Commit() error {
 		return fmt.Errorf("storage: retire journal: %w", err)
 	}
 	d.epoch = epoch
-	switch {
-	case d.direct: // a format-1 conversion: its superblock beside blocks written through
-		for i, id := range ids {
-			d.retain(id, blocks[i])
-		}
-		d.retire()
-	case len(ids) <= maxRetainedBlocks:
-		d.lastBatch = d.pending
-	default:
-		d.lastBatch = nil
-	}
-	d.pending = make(map[int][]float64)
+	clear(d.pending)
 	clear(blocks) // the reused slice must not keep a dropped batch alive
 	return nil
 }
 
-// VerifyBlocks implements Verifier: staged blocks verify clean (their
-// post-images live in memory and shadow the medium), everything else is
-// frame-verified by the checksummed data store.
+// VerifyBlocks implements Verifier: the frames on the medium are verified
+// by the checksummed data store.
 func (d *Durable) VerifyBlocks(ids []int) (corrupt []int, err error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	var onMedia []int
-	for _, id := range ids {
-		if _, staged := d.pending[id]; !staged {
-			onMedia = append(onMedia, id)
-		}
-	}
-	if len(onMedia) == 0 {
-		return nil, nil
-	}
-	return d.data.VerifyBlocks(onMedia)
+	return d.data.VerifyBlocks(ids)
 }
 
 // RepairBlock implements Repairer: it rolls a corrupt block forward from
-// the newest post-image the store still holds — the staging overlay (an
-// uncommitted write already shadows the bad frame), the copy of a block
-// written through since the last commit, or the retained copy of the last
-// committed batch (the journal's contents before it was truncated, or the
-// blocks a versioned store wrote through). repaired=false with a nil error
-// means no source covers the block: its last write predates the retained
-// batch and only a rebuild (re-materialize) can recover it.
+// the newest post-image the store still holds of the blocks it wrote
+// through: the copy of one written since the last commit, or the retained
+// copy of the last committed batch. A journaled batch is not retained (the
+// appender, which journals, neither verifies nor repairs). repaired=false
+// with a nil error means no source covers the block: its last write
+// predates the retained batch and only a rebuild (re-materialize) can
+// recover it.
 func (d *Durable) RepairBlock(id int) (repaired bool, err error) {
 	if d.closed {
 		return false, ErrClosed
 	}
 	if id < 0 {
 		return false, fmt.Errorf("storage: negative block id %d", id)
-	}
-	if _, staged := d.pending[id]; staged {
-		// The overlay already serves reads; the bad frame is overwritten at
-		// the next Commit. Nothing to do on the medium now.
-		return true, nil
 	}
 	// A block written through this batch is rewritten under the batch's
 	// epoch, one of the last batch under the epoch it was committed with.
@@ -583,6 +547,9 @@ type FsckReport struct {
 	// its superblock or table does not decode; Versioned then holds only
 	// the two slots' states, or is nil when they could not be read.
 	VersionedErr string
+	// Upgrade is non-empty when the store is in a layout the next open
+	// rewrites, and says which (see shiftsplit.Fsck).
+	Upgrade string
 	// Unreachable lists frames failing verification in blocks no committed
 	// epoch of a versioned store references: free space a crash tore, or
 	// the stale superblock slot. Nothing reads them and the next allocation

@@ -55,12 +55,10 @@ import (
 // only then are its blocks reused. A current slot that rots then fails the
 // open rather than serving anything.
 //
-// Format 1 (magic "SSEPOCH1") kept one superblock at block 0 and the table,
-// one uint64 entry per value, in place at [1, 1+pages1); it is read, never
-// written. Its first commit converts it: the data and every table page go
-// to free blocks at or above format 1's first data block, and the new slot
-// — which overwrites format 1's metadata — commits through the Durable's
-// journal when there is one, so a crash leaves either store.
+// Format 1 (magic "SSEPOCH1") kept one superblock at block 0 and the table
+// in place after it. This layer neither reads nor writes it: open refuses
+// it, and the root package's upgrader rewrites such a store as format 2
+// before opening it.
 //
 // All superblock and table values hold raw uint64 bit patterns
 // reinterpreted as float64 (math.Float64frombits); they round-trip through
@@ -78,9 +76,8 @@ const retiredMagic uint64 = 0x5353_5245_5449_5245
 // legacyMagic identifies a format-1 superblock ("SSEPOCH1").
 const legacyMagic uint64 = 0x5353_4550_4f43_4831
 
-// legacySlots is the number of format-1 superblock values (magic, version,
-// epoch, logical, pages).
-const legacySlots = 5
+// errFormat1 is load's refusal of a format-1 store.
+var errFormat1 = errors.New("storage: versioned store is in format 1; open it with shiftsplit.OpenStore, which upgrades it")
 
 // slotFixed is the number of slot body values besides the page pointers:
 // magic, version, logical, pages and the check word.
@@ -168,9 +165,6 @@ type Versioned struct {
 	pages    int // remap table pages
 	dataBase int // first allocatable block id: 2·hdr
 
-	// durable, when set, is the journal under the write path: a format-1
-	// store's conversion commits its superblock through it.
-	durable *Durable
 	// slots is what load found in the two superblock slots (fsck reports
 	// it; a flip does not update it).
 	slots [2]SlotInfo
@@ -178,18 +172,14 @@ type Versioned struct {
 	mu  sync.Mutex
 	cur *epochTable // current committed table (last of tables)
 	// prev is the epoch the other superblock slot describes, nil when none
-	// does (a fresh or format-1 store, or one whose other slot does not
-	// verify or was retired). It stays live, as if pinned, until the next
+	// does (a fresh store, or one whose other slot does not verify or was
+	// retired). It stays live, as if pinned, until the next
 	// flip is durable or giveUpPrevLocked retires its slot.
 	prev      *epochTable
 	tables    []*epochTable    // live tables by ascending epoch: pinned old epochs and prev, then cur
 	overlay   map[int]int      // building epoch: logical -> phys
 	dirty     map[int]struct{} // table pages touched by the overlay
 	pageAlloc map[int]int      // building epoch: table page -> the fresh block it is written to
-	// legacy is format 1's first data block while the store is still in
-	// format 1, else 0. Blocks in [dataBase, legacy) hold format 1's table
-	// and stay allocated until the converting commit supersedes them.
-	legacy int
 	// birth has one entry per block in [dataBase, mark): the epoch whose
 	// batch allocated the block, or freeBlock. It is volatile — blocks found
 	// in use at open get birth 0, which is at most every epoch a table can
@@ -258,15 +248,6 @@ func openVersioned(write, read BlockStore, logical int) (*Versioned, error) {
 	return v, v.load()
 }
 
-// AttachDurable names the Durable under the write path. A format-2 store
-// writes every block through it unjournaled (the epoch layer orders its own
-// writes and syncs); a format-1 store keeps its superblock region journaled
-// until the converting commit.
-func (v *Versioned) AttachDurable(d *Durable) {
-	v.durable = d
-	d.ShadowFrom(v.legacy)
-}
-
 // OnReuse registers a hook called (under the allocation lock) whenever a
 // physical block is handed to a new epoch: off the free list, or at the
 // high-water mark, which comes down past a freed run at the top of the file
@@ -294,8 +275,8 @@ type SlotInfo struct {
 // load reads both superblock slots and the newest valid one's table through
 // the write path (open runs before any concurrency) and rebuilds the free
 // list and high-water mark by sweeping the table — the one place the whole
-// table is walked. With no valid slot, a format-1 superblock loads as such,
-// and an unwritten slot 1 as a fresh store: epoch 1, the first flip, never
+// table is walked. With no valid slot, a format-1 superblock is refused
+// (errFormat1), and an unwritten slot 1 loads as a fresh store: epoch 1, the first flip, never
 // finished (slot 0 may hold a torn epoch-0 superblock). Anything else is
 // corrupt — the first flip makes slot 0 a valid epoch 0 before it writes
 // slot 1.
@@ -323,7 +304,7 @@ func (v *Versioned) load() error {
 	case best >= 0:
 		return v.loadShadow(imgs[best], imgs[1-best])
 	case v.slots[0].State == SlotFormat1:
-		return v.loadLegacy(buf[:n])
+		return errFormat1
 	case v.slots[1].State == SlotUnwritten:
 		slab, table := v.newTable()
 		v.cur = &epochTable{pages: table, pagePhys: noPages(v.pages)}
@@ -503,49 +484,6 @@ func (v *Versioned) readTable(img *slotImage) ([]int64, *epochTable, error) {
 	return slab, &epochTable{epoch: img.epoch, pages: table, pagePhys: img.pagePhys}, nil
 }
 
-// loadLegacy loads a format-1 store: super holds its superblock at block
-// 0, and its table pages follow in place.
-func (v *Versioned) loadLegacy(super []float64) error {
-	bs := v.BlockSize()
-	hdr1 := (legacySlots + bs - 1) / bs
-	pages1 := (v.logical + bs - 1) / bs
-	base1 := hdr1 + pages1
-	epoch := math.Float64bits(super[2])
-	if l := math.Float64bits(super[3]); l != uint64(v.logical) {
-		return fmt.Errorf("storage: versioned superblock logical %d, tiling has %d: %w", l, v.logical, ErrCorruption)
-	}
-	if p := math.Float64bits(super[4]); p != uint64(pages1) {
-		return fmt.Errorf("storage: versioned superblock pages %d, want %d: %w", p, pages1, ErrCorruption)
-	}
-	if base1 < v.dataBase {
-		return fmt.Errorf("storage: format-1 versioned store of block size %d cannot be converted: the format-2 superblock would overlap its data; re-materialize it", bs)
-	}
-	pageIDs := make([]int, pages1)
-	for i := range pageIDs {
-		pageIDs[i] = hdr1 + i
-	}
-	media := SliceFrames(make([]float64, pages1*bs), pages1, bs)
-	if err := ReadBlocksOf(v.write, pageIDs, media); err != nil {
-		return fmt.Errorf("storage: read versioned remap table: %w", err)
-	}
-	slab, table := v.newTable()
-	for i := 0; i < v.logical; i++ {
-		raw := math.Float64bits(media[i/bs][i%bs])
-		if raw == 0 {
-			continue
-		}
-		p := int64(raw) - 1
-		if p < int64(base1) {
-			return fmt.Errorf("storage: versioned table maps logical %d to reserved physical %d: %w", i, p, ErrCorruption)
-		}
-		slab[i] = p
-	}
-	v.legacy = base1
-	v.cur = &epochTable{epoch: epoch, pages: table, pagePhys: noPages(v.pages)}
-	v.tables = []*epochTable{v.cur}
-	return v.sweep(slab)
-}
-
 // maxGenerations bounds the physical extent a table may claim at open, in
 // whole generations of the logical space and its table: blocks in use never
 // exceed the live generations (the pinned ones, the current one and the
@@ -558,14 +496,14 @@ const maxGenerations = 1024
 func (v *Versioned) physLimit() int { return v.dataBase + maxGenerations*(v.logical+v.pages) }
 
 // sweep rebuilds the allocator from the current table: a block below the
-// mark that neither a logical id nor a table page claims is free (format
-// 1's table region stays claimed). Reclamation frees a block when the one
+// mark that neither a logical id nor a table page claims is free.
+// Reclamation frees a block when the one
 // logical id or page mapping it is rewritten, so a table claiming a block
 // twice is corrupt. The blocks prev maps beyond the current table's stay
 // allocated, on the current table's dead list, as if the flip between the
 // two had just happened. Ascending free ids are already a valid min-heap.
 func (v *Versioned) sweep(slab []int64) error {
-	high := max(v.dataBase, v.legacy)
+	high := v.dataBase
 	for _, p := range slab[:v.logical] {
 		high = max(high, int(p)+1)
 	}
@@ -581,9 +519,6 @@ func (v *Versioned) sweep(slab []int64) error {
 	v.birth = make([]uint64, high-v.dataBase)
 	for i := range v.birth {
 		v.birth[i] = freeBlock
-	}
-	for p := v.dataBase; p < v.legacy; p++ {
-		v.birth[p-v.dataBase] = 0
 	}
 	claim := func(p int) bool {
 		if v.birth[p-v.dataBase] != freeBlock {
@@ -638,8 +573,7 @@ func (v *Versioned) PhysExtent() int {
 func (v *Versioned) markLocked() int { return v.dataBase + len(v.birth) }
 
 // Committed reports whether physical block phys holds committed state: the
-// current superblock slot (all of format 1's metadata before conversion),
-// or a data block or table page of some live epoch. A scrub verifies only
+// current superblock slot, or a data block or table page of some live epoch. A scrub verifies only
 // these. Free blocks and the building epoch's are left out: a crash can
 // leave torn frames in free space, which nothing reads and the next
 // allocation overwrites, and the other slot is what the next flip rewrites.
@@ -652,7 +586,7 @@ func (v *Versioned) Committed(phys int) bool {
 	case phys < 0 || phys >= v.markLocked():
 		return false
 	case phys < v.dataBase:
-		return v.legacy > 0 || v.cur.epoch > 0 && phys/v.hdr == int(v.cur.epoch%2)
+		return v.cur.epoch > 0 && phys/v.hdr == int(v.cur.epoch%2)
 	}
 	b := v.birth[phys-v.dataBase]
 	return b != freeBlock && b <= v.cur.epoch
@@ -827,6 +761,19 @@ func (v *Versioned) giveUpPrevLocked() error {
 	v.prev = nil
 	v.retireLocked(p)
 	return nil
+}
+
+// GiveUpPrevious gives prev up now unless a snapshot pins it (see
+// giveUpPrevLocked). A whole-domain write that heals quarantined blocks
+// calls it after its flip: the epoch it superseded holds the blocks it
+// healed, and keeping it would keep them reachable.
+func (v *Versioned) GiveUpPrevious() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.prev == nil || v.prev.refs > 0 {
+		return nil
+	}
+	return v.giveUpPrevLocked()
 }
 
 // takeLocked hands a block to the building epoch: the lowest free block,
@@ -1019,23 +966,12 @@ func (v *Versioned) encodeSlot(buf []float64, epoch, magic uint64, pagePhys []in
 	buf[n-1] = math.Float64frombits(slotCheck(buf[:n-1]))
 }
 
-// mapsAny reports whether a table page maps any logical block.
-func mapsAny(page []int64) bool {
-	for _, p := range page {
-		if p >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Commit flips the building epoch: each dirty remap-table page goes to a
 // fresh block, the device is synced (the epoch's data and pages are then
 // durable, and still unreachable), the superblock stamped epoch+1 goes into
 // the alternate slot, and the device is synced again — the flip — before
-// the commit is passed down (a Durable under the write path journals only a
-// format-1 conversion's superblock, and retains the batch as its repair
-// source). Only then is the new table published. The table it replaces
+// the commit is passed down (a Durable under the write path retains the
+// batch as its repair source). Only then is the new table published. The table it replaces
 // becomes prev, which the other slot now describes; the blocks that the
 // flip before superseded, which only the old prev still mapped, return to
 // the free list unless a pinned table references them.
@@ -1075,12 +1011,6 @@ func (v *Versioned) Commit() error {
 		pagePhys: append([]int(nil), cur.pagePhys...),
 		dead:     make([]int, 0, len(v.overlay)+len(v.dirty)),
 	}
-	if v.legacy > 0 {
-		// The conversion writes the whole table.
-		for p := 0; p < v.pages; p++ {
-			v.dirty[p] = struct{}{}
-		}
-	}
 	// Deterministic application order: the overlay and dirty sets are maps,
 	// but nothing numeric is folded in map order — entries land by index,
 	// pages are allocated in page order, and the dead list is only ever used
@@ -1103,10 +1033,6 @@ func (v *Versioned) Commit() error {
 		if old := cur.pagePhys[p]; old >= 0 {
 			next.dead = append(next.dead, old)
 		}
-		next.pagePhys[p] = -1
-		if v.legacy > 0 && !mapsAny(next.pages[p]) {
-			continue // a page the overlay dirtied maps what it wrote
-		}
 		phys, ok := v.pageAlloc[p]
 		if !ok {
 			phys = v.takeLocked()
@@ -1114,9 +1040,6 @@ func (v *Versioned) Commit() error {
 		}
 		next.pagePhys[p] = phys
 		written = append(written, p)
-	}
-	for p := v.dataBase; p < v.legacy; p++ {
-		next.dead = append(next.dead, p)
 	}
 	v.mu.Unlock()
 
@@ -1127,7 +1050,7 @@ func (v *Versioned) Commit() error {
 	// epoch 0 before slot 1 is written, so that a torn slot 1 beside an
 	// unwritten slot 0 reads as the corruption it is.
 	bs, pre := v.BlockSize(), len(written) // pre: the frames written before the first sync
-	if cur.epoch == 0 && v.legacy == 0 {
+	if cur.epoch == 0 {
 		pre += v.hdr
 	}
 	frames := v.commitFrames(pre + v.hdr)
@@ -1171,13 +1094,6 @@ func (v *Versioned) Commit() error {
 	defer v.mu.Unlock()
 	old := v.prev
 	v.prev = cur
-	if v.legacy > 0 {
-		v.legacy = 0
-		v.prev = nil // the new slot overwrote format 1's superblock
-		if v.durable != nil {
-			v.durable.ShadowFrom(0)
-		}
-	}
 	v.cur = next
 	v.tables = append(v.tables, next)
 	clear(v.overlay)
@@ -1185,9 +1101,6 @@ func (v *Versioned) Commit() error {
 	clear(v.pageAlloc)
 	if old != nil && old.refs == 0 {
 		v.retireLocked(old)
-	}
-	if v.prev == nil && cur.refs == 0 {
-		v.retireLocked(cur)
 	}
 	return nil
 }
@@ -1350,8 +1263,8 @@ func (v *Versioned) Close() error {
 type VersionedInfo struct {
 	// Epoch is the committed epoch the current superblock records.
 	Epoch uint64 `json:"epoch"`
-	// Format is the on-media format: 2, or 1 for a store not yet converted
-	// (and 2 for a fresh one).
+	// Format is the on-media format: 2, or 1 for a store the next open
+	// upgrades (and 2 for a fresh one).
 	Format int `json:"format"`
 	// Slots are the two superblock slots as they read.
 	Slots [2]SlotInfo `json:"slots"`
@@ -1368,6 +1281,17 @@ type VersionedInfo struct {
 	Mapped int `json:"mapped_blocks"`
 
 	committed func(int) bool
+	phys      func(int) int
+}
+
+// Phys returns the physical block the current epoch maps logical block id
+// to, -1 when it maps none or the store is in format 1: where a tile that
+// fsck and the scrubber name by physical id lives.
+func (i *VersionedInfo) Phys(id int) int {
+	if i.phys == nil || id < 0 || id >= i.Logical {
+		return -1
+	}
+	return i.phys(id)
 }
 
 // Reachable reports whether physical block id holds committed state (see
@@ -1379,20 +1303,25 @@ func (i *VersionedInfo) Reachable(id int) bool { return i.committed(id) }
 // versioned store persisted, reading through store (which must present
 // logical payloads — e.g. a ChecksumReader over the durable data file).
 // Nothing is mutated; a fresh (never-committed) layout decodes as epoch 0
-// with no mappings. When the table does not load, the returned info still
-// carries the two slots' states beside the error.
+// with no mappings, and a format-1 store as Format 1 with nothing else
+// decoded: every block of it counts as reachable. When the table does not
+// load, the returned info still carries the two slots' states beside the
+// error.
 func ReadVersionedInfo(store BlockStore, logical int) (*VersionedInfo, error) {
 	v, err := openVersioned(store, store, logical)
 	if v == nil {
 		return nil, err
 	}
 	info := &VersionedInfo{Format: 2, Slots: v.slots, Current: -1, Logical: logical, TablePages: v.pages, DataBase: v.dataBase}
+	if errors.Is(err, errFormat1) {
+		info.Format = 1
+		info.committed = func(int) bool { return true }
+		return info, nil
+	}
 	if err != nil {
 		return info, err
 	}
-	if v.legacy > 0 {
-		info.Format = 1
-	} else if s := int(v.cur.epoch % 2); v.slots[s].State == SlotValid && v.slots[s].Epoch == v.cur.epoch {
+	if s := int(v.cur.epoch % 2); v.slots[s].State == SlotValid && v.slots[s].Epoch == v.cur.epoch {
 		info.Current = s
 	}
 	for _, page := range v.cur.pages {
@@ -1404,6 +1333,8 @@ func ReadVersionedInfo(store BlockStore, logical int) (*VersionedInfo, error) {
 	}
 	info.Epoch = v.cur.epoch
 	info.committed = v.Committed
+	cur, pageSize := v.cur, v.pageSize
+	info.phys = func(id int) int { return int(cur.phys(id, pageSize)) }
 	return info, nil
 }
 

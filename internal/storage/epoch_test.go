@@ -356,8 +356,8 @@ func TestVersionedRollbackReturnsAllocations(t *testing.T) {
 // leg, Versioned → Counting → SplitRW → Locked → Durable, writes a batch and
 // rolls it back: every layer on the way down forwards the rollback, so the
 // Durable holds nothing for a later commit or Close to seal — neither
-// staged blocks (a Versioned not attached to it journals) nor the repair
-// copies of blocks it wrote through (one attached, as assemble does).
+// staged blocks (a Durable that journals) nor the repair copies of blocks
+// it wrote through (one in write-through mode, as assemble sets it).
 func TestRollbackReachesDurable(t *testing.T) {
 	for _, attach := range []bool{false, true} {
 		t.Run(fmt.Sprintf("attached=%v", attach), func(t *testing.T) {
@@ -380,7 +380,7 @@ func TestRollbackReachesDurable(t *testing.T) {
 			}
 			defer v.Close()
 			if attach {
-				v.AttachDurable(d)
+				d.WriteThrough()
 			}
 			for id := 0; id < 4; id++ {
 				if err := v.WriteBlock(id, fillSeq(8, float64(id))); err != nil {

@@ -273,6 +273,12 @@ func FuzzSuperblock(f *testing.F) {
 
 		info, ierr := ReadVersionedInfo(base, fuzzSuperLogical)
 		v, err := NewVersioned(base, fuzzSuperLogical)
+		if errors.Is(err, errFormat1) {
+			if ierr != nil || info.Format != 1 {
+				t.Fatalf("open refuses format 1, fsck decode %+v, %v", info, ierr)
+			}
+			return
+		}
 		if (err == nil) != (ierr == nil) {
 			t.Fatalf("open %v, fsck decode %v", err, ierr)
 		}

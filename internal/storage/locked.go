@@ -65,9 +65,8 @@ func (l *Locked) Commit() error {
 	return CommitIfAble(l.inner)
 }
 
-// Rollback delegates under the lock: readers of a flat durable serving
-// store reach the Durable's staging area through it. It reports whether
-// the inner store staged writes.
+// Rollback delegates under the lock. It reports whether the inner store
+// staged writes.
 func (l *Locked) Rollback() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 // This file is the concurrent committed-read path that lets the epoch layer
 // demote Locked from serving: a ChecksumReader verifies frames over the raw
 // device with pooled scratch (safe for any number of concurrent readers),
-// and a SplitRW store routes reads to it while mutations keep the full
-// journaled write path.
+// and a SplitRW store routes reads to it while mutations keep the full,
+// locked write path.
 
 // frameScratch is one reader's or writer's reusable frame scratch.
 type frameScratch struct {
@@ -178,7 +178,7 @@ func (r *ChecksumReader) Close() error { return nil }
 // ReadOnlyView returns a concurrency-safe read view over the Durable's
 // data device, bypassing the journal and the staging area. It is the read
 // leg of a SplitRW under an epoch layer, which writes every block through
-// (ShadowFrom): epoch tables only ever reference committed physical
+// (WriteThrough): epoch tables only ever reference committed physical
 // blocks, so the view sees exactly the bytes a pinned snapshot needs, and
 // the builder's blocks too. The Durable keeps owning the device.
 func (d *Durable) ReadOnlyView() (*ChecksumReader, error) {

@@ -210,6 +210,9 @@ func TestScrubberContextCancel(t *testing.T) {
 	}
 }
 
+// TestDurableVerifyAndRepair rots a block a write-through Durable (the
+// mode the epoch layer runs it in) committed and repairs it from the
+// retained batch.
 func TestDurableVerifyAndRepair(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/store.bin"
@@ -218,6 +221,7 @@ func TestDurableVerifyAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	d.WriteThrough()
 	payload := []float64{9, 8, 7, 6}
 	for id := 0; id < 6; id++ {
 		if err := d.WriteBlock(id, payload); err != nil {
@@ -270,28 +274,5 @@ func TestDurableVerifyAndRepair(t *testing.T) {
 	ok, err = d.RepairBlock(4096)
 	if err != nil || ok {
 		t.Fatalf("unrepairable block: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestDurableVerifySkipsStagedBlocks(t *testing.T) {
-	dir := t.TempDir()
-	d, err := CreateDurable(dir+"/store.bin", 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.WriteBlock(0, []float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	// Block 0 is staged, never committed: the medium holds a virgin frame,
-	// and verification must treat the staged block as clean.
-	corrupt, err := d.VerifyBlocks([]int{0})
-	if err != nil || len(corrupt) != 0 {
-		t.Fatalf("staged block: corrupt=%v err=%v", corrupt, err)
-	}
-	// Staged overlay also satisfies repair without touching the medium.
-	ok, err := d.RepairBlock(0)
-	if err != nil || !ok {
-		t.Fatalf("staged repair: ok=%v err=%v", ok, err)
 	}
 }

@@ -28,6 +28,8 @@ type storeMeta struct {
 	Mapped bool `json:"mapped,omitempty"`
 	// Versioned records the MVCC epoch layout (superblock + remap table
 	// ahead of the data blocks); a versioned file cannot be opened flat.
+	// Every durable store writes it; a durable sidecar without it names a
+	// flat store, which the next open upgrades (upgrade.go).
 	Versioned bool `json:"versioned,omitempty"`
 	// Quarantined records the blocks known to be corrupt on the medium, so
 	// a reopened store still refuses to trust them (and keeps serving
@@ -61,11 +63,16 @@ func (s *Store) saveMeta() error {
 	if s.quarantine != nil {
 		m.Quarantined = s.quarantine.Snapshot()
 	}
+	return writeMeta(s.opts.Path, m)
+}
+
+// writeMeta replaces the sidecar of the store at path with m, atomically.
+func writeMeta(path string, m storeMeta) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(metaPath(s.opts.Path), data, 0o644)
+	return writeFileAtomic(metaPath(path), data, 0o644)
 }
 
 // writeFileAtomic replaces path with data via a fsynced temporary file and
@@ -148,13 +155,13 @@ func tilingForMeta(m storeMeta) (tile.Tiling, Form, error) {
 // OpenStore reopens a file-backed store previously created with CreateStore
 // (its metadata sidecar must be present). Opening a durable store replays
 // or discards any maintenance batch that was interrupted by a crash; use
-// Recovered to learn whether a roll-forward happened.
+// Recovered to learn whether a roll-forward happened. A store in a layout
+// older binaries wrote (flat durable, or format 1 of the epoch layer) is
+// first rewritten in the current one (see upgrade.go). A file has one open
+// handle at a time: a second handle on it sees neither the first one's
+// flips nor its allocations, and its writes would overwrite them.
 func OpenStore(path string) (*Store, error) {
-	m, err := readMeta(path)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(stackSpec{meta: m, path: path})
+	return open(stackSpec{path: path})
 }
 
 // Sync commits again a batch whose commit failed (see Flush) and persists

@@ -252,9 +252,9 @@ func TestWholeDomainWriteIO(t *testing.T) {
 }
 
 // TestSparseTransformIntoFreshStore pins the paper's sparse-data saving
-// (§5.1): a chunked transform into a store CreateStore just made writes only
-// the blocks the non-zero chunks reach and reads none, while the same
-// transform through a reopened handle writes every block. A fresh durable,
+// (§5.1): a chunked transform into a plain file store CreateStore just made
+// writes only the blocks the non-zero chunks reach and reads none, while the
+// same transform through a reopened handle writes every block. A fresh durable,
 // versioned store allocates physical blocks only for what the chunks reach,
 // none for zero frames, and table pages only for pages that map a block:
 // two superblock slots, the written blocks (16 and 6) and the table pages
@@ -275,7 +275,7 @@ func TestSparseTransformIntoFreshStore(t *testing.T) {
 	}{{Standard, 16, 441, 23}, {NonStandard, 6, 273, 11}} {
 		t.Run(c.form.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sparse.wav")
-			st, err := CreateStore(StoreOptions{Shape: []int{edge, edge}, Form: c.form, TileBits: 2, Path: path, Durable: true})
+			st, err := CreateStore(StoreOptions{Shape: []int{edge, edge}, Form: c.form, TileBits: 2, Path: path})
 			if err != nil {
 				t.Fatal(err)
 			}

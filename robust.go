@@ -94,7 +94,7 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// ensureScrubber lazily builds the scrubber over base.
+// ensureScrubber lazily builds the scrubber over the Counting.
 func (s *Store) ensureScrubber(opts storage.ScrubberOptions) (*storage.Scrubber, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
@@ -110,7 +110,7 @@ func (s *Store) ensureScrubber(opts storage.ScrubberOptions) (*storage.Scrubber,
 		extent = s.versioned.PhysExtent
 		opts.Live = s.versioned.Committed
 	}
-	sc, err := storage.NewScrubber(s.base, extent, s.quarantine, opts)
+	sc, err := storage.NewScrubber(s.counting, extent, s.quarantine, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func (s *Store) StopScrub() {
 // only a re-materialize can recover those.
 func (s *Store) RepairQuarantined() (repaired, unrepaired int, err error) {
 	for _, rec := range s.quarantine.Snapshot() {
-		ok, rerr := s.base.RepairBlock(rec.Block)
+		ok, rerr := s.counting.RepairBlock(rec.Block)
 		if rerr != nil {
 			return repaired, unrepaired, fmt.Errorf("shiftsplit: repair block %d: %w", rec.Block, rerr)
 		}
@@ -204,7 +204,7 @@ func (s *Store) RepairQuarantined() (repaired, unrepaired int, err error) {
 			continue
 		}
 		// Trust nothing: the block must verify clean before release.
-		corrupt, verr := s.base.VerifyBlocks([]int{rec.Block})
+		corrupt, verr := s.counting.VerifyBlocks([]int{rec.Block})
 		if verr != nil {
 			return repaired, unrepaired, fmt.Errorf("shiftsplit: verify repaired block %d: %w", rec.Block, verr)
 		}

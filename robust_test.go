@@ -56,34 +56,19 @@ func flipFrameByte(t *testing.T, path string, id, blockSize int) {
 	}
 }
 
-// writtenBlock returns a block id whose frame is actually stored (rotting
-// a virgin frame detects nothing).
-func writtenBlock(t *testing.T, path string, blockSize int) int {
+// writtenBlock returns the physical block that holds logical block 0, the
+// root tile every whole-domain query reads, in the current epoch of the
+// durable store at path.
+func writtenBlock(t *testing.T, path string) int {
 	t.Helper()
-	rep, err := storage.Fsck(path, blockSize)
+	rep, err := Fsck(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Written == 0 {
-		t.Fatal("store has no written frames")
+	if rep.Versioned == nil || rep.Versioned.Phys(0) < 0 {
+		t.Fatalf("the current epoch maps no block 0: %+v", rep)
 	}
-	// Find the first written frame by checking each id.
-	fs, err := storage.OpenFileStore(path, blockSize+storage.ChecksumOverhead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	chk, err := storage.NewChecksummed(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < rep.Blocks; id++ {
-		if _, version, err := chk.ReadMeta(id); err == nil && version != storage.FrameUnwritten {
-			return id
-		}
-	}
-	t.Fatal("no written frame found")
-	return -1
+	return rep.Versioned.Phys(0)
 }
 
 func TestScrubQuarantinesAndDegradedServes(t *testing.T) {
@@ -93,7 +78,7 @@ func TestScrubQuarantinesAndDegradedServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	bad := writtenBlock(t, path, st.BlockSize())
+	bad := writtenBlock(t, path)
 	flipFrameByte(t, path, bad, st.BlockSize())
 
 	if h := st.Health(); h.Status != "ok" {
@@ -156,7 +141,7 @@ func TestMaintenanceGuardAndMaterializeHeals(t *testing.T) {
 		{"Materialize", func() error { return st.Materialize(a) }},
 	}
 	for _, h := range heals {
-		bad := writtenBlock(t, path, st.BlockSize())
+		bad := writtenBlock(t, path)
 		flipFrameByte(t, path, bad, st.BlockSize())
 		if _, err := st.ScrubOnce(context.Background()); err != nil {
 			t.Fatal(err)
@@ -216,7 +201,7 @@ func TestRepairQuarantinedRollsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := writtenBlock(t, path, st.BlockSize())
+	bad := writtenBlock(t, path)
 	flipFrameByte(t, path, bad, st.BlockSize())
 	if _, err := st.ScrubOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -272,7 +257,7 @@ func TestDegradedFlagSampledAroundQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	bad := writtenBlock(t, path, st.BlockSize())
+	bad := writtenBlock(t, path)
 	flipFrameByte(t, path, bad, st.BlockSize())
 	if _, err := st.ScrubOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -302,7 +287,7 @@ func TestFlipFrameByteHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := writtenBlock(t, path, tiling.BlockSize())
+	bad := writtenBlock(t, path)
 	flipFrameByte(t, path, bad, tiling.BlockSize())
 	rep, err := storage.Fsck(path, tiling.BlockSize())
 	if err != nil {

@@ -42,8 +42,8 @@ type ServeOptions struct {
 // blocks spread over cacheShards independently locked shards (0 picks a
 // default), concurrent misses on the same block are coalesced into one
 // disk read, and the whole read path is safe under any number of querying
-// goroutines. Durable stores are additionally serialized at the device so
-// the checksum/journal layer never sees interleaved calls.
+// goroutines. A durable store's writes are additionally serialized below
+// the epoch layer, so the checksum layer never sees interleaved calls.
 //
 // The returned store is meant to be read-only; writes through it are
 // permitted and serialize as on any other store (see Store for what
@@ -58,12 +58,11 @@ func OpenServing(path string, cacheBlocks, cacheShards int) (*Store, error) {
 // is open, and on a versioned durable store a lock-free committed-read leg
 // so N readers progress at full speed while a maintenance batch builds and
 // flips the next epoch. assemble (stack.go) has the layer order.
+//
+// Like OpenStore it upgrades a store in an older layout first, and a file
+// has one open handle at a time.
 func OpenServingOpts(path string, sopts ServeOptions) (*Store, error) {
-	m, err := readMeta(path)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(stackSpec{meta: m, path: path, wrap: sopts.BaseWrap, serve: &sopts})
+	return open(stackSpec{path: path, wrap: sopts.BaseWrap, serve: &sopts})
 }
 
 // CacheStats returns the serve cache's counters; ok is false when the store

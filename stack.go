@@ -1,6 +1,8 @@
 package shiftsplit
 
 import (
+	"fmt"
+
 	"github.com/shiftsplit/shiftsplit/internal/cache"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
@@ -79,38 +81,84 @@ func openDurable(sp stackSpec, blockSize int, wrap func(storage.BlockStore) stor
 	return storage.OpenDurableWrapped(sp.path, blockSize, sp.plan, wrap)
 }
 
-// baseLayer is what assemble puts directly under the serving layers: the
-// Counting, or a Locked over it. Either one counts or locks a commit, a
-// rollback, a verification or a repair and passes it down to the Durable or
-// the device.
-type baseLayer interface {
-	storage.BlockStore
-	storage.Committer
-	storage.Verifier
-	storage.Repairer
-	Rollback() bool
+// openLegacy opens the store sp describes with what reads its layout before
+// the upgrade: the flat Durable, which replays or discards its journal, or
+// the raw device of a non-durable file. Reads are unmapped.
+func openLegacy(sp stackSpec, blockSize int) (storage.BlockStore, error) {
+	sp.meta.Mapped = false
+	if sp.meta.Durable {
+		return device(openDurable(sp, blockSize, func(bs storage.BlockStore) storage.BlockStore { return bs }))
+	}
+	return openDevice(sp, blockSize)
 }
 
-// assemble builds the stack sp describes. Bottom to top:
+// readVersionedInfo decodes the epoch superblock of the file-backed store
+// sp describes without opening it: a durable one through fsck's checksum
+// reader, with a sealed batch in its journal read over the file; any other
+// raw.
+func readVersionedInfo(sp stackSpec, blockSize, logical int) (*storage.VersionedInfo, error) {
+	if sp.meta.Durable {
+		return storage.FsckVersioned(sp.path, blockSize, logical)
+	}
+	fs, err := storage.OpenFileStore(sp.path, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	defer fs.Close()
+	return storage.ReadVersionedInfo(fs, logical)
+}
+
+// copyFrames copies the raw frames of the durable data file at from over
+// those of the one at to, by block id (from's block -> to's), and syncs:
+// a frame that fails verification still fails it where it lands.
+func copyFrames(from, to string, blockSize int, blocks map[int]int) error {
+	src, err := storage.OpenFileStore(from, blockSize+storage.ChecksumOverhead)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	dst, err := storage.OpenFileStore(to, blockSize+storage.ChecksumOverhead)
+	if err != nil {
+		return err
+	}
+	frame := make([]float64, blockSize+storage.ChecksumOverhead)
+	for s, d := range blocks {
+		if err = src.ReadBlock(s, frame); err == nil {
+			//shiftsplitvet:ignore journalwrite -- a raw frame into the upgrade's closed temporary file, before its rename: carrying a frame that fails verification needs the bytes unframed
+			err = dst.WriteBlock(d, frame)
+		}
+		if err != nil {
+			_ = dst.Close() // the copy error is the one to report
+			return err
+		}
+	}
+	if err := dst.Sync(); err != nil {
+		_ = dst.Close() // the sync error is the one to report
+		return err
+	}
+	return dst.Close()
+}
+
+// assemble builds the stack sp describes. A durable store always has the
+// epoch layer (opening upgrades one written without it, see upgrade.go).
+// Bottom to top:
 //
 //	maintenance: device → [Durable] → Counting → [Versioned] → tile.Store
-//	serving:     device → [Durable] → Counting → [Locked] → [Breaker] → [cache] → [Degraded] → [Versioned] → tile.Store
+//	serving:     device → [Durable] → Counting → [Breaker] → [cache] → [Degraded] → [Versioned] → tile.Store
 //
-// The serving chain is safe under any number of querying goroutines. Locked
-// serializes the single-threaded Durable and is there only when the store
-// is durable but not versioned; Degraded needs the corruption detection only
-// the durable layout has. A durable and versioned serving store splits its
-// device instead: snapshot reads verify committed frames concurrently
-// (ChecksumReader) while mutations keep the locked, journaled leg, both
-// under the one Counting —
+// The serving chain is safe under any number of querying goroutines.
+// Degraded needs the corruption detection only the durable layout has. A
+// durable serving store splits its device: snapshot reads verify committed
+// frames concurrently (ChecksumReader) while mutations keep the locked leg
+// through the Durable, both under the one Counting —
 //
 //	reads:  Snapshot → Degraded → cache → Breaker → Counting → SplitRW → ChecksumReader → device
 //	writes: Versioned builder → Counting → SplitRW → Locked → Durable
 //
 // Nothing is staged on that leg: the Durable writes every block of a
-// building epoch straight through to the device (storage.Durable.ShadowFrom,
-// set by Versioned.AttachDurable), so the builder's reads of what it has
-// written take the read leg like every other read.
+// building epoch straight through to the device (Durable.WriteThrough), so
+// the builder's reads of what it has written take the read leg like every
+// other read, and a Degraded above the cache never sees a write.
 //
 // The cache sits below the epoch layer and is keyed by physical block id,
 // so a flip invalidates nothing; only the rebinding of a reclaimed physical
@@ -118,15 +166,17 @@ type baseLayer interface {
 //
 // No capability travels up this chain. The Store calls each one at the
 // layer that implements it, through the fields set here: a commit at the
-// Versioned, else base; a scrub, a repair and its re-verification at base —
-// the Counting, or the Locked over it that the read path shares — below the
-// cache and breaker, so they see the medium and neither trip nor pollute
-// the layers above; the mapped-read count at the raw device, before any
-// BaseWrap (DESIGN §11).
+// Versioned, else the Counting; a scrub, a repair and its re-verification
+// at the Counting, below the cache and breaker, so they see the medium and
+// neither trip nor pollute the layers above; the mapped-read count at the
+// raw device, before any BaseWrap (DESIGN §11).
 //
 // Whatever has been opened is closed again on every error path.
 func assemble(sp stackSpec) (_ *Store, err error) {
 	m := sp.meta
+	if m.Durable && !m.Versioned {
+		return nil, fmt.Errorf("shiftsplit: a durable store without the epoch layer cannot be assembled")
+	}
 	tiling, form, err := tilingForMeta(m)
 	if err != nil {
 		return nil, err
@@ -151,7 +201,9 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 	}
 	var base storage.BlockStore
 	if m.Durable {
-		out.durable, err = openDurable(sp, tiling.BlockSize(), device)
+		if out.durable, err = openDurable(sp, tiling.BlockSize(), device); err == nil {
+			out.durable.WriteThrough()
+		}
 		base = out.durable
 	} else if base, err = openDevice(sp, tiling.BlockSize()); err == nil {
 		base = device(base)
@@ -168,7 +220,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 
 	serve := sp.serve != nil
 	counted := base
-	if serve && m.Durable && m.Versioned {
+	if serve && m.Durable {
 		rd, err := out.durable.ReadOnlyView()
 		if err != nil {
 			return nil, err
@@ -178,13 +230,9 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		}
 	}
 	out.counting = storage.NewCounting(counted)
-	out.base = out.counting
-	if serve && m.Durable && !m.Versioned {
-		out.base = storage.NewLocked(out.counting)
-	}
 	// read is the chain queries come down; mutations and the epoch layer's
 	// table I/O enter at the Counting.
-	var read storage.BlockStore = out.base
+	var read storage.BlockStore = out.counting
 	if serve {
 		out.scrubSafe = true
 		if sp.serve.Breaker != nil {
@@ -210,9 +258,6 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		// so the superblock read here lands on a consistent epoch.
 		if out.versioned, err = storage.NewVersionedSplit(out.counting, read, tiling.NumBlocks()); err != nil {
 			return nil, err
-		}
-		if out.durable != nil {
-			out.versioned.AttachDurable(out.durable)
 		}
 		if out.cache != nil {
 			out.versioned.OnReuse(out.cache.Drop)

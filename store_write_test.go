@@ -17,11 +17,8 @@ import (
 // with a Faulty under its data device, and reopens it once the fault is
 // disarmed ("" path: in memory, nothing to reopen).
 type failStack struct {
-	name string
-	// writes reports whether the stack also runs write triggers: on a
-	// versioned stack a write fault can fail the building epoch or its flip.
-	writes bool
-	build  func(t *testing.T, dir string, form Form, a *Array, wrap func(storage.BlockStore) storage.BlockStore) (*Store, string)
+	name  string
+	build func(t *testing.T, dir string, form Form, a *Array, wrap func(storage.BlockStore) storage.BlockStore) (*Store, string)
 }
 
 func failStacks() []failStack {
@@ -57,27 +54,21 @@ func failStacks() []failStack {
 		}
 	}
 	return []failStack{
-		{"versioned", true, create(false, true)},
-		{"durable", false, create(true, false)},
-		{"durable+versioned", true, create(true, true)},
-		{"serving durable+versioned", true, serving(true, 4)},
-		// The flat serving stack reads and writes through its cache, which
-		// holds every block: staged frames read back during the call land in
-		// it, and a rollback must not leave them there.
-		{"serving durable", false, serving(false, 64)},
+		{"versioned", create(false, true)},
+		{"durable+versioned", create(true, true)},
+		{"serving durable+versioned", serving(true, 4)},
 	}
 }
 
-// TestFailedWriteCampaign fails every public write at every device read,
-// and on the versioned stacks at every device write, and requires the
-// store to hold exactly the transform from before the call once the fault
-// is disarmed, both on the same handle and once a file store is closed and
-// reopened, with a clean fsck. A fault that fails the commit itself may leave the batch sealed, and the
-// store then holds exactly the pre- or the post-call transform: on a
-// durable stack every device write is the journal's apply, so every write
-// trial fails in the commit and Close seals the batch it left staged; on
-// the in-memory versioned stack the flip was not published, so the store
-// reads pre-call until Flush seals the batch.
+// TestFailedWriteCampaign fails every public write at every device read
+// and at every device write, and requires the store to hold exactly the
+// transform from before the call once the fault is disarmed, both on the
+// same handle and once a file store is closed and reopened, with a clean
+// fsck. A fault that fails the commit itself may leave the flip on the
+// medium, and the store then holds exactly the pre- or the post-call
+// transform: Close commits the epoch it left building; on the in-memory
+// stack the flip was not published, so the store reads pre-call until
+// Flush commits it.
 func TestFailedWriteCampaign(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	a, b := randArray(rng, 16, 16), randArray(rng, 16, 16)
@@ -161,11 +152,7 @@ func TestFailedWriteCampaign(t *testing.T) {
 						t.Fatal("the call changes nothing: the campaign is vacuous")
 					}
 
-					triggers := []string{"read"}
-					if sk.writes {
-						triggers = append(triggers, "write")
-					}
-					for _, trigger := range triggers {
+					for _, trigger := range []string{"read", "write"} {
 						trials, preSeen, postSeen := 0, 0, 0
 						for k := int64(1); ; k++ {
 							st, path, f, err := trial(func(f *storage.Faulty) {
@@ -241,8 +228,8 @@ func TestFailedWriteCampaign(t *testing.T) {
 // TestRolledBackWriteLeavesNoTrace stages a frame, reads it back through
 // the handle's read layers, and fails the write. On every stack of the
 // campaign the same handle, and a file store reopened, must then read the
-// pre-call transform: a layer above the rollback (the flat serving cache)
-// must not keep serving the frame the rollback discarded.
+// pre-call transform: no layer above the rollback may keep serving the
+// frame the rollback discarded.
 func TestRolledBackWriteLeavesNoTrace(t *testing.T) {
 	a := randArray(rand.New(rand.NewSource(65)), 16, 16)
 	boom := errors.New("boom")
@@ -303,13 +290,13 @@ func TestRolledBackWriteLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestFailedCommitStaysStaged fails a merge's commit partway through the
-// journal's apply, so the journal has sealed the batch and the data file
-// holds part of it, then fails the next merge before its commit, then runs
-// a third. The failed commit's batch must survive the second call's
-// rollback: the third commit reuses the journal, and a batch dropped from
-// memory would leave its applied part in the data file with no record to
-// finish it. The store reopens to the first and third merges, exactly.
+// TestFailedCommitStaysStaged fails a merge's commit at its superblock
+// slot, after the epoch's blocks and table page are written and synced,
+// then fails the next merge before its commit, then runs a third. The
+// failed commit's epoch must survive the second call's rollback: the
+// second call commits it again first, and an epoch dropped from memory
+// would free blocks a slot on the medium may already map. The store
+// reopens to the first and third merges, exactly.
 func TestFailedCommitStaysStaged(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	a := randArray(rng, 16, 16)
@@ -337,19 +324,33 @@ func TestFailedCommitStaysStaged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "s.wav")
 	var f *storage.Faulty
-	st, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Path: path, Durable: true, BaseWrap: func(bs storage.BlockStore) storage.BlockStore {
-		f = storage.NewFaulty(bs)
-		return f
-	}})
-	if err != nil {
+	create := func(path string) *Store {
+		st, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Path: path, Durable: true, BaseWrap: func(bs storage.BlockStore) storage.BlockStore {
+			f = storage.NewFaulty(bs)
+			return f
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Materialize(a); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// The merge's last write is its one-block superblock slot.
+	dry := create(filepath.Join(t.TempDir(), "dry.wav"))
+	before := dry.Stats().Writes
+	if err := dry.MergeBlock(blocks[0], deltas[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Materialize(a); err != nil {
+	writes := dry.Stats().Writes - before
+	if err := dry.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.FailWriteAfter(2) // the apply writes one block, then fails
+	path := filepath.Join(t.TempDir(), "s.wav")
+	st := create(path)
+	f.FailWriteAfter(writes)
 	if err := st.MergeBlock(blocks[0], deltas[0]); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("first merge: err = %v, want the injected fault in its commit", err)
 	}
@@ -463,7 +464,7 @@ func TestScaleCommitsItself(t *testing.T) {
 	}
 }
 
-// TestScaleRefusedWhileQuarantined scales a flat durable serving store with
+// TestScaleRefusedWhileQuarantined scales a durable serving store with
 // a quarantined block: Scale reads and rewrites every block, so it is
 // refused like the other incremental writes and changes no block.
 func TestScaleRefusedWhileQuarantined(t *testing.T) {
@@ -473,7 +474,7 @@ func TestScaleRefusedWhileQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	bad := writtenBlock(t, path, st.BlockSize())
+	bad := writtenBlock(t, path)
 	flipFrameByte(t, path, bad, st.BlockSize())
 	if n, err := st.ScrubOnce(context.Background()); err != nil || n != 1 {
 		t.Fatalf("scrub quarantined %d blocks (%v), want 1", n, err)
