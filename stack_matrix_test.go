@@ -180,6 +180,7 @@ func runMatrixCase(sc *matrixScript, o StoreOptions, h matrixHandle) (string, er
 // with the source. TransformChunked re-reads tiles it wrote earlier in the
 // same batch; on a versioned serving stack those reads resolve the building
 // epoch's blocks, which no committed epoch maps, through the read leg.
+// Options that set Durable without Versioned must open a versioned stack.
 func TestTransformChunkedThroughServingStacks(t *testing.T) {
 	src := randArray(rand.New(rand.NewSource(30)), matrixEdge, matrixEdge)
 	handles := []struct {
@@ -194,9 +195,6 @@ func TestTransformChunkedThroughServingStacks(t *testing.T) {
 		for bits := 0; bits < 8; bits++ {
 			o := StoreOptions{Shape: []int{matrixEdge, matrixEdge}, Form: form}
 			o.Durable, o.Versioned, o.Mapped = bits&1 != 0, bits&2 != 0, bits&4 != 0
-			if o.Durable && !o.Versioned {
-				continue // Durable implies Versioned
-			}
 			for _, h := range handles {
 				name := fmt.Sprintf("%v/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned, o.Mapped, h.name)
 				t.Run(name, func(t *testing.T) {
@@ -210,6 +208,10 @@ func TestTransformChunkedThroughServingStacks(t *testing.T) {
 					}
 					if st, err = OpenServingOpts(o.Path, h.so); err != nil {
 						t.Fatal(err)
+					}
+					if o.Durable && !st.Versioned() {
+						_ = st.Close() // the missing epoch layer is the one to report
+						t.Fatal("a durable store opened without the epoch layer")
 					}
 					if err := st.TransformChunked(src, 3); err != nil {
 						_ = st.Close() // the transform error is the one to report
@@ -250,23 +252,28 @@ func TestStackMatrixPinned(t *testing.T) {
 	}
 	type layout struct {
 		name string
+		pin  string // the twin whose pin it must match; "" is its own
 		set  func(*StoreOptions)
 	}
+	// A layout that sets Durable without Versioned has no pin of its own:
+	// Durable implies Versioned, so it must assemble exactly the stack of
+	// its durable+versioned twin, pinned under the twin's name.
 	memLayouts := []layout{
-		{"plain", func(*StoreOptions) {}},
-		{"versioned", func(o *StoreOptions) { o.Versioned = true }},
-		{"durable+versioned", func(o *StoreOptions) { o.Durable, o.Versioned = true, true }},
+		{"plain", "", func(*StoreOptions) {}},
+		{"durable", "durable+versioned", func(o *StoreOptions) { o.Durable = true }},
+		{"versioned", "", func(o *StoreOptions) { o.Versioned = true }},
+		{"durable+versioned", "", func(o *StoreOptions) { o.Durable, o.Versioned = true, true }},
 	}
 	seen := make(map[string]bool)
-	check := func(name string, o StoreOptions, h matrixHandle) {
-		seen[name] = true
+	check := func(name, pin string, o StoreOptions, h matrixHandle) {
+		seen[pin] = true
 		t.Run(name, func(t *testing.T) {
 			got, err := runMatrixCase(sc, o, h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, ok := stackMatrixPinned[name]; !ok || got != want {
-				t.Errorf("stack behaviour moved\n got: %q\nwant: %q", got, want)
+			if want, ok := stackMatrixPinned[pin]; !ok || got != want {
+				t.Errorf("stack behaviour moved (pinned as %s)\n got: %q\nwant: %q", pin, got, want)
 			}
 		})
 	}
@@ -275,18 +282,20 @@ func TestStackMatrixPinned(t *testing.T) {
 		for _, l := range memLayouts {
 			o := base
 			l.set(&o)
-			check(fmt.Sprintf("%v/mem/%s", form, l.name), o, matrixHandle{"create", openViaCreate})
+			name, pin := fmt.Sprintf("%v/mem/%s", form, l.name), fmt.Sprintf("%v/mem/%s", form, l.pin)
+			if l.pin == "" {
+				pin = name
+			}
+			check(name, pin, o, matrixHandle{"create", openViaCreate})
 		}
 		for bits := 0; bits < 8; bits++ {
 			o := base
 			o.Durable, o.Versioned, o.Mapped = bits&1 != 0, bits&2 != 0, bits&4 != 0
-			if o.Durable && !o.Versioned {
-				continue // Durable implies Versioned
-			}
 			for _, h := range fileHandles {
 				o.Path = filepath.Join(t.TempDir(), "cube.wav")
 				name := fmt.Sprintf("%v/file/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned, o.Mapped, h.name)
-				check(name, o, h)
+				pin := fmt.Sprintf("%v/file/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned || o.Durable, o.Mapped, h.name)
+				check(name, pin, o, h)
 			}
 		}
 	}

@@ -55,8 +55,14 @@ func failStacks() []failStack {
 	}
 	return []failStack{
 		{"versioned", create(false, true)},
+		// Durable alone: CreateStore makes it versioned.
+		{"durable", create(true, false)},
 		{"durable+versioned", create(true, true)},
 		{"serving durable+versioned", serving(true, 4)},
+		// A serving cache that holds every block: the building epoch's
+		// blocks read back during the call land in it, and a rollback must
+		// not leave them there.
+		{"serving durable", serving(false, 64)},
 	}
 }
 

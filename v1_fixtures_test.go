@@ -110,75 +110,77 @@ var v1Opens = []struct {
 // remains. A merge and a reopen answer exactly.
 func TestV1StoresOpen(t *testing.T) {
 	for _, tc := range v1Fixtures {
-		for _, h := range v1Opens {
-			t.Run(tc.name+"/"+h.name, func(t *testing.T) {
-				path := copyV1Fixture(t, tc.name)
-				rep := fsckV1(t, path)
-				if rep.NeedsRecovery() != tc.sealed || len(rep.Corrupt) != 0 || rep.JournalErr != "" || rep.VersionedErr != "" {
-					t.Fatalf("fsck of the fixture: %+v", rep)
-				}
-				if v := rep.Versioned; (v != nil) != tc.versioned || v != nil && v.Format != 1 {
-					t.Fatalf("fsck of the fixture reads the epoch superblock %+v", v)
-				}
-				if rep.Upgrade == "" {
-					t.Fatal("fsck of the fixture names no upgrade")
-				}
-				if rep.Written == 0 || rep.WrittenV1 != rep.Written {
-					t.Fatalf("fixture holds %d written frames, %d of them v1: not a v1 store", rep.Written, rep.WrittenV1)
-				}
-
-				st, err := h.open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.Durable() || !st.Versioned() {
-					t.Fatalf("upgraded store: durable %v, versioned %v", st.Durable(), st.Versioned())
-				}
-				if n, ok := st.Recovered(); ok != tc.sealed || (tc.sealed && n == 0) {
-					t.Fatalf("Recovered = %d, %v", n, ok)
-				}
-				checkV1Cells(t, st, tc.merges)
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				rep = fsckV1(t, path)
-				if !rep.Clean() || rep.Upgrade != "" || rep.Versioned == nil || rep.Versioned.Format != 2 ||
-					rep.WrittenV1 != 0 || !rep.JournalPresent || rep.JournalEntries != 0 {
-					t.Fatalf("fsck after the upgrade: %+v", rep)
-				}
-				if m, err := readMeta(path); err != nil || !m.Versioned {
-					t.Fatalf("sidecar after the upgrade: %+v, %v", m, err)
-				}
-				for _, f := range []string{upgradeTemp(path), upgradeTemp(path) + ".wal", upgradeTemp(path) + ".meta.json"} {
-					if _, err := os.Stat(f); !os.IsNotExist(err) {
-						t.Fatalf("the upgrade left %s behind (%v)", f, err)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, h := range v1Opens {
+				t.Run(h.name, func(t *testing.T) {
+					path := copyV1Fixture(t, tc.name)
+					rep := fsckV1(t, path)
+					if rep.NeedsRecovery() != tc.sealed || len(rep.Corrupt) != 0 || rep.JournalErr != "" || rep.VersionedErr != "" {
+						t.Fatalf("fsck of the fixture: %+v", rep)
 					}
-				}
+					if v := rep.Versioned; (v != nil) != tc.versioned || v != nil && v.Format != 1 {
+						t.Fatalf("fsck of the fixture reads the epoch superblock %+v", v)
+					}
+					if rep.Upgrade == "" {
+						t.Fatal("fsck of the fixture names no upgrade")
+					}
+					if rep.Written == 0 || rep.WrittenV1 != rep.Written {
+						t.Fatalf("fixture holds %d written frames, %d of them v1: not a v1 store", rep.Written, rep.WrittenV1)
+					}
 
-				st, err = h.open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := st.Recovered(); ok {
-					t.Fatal("the reopen replayed a batch again")
-				}
-				if err := st.MergeBlock(v1MergeBlock, v1MergeHat(tc.form)); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if rep := fsckV1(t, path); !rep.Clean() || rep.Versioned == nil || rep.Versioned.Format != 2 {
-					t.Fatalf("fsck after a merge: %+v", rep)
-				}
-				st, err = h.open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				checkV1Cells(t, st, tc.merges+1)
-			})
-		}
+					st, err := h.open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.Durable() || !st.Versioned() {
+						t.Fatalf("upgraded store: durable %v, versioned %v", st.Durable(), st.Versioned())
+					}
+					if n, ok := st.Recovered(); ok != tc.sealed || (tc.sealed && n == 0) {
+						t.Fatalf("Recovered = %d, %v", n, ok)
+					}
+					checkV1Cells(t, st, tc.merges)
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					rep = fsckV1(t, path)
+					if !rep.Clean() || rep.Upgrade != "" || rep.Versioned == nil || rep.Versioned.Format != 2 ||
+						rep.WrittenV1 != 0 || !rep.JournalPresent || rep.JournalEntries != 0 {
+						t.Fatalf("fsck after the upgrade: %+v", rep)
+					}
+					if m, err := readMeta(path); err != nil || !m.Versioned {
+						t.Fatalf("sidecar after the upgrade: %+v, %v", m, err)
+					}
+					for _, f := range []string{upgradeTemp(path), upgradeTemp(path) + ".wal", upgradeTemp(path) + ".meta.json"} {
+						if _, err := os.Stat(f); !os.IsNotExist(err) {
+							t.Fatalf("the upgrade left %s behind (%v)", f, err)
+						}
+					}
+
+					st, err = h.open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := st.Recovered(); ok {
+						t.Fatal("the reopen replayed a batch again")
+					}
+					if err := st.MergeBlock(v1MergeBlock, v1MergeHat(tc.form)); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if rep := fsckV1(t, path); !rep.Clean() || rep.Versioned == nil || rep.Versioned.Format != 2 {
+						t.Fatalf("fsck after a merge: %+v", rep)
+					}
+					st, err = h.open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					checkV1Cells(t, st, tc.merges+1)
+				})
+			}
+		})
 	}
 }
 
