@@ -191,15 +191,42 @@ func TestFsckRejectsPlainStore(t *testing.T) {
 	}
 }
 
+// TestFsckFlagsTamperedStore rots a byte of a fresh durable store, flipped
+// once, in its current superblock slot (frame 1: byte 200) and in the frame
+// of a data block: fsck must exit with the corruption code on both. The
+// first flip retired slot 0, so a rotted slot 1 leaves no epoch to open,
+// rather than the empty epoch 0.
 func TestFsckFlagsTamperedStore(t *testing.T) {
-	dir := t.TempDir()
-	store := filepath.Join(dir, "d.wav")
-	if err := cmdTransform([]string{"-out", store, "-shape", "16x16", "-chunk", "2", "-durable"}); err != nil {
+	for _, tc := range []struct {
+		name string
+		rot  func(t *testing.T, store string)
+	}{
+		{"slot", func(t *testing.T, store string) { rotAt(t, store, 200) }},
+		{"data", func(t *testing.T, store string) { rotLogical(t, store, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "d.wav")
+			if err := cmdTransform([]string{"-out", store, "-shape", "16x16", "-chunk", "2", "-durable"}); err != nil {
+				t.Fatal(err)
+			}
+			tc.rot(t, store)
+			if code := exitCodeOf(cmdFsck([]string{"-store", store})); code != exitCorrupt {
+				t.Errorf("fsck of a tampered store exit code %d, want %d", code, exitCorrupt)
+			}
+		})
+	}
+}
+
+// rotAt writes a byte at offset off of the data file.
+func rotAt(t *testing.T, store string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(store, os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rotLogical(t, store, 1)
-	if err := cmdFsck([]string{"-store", store}); err == nil {
-		t.Error("fsck passed a tampered store")
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xAB}, off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -215,15 +242,7 @@ func rotLogical(t *testing.T, store string, id int) {
 	if phys < 0 {
 		t.Fatalf("logical block %d is unmapped", id)
 	}
-	f, err := os.OpenFile(store, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	off := int64(phys)*int64(8*(rep.BlockSize+storage.ChecksumOverhead)) + 56
-	if _, err := f.WriteAt([]byte{0xAB}, off); err != nil {
-		t.Fatal(err)
-	}
+	rotAt(t, store, int64(phys)*int64(8*(rep.BlockSize+storage.ChecksumOverhead))+56)
 }
 
 func exitCodeOf(err error) int {

@@ -37,10 +37,20 @@ func Fsck(path string) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, info, ierr := probeUpgrade(path, m)
-	rep.Upgrade = string(kind)
-	if kind == upgradeFlat {
-		return rep, nil
+	info, ierr := storage.FsckVersioned(path, tiling.BlockSize(), tiling.NumBlocks())
+	switch {
+	case !m.Versioned:
+		flat, err := flatLayout(info, ierr)
+		if err != nil {
+			return nil, err
+		}
+		if flat {
+			rep.Upgrade = string(upgradeFlat)
+			return rep, nil
+		}
+		rep.Upgrade = string(upgradeSidecar)
+	case info != nil && info.Format == 1:
+		rep.Upgrade = string(upgradeFormat1)
 	}
 	rep.Versioned = info // the slots' states, even when the table does not load
 	if ierr != nil {

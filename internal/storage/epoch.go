@@ -53,7 +53,9 @@ import (
 // previous epoch is given up instead — a retired slot (magic "SSRETIRE",
 // which never verifies as an epoch) is written over it and synced, and
 // only then are its blocks reused. A current slot that rots then fails the
-// open rather than serving anything.
+// open rather than serving anything. The first flip gives epoch 0 up the
+// same way as soon as epoch 1 is durable: it maps nothing, and opening it
+// in place of a rotted slot 1 would serve an empty store as a clean one.
 //
 // Format 1 (magic "SSEPOCH1") kept one superblock at block 0 and the table
 // in place after it. This layer neither reads nor writes it: open refuses
@@ -76,8 +78,8 @@ const retiredMagic uint64 = 0x5353_5245_5449_5245
 // legacyMagic identifies a format-1 superblock ("SSEPOCH1").
 const legacyMagic uint64 = 0x5353_4550_4f43_4831
 
-// errFormat1 is load's refusal of a format-1 store.
-var errFormat1 = errors.New("storage: versioned store is in format 1; open it with shiftsplit.OpenStore, which upgrades it")
+// ErrFormat1 is load's refusal of a format-1 store.
+var ErrFormat1 = errors.New("storage: versioned store is in format 1; open it with shiftsplit.OpenStore, which upgrades it")
 
 // slotFixed is the number of slot body values besides the page pointers:
 // magic, version, logical, pages and the check word.
@@ -276,10 +278,10 @@ type SlotInfo struct {
 // the write path (open runs before any concurrency) and rebuilds the free
 // list and high-water mark by sweeping the table — the one place the whole
 // table is walked. With no valid slot, a format-1 superblock is refused
-// (errFormat1), and an unwritten slot 1 loads as a fresh store: epoch 1, the first flip, never
-// finished (slot 0 may hold a torn epoch-0 superblock). Anything else is
-// corrupt — the first flip makes slot 0 a valid epoch 0 before it writes
-// slot 1.
+// (ErrFormat1), and an unwritten slot 1 loads as a fresh store: epoch 1,
+// the first flip, never finished (slot 0 may hold a torn epoch-0
+// superblock). Anything else is corrupt — the first flip makes slot 0 a
+// valid epoch 0 before it writes slot 1, and retires it only after.
 func (v *Versioned) load() error {
 	n := v.hdr * v.BlockSize()
 	buf := make([]float64, 2*n)
@@ -304,8 +306,8 @@ func (v *Versioned) load() error {
 	case best >= 0:
 		return v.loadShadow(imgs[best], imgs[1-best])
 	case v.slots[0].State == SlotFormat1:
-		return errFormat1
-	case v.slots[1].State == SlotUnwritten:
+		return ErrFormat1
+	case v.slots[1].State == SlotUnwritten && v.slots[0].State != SlotRetired:
 		slab, table := v.newTable()
 		v.cur = &epochTable{pages: table, pagePhys: noPages(v.pages)}
 		v.tables = []*epochTable{v.cur}
@@ -743,23 +745,33 @@ func (v *Versioned) reserveLocked(need int) error {
 // overwritten while a slot still describes it — and frees the blocks only
 // prev kept. Caller holds mu.
 func (v *Versioned) giveUpPrevLocked() error {
-	bs, epoch := v.BlockSize(), v.cur.epoch+1
+	if err := v.retireSlot(v.cur.epoch + 1); err != nil {
+		return err
+	}
+	p := v.prev
+	v.prev = nil
+	v.retireLocked(p)
+	return nil
+}
+
+// retireSlot writes a retired slot stamped epoch over slot epoch%2, the
+// one the flip to epoch writes, and syncs: the epoch two before it can no
+// longer be opened. It uses Commit's frames, so commits and it are
+// serialized.
+func (v *Versioned) retireSlot(epoch uint64) error {
 	frames := v.commitFrames(v.hdr)
-	v.encodeSlot(v.slab[:v.hdr*bs], epoch, retiredMagic, nil)
+	v.encodeSlot(v.slab[:v.hdr*v.BlockSize()], epoch, retiredMagic, nil)
 	ids := v.ids[:0]
 	for i := 0; i < v.hdr; i++ {
 		ids = append(ids, int(epoch%2)*v.hdr+i)
 	}
 	v.ids = ids
 	if err := WriteBlocksOf(v.write, ids, frames); err != nil {
-		return fmt.Errorf("storage: retire epoch %d superblock: %w", v.prev.epoch, err)
+		return fmt.Errorf("storage: retire epoch %d superblock: %w", epoch-2, err)
 	}
 	if err := SyncIfAble(v.write); err != nil {
-		return fmt.Errorf("storage: sync retired epoch %d superblock: %w", v.prev.epoch, err)
+		return fmt.Errorf("storage: sync retired epoch %d superblock: %w", epoch-2, err)
 	}
-	p := v.prev
-	v.prev = nil
-	v.retireLocked(p)
 	return nil
 }
 
@@ -970,9 +982,10 @@ func (v *Versioned) encodeSlot(buf []float64, epoch, magic uint64, pagePhys []in
 // fresh block, the device is synced (the epoch's data and pages are then
 // durable, and still unreachable), the superblock stamped epoch+1 goes into
 // the alternate slot, and the device is synced again — the flip — before
-// the commit is passed down (a Durable under the write path retains the
-// batch as its repair source). Only then is the new table published. The table it replaces
-// becomes prev, which the other slot now describes; the blocks that the
+// the commit is passed down. Only then is the new table published. The
+// table it replaces becomes prev, which the other slot now describes —
+// except after the first flip, which retires slot 0 (one more write and
+// sync) and keeps no prev: epoch 0 maps nothing. The blocks that the
 // flip before superseded, which only the old prev still mapped, return to
 // the free list unless a pinned table references them.
 // The flip's work — in memory and on the medium — is proportional to the
@@ -1086,6 +1099,11 @@ func (v *Versioned) Commit() error {
 	if err := SyncIfAble(v.write); err != nil {
 		return fmt.Errorf("storage: sync epoch %d superblock: %w", next.epoch, err)
 	}
+	if cur.epoch == 0 {
+		if err := v.retireSlot(next.epoch + 1); err != nil {
+			return err
+		}
+	}
 	if err := CommitIfAble(v.write); err != nil {
 		return fmt.Errorf("storage: commit epoch %d: %w", next.epoch, err)
 	}
@@ -1094,6 +1112,9 @@ func (v *Versioned) Commit() error {
 	defer v.mu.Unlock()
 	old := v.prev
 	v.prev = cur
+	if cur.epoch == 0 {
+		old, v.prev = cur, nil // its slot is retired
+	}
 	v.cur = next
 	v.tables = append(v.tables, next)
 	clear(v.overlay)
@@ -1313,7 +1334,7 @@ func ReadVersionedInfo(store BlockStore, logical int) (*VersionedInfo, error) {
 		return nil, err
 	}
 	info := &VersionedInfo{Format: 2, Slots: v.slots, Current: -1, Logical: logical, TablePages: v.pages, DataBase: v.dataBase}
-	if errors.Is(err, errFormat1) {
+	if errors.Is(err, ErrFormat1) {
 		info.Format = 1
 		info.committed = func(int) bool { return true }
 		return info, nil

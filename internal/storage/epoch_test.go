@@ -1433,9 +1433,11 @@ func TestShadowFlipStates(t *testing.T) {
 // TestRottedCurrentSlotKeepsPreviousEpoch rots the current superblock slot
 // after an epoch that took free blocks was rolled back. Open must then
 // serve the previous epoch exactly, or fail: the blocks only the previous
-// epoch maps are never handed out while a slot describes it. Two shapes:
-// a small flip, whose previous epoch is held, and a flip after a
-// whole-domain rewrite, whose previous epoch the building one gives up.
+// epoch maps are never handed out while a slot describes it. Three shapes:
+// a small flip, whose previous epoch is held; a flip after a whole-domain
+// rewrite, whose previous epoch the building one gives up; and a store's
+// first flip, which gives up the empty epoch 0, so that neither a rotted
+// nor a zeroed slot 1 opens as an empty store.
 func TestRottedCurrentSlotKeepsPreviousEpoch(t *testing.T) {
 	const bs, logical = 8, 16
 	write := func(t *testing.T, v *Versioned, stamp float64, ids ...int) {
@@ -1523,6 +1525,38 @@ func TestRottedCurrentSlotKeepsPreviousEpoch(t *testing.T) {
 		rot(t, base, 0, v.hdr)
 		if _, err := NewVersioned(base, logical); !errors.Is(err, ErrCorruption) {
 			t.Fatalf("open with the current slot rotted and the other retired = %v, want ErrCorruption", err)
+		}
+	})
+	t.Run("first flip", func(t *testing.T) {
+		for _, zero := range []bool{false, true} {
+			base := keepOpen{NewMemStore(bs)}
+			v, err := NewVersioned(base, logical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(t, v, 100, 0, 1)
+			if err := v.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			probe, err := NewVersioned(base, logical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.slots[0].State != SlotRetired || probe.Epoch() != 1 {
+				t.Fatalf("slots %+v at epoch %d, want slot 0 retired beside epoch 1", probe.slots, probe.Epoch())
+			}
+			if zero {
+				for i := 0; i < v.hdr; i++ {
+					if err := base.WriteBlock(v.hdr+i, make([]float64, bs)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				rot(t, base, 1, v.hdr)
+			}
+			if _, err := NewVersioned(base, logical); !errors.Is(err, ErrCorruption) {
+				t.Fatalf("open with slot 1 lost (zeroed %v) beside a retired slot 0 = %v, want ErrCorruption", zero, err)
+			}
 		}
 	})
 }

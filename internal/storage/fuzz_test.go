@@ -273,7 +273,7 @@ func FuzzSuperblock(f *testing.F) {
 
 		info, ierr := ReadVersionedInfo(base, fuzzSuperLogical)
 		v, err := NewVersioned(base, fuzzSuperLogical)
-		if errors.Is(err, errFormat1) {
+		if errors.Is(err, ErrFormat1) {
 			if ierr != nil || info.Format != 1 {
 				t.Fatalf("open refuses format 1, fsck decode %+v, %v", info, ierr)
 			}

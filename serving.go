@@ -33,7 +33,8 @@ type ServeOptions struct {
 	Breaker *storage.BreakerOptions
 	// BaseWrap, when non-nil, wraps the raw block device below the
 	// checksum layer — the chaos harness's fault-injection seam (see
-	// StoreOptions.BaseWrap).
+	// StoreOptions.BaseWrap). On a store whose sidecar says flat, the
+	// open's read of the superblock slots goes through it too.
 	BaseWrap func(storage.BlockStore) storage.BlockStore
 }
 

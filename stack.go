@@ -1,6 +1,7 @@
 package shiftsplit
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/shiftsplit/shiftsplit/internal/cache"
@@ -93,19 +94,29 @@ func openLegacy(sp stackSpec, blockSize int) (storage.BlockStore, error) {
 }
 
 // readVersionedInfo decodes the epoch superblock of the file-backed store
-// sp describes without opening it: a durable one through fsck's checksum
-// reader, with a sealed batch in its journal read over the file; any other
-// raw.
+// sp describes without opening it, reading the data file through sp.wrap:
+// a durable one through a checksum reader, any other raw. Nothing is
+// replayed or written.
 func readVersionedInfo(sp stackSpec, blockSize, logical int) (*storage.VersionedInfo, error) {
+	frame := blockSize
 	if sp.meta.Durable {
-		return storage.FsckVersioned(sp.path, blockSize, logical)
+		frame += storage.ChecksumOverhead
 	}
-	fs, err := storage.OpenFileStore(sp.path, blockSize)
+	fs, err := storage.OpenFileStore(sp.path, frame)
 	if err != nil {
 		return nil, err
 	}
 	defer fs.Close()
-	return storage.ReadVersionedInfo(fs, logical)
+	var dev storage.BlockStore = fs
+	if sp.wrap != nil {
+		dev = sp.wrap(dev)
+	}
+	if sp.meta.Durable {
+		if dev, err = device(storage.NewChecksumReader(dev)); err != nil {
+			return nil, err
+		}
+	}
+	return storage.ReadVersionedInfo(dev, logical)
 }
 
 // copyFrames copies the raw frames of the durable data file at from over
@@ -257,6 +268,13 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 		// Durable recovery has already run (journal replayed or discarded),
 		// so the superblock read here lands on a consistent epoch.
 		if out.versioned, err = storage.NewVersionedSplit(out.counting, read, tiling.NumBlocks()); err != nil {
+			if errors.Is(err, storage.ErrFormat1) {
+				f1 := format1Error{}
+				if out.durable != nil {
+					f1.replayed, _ = out.durable.Recovered()
+				}
+				err = f1
+			}
 			return nil, err
 		}
 		if out.cache != nil {

@@ -54,6 +54,13 @@ package shiftsplit
 // durable mapped cases every read now comes through the mapping
 // (MappedReads 1016 → 1152 and 768 → 907): the builder no longer reads the
 // blocks its epoch wrote through the Durable's staging.
+// A seventh: the first flip came to retire slot 0 once epoch 1 is durable,
+// so that a rotted slot 1 fails the open instead of opening the empty
+// epoch 0. One more slot write and one more sync: on the 44 versioned
+// cases the writes and syncs of the first io= (and of the in-memory
+// re-query's) each gain 1 (358/18 → 359/19 standard, 116/18 → 117/19
+// non-standard). No read, cache=, epoch=, health=, ans= or file= field
+// moved: the next flip overwrites slot 0 with epoch 2 either way.
 var stackMatrixPinned = map[string]string{
 	"non-standard/file/durable=false,versioned=false,mapped=false/create":              "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
 	"non-standard/file/durable=false,versioned=false,mapped=false/open":                "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
@@ -65,82 +72,60 @@ var stackMatrixPinned = map[string]string{
 	"non-standard/file/durable=false,versioned=false,mapped=true/serve":                "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
 	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache":          "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/ ans=96900d2bd71fe2f9",
 	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker":  "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=false/create":               "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=false/open":                 "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=false/serve":                "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=false/serve-cache":          "io=452/116/18/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=false/serve-cache-breaker":  "io=452/116/18/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/create":                "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/open":                  "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve":                 "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache":           "io=452/116/18/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":   "io=452/116/18/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=false/create":               "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=false/open":                 "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=false/serve":                "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=false/serve-cache":          "io=457/93/0/9/0 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=433/0/0/0/0 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=false/serve-cache-breaker":  "io=457/93/0/9/0 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=433/0/0/0/0 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=true/create":                "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=true/open":                  "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=true/serve":                 "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=true/serve-cache":           "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=false,mapped=true/serve-cache-breaker":   "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=9936/9295f3dd9927dea107ee7cd09542039ed23c4a559e962dbe207f0706da07912c\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=false/create":                "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=false/open":                  "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=false/serve":                 "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=false/serve-cache":           "io=452/116/18/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=false/serve-cache-breaker":   "io=452/116/18/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/create":                 "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/open":                   "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve":                  "io=668/116/18/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache":            "io=452/116/18/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":    "io=452/116/18/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/mem/durable":                                                     "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1308/93/0/10/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/mem/durable+versioned":                                           "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/116/18/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/mem/plain":                                                       "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1308/93/0/10/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/mem/versioned":                                                   "io=668/116/18/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/116/18/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"standard/file/durable=false,versioned=false,mapped=false/create":              "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=false/open":                "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=false/serve":               "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=false/serve-cache":         "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=false/serve-cache-breaker": "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/create":               "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/open":                 "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve":                "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve-cache":          "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker":  "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=false/create":               "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=false/open":                 "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=false/serve":                "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=false/serve-cache":          "io=961/358/18/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=false/serve-cache-breaker":  "io=961/358/18/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/create":                "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/open":                  "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve":                 "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve-cache":           "io=961/358/18/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":   "io=961/358/18/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=false/create":               "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=false/open":                 "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=false/serve":                "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=false/serve-cache":          "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=false/serve-cache-breaker":  "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=true/create":                "io=1150/328/0/9/1015 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=true/open":                  "io=1150/328/0/9/1015 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=true/serve":                 "io=1150/328/0/9/1015 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=true/serve-cache":           "io=904/328/0/9/769 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=false,mapped=true/serve-cache-breaker":   "io=904/328/0/9/769 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=17424/15f452c8f9c2ff027ee836019f6a5031a8afc9945cfb0e373c13159991b88619\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=false/create":                "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=false/open":                  "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=false/serve":                 "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=false/serve-cache":           "io=961/358/18/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=false/serve-cache-breaker":   "io=961/358/18/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/create":                 "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/open":                   "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve":                  "io=1152/358/18/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve-cache":            "io=961/358/18/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":    "io=961/358/18/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/mem/durable":           "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nio=2093/328/0/10/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/mem/durable+versioned": "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/358/18/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/mem/plain":             "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nio=2093/328/0/10/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/mem/versioned":         "io=1152/358/18/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/358/18/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"non-standard/file/durable=false,versioned=true,mapped=false/create":               "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=false/open":                 "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=false/serve":                "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=false/serve-cache":          "io=452/117/19/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=false/serve-cache-breaker":  "io=452/117/19/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=true/create":                "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=true/open":                  "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache":           "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":   "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=false/create":                "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=false/open":                  "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=false/serve":                 "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=false/serve-cache":           "io=452/117/19/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=false/serve-cache-breaker":   "io=452/117/19/9/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/0 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=true/create":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=true/open":                   "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve":                  "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache":            "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":    "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
+	"non-standard/mem/durable+versioned":                                               "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/mem/plain":                                                           "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1308/93/0/10/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"non-standard/mem/versioned":                                                       "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
+	"standard/file/durable=false,versioned=false,mapped=false/create":                  "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=false/open":                    "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=false/serve":                   "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/0 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=false/serve-cache":             "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=false/serve-cache-breaker":     "io=904/328/0/9/0 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/0 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=true/create":                   "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=true/open":                     "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=true/serve":                    "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=true/serve-cache":              "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker":      "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=false/create":                   "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=false/open":                     "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=false/serve":                    "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=false/serve-cache":              "io=961/359/19/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=false/serve-cache-breaker":      "io=961/359/19/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=true/create":                    "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=true/open":                      "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=true/serve":                     "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=true/serve-cache":               "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":       "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=false/create":                    "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=false/open":                      "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=false/serve":                     "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=false/serve-cache":               "io=961/359/19/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=false/serve-cache-breaker":       "io=961/359/19/9/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/0 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=true/create":                     "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=true/open":                       "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=true/serve":                      "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=true/serve-cache":                "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":        "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
+	"standard/mem/durable+versioned":                                                   "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/359/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/mem/plain":                                                               "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nio=2093/328/0/10/0 health=ok/0/0/ ans=f4a85195faf74d84",
+	"standard/mem/versioned":                                                           "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/359/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
 }

@@ -30,10 +30,6 @@ type epochCampaign struct {
 	// preEpoch and postEpoch are the epochs the two outcomes must report.
 	preEpoch, postEpoch uint64
 	form                Form
-	// journaled marks a write that commits through the journal, after whose
-	// seal even a cut that loses every unsynced write recovers the post
-	// state; a shadow-paged flip never does.
-	journaled bool
 }
 
 // run sweeps the campaign and returns its trial count and outcome split.
@@ -41,7 +37,7 @@ func (c epochCampaign) run(t *testing.T) (trials, preSeen, postSeen int) {
 	t.Helper()
 	seed := crashSeed(t)
 	dryPlan := storage.NewCrashPlan(seed)
-	dry, _ := c.build("dry.wav", dryPlan)
+	dry, dryPath := c.build("dry.wav", dryPlan)
 	preOps := dryPlan.Ops()
 	if err := c.write(dry); err != nil {
 		t.Fatal(err)
@@ -54,6 +50,17 @@ func (c epochCampaign) run(t *testing.T) (trials, preSeen, postSeen int) {
 		t.Fatalf("the write took only %d mutations — campaign is vacuous", totalOps)
 	}
 	t.Logf("write = %d physical mutations", totalOps)
+	// flipped is the mutation whose sync makes the flip durable: the last,
+	// except on a store's first flip, which then retires slot 0 (a write
+	// per slot block and a sync).
+	flipped := totalOps
+	if c.preEpoch == 0 {
+		rep, err := Fsck(dryPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped -= int64(rep.Versioned.DataBase/2) + 1
+	}
 
 	next := CubeBlock(1, 0, 0)
 	nextDelta := NewArray(2, 2)
@@ -98,8 +105,9 @@ func (c epochCampaign) run(t *testing.T) (trials, preSeen, postSeen int) {
 				t.Fatalf("trial %s: recovered epoch %d holds neither the pre-write (epoch %d) nor the post-write (epoch %d) transform",
 					name, gotEpoch, c.preEpoch, c.postEpoch)
 			}
-			if fate == storage.FateDrop && !c.journaled && gotEpoch != c.preEpoch {
-				t.Fatalf("trial %s: a cut that loses every unsynced write recovered epoch %d", name, gotEpoch)
+			if fate == storage.FateDrop && (w <= flipped) != (gotEpoch == c.preEpoch) {
+				t.Fatalf("trial %s: a cut at mutation %d of %d (the flip is durable after %d) that loses every unsynced write recovered epoch %d",
+					name, w, totalOps, flipped, gotEpoch)
 			}
 			// A scrub quarantines nothing the cut tore in free space or in
 			// the stale slot, and the recovered store takes the next merge
@@ -321,7 +329,10 @@ func TestWholeDomainWriteCrashCampaign(t *testing.T) {
 // under each crash fate. Fsck before the reopen never calls the store
 // corrupt, and reads it either in its old layout or as the new format-2
 // data file; the reopen finishes or redoes the upgrade and answers exactly
-// as the old store did, a clean format-2 store that takes a merge.
+// as the old store did, a clean format-2 store that takes a merge. Where
+// the cut left a format-2 data file under a flat sidecar, an open whose
+// reads of the superblock slots fail first returns the read error and
+// leaves the data file alone.
 func TestUpgradeCrashCampaign(t *testing.T) {
 	seed := crashSeed(t)
 	for _, tc := range v1Fixtures {
@@ -353,7 +364,7 @@ func TestUpgradeCrashCampaign(t *testing.T) {
 			if total < 4 {
 				t.Fatalf("the upgrade took only %d mutations — campaign is vacuous", total)
 			}
-			trials, oldSeen, newSeen := 0, 0, 0
+			trials, oldSeen, newSeen, sidecarSeen := 0, 0, 0, 0
 			for w := int64(1); w <= total; w++ {
 				for _, fate := range crashFates {
 					trials++
@@ -375,6 +386,17 @@ func TestUpgradeCrashCampaign(t *testing.T) {
 						newSeen++
 					} else {
 						oldSeen++
+					}
+					if rep.Upgrade == string(upgradeSidecar) {
+						sidecarSeen++
+						failReads := func(bs storage.BlockStore) storage.BlockStore {
+							f := storage.NewFaulty(bs)
+							f.FailReadAfter(1)
+							return f
+						}
+						if _, err := open(stackSpec{path: path, wrap: failReads}); !errors.Is(err, storage.ErrInjected) {
+							t.Fatalf("%s: an open whose slot reads fail after a cut rename: got %v, want the injected fault", name, err)
+						}
 					}
 
 					st, err := OpenStore(path)
@@ -419,11 +441,77 @@ func TestUpgradeCrashCampaign(t *testing.T) {
 					}
 				}
 			}
-			if oldSeen == 0 || newSeen == 0 {
-				t.Fatalf("campaign never exercised both outcomes (old=%d new=%d)", oldSeen, newSeen)
+			if oldSeen == 0 || newSeen == 0 || !tc.versioned && sidecarSeen == 0 {
+				t.Fatalf("campaign never exercised every outcome (old=%d new=%d sidecar=%d)", oldSeen, newSeen, sidecarSeen)
 			}
-			t.Logf("campaign: %d trials over %d mutations, %d cut in the old layout, %d after the rename", trials, total, oldSeen, newSeen)
+			t.Logf("campaign: %d trials over %d mutations, %d cut in the old layout, %d after the rename (%d under a flat sidecar)", trials, total, oldSeen, newSeen, sidecarSeen)
 		})
+	}
+}
+
+// TestUpgradeCutKeepsNoOldQuarantine gives a format-1 store's sidecar a
+// quarantine record, which names a block of the old layout, and cuts its
+// upgrade at every mutation: wherever the cut leaves a format-2 data file,
+// the sidecar holds no record, and the reopened serving store quarantines
+// nothing.
+func TestUpgradeCutKeepsNoOldQuarantine(t *testing.T) {
+	seed := crashSeed(t)
+	prepare := func() string {
+		path := copyV1Fixture(t, "versioned.wav")
+		m, err := readMeta(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Quarantined = []storage.QuarantineRecord{{Block: 3, Reason: "a block of the format-1 layout"}}
+		if err := writeMeta(path, m); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dry := storage.NewCrashPlan(seed)
+	st, err := open(stackSpec{path: prepare(), plan: dry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := dry.Ops()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newSeen := 0
+	for w := int64(1); w <= total; w++ {
+		path := prepare()
+		plan := storage.NewCrashPlan(seed + w)
+		plan.ArmAtFate(w, storage.FatePersist)
+		if _, err := open(stackSpec{path: path, plan: plan}); !errors.Is(err, storage.ErrCrashed) {
+			t.Fatalf("cut %d: expected simulated power cut, got %v", w, err)
+		}
+		rep, err := Fsck(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := readMeta(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Versioned.Format == 2 {
+			newSeen++
+			if len(m.Quarantined) > 0 {
+				t.Fatalf("cut %d: a format-2 data file under the format-1 layout's quarantine records %v", w, m.Quarantined)
+			}
+		}
+		srv, err := OpenServingOpts(path, ServeOptions{})
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", w, err)
+		}
+		if q := srv.Quarantined(); len(q) > 0 {
+			t.Fatalf("cut %d: the reopened store quarantines %v", w, q)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if newSeen == 0 {
+		t.Fatal("no cut left a format-2 data file")
 	}
 }
 

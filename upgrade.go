@@ -1,6 +1,7 @@
 package shiftsplit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -13,24 +14,27 @@ import (
 
 // This file brings a store written in a layout older binaries wrote to the
 // one durable layout, format 2 of the epoch layer, when it is opened: a
-// flat durable store (blocks in place behind a write-ahead journal), and a
-// file-backed versioned store, durable or not, in format 1 (one superblock
-// and the remap table in place ahead of the data). The upgrade reads every
-// mapped logical block with what reads the old layout, writes them into a
-// fresh format-2 store beside the file, flips and closes it, renames it
-// over the data file, syncs the directory, and writes the sidecar last. A
-// block whose frame fails verification is carried over as it was and
-// listed as quarantined. A crash before the rename leaves the old store
-// (and a temporary file the next open removes); one after it leaves the
-// new data file, which the next open finds under a flat sidecar and
-// finishes by rewriting the sidecar. The journal sidecar stays where it
-// was, emptied by the old layout's own recovery.
+// flat durable store (blocks in place behind a write-ahead journal), which
+// its sidecar names, and a file-backed versioned store, durable or not, in
+// format 1 (one superblock and the remap table in place ahead of the
+// data), which the epoch layer refuses to load. A store in the current
+// layout is decoded once, by the assembly. The upgrade reads every mapped
+// logical block with what reads the old layout, writes them into a fresh
+// format-2 store beside the file, flips and closes it, renames it over the
+// data file, syncs the directory, and writes the sidecar last. A block
+// whose frame fails verification is carried over as it was and listed as
+// quarantined. A crash before the rename leaves the old store (and a
+// temporary file the next open removes). One after it leaves the new data
+// file: under a flat sidecar, the next open finds a superblock slot that
+// verifies and finishes by rewriting the sidecar; under a format-1 one,
+// the new file simply loads, so the upgrade first clears that sidecar's
+// quarantine records, which name blocks of the old layout. The journal
+// sidecar stays where it was, emptied by the old layout's own recovery.
 
 // upgradeKind is what opening a store rewrites, as fsck reports it.
 type upgradeKind string
 
 const (
-	upgradeNone    upgradeKind = ""
 	upgradeFlat    upgradeKind = "flat durable store; the next open rewrites it as a versioned store (format 2)"
 	upgradeFormat1 upgradeKind = "versioned store in format 1; the next open rewrites it in format 2"
 	upgradeSidecar upgradeKind = "an interrupted upgrade left a format-2 data file; the next open rewrites the sidecar"
@@ -39,6 +43,13 @@ const (
 // upgradeTemp is where the upgrade builds the new store.
 func upgradeTemp(path string) string { return path + ".upgrade" }
 
+// format1Error is assemble's refusal of a versioned store in format 1,
+// with the blocks its Durable replayed from the journal on the way.
+type format1Error struct{ replayed int }
+
+func (format1Error) Error() string { return storage.ErrFormat1.Error() }
+func (format1Error) Unwrap() error { return storage.ErrFormat1 }
+
 // open reads the sidecar of the store at sp.path, upgrades a legacy layout
 // and assembles the stack sp describes.
 func open(sp stackSpec) (*Store, error) {
@@ -46,12 +57,26 @@ func open(sp stackSpec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	replayed, err := upgrade(sp.path, &m, sp.plan)
-	if err != nil {
+	tmp := upgradeTemp(sp.path)
+	if err := removeAll(tmp, storage.WalPath(tmp), metaPath(tmp)); err != nil {
 		return nil, err
+	}
+	replayed := 0
+	if m.Durable && !m.Versioned {
+		if replayed, err = upgrade(sp, &m); err != nil {
+			return nil, err
+		}
 	}
 	sp.meta = m
 	st, err := assemble(sp)
+	var f1 format1Error
+	if errors.As(err, &f1) {
+		if _, err := upgrade(sp, &m); err != nil {
+			return nil, err
+		}
+		replayed, sp.meta = f1.replayed, m
+		st, err = assemble(sp)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -59,54 +84,60 @@ func open(sp stackSpec) (*Store, error) {
 	return st, nil
 }
 
-// probeUpgrade reports what opening the store m describes at path would
-// rewrite, and the decoded epoch superblock where the data file carries
-// one (the error is its decode's).
-func probeUpgrade(path string, m storeMeta) (upgradeKind, *storage.VersionedInfo, error) {
-	if !m.Durable && !m.Versioned {
-		return upgradeNone, nil, nil
-	}
-	tiling, _, err := tilingForMeta(m)
-	if err != nil {
-		return upgradeNone, nil, err
-	}
-	info, err := readVersionedInfo(stackSpec{meta: m, path: path}, tiling.BlockSize(), tiling.NumBlocks())
+// flatLayout reports whether a durable data file whose sidecar says flat
+// still holds the flat layout, from its superblock slots as
+// ReadVersionedInfo decoded them: true when both slots were read and
+// neither verifies. One that verifies makes it a format-2 file an upgrade
+// was cut after renaming; an error that left a slot unread is returned,
+// not taken for a flat file.
+func flatLayout(info *storage.VersionedInfo, err error) (bool, error) {
 	switch {
-	case m.Versioned && err == nil && info.Format == 1:
-		return upgradeFormat1, info, nil
-	case m.Versioned:
-		return upgradeNone, info, err
 	case info != nil && slices.ContainsFunc(info.Slots[:], func(s storage.SlotInfo) bool { return s.State == storage.SlotValid }):
-		return upgradeSidecar, info, err
+		return false, nil
+	case info == nil || info.Slots[0].State == "" || info.Slots[1].State == "" || err != nil && !storage.IsCorruption(err):
+		return false, fmt.Errorf("shiftsplit: read the superblock slots of a flat durable store: %w", cmp.Or(err, storage.ErrCorruption))
 	}
-	return upgradeFlat, nil, nil
+	return true, nil
 }
 
-// upgrade rewrites the store at path in format 2 when its layout is older,
-// updating *m to the sidecar it writes, and returns how many blocks the old
-// layout's journal replayed. plan, when non-nil, cuts the power at one of
-// its writes, syncs and renames.
-func upgrade(path string, m *storeMeta, plan *storage.CrashPlan) (replayed int, err error) {
-	tmp := upgradeTemp(path)
-	if err := removeAll(tmp, storage.WalPath(tmp), metaPath(tmp)); err != nil {
-		return 0, err
-	}
-	kind, _, _ := probeUpgrade(path, *m) // a store that does not decode reports it at assembly
-	if kind == upgradeNone {
-		return 0, nil
-	}
+// upgrade rewrites the store at sp.path in format 2 — a flat durable store
+// when *m says flat, else one in format 1 — or, under a flat sidecar
+// over a format-2 data file, only rewrites the sidecar. It updates *m to
+// the sidecar it writes and returns how many blocks the flat layout's
+// journal replayed. sp.plan, when non-nil, cuts the power at one of its
+// writes, syncs and renames.
+func upgrade(sp stackSpec, m *storeMeta) (replayed int, err error) {
+	path, plan := sp.path, sp.plan
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("shiftsplit: upgrade %s: %w", path, err)
 		}
 	}()
-	up := *m
-	up.Versioned, up.Quarantined = true, nil
-	if kind != upgradeSidecar {
-		if replayed, up.Quarantined, err = rewrite(path, tmp, *m, up, plan); err != nil {
+	tiling, _, err := tilingForMeta(*m)
+	if err != nil {
+		return 0, err
+	}
+	data := m.Versioned
+	if !data {
+		sp.meta = *m
+		if data, err = flatLayout(readVersionedInfo(sp, tiling.BlockSize(), tiling.NumBlocks())); err != nil {
 			return 0, err
 		}
-		if err := plan.Atomic(func() error { return os.Rename(tmp, path) }); err != nil {
+	}
+	up := *m
+	up.Versioned, up.Quarantined = true, nil
+	if data {
+		if replayed, up.Quarantined, err = rewrite(path, upgradeTemp(path), *m, up, plan); err != nil {
+			return 0, err
+		}
+		if m.Versioned && len(m.Quarantined) > 0 {
+			old := *m
+			old.Quarantined = nil
+			if err := plan.Atomic(func() error { return writeMeta(path, old) }); err != nil {
+				return 0, err
+			}
+		}
+		if err := plan.Atomic(func() error { return os.Rename(upgradeTemp(path), path) }); err != nil {
 			return 0, err
 		}
 		if err := plan.Atomic(func() error { return syncDir(filepath.Dir(path)) }); err != nil {
