@@ -60,6 +60,10 @@ var ingestSeeds = []string{
 	`{"values":[1,2,3]}`,
 	`{"point":[0,0]}`,
 	strings.Repeat(`{"shape":[`, 500),
+	// The float fast path's edges: 15 significant digits and 22 fraction
+	// digits take it, one more of either goes to strconv.
+	`{"shape":[4,1],"values":[123456789012345,1234567890123456,0.0000000000000000000001,0.00000000000000000000001]}`,
+	`{"shape":[4,1],"values":[-0,-0.0,9007199254740993,4.9e-324]}`,
 }
 
 // FuzzIngestDecoding throws arbitrary bodies at the write path, as JSON
