@@ -8,7 +8,7 @@ CRASH_SEED ?= 1
 STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet lint lint-json lint-fix-check lint-tools fmt-check crash-campaign chaos-smoke bench-smoke bench-check loc ci clean
+.PHONY: all build test race vet lint lint-json lint-fix-check lint-tools fmt-check crash-campaign chaos-smoke fuzz-smoke bench-smoke bench-check loc ci clean
 
 all: build test
 
@@ -101,6 +101,15 @@ crash-campaign:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosSmoke' -v ./internal/chaos/
 
+# The fast request decoders must accept nothing encoding/json rejects and
+# decode every body they take to the same values, bit for bit. The unit
+# tests replay fixed seeds and a seeded property test; this runs both
+# fuzzers for a while on every ci so new inputs, not only the seeds, check
+# that agreement (each fuzz target needs its own go test run).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecoding$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecoding$$' -fuzztime 10s ./internal/server/
+
 # A quick pass over the maintenance benchmarks (worker-count sweeps for
 # the chunked transforms, the appender's aligned and unaligned campaigns)
 # with -benchmem, so CI catches
@@ -124,7 +133,11 @@ chaos-smoke:
 # TestHandlerAllocBudget gates the HTTP request path: a warm point or
 # range-sum request through ServeHTTP allocates its snapshot and nothing
 # else (budget 2); BenchmarkHandlerPoint/RangeSum report the same path's
-# ns/op and allocs/op on both forms.
+# ns/op and allocs/op on both forms. TestIngestDecodeAllocBudget gates the
+# ingest route's decoding of the benchmark harness's 16-slab NDJSON body
+# (64 allocations: per line the values its slab adopts and the slab), and
+# BenchmarkHandlerIngest reports that request through ServeHTTP, group
+# commit on an in-memory appender included.
 # TestDurableCommitAllocBudget gates a steady-state 9-block durable commit
 # (the journal reuses its record slab); BenchmarkDurableCommit reports its
 # cost, BenchmarkFrameVerify/v1 and /v2 the check one verified 2 KiB
@@ -161,10 +174,10 @@ chaos-smoke:
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run 'TestMergeBlockAllocBudget|TestColdRangeSumAllocBudget' -count=1 -v ./
-	$(GO) test -run 'TestHandlerAllocBudget' -count=1 -v ./internal/server/
+	$(GO) test -run 'TestHandlerAllocBudget|TestIngestDecodeAllocBudget' -count=1 -v ./internal/server/
 	$(GO) test -run 'TestMissAllocBudget' -count=1 -v ./internal/cache/
 	$(GO) test -run 'TestDurableCommitAllocBudget' -count=1 -v ./internal/storage/
-	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum' -benchmem -benchtime 2000x ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkHandlerPoint|BenchmarkHandlerRangeSum|BenchmarkHandlerIngest' -benchmem -benchtime 2000x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlerOLAP' -benchmem -benchtime 20x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVersionedFlip' -benchmem -benchtime 200x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameVerify|BenchmarkDurableCommit|BenchmarkFrameCodec' -benchmem -benchtime 2000x ./internal/storage/
@@ -198,7 +211,7 @@ loc:
 	@echo "physical lines:         $$($(LOC_FILES) | xargs cat | wc -l)"
 	@echo "non-blank, non-comment: $$($(LOC_FILES) | xargs grep -H -v '^\s*$$' | grep -v '^[^:]*:\s*//' | wc -l)"
 
-ci: fmt-check vet lint lint-fix-check build race crash-campaign chaos-smoke bench-check
+ci: fmt-check vet lint lint-fix-check build race crash-campaign chaos-smoke fuzz-smoke bench-check
 
 clean:
 	$(GO) clean ./...
