@@ -26,6 +26,7 @@ var capabilityChecks = map[string]func(any) bool{
 	"Verifier":            func(v any) bool { _, ok := v.(storage.Verifier); return ok },
 	"Repairer":            func(v any) bool { _, ok := v.(storage.Repairer); return ok },
 	"FrameViewer":         func(v any) bool { _, ok := v.(storage.FrameViewer); return ok },
+	"Lender":              func(v any) bool { _, ok := v.(storage.Lender); return ok },
 	"MappedReadsReporter": func(v any) bool { _, ok := v.(storage.MappedReadsReporter); return ok },
 }
 

@@ -157,7 +157,6 @@ func cmdTransform(args []string) error {
 	seed := fs.Int64("seed", 1, "dataset seed")
 	kind := fs.String("data", "dense", "synthetic dataset: dense | temperature (4-d) | precipitation (3-d) | sparse")
 	durable := fs.Bool("durable", false, "crash-safe store: checksummed blocks, committed by the epoch layer's shadow-paged flip (implies -versioned)")
-	mapped := fs.Bool("mapped", false, "serve block reads from a shared memory mapping (zero-copy, zero read syscalls when warm)")
 	versioned := fs.Bool("versioned", false, "MVCC epoch store: maintenance builds the next epoch copy-on-write while readers pin consistent snapshots")
 	workers := fs.Int("workers", 0, "worker goroutines for chunk transforms (0 = one per CPU, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
@@ -186,7 +185,7 @@ func cmdTransform(args []string) error {
 	}
 	st, err := shiftsplit.CreateStore(shiftsplit.StoreOptions{
 		Shape: shape, Form: form, TileBits: *tile, Path: *out, Durable: *durable,
-		Mapped: *mapped, Versioned: *versioned,
+		Versioned: *versioned,
 	})
 	if err != nil {
 		return err
@@ -198,13 +197,8 @@ func cmdTransform(args []string) error {
 	stats := st.Stats()
 	fmt.Printf("transformed %v cells (%s, %s form) into %s\n",
 		shape, *kind, form, *out)
-	if stats.MappedReads > 0 {
-		fmt.Printf("blocks: %d of %d coefficients; I/O: %d reads (%d mapped), %d writes\n",
-			st.NumBlocks(), st.BlockSize(), stats.Reads, stats.MappedReads, stats.Writes)
-	} else {
-		fmt.Printf("blocks: %d of %d coefficients; I/O: %d reads, %d writes\n",
-			st.NumBlocks(), st.BlockSize(), stats.Reads, stats.Writes)
-	}
+	fmt.Printf("blocks: %d of %d coefficients; I/O: %d reads, %d writes\n",
+		st.NumBlocks(), st.BlockSize(), stats.Reads, stats.Writes)
 	return st.Sync()
 }
 
@@ -574,7 +568,6 @@ func cmdInfo(args []string) error {
 	fmt.Printf("blocks:     %d of %d coefficients (%d bytes each)\n",
 		st.NumBlocks(), st.BlockSize(), 8*st.BlockSize())
 	fmt.Printf("durable:    %v\n", st.Durable())
-	fmt.Printf("mapped:     %v\n", st.Mapped())
 	fmt.Printf("versioned:  %v\n", st.Versioned())
 	if st.Versioned() {
 		fmt.Println("format:     2 (two superblock slots, remap table, copy-on-write blocks)")

@@ -13,6 +13,15 @@
 //     dirty data, so a crash loses nothing and maintenance batches stay the
 //     exclusive property of the durable layer underneath.
 //
+// It also lends (storage.Lender): a lending read of a resident block hands
+// out the slot itself, pinned until the borrower's lease returns, instead
+// of copying it. A pinned slot is never overwritten. Lending changes no
+// counter and no eviction: a lent slot that is evicted, dropped or
+// invalidated leaves the index as it would have, and is parked until its
+// last pin returns, when its memory goes back to the free list. So a shard
+// holds at most its capacity plus the largest number of its slots lent at
+// once (Stats.Lent counts the slots pinned now).
+//
 // The wrapped store must itself be safe for concurrent use (storage.FileStore
 // and storage.MemStore are; wrap anything stateful in storage.Locked).
 package cache
@@ -33,6 +42,7 @@ type Stats struct {
 	Evictions int64 // resident blocks discarded to make room
 	Inflight  int64 // loads currently outstanding against the store
 	Resident  int64 // blocks currently held
+	Lent      int64 // slots currently pinned by a lease (resident or parked)
 }
 
 // HitRate returns the fraction of reads served from the cache (0 when
@@ -58,18 +68,22 @@ type Sharded struct {
 	loads     atomic.Int64
 	evictions atomic.Int64
 	inflight  atomic.Int64
+	lent      atomic.Int64
 }
 
 // shard is one independently locked LRU over a slab of block-sized slots.
 // The slab grows a chunk of slabChunk slots at a time, never copied, up to
 // the shard's capacity, so an idle cache commits no memory; once full, a
 // miss reuses the evicted slot and a spare call and allocates nothing.
+// Only while a lent slot is parked does a miss grow the slab past the
+// capacity, one slot at a time.
 type shard struct {
 	mu       sync.Mutex
-	slab     [][]float64   // slot s > 0 lives in chunk (s-1)/slabChunk
+	idx      int           // the shard's index in Sharded.shards, the high half of its pins
+	rest     []float64     // the newest slab chunk's slots not yet handed out
 	slots    []slot        // slots[0] heads the LRU list: next is the newest, prev the oldest
 	ids      map[int]int32 // resident block id -> slot
-	free     []int32       // slots emptied by writes, drops and invalidation
+	free     []int32       // slots emptied by writes, drops and invalidation, and unpinned parked ones
 	inflight map[int]*call
 	spare    []*call // finished calls, reused by the next load
 	gen      uint64  // bumped by writes; stale loads are not installed
@@ -78,10 +92,15 @@ type shard struct {
 // slabChunk is the number of slots a shard's slab grows by at once.
 const slabChunk = 64
 
-// slot is a node of its shard's circular, intrusive LRU list.
+// slot is a node of its shard's circular, intrusive LRU list. pins counts
+// the leases holding its frame; a pinned slot that left the index is
+// parked: off the list, on no free list, until pins drops to zero.
 type slot struct {
 	id         int
 	prev, next int32
+	pins       int32
+	parked     bool
+	frame      []float64
 }
 
 // call is one singleflight load. Its owner reads the block into its own
@@ -127,6 +146,7 @@ func New(inner storage.BlockStore, capacity, shards int) (*Sharded, error) {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
+			idx:      i,
 			slots:    make([]slot, 1),
 			ids:      make(map[int]int32),
 			inflight: make(map[int]*call),
@@ -152,14 +172,23 @@ func (c *Sharded) ReadBlock(id int, buf []float64) error {
 	return c.ReadBlocks(ids[:], bufs[:])
 }
 
-// ReadBlocks implements storage.BatchReader. Hits copy out under the shard
-// lock; misses join an existing singleflight load or register their own.
-// All the loads this call owns are issued to the inner store as one
-// vectored read straight into the caller's buffers, so a cold burst over a
-// tile run costs one device request instead of one per block. Waiting on
-// loads owned by other goroutines happens after our own complete, which
-// also resolves duplicate ids within the batch.
+// ReadBlocks implements storage.BatchReader: LendBlocks without a lease,
+// every hit copied out.
 func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
+	return c.LendBlocks(ids, bufs, nil)
+}
+
+// LendBlocks implements storage.Lender. A hit under a lease replaces
+// bufs[i] with the resident slot itself, pinned under l; without one it
+// copies out under the shard lock. Misses join an existing singleflight
+// load or register their own, and are read into the caller's buffers and
+// installed by copy, lease or not. All the loads this call owns are issued
+// to the inner store as one vectored read straight into the caller's
+// buffers, so a cold burst over a tile run costs one device request
+// instead of one per block. Waiting on loads owned by other goroutines
+// happens after our own complete, which also resolves duplicate ids within
+// the batch.
+func (c *Sharded) LendBlocks(ids []int, bufs [][]float64, l *storage.Lease) error {
 	for i, id := range ids {
 		if err := c.checkArgs(id, len(bufs[i])); err != nil {
 			return err
@@ -170,7 +199,12 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 		sh := c.shardOf(id)
 		sh.mu.Lock()
 		if s, ok := sh.ids[id]; ok {
-			copy(bufs[i], sh.block(s, c.blockSize))
+			if l != nil {
+				bufs[i] = sh.slots[s].frame
+				c.pin(sh, s, l)
+			} else {
+				copy(bufs[i], sh.slots[s].frame)
+			}
 			sh.unlink(s)
 			sh.pushFront(s)
 			sh.mu.Unlock()
@@ -233,7 +267,7 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 		case cl.batch == sc:
 			copy(bufs[i], bufs[cl.pos])
 		case resident && cl.gen == sh.gen:
-			copy(bufs[i], sh.block(s, c.blockSize))
+			copy(bufs[i], sh.slots[s].frame)
 		default:
 			// A write landed after that load was issued, so its result may
 			// predate the write, or the block was evicted before we got to
@@ -306,36 +340,82 @@ func (sh *shard) recycle(cl *call) {
 }
 
 // install copies a loaded block into a slot and makes it the most recently
-// used, taking a free slot, growing the slab or evicting the least recently
-// used block, in that order. The id is not resident: only the owner of its
-// one registered load installs it. Caller holds sh.mu.
+// used. A full shard evicts its least recently used block first and reuses
+// its slot, unless the victim is lent: then it is parked and the block
+// takes a free slot or a new one, as it does in a shard below capacity.
+// The id is not resident: only the owner of its one registered load
+// installs it. Caller holds sh.mu.
 func (c *Sharded) install(sh *shard, id int, data []float64) {
 	var s int32
-	switch {
-	case len(sh.free) > 0:
-		s, sh.free = sh.free[len(sh.free)-1], sh.free[:len(sh.free)-1]
-	case len(sh.slots) <= c.capPerShard:
-		s = int32(len(sh.slots))
-		sh.slots = append(sh.slots, slot{})
-		if used := int(s - 1); used%slabChunk == 0 {
-			sh.slab = append(sh.slab, make([]float64, min(slabChunk, c.capPerShard-used)*c.blockSize))
-		}
-	default:
+	if len(sh.ids) >= c.capPerShard {
 		s = sh.slots[0].prev
 		sh.unlink(s)
 		delete(sh.ids, sh.slots[s].id)
 		c.evictions.Add(1)
+		if sh.slots[s].pins > 0 {
+			sh.slots[s].parked, s = true, 0
+		}
+	}
+	switch {
+	case s > 0:
+	case len(sh.free) > 0:
+		s, sh.free = sh.free[len(sh.free)-1], sh.free[:len(sh.free)-1]
+	default:
+		s = c.grow(sh)
 	}
 	sh.slots[s].id = id
 	sh.ids[id] = s
-	copy(sh.block(s, c.blockSize), data)
+	copy(sh.slots[s].frame, data)
 	sh.pushFront(s)
 }
 
-// block returns slot s's block. Caller holds sh.mu.
-func (sh *shard) block(s int32, blockSize int) []float64 {
-	off := int(s-1) % slabChunk * blockSize
-	return sh.slab[(s-1)/slabChunk][off : off+blockSize : off+blockSize]
+// grow adds a slot to the shard and returns it, cutting its frame from the
+// newest slab chunk: a new chunk holds slabChunk slots, fewer when that
+// would pass the capacity, and a single one past it. Caller holds sh.mu.
+func (c *Sharded) grow(sh *shard) int32 {
+	if len(sh.rest) == 0 {
+		n := max(min(slabChunk, c.capPerShard-(len(sh.slots)-1)), 1)
+		sh.rest = make([]float64, n*c.blockSize)
+	}
+	s := int32(len(sh.slots))
+	sh.slots = append(sh.slots, slot{frame: sh.rest[:c.blockSize:c.blockSize]})
+	sh.rest = sh.rest[c.blockSize:]
+	return s
+}
+
+// pin lends slot s under l. Caller holds sh.mu.
+func (c *Sharded) pin(sh *shard, s int32, l *storage.Lease) {
+	if sh.slots[s].pins++; sh.slots[s].pins == 1 {
+		c.lent.Add(1)
+	}
+	l.Hold(c, uint64(sh.idx)<<32|uint64(s))
+}
+
+// Unpin implements storage.Unpinner: a lease gives back its pins, and a
+// parked slot whose last pin this was goes back to the free list.
+func (c *Sharded) Unpin(pins []uint64) {
+	for _, p := range pins {
+		sh, s := c.shards[p>>32], int32(uint32(p))
+		sh.mu.Lock()
+		if sh.slots[s].pins--; sh.slots[s].pins == 0 {
+			c.lent.Add(-1)
+			if sh.slots[s].parked {
+				sh.slots[s].parked = false
+				sh.free = append(sh.free, s)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// release takes slot s, just removed from the index, out of service: to
+// the free list, or parked while it is lent. Caller holds sh.mu.
+func (sh *shard) release(s int32) {
+	if sh.slots[s].pins > 0 {
+		sh.slots[s].parked = true
+		return
+	}
+	sh.free = append(sh.free, s)
 }
 
 // unlink takes slot s out of the LRU list. Caller holds sh.mu.
@@ -361,7 +441,7 @@ func (c *Sharded) drop(id int) {
 	if s, ok := sh.ids[id]; ok {
 		sh.unlink(s)
 		delete(sh.ids, id)
-		sh.free = append(sh.free, s)
+		sh.release(s)
 	}
 	sh.mu.Unlock()
 }
@@ -411,12 +491,11 @@ func (c *Sharded) Invalidate() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.gen++
-		clear(sh.ids)
-		sh.slots[0] = slot{}
-		sh.free = sh.free[:0]
-		for s := 1; s < len(sh.slots); s++ {
-			sh.free = append(sh.free, int32(s))
+		for s := sh.slots[0].next; s != 0; s = sh.slots[s].next {
+			sh.release(s)
 		}
+		sh.slots[0] = slot{}
+		clear(sh.ids)
 		sh.mu.Unlock()
 	}
 }
@@ -452,6 +531,7 @@ func (c *Sharded) Stats() Stats {
 		Evictions: c.evictions.Load(),
 		Inflight:  c.inflight.Load(),
 		Resident:  int64(c.Len()),
+		Lent:      c.lent.Load(),
 	}
 }
 

@@ -73,12 +73,19 @@ func (m *lruModel) invalidate() {
 	clear(m.elems)
 }
 
-// check compares counters and every shard's LRU order, newest first.
-func (m *lruModel) check(t *testing.T, step int, op string) {
+// check compares counters and every shard's LRU order, newest first. The
+// slots lent are the model's lease's business: none while it is empty, and
+// never more than it holds pins.
+func (m *lruModel) check(t *testing.T, step int, op string, l *storage.Lease) {
 	t.Helper()
 	want := m.st
 	want.Resident = int64(len(m.elems))
-	if got := m.c.Stats(); got != want {
+	got := m.c.Stats()
+	if got.Lent > int64(l.Len()) {
+		t.Fatalf("step %d (%s): %d slots lent under a lease of %d pins", step, op, got.Lent, l.Len())
+	}
+	want.Lent = got.Lent
+	if got != want {
 		t.Fatalf("step %d (%s): stats %+v, model %+v", step, op, got, want)
 	}
 	for _, sh := range m.c.shards {
@@ -97,9 +104,11 @@ func (m *lruModel) check(t *testing.T, step int, op string) {
 
 // TestShardedMatchesLRUModel drives the cache and a plain container/list
 // LRU through one seeded sequence of batch and single reads (with
-// duplicate ids), writes, drops and invalidations, and requires the same
-// counters and eviction order after every step — what keeps the cache rows
-// of the benchmark and the stack matrix's pinned counts where they were.
+// duplicate ids), lends held over later steps and returned at random,
+// writes, drops and invalidations, and requires the same counters and
+// eviction order after every step — what keeps the cache rows of the
+// benchmark and the stack matrix's pinned counts where they were. A lent
+// frame must keep the bytes it was lent with until its lease returns.
 func TestShardedMatchesLRUModel(t *testing.T) {
 	const bs = 2
 	for _, shards := range []int{1, 4, 16} {
@@ -118,6 +127,10 @@ func TestShardedMatchesLRUModel(t *testing.T) {
 				}
 				m := newLRUModel(c)
 				rng := rand.New(rand.NewSource(int64(shards*100 + capacity)))
+				var lease storage.Lease
+				var lent [][]float64 // frames lent under lease, and what they held
+				var lentWant [][]float64
+				peak := 0 // the most slots lent at once
 				write := func(id int) []float64 {
 					truth[id] = []float64{rng.Float64(), rng.Float64()}
 					m.drop(id)
@@ -135,7 +148,15 @@ func TestShardedMatchesLRUModel(t *testing.T) {
 							bufs[i] = make([]float64, bs)
 						}
 						m.read(ids)
-						if err := c.ReadBlocks(ids, bufs); err != nil {
+						if rng.Intn(2) == 0 {
+							op = "LendBlocks"
+							if err := c.LendBlocks(ids, bufs, &lease); err != nil {
+								t.Fatal(err)
+							}
+							for i, id := range ids {
+								lent, lentWant = append(lent, bufs[i]), append(lentWant, slices.Clone(truth[id]))
+							}
+						} else if err := c.ReadBlocks(ids, bufs); err != nil {
 							t.Fatal(err)
 						}
 						for i, id := range ids {
@@ -183,7 +204,26 @@ func TestShardedMatchesLRUModel(t *testing.T) {
 						m.invalidate()
 						c.Invalidate()
 					}
-					m.check(t, step, op)
+					for i := range lent {
+						if !slices.Equal(lent[i], lentWant[i]) {
+							t.Fatalf("step %d (%s): a lent frame reads %v, was lent holding %v", step, op, lent[i], lentWant[i])
+						}
+					}
+					peak = max(peak, int(c.Stats().Lent))
+					if rng.Intn(4) == 0 {
+						lease.Return()
+						lent, lentWant = lent[:0], lentWant[:0]
+					}
+					m.check(t, step, op, &lease)
+				}
+				lease.Return()
+				if st := c.Stats(); st.Lent != 0 {
+					t.Fatalf("every lease returned, %d slots lent", st.Lent)
+				}
+				for i, sh := range c.shards {
+					if n := len(sh.slots) - 1; n > c.capPerShard+peak {
+						t.Fatalf("shard %d holds %d slots: over its capacity %d plus the %d lent at most", i, n, c.capPerShard, peak)
+					}
 				}
 			})
 		}

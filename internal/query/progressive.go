@@ -88,7 +88,7 @@ func ProgressiveRangeSumFunc(st *tile.Store, arrShape, start, shape []int, fn fu
 		}
 		return a.pos - b.pos
 	})
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return err
 	}
 	// A step counts the distinct blocks among the coefficients so far.

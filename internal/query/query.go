@@ -28,7 +28,7 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 	defer putScratch(sc)
 	block := sc.planLeafStandard(tiling, point)
 	sc.Want(block)
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return 0, 0, err
 	}
 	return foldFlat(&sc.plan, sc.Frame(block)), sc.Len(), nil
@@ -67,7 +67,7 @@ func PointNonStandard(st *tile.Store, point []int) (float64, int, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.wantLeaf(tiling, point)
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return 0, 0, err
 	}
 	return sc.foldLeaf(), sc.Len(), nil
@@ -189,7 +189,7 @@ func pointBatch(st *tile.Store, shape []int, points [][]int, walk func(sc *scrat
 	for _, p := range points {
 		walk(sc, p, false)
 	}
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, len(points))

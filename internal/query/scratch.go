@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/shiftsplit/shiftsplit/internal/bitutil"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 )
 
@@ -13,8 +14,14 @@ import (
 // the pool after validation and put back when the kernel returns; nothing
 // in it may outlive that (the kernels return floats and counts only), so a
 // recycled arena is never read through by an earlier query.
+//
+// The fetch borrows what the serve cache holds: a hit's frame is the cache
+// slot itself, pinned by lease, and putScratch returns the lease with the
+// arena, so a lent frame lives exactly as long as every other frame of the
+// arena. The kernels only read frames.
 type scratch struct {
 	tile.FetchSet
+	lease storage.Lease
 
 	// Standard-form plan: per dimension the query's list, located.
 	plan tile.Plan
@@ -48,6 +55,7 @@ func getScratch() *scratch {
 }
 
 func putScratch(sc *scratch) {
+	sc.lease.Return()
 	sc.Trim(maxPooledSlab)
 	pool.Put(sc)
 }
@@ -136,7 +144,7 @@ func foldFlat(p *tile.Plan, frame []float64) float64 {
 func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []int) (float64, int, error) {
 	sc.planStandard(st.Tiling(), arrShape, start, extent)
 	sc.walkStandard(false)
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return 0, 0, err
 	}
 	return sc.walkStandard(true), sc.Len(), nil
@@ -146,7 +154,7 @@ func (sc *scratch) rangeSumStandard(st *tile.Store, arrShape, start, extent []in
 // and PointViaRootPathNonStandard (extent all ones).
 func (sc *scratch) rangeSumNonStandard(st *tile.Store, tiling *tile.NonStandard, start, extent []int) (float64, int, error) {
 	sc.wantNonStandard(tiling, start, extent)
-	if err := sc.Fetch(st); err != nil {
+	if err := sc.Fetch(st, &sc.lease); err != nil {
 		return 0, 0, err
 	}
 	return sc.foldNonStandard(tiling, extent), sc.Len(), nil

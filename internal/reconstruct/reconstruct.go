@@ -157,7 +157,7 @@ func gather(st *tile.Store, axes []axisPlan) ([]float64, int, error) {
 		block, _ := p.Block()
 		fs.Want(block)
 	}
-	if err := fs.Fetch(st); err != nil {
+	if err := fs.Fetch(st, nil); err != nil {
 		return nil, 0, err
 	}
 	g := make([]float64, size)
@@ -280,7 +280,7 @@ func BoxNonStandard(st *tile.Store, start, shape []int) (*ndarray.Array, int, er
 			fs.Want(p.Block())
 		}
 	}
-	if err := fs.Fetch(st); err != nil {
+	if err := fs.Fetch(st, nil); err != nil {
 		return nil, 0, err
 	}
 	out := ndarray.New(shape...)

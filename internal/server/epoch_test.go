@@ -345,7 +345,7 @@ func (h *hangUp) Write(b []byte) (int, error) {
 // TestRequestMixLeavesNoPins sends a versioned store good requests on
 // every query route, a range sum that fails inside its pin, and a
 // progressive stream whose client goes away mid-stream; afterwards
-// /v1/stats must report no pinned snapshot.
+// /v1/stats must report no pinned snapshot and no cache slot still lent.
 func TestRequestMixLeavesNoPins(t *testing.T) {
 	st := buildVersionedStore(t, []int{32, 32}, 64)
 	srv := New(st, Config{})
@@ -384,5 +384,8 @@ func TestRequestMixLeavesNoPins(t *testing.T) {
 	}
 	if stats.Epochs == nil || stats.Epochs.Pinned != 0 {
 		t.Fatalf("after the request mix /v1/stats reports epochs %+v, want no pinned snapshot", stats.Epochs)
+	}
+	if stats.Cache == nil || stats.Cache.Hits == 0 || stats.Cache.Lent != 0 {
+		t.Fatalf("after the request mix /v1/stats reports cache %+v, want hits and no lent slot", stats.Cache)
 	}
 }

@@ -65,8 +65,16 @@ func (d *Degraded) ReadBlock(id int, buf []float64) error {
 // quarantine every corrupt block the batch touched before the error
 // surfaces.
 func (d *Degraded) ReadBlocks(ids []int, bufs [][]float64) error {
+	return d.LendBlocks(ids, bufs, nil)
+}
+
+// LendBlocks implements Lender: ReadBlocks, with the layer below lending
+// its frames under l while the quarantine is empty. Once it is not, the
+// batch is read by copy.
+func (d *Degraded) LendBlocks(ids []int, bufs [][]float64, l *Lease) error {
 	missIDs, missBufs := ids, bufs
 	if d.q.Len() > 0 { // healthy stores forward the batch as it came
+		l = nil
 		missIDs, missBufs = make([]int, 0, len(ids)), make([][]float64, 0, len(ids))
 		for i, id := range ids {
 			if d.q.Has(id) {
@@ -81,7 +89,7 @@ func (d *Degraded) ReadBlocks(ids []int, bufs [][]float64) error {
 	if len(missIDs) == 0 {
 		return nil
 	}
-	err := ReadBlocksOf(d.inner, missIDs, missBufs)
+	err := LendBlocksOf(d.inner, missIDs, missBufs, l)
 	if IsCorruption(err) {
 		if corrupt, verr := VerifyBlocksOf(d.inner, missIDs); verr == nil {
 			for _, id := range corrupt {

@@ -153,9 +153,10 @@ func CreateDurableWrapped(path string, blockSize int, plan *CrashPlan, wrap func
 // device: committed blocks read zero-copy through the Checksummed frame
 // views while writes keep the pwrite+journal protocol unchanged. The
 // data layout is FileStore's, so Fsck and OpenDurable work on the same
-// file. Ordering: Commit syncs the data device — for a MappedStore that is
-// msync(MS_SYNC) then fsync — strictly before the journal is retired,
-// so the mapped store inherits the journal protocol's crash safety.
+// file. Ordering: Commit syncs the data device (its file's fsync: the
+// mapping is read-only) strictly before the journal is retired, so the
+// mapped store inherits the journal protocol's crash safety. Every
+// file-backed durable Store is opened this way.
 func CreateDurableMapped(path string, blockSize int, plan *CrashPlan, wrap func(BlockStore) BlockStore) (*Durable, error) {
 	return openDurableFiles(path, blockSize, true, true, plan, wrap)
 }

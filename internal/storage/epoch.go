@@ -679,6 +679,7 @@ func (v *Versioned) ReadBlocks(ids []int, bufs [][]float64) error {
 type remapScratch struct {
 	ids  []int
 	bufs [][]float64
+	pos  []int // a lending read's position of each id in the caller's batch
 }
 
 var remapPool = sync.Pool{New: func() any { return new(remapScratch) }}
@@ -693,7 +694,7 @@ func (sc *remapScratch) add(phys int, buf []float64) {
 // buffers, and returns it to the pool.
 func (sc *remapScratch) release() {
 	clear(sc.bufs)
-	sc.ids, sc.bufs = sc.ids[:0], sc.bufs[:0]
+	sc.ids, sc.bufs, sc.pos = sc.ids[:0], sc.bufs[:0], sc.pos[:0]
 	remapPool.Put(sc)
 }
 
@@ -1422,6 +1423,13 @@ func (s *Snapshot) ReadBlock(id int, buf []float64) error {
 // ReadBlocks implements BatchReader against the pinned table: one vectored
 // read for the mapped ids, zero-fill for the rest.
 func (s *Snapshot) ReadBlocks(ids []int, bufs [][]float64) error {
+	return s.LendBlocks(ids, bufs, nil)
+}
+
+// LendBlocks implements Lender: ReadBlocks, with the read path below lending
+// its frames for the mapped ids under l (nil: copy). A block the epoch maps
+// nowhere is zero-filled in the caller's own buffer.
+func (s *Snapshot) LendBlocks(ids []int, bufs [][]float64, l *Lease) error {
 	if err := checkBatchArgs(s, ids, bufs); err != nil {
 		return err
 	}
@@ -1433,11 +1441,18 @@ func (s *Snapshot) ReadBlocks(ids []int, bufs [][]float64) error {
 		}
 		if phys := s.t.phys(id, s.v.pageSize); phys >= 0 {
 			sc.add(int(phys), bufs[i])
+			sc.pos = append(sc.pos, i)
 		} else {
 			ZeroFill(bufs[i])
 		}
 	}
-	return ReadBlocksOf(s.v.read, sc.ids, sc.bufs)
+	err := LendBlocksOf(s.v.read, sc.ids, sc.bufs, l)
+	if l != nil {
+		for k, i := range sc.pos {
+			bufs[i] = sc.bufs[k]
+		}
+	}
+	return err
 }
 
 // WriteBlock fails: snapshots are immutable.

@@ -10,22 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"unsafe"
 )
-
-// msync flushes a mapped extent with MS_SYNC. The syscall package does
-// not export a Msync wrapper on Linux, so this issues the raw syscall.
-func msync(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafe.Pointer(&b[0])), uintptr(len(b)), uintptr(syscall.MS_SYNC))
-	if errno != 0 {
-		return errno
-	}
-	return nil
-}
 
 // MappedStore is a BlockStore whose reads are served from a shared,
 // read-only memory mapping of the backing file instead of pread calls:
@@ -39,9 +24,8 @@ func msync(b []byte) error {
 // positional pwrite path as FileStore (MAP_SHARED coherence makes them
 // visible to the mapping immediately). The mapping is mapped PROT_READ,
 // so there are never dirty mapped pages — nothing can leak onto the
-// medium outside the pwrite+journal order the Durable layer enforces,
-// and Sync's msync is a pure ordering barrier in front of the file
-// fsync.
+// medium outside the pwrite order the layers above enforce, and Sync is
+// the file's fsync alone.
 //
 // File growth is handled by remapping: the mapping always covers at
 // most the current file size (mapping beyond EOF would SIGBUS on
@@ -459,26 +443,10 @@ func (s *MappedStore) Syscalls() (preads, pwrites int64) { return s.fs.Syscalls(
 // served from the mapping instead of positional reads.
 func (s *MappedStore) MappedReads() int64 { return s.mappedReads.Load() }
 
-// Sync orders the mapping ahead of the file flush: msync(MS_SYNC) over
-// the mapped extent, then fsync. The mapping is PROT_READ so it never
-// holds dirty pages, but the explicit barrier keeps the
-// msync-before-journal-retire ordering independent of that invariant —
-// Durable.Commit syncs its data device before retiring the journal, so the
-// ordering holds with no changes to the journal protocol.
-func (s *MappedStore) Sync() error {
-	if s.fs.closed.Load() {
-		return ErrClosed
-	}
-	s.mu.RLock()
-	if s.m != nil {
-		if err := msync(s.m.data); err != nil {
-			s.mu.RUnlock()
-			return fmt.Errorf("storage: msync: %w", err)
-		}
-	}
-	s.mu.RUnlock()
-	return s.fs.Sync()
-}
+// Sync flushes the file: fsync alone. Every write went through pwrite, and
+// the mapping is PROT_READ, so it never holds a dirty page an msync would
+// have to flush.
+func (s *MappedStore) Sync() error { return s.fs.Sync() }
 
 // Truncate discards every block. Outstanding frame views must be
 // released before truncating (the borrow discipline: a view is valid

@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // mappedBlockVal is the deterministic cell pattern the mapped tests
@@ -382,7 +384,7 @@ func TestMappedChecksummedDetectsCorruption(t *testing.T) {
 
 // TestCrashCampaignMappedStore is the durable crash campaign over the
 // mmap-backed data device: power cut at every physical mutation index of
-// a commit — including between the msync'd data flush and the journal
+// a commit — including between the data file's fsync and the journal
 // retire — must recover to exactly the pre- or post-batch state. The
 // mapping is PROT_READ, so no dirty mapped page can reach the medium
 // outside the pwrite+journal order; a hybrid state here would disprove
@@ -553,4 +555,52 @@ func TestMappedFaultIsAnError(t *testing.T) {
 	check("ReadBlocks", ms.ReadBlocks([]int{0, 63}, bufs[:2]))
 	small := [][]float64{make([]float64, chk.BlockSize()), make([]float64, chk.BlockSize())}
 	check("checksummed ReadBlocks", chk.ReadBlocks([]int{0, 63}, small))
+}
+
+// TestMappingIsReadOnly reads the process's own memory map and requires the
+// store's mapping of its file to be shared and not writable: what lets Sync
+// be the file's fsync alone, with no msync in front of it. Writes and a
+// sync that grows the file must keep it so.
+func TestMappingIsReadOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ro.dat")
+	ms, err := NewMappedStore(path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	buf := make([]float64, 512)
+	for id := 0; id < 4; id++ {
+		fillMappedBlock(buf, id)
+		if err := ms.WriteBlock(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ms.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.ReadBlock(3, buf); err != nil { // maps the grown file
+		t.Fatal(err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no process memory map to read: %v", err)
+	}
+	ms.mu.RLock()
+	addr := uint64(uintptr(unsafe.Pointer(&ms.m.data[0])))
+	ms.mu.RUnlock()
+	var line string
+	for _, l := range strings.Split(string(maps), "\n") {
+		var lo, hi uint64
+		if _, err := fmt.Sscanf(l, "%x-%x", &lo, &hi); err == nil && lo <= addr && addr < hi {
+			line = l
+			break
+		}
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 6 || fields[5] != path {
+		t.Fatalf("mapping at %#x: /proc/self/maps has %q, want a mapping of %s", addr, line, path)
+	}
+	if perms := fields[1]; perms[1] != '-' || perms[3] != 's' {
+		t.Fatalf("mapping of %s has permissions %q, want shared and not writable (r--s)", path, perms)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
 
 // FetchSet is the fetch step of every coefficient read: a plan names the
@@ -47,8 +48,11 @@ func (f *FetchSet) Want(block int) {
 }
 
 // Fetch reads the wanted blocks with one vectored read, in ascending id
-// order so consecutive tiles coalesce into one device request.
-func (f *FetchSet) Fetch(st *Store) error {
+// order so consecutive tiles coalesce into one device request. With a
+// lease, a frame the stack can lend (a serve cache hit) is the lender's own
+// block instead of a copy in the slab, pinned under l until l.Return: the
+// frames are then read-only. A nil lease copies every block.
+func (f *FetchSet) Fetch(st *Store, l *storage.Lease) error {
 	slices.Sort(f.blocks)
 	f.blocks = slices.Compact(f.blocks)
 	n, size := len(f.blocks), st.Tiling().BlockSize()
@@ -57,7 +61,7 @@ func (f *FetchSet) Fetch(st *Store) error {
 	for i := 0; i < n; i++ {
 		f.frames = append(f.frames, f.slab[i*size:(i+1)*size:(i+1)*size])
 	}
-	return st.ReadTilesInto(f.blocks, f.frames)
+	return storage.LendBlocksOf(st.bs, f.blocks, f.frames, l)
 }
 
 // Len returns the number of distinct blocks fetched.
@@ -90,7 +94,7 @@ func ReadArray(st *Store, shape []int) (*ndarray.Array, error) {
 	for id := 0; id < st.Tiling().NumBlocks(); id++ {
 		f.Want(id)
 	}
-	if err := f.Fetch(st); err != nil {
+	if err := f.Fetch(st, nil); err != nil {
 		return nil, err
 	}
 	hat := ndarray.New(shape...)

@@ -20,7 +20,7 @@ func TestFrameOfUnplannedBlockPanics(t *testing.T) {
 	var f FetchSet
 	f.Want(3)
 	f.Want(7)
-	if err := f.Fetch(st); err != nil {
+	if err := f.Fetch(st, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, block := range []int{5, 9} {

@@ -22,10 +22,6 @@ type storeMeta struct {
 	// last maintained by a binary that did not, until a whole-domain write.
 	Materialized bool `json:"materialized"`
 	Durable      bool `json:"durable,omitempty"`
-	// Mapped records that the store was created with mmap-backed reads,
-	// so OpenStore reopens it the same way (the on-disk layout itself is
-	// identical either way).
-	Mapped bool `json:"mapped,omitempty"`
 	// Versioned records the MVCC epoch layout (superblock + remap table
 	// ahead of the data blocks); a versioned file cannot be opened flat.
 	// Every durable store writes it; a durable sidecar without it names a
@@ -57,7 +53,6 @@ func (s *Store) saveMeta() error {
 		TileBits:     s.opts.TileBits,
 		Materialized: s.slotsOnMedia,
 		Durable:      s.opts.Durable,
-		Mapped:       s.opts.Mapped,
 		Versioned:    s.opts.Versioned,
 	}
 	if s.quarantine != nil {

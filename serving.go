@@ -16,6 +16,7 @@ type CacheStats struct {
 	Evictions int64   `json:"evictions"` // blocks discarded to make room
 	Inflight  int64   `json:"inflight"`  // loads currently outstanding
 	Resident  int64   `json:"resident"`  // blocks currently held
+	Lent      int64   `json:"lent"`      // slots pinned now by queries reading them in place
 	HitRate   float64 `json:"hit_rate"`  // Hits / (Hits + Misses)
 }
 
@@ -80,6 +81,7 @@ func (s *Store) CacheStats() (stats CacheStats, ok bool) {
 		Evictions: cs.Evictions,
 		Inflight:  cs.Inflight,
 		Resident:  cs.Resident,
+		Lent:      cs.Lent,
 		HitRate:   cs.HitRate(),
 	}, true
 }

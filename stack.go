@@ -18,12 +18,14 @@ import (
 // stackSpec is everything that decides which layers a Store runs on.
 type stackSpec struct {
 	// meta carries the geometry (shape, form, tile bits) and the on-media
-	// layout (durable, mapped, versioned); when opening, also whether the
-	// scaling slots are valid and the quarantine records the sidecar
-	// recorded.
+	// layout (durable, versioned); when opening, also whether the scaling
+	// slots are valid and the quarantine records the sidecar recorded.
 	meta storeMeta
 	// path backs the store with files; empty keeps it in memory.
 	path string
+	// legacy opens the files with what reads an older layout: reads by
+	// pread, not through a mapping (openLegacy).
+	legacy bool
 	// create truncates the files and writes a fresh sidecar.
 	create bool
 	// plan routes a durable store's physical writes through a CrashStore.
@@ -43,24 +45,24 @@ func device[S storage.BlockStore](s S, err error) (storage.BlockStore, error) {
 	return s, nil
 }
 
-// openDevice opens the raw, unframed block device of a non-durable store.
+// openDevice opens the raw, unframed block device of a non-durable store: a
+// file read through its mapping (DESIGN §14), or memory.
 func openDevice(sp stackSpec, blockSize int) (storage.BlockStore, error) {
 	switch {
 	case sp.path == "":
 		return storage.NewMemStore(blockSize), nil
-	case sp.meta.Mapped && sp.create:
-		return device(storage.NewMappedStore(sp.path, blockSize))
-	case sp.meta.Mapped:
-		return device(storage.OpenMappedStore(sp.path, blockSize))
+	case sp.legacy:
+		return device(storage.OpenFileStore(sp.path, blockSize))
 	case sp.create:
-		return device(storage.NewFileStore(sp.path, blockSize))
+		return device(storage.NewMappedStore(sp.path, blockSize))
 	}
-	return device(storage.OpenFileStore(sp.path, blockSize))
+	return device(storage.OpenMappedStore(sp.path, blockSize))
 }
 
 // openDurable builds the transactional block store of a durable Store:
-// file-backed with a ".wal" journal sidecar, or in memory, with wrap applied
-// to the raw data device. Opening replays or discards an interrupted batch.
+// file-backed with a ".wal" journal sidecar and the data file read through
+// its mapping, or in memory, with wrap applied to the raw data device.
+// Opening replays or discards an interrupted batch.
 func openDurable(sp stackSpec, blockSize int, wrap func(storage.BlockStore) storage.BlockStore) (*storage.Durable, error) {
 	switch {
 	case sp.path == "":
@@ -72,21 +74,19 @@ func openDurable(sp stackSpec, blockSize int, wrap func(storage.BlockStore) stor
 		}
 		data := wrap(storage.NewMemStore(blockSize + storage.ChecksumOverhead))
 		return storage.NewDurable(crash(data), crash(storage.NewMemStore(blockSize+storage.JournalOverhead)))
-	case sp.meta.Mapped && sp.create:
-		return storage.CreateDurableMapped(sp.path, blockSize, sp.plan, wrap)
-	case sp.meta.Mapped:
-		return storage.OpenDurableMapped(sp.path, blockSize, sp.plan, wrap)
+	case sp.legacy:
+		return storage.OpenDurableWrapped(sp.path, blockSize, sp.plan, wrap)
 	case sp.create:
-		return storage.CreateDurableWrapped(sp.path, blockSize, sp.plan, wrap)
+		return storage.CreateDurableMapped(sp.path, blockSize, sp.plan, wrap)
 	}
-	return storage.OpenDurableWrapped(sp.path, blockSize, sp.plan, wrap)
+	return storage.OpenDurableMapped(sp.path, blockSize, sp.plan, wrap)
 }
 
 // openLegacy opens the store sp describes with what reads its layout before
 // the upgrade: the flat Durable, which replays or discards its journal, or
 // the raw device of a non-durable file. Reads are unmapped.
 func openLegacy(sp stackSpec, blockSize int) (storage.BlockStore, error) {
-	sp.meta.Mapped = false
+	sp.legacy = true
 	if sp.meta.Durable {
 		return device(openDurable(sp, blockSize, func(bs storage.BlockStore) storage.BlockStore { return bs }))
 	}
@@ -195,7 +195,7 @@ func assemble(sp stackSpec) (_ *Store, err error) {
 	out := &Store{
 		opts: StoreOptions{
 			Shape: m.Shape, Form: form, TileBits: m.TileBits, Path: sp.path,
-			Mapped: m.Mapped, Durable: m.Durable, Versioned: m.Versioned,
+			Durable: m.Durable, Versioned: m.Versioned,
 			FaultPlan: sp.plan, BaseWrap: sp.wrap,
 		},
 		tiling: tiling,

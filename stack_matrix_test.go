@@ -257,7 +257,9 @@ func TestStackMatrixPinned(t *testing.T) {
 	}
 	// A layout that sets Durable without Versioned has no pin of its own:
 	// Durable implies Versioned, so it must assemble exactly the stack of
-	// its durable+versioned twin, pinned under the twin's name.
+	// its durable+versioned twin, pinned under the twin's name. Nor has a
+	// file layout without Mapped: every file store reads through its
+	// mapping, so it must match its mapped twin.
 	memLayouts := []layout{
 		{"plain", "", func(*StoreOptions) {}},
 		{"durable", "durable+versioned", func(o *StoreOptions) { o.Durable = true }},
@@ -294,7 +296,7 @@ func TestStackMatrixPinned(t *testing.T) {
 			for _, h := range fileHandles {
 				o.Path = filepath.Join(t.TempDir(), "cube.wav")
 				name := fmt.Sprintf("%v/file/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned, o.Mapped, h.name)
-				pin := fmt.Sprintf("%v/file/durable=%v,versioned=%v,mapped=%v/%s", form, o.Durable, o.Versioned || o.Durable, o.Mapped, h.name)
+				pin := fmt.Sprintf("%v/file/durable=%v,versioned=%v,mapped=true/%s", form, o.Durable, o.Versioned || o.Durable, h.name)
 				check(name, pin, o, h)
 			}
 		}

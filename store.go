@@ -22,8 +22,8 @@ type IOStats struct {
 	Syncs   int64
 	Commits int64
 	// MappedReads is how many of the Reads were served zero-syscall from
-	// a memory mapping (stores created with Mapped). A subset of Reads,
-	// not an addition to Total.
+	// the data file's memory mapping: every read of a file-backed store's
+	// data. A subset of Reads, not an addition to Total.
 	MappedReads int64
 }
 
@@ -44,12 +44,9 @@ type StoreOptions struct {
 	// Path, when non-empty, backs the store with a real file; otherwise the
 	// store is in memory.
 	Path string
-	// Mapped serves file reads from a shared read-only memory mapping
-	// (storage.MappedStore) instead of pread calls: warm reads are
-	// zero-copy and zero-syscall, reported via IOStats.MappedReads.
-	// Writes keep the positional-write path, and the on-disk layout is
-	// unchanged — a mapped store's file can be reopened unmapped and vice
-	// versa. Requires Path.
+	// Mapped is accepted and ignored: every file-backed store reads its
+	// data through a shared read-only memory mapping (DESIGN §14). It
+	// stays only because the benchmark module (bench/) sets it.
 	Mapped bool
 	// Durable layers crash safety under the store and implies Versioned:
 	// every block is framed with a 64-bit check word + epoch so torn writes
@@ -218,15 +215,12 @@ func CreateStore(opts StoreOptions) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("shiftsplit: unknown form %v", opts.Form)
 	}
-	if opts.Mapped && opts.Path == "" {
-		return nil, fmt.Errorf("shiftsplit: Mapped requires a file-backed store (set Path)")
-	}
 	opts.Versioned = opts.Versioned || opts.Durable
 	return assemble(stackSpec{
 		meta: storeMeta{
 			Shape: opts.Shape, Form: opts.Form.String(), TileBits: opts.TileBits,
 			Materialized: true, // an empty store's slots are valid: all zero
-			Durable:      opts.Durable, Mapped: opts.Mapped, Versioned: opts.Versioned,
+			Durable:      opts.Durable, Versioned: opts.Versioned,
 		},
 		path: opts.Path, create: true,
 		plan: opts.FaultPlan, wrap: opts.BaseWrap,
@@ -275,10 +269,6 @@ func (s *Store) Flush() error {
 
 // Durable reports whether the store runs on the crash-safe storage layer.
 func (s *Store) Durable() bool { return s.durable != nil }
-
-// Mapped reports whether block reads are served from a shared read-only
-// memory mapping (zero-copy, zero read syscalls when warm).
-func (s *Store) Mapped() bool { return s.opts.Mapped }
 
 // Recovered reports how many blocks were rolled forward from the journal
 // when the store was opened (by the upgrade, on a store it rewrote); ok is
