@@ -166,6 +166,10 @@ fuzz-smoke:
 # MergeBlock of a 16x16 chunk into a versioned in-memory 1024² store at
 # TileBits 4 (SHIFT-SPLIT kernels, slot step, vectored apply, epoch flip),
 # in each form, with its ns/op and allocs/op.
+# BenchmarkReadTransform reports the whole-transform read-back (the
+# benchmark harness's pre-warm), a 1024² store at TileBits 4 in each form:
+# fetches in groups of 64 blocks, each frame scattered by per-dimension or
+# per-level location tables, with its ns/op and allocs/op.
 # BenchmarkStoreMaterialize reports the whole-layout writer, Materialize of
 # a 1024² array at TileBits 4 in each form (in-memory transform, the
 # SHIFT-SPLIT kernels and slot step over the whole domain, one vectored
@@ -194,6 +198,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumCold' -benchmem -benchtime 2000x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreMergeBlock' -benchmem -benchtime 2000x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreMaterialize' -benchmem -benchtime 5x ./
+	$(GO) test -run '^$$' -bench 'BenchmarkReadTransform' -benchmem -benchtime 5x ./
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeSumNonStandard' -benchmem -benchtime 200x ./internal/query/
 	$(GO) test -run 'TestPointAllocBudget' -count=1 -v ./internal/query/
 

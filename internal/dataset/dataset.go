@@ -98,24 +98,48 @@ func Precipitation(shape []int, seed int64) *ndarray.Array {
 }
 
 // Dense fills an array of the given shape with smooth correlated values
-// plus noise — a generic stand-in for any dense measurement cube.
+// plus noise — a generic stand-in for any dense measurement cube: a cell
+// is the sum over dimensions of one sine wave of its coordinate along
+// each, plus Gaussian noise. A dimension's wave depends on its own
+// coordinate alone, so it is evaluated once per coordinate; each cell sums
+// the waves in dimension order and draws its noise in row-major order,
+// the same floats a per-cell evaluation gives.
 func Dense(shape []int, seed int64) *ndarray.Array {
 	rng := rand.New(rand.NewSource(seed))
 	a := ndarray.New(shape...)
-	freqs := make([]float64, len(shape))
-	phases := make([]float64, len(shape))
-	for i := range freqs {
-		freqs[i] = 1 + rng.Float64()*2
-		phases[i] = rng.Float64() * 2 * math.Pi
-	}
-	a.Each(func(c []int, _ float64) {
-		v := 0.0
-		for i, ci := range c {
-			v += math.Sin(2*math.Pi*freqs[i]*float64(ci)/float64(shape[i]) + phases[i])
+	d := len(shape)
+	waves := make([][]float64, d)
+	for i, s := range shape {
+		freq := 1 + rng.Float64()*2
+		phase := rng.Float64() * 2 * math.Pi
+		waves[i] = make([]float64, s)
+		for c := range waves[i] {
+			waves[i][c] = math.Sin(2*math.Pi*freq*float64(c)/float64(s) + phase)
 		}
-		v += rng.NormFloat64() * 0.2
-		a.Set(v, c...)
-	})
+	}
+	data := a.Data()
+	if d == 0 {
+		data[0] = rng.NormFloat64() * 0.2
+		return a
+	}
+	// Row by row: the waves of every dimension but the last sum once per
+	// row, in the order the per-cell sum adds them.
+	row, last := make([]int, d-1), waves[d-1]
+	for off := 0; off < len(data); off += len(last) {
+		v := 0.0
+		for i, c := range row {
+			v += waves[i][c]
+		}
+		for x, w := range last {
+			data[off+x] = v + w + rng.NormFloat64()*0.2
+		}
+		for i := d - 2; i >= 0; i-- {
+			if row[i]++; row[i] < shape[i] {
+				break
+			}
+			row[i] = 0
+		}
+	}
 	return a
 }
 

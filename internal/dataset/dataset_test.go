@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 )
 
 func TestTemperatureDeterministic(t *testing.T) {
@@ -140,5 +144,40 @@ func TestRandomWalk(t *testing.T) {
 	}
 	if avg := sumSq / 1000; avg < 0.7 || avg > 1.4 {
 		t.Errorf("mean squared step %g, want ~1", avg)
+	}
+}
+
+// TestDenseMatchesPointwise holds Dense, which evaluates each dimension's
+// wave once per coordinate, to the per-cell evaluation of its formula,
+// bit for bit, over shapes of one to four dimensions, square and not.
+func TestDenseMatchesPointwise(t *testing.T) {
+	pointwise := func(shape []int, seed int64) *ndarray.Array {
+		rng := rand.New(rand.NewSource(seed))
+		a := ndarray.New(shape...)
+		freqs := make([]float64, len(shape))
+		phases := make([]float64, len(shape))
+		for i := range freqs {
+			freqs[i] = 1 + rng.Float64()*2
+			phases[i] = rng.Float64() * 2 * math.Pi
+		}
+		a.Each(func(c []int, _ float64) {
+			v := 0.0
+			for i, ci := range c {
+				v += math.Sin(2*math.Pi*freqs[i]*float64(ci)/float64(shape[i]) + phases[i])
+			}
+			v += rng.NormFloat64() * 0.2
+			a.Set(v, c...)
+		})
+		return a
+	}
+	for _, shape := range [][]int{{1}, {16}, {8, 8}, {32, 4}, {3, 5}, {4, 4, 4}, {2, 3, 1, 5}} {
+		for _, seed := range []int64{1, 7} {
+			got, want := Dense(shape, seed).Data(), pointwise(shape, seed).Data()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("shape %v seed %d: cell %d = %v, pointwise %v", shape, seed, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/shiftsplit/shiftsplit/internal/dataset"
+	"github.com/shiftsplit/shiftsplit/internal/storage"
+	"github.com/shiftsplit/shiftsplit/internal/tile"
+	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 func atoiCell(t *testing.T, s string) int64 {
@@ -63,14 +69,73 @@ func TestTable2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 3 {
+	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	vitter := atoiCell(t, tb.Rows[0][1])
 	std := atoiCell(t, tb.Rows[1][1])
-	non := atoiCell(t, tb.Rows[2][1])
+	non := atoiCell(t, tb.Rows[3][1])
 	if !(non < std && std < vitter) {
 		t.Errorf("coefficient I/O ordering wrong: non=%d std=%d vitter=%d", non, std, vitter)
+	}
+	// The write-once standard engine writes each coefficient, and each
+	// block of the standard tiling, exactly once.
+	numBlocks := int64(tile.NewStandard([]int{6, 6}, 2).NumBlocks())
+	if coefs, blocks := atoiCell(t, tb.Rows[2][1]), atoiCell(t, tb.Rows[2][3]); coefs != 64*64 || blocks != numBlocks {
+		t.Errorf("write-once standard: %d coefficients and %d blocks, want %d and %d", coefs, blocks, 64*64, numBlocks)
+	}
+}
+
+// TestR1IOScalesWithMemory: on Result 1's schedule, larger chunks (more
+// memory) mean fewer split I/Os.
+func TestR1IOScalesWithMemory(t *testing.T) {
+	src := dataset.Dense([]int{64, 64}, 6)
+	tiling := tile.NewSequential([]int{64, 64}, 1) // coefficient granularity
+	var prev int64 = 1 << 62
+	for _, m := range []int{1, 2, 3, 4} {
+		counting := storage.NewCounting(storage.NewMemStore(1))
+		st, err := tile.NewStore(counting, tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chunkedR1(src, m, st); err != nil {
+			t.Fatal(err)
+		}
+		total := counting.Stats().Total()
+		if total > prev {
+			t.Errorf("m=%d: I/O %d increased over smaller memory %d", m, total, prev)
+		}
+		prev = total
+	}
+}
+
+// TestR1IOTracksPaperFormula: Result 1's measured coefficient I/O stays
+// within a small constant factor of N^d/M^d * (M + log(N/M))^d across a
+// chunk-size sweep, and its result is the standard transform.
+func TestR1IOTracksPaperFormula(t *testing.T) {
+	src := dataset.Dense([]int{64, 64}, 20)
+	want := wavelet.TransformStandard(src).Data()
+	for _, m := range []int{1, 2, 3, 4} {
+		counting := storage.NewCounting(storage.NewMemStore(1))
+		st, err := tile.NewStore(counting, tile.NewSequential([]int{64, 64}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chunkedR1(src, m, st); err != nil {
+			t.Fatal(err)
+		}
+		measured := float64(counting.Stats().Total())
+		M := float64(int(1) << uint(m))
+		logNM := float64(6 - m)
+		formula := (4096 / (M * M)) * (M + logNM) * (M + logNM)
+		if ratio := measured / formula; ratio < 0.5 || ratio > 4 {
+			t.Errorf("m=%d: measured %.0f vs formula %.0f (ratio %.2f) outside [0.5, 4]", m, measured, formula, ratio)
+		}
+		for i, w := range want {
+			if got, err := st.Get([]int{i / 64, i % 64}); err != nil || math.Abs(got-w) > 1e-8 {
+				t.Fatalf("m=%d: coefficient %d = %v (%v), want %v", m, i, got, err, w)
+			}
+		}
 	}
 }
 

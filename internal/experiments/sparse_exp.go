@@ -59,7 +59,7 @@ func SparseTransform(c SparseConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		statsS, err := transform.ChunkedStandard(src, c.ChunkBits, stS, 0)
+		statsS, err := chunkedR1(src, c.ChunkBits, stS)
 		if err != nil {
 			return nil, err
 		}

@@ -171,8 +171,8 @@ func (a *Array) MaxAbsDiff(b *Array) float64 {
 func (a *Array) SubCopy(start, shape []int) *Array {
 	a.checkSub(start, shape)
 	out := New(shape...)
-	a.walkSub(start, shape, func(srcOff, dstOff int) {
-		out.data[dstOff] = a.data[srcOff]
+	a.walkSub(start, shape, func(src, dst, n int) {
+		copy(out.data[dst:dst+n], a.data[src:src+n])
 	})
 	return out
 }
@@ -182,24 +182,26 @@ func (a *Array) SubCopy(start, shape []int) *Array {
 // the allocation-free form of SubCopy for callers that reuse a chunk buffer.
 func (a *Array) SubCopyInto(out *Array, start []int) {
 	a.checkSub(start, out.shape)
-	a.walkSub(start, out.shape, func(srcOff, dstOff int) {
-		out.data[dstOff] = a.data[srcOff]
+	a.walkSub(start, out.shape, func(src, dst, n int) {
+		copy(out.data[dst:dst+n], a.data[src:src+n])
 	})
 }
 
 // SubPaste writes sub into the region of a starting at start.
 func (a *Array) SubPaste(sub *Array, start []int) {
 	a.checkSub(start, sub.shape)
-	a.walkSub(start, sub.shape, func(srcOff, dstOff int) {
-		a.data[srcOff] = sub.data[dstOff]
+	a.walkSub(start, sub.shape, func(src, dst, n int) {
+		copy(a.data[src:src+n], sub.data[dst:dst+n])
 	})
 }
 
 // SubAdd accumulates sub into the region of a starting at start.
 func (a *Array) SubAdd(sub *Array, start []int) {
 	a.checkSub(start, sub.shape)
-	a.walkSub(start, sub.shape, func(srcOff, dstOff int) {
-		a.data[srcOff] += sub.data[dstOff]
+	a.walkSub(start, sub.shape, func(src, dst, n int) {
+		for i, v := range sub.data[dst : dst+n] {
+			a.data[src+i] += v
+		}
 	})
 }
 
@@ -214,13 +216,14 @@ func (a *Array) checkSub(start, shape []int) {
 	}
 }
 
-// walkSub visits every cell of the sub-region, passing the offset in a
-// (srcOff) and the row-major offset inside the sub-region (dstOff). The
-// innermost dimension is walked contiguously.
-func (a *Array) walkSub(start, shape []int, visit func(srcOff, dstOff int)) {
+// walkSub visits the sub-region one row (a run along the innermost,
+// contiguous dimension) at a time, in row-major order, passing the row's
+// offset in a (src), its row-major offset inside the sub-region (dst) and
+// its length.
+func (a *Array) walkSub(start, shape []int, visit func(src, dst, n int)) {
 	d := len(shape)
 	if d == 0 {
-		visit(0, 0)
+		visit(0, 0, 1)
 		return
 	}
 	coords := make([]int, d)
@@ -231,10 +234,8 @@ func (a *Array) walkSub(start, shape []int, visit func(srcOff, dstOff int)) {
 			base += (start[i] + coords[i]) * a.strides[i]
 		}
 		base += start[d-1] * a.strides[d-1]
-		for c := 0; c < shape[d-1]; c++ {
-			visit(base+c, dstOff)
-			dstOff++
-		}
+		visit(base, dstOff, shape[d-1])
+		dstOff += shape[d-1]
 		// Advance all but the innermost dimension.
 		i := d - 2
 		for ; i >= 0; i-- {
@@ -318,8 +319,10 @@ func (a *Array) Each(visit func(coords []int, v float64)) {
 func (a *Array) SumRange(start, shape []int) float64 {
 	a.checkSub(start, shape)
 	sum := 0.0
-	a.walkSub(start, shape, func(srcOff, _ int) {
-		sum += a.data[srcOff]
+	a.walkSub(start, shape, func(src, _, n int) {
+		for _, v := range a.data[src : src+n] {
+			sum += v
+		}
 	})
 	return sum
 }

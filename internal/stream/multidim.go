@@ -8,7 +8,6 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/synopsis"
-	"github.com/shiftsplit/shiftsplit/internal/transform"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 	"github.com/shiftsplit/shiftsplit/internal/zorder"
 )
@@ -175,7 +174,7 @@ func (s *Standard) Costs() Costs { return s.costs }
 // coefficients.
 type NonStandard struct {
 	n, d, m   int
-	crest     *transform.Crest
+	crest     *crest
 	timeChain *Chain
 	syn       *synopsis.Synopsis[CoefMD]
 	costs     Costs
@@ -205,9 +204,8 @@ func NewNonStandard(n, d, m, k int) *NonStandard {
 
 func (s *NonStandard) rebuildCrest() {
 	hyper := s.hyper
-	s.crest = transform.NewCrest(s.d, s.n, s.m, func(coords []int, v float64) error {
+	s.crest = newCrest(s.d, s.n, s.m, func(coords []int, v float64) {
 		s.offerSpatial(hyper, coords, v)
-		return nil
 	})
 }
 
@@ -276,9 +274,7 @@ func (s *NonStandard) AddChunk(chunk *ndarray.Array) error {
 		s.offerSpatial(hyper, coords, v)
 	})
 	origin := make([]int, s.d)
-	if err := s.crest.Push(0, append([]int(nil), pos...), bHat.At(origin...)); err != nil {
-		return err
-	}
+	s.crest.push(0, pos, bHat.At(origin...))
 	s.chunksIn++
 	if s.chunksIn == len(s.chunkSeq) {
 		s.chunksIn = 0

@@ -1,8 +1,11 @@
 package tile
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/ndarray"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 )
@@ -178,5 +181,82 @@ func TestWriteArrayRoundTrip(t *testing.T) {
 	})
 	if bad != 0 {
 		t.Errorf("%d coefficients differ after WriteArray", bad)
+	}
+}
+
+// TestChunkCapacitiesCountKernelTouches holds ChunkCapacities' closed forms
+// to the touches the kernels record over every chunk of a whole-domain
+// transform, per block: standard tilings of d = 1 to 3, square and not, b
+// dividing n and not, growth-ordered too; non-standard of d = 1 to 3;
+// and a Sequential tiling under each form, every chunk size.
+func TestChunkCapacitiesCountKernelTouches(t *testing.T) {
+	type geometry struct {
+		shape       []int
+		tiling      Tiling
+		nonStandard bool
+	}
+	var cases []geometry
+	for _, c := range []struct {
+		n []int
+		b int
+	}{{[]int{5}, 2}, {[]int{4, 4}, 2}, {[]int{5, 3}, 2}, {[]int{3, 2, 4}, 1}, {[]int{4, 4}, 3}} {
+		shape := make([]int, len(c.n))
+		for i, ni := range c.n {
+			shape[i] = 1 << uint(ni)
+		}
+		cases = append(cases,
+			geometry{shape, NewStandard(c.n, c.b), false},
+			geometry{shape, NewGrowthStandard(c.n, c.b, len(c.n)-1), false},
+			geometry{shape, NewSequential(shape, 4), false})
+	}
+	for _, c := range []struct{ n, d, b int }{{5, 1, 2}, {4, 2, 2}, {4, 2, 3}, {3, 3, 1}} {
+		shape := make([]int, c.d)
+		for i := range shape {
+			shape[i] = 1 << uint(c.n)
+		}
+		cases = append(cases,
+			geometry{shape, NewNonStandard(c.n, c.d, c.b), true},
+			geometry{shape, NewSequential(shape, 8), true})
+	}
+	for _, g := range cases {
+		d, top := len(g.shape), bits.Len(uint(slices.Max(g.shape)))-1
+		for m := 0; m <= top; m++ {
+			want := make([]int, g.tiling.NumBlocks())
+			set := NewBucketSet(g.tiling.BlockSize())
+			levels, grid := make([]int, d), make([]int, d)
+			chunks := 1
+			for i, e := range g.shape {
+				levels[i] = min(m, bits.Len(uint(e))-1)
+				grid[i] = e >> uint(levels[i])
+				chunks *= grid[i]
+			}
+			hat := ndarray.New(func() []int {
+				s := make([]int, d)
+				for i, l := range levels {
+					s[i] = 1 << uint(l)
+				}
+				return s
+			}()...)
+			pos, block := make([]int, d), make(dyadic.Range, d)
+			for seq := 0; seq < chunks; seq++ {
+				for i, rest := d-1, seq; i >= 0; i, rest = i-1, rest/grid[i] {
+					pos[i] = rest % grid[i]
+					block[i] = dyadic.Interval{Level: levels[i], Pos: pos[i]}
+				}
+				if g.nonStandard {
+					AccumulateShiftNonStandard(g.tiling, g.shape, m, pos, hat, set)
+					AccumulateSplitNonStandard(g.tiling, g.shape, m, pos, 0, set)
+				} else {
+					AccumulateEmbedStandard(g.tiling, g.shape, block, hat, set)
+				}
+				for _, b := range set.Buckets() {
+					want[b.Block] += b.Touches
+				}
+				set.Reset()
+			}
+			if got := ChunkCapacities(g.tiling, g.shape, m, g.nonStandard); !slices.Equal(got, want) {
+				t.Errorf("%T shape %v non-standard=%v m=%d: capacities %v, kernels touch %v", g.tiling, g.shape, g.nonStandard, m, got, want)
+			}
+		}
 	}
 }

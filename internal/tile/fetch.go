@@ -87,22 +87,154 @@ func (f *FetchSet) Frame(block int) []float64 {
 }
 
 // ReadArray reads a whole transform of the given shape back from a tiled
-// store, the inverse of WriteArray: one vectored read of every block in
-// ascending id order, then each coefficient from its frame.
+// store, the inverse of WriteArray: vectored reads of applyGroup blocks at
+// a time in ascending id order into one reused group of frames, each frame
+// scattered to its coefficients' cells as it arrives, with no Locate per
+// coefficient. A standard block is the cross product of its 1-d tiles'
+// coefficients, tabulated once per dimension (Locate1D's inverse) and
+// combined in mixed radix per row; a non-standard block is walked level by
+// level, its cells at a level one run of slots per row of the tile (the
+// NonStdLevel slot layout Push and At define). Other tilings are not read
+// back whole.
 func ReadArray(st *Store, shape []int) (*ndarray.Array, error) {
-	var f FetchSet
-	for id := 0; id < st.Tiling().NumBlocks(); id++ {
-		f.Want(id)
-	}
-	if err := f.Fetch(st, nil); err != nil {
-		return nil, err
-	}
 	hat := ndarray.New(shape...)
-	tiling, data, off := st.Tiling(), hat.Data(), 0
-	hat.Each(func(coords []int, _ float64) {
-		block, slot := tiling.Locate(coords)
-		data[off] = f.Frame(block)[slot]
-		off++
-	})
+	var scatter func(block int, frame []float64)
+	switch t := st.Tiling().(type) {
+	case *Standard:
+		scatter = standardScatter(t, hat)
+	case *NonStandard:
+		scatter = nonStandardScatter(t, hat)
+	default:
+		return nil, fmt.Errorf("tile: ReadArray of a %T tiling", t)
+	}
+	numBlocks, size := st.Tiling().NumBlocks(), st.Tiling().BlockSize()
+	group := min(applyGroup, numBlocks)
+	frames := storage.SliceFrames(make([]float64, group*size), group, size)
+	ids := make([]int, group)
+	for lo := 0; lo < numBlocks; lo += group {
+		n := min(group, numBlocks-lo)
+		for i := range ids[:n] {
+			ids[i] = lo + i
+		}
+		if err := storage.ReadBlocksOf(st.bs, ids[:n], frames[:n]); err != nil {
+			return nil, err
+		}
+		for i, frame := range frames[:n] {
+			scatter(lo+i, frame)
+		}
+	}
 	return hat, nil
+}
+
+// standardScatter returns ReadArray's scatter step for a standard tiling:
+// per dimension, the real coefficients of every 1-d tile as (index, slot)
+// pairs; a block's coefficients are their cross product, the index a
+// row-major offset into hat's data and the slot a mixed-radix one.
+func standardScatter(t *Standard, hat *ndarray.Array) func(int, []float64) {
+	d, edge, data := t.Dims(), t.Dim(0).BlockSize(), hat.Data()
+	type entry struct{ off, slot int }
+	entries := make([][][]entry, d) // entries[dim][tile]
+	step := 1
+	for dim := d - 1; dim >= 0; dim-- {
+		od := t.Dim(dim)
+		entries[dim] = make([][]entry, od.NumBlocks())
+		for b := range entries[dim] {
+			idxs := od.TileIndices(b)
+			entries[dim][b] = make([]entry, len(idxs))
+			for i, idx := range idxs {
+				_, slot := od.Locate1D(idx)
+				entries[dim][b][i] = entry{idx * step, slot}
+			}
+		}
+		step *= hat.Extent(dim)
+	}
+	rows := make([][]entry, d)
+	at := make([]int, d)
+	return func(block int, frame []float64) {
+		for dim := range rows {
+			od := t.Dim(dim)
+			rows[dim] = entries[dim][block/t.Stride(dim)%od.NumBlocks()]
+		}
+		last := rows[d-1]
+		clear(at)
+		for {
+			off, slot := 0, 0
+			for dim, e := range rows[:d-1] {
+				off += e[at[dim]].off
+				slot = (slot + e[at[dim]].slot) * edge
+			}
+			for _, e := range last {
+				data[off+e.off] = frame[slot+e.slot]
+			}
+			dim := d - 2
+			for ; dim >= 0; dim-- {
+				if at[dim]++; at[dim] < len(rows[dim]) {
+					break
+				}
+				at[dim] = 0
+			}
+			if dim < 0 {
+				return
+			}
+		}
+	}
+}
+
+// nonStandardScatter returns ReadArray's scatter step for a non-standard
+// tiling. A tile rooted at level j holds, at each of its levels l, the
+// nodes of the 2^(j-l) cells per dimension under its root cell; the node
+// of a cell's detail of subband mask sits at level l's origin slot plus
+// the cell's row-major index in that grid times 2^d - 1, plus mask - 1, and
+// in hat at the cell's position offset by 2^(n-l) along each dimension
+// mask differences. The top tile's slot 0 is the overall average.
+func nonStandardScatter(t *NonStandard, hat *ndarray.Array) func(int, []float64) {
+	d, data := t.d, hat.Data()
+	stride := make([]int, d) // hat's row-major strides
+	for dim, step := d-1, 1; dim >= 0; dim, step = dim-1, step<<uint(t.n) {
+		stride[dim] = step
+	}
+	pos, q := make([]int, d), make([]int, d)
+	return func(block int, frame []float64) {
+		if block == 0 {
+			data[0] = frame[0]
+		}
+		j := t.rootInto(block, pos)
+		for l := j; l > j-t.TileHeight(block); l-- {
+			lvl := t.levels[l-1]
+			k := lvl.depth()
+			edge, base := 1<<uint(k), 1<<uint(t.n-l)
+			for mask := 1; mask < 1<<uint(d); mask++ {
+				corner := 0 // hat offset of the tile's lowest cell's detail
+				for dim, p := range pos {
+					c := p << uint(k)
+					if mask>>uint(dim)&1 == 1 {
+						c += base
+					}
+					corner += c * stride[dim]
+				}
+				slot := lvl.origin() + mask - 1
+				clear(q)
+				for {
+					off := corner
+					for dim, c := range q[:d-1] {
+						off += c * stride[dim]
+					}
+					for x := 0; x < edge; x++ {
+						data[off+x] = frame[slot]
+						slot += lvl.details
+					}
+					dim := d - 2
+					for ; dim >= 0; dim-- {
+						if q[dim]++; q[dim] < edge {
+							break
+						}
+						q[dim] = 0
+					}
+					if dim < 0 {
+						break
+					}
+				}
+			}
+		}
+	}
 }

@@ -103,8 +103,8 @@ func (bs *BucketSet) Buckets() []Bucket {
 	return bs.buckets
 }
 
-// applyGroup is how many tiles ApplyBuckets reads per vectored call: the
-// run a FileStore coalesces into one positional read.
+// applyGroup is how many tiles ApplyBuckets and ReadArray read per
+// vectored call: the run a FileStore coalesces into one positional read.
 const applyGroup = 64
 
 // applyScratch is ApplyBuckets' reused state: the batch's ids and written
@@ -191,18 +191,21 @@ func AccumulateEmbedStandard(t Tiling, shape []int, block dyadic.Range, bHat *nd
 		}
 		p.Embed(n, m, k)
 	}
-	data := bHat.Data()
+	data, last := bHat.Data(), bHat.Extent(d-1)
 	for p.Next() {
 		id, _ := p.Block()
 		bk := bs.bucket(id)
-		p.EachCoef(func(slot int, pick []PlanEntry) {
+		p.EachRow(func(slot int, pick, run []PlanEntry) {
 			off, w := 0, 1.0
-			for i, e := range pick {
+			for i, e := range pick[:d-1] {
 				off = off*bHat.Extent(i) + e.Src
 				w *= e.W
 			}
-			bk.Deltas[slot] += data[off] * w
-			bk.Touches++
+			off *= last
+			for _, e := range run {
+				bk.Deltas[slot+e.Slot] += data[off+e.Src] * (w * e.W)
+			}
+			bk.Touches += len(run)
 		})
 	}
 }

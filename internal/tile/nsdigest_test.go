@@ -15,17 +15,17 @@ import (
 // non-standard merges produces: an accumulation that reorders a single
 // addition, or counts one touch more or less, moves it.
 var nonStdMergeDigests = map[string]string{
-	"n7/d1/b3/*tile.NonStandard": "19b1a4ccf9b66fb665a20924",
+	"n7/d1/b3/*tile.NonStandard": "03e64ac69b333fdfa229b1a9",
 	"n7/d1/b3/*tile.Sequential":  "b00feb853b85a632291744fb",
-	"n5/d2/b2/*tile.NonStandard": "5fb7cdfe90fcf57f961db7a1",
+	"n5/d2/b2/*tile.NonStandard": "51096d57a42462c1ca5d3ae3",
 	"n5/d2/b2/*tile.Sequential":  "6fe63691b6024ba9e3ac661d",
-	"n4/d2/b2/*tile.NonStandard": "13964d3417e059a3f95cd63c",
+	"n4/d2/b2/*tile.NonStandard": "eb5a7c5fb67da70e34701dea",
 	"n4/d2/b2/*tile.Sequential":  "27263e5d695af53756b3b2c0",
-	"n2/d2/b3/*tile.NonStandard": "5256383a220f73b5f2ace659",
+	"n2/d2/b3/*tile.NonStandard": "d295a5a060c5148de54a971f",
 	"n2/d2/b3/*tile.Sequential":  "67c0383444773fd4b5efce2c",
-	"n3/d3/b2/*tile.NonStandard": "ebd77321722bbfdd41645cc1",
+	"n3/d3/b2/*tile.NonStandard": "988d6ef317fab798af061504",
 	"n3/d3/b2/*tile.Sequential":  "8ed57421c973fed9d21bf76d",
-	"n4/d3/b1/*tile.NonStandard": "70dcb59837045a5d6e9924ce",
+	"n4/d3/b1/*tile.NonStandard": "469037f331000c86a0502272",
 	"n4/d3/b1/*tile.Sequential":  "02bc5ab4cc0467755df79265",
 }
 
@@ -49,8 +49,7 @@ func hashBuckets(h hash.Hash, bs *BucketSet) {
 // TestNonStdMergeDigestPinned runs the script on the non-standard tiling
 // and on its Sequential twin of the same block size: per chunk the SHIFT
 // and SPLIT kernels and the slot step into a fresh set, then the whole
-// script bucketed into one set with one slot step, then (non-standard
-// only) per chunk the SHIFT kernel and the write-once chunk scaling step.
+// script bucketed into one set with one slot step.
 func TestNonStdMergeDigestPinned(t *testing.T) {
 	for i, g := range []struct{ n, d, b int }{
 		{7, 1, 3}, {5, 2, 2}, {4, 2, 2}, {2, 2, 3}, {3, 3, 2}, {4, 3, 1},
@@ -91,15 +90,6 @@ func TestNonStdMergeDigestPinned(t *testing.T) {
 			}
 			AccumulateScalingSlots(tiling, bs)
 			hashBuckets(h, bs)
-			if nst, ok := tiling.(*NonStandard); ok {
-				for k, c := range script {
-					bs.Reset()
-					hat := randHat(cubeShape(c.m, g.d), int64(100*i+k))
-					AccumulateShiftNonStandard(nst, shape, c.m, c.pos, hat, bs)
-					AccumulateChunkScalingNonStandard(nst, c.m, c.pos, hat, bs)
-					hashBuckets(h, bs)
-				}
-			}
 			if got, want := fmt.Sprintf("%x", h.Sum(nil)[:12]), nonStdMergeDigests[name]; got != want {
 				t.Errorf("%s: merge digest %s, pinned %s", name, got, want)
 			}

@@ -279,6 +279,22 @@ func (p *Plan) Run(t int) []PlanEntry {
 // its slot in the block and its entry along each dimension (pick is the
 // plan's own and is overwritten by the next call).
 func (p *Plan) EachCoef(fn func(slot int, pick []PlanEntry)) {
+	d := len(p.axes)
+	p.EachRow(func(slot int, pick, run []PlanEntry) {
+		for _, e := range run {
+			pick[d-1] = e
+			fn(slot+e.Slot, pick)
+		}
+	})
+}
+
+// EachRow is EachCoef a row at a time: it calls fn once per combination of
+// the entries of every dimension but the last, in EachCoef's order, with
+// those entries in pick[:d-1], run the last dimension's entries in the
+// block, and slot the slot to which a run entry's Slot adds. A consumer
+// whose inner loop runs over run pays one call per row instead of one per
+// coefficient.
+func (p *Plan) EachRow(fn func(slot int, pick, run []PlanEntry)) {
 	d, edge := len(p.axes), p.Edge()
 	p.pick, p.at = resized(p.pick, d), resized(p.at, d)
 	clear(p.at)
@@ -293,10 +309,7 @@ func (p *Plan) EachCoef(fn func(slot int, pick []PlanEntry)) {
 		if edge == 0 {
 			_, slot = p.Block() // and every Slot is 0
 		}
-		for _, e := range p.Run(d - 1) {
-			p.pick[d-1] = e
-			fn(slot+e.Slot, p.pick)
-		}
+		fn(slot, p.pick, p.Run(d-1))
 		t := d - 2
 		for ; t >= 0; t-- {
 			if p.at[t]++; p.axes[t].glo+p.at[t] < p.axes[t].ghi {

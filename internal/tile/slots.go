@@ -1,11 +1,5 @@
 package tile
 
-import (
-	"math/bits"
-
-	"github.com/shiftsplit/shiftsplit/internal/ndarray"
-)
-
 // AccumulateScalingSlots completes a bucketed linear update with the change
 // it makes to the redundant scaling slots of the tiles it touches, so that a
 // store maintained by buckets keeps every tile's root average current
@@ -43,12 +37,10 @@ type slotScratch struct {
 	dst    []float64
 	src    []float64
 
-	// Non-standard form: the root cell of the bucket's tile, the cell
-	// averages a chunk's in-chunk tiles are unfolded from, and the SPLIT's
-	// attenuated chunk average per level.
-	pos        []int
-	avgs, next []float64
-	attn       []float64
+	// Non-standard form: the root cell of the bucket's tile and the
+	// SPLIT's attenuated chunk average per level.
+	pos  []int
+	attn []float64
 }
 
 // slotsStandard adds, to every scaling slot of every touched tile, the
@@ -170,79 +162,6 @@ func (bs *BucketSet) slotsNonStandard(nst *NonStandard) {
 			}
 		}
 		b.Deltas[0] += sum
-	}
-}
-
-// AccumulateChunkScalingNonStandard buckets slot 0 of every tile rooted
-// strictly inside a chunk: the chunk of edge 2^m at position pos (in chunk
-// units) with non-standard transform hat. Those tiles' root averages depend
-// on the chunk alone, so the write-once engine records them with the
-// chunk's details, one touch per tile; tiles rooted at level m or above
-// take theirs from the crest. The averages are unfolded level by level from
-// the chunk average down to the lowest tile-root level, and an all-zero hat
-// records zeros.
-func AccumulateChunkScalingNonStandard(nst *NonStandard, m int, pos []int, hat *ndarray.Array, bs *BucketSet) {
-	low := 1
-	for low < m && !nst.levels[low-1].TileRoot() {
-		low++
-	}
-	if low >= m {
-		return // no tile is rooted inside the chunk
-	}
-	d, data := nst.d, hat.Data()
-	sc := &bs.slots
-	sc.pos = resized(sc.pos, d)
-	sc.avgs = append(sc.avgs[:0], data[0])
-	for l := m; l > low; l-- {
-		// avgs holds the cells of level l, row-major over P per dimension;
-		// unfold the cells of level l-1 from them and the level-l details,
-		// which sit at offset P along each differenced dimension.
-		P := 1 << uint(m-l)
-		size := 1 << uint(d*(m-l+1))
-		sc.next = resized(sc.next, size)
-		for t := range sc.pos {
-			sc.pos[t] = 0
-		}
-		for x := 0; x < size; x++ {
-			parent, off, side := 0, 0, 0
-			for t, p := range sc.pos {
-				parent = parent*P + p>>1
-				off = off<<uint(m) + p>>1
-				side |= (p & 1) << uint(t)
-			}
-			v := sc.avgs[parent]
-			for mask := 1; mask < 1<<uint(d); mask++ {
-				doff := off
-				for t := 0; t < d; t++ {
-					if mask>>uint(t)&1 == 1 {
-						doff += P << uint((d-1-t)*m)
-					}
-				}
-				if bits.OnesCount(uint(mask&side))&1 == 1 {
-					v -= data[doff]
-				} else {
-					v += data[doff]
-				}
-			}
-			sc.next[x] = v
-			for t := d - 1; t >= 0; t-- {
-				if sc.pos[t]++; sc.pos[t] < 2*P {
-					break
-				}
-				sc.pos[t] = 0
-			}
-		}
-		sc.avgs, sc.next = sc.next, sc.avgs
-		if !nst.levels[l-2].TileRoot() {
-			continue
-		}
-		// The tiles rooted at level l-1 are the chunk's cells there, and
-		// the walk takes them in the averages' row-major order.
-		p := &bs.ns
-		p.Cube(nst, m, pos, l-1, l-1)
-		for x := 0; p.Next(); x++ {
-			bs.Add(p.Block(), 0, sc.avgs[x])
-		}
 	}
 }
 

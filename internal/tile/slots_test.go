@@ -220,61 +220,3 @@ func TestScalingSlotsFollowMerges(t *testing.T) {
 		})
 	}
 }
-
-// TestChunkScalingMatchesPathSums holds the unfolded averages of the tiles
-// rooted inside a chunk to core.ScalingNonStandard of the chunk's own
-// transform, with one touch per tile.
-func TestChunkScalingMatchesPathSums(t *testing.T) {
-	for _, g := range []struct{ n, d, b, m int }{
-		{5, 1, 2, 4},
-		{5, 2, 1, 3},
-		{6, 2, 2, 5},
-		{4, 3, 1, 3},
-		{5, 2, 2, 2},
-	} {
-		t.Run(fmt.Sprintf("n=%d/d=%d/b=%d/m=%d", g.n, g.d, g.b, g.m), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(g.n + g.m)))
-			tiling := NewNonStandard(g.n, g.d, g.b)
-			chunk := make([]int, g.d)
-			pos := make([]int, g.d)
-			for i := range chunk {
-				chunk[i] = 1 << uint(g.m)
-				pos[i] = rng.Intn(1 << uint(g.n-g.m))
-			}
-			hat := randArray(rng, chunk...)
-			set := NewBucketSet(tiling.BlockSize())
-			AccumulateChunkScalingNonStandard(tiling, g.m, pos, hat, set)
-			want := 0
-			for j := 1; j < g.m; j++ {
-				if !tiling.Level(j).TileRoot() {
-					continue
-				}
-				cells := 1 << uint(g.d*(g.m-j))
-				want += cells
-				local := make([]int, g.d)
-				for x := 0; x < cells; x++ {
-					root, rest := 0, x
-					for i := g.d - 1; i >= 0; i-- {
-						local[i], rest = rest%(1<<uint(g.m-j)), rest/(1<<uint(g.m-j))
-					}
-					lvl := tiling.Level(j)
-					loc := 0
-					for i, p := range local {
-						root, loc = lvl.Push(root, loc, pos[i]<<uint(g.m-j)+p)
-					}
-					block, _ := lvl.At(root, loc)
-					b := set.bucket(block)
-					if b.Touches != 1 {
-						t.Fatalf("tile %d rooted at level %d: %d touches, want 1", block, j, b.Touches)
-					}
-					if w := core.ScalingNonStandard(hat, j, local); math.Abs(b.Deltas[0]-w) > 1e-12*math.Max(1, math.Abs(w)) {
-						t.Fatalf("tile %d rooted at level %d cell %v: slot %v, path sum %v", block, j, local, b.Deltas[0], w)
-					}
-				}
-			}
-			if set.Len() != want {
-				t.Fatalf("%d tiles recorded, %d are rooted inside the chunk", set.Len(), want)
-			}
-		})
-	}
-}

@@ -40,10 +40,10 @@
 // root. For the tile containing the tree root this is the transform's
 // overall average; for all other tiles it is redundant derived data that the
 // paper stores to cut query cost (a point can then be reconstructed from a
-// single block). Materialize writes it on the same kernels and slot step as
-// every bucketed update, which keeps it current in the tiles the update
-// already touches (AccumulateScalingSlots, and
-// AccumulateChunkScalingNonStandard for the write-once engine).
+// single block). The chunked engines (Materialize is their one-chunk case)
+// write it on the same kernels and slot step as every bucketed update,
+// which keeps it current in the tiles the update already touches
+// (AccumulateScalingSlots).
 package tile
 
 import (

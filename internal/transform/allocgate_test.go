@@ -20,8 +20,8 @@ const allocBudgetSlack = 1.20
 // allocs/op of internal/appender's BenchmarkAppender/aligned (eight
 // [32,256] slabs into a 256x256 domain, tile bits 2).
 var allocBudgets = map[string]float64{
-	"ChunkedStandard/workers=1":    8423,
-	"ChunkedNonStandard/workers=1": 5726,
+	"ChunkedStandard/workers=1":    8395,
+	"ChunkedNonStandard/workers=1": 5613,
 	"Appender":                     8589,
 }
 

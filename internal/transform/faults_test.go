@@ -30,18 +30,6 @@ func atWorkers(t *testing.T, check func(t *testing.T, workers int)) {
 	}
 }
 
-func TestChunkedStandardSurfacesReadFault(t *testing.T) {
-	atWorkers(t, func(t *testing.T, workers int) {
-		src := dataset.Dense([]int{16, 16}, 1)
-		st, f := faultyStore(t, tile.NewStandard([]int{4, 4}, 2))
-		f.FailReadAfter(5)
-		_, err := ChunkedStandard(src, 2, st, workers)
-		if !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("err = %v, want injected fault", err)
-		}
-	})
-}
-
 func TestChunkedStandardSurfacesWriteFault(t *testing.T) {
 	atWorkers(t, func(t *testing.T, workers int) {
 		src := dataset.Dense([]int{16, 16}, 1)
@@ -54,7 +42,7 @@ func TestChunkedStandardSurfacesWriteFault(t *testing.T) {
 	})
 }
 
-func TestCrestEngineSurfacesWriteFault(t *testing.T) {
+func TestChunkedNonStandardSurfacesWriteFault(t *testing.T) {
 	atWorkers(t, func(t *testing.T, workers int) {
 		src := dataset.Dense([]int{16, 16}, 2)
 		st, f := faultyStore(t, tile.NewNonStandard(4, 2, 2))

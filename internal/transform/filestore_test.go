@@ -48,7 +48,7 @@ func TestEnginesAgainstRealFiles(t *testing.T) {
 		verifyAgainst(t, st2, wavelet.TransformStandard(src), 1e-8)
 	})
 
-	t.Run("non-standard-crest", func(t *testing.T) {
+	t.Run("non-standard", func(t *testing.T) {
 		tiling := tile.NewNonStandard(5, 2, 2)
 		path := filepath.Join(dir, "nonstd.blocks")
 		fs, err := storage.NewFileStore(path, tiling.BlockSize())

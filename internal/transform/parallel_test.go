@@ -80,8 +80,8 @@ func TestChunkedStandardParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChunkedNonStandardParallelBitIdentical covers the z-order crest
-// engine on dense and sparse data.
+// TestChunkedNonStandardParallelBitIdentical covers the non-standard form
+// on dense and sparse data.
 func TestChunkedNonStandardParallelBitIdentical(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		shape := []int{32, 32}
@@ -162,7 +162,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			_, err := ChunkedStandard(src, 2, st, workers)
 			return err
 		})},
-		{"crest", recordOn(nonStd, func(st *tile.Store, workers int) error {
+		{"non-standard", recordOn(nonStd, func(st *tile.Store, workers int) error {
 			_, err := ChunkedNonStandard(src, 2, st, workers)
 			return err
 		})},

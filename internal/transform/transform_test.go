@@ -3,6 +3,7 @@ package transform
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/shiftsplit/shiftsplit/internal/dataset"
@@ -10,6 +11,7 @@ import (
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
 	"github.com/shiftsplit/shiftsplit/internal/wavelet"
+	"github.com/shiftsplit/shiftsplit/internal/zorder"
 )
 
 // countedStore builds MemStore -> Counting -> tile.Store.
@@ -73,7 +75,7 @@ func TestChunkedStandardCorrect(t *testing.T) {
 	}
 }
 
-func TestChunkedNonStandardCrestCorrect(t *testing.T) {
+func TestChunkedNonStandardCorrect(t *testing.T) {
 	for _, c := range []struct{ n, d, m, b int }{
 		{4, 2, 2, 2},
 		{4, 2, 1, 2},
@@ -95,43 +97,25 @@ func TestChunkedNonStandardCrestCorrect(t *testing.T) {
 	}
 }
 
-func TestCrestIsWriteOnly(t *testing.T) {
-	// Result 2: with z-order and the crest, the engine never reads a block.
+func TestChunkedEnginesAreWriteOnly(t *testing.T) {
+	// Both forms bucket into the write-once sink: no block is read, and
+	// every block of a dense dataset is written exactly once.
 	src := dataset.Dense([]int{32, 32}, 4)
-	st, counting := countedStore(t, tile.NewNonStandard(5, 2, 2))
-	_, err := ChunkedNonStandard(src, 2, st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := counting.Stats()
-	if stats.Reads != 0 {
-		t.Errorf("crest engine performed %d reads, want 0", stats.Reads)
-	}
-	// Every block is written exactly once: writes == blocks touched.
-	if stats.Writes > int64(st.Tiling().NumBlocks()) {
-		t.Errorf("writes %d exceed total blocks %d", stats.Writes, st.Tiling().NumBlocks())
-	}
-}
-
-func TestChunkedStandardIOScalesWithMemory(t *testing.T) {
-	// Result 1: larger chunks (more memory) => fewer split I/Os.
-	src := dataset.Dense([]int{64, 64}, 6)
-	tiling := tile.NewSequential([]int{64, 64}, 1) // coefficient granularity
-	var prev int64 = 1 << 62
-	for _, m := range []int{1, 2, 3, 4} {
-		counting := storage.NewCounting(storage.NewMemStore(1))
-		st, err := tile.NewStore(counting, tiling)
-		if err != nil {
+	for _, c := range []struct {
+		name   string
+		tiling tile.Tiling
+		engine func(*ndarray.Array, int, *tile.Store, int) (Stats, error)
+	}{
+		{"standard", tile.NewStandard([]int{5, 5}, 2), ChunkedStandard},
+		{"non-standard", tile.NewNonStandard(5, 2, 2), ChunkedNonStandard},
+	} {
+		st, counting := countedStore(t, c.tiling)
+		if _, err := c.engine(src, 2, st, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandard(src, m, st, 0); err != nil {
-			t.Fatal(err)
+		if got := counting.Stats(); got.Reads != 0 || got.Writes != int64(c.tiling.NumBlocks()) {
+			t.Errorf("%s: %d reads and %d writes, want 0 and one per block (%d)", c.name, got.Reads, got.Writes, c.tiling.NumBlocks())
 		}
-		total := counting.Stats().Total()
-		if total > prev {
-			t.Errorf("m=%d: I/O %d increased over smaller memory %d", m, total, prev)
-		}
-		prev = total
 	}
 }
 
@@ -197,7 +181,7 @@ func TestShiftSplitBeatsVitter(t *testing.T) {
 		t.Errorf("shift-split standard %d should beat Vitter %d", cS.Stats().Total(), cV.Stats().Total())
 	}
 	if cN.Stats().Total() >= cS.Stats().Total() {
-		t.Errorf("non-standard crest %d should beat standard %d", cN.Stats().Total(), cS.Stats().Total())
+		t.Errorf("non-standard %d should beat standard %d", cN.Stats().Total(), cS.Stats().Total())
 	}
 }
 
@@ -217,17 +201,17 @@ func TestNonStandardRejectsNonCubic(t *testing.T) {
 	}
 }
 
-func TestCrestMemoryBound(t *testing.T) {
-	// The crest engine's extra memory should stay near
-	// (2^d - 1) log(N/M) * B^d, far below the dataset size.
+func TestSinkMemoryBound(t *testing.T) {
+	// The sink holds the open blocks of a chunk's subtree and path, far
+	// below the dataset size.
 	src := dataset.Dense([]int{64, 64}, 10)
 	st, _ := countedStore(t, tile.NewNonStandard(6, 2, 2))
 	stats, err := ChunkedNonStandard(src, 2, st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MaxCrestMemory >= src.Size()/4 {
-		t.Errorf("crest memory %d too close to dataset size %d", stats.MaxCrestMemory, src.Size())
+	if mem := stats.MaxOpenBlocks * st.Tiling().BlockSize(); mem >= src.Size()/4 {
+		t.Errorf("sink memory %d too close to dataset size %d", mem, src.Size())
 	}
 }
 
@@ -239,45 +223,22 @@ func log2(x int) int {
 	return n
 }
 
-func TestStandardIOTracksPaperFormula(t *testing.T) {
-	// Result 1: measured coefficient I/O must stay within a small constant
-	// factor of N^d/M^d * (M + log(N/M))^d across a chunk-size sweep.
-	src := dataset.Dense([]int{64, 64}, 20)
-	for _, m := range []int{1, 2, 3, 4} {
+func TestCoefficientIOIsExactlyOptimal(t *testing.T) {
+	// Result 2 at coefficient granularity, on both forms: exactly N^d
+	// writes, 0 reads.
+	src := dataset.Dense([]int{32, 32}, 21)
+	for _, engine := range []func(*ndarray.Array, int, *tile.Store, int) (Stats, error){ChunkedStandard, ChunkedNonStandard} {
 		counting := storage.NewCounting(storage.NewMemStore(1))
-		st, err := tile.NewStore(counting, tile.NewSequential([]int{64, 64}, 1))
+		st, err := tile.NewStore(counting, tile.NewSequential([]int{32, 32}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChunkedStandard(src, m, st, 0); err != nil {
+		if _, err := engine(src, 2, st, 0); err != nil {
 			t.Fatal(err)
 		}
-		measured := float64(counting.Stats().Total())
-		M := float64(int(1) << uint(m))
-		logNM := float64(6 - m)
-		formula := (4096 / (M * M)) * (M + logNM) * (M + logNM)
-		ratio := measured / formula
-		if ratio < 0.5 || ratio > 4 {
-			t.Errorf("m=%d: measured %d vs formula %.0f (ratio %.2f) outside [0.5, 4]",
-				m, counting.Stats().Total(), formula, ratio)
+		if stats := counting.Stats(); stats.Reads != 0 || stats.Writes != 1024 {
+			t.Errorf("I/O = %+v, want exactly 0 reads and 1024 writes", stats)
 		}
-	}
-}
-
-func TestCrestIOIsExactlyOptimal(t *testing.T) {
-	// Result 2 at coefficient granularity: exactly N^d writes, 0 reads.
-	src := dataset.Dense([]int{32, 32}, 21)
-	counting := storage.NewCounting(storage.NewMemStore(1))
-	st, err := tile.NewStore(counting, tile.NewSequential([]int{32, 32}, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ChunkedNonStandard(src, 2, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	stats := counting.Stats()
-	if stats.Reads != 0 || stats.Writes != 1024 {
-		t.Errorf("crest I/O = %+v, want exactly 0 reads and 1024 writes", stats)
 	}
 }
 
@@ -286,8 +247,8 @@ func TestCrestIOIsExactlyOptimal(t *testing.T) {
 // engine writes as one chunk (m = n), for tile bits that do and do not
 // divide the levels, and d = 1 to 3. The one-chunk layout is Materialize's:
 // the root package's TestScalingSlotsSurviveMaintenance holds it, on both
-// forms, to a layout derived from the definitions. The z-order engine also
-// writes each block exactly once and reads none.
+// forms, to a layout derived from the definitions. Both forms also write
+// each block exactly once and read none.
 func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 	same := func(t *testing.T, name string, got, want *tile.Store) {
 		t.Helper()
@@ -324,19 +285,79 @@ func TestChunkedEnginesWriteScalingSlots(t *testing.T) {
 		}
 		for m := 0; m <= c.n; m++ {
 			name := func(engine string) string { return fmt.Sprintf("%s n=%d d=%d b=%d m=%d", engine, c.n, c.d, c.b, m) }
-			std, _ := countedStore(t, tile.NewStandard(ns, c.b))
-			if _, err := ChunkedStandard(src, m, std, 0); err != nil {
-				t.Fatal(err)
+			for _, e := range []struct {
+				name   string
+				engine func(*ndarray.Array, int, *tile.Store, int) (Stats, error)
+				tiling tile.Tiling
+				want   *tile.Store
+			}{
+				{"standard", ChunkedStandard, tile.NewStandard(ns, c.b), wantStd},
+				{"non-standard", ChunkedNonStandard, tile.NewNonStandard(c.n, c.d, c.b), wantNon},
+			} {
+				got, counting := countedStore(t, e.tiling)
+				if _, err := e.engine(src, m, got, 0); err != nil {
+					t.Fatal(err)
+				}
+				if st := counting.Stats(); st.Reads != 0 || st.Writes != int64(e.tiling.NumBlocks()) {
+					t.Errorf("%s: %d reads and %d writes, want 0 and one per block (%d)", name(e.name), st.Reads, st.Writes, e.tiling.NumBlocks())
+				}
+				same(t, name(e.name), got, e.want)
 			}
-			same(t, name("standard"), std, wantStd)
-			crest, counting := countedStore(t, tile.NewNonStandard(c.n, c.d, c.b))
-			if _, err := ChunkedNonStandard(src, m, crest, 0); err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// TestMaxOpenBlocks holds the most blocks the write-once sink holds at once
+// to the count of blocks whose first contribution comes at or before a
+// chunk and whose last at or after it, the largest over the z-order
+// schedule, on the benchmark geometry (1024², TileBits 4): 129, 132 and
+// 192 blocks on the standard form at chunk bits 4, 5 and 7 (2.7–4.0 % of
+// its 4 761), 6 and 66 on the non-standard form at 5 and 7.
+func TestMaxOpenBlocks(t *testing.T) {
+	src := dataset.Dense([]int{1024, 1024}, 1)
+	for _, c := range []struct {
+		nonStandard bool
+		m, want     int
+	}{{false, 4, 129}, {false, 5, 132}, {false, 7, 192}, {true, 5, 6}, {true, 7, 66}} {
+		var tiling tile.Tiling = tile.NewStandard([]int{10, 10}, 4)
+		engine := ChunkedStandard
+		if c.nonStandard {
+			tiling, engine = tile.NewNonStandard(10, 2, 4), ChunkedNonStandard
+		}
+		st, err := tile.NewStore(storage.NewMemStore(tiling.BlockSize()), tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := engine(src, c.m, st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.MaxOpenBlocks != c.want {
+			t.Errorf("non-standard=%v chunk bits %d: %d blocks open at most, want %d", c.nonStandard, c.m, stats.MaxOpenBlocks, c.want)
+		}
+	}
+}
+
+// TestZSchedule holds the chunk schedule to the z-order of the smallest
+// power-of-two cube holding the grid with the cells outside it skipped,
+// on square grids and grids whose extents differ, d = 1 to 3.
+func TestZSchedule(t *testing.T) {
+	for _, grid := range [][]int{{1}, {8}, {4, 4}, {8, 2}, {1, 4}, {2, 8, 4}, {4, 1, 2}, {2, 2, 2}} {
+		side := 1
+		for _, g := range grid {
+			side = max(side, g)
+		}
+		var want []int
+		zorder.Curve(len(grid), side, func(pos []int) {
+			for i, p := range pos {
+				if p >= grid[i] {
+					return
+				}
 			}
-			if st := counting.Stats(); st.Reads != 0 || st.Writes != int64(crest.Tiling().NumBlocks()) {
-				t.Errorf("%s: %d reads and %d writes, want 0 and one per block (%d)", name("z-order"), st.Reads, st.Writes, crest.Tiling().NumBlocks())
-			}
-			same(t, name("z-order"), crest, wantNon)
+			want = append(want, pos...)
+		})
+		if got := zSchedule(grid); !slices.Equal(got, want) {
+			t.Errorf("grid %v: schedule %v, want %v", grid, got, want)
 		}
 	}
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // replace is the one whole-domain write: Materialize and TransformChunked
-// both run the form's chunked engine (Result 1 or 2) over src, with chunks
-// of edge 2^chunkBits, as a healing write. The engine writes through a view
-// on which a block this call has not written yet reads as zeros, at no I/O,
-// and every block the engine leaves untouched is then written as a zero
-// frame, so the store ends holding src's transform and nothing of what it
-// held before, which the call never reads. A handle CreateStore made that
-// no write has run on skips the zero frames: its blocks already read as
-// zeros, and not writing them is the paper's sparse-data saving (§5.1).
+// both run the chunked engine of the store's form over src, with chunks of
+// edge 2^chunkBits, as a healing write. The engine writes each block once,
+// at its last contribution, and reads none, so the call never reads what
+// the store held. Its sink leaves a block whose contributions are all zero
+// unwritten, and every such block is then written as a zero frame, so the
+// store ends holding src's transform and nothing of what it held before. A
+// handle CreateStore made that no write has run on skips the zero frames:
+// its blocks already read as zeros, and not writing them is the paper's
+// sparse-data saving (§5.1).
 func (s *Store) replace(src *Array, chunkBits, workers int) error {
 	if !slices.Equal(src.Shape(), s.opts.Shape) {
 		return fmt.Errorf("shiftsplit: array shape %v, store shape %v", src.Shape(), s.opts.Shape)
@@ -39,32 +40,11 @@ func (s *Store) replace(src *Array, chunkBits, workers int) error {
 	})
 }
 
-// blankView is the write view of a whole-domain write: it reads a block the
-// write has not stored yet as zeros without asking the stack below.
+// blankView is the write view of a whole-domain write: it records which
+// blocks the write has stored.
 type blankView struct {
 	storage.BlockStore
 	written []bool
-	// ids and bufs are ReadBlocks' scratch: the part of a batch to read.
-	ids  []int
-	bufs [][]float64
-}
-
-func (v *blankView) ReadBlock(id int, buf []float64) error {
-	return v.ReadBlocks([]int{id}, [][]float64{buf})
-}
-
-// ReadBlocks reads the blocks of the batch already written as one vectored
-// read and zeroes the others.
-func (v *blankView) ReadBlocks(ids []int, bufs [][]float64) error {
-	v.ids, v.bufs = v.ids[:0], v.bufs[:0]
-	for i, id := range ids {
-		if v.written[id] {
-			v.ids, v.bufs = append(v.ids, id), append(v.bufs, bufs[i])
-		} else {
-			clear(bufs[i])
-		}
-	}
-	return storage.ReadBlocksOf(v.BlockStore, v.ids, v.bufs)
 }
 
 func (v *blankView) WriteBlock(id int, data []float64) error {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/shiftsplit/shiftsplit/internal/dataset"
 	"github.com/shiftsplit/shiftsplit/internal/dyadic"
 	"github.com/shiftsplit/shiftsplit/internal/storage"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
@@ -168,36 +169,29 @@ func TestTransformChunkedReplacesTheStore(t *testing.T) {
 	}
 }
 
-// ioTrace records, below the store, which blocks a write stores and how
-// many reads ask for a block the write has not stored yet.
+// ioTrace records, below the store, how many blocks a write reads and
+// writes and which blocks it stores.
 type ioTrace struct {
 	storage.BlockStore
-	written map[int]bool
-	early   int
+	written       map[int]bool
+	reads, writes int
 }
 
-func (r *ioTrace) reset() { r.written, r.early = map[int]bool{}, 0 }
-
-func (r *ioTrace) read(ids ...int) {
-	for _, id := range ids {
-		if !r.written[id] {
-			r.early++
-		}
-	}
-}
+func (r *ioTrace) reset() { r.written, r.reads, r.writes = map[int]bool{}, 0, 0 }
 
 func (r *ioTrace) ReadBlock(id int, buf []float64) error {
-	r.read(id)
+	r.reads++
 	return r.BlockStore.ReadBlock(id, buf)
 }
 
 func (r *ioTrace) ReadBlocks(ids []int, bufs [][]float64) error {
-	r.read(ids...)
+	r.reads += len(ids)
 	return storage.ReadBlocksOf(r.BlockStore, ids, bufs)
 }
 
 func (r *ioTrace) WriteBlock(id int, data []float64) error {
 	r.written[id] = true
+	r.writes++
 	return r.BlockStore.WriteBlock(id, data)
 }
 
@@ -205,12 +199,13 @@ func (r *ioTrace) WriteBlocks(ids []int, data [][]float64) error {
 	for _, id := range ids {
 		r.written[id] = true
 	}
+	r.writes += len(ids)
 	return storage.WriteBlocksOf(r.BlockStore, ids, data)
 }
 
 // TestWholeDomainWriteIO gates a whole-domain write into a store that is
-// not fresh by counts: it writes every block, each at least once, and reads
-// no block before it has written it.
+// not fresh by counts: it writes every block exactly once and reads none,
+// on both forms, dense, sparse and all-zero, at every chunk size.
 func TestWholeDomainWriteIO(t *testing.T) {
 	const edge = 16
 	rng := rand.New(rand.NewSource(58))
@@ -242,8 +237,8 @@ func TestWholeDomainWriteIO(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(trace.written) != st.NumBlocks() || trace.early != 0 {
-						t.Fatalf("wrote %d of %d blocks, read %d before writing them", len(trace.written), st.NumBlocks(), trace.early)
+					if n := st.NumBlocks(); len(trace.written) != n || trace.writes != n || trace.reads != 0 {
+						t.Fatalf("wrote %d of %d blocks in %d writes and read %d", len(trace.written), n, trace.writes, trace.reads)
 					}
 				})
 			}
@@ -393,6 +388,44 @@ func TestMaterializeIsTheWholeDomainMerge(t *testing.T) {
 							t.Fatalf("block %d slot %d = %v, the merge has %v", id, slot, v, w)
 						}
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestTransformChunkedIOOnBenchStore gates the whole-domain write of the
+// benchmark harness's store by counts: a fresh durable, versioned 1024²
+// store at TileBits 4, chunk bits 5 and 6, both forms. Neither form reads a
+// block (the 2 reads are CreateStore's, before the write), and each writes
+// every block once, plus the remap table's pages (512 entries each) and
+// the first flip's 3 superblock-slot writes (epoch 0's slot, epoch 1's,
+// and slot 0's retirement): 4 761 + 10 + 3 standard, 4 113 + 9 + 3
+// non-standard.
+func TestTransformChunkedIOOnBenchStore(t *testing.T) {
+	src := dataset.Dense([]int{1024, 1024}, 1)
+	for _, c := range []struct {
+		form   Form
+		blocks int64
+	}{{Standard, 4761}, {NonStandard, 4113}} {
+		for _, chunkBits := range []int{5, 6} {
+			t.Run(fmt.Sprintf("%v/chunkBits=%d", c.form, chunkBits), func(t *testing.T) {
+				st, err := CreateStore(StoreOptions{Shape: []int{1024, 1024}, Form: c.form, TileBits: 4,
+					Path: filepath.Join(t.TempDir(), "cube.wav"), Durable: true, Versioned: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if int64(st.NumBlocks()) != c.blocks {
+					t.Fatalf("%d blocks, want %d", st.NumBlocks(), c.blocks)
+				}
+				if err := st.TransformChunked(src, chunkBits); err != nil {
+					t.Fatal(err)
+				}
+				pages := (c.blocks + 511) / 512
+				if io := st.Stats(); io.Reads != 2 || io.Writes != c.blocks+pages+3 {
+					t.Errorf("io = %d reads and %d writes, want 2 and %d (%d blocks, %d table pages, 3 slot writes)",
+						io.Reads, io.Writes, c.blocks+pages+3, c.blocks, pages)
 				}
 			})
 		}

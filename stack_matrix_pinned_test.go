@@ -68,41 +68,61 @@ package shiftsplit
 // and their 30 literals went. In each, only the last io= field (the
 // mapped reads, 0 before) moved, to its twin's value; the kept literals
 // are untouched. Lending cache hits to the query arena moved no field.
+// A ninth: both forms' chunked transforms became one engine, z-ordered
+// chunks bucketed with MergeBlock's kernels into a write-once sink. On
+// every standard case the first io= reads and writes fell by 135: the R1
+// engine's 16 chunks of 8² (chunk bits 3) each touched 4 tiles per
+// dimension, 16 blocks, so it wrote 256 and read back the 135 it had
+// written before; the sink writes each of the 121 blocks once and reads
+// none (1150/328 → 1015/193, versioned 1152/359 → 1017/224, the in-memory
+// re-query 2093 → 1958 and 2095 → 1960, MappedReads with the reads). On
+// the non-versioned standard serve-cache* cases those were cache misses:
+// misses and loads 904 → 769, evictions 718 → 693, hits unchanged. On the
+// versioned serve-cache* cases of both forms the blocks land at other
+// physical ids (written once each, a chunk's completed blocks ascending,
+// where R1 rewrote them and the crest wrote them one by one), which fall
+// in other cache shards: standard hits 191 → 240 (first io= reads 961 →
+// 777, the reopen's 762 → 713), non-standard 216 → 196 (452 → 472 and
+// 434 → 454). Every ans= and file= digest moved, on both forms: the sums
+// fold in another order (z-order chunks, and on the non-standard form
+// the split kernel's attenuated chunk averages instead of the crest's
+// fold), which moves values in the last bits; no file length, epoch=,
+// health= or non-standard io= field outside serve-cache* moved.
 var stackMatrixPinned = map[string]string{
-	"non-standard/file/durable=false,versioned=false,mapped=true/create":              "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=false,mapped=true/open":                "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=false,mapped=true/serve":               "io=666/93/0/9/666 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=642/0/0/0/642 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache":         "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker": "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=8832/4203bdf1c1c283c03113f698a8b7a0a7c6ec8ae3dfc5e35e93ba86a58541c0f7\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/create":               "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/open":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve":                "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache":          "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":  "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=10752/33ec6ea3d475ff75ec9b6f4ed26535907c1f48ab3770fee83925a7f8b6868aed\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/create":                "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/open":                  "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache":           "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":   "io=452/117/19/9/452 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9\nfile=12096/011b2069df2e98d56f7a95e5163d32588a2fc64a1e2eb78c43671fe367ac64f7\nio=434/0/0/0/434 cache=216/426/426/410/0/16/0.336449 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=96900d2bd71fe2f9",
-	"non-standard/mem/durable+versioned":                                              "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/mem/plain":                                                          "io=666/93/0/9/0 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1308/93/0/10/0 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"non-standard/mem/versioned":                                                      "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=96900d2bd71fe2f9",
-	"standard/file/durable=false,versioned=false,mapped=true/create":                  "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/open":                    "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve":                   "io=1150/328/0/9/1150 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=943/0/0/0/943 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve-cache":             "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/ ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker":     "io=904/328/0/9/904 cache=246/904/904/718/0/16/0.213913 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=15488/a02530a15a421443f8d946525fcf4fb6d1a232f8141328da75e0c7fe4f20ce6a\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/create":                   "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/open":                     "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve":                    "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve-cache":              "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":      "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=19072/aaa986df709db66cf0c30eef980dcaed5e1fc5f4be34fb30a0ffb4d1f64c985c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/create":                    "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/open":                      "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve":                     "io=1152/359/19/9/1152 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve-cache":               "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":       "io=961/359/19/9/961 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84\nfile=21456/19119c300d0de938e87e3e2d5ba74658c73b106cc8323574b8ee4acdeaa40f5c\nio=762/0/0/0/762 cache=191/752/752/736/0/16/0.202545 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=f4a85195faf74d84",
-	"standard/mem/durable+versioned":                                                  "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/359/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/mem/plain":                                                              "io=1150/328/0/9/0 health=ok/0/0/ ans=f4a85195faf74d84\nio=2093/328/0/10/0 health=ok/0/0/ ans=f4a85195faf74d84",
-	"standard/mem/versioned":                                                          "io=1152/359/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84\nio=2095/359/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=f4a85195faf74d84",
+	"non-standard/file/durable=false,versioned=false,mapped=true/create":              "io=666/93/0/9/666 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=8832/834e78e0647260260ea4806589a8e208a824488841aa9838a7c2d26547dd39e1\nio=642/0/0/0/642 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=false,mapped=true/open":                "io=666/93/0/9/666 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=8832/834e78e0647260260ea4806589a8e208a824488841aa9838a7c2d26547dd39e1\nio=642/0/0/0/642 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=false,mapped=true/serve":               "io=666/93/0/9/666 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=8832/834e78e0647260260ea4806589a8e208a824488841aa9838a7c2d26547dd39e1\nio=642/0/0/0/642 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache":         "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=8832/834e78e0647260260ea4806589a8e208a824488841aa9838a7c2d26547dd39e1\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker": "io=457/93/0/9/457 cache=209/457/457/417/0/16/0.313814 health=ok/0/0/closed ans=4aabc4ba075f739c\nfile=8832/834e78e0647260260ea4806589a8e208a824488841aa9838a7c2d26547dd39e1\nio=433/0/0/0/433 cache=209/433/433/417/0/16/0.325545 health=ok/0/0/closed ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=true,mapped=true/create":               "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=10752/491d5e80b450e528d2a92e8c3da8626020c2da39a5c8051b11fd1e7d8bb0c03b\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=true,mapped=true/open":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=10752/491d5e80b450e528d2a92e8c3da8626020c2da39a5c8051b11fd1e7d8bb0c03b\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve":                "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=10752/491d5e80b450e528d2a92e8c3da8626020c2da39a5c8051b11fd1e7d8bb0c03b\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache":          "io=472/117/19/9/472 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=10752/491d5e80b450e528d2a92e8c3da8626020c2da39a5c8051b11fd1e7d8bb0c03b\nio=454/0/0/0/454 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":  "io=472/117/19/9/472 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=4aabc4ba075f739c\nfile=10752/491d5e80b450e528d2a92e8c3da8626020c2da39a5c8051b11fd1e7d8bb0c03b\nio=454/0/0/0/454 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=4aabc4ba075f739c",
+	"non-standard/file/durable=true,versioned=true,mapped=true/create":                "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=12096/cecdc08c5f05837c70896f635ca4d25ed853f0d48fdff2db094427824325b1ce\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=true,versioned=true,mapped=true/open":                  "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=12096/cecdc08c5f05837c70896f635ca4d25ed853f0d48fdff2db094427824325b1ce\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve":                 "io=668/117/19/9/668 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=12096/cecdc08c5f05837c70896f635ca4d25ed853f0d48fdff2db094427824325b1ce\nio=650/0/0/0/650 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache":           "io=472/117/19/9/472 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nfile=12096/cecdc08c5f05837c70896f635ca4d25ed853f0d48fdff2db094427824325b1ce\nio=454/0/0/0/454 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":   "io=472/117/19/9/472 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=4aabc4ba075f739c\nfile=12096/cecdc08c5f05837c70896f635ca4d25ed853f0d48fdff2db094427824325b1ce\nio=454/0/0/0/454 cache=196/446/446/430/0/16/0.305296 epoch=9/0/9/6/4/84 health=ok/0/0/closed ans=4aabc4ba075f739c",
+	"non-standard/mem/durable+versioned":                                              "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/mem/plain":                                                          "io=666/93/0/9/0 health=ok/0/0/ ans=4aabc4ba075f739c\nio=1308/93/0/10/0 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"non-standard/mem/versioned":                                                      "io=668/117/19/9/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c\nio=1310/117/19/10/0 epoch=9/0/9/6/4/84 health=ok/0/0/ ans=4aabc4ba075f739c",
+	"standard/file/durable=false,versioned=false,mapped=true/create":                  "io=1015/193/0/9/1015 health=ok/0/0/ ans=97d986e84e876191\nfile=15488/6eed5d8c28541105f0aec75babb9097fc30f9035447debce727014ba6ec2e245\nio=943/0/0/0/943 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=false,mapped=true/open":                    "io=1015/193/0/9/1015 health=ok/0/0/ ans=97d986e84e876191\nfile=15488/6eed5d8c28541105f0aec75babb9097fc30f9035447debce727014ba6ec2e245\nio=943/0/0/0/943 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=false,mapped=true/serve":                   "io=1015/193/0/9/1015 health=ok/0/0/ ans=97d986e84e876191\nfile=15488/6eed5d8c28541105f0aec75babb9097fc30f9035447debce727014ba6ec2e245\nio=943/0/0/0/943 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=false,mapped=true/serve-cache":             "io=769/193/0/9/769 cache=246/769/769/693/0/16/0.242365 health=ok/0/0/ ans=97d986e84e876191\nfile=15488/6eed5d8c28541105f0aec75babb9097fc30f9035447debce727014ba6ec2e245\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=false,mapped=true/serve-cache-breaker":     "io=769/193/0/9/769 cache=246/769/769/693/0/16/0.242365 health=ok/0/0/closed ans=97d986e84e876191\nfile=15488/6eed5d8c28541105f0aec75babb9097fc30f9035447debce727014ba6ec2e245\nio=697/0/0/0/697 cache=246/697/697/681/0/16/0.260870 health=ok/0/0/closed ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=true,mapped=true/create":                   "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=19072/cb6aa796d889777b2917e899e3b60ed8203172fb487a4865c999f5ee2a66d889\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=true,mapped=true/open":                     "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=19072/cb6aa796d889777b2917e899e3b60ed8203172fb487a4865c999f5ee2a66d889\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=true,mapped=true/serve":                    "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=19072/cb6aa796d889777b2917e899e3b60ed8203172fb487a4865c999f5ee2a66d889\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=true,mapped=true/serve-cache":              "io=777/224/19/9/777 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=19072/cb6aa796d889777b2917e899e3b60ed8203172fb487a4865c999f5ee2a66d889\nio=713/0/0/0/713 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=false,versioned=true,mapped=true/serve-cache-breaker":      "io=777/224/19/9/777 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=97d986e84e876191\nfile=19072/cb6aa796d889777b2917e899e3b60ed8203172fb487a4865c999f5ee2a66d889\nio=713/0/0/0/713 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=97d986e84e876191",
+	"standard/file/durable=true,versioned=true,mapped=true/create":                    "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=21456/37a052962bb36e7a2584bf3fe44607383da40a534ce329e0eecd3e477dcbf7b3\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=true,versioned=true,mapped=true/open":                      "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=21456/37a052962bb36e7a2584bf3fe44607383da40a534ce329e0eecd3e477dcbf7b3\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=true,versioned=true,mapped=true/serve":                     "io=1017/224/19/9/1017 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=21456/37a052962bb36e7a2584bf3fe44607383da40a534ce329e0eecd3e477dcbf7b3\nio=953/0/0/0/953 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=true,versioned=true,mapped=true/serve-cache":               "io=777/224/19/9/777 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nfile=21456/37a052962bb36e7a2584bf3fe44607383da40a534ce329e0eecd3e477dcbf7b3\nio=713/0/0/0/713 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/file/durable=true,versioned=true,mapped=true/serve-cache-breaker":       "io=777/224/19/9/777 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=97d986e84e876191\nfile=21456/37a052962bb36e7a2584bf3fe44607383da40a534ce329e0eecd3e477dcbf7b3\nio=713/0/0/0/713 cache=240/703/703/687/0/16/0.254507 epoch=9/0/9/11/11/149 health=ok/0/0/closed ans=97d986e84e876191",
+	"standard/mem/durable+versioned":                                                  "io=1017/224/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nio=1960/224/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/mem/plain":                                                              "io=1015/193/0/9/0 health=ok/0/0/ ans=97d986e84e876191\nio=1958/193/0/10/0 health=ok/0/0/ ans=97d986e84e876191",
+	"standard/mem/versioned":                                                          "io=1017/224/19/9/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191\nio=1960/224/19/10/0 epoch=9/0/9/11/11/149 health=ok/0/0/ ans=97d986e84e876191",
 }

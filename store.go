@@ -384,23 +384,24 @@ func (s *Store) Materialize(a *Array) error {
 }
 
 // TransformChunked replaces the stored transform with src's by the paper's
-// I/O-efficient chunked transformation (Result 1 for the standard form;
-// Result 2, with z-ordered chunks and an in-memory crest, for the
-// non-standard form), using memory for one chunk of edge 2^chunkBits per
-// dimension, clamped to each extent; 2^chunkBits may not exceed the largest
-// extent. The per-tile scaling slots are written with the coefficients, at
-// no extra block I/O. The store ends holding src's transform alone: the
-// call reads no block it has not written itself, writes every block no
-// chunk reaches as zeros (except on a handle CreateStore made that has not
-// been written, whose blocks are zeros already), and, like Materialize,
-// heals a store with quarantined blocks.
+// I/O-efficient chunked transformation (Results 1 and 2), using memory for
+// one chunk of edge 2^chunkBits per dimension, clamped to each extent;
+// 2^chunkBits may not exceed the largest extent. Chunks are visited in
+// z-order and their SHIFT-SPLIT contributions held in the blocks they touch
+// until each block's last one, so on both forms every block is written
+// once and none is read. The per-tile scaling slots are written with the
+// coefficients, at no extra block I/O. The store ends holding src's
+// transform alone: blocks that end all zero are written as zeros (except
+// on a handle CreateStore made that has not been written, whose blocks are
+// zeros already), and, like Materialize, the call heals a store with
+// quarantined blocks.
 func (s *Store) TransformChunked(src *Array, chunkBits int) error {
 	return s.TransformChunkedOpts(src, chunkBits, MaintainOptions{})
 }
 
 // TransformChunkedOpts is TransformChunked with an explicit worker-pool
 // configuration: chunk transforms and SHIFT-SPLIT bucketing fan out to
-// opts.Workers goroutines while the deltas are applied on the calling
+// opts.Workers goroutines while the deltas are merged on the calling
 // goroutine in chunk order, so the resulting transform is bit-identical,
 // the I/O counters equal and the physical write sequence the same for
 // every worker count.
